@@ -23,6 +23,8 @@ use crate::signature::Signature;
 pub struct BloomSignature {
     filter: BloomFilter,
     m_max: usize,
+    /// SID of the node last passed to [`BloomSignature::fetch_child_mask`].
+    expanding: Sid,
 }
 
 impl BloomSignature {
@@ -44,7 +46,7 @@ impl BloomSignature {
         for sid in sids {
             filter.insert(sid.0);
         }
-        BloomSignature { filter, m_max: m }
+        BloomSignature { filter, m_max: m, expanding: Sid::ROOT }
     }
 
     /// Tests whether the subtree/tuple at `path` *may* contain data of the
@@ -60,6 +62,21 @@ impl BloomSignature {
             return true;
         }
         self.filter.contains(path.sid(self.m_max).0)
+    }
+
+    /// Points the filter at the node at `path` for the per-child tests of
+    /// one expansion. A filter stores no per-node array, so its "child
+    /// mask" is the node's SID: [`BloomSignature::child_bit`] derives each
+    /// child's SID from it with one multiply-add instead of re-encoding the
+    /// whole child path.
+    pub fn fetch_child_mask(&mut self, path: &Path) {
+        self.expanding = path.sid(self.m_max);
+    }
+
+    /// `contains(path.child(slot + 1))` for the `path` fetched last: one
+    /// filter probe.
+    pub fn child_bit(&self, slot: usize) -> bool {
+        self.filter.contains(self.expanding.child(slot as u16 + 1, self.m_max).0)
     }
 
     /// Serialized size of the filter in bytes (vs the exact signature's

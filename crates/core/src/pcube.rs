@@ -164,11 +164,11 @@ impl PCube {
             .map(|p| self.registry.code(&CellKey::atomic(p.dim, p.value)))
             .collect();
         if codes.iter().any(Option::is_none) {
-            return BooleanProbe::Assembled(Signature::empty(self.store.m_max()));
+            return BooleanProbe::assembled(Signature::empty(self.store.m_max()));
         }
         if eager_assembly {
             match self.try_assemble(&codes) {
-                Some(assembled) => return BooleanProbe::Assembled(assembled),
+                Some(assembled) => return BooleanProbe::assembled(assembled),
                 // A cell's signature could not be fully loaded (corrupt or
                 // unreadable page). Degrade to lazy cursors, which survive
                 // per-partial failures conservatively instead of aborting.
@@ -209,7 +209,7 @@ impl PCube {
         let mut codes = Vec::with_capacity(selection.len());
         for p in &selection {
             match self.registry.code(&CellKey::atomic(p.dim, p.value)) {
-                None => return BooleanProbe::Assembled(Signature::empty(self.store.m_max())),
+                None => return BooleanProbe::assembled(Signature::empty(self.store.m_max())),
                 Some(code) => codes.push(code),
             }
         }

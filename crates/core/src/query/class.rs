@@ -23,7 +23,6 @@ use std::fmt;
 use std::time::Instant;
 
 use pcube_cube::{normalize, Selection};
-use pcube_rtree::Mbr;
 use pcube_storage::IoSnapshot;
 
 use crate::pcube::PCubeDb;
@@ -31,8 +30,8 @@ use crate::plan::{EngineKind, Planner};
 use crate::query::budget::{CancelToken, Governor, QueryBudget};
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
-    run_kernel, BooleanPruner, HullLogic, PSkylineLogic, PreferenceLogic, SharedBound,
-    SharedWindow, SkylineLogic, TopKLogic, VerifyAllPruner,
+    dynamic_point, run_kernel, BooleanPruner, HullLogic, PSkylineLogic, PreferenceLogic,
+    SharedBound, SharedWindow, SkylineLogic, TopKLogic, VerifyAllPruner,
 };
 use crate::query::topk::{apply_kernel_outcome, make_governor};
 use crate::query::{dominates, seed_root, CandidateHeap, QueryStats};
@@ -338,7 +337,7 @@ impl QueryClass for SkylineClass {
     }
 
     fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        SkylineLogic::new(&self.pref_dims, None, None, shared)
+        SkylineLogic::new(&self.pref_dims, None, shared)
     }
 
     fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {
@@ -370,19 +369,13 @@ impl QueryClass for SkylineClass {
 // Dynamic skyline
 // ---------------------------------------------------------------------------
 
-/// Coordinate-transform closure type for [`DynamicSkylineClass`].
-type DynFn = Box<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync>;
-/// MBR-corner closure type for [`DynamicSkylineClass`].
-type DynCornerFn = Box<dyn Fn(&Mbr) -> Vec<f64> + Send + Sync>;
-
 /// The dynamic skyline class (§VII): skyline in the transformed space
 /// `x ↦ |x − q|` around a query point `q`, computed without materializing
 /// the transform (the MBR corner bound is the per-dimension distance to the
 /// nearest face).
 pub struct DynamicSkylineClass {
     pref_dims: Vec<usize>,
-    transform: DynFn,
-    corner: DynCornerFn,
+    query_point: Vec<f64>,
 }
 
 impl DynamicSkylineClass {
@@ -399,30 +392,7 @@ impl DynamicSkylineClass {
             pref_dims.iter().all(|&d| d < query_point.len()),
             "preference dimension out of range of the query point"
         );
-        let q1 = query_point.to_vec();
-        let transform: DynFn = Box::new(move |coords: &[f64]| {
-            coords
-                .iter()
-                .enumerate()
-                .map(|(d, &x)| (x - q1.get(d).copied().unwrap_or(0.0)).abs())
-                .collect()
-        });
-        let q2 = query_point.to_vec();
-        let corner: DynCornerFn = Box::new(move |mbr: &Mbr| {
-            (0..mbr.dims())
-                .map(|d| {
-                    let qd = q2[d];
-                    if qd < mbr.min[d] {
-                        mbr.min[d] - qd
-                    } else if qd > mbr.max[d] {
-                        qd - mbr.max[d]
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        });
-        DynamicSkylineClass { pref_dims, transform, corner }
+        DynamicSkylineClass { pref_dims, query_point: query_point.to_vec() }
     }
 }
 
@@ -444,9 +414,7 @@ impl QueryClass for DynamicSkylineClass {
     }
 
     fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        let transform: &(dyn Fn(&[f64]) -> Vec<f64> + Sync) = &*self.transform;
-        let corner: &(dyn Fn(&Mbr) -> Vec<f64> + Sync) = &*self.corner;
-        SkylineLogic::new(&self.pref_dims, Some(transform), Some(corner), shared)
+        SkylineLogic::new(&self.pref_dims, Some(&self.query_point), shared)
     }
 
     fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {
@@ -466,7 +434,8 @@ impl QueryClass for DynamicSkylineClass {
         let points: Vec<SkyPoint> = rows
             .iter()
             .map(|(tid, c)| {
-                let dom = (self.transform)(c);
+                let mut dom = Vec::with_capacity(c.len());
+                dynamic_point(&self.query_point, c, &mut dom);
                 let score: f64 = self.pref_dims.iter().map(|&d| dom[d]).sum();
                 (score, *tid, dom, c.clone())
             })
@@ -809,7 +778,7 @@ impl QueryClass for SubspaceSkylineClass {
     }
 
     fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        SkylineLogic::new(&self.dims, None, None, shared)
+        SkylineLogic::new(&self.dims, None, shared)
     }
 
     fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {

@@ -9,11 +9,10 @@
 //! transform of a box has an attainable per-dimension lower corner
 //! (`min_{x∈[lo,hi]} |x − q_d|` is reached independently per dimension), so
 //! both the BBS ordering key and the dominance prune carry over — the query
-//! is the [`kernel`](crate::query::kernel) skyline logic with the transform
-//! and corner functions plugged in.
+//! is the [`kernel`](crate::query::kernel) skyline logic given the query
+//! point.
 
 use pcube_cube::{normalize, Selection};
-use pcube_rtree::Mbr;
 
 use crate::pcube::PCubeDb;
 use crate::query::budget::{CancelToken, QueryBudget};
@@ -73,31 +72,11 @@ pub fn dynamic_skyline_query_governed(
     let selection = normalize(selection);
     let mut probe = db.pcube().probe(&selection, false);
 
-    // Transform helpers. `t_point` keeps the full dimensionality so that
-    // `dominates(_, _, pref_dims)` indexes it directly.
-    let t_point = |coords: &[f64]| -> Vec<f64> {
-        coords.iter().enumerate().map(|(d, &x)| (x - q.get(d).copied().unwrap_or(0.0)).abs()).collect()
-    };
-    let t_corner = |mbr: &Mbr| -> Vec<f64> {
-        (0..mbr.dims())
-            .map(|d| {
-                let qd = q[d];
-                if qd < mbr.min[d] {
-                    mbr.min[d] - qd
-                } else if qd > mbr.max[d] {
-                    qd - mbr.max[d]
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    };
-
     let mut heap = CandidateHeap::new();
     seed_root(db, &mut heap);
 
     let mut stats = QueryStats::default();
-    let mut logic = SkylineLogic::new(pref_dims, Some(&t_point), Some(&t_corner), None);
+    let mut logic = SkylineLogic::new(pref_dims, Some(q), None);
     let pin_seconds = started.elapsed().as_secs_f64();
     let kernel_run =
         run_kernel(db, &selection, &mut probe, &mut heap, &mut logic, None, gov.as_mut());

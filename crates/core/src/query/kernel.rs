@@ -25,13 +25,20 @@
 //! pruning state ([`SharedBound`], [`SharedWindow`]) injected through the
 //! logic, which is why serial and parallel answers match bit-for-bit at
 //! any worker count.
+//!
+//! One node expansion costs what the paper says it costs: one R-tree page,
+//! one signature-node lookup per conjunct of the probe, and one bit test
+//! per child. Children are scored and pruned in place from a borrowed
+//! [`NodeView`] of the page; a [`Path`], a coordinate vector or an [`Mbr`]
+//! is allocated only for a child that is pushed on the heap or saved to a
+//! list, and the clock is read per expansion, never per child.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use pcube_cube::Selection;
-use pcube_rtree::{DecodedEntry, Mbr, Path};
+use pcube_rtree::{Mbr, NodeView, Path};
 
 use crate::pcube::PCubeDb;
 use crate::query::budget::{Governor, StopReason};
@@ -41,12 +48,30 @@ use crate::query::{dominates, Candidate, CandidateHeap, HeapEntry, ResultEntry};
 use crate::rank::{MinCoordSum, RankingFunction};
 use crate::store::BooleanProbe;
 
-/// Boolean pruning as Algorithm 1 sees it: a yes/no membership test per
-/// candidate path, plus enough metadata to drive lossy-probe verification
-/// and the `SSig` statistics.
+/// Boolean pruning as Algorithm 1 sees it, at its two granularities — a
+/// full-path membership test for a popped entry, and per-node child masks
+/// for an expansion — plus enough metadata to drive lossy-probe
+/// verification and the `SSig` statistics. See
+/// [`BooleanProbe`](crate::store::BooleanProbe) for the contract between
+/// the two.
 pub trait BooleanPruner {
-    /// `true` if the subtree/tuple at `path` may contain qualifying tuples.
+    /// `true` if the subtree/tuple at `path` may contain qualifying tuples:
+    /// the full root-to-path probe, asked once per popped entry.
     fn contains(&mut self, path: &Path) -> bool;
+    /// Number of child masks one node expansion consults (one per conjunct
+    /// of the selection); 0 for a pruner that keeps every child.
+    fn mask_count(&self) -> usize {
+        0
+    }
+    /// Fetches mask `i` for the children of the node at `path`, which was
+    /// popped and passed [`Self::contains`]. The only child-side step that
+    /// can touch a page (a lazily loaded partial signature); the kernel
+    /// calls it at the first child that gets as far as mask `i`.
+    fn fetch_child_mask(&mut self, _i: usize, _path: &Path) {}
+    /// `true` if mask `i` keeps the child in 0-based `slot`: one bit test.
+    fn child_bit(&self, _i: usize, _slot: usize) -> bool {
+        true
+    }
     /// `true` if a positive answer may be wrong (Bloom probes, degraded
     /// cursors) — accepted tuples then require base-table verification.
     fn is_lossy(&self) -> bool;
@@ -57,6 +82,15 @@ pub trait BooleanPruner {
 impl BooleanPruner for BooleanProbe<'_> {
     fn contains(&mut self, path: &Path) -> bool {
         BooleanProbe::contains(self, path)
+    }
+    fn mask_count(&self) -> usize {
+        BooleanProbe::mask_count(self)
+    }
+    fn fetch_child_mask(&mut self, i: usize, path: &Path) {
+        BooleanProbe::fetch_child_mask(self, i, path)
+    }
+    fn child_bit(&self, i: usize, slot: usize) -> bool {
+        BooleanProbe::child_bit(self, i, slot)
     }
     fn is_lossy(&self) -> bool {
         BooleanProbe::is_lossy(self)
@@ -117,21 +151,37 @@ pub enum PopVerdict {
     Halt,
 }
 
+/// A candidate's geometry as the preference logic sees it, borrowed: from a
+/// queued [`Candidate`] at pop time, or from the kernel's scratch buffers
+/// while a child of the node under expansion is still unmaterialized.
+#[derive(Debug, Clone, Copy)]
+pub enum Region<'a> {
+    /// A tuple's preference coordinates.
+    Point(&'a [f64]),
+    /// A node's bounding rectangle.
+    Box(&'a Mbr),
+}
+
 /// The preference side of Algorithm 1: candidate scoring, preference
 /// pruning, halting, and result accumulation. One implementation per query
 /// class; the same implementation serves the serial engine and each
 /// parallel worker (with shared pruning state injected at construction).
+///
+/// The per-child methods take borrowed geometry and `&mut self` (for
+/// reusable scratch): they run for every child of every expanded node, most
+/// of which are pruned on the spot, and must not allocate.
 pub trait PreferenceLogic {
     /// Preference decision for a popped entry (Algorithm 1 lines 14–16 for
     /// skylines, the k-th-result cut of §V-B for top-k).
     fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict;
     /// Ordering key of a tuple (`f(t)` for top-k, `d(t)` for skylines).
-    fn score_tuple(&self, coords: &[f64]) -> f64;
-    /// Ordering key (lower bound) of a node's MBR.
-    fn score_node(&self, mbr: &Mbr, path: &Path) -> f64;
+    fn score_tuple(&mut self, coords: &[f64]) -> f64;
+    /// Ordering key (lower bound) of a node's MBR; `depth` is the length of
+    /// the node's path.
+    fn score_node(&mut self, mbr: &Mbr, depth: usize) -> f64;
     /// Preference check before a freshly scored child is inserted
     /// (Algorithm 1 lines 10–12); `true` prunes it to the `d_list`.
-    fn prune_child(&self, score: f64, cand: &Candidate) -> bool;
+    fn prune_child(&mut self, score: f64, child: Region<'_>) -> bool;
     /// A verified qualifying tuple joins the result.
     fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>);
 }
@@ -193,6 +243,12 @@ pub fn run_kernel(
     mut gov: Option<&mut Governor>,
 ) -> KernelRun {
     let mut run = KernelRun::default();
+    let masks = probe.mask_count();
+    // Scratch every child of every expanded node is read into, in place of
+    // an owned decode of the page.
+    let dims = db.rtree().dims();
+    let mut coords: Vec<f64> = Vec::with_capacity(dims);
+    let mut mbr = Mbr::empty(dims);
     while let Some(entry) = heap.pop() {
         run.pops += 1;
         if let Some(g) = gov.as_deref_mut() {
@@ -206,11 +262,11 @@ pub fn run_kernel(
                 break;
             }
         }
-        // Stage attribution: preference work (on_pop, scoring, pruning)
-        // counts as `score`; anything that can touch a page — boolean
-        // probes, node reads, verify fetches — counts as `page_read`. The
-        // clock is read once per transition, so instrumentation costs two
-        // `Instant::now` calls per pop plus one per probed child.
+        // Stage attribution: preference work (on_pop, scoring, pruning, bit
+        // tests, heap pushes) counts as `score`; anything that can touch a
+        // page — the pop-time probe, node reads, child-mask fetches, verify
+        // fetches — counts as `page_read`. The clock is read at those
+        // transitions only: a handful of times per pop, never per child.
         let t_pop = Instant::now();
         let verdict = logic.on_pop(&entry);
         let t_probed = Instant::now();
@@ -231,6 +287,8 @@ pub fn run_kernel(
             }
             PopVerdict::Continue => {}
         }
+        // The full-path probe: the entry may be the root seed or restored
+        // from a saved list, so nothing is known about its ancestors.
         let keep = probe.contains(entry.cand.path());
         run.stages.page_read_seconds += t_probed.elapsed().as_secs_f64();
         if !keep {
@@ -265,42 +323,51 @@ pub fn run_kernel(
             }
             Candidate::Node { pid, path, .. } => {
                 let t_read = Instant::now();
-                let node = db.rtree().read_node(pid);
-                let mut t_mark = Instant::now();
-                run.stages.page_read_seconds += (t_mark - t_read).as_secs_f64();
+                let node = db.rtree().view_node(pid);
+                let t_children = Instant::now();
+                run.stages.page_read_seconds += (t_children - t_read).as_secs_f64();
                 run.nodes_expanded += 1;
-                for (slot, child) in node.entries {
-                    let child_path = path.child(slot as u16 + 1);
-                    let (score, cand) = match child {
-                        DecodedEntry::Tuple { tid, coords } => {
-                            let s = logic.score_tuple(&coords);
-                            (s, Candidate::Tuple { tid, path: child_path, coords })
-                        }
-                        DecodedEntry::Child { child, mbr } => {
-                            let s = logic.score_node(&mbr, &child_path);
-                            (s, Candidate::Node { pid: child, path: child_path, mbr })
-                        }
+                let leaf = node.is_leaf();
+                let child_depth = path.depth() + 1;
+                // `path` just passed the full probe, so each child is decided
+                // by its bit in this node's masks alone. Mask `i` is fetched
+                // at the first child that survives preference pruning and
+                // masks `0..i` — the moment the per-child walk used to load
+                // the same partial signature.
+                let mut fetched = 0;
+                let mut fetch_seconds = 0.0;
+                for slot in node.slots() {
+                    let (score, child) = if leaf {
+                        node.coords_into(slot, &mut coords);
+                        (logic.score_tuple(&coords), Region::Point(&coords))
+                    } else {
+                        node.mbr_into(slot, &mut mbr);
+                        (logic.score_node(&mbr, child_depth), Region::Box(&mbr))
                     };
-                    if logic.prune_child(score, &cand) {
-                        if let Some(lists) = lists.as_deref_mut() {
-                            lists.d_list.push(HeapEntry { score, seq: 0, cand });
-                        }
-                        continue;
+                    let pruned_by_preference = logic.prune_child(score, child);
+                    let keep = !pruned_by_preference
+                        && (0..masks).all(|i| {
+                            if i == fetched {
+                                let t_fetch = Instant::now();
+                                probe.fetch_child_mask(i, &path);
+                                fetch_seconds += t_fetch.elapsed().as_secs_f64();
+                                fetched += 1;
+                            }
+                            probe.child_bit(i, slot)
+                        });
+                    // Only a child that goes somewhere is materialized.
+                    if keep {
+                        heap.push(score, materialize(&node, slot, &path, &coords, &mbr));
+                    } else if let Some(lists) = lists.as_deref_mut() {
+                        let list =
+                            if pruned_by_preference { &mut lists.d_list } else { &mut lists.b_list };
+                        let cand = materialize(&node, slot, &path, &coords, &mbr);
+                        list.push(HeapEntry { score, seq: 0, cand });
                     }
-                    let t_child_probe = Instant::now();
-                    run.stages.score_seconds += (t_child_probe - t_mark).as_secs_f64();
-                    let keep = probe.contains(cand.path());
-                    t_mark = Instant::now();
-                    run.stages.page_read_seconds += (t_mark - t_child_probe).as_secs_f64();
-                    if !keep {
-                        if let Some(lists) = lists.as_deref_mut() {
-                            lists.b_list.push(HeapEntry { score, seq: 0, cand });
-                        }
-                        continue;
-                    }
-                    heap.push(score, cand);
                 }
-                run.stages.score_seconds += t_mark.elapsed().as_secs_f64();
+                let children_seconds = t_children.elapsed().as_secs_f64();
+                run.stages.page_read_seconds += fetch_seconds;
+                run.stages.score_seconds += children_seconds - fetch_seconds;
             }
         }
     }
@@ -309,6 +376,24 @@ pub fn run_kernel(
         run.max_pop_seconds = g.max_pop_seconds();
     }
     run
+}
+
+/// The owned [`Candidate`] for the child in `slot` of the node at `parent`,
+/// whose geometry the kernel has just read into `coords` (leaf) or `mbr`
+/// (internal node).
+fn materialize(
+    node: &NodeView<'_>,
+    slot: usize,
+    parent: &Path,
+    coords: &[f64],
+    mbr: &Mbr,
+) -> Candidate {
+    let path = parent.child(slot as u16 + 1);
+    if node.is_leaf() {
+        Candidate::Tuple { tid: node.tid(slot), path, coords: coords.to_vec() }
+    } else {
+        Candidate::Node { pid: node.child(slot), path, mbr: mbr.clone() }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -541,15 +626,15 @@ impl PreferenceLogic for TopKLogic<'_> {
         }
     }
 
-    fn score_tuple(&self, coords: &[f64]) -> f64 {
+    fn score_tuple(&mut self, coords: &[f64]) -> f64 {
         self.f.score(coords)
     }
 
-    fn score_node(&self, mbr: &Mbr, _path: &Path) -> f64 {
+    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
         self.f.lower_bound(mbr)
     }
 
-    fn prune_child(&self, score: f64, _cand: &Candidate) -> bool {
+    fn prune_child(&mut self, score: f64, _child: Region<'_>) -> bool {
         self.bound.is_some_and(|b| score > b.get())
     }
 
@@ -577,12 +662,38 @@ impl PreferenceLogic for TopKLogic<'_> {
 // Skyline logic (§V-A, §VII dynamic): dominance window
 // ---------------------------------------------------------------------------
 
-/// A coordinate transform into domination space at full dimensionality
-/// (`x ↦ |x − q|` for dynamic skylines); `None` means identity (static).
-pub(crate) type TransformFn<'a> = &'a (dyn Fn(&[f64]) -> Vec<f64> + Sync);
-/// The attainable per-dimension lower corner of an MBR in domination space;
-/// `None` means `mbr.min` (static).
-pub(crate) type CornerFn<'a> = &'a (dyn Fn(&Mbr) -> Vec<f64> + Sync);
+/// The dynamic-skyline transform of a point around `q`, `x ↦ |x − q|` at
+/// full dimensionality (so `dominates(_, _, pref_dims)` indexes it
+/// directly), written into `out`.
+pub(crate) fn dynamic_point(q: &[f64], coords: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        coords.iter().enumerate().map(|(d, &x)| (x - q.get(d).copied().unwrap_or(0.0)).abs()),
+    );
+}
+
+/// The attainable per-dimension lower corner of `mbr` under the dynamic
+/// transform around `q` (the distance from `q` to the nearest face, 0 where
+/// `q` lies inside), written into `out`.
+fn dynamic_corner(q: &[f64], mbr: &Mbr, out: &mut Vec<f64>) {
+    out.clear();
+    if mbr.min.first().is_some_and(|v| v.is_infinite()) {
+        // The seeded root: it must not index a short query point, and it
+        // is never dominated.
+        out.resize(mbr.dims(), 0.0);
+        return;
+    }
+    out.extend((0..mbr.dims()).map(|d| {
+        let qd = q[d];
+        if qd < mbr.min[d] {
+            mbr.min[d] - qd
+        } else if qd > mbr.max[d] {
+            qd - mbr.max[d]
+        } else {
+            0.0
+        }
+    }));
+}
 
 /// (Dynamic) skyline accumulation: BBS dominance pruning against the
 /// accepted result, plus — in parallel workers — a periodically refreshed
@@ -590,8 +701,10 @@ pub(crate) type CornerFn<'a> = &'a (dyn Fn(&Mbr) -> Vec<f64> + Sync);
 pub struct SkylineLogic<'a> {
     f: MinCoordSum,
     pref_dims: &'a [usize],
-    transform: Option<TransformFn<'a>>,
-    corner: Option<CornerFn<'a>>,
+    /// The query point of a dynamic skyline (domination space is then
+    /// `|x − q|`); `None` for a static one (domination space is the data
+    /// space).
+    query_point: Option<&'a [f64]>,
     window: Option<&'a SharedWindow>,
     result: Vec<ResultEntry>,
     /// Domination-space coordinates, aligned with `result`.
@@ -603,20 +716,21 @@ pub struct SkylineLogic<'a> {
     /// Domination point computed by `on_pop`, reused by the following
     /// `accept` (bitwise the same value the serial engines recompute).
     pending_dom: Vec<f64>,
+    /// Reused buffer for the transformed point of the child being scored or
+    /// pruned.
+    scratch: Vec<f64>,
 }
 
 impl<'a> SkylineLogic<'a> {
     pub(crate) fn new(
         pref_dims: &'a [usize],
-        transform: Option<TransformFn<'a>>,
-        corner: Option<CornerFn<'a>>,
+        query_point: Option<&'a [f64]>,
         window: Option<&'a SharedWindow>,
     ) -> Self {
         SkylineLogic {
             f: MinCoordSum::new(pref_dims.to_vec()),
             pref_dims,
-            transform,
-            corner,
+            query_point,
             window,
             result: Vec::new(),
             dom: Vec::new(),
@@ -624,37 +738,43 @@ impl<'a> SkylineLogic<'a> {
             seen_mark: 0,
             pops: 0,
             pending_dom: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
-    fn dom_point(&self, cand: &Candidate) -> Vec<f64> {
-        match cand {
-            Candidate::Tuple { coords, .. } => match self.transform {
-                Some(t) => t(coords),
-                None => coords.clone(),
-            },
-            Candidate::Node { mbr, .. } => match self.corner {
-                Some(c) => {
-                    if mbr.min.first().is_some_and(|v| v.is_infinite()) {
-                        // The seeded root: its corner transform may index a
-                        // short query point, and it is never dominated.
-                        vec![0.0; mbr.dims()]
-                    } else {
-                        c(mbr)
-                    }
-                }
-                None => mbr.min.clone(),
-            },
+    /// The domination-space point of `region` — a tuple's transform, or a
+    /// node's attainable lower corner: borrowed from the region itself for
+    /// a static skyline, written into `buf` for a dynamic one.
+    fn dom_point<'r>(&self, region: Region<'r>, buf: &'r mut Vec<f64>) -> &'r [f64] {
+        match (self.query_point, region) {
+            (None, Region::Point(coords)) => coords,
+            (None, Region::Box(mbr)) => &mbr.min,
+            (Some(q), Region::Point(coords)) => {
+                dynamic_point(q, coords, buf);
+                buf
+            }
+            (Some(q), Region::Box(mbr)) => {
+                dynamic_corner(q, mbr, buf);
+                buf
+            }
         }
     }
 
     /// Domination pruning: a candidate is pruned if some accepted point
-    /// dominates its domination-space point — a tuple's transform, or a
-    /// node's attainable lower corner (then the point dominates everything
-    /// inside, the BBS rule).
-    fn dominated(&self, p: &[f64]) -> bool {
-        self.dom.iter().any(|r| dominates(r, p, self.pref_dims))
-            || self.seen.iter().any(|r| dominates(r, p, self.pref_dims))
+    /// dominates its domination-space point (for a node's lower corner the
+    /// point then dominates everything inside, the BBS rule). On a survivor,
+    /// `keep_as_pending` saves the point for the `accept` that may follow.
+    fn dominated(&mut self, region: Region<'_>, keep_as_pending: bool) -> bool {
+        let mut buf = std::mem::take(&mut self.scratch);
+        let p = self.dom_point(region, &mut buf);
+        let dominated = self.dom.iter().any(|r| dominates(r, p, self.pref_dims))
+            || self.seen.iter().any(|r| dominates(r, p, self.pref_dims));
+        if keep_as_pending && !dominated {
+            self.pending_dom.clear();
+            self.pending_dom.extend_from_slice(p);
+        }
+        self.scratch = buf;
+        dominated
     }
 
     pub(crate) fn into_result(self) -> Vec<ResultEntry> {
@@ -680,30 +800,34 @@ impl PreferenceLogic for SkylineLogic<'_> {
                 self.seen_mark = w.refresh(self.seen_mark, &mut self.seen);
             }
         }
-        let dom = self.dom_point(&entry.cand);
-        if self.dominated(&dom) {
+        if self.dominated(entry.cand.region(), true) {
             return PopVerdict::Prune;
         }
-        self.pending_dom = dom;
         PopVerdict::Continue
     }
 
-    fn score_tuple(&self, coords: &[f64]) -> f64 {
-        match self.transform {
-            Some(t) => self.f.score(&t(coords)),
+    fn score_tuple(&mut self, coords: &[f64]) -> f64 {
+        match self.query_point {
+            Some(q) => {
+                dynamic_point(q, coords, &mut self.scratch);
+                self.f.score(&self.scratch)
+            }
             None => self.f.score(coords),
         }
     }
 
-    fn score_node(&self, mbr: &Mbr, _path: &Path) -> f64 {
-        match self.corner {
-            Some(c) => self.f.score(&c(mbr)),
+    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
+        match self.query_point {
+            Some(q) => {
+                dynamic_corner(q, mbr, &mut self.scratch);
+                self.f.score(&self.scratch)
+            }
             None => self.f.lower_bound(mbr),
         }
     }
 
-    fn prune_child(&self, _score: f64, cand: &Candidate) -> bool {
-        self.dominated(&self.dom_point(cand))
+    fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
+        self.dominated(child, false)
     }
 
     fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
@@ -761,12 +885,12 @@ impl<'a> PSkylineLogic<'a> {
             || self.seen.iter().any(|r| self.graph.dominates(r, p))
     }
 
-    fn corner(cand: &Candidate) -> &[f64] {
-        match cand {
-            Candidate::Tuple { coords, .. } => coords,
+    fn corner(region: Region<'_>) -> &[f64] {
+        match region {
+            Region::Point(coords) => coords,
             // The seeded root's `-∞` corner is never dominated (no point is
             // strictly smaller than `-∞` anywhere), so no special guard.
-            Candidate::Node { mbr, .. } => &mbr.min,
+            Region::Box(mbr) => &mbr.min,
         }
     }
 
@@ -789,22 +913,22 @@ impl PreferenceLogic for PSkylineLogic<'_> {
                 self.seen_mark = w.refresh(self.seen_mark, &mut self.seen);
             }
         }
-        if self.dominated(Self::corner(&entry.cand)) {
+        if self.dominated(Self::corner(entry.cand.region())) {
             return PopVerdict::Prune;
         }
         PopVerdict::Continue
     }
 
-    fn score_tuple(&self, coords: &[f64]) -> f64 {
+    fn score_tuple(&mut self, coords: &[f64]) -> f64 {
         self.f.score(coords)
     }
 
-    fn score_node(&self, mbr: &Mbr, _path: &Path) -> f64 {
+    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
         self.f.lower_bound(mbr)
     }
 
-    fn prune_child(&self, _score: f64, cand: &Candidate) -> bool {
-        self.dominated(Self::corner(cand))
+    fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
+        self.dominated(Self::corner(child))
     }
 
     fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
@@ -836,12 +960,12 @@ impl HullLogic {
         HullLogic { dims, points: Vec::new(), hull: Vec::new() }
     }
 
-    fn inside(&self, cand: &Candidate) -> bool {
-        match cand {
-            Candidate::Tuple { coords, .. } => {
+    fn inside(&self, region: Region<'_>) -> bool {
+        match region {
+            Region::Point(coords) => {
                 strictly_inside_hull(&self.hull, [coords[self.dims.0], coords[self.dims.1]])
             }
-            Candidate::Node { mbr, .. } => {
+            Region::Box(mbr) => {
                 let corners = [
                     [mbr.min[self.dims.0], mbr.min[self.dims.1]],
                     [mbr.min[self.dims.0], mbr.max[self.dims.1]],
@@ -862,23 +986,23 @@ impl HullLogic {
 
 impl PreferenceLogic for HullLogic {
     fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        if self.inside(&entry.cand) {
+        if self.inside(entry.cand.region()) {
             PopVerdict::Prune
         } else {
             PopVerdict::Continue
         }
     }
 
-    fn score_tuple(&self, _coords: &[f64]) -> f64 {
+    fn score_tuple(&mut self, _coords: &[f64]) -> f64 {
         f64::NEG_INFINITY
     }
 
-    fn score_node(&self, _mbr: &Mbr, path: &Path) -> f64 {
-        -(path.depth() as f64)
+    fn score_node(&mut self, _mbr: &Mbr, depth: usize) -> f64 {
+        -(depth as f64)
     }
 
-    fn prune_child(&self, _score: f64, cand: &Candidate) -> bool {
-        self.inside(cand)
+    fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
+        self.inside(child)
     }
 
     fn accept(&mut self, _score: f64, tid: u64, _path: Path, coords: Vec<f64>) {

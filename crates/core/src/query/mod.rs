@@ -20,8 +20,8 @@ pub use dynamic::{
     dynamic_skyline_query, dynamic_skyline_query_governed, DynamicSkylineOutcome,
 };
 pub use kernel::{
-    run_kernel, BooleanPruner, KernelRun, NoPruner, PopVerdict, PreferenceLogic, SavedLists,
-    SharedBound, SharedWindow, VerifyAllPruner,
+    run_kernel, BooleanPruner, KernelRun, NoPruner, PopVerdict, PreferenceLogic, Region,
+    SavedLists, SharedBound, SharedWindow, VerifyAllPruner,
 };
 pub use parallel::{
     par_convex_hull_query, par_convex_hull_query_governed, par_dynamic_skyline_query,
@@ -55,11 +55,14 @@ use pcube_storage::{IoSnapshot, PageId};
 pub struct StageTimes {
     /// Probe construction and snapshot pinning before the kernel loop runs.
     pub pin_seconds: f64,
-    /// Page-touching work: boolean probes, R-tree node reads, base-table
-    /// verify fetches — everything that pays counted (and, under
+    /// Page-touching work: the full-path boolean probe of each popped
+    /// entry, R-tree node reads, child-mask fetches, base-table verify
+    /// fetches — everything that can pay counted (and, under
     /// `Pager::set_read_delay`, wall-clock) I/O.
     pub page_read_seconds: f64,
-    /// Preference work: scoring, dominance/bound pruning, accumulation.
+    /// Preference work: scoring, dominance/bound pruning, accumulation —
+    /// and the rest of each expansion's child loop (in-place decode, bit
+    /// tests, heap pushes), which is timed as one block.
     pub score_seconds: f64,
     /// Result canonicalization and (for parallel engines) the cross-worker
     /// merge.
@@ -145,6 +148,14 @@ impl Candidate {
     pub fn path(&self) -> &Path {
         match self {
             Candidate::Node { path, .. } | Candidate::Tuple { path, .. } => path,
+        }
+    }
+
+    /// The candidate's geometry, borrowed (what preference pruning tests).
+    pub fn region(&self) -> kernel::Region<'_> {
+        match self {
+            Candidate::Node { mbr, .. } => kernel::Region::Box(mbr),
+            Candidate::Tuple { coords, .. } => kernel::Region::Point(coords),
         }
     }
 }

@@ -229,7 +229,7 @@ type Seed = (f64, Candidate);
 /// Expands the root node into per-child seeds (one counted block read —
 /// the `1 +` in [`merge_worker_stats`]), scored by the class's own logic
 /// so seeds carry exactly the scores the serial engine would compute.
-fn root_seeds_for(db: &PCubeDb, logic: &dyn PreferenceLogic) -> Vec<Seed> {
+fn root_seeds_for(db: &PCubeDb, logic: &mut dyn PreferenceLogic) -> Vec<Seed> {
     let node = db.rtree().read_node(db.rtree().root_pid());
     let mut seeds = Vec::with_capacity(node.entries.len());
     for (slot, child) in node.entries {
@@ -240,7 +240,7 @@ fn root_seeds_for(db: &PCubeDb, logic: &dyn PreferenceLogic) -> Vec<Seed> {
                 (s, Candidate::Tuple { tid, path: child_path, coords })
             }
             DecodedEntry::Child { child, mbr } => {
-                let s = logic.score_node(&mbr, &child_path);
+                let s = logic.score_node(&mbr, child_path.depth());
                 (s, Candidate::Node { pid: child, path: child_path, mbr })
             }
         };
@@ -288,8 +288,8 @@ pub(crate) fn par_run_class<C: QueryClass + Sync>(
         // A throwaway serial-mode logic: scoring is identical between the
         // serial and shared modes of every class, so seeds carry exactly
         // the scores the serial engine would compute.
-        let seed_logic = class.logic(None);
-        root_seeds_for(db, &seed_logic)
+        let mut seed_logic = class.logic(None);
+        root_seeds_for(db, &mut seed_logic)
     };
     let root_children = seeds.len();
     let groups = deal(seeds, opts.workers);

@@ -211,7 +211,7 @@ fn run(
         b_list: std::mem::take(&mut state.b_list),
         d_list: std::mem::take(&mut state.d_list),
     };
-    let mut logic = SkylineLogic::new(&state.pref_dims, None, None, None);
+    let mut logic = SkylineLogic::new(&state.pref_dims, None, None);
     // Everything since `started` was setup (probe construction, heap
     // seeding, governor arming) — the pin stage.
     let pin_seconds = started.elapsed().as_secs_f64();

@@ -68,6 +68,17 @@ impl TopKState {
     pub fn selection(&self) -> &Selection {
         &self.selection
     }
+
+    /// Entries pruned by boolean predicates (kept for roll-up).
+    pub fn b_list_len(&self) -> usize {
+        self.b_list.len()
+    }
+
+    /// The search frontier saved when the k-th result was found, plus
+    /// preference-pruned entries (kept for drill-down).
+    pub fn d_list_len(&self) -> usize {
+        self.d_list.len()
+    }
 }
 
 /// A completed top-k query.

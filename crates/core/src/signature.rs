@@ -138,26 +138,16 @@ impl Signature {
     /// `true` if every prefix bit along `path` is set — i.e. the subtree or
     /// tuple at `path` contains data of this cell.
     ///
-    /// This runs once per kernel pop, so the ancestor SIDs are accumulated
-    /// incrementally (`sid(l+1) = sid(l)·(M+1) + pos`) instead of re-encoding
-    /// (and allocating) each prefix — no allocation, O(depth) arithmetic.
+    /// The full root-to-`path` walk ([`walk_path`]): one node lookup per
+    /// level, no allocation. The query kernel pays it once per *popped*
+    /// entry; the children of an expanded node are tested against that
+    /// node's array alone ([`Signature::node`] — stored nodes are exactly
+    /// the contained ones, so bit `i` of the node at a contained `path`
+    /// answers `contains(path.child(i + 1))`).
     pub fn contains(&self, path: &Path) -> bool {
-        let base = self.m_max as u64 + 1;
-        let mut sid = Sid::ROOT;
-        for level in 0..path.depth() {
-            let pos = path.0[level] as usize - 1;
-            match self.nodes.get(&sid) {
-                Some(bits) if bits.get(pos) => {}
-                _ => return false,
-            }
-            sid = Sid(
-                sid.0
-                    .checked_mul(base)
-                    .and_then(|s| s.checked_add(u64::from(path.0[level])))
-                    .expect("SID overflow: tree too deep for u64 signature IDs"),
-            );
-        }
-        true
+        walk_path(path, self.m_max, |_, sid, pos| {
+            self.nodes.get(&sid).is_some_and(|bits| bits.get(pos))
+        })
     }
 
     /// The union operator: bit-or of both signatures (§IV-B.2, Fig 3.b).
@@ -250,6 +240,27 @@ impl Signature {
         }
         assert_eq!(reachable, self.nodes.len(), "unreachable node arrays present");
     }
+}
+
+/// The one root-to-`path` walk shared by every exact signature probe
+/// ([`Signature::contains`], [`crate::store::SignatureCursor::contains`]):
+/// visits the levels top-down, asking `bit(level, sid, pos)` whether slot
+/// `pos` (0-based) is set in the node `sid` at depth `level`, and stops at
+/// the first `false`. Node SIDs accumulate incrementally
+/// ([`Sid::child`]), so no prefix [`Path`] is ever materialized.
+pub(crate) fn walk_path(
+    path: &Path,
+    m_max: usize,
+    mut bit: impl FnMut(usize, Sid, usize) -> bool,
+) -> bool {
+    let mut sid = Sid::ROOT;
+    for (level, &position) in path.0.iter().enumerate() {
+        if !bit(level, sid, position as usize - 1) {
+            return false;
+        }
+        sid = sid.child(position, m_max);
+    }
+    true
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use pcube_rtree::{Path, Sid};
 use pcube_storage::{read_u32, write_u32, IoCategory, Pager, StorageError};
 
 use crate::encode::{decode_partial, decompose, encode_partial, PartialSignature};
-use crate::signature::Signature;
+use crate::signature::{walk_path, Signature};
 
 const RECORD_HEADER: usize = 4; // per-partial payload length u32
 
@@ -541,7 +541,37 @@ impl SignatureStore {
             locators: None,
             partials_loaded: 0,
             degraded: false,
+            mask: ChildMask::default(),
         }
+    }
+}
+
+/// What one conjunct of a probe knows about the children of the R-tree node
+/// under expansion: a copy of that node's bit array, so a child costs one
+/// shift-and-mask instead of a root-to-child walk. All-zero when the cell
+/// has no data under the node, all-one when a degraded cursor cannot tell.
+/// The buffer is reused from expansion to expansion.
+#[derive(Debug, Clone, Default)]
+pub struct ChildMask {
+    words: Vec<u64>,
+}
+
+impl ChildMask {
+    /// Overwrites the mask with `bits`, or — for a node with no bits — with
+    /// all ones (`unknown`: never prune what cannot be proven empty) or all
+    /// zeros.
+    fn load(&mut self, bits: Option<&BitArray>, unknown: bool, m_max: usize) {
+        self.words.clear();
+        match bits {
+            Some(bits) => self.words.extend_from_slice(bits.words()),
+            None => self.words.resize(m_max.div_ceil(64), if unknown { u64::MAX } else { 0 }),
+        }
+    }
+
+    /// The bit of 0-based `slot`.
+    #[inline]
+    fn get(&self, slot: usize) -> bool {
+        self.words[slot / 64] >> (slot % 64) & 1 == 1
     }
 }
 
@@ -565,6 +595,9 @@ pub struct SignatureCursor<'a> {
     locators: Option<HashMap<Sid, u64>>,
     partials_loaded: u64,
     degraded: bool,
+    /// Child mask of the node last passed to
+    /// [`SignatureCursor::fetch_child_mask`].
+    mask: ChildMask,
 }
 
 impl SignatureCursor<'_> {
@@ -587,78 +620,90 @@ impl SignatureCursor<'_> {
     /// `true` if the subtree/tuple at `path` contains data of this cell —
     /// the boolean-prune test of Algorithm 1. Loads partials on demand.
     ///
+    /// This is the full root-to-`path` walk ([`walk_path`], one node lookup
+    /// per level). The query kernel pays it once per *popped* entry — the
+    /// root seed, entries restored from a `b_list`/`d_list`, and entries it
+    /// pushed itself — and never per child of an expanded node: those are
+    /// tested against the node's own bits, fetched once
+    /// ([`SignatureCursor::fetch_child_mask`]).
+    ///
     /// On a degraded cursor the answer may be a false positive (a node whose
     /// bits were lost is never pruned), but it is never a false negative:
     /// an explicit 0 bit from a successfully loaded partial is still trusted.
     pub fn contains(&mut self, path: &Path) -> bool {
-        // Ancestor SIDs accumulate incrementally (`sid(l+1) = sid(l)·(M+1) +
-        // pos`): this runs once per kernel pop, and re-encoding each prefix
-        // would allocate a Vec per level under concurrency.
-        let base = self.store.m_max as u64 + 1;
-        let mut sid = Sid::ROOT;
-        for level in 0..path.depth() {
-            let pos = path.0[level] as usize - 1;
-            // Bind the bit by value so the borrow of `self` ends before the
-            // `self.degraded` read below.
-            let bit = self.node_bits(path, level, sid).map(|bits| bits.get(pos));
-            match bit {
-                Some(true) => {}
-                Some(false) => return false,
-                // No bits for this node: normally that proves emptiness, but
-                // a degraded cursor may simply have failed to load them, so
-                // it must keep the path (pruning lost, correctness kept).
-                None if self.degraded => {}
-                None => return false,
-            }
-            sid = Sid(
-                sid.0
-                    .checked_mul(base)
-                    .and_then(|s| s.checked_add(u64::from(path.0[level])))
-                    .expect("SID overflow: tree too deep for u64 signature IDs"),
-            );
-        }
-        true
+        walk_path(path, self.store.m_max, |level, sid, pos| self.node_bit(path, level, sid, pos))
     }
 
-    /// The bit array of the node at `path.prefix(len)`, if the cell has data
-    /// there. `sid` must be that prefix's SID (the caller accumulates it
-    /// incrementally, so no prefix `Path` is ever materialized).
+    /// Fetches the child mask of the node at `path`, after which
+    /// [`SignatureCursor::child_bit`] answers `contains(path.child(slot + 1))`
+    /// with one bit test. One node lookup per expansion, and the only
+    /// child-side step that can load a partial signature.
+    ///
+    /// Equal to the walk for a `path` that itself passed [`Self::contains`]
+    /// — the kernel's case: it expands what it popped and probed. The
+    /// ancestors' bits are then known to be set (or lost to a fault, in
+    /// which case the walk would keep the child too), so the last level
+    /// decides alone. For any other `path` a degraded cursor's mask may keep
+    /// a child the walk would prune; no mask ever prunes one the walk would
+    /// keep.
+    pub fn fetch_child_mask(&mut self, path: &Path) {
+        let sid = path.sid(self.store.m_max);
+        if !self.nodes.contains_key(&sid) {
+            self.load_node(path, path.depth(), sid);
+        }
+        // No bits for the node: normally that proves emptiness, but a
+        // degraded cursor may simply have failed to load them.
+        self.mask.load(self.nodes.get(&sid), self.degraded, self.store.m_max);
+    }
+
+    /// Bit `slot` (0-based) of the mask fetched last.
+    ///
+    /// # Panics
+    /// Panics if no mask was fetched yet or `slot` is past the fanout.
+    #[inline]
+    pub fn child_bit(&self, slot: usize) -> bool {
+        self.mask.get(slot)
+    }
+
+    /// Bit `pos` of the node at `path.prefix(level)`, whose SID is `sid`
+    /// (the walk accumulates it, so no prefix `Path` is materialized).
+    /// A node the cell has no bits for reads as 0 — or, on a degraded
+    /// cursor, as 1: the bits may have been lost rather than absent.
+    fn node_bit(&mut self, path: &Path, level: usize, sid: Sid, pos: usize) -> bool {
+        if let Some(bits) = self.nodes.get(&sid) {
+            return bits.get(pos);
+        }
+        self.load_node(path, level, sid);
+        match self.nodes.get(&sid) {
+            Some(bits) => bits.get(pos),
+            None => self.degraded,
+        }
+    }
+
+    /// Tries to bring the bits of the node at `path.prefix(len)` (SID `sid`,
+    /// not loaded yet) into memory, by the paper's retrieval rule: the
+    /// partial referenced by the root, then by deeper and deeper ancestors
+    /// along the path. Each reference is tried at most once per cursor.
     ///
     /// Load failures mark the cursor degraded instead of propagating; the
-    /// caller then treats "no bits" as "unknown" rather than "empty".
-    fn node_bits(&mut self, path: &Path, len: usize, sid: Sid) -> Option<&BitArray> {
-        debug_assert_eq!(sid, path.prefix_sid(len, self.store.m_max));
-        if !self.nodes.contains_key(&sid) {
-            if self.locators.is_none() {
-                self.locators = Some(match self.store.try_locators_of(self.cell) {
-                    Ok(map) => map,
-                    Err(_) => {
-                        // Directory unreadable: no locators at all, every
-                        // node is unknown from here on.
-                        self.mark_degraded();
-                        HashMap::new()
-                    }
-                });
-            }
-            // Paper's retrieval rule: try the partial referenced by the
-            // root, then by deeper and deeper ancestors along the path
-            // (reference SIDs accumulated incrementally, like the caller's).
-            let base = self.store.m_max as u64 + 1;
-            let mut ref_sid = Sid::ROOT;
-            for level in 0..=len {
-                let this_ref = ref_sid;
-                if level < len {
-                    ref_sid = Sid(
-                        ref_sid.0
-                            .checked_mul(base)
-                            .and_then(|s| s.checked_add(u64::from(path.0[level])))
-                            .expect("SID overflow: tree too deep for u64 signature IDs"),
-                    );
+    /// callers then treat "no bits" as "unknown" rather than "empty".
+    fn load_node(&mut self, path: &Path, len: usize, sid: Sid) {
+        let m_max = self.store.m_max;
+        debug_assert_eq!(sid, path.prefix_sid(len, m_max));
+        if self.locators.is_none() {
+            self.locators = Some(match self.store.try_locators_of(self.cell) {
+                Ok(map) => map,
+                Err(_) => {
+                    // Directory unreadable: no locators at all, every node
+                    // is unknown from here on.
+                    self.mark_degraded();
+                    HashMap::new()
                 }
-                let ref_sid = this_ref;
-                if !self.tried_refs.insert(ref_sid) {
-                    continue;
-                }
+            });
+        }
+        let mut ref_sid = Sid::ROOT;
+        for level in 0..=len {
+            if self.tried_refs.insert(ref_sid) {
                 let locators = self.locators.as_ref().expect("populated above");
                 if let Some(&loc) = locators.get(&ref_sid) {
                     match self.store.try_load_partial_at(loc) {
@@ -666,7 +711,7 @@ impl SignatureCursor<'_> {
                             self.partials_loaded += 1;
                             for (s, bits) in partial.nodes {
                                 let mut b = bits;
-                                b.grow(self.store.m_max);
+                                b.grow(m_max);
                                 self.nodes.entry(s).or_insert(b);
                             }
                         }
@@ -677,8 +722,10 @@ impl SignatureCursor<'_> {
                     break;
                 }
             }
+            if level < len {
+                ref_sid = ref_sid.child(path.0[level], m_max);
+            }
         }
-        self.nodes.get(&sid)
     }
 }
 
@@ -695,6 +742,24 @@ impl SignatureCursor<'_> {
 ///   up-front load cost. The `assemble-eager` ablation compares the two.
 /// * [`BooleanProbe::Bloom`] — the lossy Bloom-filter summaries of §VII,
 ///   ANDed across predicates; sound but with false positives.
+///
+/// # The probe contract
+///
+/// Two operations, for the two places Algorithm 1 asks:
+///
+/// * [`BooleanProbe::contains`] — the full root-to-path walk, for an entry
+///   that was just *popped* (the root seed, an entry restored from a saved
+///   list, or one the search pushed itself).
+/// * The *child masks* of the node being expanded — one per conjunct
+///   ([`BooleanProbe::mask_count`]), each fetched with one node lookup
+///   ([`BooleanProbe::fetch_child_mask`]) and then read with one bit test
+///   per child ([`BooleanProbe::child_bit`]). A child is kept iff its bit is
+///   set in every mask. This equals `contains(child path)` because the node
+///   was popped and passed `contains`, so only the last level is undecided.
+///
+/// Masks are fetched one conjunct at a time, each at the first child that
+/// reaches it (the caller short-circuits like `contains` does), which is
+/// what keeps partial signatures loaded lazily per predicate.
 pub enum BooleanProbe<'a> {
     /// No boolean predicate.
     All,
@@ -702,13 +767,20 @@ pub enum BooleanProbe<'a> {
     Single(SignatureCursor<'a>),
     /// Conjunction evaluated lazily across per-predicate cursors.
     IntersectLazy(Vec<SignatureCursor<'a>>),
-    /// Conjunction assembled eagerly into one in-memory signature.
-    Assembled(Signature),
+    /// Conjunction assembled eagerly into one in-memory signature (build
+    /// with [`BooleanProbe::assembled`]); the second field is the child
+    /// mask of the node under expansion.
+    Assembled(Signature, ChildMask),
     /// Lossy Bloom summaries (§VII), one per predicate, ANDed.
     Bloom(Vec<crate::bloom::BloomSignature>),
 }
 
 impl BooleanProbe<'_> {
+    /// An eagerly assembled probe over `sig`.
+    pub fn assembled(sig: Signature) -> Self {
+        BooleanProbe::Assembled(sig, ChildMask::default())
+    }
+
     /// `true` if the path may contain qualifying data (never a false
     /// negative; see the variant docs for false-positive behaviour).
     pub fn contains(&mut self, path: &Path) -> bool {
@@ -716,8 +788,54 @@ impl BooleanProbe<'_> {
             BooleanProbe::All => true,
             BooleanProbe::Single(c) => c.contains(path),
             BooleanProbe::IntersectLazy(cs) => cs.iter_mut().all(|c| c.contains(path)),
-            BooleanProbe::Assembled(sig) => sig.contains(path),
+            BooleanProbe::Assembled(sig, _) => sig.contains(path),
             BooleanProbe::Bloom(filters) => filters.iter().all(|f| f.contains(path)),
+        }
+    }
+
+    /// Number of child masks one node expansion consults: one per conjunct,
+    /// none for a probe that prunes nothing.
+    pub fn mask_count(&self) -> usize {
+        match self {
+            BooleanProbe::All => 0,
+            BooleanProbe::Single(_) | BooleanProbe::Assembled(..) => 1,
+            BooleanProbe::IntersectLazy(cs) => cs.len(),
+            BooleanProbe::Bloom(filters) => filters.len(),
+        }
+    }
+
+    /// Fetches conjunct `i`'s child mask of the node at `path` (which must
+    /// have passed [`Self::contains`]): one node lookup, loading a partial
+    /// signature if the node's bits are not in memory yet.
+    ///
+    /// # Panics
+    /// Panics if `i >= mask_count()`.
+    pub fn fetch_child_mask(&mut self, i: usize, path: &Path) {
+        assert!(i < self.mask_count(), "conjunct {i} out of range");
+        match self {
+            BooleanProbe::All => {}
+            BooleanProbe::Single(c) => c.fetch_child_mask(path),
+            BooleanProbe::IntersectLazy(cs) => cs[i].fetch_child_mask(path),
+            BooleanProbe::Assembled(sig, mask) => {
+                mask.load(sig.node(path.sid(sig.m_max())), false, sig.m_max());
+            }
+            BooleanProbe::Bloom(filters) => filters[i].fetch_child_mask(path),
+        }
+    }
+
+    /// Bit `slot` (0-based) of conjunct `i`'s mask fetched last: may the
+    /// child in that slot contain qualifying data?
+    ///
+    /// # Panics
+    /// Panics if `i >= mask_count()` or the mask was never fetched.
+    #[inline]
+    pub fn child_bit(&self, i: usize, slot: usize) -> bool {
+        match self {
+            BooleanProbe::All => true,
+            BooleanProbe::Single(c) => c.child_bit(slot),
+            BooleanProbe::IntersectLazy(cs) => cs[i].child_bit(slot),
+            BooleanProbe::Assembled(_, mask) => mask.get(slot),
+            BooleanProbe::Bloom(filters) => filters[i].child_bit(slot),
         }
     }
 
@@ -727,7 +845,7 @@ impl BooleanProbe<'_> {
     /// table before emitting them.
     pub fn is_lossy(&self) -> bool {
         match self {
-            BooleanProbe::All | BooleanProbe::Assembled(_) => false,
+            BooleanProbe::All | BooleanProbe::Assembled(..) => false,
             BooleanProbe::Single(c) => c.is_degraded(),
             BooleanProbe::IntersectLazy(cs) => cs.iter().any(SignatureCursor::is_degraded),
             BooleanProbe::Bloom(_) => true,
@@ -737,7 +855,7 @@ impl BooleanProbe<'_> {
     /// Partial signatures loaded by the underlying cursors.
     pub fn partials_loaded(&self) -> u64 {
         match self {
-            BooleanProbe::All | BooleanProbe::Assembled(_) | BooleanProbe::Bloom(_) => 0,
+            BooleanProbe::All | BooleanProbe::Assembled(..) | BooleanProbe::Bloom(_) => 0,
             BooleanProbe::Single(c) => c.partials_loaded(),
             BooleanProbe::IntersectLazy(cs) => cs.iter().map(|c| c.partials_loaded()).sum(),
         }
@@ -816,6 +934,36 @@ mod tests {
         assert!(cursor.contains(&Path::root()), "root is vacuously contained");
     }
 
+    /// The kernel's expansion-side probe: the verdict for every slot of the
+    /// node at `path`, each conjunct's mask fetched at the first child that
+    /// reaches it.
+    fn mask_verdicts(probe: &mut BooleanProbe<'_>, path: &Path, m_max: usize) -> Vec<bool> {
+        let mut fetched = 0;
+        (0..m_max)
+            .map(|slot| {
+                (0..probe.mask_count()).all(|i| {
+                    if i == fetched {
+                        probe.fetch_child_mask(i, path);
+                        fetched += 1;
+                    }
+                    probe.child_bit(i, slot)
+                })
+            })
+            .collect()
+    }
+
+    /// Every node path of a height-3, M = 2 tree (root, level 1, level 2).
+    fn node_paths() -> Vec<Path> {
+        let mut paths = vec![Path::root()];
+        for a in 1..=2u16 {
+            paths.push(Path(vec![a]));
+            for b in 1..=2u16 {
+                paths.push(Path(vec![a, b]));
+            }
+        }
+        paths
+    }
+
     #[test]
     fn cursor_matches_full_signature_on_every_path() {
         let (mut store, _) = store_with(48);
@@ -837,6 +985,54 @@ mod tests {
                 }
             }
         }
+
+        // Probe equivalence: for every node path and every child slot, the
+        // child masks answer exactly what the full walk answers for the
+        // child's path — for all five probe variants.
+        let other = Signature::from_paths(
+            2,
+            [Path(vec![1, 1, 1]), Path(vec![1, 2, 2]), Path(vec![2, 1, 1])].iter(),
+        );
+        store.write_signature(6, &other);
+        let blooms = || {
+            vec![
+                crate::bloom::BloomSignature::from_signature(&sig, 0.01),
+                crate::bloom::BloomSignature::from_signature(&other, 0.01),
+            ]
+        };
+        // One probe answers by masks, its twin by walks, so that the cursors'
+        // memoized state cannot leak from one method into the other.
+        let variants: Vec<(&str, BooleanProbe<'_>, BooleanProbe<'_>)> = vec![
+            ("All", BooleanProbe::All, BooleanProbe::All),
+            ("Single", BooleanProbe::Single(store.cursor(5)), BooleanProbe::Single(store.cursor(5))),
+            (
+                "IntersectLazy",
+                BooleanProbe::IntersectLazy(vec![store.cursor(5), store.cursor(6)]),
+                BooleanProbe::IntersectLazy(vec![store.cursor(5), store.cursor(6)]),
+            ),
+            (
+                "Assembled",
+                BooleanProbe::assembled(sig.intersect(&other, 3)),
+                BooleanProbe::assembled(sig.intersect(&other, 3)),
+            ),
+            ("Bloom", BooleanProbe::Bloom(blooms()), BooleanProbe::Bloom(blooms())),
+        ];
+        for (name, mut by_mask, mut by_walk) in variants {
+            for node in node_paths() {
+                let walked: Vec<bool> =
+                    (1..=2u16).map(|pos| by_walk.contains(&node.child(pos))).collect();
+                assert_eq!(mask_verdicts(&mut by_mask, &node, 2), walked, "{name} at {node}");
+                // Both methods load the same partial signatures at the
+                // same node (the walk order here is the kernel's: parents
+                // before children).
+                assert_eq!(
+                    by_mask.partials_loaded(),
+                    by_walk.partials_loaded(),
+                    "{name} at {node}"
+                );
+            }
+            assert_eq!(by_mask.is_lossy(), by_walk.is_lossy(), "{name}");
+        }
     }
 
     #[test]
@@ -850,7 +1046,7 @@ mod tests {
 
         let mut lazy = BooleanProbe::IntersectLazy(vec![store.cursor(0), store.cursor(1)]);
         let assembled = a2.intersect(&b2, 3);
-        let mut eager = BooleanProbe::Assembled(assembled);
+        let mut eager = BooleanProbe::assembled(assembled);
         for a in 1..=2u16 {
             for b in 1..=2u16 {
                 for c in 1..=2u16 {

@@ -51,7 +51,7 @@ mod split;
 mod tree;
 
 pub use geom::Mbr;
-pub use node::{DecodedEntry, DecodedNode};
+pub use node::{DecodedEntry, DecodedNode, NodeView};
 pub use path::{Path, Sid};
 pub use tree::{PathDelta, RTree, RTreeConfig};
 

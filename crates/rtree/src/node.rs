@@ -118,13 +118,6 @@ pub fn write_leaf_entry(page: &mut [u8], layout: &Layout, slot: usize, tid: u64,
     set_occupied(page, slot, true);
 }
 
-pub fn read_leaf_entry(page: &[u8], layout: &Layout, slot: usize) -> (u64, Vec<f64>) {
-    let off = layout.leaf_off(slot);
-    let tid = read_u64(page, off);
-    let coords = (0..layout.dims).map(|d| read_f64(page, off + 8 + 8 * d)).collect();
-    (tid, coords)
-}
-
 pub fn write_internal_entry(page: &mut [u8], layout: &Layout, slot: usize, child: PageId, mbr: &Mbr) {
     debug_assert_eq!(mbr.dims(), layout.dims);
     let off = layout.internal_off(slot);
@@ -136,12 +129,89 @@ pub fn write_internal_entry(page: &mut [u8], layout: &Layout, slot: usize, child
     set_occupied(page, slot, true);
 }
 
-pub fn read_internal_entry(page: &[u8], layout: &Layout, slot: usize) -> (PageId, Mbr) {
-    let off = layout.internal_off(slot);
-    let child = PageId(read_u32(page, off));
-    let min = (0..layout.dims).map(|d| read_f64(page, off + 8 + 8 * d)).collect();
-    let max = (0..layout.dims).map(|d| read_f64(page, off + 8 + 8 * (layout.dims + d))).collect();
-    (child, Mbr { min, max })
+/// A borrowed view over one node's page — the one place the page layout is
+/// read. Entries are parsed in place: occupancy straight from the bitmap,
+/// ids by offset, coordinates and MBR corners into a caller-owned buffer
+/// that is reused from entry to entry. A branch-and-bound expansion scores
+/// and prunes children from the view and allocates only for the few it
+/// keeps; [`NodeView::decode`] builds the owned form on top of it.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    page: &'a [u8],
+    layout: &'a Layout,
+}
+
+impl<'a> NodeView<'a> {
+    pub(crate) fn new(page: &'a [u8], layout: &'a Layout) -> Self {
+        NodeView { page, layout }
+    }
+
+    /// `true` if the node is a leaf (its entries are tuples).
+    pub fn is_leaf(&self) -> bool {
+        is_leaf(self.page)
+    }
+
+    /// Occupied slots (0-based; the 1-based path position is `slot + 1`) in
+    /// slot order.
+    pub fn slots(&self) -> impl Iterator<Item = usize> + 'a {
+        let page = self.page;
+        (0..self.layout.m_max).filter(move |&slot| occupied(page, slot))
+    }
+
+    /// Tuple id stored in `slot` of a leaf.
+    pub fn tid(&self, slot: usize) -> u64 {
+        debug_assert!(self.is_leaf());
+        read_u64(self.page, self.layout.leaf_off(slot))
+    }
+
+    /// Child page stored in `slot` of an internal node.
+    pub fn child(&self, slot: usize) -> PageId {
+        debug_assert!(!self.is_leaf());
+        PageId(read_u32(self.page, self.layout.internal_off(slot)))
+    }
+
+    /// Reads the coordinates of the tuple in `slot` of a leaf into `out`
+    /// (cleared first; no allocation once `out` has grown to the tree's
+    /// dimensionality).
+    pub fn coords_into(&self, slot: usize, out: &mut Vec<f64>) {
+        debug_assert!(self.is_leaf());
+        let off = self.layout.leaf_off(slot) + 8;
+        out.clear();
+        out.extend((0..self.layout.dims).map(|d| read_f64(self.page, off + 8 * d)));
+    }
+
+    /// Reads the bounding rectangle of the child in `slot` of an internal
+    /// node into `out`, reusing its two corner vectors.
+    pub fn mbr_into(&self, slot: usize, out: &mut Mbr) {
+        debug_assert!(!self.is_leaf());
+        let dims = self.layout.dims;
+        let off = self.layout.internal_off(slot) + 8;
+        out.min.clear();
+        out.min.extend((0..dims).map(|d| read_f64(self.page, off + 8 * d)));
+        out.max.clear();
+        out.max.extend((0..dims).map(|d| read_f64(self.page, off + 8 * (dims + d))));
+    }
+
+    /// The entry in `slot`, owned.
+    pub fn entry(&self, slot: usize) -> DecodedEntry {
+        if self.is_leaf() {
+            let mut coords = Vec::with_capacity(self.layout.dims);
+            self.coords_into(slot, &mut coords);
+            DecodedEntry::Tuple { tid: self.tid(slot), coords }
+        } else {
+            let mut mbr = Mbr::empty(self.layout.dims);
+            self.mbr_into(slot, &mut mbr);
+            DecodedEntry::Child { child: self.child(slot), mbr }
+        }
+    }
+
+    /// Decodes the whole node into owned values.
+    pub fn decode(&self) -> DecodedNode {
+        DecodedNode {
+            is_leaf: self.is_leaf(),
+            entries: self.slots().map(|slot| (slot, self.entry(slot))).collect(),
+        }
+    }
 }
 
 /// One entry of a decoded node.
@@ -195,22 +265,7 @@ impl DecodedNode {
 }
 
 pub fn decode(page: &[u8], layout: &Layout) -> DecodedNode {
-    let leaf = is_leaf(page);
-    let mut entries = Vec::new();
-    for slot in 0..layout.m_max {
-        if !occupied(page, slot) {
-            continue;
-        }
-        let entry = if leaf {
-            let (tid, coords) = read_leaf_entry(page, layout, slot);
-            DecodedEntry::Tuple { tid, coords }
-        } else {
-            let (child, mbr) = read_internal_entry(page, layout, slot);
-            DecodedEntry::Child { child, mbr }
-        };
-        entries.push((slot, entry));
-    }
-    DecodedNode { is_leaf: leaf, entries }
+    NodeView::new(page, layout).decode()
 }
 
 #[cfg(test)]
@@ -241,9 +296,16 @@ mod tests {
         write_leaf_entry(&mut page, &layout, 0, 11, &[1.0, 2.0, 3.0]);
         assert_eq!(count_occupied(&page, &layout), 2);
         assert_eq!(first_free_slot(&page, &layout), Some(1));
-        let (tid, coords) = read_leaf_entry(&page, &layout, 4);
-        assert_eq!(tid, 77);
-        assert_eq!(coords, vec![0.1, 0.2, 0.3]);
+        let view = NodeView::new(&page, &layout);
+        assert_eq!(view.slots().collect::<Vec<_>>(), vec![0, 4]);
+        assert_eq!(
+            view.entry(4),
+            DecodedEntry::Tuple { tid: 77, coords: vec![0.1, 0.2, 0.3] }
+        );
+        // The in-place read reuses the caller's buffer from entry to entry.
+        let mut coords = vec![9.0; 7];
+        view.coords_into(0, &mut coords);
+        assert_eq!((view.tid(0), coords), (11, vec![1.0, 2.0, 3.0]));
         set_occupied(&mut page, 0, false);
         assert_eq!(first_free_slot(&page, &layout), Some(0));
         assert_eq!(count_occupied(&page, &layout), 1);
@@ -257,9 +319,11 @@ mod tests {
         assert!(!is_leaf(&page));
         let mbr = Mbr { min: vec![0.0, 1.0], max: vec![2.0, 3.0] };
         write_internal_entry(&mut page, &layout, 3, PageId(99), &mbr);
-        let (child, got) = read_internal_entry(&page, &layout, 3);
-        assert_eq!(child, PageId(99));
-        assert_eq!(got, mbr);
+        let view = NodeView::new(&page, &layout);
+        assert_eq!(view.entry(3), DecodedEntry::Child { child: PageId(99), mbr: mbr.clone() });
+        let mut got = Mbr::empty(5);
+        view.mbr_into(3, &mut got);
+        assert_eq!((view.child(3), got), (PageId(99), mbr));
     }
 
     #[test]

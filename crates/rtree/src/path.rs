@@ -10,6 +10,27 @@ pub struct Sid(pub u64);
 impl Sid {
     /// The root's SID (the empty path).
     pub const ROOT: Sid = Sid(0);
+
+    /// SID of the child at 1-based `position` of the node with this SID:
+    /// `sid·(M+1) + position`. Every root-to-node walk accumulates SIDs with
+    /// this step instead of re-encoding (and allocating) each prefix.
+    ///
+    /// # Panics
+    /// Panics if `position` is outside `1..=m_max` or the SID overflows
+    /// `u64` (which would need a tree deeper than any this workspace
+    /// builds).
+    #[inline]
+    pub fn child(self, position: u16, m_max: usize) -> Sid {
+        assert!(
+            position >= 1 && (position as usize) <= m_max,
+            "position {position} out of 1..={m_max}"
+        );
+        Sid(self
+            .0
+            .checked_mul(m_max as u64 + 1)
+            .and_then(|s| s.checked_add(u64::from(position)))
+            .expect("SID overflow: tree too deep for u64 signature IDs"))
+    }
 }
 
 impl std::fmt::Display for Sid {
@@ -85,37 +106,19 @@ impl Path {
     /// Panics if a position exceeds `m_max` or the SID overflows `u64`
     /// (which would need a tree deeper than any this workspace builds).
     pub fn sid(&self, m_max: usize) -> Sid {
-        let base = m_max as u64 + 1;
-        let mut sid: u64 = 0;
-        for &p in &self.0 {
-            assert!(p >= 1 && (p as usize) <= m_max, "position {p} out of 1..={m_max}");
-            sid = sid
-                .checked_mul(base)
-                .and_then(|s| s.checked_add(u64::from(p)))
-                .expect("SID overflow: tree too deep for u64 signature IDs");
-        }
-        Sid(sid)
+        self.prefix_sid(self.0.len(), m_max)
     }
 
     /// SID of the prefix of length `len`, computed without allocating the
-    /// intermediate [`Path`]. Equivalent to `self.prefix(len).sid(m_max)` —
-    /// signature probes call this once per ancestor level on every kernel
-    /// pop, so the allocation matters under concurrency.
+    /// intermediate [`Path`]. Equivalent to `self.prefix(len).sid(m_max)`.
+    /// Signature maintenance calls this per touched level; the query-side
+    /// probes do not — they accumulate [`Sid::child`] along one walk.
     ///
     /// # Panics
     /// Panics if `len > depth()`, a position exceeds `m_max`, or the SID
     /// overflows `u64`.
     pub fn prefix_sid(&self, len: usize, m_max: usize) -> Sid {
-        let base = m_max as u64 + 1;
-        let mut sid: u64 = 0;
-        for &p in &self.0[..len] {
-            assert!(p >= 1 && (p as usize) <= m_max, "position {p} out of 1..={m_max}");
-            sid = sid
-                .checked_mul(base)
-                .and_then(|s| s.checked_add(u64::from(p)))
-                .expect("SID overflow: tree too deep for u64 signature IDs");
-        }
-        Sid(sid)
+        self.0[..len].iter().fold(Sid::ROOT, |sid, &p| sid.child(p, m_max))
     }
 
     /// Inverse of [`Path::sid`]: reconstructs the path with fanout `m_max`.

@@ -4,7 +4,7 @@
 use pcube_storage::{PageId, Pager};
 
 use crate::geom::Mbr;
-use crate::node::{self, DecodedEntry, DecodedNode, Layout};
+use crate::node::{self, DecodedEntry, DecodedNode, Layout, NodeView};
 use crate::path::Path;
 use crate::split::rstar_split;
 
@@ -233,7 +233,22 @@ impl RTree {
     /// Fallible [`RTree::read_node`]: dead pages, injected faults and
     /// checksum mismatches surface as [`pcube_storage::StorageError`].
     pub fn try_read_node(&self, pid: PageId) -> Result<DecodedNode, pcube_storage::StorageError> {
-        Ok(node::decode(self.pager.try_read(pid)?, &self.layout))
+        Ok(self.try_view_node(pid)?.decode())
+    }
+
+    /// Reads a node as a borrowed [`NodeView`] over its page, charging one
+    /// R-tree block retrieval exactly like [`RTree::read_node`] but
+    /// decoding nothing up front — the query kernel's expansion path.
+    ///
+    /// Infallible [`RTree::try_view_node`]; panics where that errors.
+    #[inline]
+    pub fn view_node(&self, pid: PageId) -> NodeView<'_> {
+        self.try_view_node(pid).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`RTree::view_node`].
+    pub fn try_view_node(&self, pid: PageId) -> Result<NodeView<'_>, pcube_storage::StorageError> {
+        Ok(NodeView::new(self.pager.try_read(pid)?, &self.layout))
     }
 
     /// Reads and decodes a node without charging I/O (for rebuild passes and

@@ -221,6 +221,87 @@ fn corrupt_signature_pages_degrade_but_answers_stay_exact() {
     );
 }
 
+/// Probe equivalence on a built tree. The kernel asks the boolean probe two
+/// ways: the full root-to-path walk for an entry it popped, and per-node
+/// child masks for the children of the node it is expanding. Walking the
+/// real R-tree the way the kernel does — a node is expanded only if it was
+/// kept — the masks must answer every occupied slot of every expanded node
+/// exactly as the walk answers the child's path, load the same partial
+/// signatures at the same node, and turn lossy at the same node; and
+/// neither may ever drop a qualifying tuple. Checked on the clean store and
+/// on one whose signature pages are damaged (every second page corrupt under
+/// checksums, so cursors degrade part-way through the search).
+#[test]
+fn child_masks_equal_the_full_walk_clean_and_degraded() {
+    use pcube::core::BooleanProbe;
+    use pcube::rtree::{DecodedEntry, Path};
+    use std::collections::HashSet;
+
+    fn walk_tree(db: &PCubeDb, sel: &Selection, label: &str) -> bool {
+        let mut by_mask: BooleanProbe<'_> = db.pcube().probe(sel, false);
+        let mut by_walk: BooleanProbe<'_> = db.pcube().probe(sel, false);
+        let mut kept_tids: HashSet<u64> = HashSet::new();
+        let mut frontier = vec![(db.rtree().root_pid(), Path::root())];
+        while let Some((pid, path)) = frontier.pop() {
+            assert!(by_walk.contains(&path), "{label}: expanded an unkept node {path}");
+            let mut fetched = 0;
+            for (slot, entry) in db.rtree().read_node(pid).entries {
+                let child_path = path.child(slot as u16 + 1);
+                let walked = by_walk.contains(&child_path);
+                let masked = (0..by_mask.mask_count()).all(|i| {
+                    if i == fetched {
+                        by_mask.fetch_child_mask(i, &path);
+                        fetched += 1;
+                    }
+                    by_mask.child_bit(i, slot)
+                });
+                assert_eq!(masked, walked, "{label}: {sel:?} child {child_path}");
+                assert_eq!(
+                    (by_mask.partials_loaded(), by_mask.is_lossy()),
+                    (by_walk.partials_loaded(), by_walk.is_lossy()),
+                    "{label}: {sel:?} load/degrade moment differs at {child_path}"
+                );
+                match entry {
+                    DecodedEntry::Tuple { tid, .. } if masked => {
+                        kept_tids.insert(tid);
+                    }
+                    DecodedEntry::Child { child, .. } if masked => frontier.push((child, child_path)),
+                    _ => {}
+                }
+            }
+        }
+        for tid in 0..db.relation().len() as u64 {
+            if db.relation().matches(tid, sel) {
+                assert!(kept_tids.contains(&tid), "{label}: {sel:?} lost qualifying tuple {tid}");
+            } else if !by_mask.is_lossy() {
+                assert!(!kept_tids.contains(&tid), "{label}: {sel:?} exact probe kept {tid}");
+            }
+        }
+        by_mask.is_lossy()
+    }
+
+    let clean = PCubeDb::load_from_bytes(clean_image()).expect("clean image loads");
+    let mut damaged = PCubeDb::load_from_bytes(clean_image()).expect("clean image loads");
+    {
+        let pager = damaged.signature_store_mut().sig_pager_mut();
+        pager.set_checksums(true);
+        for pid in pager.live_page_ids().into_iter().step_by(2) {
+            pager.corrupt_page(pid, 7, 0x80).expect("live page accepts corruption");
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut degraded = 0;
+    for n_preds in 1..=3usize {
+        for _ in 0..6 {
+            let sel = sample_selection(clean.relation(), n_preds, &mut rng);
+            assert!(!walk_tree(&clean, &sel, "clean"), "a clean store never degrades");
+            degraded += usize::from(walk_tree(&damaged, &sel, "damaged"));
+        }
+    }
+    assert!(degraded > 0, "half the signature pages are corrupt: some cursor must degrade");
+    assert!(damaged.stats().degraded_reads() > 0);
+}
+
 /// Seeded faults must exercise every shard of the concurrent buffer pool,
 /// not just the pages that happen to hash to shard 0. Allocate until each
 /// of the 8 shards owns several pages, then run a faulted read workload

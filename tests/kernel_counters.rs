@@ -1,0 +1,205 @@
+//! Counter identity for the Algorithm 1 kernel — the tier-1 form of
+//! "`blocks_per_query` must not move".
+//!
+//! One seeded 20k-row table, 24 fixed queries (six classes × 0–3
+//! predicates) through the serial `db.run`, plus the saved-list lengths of
+//! the incremental engines. Every count below was captured on the commit
+//! *before* the kernel's expansion loop was rewritten (PR 12); a kernel
+//! change that reads a different page, loads a partial signature at a
+//! different moment, expands a different node or keeps a different heap
+//! fails here with the full actual table printed, ready to diff.
+//!
+//! 1 KB pages make every cell's signature span several partials, so the
+//! lazy-load moments (which cursor is consulted for which child) show in the
+//! `sig` / `bptree` / `partials` columns rather than rounding to one page.
+
+use pcube::core::{
+    skyline_drill_down, skyline_query, skyline_roll_up, topk_drill_down, topk_query, topk_roll_up,
+    DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, PriorityGraph,
+    QueryStats, SkylineClass, SubspaceSkylineClass, TopKClass,
+};
+use pcube::cube::{Predicate, Selection};
+use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
+use pcube::storage::IoCategory;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const CLASSES: [&str; 6] = ["topk", "skyline", "dynamic", "hull", "pskyline", "subspace"];
+
+/// `[rtree, sig, bptree, tuple, heap-scan reads, partials_loaded,
+/// nodes_expanded, peak_heap]` per query, in predicates-major,
+/// class-minor order (row `6·p + c` is class `CLASSES[c]` under `p` predicates).
+const EXPECTED_QUERIES: &[[u64; 8]] = &[
+    [16, 0, 0, 0, 0, 0, 16, 168],
+    [114, 0, 0, 0, 0, 0, 114, 134],
+    [600, 0, 0, 0, 0, 0, 600, 318],
+    [780, 0, 0, 0, 0, 0, 780, 45],
+    [59, 0, 0, 0, 0, 0, 59, 133],
+    [52, 0, 0, 0, 0, 0, 52, 323],
+    [30, 3, 3, 0, 0, 3, 30, 139],
+    [179, 12, 2, 0, 0, 12, 179, 112],
+    [511, 13, 1, 0, 0, 13, 511, 260],
+    [911, 13, 2, 0, 0, 13, 911, 33],
+    [114, 9, 1, 0, 0, 9, 114, 120],
+    [66, 10, 1, 0, 0, 10, 66, 284],
+    [121, 12, 3, 0, 0, 12, 121, 236],
+    [267, 23, 3, 0, 0, 23, 267, 121],
+    [495, 26, 3, 0, 0, 26, 495, 317],
+    [816, 26, 3, 0, 0, 26, 816, 30],
+    [162, 21, 3, 0, 0, 21, 162, 94],
+    [129, 19, 4, 0, 0, 19, 129, 208],
+    [402, 32, 5, 0, 0, 32, 402, 272],
+    [514, 39, 4, 0, 0, 39, 514, 301],
+    [475, 38, 5, 0, 0, 38, 475, 286],
+    [972, 39, 5, 0, 0, 39, 972, 29],
+    [308, 34, 5, 0, 0, 34, 308, 154],
+    [153, 32, 3, 0, 0, 32, 153, 235],
+];
+
+/// `[b_list, d_list]` lengths after each saved-lists run, in the order
+/// `saved_list_lengths` produces them.
+const EXPECTED_LISTS: &[[usize; 2]] = &[
+    [0, 167],
+    [0, 1198],
+    [189, 143],
+    [261, 1827],
+    [965, 225],
+    [602, 2094],
+    [4042, 228],
+    [3221, 1618],
+    [1177, 244],
+    [82, 1383],
+    [808, 2435],
+    [168, 3238],
+];
+
+fn build_db() -> PCubeDb {
+    let spec = SyntheticSpec {
+        n_tuples: 20_000,
+        n_bool: 3,
+        n_pref: 3,
+        cardinality: 8,
+        distribution: Distribution::Uniform,
+        seed: 12,
+    };
+    let cfg = PCubeConfig {
+        page_size: 1024,
+        ..PCubeConfig::default()
+    };
+    PCubeDb::build(synthetic(&spec), &cfg)
+}
+
+fn row(stats: &QueryStats) -> [u64; 8] {
+    [
+        stats.io.reads(IoCategory::RtreeBlock),
+        stats.io.reads(IoCategory::SignaturePage),
+        stats.io.reads(IoCategory::BptreePage),
+        stats.io.reads(IoCategory::TupleRandomAccess),
+        stats.io.reads(IoCategory::HeapScan),
+        stats.partials_loaded,
+        stats.nodes_expanded,
+        stats.peak_heap as u64,
+    ]
+}
+
+fn query_rows(db: &PCubeDb) -> Vec<[u64; 8]> {
+    let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
+    let graph = PriorityGraph::new(vec![0, 1, 2], &[(0, 1)]).expect("acyclic");
+    let mut rng = StdRng::seed_from_u64(1208);
+    let mut rows = Vec::new();
+    for n_preds in 0..=3usize {
+        for class in CLASSES {
+            let sel = sample_selection(db.relation(), n_preds, &mut rng);
+            let stats = match class {
+                "topk" => db.run(&sel, &TopKClass::new(10, &f)).stats,
+                "skyline" => db.run(&sel, &SkylineClass::new(vec![0, 1, 2])).stats,
+                "dynamic" => {
+                    db.run(
+                        &sel,
+                        &DynamicSkylineClass::new(&[0.4, 0.6, 0.5], vec![0, 1, 2]),
+                    )
+                    .stats
+                }
+                "hull" => db.run(&sel, &HullClass::new((0, 2))).stats,
+                "pskyline" => db.run(&sel, &PSkylineClass::new(graph.clone())).stats,
+                "subspace" => db.run(&sel, &SubspaceSkylineClass::new(vec![1, 2])).stats,
+                other => unreachable!("unknown class {other}"),
+            };
+            rows.push(row(&stats));
+        }
+    }
+    rows
+}
+
+/// A predicate on `dim` taken from an existing row, so drill-downs keep
+/// matching something.
+fn predicate_on(db: &PCubeDb, dim: usize, tid: u64) -> Predicate {
+    Predicate {
+        dim,
+        value: db.relation().bool_code(tid, dim),
+    }
+}
+
+fn saved_list_lengths(db: &PCubeDb) -> Vec<[usize; 2]> {
+    let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
+    let mut rng = StdRng::seed_from_u64(1209);
+    let mut lens = Vec::new();
+    for n_preds in 0..=3usize {
+        let sel = sample_selection(db.relation(), n_preds, &mut rng);
+        let top = topk_query(db, &sel, 10, &f, false);
+        lens.push([top.state.b_list_len(), top.state.d_list_len()]);
+        let sky = skyline_query(db, &sel, &[0, 1, 2], false);
+        lens.push([sky.state.b_list_len(), sky.state.d_list_len()]);
+    }
+    // Restored entries: a drill-down re-probes the old result and d_list at
+    // pop time, a roll-up the old b_list — the full-path probe the kernel
+    // keeps for entries that did not come from the expansion before them.
+    let base: Selection = vec![predicate_on(db, 0, 77)];
+    let top = topk_query(db, &base, 10, &f, false);
+    let drilled = topk_drill_down(db, top.state, predicate_on(db, 1, 77), &f);
+    lens.push([drilled.state.b_list_len(), drilled.state.d_list_len()]);
+    let rolled = topk_roll_up(db, drilled.state, 0, &f);
+    lens.push([rolled.state.b_list_len(), rolled.state.d_list_len()]);
+    let sky = skyline_query(db, &base, &[0, 1, 2], false);
+    let drilled = skyline_drill_down(db, sky.state, predicate_on(db, 2, 77));
+    lens.push([drilled.state.b_list_len(), drilled.state.d_list_len()]);
+    let rolled = skyline_roll_up(db, drilled.state, 0);
+    lens.push([rolled.state.b_list_len(), rolled.state.d_list_len()]);
+    lens
+}
+
+#[test]
+fn kernel_counters_match_the_pre_rewrite_capture() {
+    let db = build_db();
+    let rows = query_rows(&db);
+    assert_eq!(
+        rows.as_slice(),
+        EXPECTED_QUERIES,
+        "per-query counters moved; actual table:\n{}",
+        rows.iter()
+            .map(|r| format!("    {r:?},\n"))
+            .collect::<String>()
+    );
+    // Not a vacuous pass: the table must exercise every counter the kernel
+    // can move (signature pages, directory pages, multi-partial cursors).
+    assert!(
+        rows.iter().any(|r| r[1] > 3 && r[2] > 0 && r[5] > 3),
+        "no multi-partial query"
+    );
+    assert!(rows.iter().all(|r| r[6] > 0 && r[7] > 0));
+}
+
+#[test]
+fn saved_list_lengths_match_the_pre_rewrite_capture() {
+    let db = build_db();
+    let lens = saved_list_lengths(&db);
+    assert_eq!(
+        lens.as_slice(),
+        EXPECTED_LISTS,
+        "b_list/d_list lengths moved; actual table:\n{}",
+        lens.iter()
+            .map(|r| format!("    {r:?},\n"))
+            .collect::<String>()
+    );
+    assert!(lens.iter().any(|l| l[0] > 0) && lens.iter().any(|l| l[1] > 0));
+}
