@@ -14,8 +14,8 @@ use pcube_core::{
 use pcube_cube::{normalize, Selection};
 
 use crate::boolean_first::{BooleanIndexSet, SelectRoute};
-use crate::domination_first::{bbs_skyline, bbs_skyline_governed, ranking_topk, ranking_topk_governed};
-use crate::index_merge::{index_merge_topk, index_merge_topk_governed};
+use crate::domination_first::{bbs_skyline_governed, ranking_topk_governed};
+use crate::index_merge::index_merge_topk_governed;
 
 /// Boolean-first behind [`Executor`]: B+-tree (or heap-scan) selection,
 /// then an in-memory preference step. Borrows a prebuilt
@@ -72,29 +72,6 @@ impl Executor for BooleanFirstExecutor<'_> {
         selection: &Selection,
         k: usize,
         f: &dyn RankingFunction,
-    ) -> Option<(Vec<(u64, Vec<f64>, f64)>, QueryStats)> {
-        let route = self.block_route(db, selection);
-        let out = self.indexes.topk_via(db, selection, k, f, route);
-        Some((out.topk, out.stats))
-    }
-
-    fn skyline(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        pref_dims: &[usize],
-    ) -> Option<(Vec<(u64, Vec<f64>)>, QueryStats)> {
-        let route = self.block_route(db, selection);
-        let out = self.indexes.skyline_via(db, selection, pref_dims, route);
-        Some((out.skyline, out.stats))
-    }
-
-    fn topk_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
         budget: &QueryBudget,
         cancel: Option<&CancelToken>,
     ) -> Option<(Vec<(u64, Vec<f64>, f64)>, QueryStats)> {
@@ -103,7 +80,7 @@ impl Executor for BooleanFirstExecutor<'_> {
         Some((out.topk, out.stats))
     }
 
-    fn skyline_governed(
+    fn skyline(
         &self,
         db: &PCubeDb,
         selection: &Selection,
@@ -133,32 +110,13 @@ impl Executor for DominationFirstExecutor {
         selection: &Selection,
         k: usize,
         f: &dyn RankingFunction,
-    ) -> Option<(Vec<(u64, Vec<f64>, f64)>, QueryStats)> {
-        Some(ranking_topk(db, selection, k, f))
-    }
-
-    fn skyline(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        pref_dims: &[usize],
-    ) -> Option<(Vec<(u64, Vec<f64>)>, QueryStats)> {
-        Some(bbs_skyline(db, selection, pref_dims))
-    }
-
-    fn topk_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
         budget: &QueryBudget,
         cancel: Option<&CancelToken>,
     ) -> Option<(Vec<(u64, Vec<f64>, f64)>, QueryStats)> {
         Some(ranking_topk_governed(db, selection, k, f, budget, cancel))
     }
 
-    fn skyline_governed(
+    fn skyline(
         &self,
         db: &PCubeDb,
         selection: &Selection,
@@ -195,8 +153,10 @@ impl Executor for IndexMergeExecutor<'_> {
         selection: &Selection,
         k: usize,
         f: &dyn RankingFunction,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
     ) -> Option<(Vec<(u64, Vec<f64>, f64)>, QueryStats)> {
-        Some(index_merge_topk(db, self.indexes, selection, k, f))
+        Some(index_merge_topk_governed(db, self.indexes, selection, k, f, budget, cancel))
     }
 
     fn skyline(
@@ -204,19 +164,9 @@ impl Executor for IndexMergeExecutor<'_> {
         _db: &PCubeDb,
         _selection: &Selection,
         _pref_dims: &[usize],
+        _budget: &QueryBudget,
+        _cancel: Option<&CancelToken>,
     ) -> Option<(Vec<(u64, Vec<f64>)>, QueryStats)> {
         None
-    }
-
-    fn topk_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(Vec<(u64, Vec<f64>, f64)>, QueryStats)> {
-        Some(index_merge_topk_governed(db, self.indexes, selection, k, f, budget, cancel))
     }
 }

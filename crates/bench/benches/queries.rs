@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pcube_baselines::{bbs_skyline, index_merge_topk, ranking_topk, BooleanIndexSet};
 use pcube_bench::{build, default_spec, Bench};
-use pcube_core::{convex_hull_query, dynamic_skyline_query, skyline_query, topk_query, LinearFn};
+use pcube_core::{
+    DynamicSkylineClass, HullClass, LinearFn, ParallelOptions, SkylineClass, TopKClass,
+};
 use pcube_cube::Selection;
 use pcube_data::sample_selection;
 use rand::rngs::StdRng;
@@ -28,7 +30,7 @@ fn bench_skyline_methods(c: &mut Criterion) {
     c.bench_function("skyline/signature_50k", |b| {
         b.iter(|| {
             i += 1;
-            skyline_query(&bench.db, &sels[i % sels.len()], &dims, false).skyline.len()
+            bench.db.run(&sels[i % sels.len()], &SkylineClass::new(dims.to_vec())).rows.len()
         })
     });
     c.bench_function("skyline/boolean_50k", |b| {
@@ -52,7 +54,7 @@ fn bench_topk_methods(c: &mut Criterion) {
     c.bench_function("topk/signature_50k_k10", |b| {
         b.iter(|| {
             i += 1;
-            topk_query(&bench.db, &sels[i % sels.len()], 10, &f, false).topk.len()
+            bench.db.run(&sels[i % sels.len()], &TopKClass::new(10, &f)).rows.len()
         })
     });
     c.bench_function("topk/boolean_50k_k10", |b| {
@@ -83,18 +85,19 @@ fn bench_assembly_ablation(c: &mut Criterion) {
     // DESIGN.md ablation: lazy per-cursor AND vs eager intersected assembly
     // for multi-predicate skylines.
     let (bench, _, sels2) = fixture();
-    let dims = [0usize, 1, 2];
+    let skyline = SkylineClass::new(vec![0, 1, 2]);
     let mut i = 0usize;
     c.bench_function("skyline/2preds_lazy_assembly", |b| {
         b.iter(|| {
             i += 1;
-            skyline_query(&bench.db, &sels2[i % sels2.len()], &dims, false).skyline.len()
+            bench.db.run(&sels2[i % sels2.len()], &skyline).rows.len()
         })
     });
     c.bench_function("skyline/2preds_eager_assembly", |b| {
         b.iter(|| {
             i += 1;
-            skyline_query(&bench.db, &sels2[i % sels2.len()], &dims, true).skyline.len()
+            let eager = ParallelOptions { workers: 1, eager_assembly: true };
+            bench.db.par_run(&sels2[i % sels2.len()], &skyline, eager).rows.len()
         })
     });
 }
@@ -106,15 +109,14 @@ fn bench_extensions(c: &mut Criterion) {
     c.bench_function("extensions/dynamic_skyline_50k", |b| {
         b.iter(|| {
             i += 1;
-            dynamic_skyline_query(&bench.db, &sels[i % sels.len()], &[0.5, 0.5, 0.5], &[0, 1, 2])
-                .skyline
-                .len()
+            let class = DynamicSkylineClass::new(&[0.5, 0.5, 0.5], vec![0, 1, 2]);
+            bench.db.run(&sels[i % sels.len()], &class).rows.len()
         })
     });
     c.bench_function("extensions/convex_hull_50k", |b| {
         b.iter(|| {
             i += 1;
-            convex_hull_query(&bench.db, &sels[i % sels.len()], (0, 1)).hull.len()
+            bench.db.run(&sels[i % sels.len()], &HullClass::new((0, 1))).rows.len()
         })
     });
 }

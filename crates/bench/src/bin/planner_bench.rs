@@ -25,7 +25,8 @@ use pcube_baselines::{
 };
 use pcube_core::{
     EngineKind, Executor, LinearFn, PCubeConfig, PCubeDb, PCubeExecutor, PSkylineClass, Planner,
-    PriorityGraph, QueryBudget, QueryClass, QuerySpec, SubspaceSkylineClass,
+    PriorityGraph, QueryBudget, QueryClass, QueryStats, SkylineClass, SubspaceSkylineClass,
+    TopKClass,
 };
 use pcube_cube::{Predicate, Relation, Schema, Selection};
 use rand::rngs::StdRng;
@@ -114,9 +115,50 @@ struct WorkloadRow {
 const CLASS_ENGINES: [EngineKind; 3] =
     [EngineKind::PCube, EngineKind::BooleanFirst, EngineKind::DominationFirst];
 
-/// One calibration workload for a plugged-in [`QueryClass`]: measure every
-/// generic engine, compare against [`Planner::estimate_class`], record the
-/// pick, and oracle-check the planner-dispatched answer against the class's
+/// One calibration workload: measure `class` on every engine in `kinds`
+/// through `run` (each on its own ledger delta), compare against
+/// [`Planner::estimate_class`], and record the planner's pick among them.
+fn workload<C: QueryClass>(
+    planner: &Planner,
+    class: &C,
+    label: &str,
+    sel: &Selection,
+    qualifying: usize,
+    kinds: &[EngineKind],
+    run: impl Fn(EngineKind) -> QueryStats,
+) -> WorkloadRow {
+    let estimates = planner.estimate_class(sel, class);
+    let engines: Vec<EngineRun> = kinds
+        .iter()
+        .map(|&engine| EngineRun {
+            engine,
+            estimated_blocks: estimates
+                .iter()
+                .find(|e| e.engine == engine)
+                .map(|e| e.blocks())
+                .unwrap_or(f64::NAN),
+            measured_blocks: run(engine).io.total_reads(),
+        })
+        .collect();
+    let decision = planner.choose_class(sel, class, kinds);
+    let measured_best = engines
+        .iter()
+        .min_by_key(|e| e.measured_blocks)
+        .expect("at least one engine")
+        .engine;
+    WorkloadRow {
+        label: format!("{label} / {}", class.name()),
+        selectivity: decision.selectivity,
+        qualifying,
+        chosen: decision.chosen,
+        measured_best,
+        hit: decision.chosen == measured_best,
+        engines,
+    }
+}
+
+/// [`workload`] for a plugged-in class over the three generic engines, plus
+/// an oracle check of the planner-dispatched answer against the class's
 /// naive reference over an independently filtered candidate set.
 fn class_workload<C: QueryClass + Sync>(
     db: &PCubeDb,
@@ -129,45 +171,13 @@ fn class_workload<C: QueryClass + Sync>(
 where
     C::Row: PartialEq,
 {
-    let estimates = planner.estimate_class(sel, class);
-    let mut engines: Vec<EngineRun> = Vec::new();
-    for kind in CLASS_ENGINES {
-        let (_, stats) = db.run_class_on(class, sel, kind).expect("generic engine");
-        let est = estimates
-            .iter()
-            .find(|e| e.engine == kind)
-            .map(|e| e.blocks())
-            .unwrap_or(f64::NAN);
-        engines.push(EngineRun {
-            engine: kind,
-            estimated_blocks: est,
-            measured_blocks: stats.io.total_reads(),
-        });
-    }
-
-    let decision = planner.choose_class(sel, class, &CLASS_ENGINES);
+    let row = workload(planner, class, label, sel, input.len(), &CLASS_ENGINES, |kind| {
+        db.run_class_on(class, sel, kind).expect("generic engine").1
+    });
     let (got, _) = db
         .plan_and_run_class(planner, class, sel, &QueryBudget::unlimited(), None)
         .expect("planner dispatch");
-    let ok = got == class.oracle(input);
-
-    let measured_best = engines
-        .iter()
-        .min_by_key(|e| e.measured_blocks)
-        .expect("at least one engine")
-        .engine;
-    (
-        WorkloadRow {
-            label: format!("{label} / {}", class.name()),
-            selectivity: decision.selectivity,
-            qualifying: input.len(),
-            chosen: decision.chosen,
-            measured_best,
-            hit: decision.chosen == measured_best,
-            engines,
-        },
-        ok,
-    )
+    (row, got == class.oracle(input))
 }
 
 fn main() {
@@ -206,86 +216,52 @@ fn main() {
 
     let mut rows: Vec<WorkloadRow> = Vec::new();
     let mut mismatches = 0usize;
+    let budget = QueryBudget::unlimited();
+    let pref_dims = [0usize, 1];
+    let topk = TopKClass::new(cfg.k, &f);
+    let skyline = SkylineClass::new(pref_dims.to_vec());
+    let executor = |kind: EngineKind| -> &dyn Executor {
+        *executors.iter().find(|e| e.kind() == kind).expect("a registered engine")
+    };
+    let all_kinds = executors.iter().map(|e| e.kind());
+    let topk_kinds: Vec<EngineKind> = all_kinds.clone().filter(|&k| topk.supports(k)).collect();
+    let sky_kinds: Vec<EngineKind> = all_kinds.filter(|&k| skyline.supports(k)).collect();
     for (label, sel) in &selections {
-        for class in ["topk", "skyline"] {
-            let query = match class {
-                "topk" => QuerySpec::TopK { k: cfg.k },
-                _ => QuerySpec::Skyline { pref_dims: &[0, 1] },
-            };
-            let supported: Vec<&dyn Executor> =
-                executors.iter().copied().filter(|e| e.supports(&query)).collect();
-            let estimates = planner.estimate(sel, &query);
+        let input = oracle_input(sel);
 
-            // Measure every supported engine on a cold ledger delta.
-            let mut engines: Vec<EngineRun> = Vec::new();
-            for exec in &supported {
-                let stats = match query {
-                    QuerySpec::TopK { k } => {
-                        exec.topk(&db, sel, k, &f).expect("supported engine").1
-                    }
-                    QuerySpec::Skyline { pref_dims } => {
-                        exec.skyline(&db, sel, pref_dims).expect("supported engine").1
-                    }
-                };
-                let est = estimates
-                    .iter()
-                    .find(|e| e.engine == exec.kind())
-                    .map(|e| e.blocks())
-                    .unwrap_or(f64::NAN);
-                engines.push(EngineRun {
-                    engine: exec.kind(),
-                    estimated_blocks: est,
-                    measured_blocks: stats.io.total_reads(),
-                });
-            }
+        let row = workload(&planner, &topk, label, sel, input.len(), &topk_kinds, |kind| {
+            executor(kind).topk(&db, sel, cfg.k, &f, &budget, None).expect("supported engine").1
+        });
+        let (got, _) = db
+            .plan_and_run_topk(&planner, &executors, sel, cfg.k, &f, &budget, None)
+            .expect("planner dispatch");
+        let want = naive_topk(&input, cfg.k, &f);
+        let topk_ok = got.iter().map(|r| r.0).eq(want.iter().map(|r| r.0));
 
-            // Planner pick + oracle check on the dispatched answer.
-            let kinds: Vec<EngineKind> = supported.iter().map(|e| e.kind()).collect();
-            let decision = planner.choose(sel, &query, &kinds);
-            let input = oracle_input(sel);
-            let ok = match query {
-                QuerySpec::TopK { k } => {
-                    let (got, _) = db
-                        .plan_and_run_topk(&planner, &executors, sel, k, &f)
-                        .expect("planner dispatch");
-                    let want = naive_topk(&input, k, &f);
-                    got.iter().map(|r| r.0).eq(want.iter().map(|r| r.0))
-                }
-                QuerySpec::Skyline { pref_dims } => {
-                    let (got, _) = db
-                        .plan_and_run_skyline(&planner, &executors, sel, pref_dims)
-                        .expect("planner dispatch");
-                    let mut want = bnl_skyline(&input, pref_dims);
-                    let key = |c: &[f64]| -> f64 { pref_dims.iter().map(|&d| c[d]).sum() };
-                    want.sort_by(|a, b| key(&a.1).total_cmp(&key(&b.1)).then(a.0.cmp(&b.0)));
-                    got == want
-                }
-            };
+        let sky_row = workload(&planner, &skyline, label, sel, input.len(), &sky_kinds, |kind| {
+            let run = executor(kind).skyline(&db, sel, &pref_dims, &budget, None);
+            run.expect("supported engine").1
+        });
+        let (got, _) = db
+            .plan_and_run_skyline(&planner, &executors, sel, &pref_dims, &budget, None)
+            .expect("planner dispatch");
+        let mut want = bnl_skyline(&input, &pref_dims);
+        let key = |c: &[f64]| -> f64 { pref_dims.iter().map(|&d| c[d]).sum() };
+        want.sort_by(|a, b| key(&a.1).total_cmp(&key(&b.1)).then(a.0.cmp(&b.0)));
+        let sky_ok = got == want;
+
+        for (row, ok) in [(row, topk_ok), (sky_row, sky_ok)] {
             if !ok {
-                eprintln!("ORACLE MISMATCH: {label} / {class} via {}", decision.chosen.name());
+                eprintln!("ORACLE MISMATCH: {} via {}", row.label, row.chosen.name());
                 mismatches += 1;
             }
-
-            let measured_best = engines
-                .iter()
-                .min_by_key(|e| e.measured_blocks)
-                .expect("at least one engine")
-                .engine;
-            rows.push(WorkloadRow {
-                label: format!("{label} / {class}"),
-                selectivity: decision.selectivity,
-                qualifying: input.len(),
-                chosen: decision.chosen,
-                measured_best,
-                hit: decision.chosen == measured_best,
-                engines,
-            });
+            rows.push(row);
         }
     }
 
     // Plugged-in query classes ride the same sweep through the generic
     // planner seam (estimate_class / choose_class / plan_and_run_class) —
-    // a second pass so the legacy workloads above keep an identical
+    // a second pass so the four-engine workloads above keep an identical
     // execution order and their measurements stay comparable run-to-run.
     let pskyline = PSkylineClass::new(
         PriorityGraph::new(vec![0, 1], &[(0, 1)]).expect("a single edge is a DAG"),

@@ -35,8 +35,8 @@
 //! `BENCH_recovery.json`.
 
 use pcube_core::{
-    skyline_query, CommitQueue, CommitQueuePolicy, DurabilityOptions, DurableDb, MaintenanceOp,
-    PCubeConfig, PCubeDb, QueryBudget,
+    CommitQueue, CommitQueuePolicy, DurabilityOptions, DurableDb, MaintenanceOp, PCubeConfig,
+    PCubeDb, QueryBudget, SkylineClass,
 };
 use pcube_cube::{Predicate, Relation};
 use pcube_data::{synthetic, SyntheticSpec};
@@ -164,7 +164,7 @@ impl Workload {
 
 fn probe_skyline(db: &PCubeDb) -> Vec<u64> {
     let mut tids: Vec<u64> =
-        skyline_query(db, &Vec::new(), &[0, 1], false).skyline.iter().map(|p| p.0).collect();
+        db.run(&Vec::new(), &SkylineClass::new(vec![0, 1])).rows.iter().map(|p| p.0).collect();
     tids.sort_unstable();
     tids
 }
@@ -400,7 +400,7 @@ fn main() {
     let selected_probe = |d: &PCubeDb| -> Vec<u64> {
         let sel = vec![Predicate { dim: 0, value: 1 }];
         let mut tids: Vec<u64> =
-            skyline_query(d, &sel, &[0, 1], false).skyline.iter().map(|p| p.0).collect();
+            d.run(&sel, &SkylineClass::new(vec![0, 1])).rows.iter().map(|p| p.0).collect();
         tids.sort_unstable();
         tids
     };

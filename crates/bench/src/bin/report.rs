@@ -13,10 +13,7 @@
 //! paper-vs-measured comparison.
 
 use pcube_bench::*;
-use pcube_core::{
-    skyline_drill_down, skyline_query, skyline_query_probed, skyline_roll_up, LinearFn, PCube,
-    PCubeConfig, PCubeDb,
-};
+use pcube_core::{LinearFn, PCube, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass};
 use pcube_cube::{MaterializationPlan, Predicate, Selection};
 use pcube_data::{
     covertype_surrogate, sample_linear_weights, sample_selection, synthetic, SyntheticSpec,
@@ -150,8 +147,9 @@ fn ablation_assembly(scale: &Scale, seed: u64) {
         for _ in 0..scale.queries {
             let sel = sample_selection(bench.db.relation(), 2, &mut rng2);
             bench.db.stats().reset();
-            let out = skyline_query(&bench.db, &sel, &[0, 1, 2], eager);
-            ms.push(Measurement::from_stats(&out.stats, out.skyline.len(), &cost));
+            let opts = ParallelOptions { workers: 1, eager_assembly: eager };
+            let out = bench.db.par_run(&sel, &SkylineClass::new(vec![0, 1, 2]), opts);
+            ms.push(Measurement::from_stats(&out.stats, out.rows.len(), &cost));
         }
         let m = Measurement::mean(&ms);
         print_row_seconds(
@@ -179,13 +177,13 @@ fn ablation_bloom(scale: &Scale, seed: u64) {
             let sel = sample_selection(bench.db.relation(), 1, &mut rng);
             bench.db.stats().reset();
             let out = match fp {
-                None => skyline_query(&bench.db, &sel, &[0, 1, 2], false),
+                None => bench.db.run(&sel, &SkylineClass::new(vec![0, 1, 2])),
                 Some(rate) => {
                     let probe = bench.db.pcube().probe_bloom(&sel, rate);
-                    skyline_query_probed(&bench.db, &sel, &[0, 1, 2], probe)
+                    bench.db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1, 2]), probe)
                 }
             };
-            ms.push(Measurement::from_stats(&out.stats, out.skyline.len(), &cost));
+            ms.push(Measurement::from_stats(&out.stats, out.rows.len(), &cost));
         }
         let m = Measurement::mean(&ms);
         print_row_seconds(
@@ -260,7 +258,7 @@ fn ablation_materialization(scale: &Scale, seed: u64) {
         for _ in 0..scale.queries {
             let sel = sample_selection(db.relation(), 2, &mut rng);
             db.stats().reset();
-            let out = skyline_query(&db, &sel, &[0, 1, 2], false);
+            let out = db.run(&sel, &SkylineClass::new(vec![0, 1, 2]));
             total += out.stats.cpu_seconds + cost.seconds(&out.stats.io);
         }
         print_row_seconds(
@@ -621,6 +619,7 @@ fn fig16_drill_down(scale: &Scale, seed: u64) {
     let bench = covertype_bench(scale, seed);
     let cost = CostModel::default();
     print_header("#preds", &["NewQuery", "DrillDown", "RollUpFrom", "RollUp"]);
+    let skyline = SkylineClass::new(vec![0, 1, 2]);
     for n_preds in 2..=4usize {
         let mut rng = StdRng::seed_from_u64(seed ^ (n_preds as u64) << 10);
         let mut fresh_s = 0.0;
@@ -633,25 +632,25 @@ fn fig16_drill_down(scale: &Scale, seed: u64) {
             let extra: Predicate = sel[n_preds - 1];
             // Step 1: query with k-1 predicates (not measured here).
             bench.db.stats().reset();
-            let first = skyline_query(&bench.db, &base, &[0, 1, 2], false);
+            let (_, first) = bench.db.run_resumable(&base, &skyline);
             // Step 2a: drill down with the k-th predicate.
             bench.db.stats().reset();
-            let drilled = skyline_drill_down(&bench.db, first.state, extra);
+            let (drilled, drilled_state) = bench.db.drill_down(first, extra);
             drill_s += drilled.stats.cpu_seconds + cost.seconds(&drilled.stats.io);
             // Step 2b: the same query from scratch.
             bench.db.stats().reset();
-            let fresh = skyline_query(&bench.db, &sel, &[0, 1, 2], false);
+            let fresh = bench.db.run(&sel, &skyline);
             fresh_s += fresh.stats.cpu_seconds + cost.seconds(&fresh.stats.io);
-            assert_eq!(drilled.skyline.len(), fresh.skyline.len());
+            assert_eq!(drilled.rows.len(), fresh.rows.len());
             // Roll-up: remove the k-th predicate again, continuing from the
             // drilled state; compare against the fresh (k-1)-pred query.
             bench.db.stats().reset();
-            let rolled = skyline_roll_up(&bench.db, drilled.state, extra.dim);
+            let (rolled, _) = bench.db.roll_up(drilled_state, extra.dim);
             roll_s += rolled.stats.cpu_seconds + cost.seconds(&rolled.stats.io);
             bench.db.stats().reset();
-            let fresh_base = skyline_query(&bench.db, &base, &[0, 1, 2], false);
+            let fresh_base = bench.db.run(&base, &skyline);
             roll_from_s += fresh_base.stats.cpu_seconds + cost.seconds(&fresh_base.stats.io);
-            assert_eq!(rolled.skyline.len(), fresh_base.skyline.len());
+            assert_eq!(rolled.rows.len(), fresh_base.rows.len());
         }
         let n = scale.queries as f64;
         print_row_seconds(

@@ -37,7 +37,10 @@
 //!
 //! Results land in `BENCH_concurrency.json` (override with `--out`).
 
-use pcube_core::{AdmissionGate, LinearFn, PCubeConfig, PCubeDb, StageTimes};
+use pcube_core::{
+    AdmissionGate, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, SkylineClass,
+    StageTimes, TopKClass,
+};
 use pcube_cube::Selection;
 use pcube_data::{sample_selection, synthetic, Distribution, SyntheticSpec};
 use pcube_storage::{CostModel, IoCategory, IoSnapshot};
@@ -78,20 +81,20 @@ enum Answer {
 fn run_query(db: &PCubeDb, q: &Query) -> (Answer, StageTimes) {
     match q {
         Query::TopK { sel, k, weights } => {
-            let out = db.topk(sel, *k, &LinearFn::new(weights.clone()));
-            (Answer::TopK(out.topk), out.stats.stages)
+            let out = db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone())));
+            (Answer::TopK(out.rows), out.stats.stages)
         }
         Query::Skyline { sel } => {
-            let out = db.skyline(sel, &[0, 1]);
-            (Answer::Skyline(out.skyline), out.stats.stages)
+            let out = db.run(sel, &SkylineClass::new(vec![0, 1]));
+            (Answer::Skyline(out.rows), out.stats.stages)
         }
         Query::Dynamic { sel, q } => {
-            let out = db.dynamic_skyline(sel, q, &[0, 1]);
-            (Answer::Skyline(out.skyline), out.stats.stages)
+            let out = db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1]));
+            (Answer::Skyline(out.rows), out.stats.stages)
         }
         Query::Hull { sel } => {
-            let out = db.hull(sel, (0, 1));
-            (Answer::Hull(out.hull), out.stats.stages)
+            let out = db.run(sel, &HullClass::new((0, 1)));
+            (Answer::Hull(out.rows), out.stats.stages)
         }
     }
 }

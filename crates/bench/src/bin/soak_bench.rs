@@ -22,10 +22,8 @@
 //! Results land in `BENCH_soak.json` (override with `--out`).
 
 use pcube_core::{
-    convex_hull_query, convex_hull_query_governed, dynamic_skyline_query,
-    dynamic_skyline_query_governed, skyline_query, skyline_query_governed, topk_query,
-    topk_query_governed, AdmissionGate, CancelToken, LinearFn, PCubeConfig, PCubeDb,
-    QueryBudget, QueryOutcome, QueryStats, StopReason,
+    AdmissionGate, CancelToken, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb,
+    QueryBudget, QueryOutcome, QueryStats, SkylineClass, StopReason, TopKClass,
 };
 use pcube_cube::Selection;
 use pcube_data::{sample_selection, synthetic, Distribution, SyntheticSpec};
@@ -121,15 +119,15 @@ fn build_workload(db: &PCubeDb, n: usize, seed: u64) -> Vec<(Query, Answer)> {
             };
             let oracle = match &query {
                 Query::TopK { sel, k, weights } => Answer::TopK(
-                    topk_query(db, sel, *k, &LinearFn::new(weights.clone()), false).topk,
+                    db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone()))).rows,
                 ),
                 Query::Skyline { sel } => {
-                    Answer::Skyline(skyline_query(db, sel, &[0, 1], false).skyline)
+                    Answer::Skyline(db.run(sel, &SkylineClass::new(vec![0, 1])).rows)
                 }
                 Query::Dynamic { sel, q } => {
-                    Answer::Skyline(dynamic_skyline_query(db, sel, q, &[0, 1]).skyline)
+                    Answer::Skyline(db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1])).rows)
                 }
-                Query::Hull { sel } => Answer::Hull(convex_hull_query(db, sel, (0, 1)).hull),
+                Query::Hull { sel } => Answer::Hull(db.run(sel, &HullClass::new((0, 1))).rows),
             };
             (query, oracle)
         })
@@ -206,34 +204,36 @@ fn run_one(db: &PCubeDb, i: usize, case: &(Query, Answer), tally: &Tally) {
     match &case.0 {
         Query::TopK { sel, k, weights } => {
             let f = LinearFn::new(weights.clone());
-            let out = topk_query_governed(db, sel, *k, &f, false, &budget, cancel.as_ref());
-            audit(&out.stats, out.topk.len(), true, tally);
+            let out = db.run_governed(sel, &TopKClass::new(*k, &f), &budget, cancel.as_ref());
+            audit(&out.stats, out.rows.len(), true, tally);
             if out.stats.outcome.is_complete() {
-                mismatch = Answer::TopK(out.topk) != case.1;
+                mismatch = Answer::TopK(out.rows) != case.1;
             }
             tally.record(&out.stats.outcome);
         }
         Query::Skyline { sel } => {
-            let out = skyline_query_governed(db, sel, &[0, 1], false, &budget, cancel.as_ref());
-            audit(&out.stats, out.skyline.len(), true, tally);
+            let class = SkylineClass::new(vec![0, 1]);
+            let out = db.run_governed(sel, &class, &budget, cancel.as_ref());
+            audit(&out.stats, out.rows.len(), true, tally);
             if out.stats.outcome.is_complete() {
-                mismatch = Answer::Skyline(out.skyline) != case.1;
+                mismatch = Answer::Skyline(out.rows) != case.1;
             }
             tally.record(&out.stats.outcome);
         }
         Query::Dynamic { sel, q } => {
-            let out = dynamic_skyline_query_governed(db, sel, q, &[0, 1], &budget, cancel.as_ref());
-            audit(&out.stats, out.skyline.len(), true, tally);
+            let class = DynamicSkylineClass::new(q, vec![0, 1]);
+            let out = db.run_governed(sel, &class, &budget, cancel.as_ref());
+            audit(&out.stats, out.rows.len(), true, tally);
             if out.stats.outcome.is_complete() {
-                mismatch = Answer::Skyline(out.skyline) != case.1;
+                mismatch = Answer::Skyline(out.rows) != case.1;
             }
             tally.record(&out.stats.outcome);
         }
         Query::Hull { sel } => {
-            let out = convex_hull_query_governed(db, sel, (0, 1), &budget, cancel.as_ref());
-            audit(&out.stats, out.hull.len(), false, tally);
+            let out = db.run_governed(sel, &HullClass::new((0, 1)), &budget, cancel.as_ref());
+            audit(&out.stats, out.rows.len(), false, tally);
             if out.stats.outcome.is_complete() {
-                mismatch = Answer::Hull(out.hull) != case.1;
+                mismatch = Answer::Hull(out.rows) != case.1;
             }
             tally.record(&out.stats.outcome);
         }

@@ -10,7 +10,9 @@
 #![warn(missing_docs)]
 
 use pcube_baselines::{bbs_skyline, index_merge_topk, ranking_topk, BooleanIndexSet, SelectRoute};
-use pcube_core::{skyline_query, topk_query, PCubeConfig, PCubeDb, QueryStats, RankingFunction};
+use pcube_core::{
+    PCubeConfig, PCubeDb, QueryStats, RankingFunction, SkylineClass, TopKClass,
+};
 use pcube_cube::Selection;
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
 use pcube_storage::{CostModel, IoCategory, IoSnapshot};
@@ -157,8 +159,8 @@ pub fn measure_signature_skyline(
     cost: &CostModel,
 ) -> Measurement {
     bench.db.stats().reset();
-    let out = skyline_query(&bench.db, sel, pref_dims, false);
-    Measurement::from_stats(&out.stats, out.skyline.len(), cost)
+    let out = bench.db.run(sel, &SkylineClass::new(pref_dims.to_vec()));
+    Measurement::from_stats(&out.stats, out.rows.len(), cost)
 }
 
 /// Runs the Boolean-first skyline (auto route) and measures it.
@@ -205,8 +207,8 @@ pub fn measure_signature_topk(
     cost: &CostModel,
 ) -> Measurement {
     bench.db.stats().reset();
-    let out = topk_query(&bench.db, sel, k, f, false);
-    Measurement::from_stats(&out.stats, out.topk.len(), cost)
+    let out = bench.db.run(sel, &TopKClass::new(k, f));
+    Measurement::from_stats(&out.stats, out.rows.len(), cost)
 }
 
 /// Runs the Boolean-first top-k (auto route).

@@ -534,7 +534,7 @@ impl Mirror {
 }
 
 /// The durable checkpoint: metadata (relation, registry, cuboids, tree
-/// scalars — reusing the persist-v2 payload formats) plus one [`Mirror`]
+/// scalars — reusing the persist-v2 payload formats) plus one `Mirror`
 /// per paged store. Installed atomically; serializable for the file mode
 /// and the crash harness.
 #[derive(Debug, Clone, PartialEq)]
@@ -2281,7 +2281,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::skyline_query;
+    use crate::query::SkylineClass;
     use pcube_cube::Schema;
 
     fn seed_relation(n: usize) -> Relation {
@@ -2297,8 +2297,8 @@ mod tests {
     }
 
     fn skyline_tids(db: &PCubeDb) -> Vec<u64> {
-        let out = skyline_query(db, &Vec::new(), &[0, 1], false);
-        let mut tids: Vec<u64> = out.skyline.iter().map(|(t, _)| *t).collect();
+        let out = db.run(&Vec::new(), &SkylineClass::new(vec![0, 1]));
+        let mut tids: Vec<u64> = out.rows.iter().map(|(t, _)| *t).collect();
         tids.sort_unstable();
         tids
     }

@@ -26,7 +26,7 @@
 //! | [`store`] | IV-B.2 | on-disk partial signatures, lazy [`SignatureCursor`] |
 //! | [`pcube`] | IV, IV-B.3 | [`PCube`] build + incremental maintenance, [`PCubeDb`] |
 //! | [`rank`] | III, V-B | ranking functions with MBR lower bounds |
-//! | [`query`] | V | Algorithm 1 for skylines and top-k, drill-down/roll-up |
+//! | [`query`] | V, VII | Algorithm 1 once, every query class through it, drill-down/roll-up |
 //! | [`plan`] | VI | cost-based planner choosing P-Cube vs baseline engines |
 
 #![forbid(unsafe_code)]
@@ -55,21 +55,14 @@ pub use durable::{
 pub use pcube::{PCube, PCubeConfig, PCubeDb, SigTouch};
 pub use persist::PersistError;
 pub use plan::{
-    CostEstimate, EngineKind, Executor, PCubeExecutor, PlanDecision, PlanError, Planner, QuerySpec,
+    CostEstimate, EngineKind, Executor, PCubeExecutor, PlanDecision, PlanError, Planner,
     SkylineRows, TopKRows,
 };
 pub use query::{
-    convex_hull_query, convex_hull_query_governed, dynamic_skyline_query,
-    dynamic_skyline_query_governed, par_convex_hull_query, par_convex_hull_query_governed,
-    par_dynamic_skyline_query, par_dynamic_skyline_query_governed, par_skyline_query,
-    par_skyline_query_governed, par_topk_query, par_topk_query_governed, skyline_drill_down,
-    skyline_query, skyline_query_governed, skyline_query_probed, skyline_roll_up,
-    topk_drill_down, topk_query, topk_query_governed, topk_query_probed, topk_roll_up,
-    CancelToken, ClassOutcome, DynamicSkylineClass, HullClass, PSkylineClass,
-    ParDynamicSkylineOutcome, ParHullOutcome, ParSkylineOutcome, ParTopKOutcome, ParallelOptions,
+    CancelToken, ClassOutcome, DynamicSkylineClass, HullClass, PSkylineClass, ParallelOptions,
     PriorityGraph, PriorityGraphError, Progress, QueryBudget, QueryClass, QueryOutcome,
-    QueryStats, SkyPoint, SkylineClass, SkylineOutcome, SkylineState, StageTimes, StopReason,
-    SubspaceSkylineClass, TopKClass, TopKOutcome, TopKState,
+    QueryStats, SavedState, SkyPoint, SkylineClass, StageTimes, StopReason,
+    SubspaceSkylineClass, TopKClass,
 };
 pub use rank::{LinearFn, MinCoordSum, RankingFunction, WeightedDistanceFn};
 pub use scrub::{scrub, ScrubFinding, ScrubReport};

@@ -5,18 +5,24 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pcube_cube::{
-    group_by, normalize, CellKey, CellRegistry, CuboidMask, MaterializationPlan, Relation,
-    Selection,
+    group_by, normalize, CellKey, CellRegistry, CuboidMask, MaterializationPlan, Predicate,
+    Relation, Selection,
 };
 use pcube_rtree::{Path, PathDelta, RTree, RTreeConfig};
 use pcube_storage::{IoCategory, IoStats, Pager, SharedStats};
 
-use crate::rank::RankingFunction;
+use crate::query::class::{
+    drill_down, roll_up, run_class, run_class_probed, run_class_resumable,
+};
+use crate::query::{
+    par_run_class, BooleanPruner, CancelToken, ClassOutcome, ParallelOptions, QueryBudget,
+    QueryClass, SavedState,
+};
+use crate::signature::Signature;
+use crate::store::{BooleanProbe, SignatureStore};
 
 /// Per-cell pending signature maintenance: `(cleared paths, set paths)`.
 type CellChanges = (Vec<Path>, Vec<Path>);
-use crate::signature::Signature;
-use crate::store::{BooleanProbe, SignatureStore};
 
 /// Build-time options for a P-Cube.
 #[derive(Debug, Clone)]
@@ -313,9 +319,8 @@ impl PCube {
 /// A complete P-Cube database: base relation, shared R-tree partition,
 /// signature cube, and one I/O ledger across all of them.
 ///
-/// This is the type queries run against; see
-/// [`skyline_query`](crate::query::skyline_query) and
-/// [`topk_query`](crate::query::topk_query).
+/// This is the type queries run against: see [`PCubeDb::run`] and the
+/// query classes in [`crate::query::class`].
 pub struct PCubeDb {
     pub(crate) relation: Relation,
     pub(crate) rtree: RTree,
@@ -518,7 +523,7 @@ impl PCubeDb {
                     .code(value)
                     // Unseen value: a code beyond any dictionary entry.
                     .unwrap_or(u32::MAX);
-                pcube_cube::Predicate { dim, value }
+                Predicate { dim, value }
             })
             .collect()
     }
@@ -526,194 +531,108 @@ impl PCubeDb {
 
 /// The thread-safe query facade: every method takes `&self`, so a single
 /// `PCubeDb` can serve many client threads at once (`PCubeDb: Send + Sync`
-/// is asserted below). With `ParallelOptions::workers > 1` each query also
-/// fans its own search out over root-level R-tree subtrees; results are
-/// identical to the serial engines either way (see [`crate::query::parallel`
-/// module docs](crate::query::par_topk_query)).
+/// is asserted below). Any [`QueryClass`] — built in or user defined — runs
+/// through these methods; there is no per-class entry point. With
+/// [`ParallelOptions::workers`] `> 1` a query also fans its own search out
+/// over root-level R-tree subtrees; results are identical to the serial
+/// engine either way (the class's merge contract guarantees it).
+///
+/// # Panics
+/// Every method panics, before its first block read, if the class reads a
+/// preference dimension the schema does not have.
 impl PCubeDb {
-    /// Top-k under a boolean selection — serial engine, shared-ref entry
-    /// point (equivalent to [`topk_query`](crate::query::topk_query)).
-    pub fn topk(
-        &self,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-    ) -> crate::query::TopKOutcome {
-        crate::query::topk_query(self, selection, k, f, false)
+    /// Runs a query class through the serial Algorithm-1 kernel under the
+    /// signature probe.
+    pub fn run<C: QueryClass>(&self, selection: &Selection, class: &C) -> ClassOutcome<C::Row> {
+        run_class(self, selection, class, false, &QueryBudget::unlimited(), None)
     }
 
-    /// Top-k with a parallel subtree fan-out.
-    pub fn par_topk(
-        &self,
-        selection: &Selection,
-        k: usize,
-        f: &(dyn RankingFunction + Sync),
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ParTopKOutcome {
-        crate::query::par_topk_query(self, selection, k, f, opts)
-    }
-
-    /// Skyline under a boolean selection — serial engine.
-    pub fn skyline(
-        &self,
-        selection: &Selection,
-        pref_dims: &[usize],
-    ) -> crate::query::SkylineOutcome {
-        crate::query::skyline_query(self, selection, pref_dims, false)
-    }
-
-    /// Skyline with a parallel subtree fan-out.
-    pub fn par_skyline(
-        &self,
-        selection: &Selection,
-        pref_dims: &[usize],
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ParSkylineOutcome {
-        crate::query::par_skyline_query(self, selection, pref_dims, opts)
-    }
-
-    /// Dynamic skyline around `q` — serial engine.
-    pub fn dynamic_skyline(
-        &self,
-        selection: &Selection,
-        q: &[f64],
-        pref_dims: &[usize],
-    ) -> crate::query::DynamicSkylineOutcome {
-        crate::query::dynamic_skyline_query(self, selection, q, pref_dims)
-    }
-
-    /// Dynamic skyline with a parallel subtree fan-out.
-    pub fn par_dynamic_skyline(
-        &self,
-        selection: &Selection,
-        q: &[f64],
-        pref_dims: &[usize],
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ParDynamicSkylineOutcome {
-        crate::query::par_dynamic_skyline_query(self, selection, q, pref_dims, opts)
-    }
-
-    /// Convex hull of the qualifying tuples on two dimensions — serial.
-    pub fn hull(&self, selection: &Selection, dims: (usize, usize)) -> crate::query::HullOutcome {
-        crate::query::convex_hull_query(self, selection, dims)
-    }
-
-    /// Convex hull with a parallel subtree fan-out.
-    pub fn par_hull(
-        &self,
-        selection: &Selection,
-        dims: (usize, usize),
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ParHullOutcome {
-        crate::query::par_convex_hull_query(self, selection, dims, opts)
-    }
-}
-
-/// The generic query-class entry points: any
-/// [`QueryClass`](crate::query::QueryClass) — built in or user defined —
-/// runs through these four methods with no facade changes.
-/// The named wrappers above (and the p-skyline / subspace wrappers below)
-/// are thin calls into the same machinery.
-impl PCubeDb {
-    /// Runs a pluggable query class through the serial Algorithm-1 kernel
-    /// under the signature probe.
-    pub fn run<C: crate::query::QueryClass>(
+    /// [`Self::run`] under a [`QueryBudget`] and optional [`CancelToken`]:
+    /// stops cooperatively at pop granularity and reports a
+    /// [`QueryOutcome::Partial`](crate::query::QueryOutcome) when cut short
+    /// (each class documents what its partial answers guarantee).
+    pub fn run_governed<C: QueryClass>(
         &self,
         selection: &Selection,
         class: &C,
-    ) -> crate::query::ClassOutcome<C::Row> {
-        crate::query::class::run_class(
-            self,
-            selection,
-            class,
-            false,
-            &crate::query::QueryBudget::unlimited(),
-            None,
-        )
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
+    ) -> ClassOutcome<C::Row> {
+        run_class(self, selection, class, false, budget, cancel)
     }
 
-    /// [`Self::run`] under a [`QueryBudget`](crate::query::QueryBudget) and
-    /// optional [`CancelToken`](crate::query::CancelToken).
-    pub fn run_governed<C: crate::query::QueryClass>(
+    /// [`Self::run`] with a parallel subtree fan-out.
+    pub fn par_run<C: QueryClass + Sync>(
         &self,
         selection: &Selection,
         class: &C,
-        budget: &crate::query::QueryBudget,
-        cancel: Option<&crate::query::CancelToken>,
-    ) -> crate::query::ClassOutcome<C::Row> {
-        crate::query::class::run_class(self, selection, class, false, budget, cancel)
+        opts: ParallelOptions,
+    ) -> ClassOutcome<C::Row> {
+        par_run_class(self, selection, class, opts, &QueryBudget::unlimited(), None)
     }
 
-    /// [`Self::run`] with a parallel subtree fan-out; results are identical
-    /// to the serial run (the class's merge contract guarantees it).
-    pub fn par_run<C: crate::query::QueryClass + Sync>(
+    /// [`Self::par_run`] under a budget and optional cancel token. One
+    /// worker's trip (or an external cancel) drains every other worker at
+    /// its next pop.
+    pub fn par_run_governed<C: QueryClass + Sync>(
         &self,
         selection: &Selection,
         class: &C,
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ClassOutcome<C::Row> {
-        crate::query::par_run_class(
-            self,
-            selection,
-            class,
-            opts,
-            &crate::query::QueryBudget::unlimited(),
-            None,
-        )
+        opts: ParallelOptions,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
+    ) -> ClassOutcome<C::Row> {
+        par_run_class(self, selection, class, opts, budget, cancel)
     }
 
-    /// [`Self::par_run`] under a budget and optional cancel token.
-    pub fn par_run_governed<C: crate::query::QueryClass + Sync>(
+    /// [`Self::run`] under a caller-supplied boolean pruner instead of the
+    /// signature probe of `selection` — e.g. the lossy Bloom probes of §VII
+    /// ([`PCube::probe_bloom`]). A lossy pruner's accepted tuples are
+    /// verified against `selection` in the base table.
+    pub fn run_with_probe<C: QueryClass>(
         &self,
         selection: &Selection,
         class: &C,
-        opts: crate::query::ParallelOptions,
-        budget: &crate::query::QueryBudget,
-        cancel: Option<&crate::query::CancelToken>,
-    ) -> crate::query::ClassOutcome<C::Row> {
-        crate::query::par_run_class(self, selection, class, opts, budget, cancel)
+        mut probe: impl BooleanPruner,
+    ) -> ClassOutcome<C::Row> {
+        run_class_probed(self, selection, class, &mut probe, &QueryBudget::unlimited(), None)
     }
 
-    /// Prioritized skyline (p-skyline): the skyline under the priority
-    /// graph's dominance relation `≻_Γ` — serial.
-    pub fn pskyline(
+    /// [`Self::run`], keeping the `b_list`/`d_list` of Algorithm 1 so that
+    /// [`Self::drill_down`] and [`Self::roll_up`] can continue from them
+    /// (§V-C).
+    ///
+    /// # Panics
+    /// Panics if the class keeps no resumable state
+    /// ([`QueryClass::restart_entries`]); top-k and skyline do.
+    pub fn run_resumable<'c, C: QueryClass>(
         &self,
         selection: &Selection,
-        graph: &crate::query::PriorityGraph,
-    ) -> crate::query::ClassOutcome<(u64, Vec<f64>)> {
-        self.run(selection, &crate::query::PSkylineClass::new(graph.clone()))
+        class: &'c C,
+    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+        run_class_resumable(self, selection, class)
     }
 
-    /// Prioritized skyline with a parallel subtree fan-out.
-    pub fn par_pskyline(
+    /// Strengthens the query behind `prev` with one more predicate,
+    /// restarting the search from `result ∪ d_list` instead of the root
+    /// (Lemma 2).
+    pub fn drill_down<'c, C: QueryClass>(
         &self,
-        selection: &Selection,
-        graph: &crate::query::PriorityGraph,
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ClassOutcome<(u64, Vec<f64>)> {
-        self.par_run(selection, &crate::query::PSkylineClass::new(graph.clone()), opts)
+        prev: SavedState<'c, C>,
+        extra: Predicate,
+    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+        drill_down(self, prev, extra)
     }
 
-    /// Subspace skyline: the skyline of the qualifying tuples projected
-    /// onto `dims`, with distinct-value semantics on the projection —
-    /// serial. Returned coordinate vectors hold only the projected
-    /// dimensions, in the order given.
-    pub fn subspace_skyline(
+    /// Relaxes the query behind `prev` by dropping every predicate on
+    /// boolean dimension `dim`, restarting the search from `result ∪
+    /// b_list` (Lemma 2).
+    pub fn roll_up<'c, C: QueryClass>(
         &self,
-        selection: &Selection,
-        dims: &[usize],
-    ) -> crate::query::ClassOutcome<(u64, Vec<f64>)> {
-        self.run(selection, &crate::query::SubspaceSkylineClass::new(dims.to_vec()))
-    }
-
-    /// Subspace skyline with a parallel subtree fan-out.
-    pub fn par_subspace_skyline(
-        &self,
-        selection: &Selection,
-        dims: &[usize],
-        opts: crate::query::ParallelOptions,
-    ) -> crate::query::ClassOutcome<(u64, Vec<f64>)> {
-        self.par_run(selection, &crate::query::SubspaceSkylineClass::new(dims.to_vec()), opts)
+        prev: SavedState<'c, C>,
+        dim: usize,
+    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+        roll_up(self, prev, dim)
     }
 }
 

@@ -21,7 +21,7 @@
 //! crate (the trait lives here, not there, because `baselines` already
 //! depends on this crate).
 //!
-//! The cost formulas (documented per engine on [`Planner::estimate`] and in
+//! The cost formulas (documented per engine on [`Planner::estimate_class`] and in
 //! DESIGN.md §8) use:
 //!
 //! * `n` — relation cardinality; `P` — heap pages,
@@ -37,8 +37,10 @@ use pcube_cube::{normalize, Selection};
 use pcube_storage::CostModel;
 
 use crate::pcube::PCubeDb;
-use crate::query::class::{run_class, run_class_scan, run_class_verify_all};
-use crate::query::{CancelToken, QueryBudget, QueryClass, QueryStats};
+use crate::query::class::{run_class, run_class_probed, run_class_scan};
+use crate::query::{
+    CancelToken, QueryBudget, QueryClass, QueryStats, SkylineClass, TopKClass, VerifyAllPruner,
+};
 use crate::rank::RankingFunction;
 
 /// The engine families the planner chooses among (§VI-A).
@@ -68,21 +70,6 @@ impl EngineKind {
     }
 }
 
-/// The preference-query classes the planner costs.
-#[derive(Debug, Clone, Copy)]
-pub enum QuerySpec<'a> {
-    /// `ORDER BY f LIMIT k` over the preference dimensions.
-    TopK {
-        /// Result size.
-        k: usize,
-    },
-    /// Skyline over the given preference dimensions.
-    Skyline {
-        /// Compared dimensions.
-        pref_dims: &'a [usize],
-    },
-}
-
 /// One engine's predicted cost, in modeled block accesses.
 #[derive(Debug, Clone, Copy)]
 pub struct CostEstimate {
@@ -109,8 +96,7 @@ impl CostEstimate {
 /// [`QueryStats`] for `EXPLAIN`-style reporting.
 #[derive(Debug, Clone)]
 pub struct PlanDecision {
-    /// The query class the plan was made for (a [`QueryClass::name`], or
-    /// `"topk"`/`"skyline"` for the legacy [`QuerySpec`] paths).
+    /// The query class the plan was made for (a [`QueryClass::name`]).
     pub class: &'static str,
     /// The engine the planner dispatched to.
     pub chosen: EngineKind,
@@ -120,7 +106,7 @@ pub struct PlanDecision {
     pub selectivity: f64,
     /// Estimated number of qualifying tuples (`σ·n`).
     pub qualifying_est: f64,
-    /// `true` when a [`QueryBudget`](crate::query::QueryBudget) constrained
+    /// `true` when a [`QueryBudget`] constrained
     /// the choice — either the cheapest engine was predicted to overrun
     /// and a fitting engine was substituted, or no engine fit at all.
     pub budget_limited: bool,
@@ -147,11 +133,17 @@ pub type TopKRows = Vec<(u64, Vec<f64>, f64)>;
 /// `(coordinate sum, tid)` order.
 pub type SkylineRows = Vec<(u64, Vec<f64>)>;
 
-/// A uniform engine interface: selection and query in, canonical-order
-/// result with [`QueryStats`] out. The planner dispatches through it, and
-/// the differential oracle iterates executors with it. `None` means the
-/// engine does not support that query class (e.g. Index-merge has no
-/// skyline).
+/// A uniform interface over the four engines of §VI-A for the two query
+/// classes all of them (or all but index-merge) implement natively:
+/// selection and query in, canonical-order result with [`QueryStats`] out.
+/// The planner dispatches through it, and the differential oracle iterates
+/// executors with it. Which classes an engine family can answer is the
+/// class's call ([`QueryClass::supports`]); `None` means this executor has
+/// no engine for the class (index-merge has no skyline).
+///
+/// Every method runs under a [`QueryBudget`] and optional [`CancelToken`]:
+/// an engine that is cut short reports a
+/// [`QueryOutcome::Partial`](crate::query::QueryOutcome) in the stats.
 pub trait Executor {
     /// Which engine family this executor runs.
     fn kind(&self) -> EngineKind;
@@ -163,6 +155,8 @@ pub trait Executor {
         selection: &Selection,
         k: usize,
         f: &dyn RankingFunction,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
     ) -> Option<(TopKRows, QueryStats)>;
 
     /// Skyline in canonical ascending `(coordinate sum, tid)` order.
@@ -171,49 +165,9 @@ pub trait Executor {
         db: &PCubeDb,
         selection: &Selection,
         pref_dims: &[usize],
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
     ) -> Option<(SkylineRows, QueryStats)>;
-
-    /// [`Self::topk`] under a [`QueryBudget`] and optional [`CancelToken`]:
-    /// engines that stop cooperatively report a
-    /// [`QueryOutcome::Partial`](crate::query::QueryOutcome) in the stats.
-    /// The default ignores governance (an ungoverned engine simply runs to
-    /// completion — never wrong, just not cut short); every shipped
-    /// executor overrides it.
-    fn topk_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(TopKRows, QueryStats)> {
-        let _ = (budget, cancel);
-        self.topk(db, selection, k, f)
-    }
-
-    /// [`Self::skyline`] under a [`QueryBudget`] and optional
-    /// [`CancelToken`] (see [`Self::topk_governed`] for the default's
-    /// semantics).
-    fn skyline_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        pref_dims: &[usize],
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(SkylineRows, QueryStats)> {
-        let _ = (budget, cancel);
-        self.skyline(db, selection, pref_dims)
-    }
-
-    /// `true` if this executor can answer `query`.
-    fn supports(&self, query: &QuerySpec<'_>) -> bool {
-        match query {
-            QuerySpec::TopK { .. } => true,
-            QuerySpec::Skyline { .. } => self.kind() != EngineKind::IndexMerge,
-        }
-    }
 }
 
 /// The P-Cube engine behind the [`Executor`] interface: serial Algorithm 1
@@ -231,9 +185,11 @@ impl Executor for PCubeExecutor {
         selection: &Selection,
         k: usize,
         f: &dyn RankingFunction,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
     ) -> Option<(TopKRows, QueryStats)> {
-        let out = crate::query::topk_query(db, selection, k, f, false);
-        Some((out.topk, out.stats))
+        let out = run_class(db, selection, &TopKClass::new(k, f), false, budget, cancel);
+        Some((out.rows, out.stats))
     }
 
     fn skyline(
@@ -241,35 +197,12 @@ impl Executor for PCubeExecutor {
         db: &PCubeDb,
         selection: &Selection,
         pref_dims: &[usize],
-    ) -> Option<(SkylineRows, QueryStats)> {
-        let out = crate::query::skyline_query(db, selection, pref_dims, false);
-        Some((out.skyline, out.stats))
-    }
-
-    fn topk_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(TopKRows, QueryStats)> {
-        let out = crate::query::topk_query_governed(db, selection, k, f, false, budget, cancel);
-        Some((out.topk, out.stats))
-    }
-
-    fn skyline_governed(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        pref_dims: &[usize],
         budget: &QueryBudget,
         cancel: Option<&CancelToken>,
     ) -> Option<(SkylineRows, QueryStats)> {
-        let out =
-            crate::query::skyline_query_governed(db, selection, pref_dims, false, budget, cancel);
-        Some((out.skyline, out.stats))
+        let class = SkylineClass::new(pref_dims.to_vec());
+        let out = run_class(db, selection, &class, false, budget, cancel);
+        Some((out.rows, out.stats))
     }
 }
 
@@ -378,8 +311,12 @@ impl Planner {
         preds as f64 * (self.rtree_height + (nodes / 8.0).ceil())
     }
 
-    /// Per-engine cost estimates for `query` under `selection`, in modeled
-    /// block accesses. Formulas per engine:
+    /// Per-engine cost estimates for `class` under `selection`, in modeled
+    /// block accesses. The single class-specific term — the expected answer
+    /// cardinality `w` — is supplied by [`QueryClass::expected_results`]
+    /// (`min(k, q)` for top-k, `s(q)` for skylines), and the index-merge
+    /// estimate is included only when the class declares support. Formulas
+    /// per engine:
     ///
     /// * **Boolean-first** — the cheaper (in blocks) of the index route
     ///   (`Σ_d (⌈c_d/255⌉ + 2)` B+-tree pages + `q` random tuple fetches)
@@ -388,42 +325,18 @@ impl Planner {
     ///   same block comparison, so the estimate predicts the route taken.
     /// * **Domination-first** — surfaces candidates without boolean
     ///   pruning and random-fetches every one (minimal probing): expected
-    ///   candidates are `k/σ` for top-k and `s(q)/σ` for skylines, plus
-    ///   the R-tree nodes to surface them.
+    ///   candidates are `w/σ`, plus the R-tree nodes to surface them.
     /// * **Index-merge** (top-k only) — same surfacing as
     ///   domination-first, but each surfaced tuple pays one pinned-descent
     ///   B+-tree leaf probe per predicate instead of a tuple fetch.
     /// * **P-Cube** — signature pruning restricts the traversal to
-    ///   subtrees with qualifying tuples: `min(k, q)/σ'` tuple pops where
-    ///   `σ' = max(σ, 1/m)` per leaf for top-k, `s(q)` accepted plus a
-    ///   spine for skylines; plus signature pages, no tuple fetches.
-    pub fn estimate(&self, selection: &Selection, query: &QuerySpec<'_>) -> Vec<CostEstimate> {
-        let wanted_of = |q: f64| match query {
-            QuerySpec::TopK { k } => (*k as f64).min(q.max(1.0)),
-            QuerySpec::Skyline { pref_dims } => Self::skyline_size(q, pref_dims.len()),
-        };
-        let index_merge = matches!(query, QuerySpec::TopK { .. });
-        self.estimate_inner(selection, &wanted_of, index_merge)
-    }
-
-    /// [`Self::estimate`] for a pluggable [`QueryClass`]: identical cost
-    /// formulas, with the single class-specific term — the expected answer
-    /// cardinality — supplied by [`QueryClass::expected_results`] and the
-    /// index-merge estimate included only when the class declares support.
+    ///   subtrees with qualifying tuples: `w/σ'` tuple pops where
+    ///   `σ' = max(σ, 1/m)` per leaf; plus signature pages, no tuple
+    ///   fetches.
     pub fn estimate_class<C: QueryClass>(
         &self,
         selection: &Selection,
         class: &C,
-    ) -> Vec<CostEstimate> {
-        let wanted_of = |q: f64| class.expected_results(q);
-        self.estimate_inner(selection, &wanted_of, class.supports(EngineKind::IndexMerge))
-    }
-
-    fn estimate_inner(
-        &self,
-        selection: &Selection,
-        wanted_of: &dyn Fn(f64) -> f64,
-        index_merge: bool,
     ) -> Vec<CostEstimate> {
         let selection = normalize(selection);
         let preds = selection.len();
@@ -461,7 +374,7 @@ impl Planner {
             estimates.push(self.finish(EngineKind::BooleanFirst, random, sequential));
         }
 
-        let wanted = wanted_of(q);
+        let wanted = class.expected_results(q);
 
         // Domination-first: every surfaced candidate is a random fetch.
         {
@@ -472,7 +385,7 @@ impl Planner {
 
         // Index-merge (top-k style classes only): per-candidate B+-tree
         // leaf probes.
-        if index_merge {
+        if class.supports(EngineKind::IndexMerge) {
             let cand = surfaced(wanted.max(1.0));
             let random = self.rtree_nodes(cand) + cand * preds as f64;
             estimates.push(self.finish(EngineKind::IndexMerge, random, 0.0));
@@ -508,25 +421,7 @@ impl Planner {
 
     /// Estimates every available engine and picks the cheapest by total
     /// predicted block accesses (ties go to P-Cube, then the earlier
-    /// estimate).
-    pub fn choose(
-        &self,
-        selection: &Selection,
-        query: &QuerySpec<'_>,
-        available: &[EngineKind],
-    ) -> PlanDecision {
-        let class = match query {
-            QuerySpec::TopK { .. } => "topk",
-            QuerySpec::Skyline { .. } => "skyline",
-        };
-        let selection = normalize(selection);
-        let estimates = self.estimate(&selection, query);
-        self.choose_from(&selection, estimates, available, class)
-    }
-
-    /// [`Self::choose`] for a pluggable [`QueryClass`]: same argmin over the
-    /// class-parameterised estimates, with [`PlanDecision::class`] recording
-    /// the class name.
+    /// estimate); [`PlanDecision::class`] records the class name.
     pub fn choose_class<C: QueryClass>(
         &self,
         selection: &Selection,
@@ -535,30 +430,12 @@ impl Planner {
     ) -> PlanDecision {
         let selection = normalize(selection);
         let estimates = self.estimate_class(&selection, class);
-        self.choose_from(&selection, estimates, available, class.name())
-    }
-
-    fn choose_from(
-        &self,
-        selection: &Selection,
-        estimates: Vec<CostEstimate>,
-        available: &[EngineKind],
-        class: &'static str,
-    ) -> PlanDecision {
         let estimates: Vec<CostEstimate> =
             estimates.into_iter().filter(|e| available.contains(&e.engine)).collect();
-        let chosen = estimates
-            .iter()
-            .min_by(|a, b| {
-                a.blocks()
-                    .total_cmp(&b.blocks())
-                    .then_with(|| (b.engine == EngineKind::PCube).cmp(&(a.engine == EngineKind::PCube)))
-            })
-            .map(|e| e.engine)
-            .unwrap_or(EngineKind::PCube);
-        let sigma = self.selectivity(selection);
+        let chosen = cheapest(estimates.iter()).unwrap_or(EngineKind::PCube);
+        let sigma = self.selectivity(&selection);
         PlanDecision {
-            class,
+            class: class.name(),
             chosen,
             estimates,
             selectivity: sigma,
@@ -568,26 +445,13 @@ impl Planner {
         }
     }
 
-    /// [`Self::choose`] under a [`QueryBudget`]: when the cheapest engine's
-    /// estimate is predicted to overrun the budget (blocks over the block
-    /// budget, or modeled seconds over the deadline), falls back to the
-    /// cheapest engine whose estimate *fits*, recording the substitution in
-    /// [`PlanDecision::fallback_from`]. When no engine fits, keeps the raw
+    /// [`Self::choose_class`] under a [`QueryBudget`]: when the cheapest
+    /// engine's estimate is predicted to overrun the budget (blocks over the
+    /// block budget, or modeled seconds over the deadline), falls back to
+    /// the cheapest engine whose estimate *fits*, recording the substitution
+    /// in [`PlanDecision::fallback_from`]. When no engine fits, keeps the raw
     /// winner (the executor's governor will cut it short) and only sets
     /// [`PlanDecision::budget_limited`].
-    pub fn choose_governed(
-        &self,
-        selection: &Selection,
-        query: &QuerySpec<'_>,
-        available: &[EngineKind],
-        budget: &QueryBudget,
-    ) -> PlanDecision {
-        let decision = self.choose(selection, query, available);
-        Self::govern(decision, budget)
-    }
-
-    /// [`Self::choose_class`] under a [`QueryBudget`] — same fallback
-    /// semantics as [`Self::choose_governed`].
     pub fn choose_class_governed<C: QueryClass>(
         &self,
         selection: &Selection,
@@ -595,11 +459,7 @@ impl Planner {
         available: &[EngineKind],
         budget: &QueryBudget,
     ) -> PlanDecision {
-        let decision = self.choose_class(selection, class, available);
-        Self::govern(decision, budget)
-    }
-
-    fn govern(mut decision: PlanDecision, budget: &QueryBudget) -> PlanDecision {
+        let mut decision = self.choose_class(selection, class, available);
         let fits = |e: &CostEstimate| -> bool {
             budget.max_blocks().is_none_or(|b| e.blocks() <= b as f64)
                 && budget.deadline().is_none_or(|d| e.seconds <= d.as_secs_f64())
@@ -610,22 +470,24 @@ impl Planner {
             return decision;
         }
         decision.budget_limited = true;
-        let fallback = decision
-            .estimates
-            .iter()
-            .filter(|e| fits(e))
-            .min_by(|a, b| {
-                a.blocks()
-                    .total_cmp(&b.blocks())
-                    .then_with(|| (b.engine == EngineKind::PCube).cmp(&(a.engine == EngineKind::PCube)))
-            })
-            .map(|e| e.engine);
-        if let Some(engine) = fallback {
+        if let Some(engine) = cheapest(decision.estimates.iter().filter(|e| fits(e))) {
             decision.fallback_from = Some(decision.chosen);
             decision.chosen = engine;
         }
         decision
     }
+}
+
+/// The cheapest estimate by total predicted blocks; ties go to P-Cube, then
+/// to the earlier estimate.
+fn cheapest<'a>(estimates: impl Iterator<Item = &'a CostEstimate>) -> Option<EngineKind> {
+    estimates
+        .min_by(|a, b| {
+            a.blocks()
+                .total_cmp(&b.blocks())
+                .then_with(|| (b.engine == EngineKind::PCube).cmp(&(a.engine == EngineKind::PCube)))
+        })
+        .map(|e| e.engine)
 }
 
 /// Errors from [`PCubeDb::plan_and_run_topk`] /
@@ -646,18 +508,36 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-fn usable<'a>(
-    executors: &'a [&'a dyn Executor],
-    query: &QuerySpec<'_>,
-) -> (Vec<EngineKind>, &'a [&'a dyn Executor]) {
-    let kinds = executors.iter().filter(|e| e.supports(query)).map(|e| e.kind()).collect();
-    (kinds, executors)
+/// Plans `class` over the registered executors whose engine family the
+/// class supports; returns the decision and the executor it dispatches to.
+fn plan_over<'e, C: QueryClass>(
+    planner: &Planner,
+    executors: &[&'e dyn Executor],
+    selection: &Selection,
+    class: &C,
+    budget: &QueryBudget,
+) -> Result<(PlanDecision, &'e dyn Executor), PlanError> {
+    let kinds: Vec<EngineKind> =
+        executors.iter().map(|e| e.kind()).filter(|&kind| class.supports(kind)).collect();
+    if kinds.is_empty() {
+        return Err(PlanError::NoExecutor);
+    }
+    let decision = planner.choose_class_governed(selection, class, &kinds, budget);
+    let exec = executors
+        .iter()
+        .find(|e| e.kind() == decision.chosen)
+        .expect("chosen engine comes from the available set");
+    Ok((decision, *exec))
 }
 
 impl PCubeDb {
-    /// Plans and runs a top-k query: estimates each registered executor's
-    /// block accesses, dispatches to the cheapest, and records the
+    /// Plans and runs a top-k query over the engines of §VI-A: estimates
+    /// each registered executor's block accesses
+    /// ([`Planner::choose_class_governed`] — an engine predicted to overrun
+    /// the budget loses to the cheapest one predicted to fit), dispatches to
+    /// the winner under the budget and cancel token, and records the
     /// decision in the returned stats (`stats.plan`).
+    #[allow(clippy::too_many_arguments)]
     pub fn plan_and_run_topk(
         &self,
         planner: &Planner,
@@ -665,21 +545,15 @@ impl PCubeDb {
         selection: &Selection,
         k: usize,
         f: &dyn RankingFunction,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
     ) -> Result<(TopKRows, QueryStats), PlanError> {
-        let query = QuerySpec::TopK { k };
-        let (kinds, executors) = usable(executors, &query);
-        if kinds.is_empty() {
-            return Err(PlanError::NoExecutor);
-        }
-        let decision = planner.choose(selection, &query, &kinds);
-        let exec = executors
-            .iter()
-            .find(|e| e.kind() == decision.chosen)
-            .expect("chosen engine comes from the available set");
-        let (result, mut stats) =
-            exec.topk(self, selection, k, f).ok_or(PlanError::NoExecutor)?;
+        let class = TopKClass::new(k, f);
+        let (decision, exec) = plan_over(planner, executors, selection, &class, budget)?;
+        let (rows, mut stats) =
+            exec.topk(self, selection, k, f, budget, cancel).ok_or(PlanError::NoExecutor)?;
         stats.plan = Some(decision);
-        Ok((result, stats))
+        Ok((rows, stats))
     }
 
     /// Plans and runs a skyline query (see [`Self::plan_and_run_topk`]).
@@ -689,82 +563,16 @@ impl PCubeDb {
         executors: &[&dyn Executor],
         selection: &Selection,
         pref_dims: &[usize],
-    ) -> Result<(SkylineRows, QueryStats), PlanError> {
-        let query = QuerySpec::Skyline { pref_dims };
-        let (kinds, executors) = usable(executors, &query);
-        if kinds.is_empty() {
-            return Err(PlanError::NoExecutor);
-        }
-        let decision = planner.choose(selection, &query, &kinds);
-        let exec = executors
-            .iter()
-            .find(|e| e.kind() == decision.chosen)
-            .expect("chosen engine comes from the available set");
-        let (result, mut stats) =
-            exec.skyline(self, selection, pref_dims).ok_or(PlanError::NoExecutor)?;
-        stats.plan = Some(decision);
-        Ok((result, stats))
-    }
-
-    /// [`Self::plan_and_run_topk`] under a [`QueryBudget`] and optional
-    /// [`CancelToken`]: plans with [`Planner::choose_governed`] (falling
-    /// back to the cheapest engine predicted to fit the budget) and
-    /// dispatches through [`Executor::topk_governed`] so the winner stops
-    /// cooperatively when the budget trips anyway.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_and_run_topk_governed(
-        &self,
-        planner: &Planner,
-        executors: &[&dyn Executor],
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(TopKRows, QueryStats), PlanError> {
-        let query = QuerySpec::TopK { k };
-        let (kinds, executors) = usable(executors, &query);
-        if kinds.is_empty() {
-            return Err(PlanError::NoExecutor);
-        }
-        let decision = planner.choose_governed(selection, &query, &kinds, budget);
-        let exec = executors
-            .iter()
-            .find(|e| e.kind() == decision.chosen)
-            .expect("chosen engine comes from the available set");
-        let (result, mut stats) = exec
-            .topk_governed(self, selection, k, f, budget, cancel)
-            .ok_or(PlanError::NoExecutor)?;
-        stats.plan = Some(decision);
-        Ok((result, stats))
-    }
-
-    /// [`Self::plan_and_run_skyline`] under a [`QueryBudget`] and optional
-    /// [`CancelToken`] (see [`Self::plan_and_run_topk_governed`]).
-    pub fn plan_and_run_skyline_governed(
-        &self,
-        planner: &Planner,
-        executors: &[&dyn Executor],
-        selection: &Selection,
-        pref_dims: &[usize],
         budget: &QueryBudget,
         cancel: Option<&CancelToken>,
     ) -> Result<(SkylineRows, QueryStats), PlanError> {
-        let query = QuerySpec::Skyline { pref_dims };
-        let (kinds, executors) = usable(executors, &query);
-        if kinds.is_empty() {
-            return Err(PlanError::NoExecutor);
-        }
-        let decision = planner.choose_governed(selection, &query, &kinds, budget);
-        let exec = executors
-            .iter()
-            .find(|e| e.kind() == decision.chosen)
-            .expect("chosen engine comes from the available set");
-        let (result, mut stats) = exec
-            .skyline_governed(self, selection, pref_dims, budget, cancel)
+        let class = SkylineClass::new(pref_dims.to_vec());
+        let (decision, exec) = plan_over(planner, executors, selection, &class, budget)?;
+        let (rows, mut stats) = exec
+            .skyline(self, selection, pref_dims, budget, cancel)
             .ok_or(PlanError::NoExecutor)?;
         stats.plan = Some(decision);
-        Ok((result, stats))
+        Ok((rows, stats))
     }
 
     /// Plans and runs any pluggable [`QueryClass`] under a [`QueryBudget`]
@@ -777,7 +585,7 @@ impl PCubeDb {
     ///   governed (budget/cancel produce `Partial` outcomes).
     /// * **Domination-first** — the same traversal without boolean pruning:
     ///   every popped tuple is verified against the base table
-    ///   ([`crate::query::VerifyAllPruner`]), also fully governed.
+    ///   ([`VerifyAllPruner`]), also fully governed.
     /// * **Boolean-first** — the selection is resolved to a candidate list
     ///   first (index or scan route, picked inside the relation layer) and
     ///   the class's reference preference step runs over it in memory. The
@@ -807,7 +615,7 @@ impl PCubeDb {
         let outcome = match decision.chosen {
             EngineKind::BooleanFirst => run_class_scan(self, selection, class),
             EngineKind::DominationFirst => {
-                run_class_verify_all(self, selection, class, budget, cancel)
+                run_class_probed(self, selection, class, &mut VerifyAllPruner, budget, cancel)
             }
             // The generic dispatch never offers index-merge (there is no
             // generic index-merge engine); if a class ever claims it, run
@@ -839,7 +647,7 @@ impl PCubeDb {
         let outcome = match engine {
             EngineKind::BooleanFirst => run_class_scan(self, selection, class),
             EngineKind::DominationFirst => {
-                run_class_verify_all(self, selection, class, &budget, None)
+                run_class_probed(self, selection, class, &mut VerifyAllPruner, &budget, None)
             }
             EngineKind::PCube => run_class(self, selection, class, false, &budget, None),
             EngineKind::IndexMerge => return Err(PlanError::NoExecutor),
@@ -883,12 +691,15 @@ mod tests {
     fn estimates_are_finite_and_positive() {
         let db = db(500);
         let planner = Planner::new(&db);
+        let f = crate::rank::MinCoordSum::all(2);
         for sel in [Vec::new(), vec![Predicate { dim: 0, value: 1 }]] {
-            for query in [QuerySpec::TopK { k: 5 }, QuerySpec::Skyline { pref_dims: &[0, 1] }] {
-                for e in planner.estimate(&sel, &query) {
-                    assert!(e.blocks().is_finite() && e.blocks() > 0.0, "{:?}", e);
-                    assert!(e.seconds.is_finite() && e.seconds > 0.0);
-                }
+            let estimates = planner
+                .estimate_class(&sel, &TopKClass::new(5, &f))
+                .into_iter()
+                .chain(planner.estimate_class(&sel, &SkylineClass::new(vec![0, 1])));
+            for e in estimates {
+                assert!(e.blocks().is_finite() && e.blocks() > 0.0, "{:?}", e);
+                assert!(e.seconds.is_finite() && e.seconds > 0.0);
             }
         }
     }
@@ -905,13 +716,15 @@ mod tests {
         ];
         // Rare value: a handful of matches — a B+-tree fetch of the few
         // qualifying rows should beat a signature-guided traversal.
+        let f = crate::rank::MinCoordSum::all(2);
+        let top10 = TopKClass::new(10, &f);
         let selective = vec![Predicate { dim: 0, value: 1 }, Predicate { dim: 1, value: 0 }];
-        let d = planner.choose(&selective, &QuerySpec::TopK { k: 10 }, &all);
+        let d = planner.choose_class(&selective, &top10, &all);
         assert_eq!(d.chosen, EngineKind::BooleanFirst, "{:?}", d);
         // Dominant value: most rows qualify — baselines pay per-candidate
         // random accesses, P-Cube doesn't.
         let unselective = vec![Predicate { dim: 0, value: 0 }];
-        let d = planner.choose(&unselective, &QuerySpec::TopK { k: 10 }, &all);
+        let d = planner.choose_class(&unselective, &top10, &all);
         assert_eq!(d.chosen, EngineKind::PCube, "{:?}", d);
     }
 
@@ -926,8 +739,9 @@ mod tests {
             EngineKind::IndexMerge,
         ];
         let unselective = vec![Predicate { dim: 0, value: 0 }];
-        let query = QuerySpec::TopK { k: 10 };
-        let raw = planner.choose(&unselective, &query, &all);
+        let f = crate::rank::MinCoordSum::all(2);
+        let query = TopKClass::new(10, &f);
+        let raw = planner.choose_class(&unselective, &query, &all);
         assert!(!raw.budget_limited);
         assert!(raw.fallback_from.is_none());
 
@@ -943,7 +757,7 @@ mod tests {
         if cheapest_rival < winner_blocks {
             let cap = cheapest_rival.ceil() as u64;
             let budget = QueryBudget::unlimited().with_block_budget(cap);
-            let governed = planner.choose_governed(&unselective, &query, &all, &budget);
+            let governed = planner.choose_class_governed(&unselective, &query, &all, &budget);
             assert!(governed.budget_limited, "{governed:?}");
             assert_eq!(governed.fallback_from, Some(raw.chosen));
             assert_ne!(governed.chosen, raw.chosen);
@@ -952,14 +766,14 @@ mod tests {
 
         // A budget nothing fits: keep the raw winner, flag the limit.
         let budget = QueryBudget::unlimited().with_block_budget(0);
-        let governed = planner.choose_governed(&unselective, &query, &all, &budget);
+        let governed = planner.choose_class_governed(&unselective, &query, &all, &budget);
         assert!(governed.budget_limited);
         assert_eq!(governed.chosen, raw.chosen);
         assert!(governed.fallback_from.is_none());
 
         // A roomy budget changes nothing.
         let budget = QueryBudget::unlimited().with_block_budget(u64::MAX);
-        let governed = planner.choose_governed(&unselective, &query, &all, &budget);
+        let governed = planner.choose_class_governed(&unselective, &query, &all, &budget);
         assert!(!governed.budget_limited);
         assert_eq!(governed.chosen, raw.chosen);
     }
@@ -968,61 +782,24 @@ mod tests {
     fn plan_and_run_matches_direct_engines() {
         let db = db(800);
         let planner = Planner::new(&db);
+        let budget = QueryBudget::unlimited();
         let pcube = PCubeExecutor;
         let execs: Vec<&dyn Executor> = vec![&pcube];
         let f = crate::rank::LinearFn::new(vec![0.5, 0.5]);
         let sel = vec![Predicate { dim: 1, value: 2 }];
-        let (top, stats) =
-            db.plan_and_run_topk(&planner, &execs, &sel, 5, &f).expect("planned");
-        let direct = crate::query::topk_query(&db, &sel, 5, &f, false);
-        assert_eq!(
-            top.iter().map(|t| t.0).collect::<Vec<_>>(),
-            direct.topk.iter().map(|t| t.0).collect::<Vec<_>>()
-        );
+        let (top, stats) = db
+            .plan_and_run_topk(&planner, &execs, &sel, 5, &f, &budget, None)
+            .expect("planned");
+        assert_eq!(top, db.run(&sel, &TopKClass::new(5, &f)).rows);
         let plan = stats.plan.expect("decision recorded");
         assert_eq!(plan.chosen, EngineKind::PCube);
         assert!(plan.chosen_estimate().blocks() > 0.0);
 
-        let (sky, stats) =
-            db.plan_and_run_skyline(&planner, &execs, &sel, &[0, 1]).expect("planned");
-        let direct = crate::query::skyline_query(&db, &sel, &[0, 1], false);
-        assert_eq!(sky, direct.skyline);
+        let (sky, stats) = db
+            .plan_and_run_skyline(&planner, &execs, &sel, &[0, 1], &budget, None)
+            .expect("planned");
+        assert_eq!(sky, db.run(&sel, &SkylineClass::new(vec![0, 1])).rows);
         assert!(stats.plan.is_some());
-    }
-
-    /// The class-parameterised estimator must reproduce the legacy
-    /// QuerySpec estimates exactly for the built-in classes — the planner
-    /// refactor may not shift a single cost number or pick.
-    #[test]
-    fn class_estimates_match_legacy_spec_estimates() {
-        let db = db(1000);
-        let planner = Planner::new(&db);
-        let f = crate::rank::MinCoordSum::all(2);
-        let selections: Vec<Selection> = vec![
-            vec![],
-            vec![Predicate { dim: 0, value: 1 }],
-            vec![Predicate { dim: 0, value: 0 }, Predicate { dim: 1, value: 2 }],
-        ];
-        for sel in &selections {
-            for k in [1usize, 10, 100] {
-                let legacy = planner.estimate(sel, &QuerySpec::TopK { k });
-                let class = planner.estimate_class(sel, &crate::query::TopKClass::new(k, &f));
-                assert_eq!(legacy.len(), class.len());
-                for (a, b) in legacy.iter().zip(&class) {
-                    assert_eq!(a.engine, b.engine);
-                    assert_eq!(a.blocks(), b.blocks());
-                    assert_eq!(a.seconds, b.seconds);
-                }
-            }
-            let legacy = planner.estimate(sel, &QuerySpec::Skyline { pref_dims: &[0, 1] });
-            let class =
-                planner.estimate_class(sel, &crate::query::SkylineClass::new(vec![0, 1]));
-            assert_eq!(legacy.len(), class.len());
-            for (a, b) in legacy.iter().zip(&class) {
-                assert_eq!(a.engine, b.engine);
-                assert_eq!(a.blocks(), b.blocks());
-            }
-        }
     }
 
     #[test]
@@ -1032,25 +809,19 @@ mod tests {
         let budget = QueryBudget::unlimited();
         let sel = vec![Predicate { dim: 1, value: 2 }];
 
-        // Top-k through the generic path == the legacy serial engine.
         let f = crate::rank::LinearFn::new(vec![0.5, 0.5]);
-        let class = crate::query::TopKClass::new(5, &f);
+        let class = TopKClass::new(5, &f);
         let (rows, stats) =
             db.plan_and_run_class(&planner, &class, &sel, &budget, None).expect("planned");
-        let direct = crate::query::topk_query(&db, &sel, 5, &f, false);
-        assert_eq!(
-            rows.iter().map(|t| t.0).collect::<Vec<_>>(),
-            direct.topk.iter().map(|t| t.0).collect::<Vec<_>>()
-        );
+        assert_eq!(rows, db.run(&sel, &class).rows);
         let plan = stats.plan.expect("decision recorded");
         assert_eq!(plan.class, "topk");
 
         // Skyline likewise, and the decision carries the class name.
-        let class = crate::query::SkylineClass::new(vec![0, 1]);
+        let class = SkylineClass::new(vec![0, 1]);
         let (rows, stats) =
             db.plan_and_run_class(&planner, &class, &sel, &budget, None).expect("planned");
-        let direct = crate::query::skyline_query(&db, &sel, &[0, 1], false);
-        assert_eq!(rows, direct.skyline);
+        assert_eq!(rows, db.run(&sel, &class).rows);
         assert_eq!(stats.plan.expect("decision recorded").class, "skyline");
     }
 
@@ -1061,10 +832,10 @@ mod tests {
     fn class_engines_agree_on_every_route() {
         let db = db(600);
         let sel = vec![Predicate { dim: 0, value: 0 }];
-        let class = crate::query::SkylineClass::new(vec![0, 1]);
+        let class = SkylineClass::new(vec![0, 1]);
         let budget = QueryBudget::unlimited();
         let pcube = run_class(&db, &sel, &class, false, &budget, None);
-        let verify = run_class_verify_all(&db, &sel, &class, &budget, None);
+        let verify = run_class_probed(&db, &sel, &class, &mut VerifyAllPruner, &budget, None);
         let scan = run_class_scan(&db, &sel, &class);
         assert_eq!(pcube.rows, verify.rows);
         assert_eq!(pcube.rows, scan.rows);

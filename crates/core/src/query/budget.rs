@@ -13,7 +13,7 @@
 //!   by the duration of a single pop (measured and reported, see
 //!   [`Progress::overshoot_seconds`] / [`Progress::max_pop_seconds`]);
 //! * **block-I/O budget** — measured in the same §VI units the planner
-//!   estimates with, as a delta on the shared [`IoStats`] ledger since the
+//!   estimates with, as a delta on the shared [`IoStats`](pcube_storage::IoStats) ledger since the
 //!   query began (under concurrency the delta may include neighbours'
 //!   reads, so the budget trips conservatively early, never late);
 //! * **candidate-heap cap** — bounds the frontier memory; checked at pop

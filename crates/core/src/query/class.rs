@@ -1,5 +1,5 @@
 //! The query-class plugin seam (§V): one registration per preference
-//! query class.
+//! query class, and the one serial driver every class runs through.
 //!
 //! The kernel answers every preference query with the same branch-and-bound
 //! loop ([`run_kernel`]); what varies per class is (a) how candidates are
@@ -11,30 +11,46 @@
 //! fan-out, the planner dispatch ([`crate::plan::Planner::choose_class`])
 //! and the SQL layer are all generic over it and need no edits.
 //!
+//! The serial driver seeds the heap, runs the kernel and assembles the
+//! statistics in one place; the entry points around it differ only in the
+//! boolean pruner they hand it (the signature probe, a caller-supplied
+//! probe, [`VerifyAllPruner`](crate::query::kernel::VerifyAllPruner)) and in
+//! whether they keep the `b_list`/`d_list` for a later
+//! [`drill_down`](crate::PCubeDb::drill_down) or
+//! [`roll_up`](crate::PCubeDb::roll_up) (§V-C). A class opts into that
+//! through [`QueryClass::restart_entries`].
+//!
 //! The first-party classes live here too: [`TopKClass`], [`SkylineClass`],
 //! [`DynamicSkylineClass`], [`HullClass`], and the two classes that landed
 //! with the seam — [`PSkylineClass`] (prioritized skylines per Mindolin &
 //! Chomicki's winnow semantics, priorities expressed as a [`PriorityGraph`])
 //! and [`SubspaceSkylineClass`] (skylines restricted to a dimension subset,
 //! distinct-value semantics for projected duplicates).
+//!
+//! # Partial answers
+//!
+//! A governed run that is cut short ([`QueryOutcome::Partial`]) returns what
+//! the class had accepted so far. What that set guarantees depends on the
+//! class and is stated on each one; the serial guarantees are stronger than
+//! the parallel ones because parallel workers stop at different points of
+//! their subtree searches.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
-use pcube_cube::{normalize, Selection};
+use pcube_cube::{normalize, Predicate, Selection};
 use pcube_storage::IoSnapshot;
 
 use crate::pcube::PCubeDb;
 use crate::plan::{EngineKind, Planner};
-use crate::query::budget::{CancelToken, Governor, QueryBudget};
+use crate::query::budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome};
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
-    dynamic_point, run_kernel, BooleanPruner, HullLogic, PSkylineLogic, PreferenceLogic,
-    SharedBound, SharedWindow, SkylineLogic, TopKLogic, VerifyAllPruner,
+    dynamic_point, run_kernel, BooleanPruner, HullLogic, KernelRun, PSkylineLogic,
+    PreferenceLogic, SavedLists, SharedBound, SharedWindow, SkylineLogic, TopKLogic,
 };
-use crate::query::topk::{apply_kernel_outcome, make_governor};
-use crate::query::{dominates, seed_root, CandidateHeap, QueryStats};
+use crate::query::{dominates, seed_root, CandidateHeap, HeapEntry, QueryStats, ResultEntry};
 use crate::rank::RankingFunction;
 
 // ---------------------------------------------------------------------------
@@ -66,6 +82,13 @@ pub trait QueryClass {
     /// and benchmarks.
     fn name(&self) -> &'static str;
 
+    /// The largest preference-dimension index the class reads from a
+    /// tuple's coordinates, or `None` if it cannot tell. Every engine checks
+    /// it against the schema before its first block read, so a dimension
+    /// the table does not have fails with a message naming the class
+    /// instead of an index panic deep in the kernel.
+    fn max_pref_dim(&self) -> Option<usize>;
+
     /// Fresh shared pruning state for one parallel query.
     fn new_shared(&self) -> Self::Shared;
 
@@ -96,6 +119,16 @@ pub trait QueryClass {
     /// step, and the differential-testing oracle. Must produce rows in the
     /// same canonical order as `merge`.
     fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row>;
+
+    /// The resumable opt-in (§V-C): the results a finished serial `logic`
+    /// accepted, as tuple entries a later drill-down or roll-up can queue
+    /// again. A class may return `Some` only if Lemma 2 holds for it — the
+    /// answer under a strengthened selection is reachable from `result ∪
+    /// d_list`, and under a relaxed one from `result ∪ b_list`. The default
+    /// `None` means the class keeps no resumable state.
+    fn restart_entries(&self, _logic: &Self::Logic<'_>) -> Option<Vec<HeapEntry>> {
+        None
+    }
 }
 
 /// A completed run of a [`QueryClass`].
@@ -106,9 +139,80 @@ pub struct ClassOutcome<R> {
     pub stats: QueryStats,
 }
 
-/// Serial Algorithm 1 over one query class: signature probe, seeded root,
-/// kernel loop, then the class's own finish + merge (with a single local,
-/// so the merge is the canonicalization step).
+// ---------------------------------------------------------------------------
+// The serial driver
+// ---------------------------------------------------------------------------
+
+/// Builds the per-query governor, or `None` when the budget is unlimited
+/// and no cancel token is attached (the ungoverned fast path: zero checks
+/// per pop). The ledger baseline is read ahead of probe construction, so
+/// eager assembly's loads are charged to the budget too.
+pub(crate) fn make_governor(
+    db: &PCubeDb,
+    budget: &QueryBudget,
+    cancel: Option<&CancelToken>,
+) -> Option<Governor> {
+    if budget.is_unlimited() && cancel.is_none() {
+        return None;
+    }
+    let mut gov = Governor::new(budget);
+    if let Some(c) = cancel {
+        gov = gov.with_cancel(c.clone());
+    }
+    Some(gov.with_ledger(db.stats().clone(), db.stats().total_reads()))
+}
+
+/// Folds a kernel run's stop (if any) into the stats' outcome. Call after
+/// `stats.io` is final so `blocks_used` matches the reported I/O.
+pub(crate) fn apply_kernel_outcome(
+    stats: &mut QueryStats,
+    run: &KernelRun,
+    results_so_far: usize,
+) {
+    if let Some(reason) = run.stop {
+        stats.outcome = QueryOutcome::Partial {
+            reason,
+            progress: Progress {
+                pops: run.pops,
+                nodes_expanded: run.nodes_expanded,
+                results_so_far,
+                blocks_used: stats.io.total_reads(),
+                frontier: run.frontier,
+                overshoot_seconds: run.overshoot_seconds,
+                max_pop_seconds: run.max_pop_seconds,
+            },
+        };
+    }
+}
+
+/// The start of one query: wall clock and I/O ledger baseline. Taken ahead
+/// of probe construction, so eager assembly's signature loads are part of
+/// the measured cost.
+pub(crate) struct QueryStart {
+    pub(crate) at: Instant,
+    pub(crate) before: IoSnapshot,
+}
+
+/// The one entry every engine passes through — serial, parallel, and the
+/// planner's verify-all and scan engines: checks the class against the
+/// schema, then starts the clock.
+///
+/// # Panics
+/// Panics if the class reads a preference dimension the schema does not
+/// have.
+pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
+    let n_pref = db.relation().schema().n_pref();
+    if let Some(d) = class.max_pref_dim() {
+        assert!(
+            d < n_pref,
+            "{} query: preference dimension {d} is out of range (the schema has {n_pref})",
+            class.name()
+        );
+    }
+    QueryStart { at: Instant::now(), before: db.stats().snapshot() }
+}
+
+/// Serial Algorithm 1 over one query class under the signature probe.
 pub(crate) fn run_class<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
@@ -117,65 +221,82 @@ pub(crate) fn run_class<C: QueryClass>(
     budget: &QueryBudget,
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
-    let started = Instant::now();
-    let before = db.stats().snapshot();
+    let start = begin(db, class);
     let selection = normalize(selection);
     let mut gov = make_governor(db, budget, cancel);
     let mut probe = db.pcube().probe(&selection, eager_assembly);
-    run_class_with(db, &selection, class, &mut probe, started, before, gov.as_mut())
+    run_class_with(db, &selection, class, &mut probe, start, gov.as_mut(), None)
 }
 
-/// [`run_class`] with a caller-supplied boolean pruner — the seam the
-/// planner dispatch uses to run the same class under the signature probe
-/// (P-Cube) or under [`crate::query::kernel::VerifyAllPruner`]
-/// (domination-first with minimal-probing verification).
-pub(crate) fn run_class_with<C: QueryClass>(
+/// [`run_class`] with a caller-supplied boolean pruner: a Bloom probe
+/// ([`crate::PCube::probe_bloom`], §VII), or
+/// [`VerifyAllPruner`](crate::query::kernel::VerifyAllPruner) — the
+/// planner's domination-first engine, Algorithm 1 with no boolean pruning
+/// and every accepted tuple verified against the base table.
+pub(crate) fn run_class_probed<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
     probe: &mut dyn BooleanPruner,
-    started: Instant,
-    before: IoSnapshot,
+    budget: &QueryBudget,
+    cancel: Option<&CancelToken>,
+) -> ClassOutcome<C::Row> {
+    let start = begin(db, class);
+    let selection = normalize(selection);
+    let mut gov = make_governor(db, budget, cancel);
+    run_class_with(db, &selection, class, probe, start, gov.as_mut(), None)
+}
+
+/// What a resumable run threads through the driver. In: the heap to start
+/// from (`None` starts at the root) and the lists carried over from the
+/// previous query. Out: the lists as the kernel left them, and the accepted
+/// results as entries that can be queued again.
+struct Resume {
+    heap: Option<CandidateHeap>,
+    lists: SavedLists,
+    result: Vec<HeapEntry>,
+}
+
+/// The serial driver: seed the heap, run the kernel, assemble the
+/// statistics, then the class's own finish + merge (with a single local, so
+/// the merge is the canonicalization step). `selection` is normalized.
+fn run_class_with<C: QueryClass>(
+    db: &PCubeDb,
+    selection: &Selection,
+    class: &C,
+    probe: &mut dyn BooleanPruner,
+    start: QueryStart,
     gov: Option<&mut Governor>,
+    mut resume: Option<&mut Resume>,
 ) -> ClassOutcome<C::Row> {
     let mut stats = QueryStats::default();
-    let mut heap = CandidateHeap::new();
-    seed_root(db, &mut heap);
+    let mut heap = resume.as_mut().and_then(|r| r.heap.take()).unwrap_or_else(|| {
+        let mut heap = CandidateHeap::new();
+        seed_root(db, &mut heap);
+        heap
+    });
     let mut logic = class.logic(None);
-    let pin_seconds = started.elapsed().as_secs_f64();
-    let run = run_kernel(db, selection, probe, &mut heap, &mut logic, None, gov);
+    // Everything so far was setup — probe construction (+ eager assembly),
+    // heap seeding, governor arming: the pin stage.
+    let pin_seconds = start.at.elapsed().as_secs_f64();
+    let lists = resume.as_mut().map(|r| &mut r.lists);
+    let run = run_kernel(db, selection, probe, &mut heap, &mut logic, lists, gov);
     stats.stages = run.stages;
     stats.stages.pin_seconds += pin_seconds;
     stats.nodes_expanded = run.nodes_expanded;
     stats.peak_heap = heap.peak_size();
     stats.partials_loaded = probe.partials_loaded();
+    if let Some(resume) = resume {
+        resume.result = class.restart_entries(&logic).expect("checked by `restart`");
+    }
     let t_merge = Instant::now();
     let local = class.finish(logic);
     let rows = class.merge(vec![local]);
     stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
-    stats.io = db.stats().snapshot().since(&before);
-    stats.cpu_seconds = started.elapsed().as_secs_f64();
+    stats.io = db.stats().snapshot().since(&start.before);
+    stats.cpu_seconds = start.at.elapsed().as_secs_f64();
     apply_kernel_outcome(&mut stats, &run, rows.len());
     ClassOutcome { rows, stats }
-}
-
-/// Domination-first engine for a query class: the Algorithm-1 traversal
-/// with no boolean pruning at all — every accepted tuple was verified
-/// against the base table by the kernel (the [`VerifyAllPruner`] is lossy,
-/// so each tuple pop loads and re-checks the heap row).
-pub(crate) fn run_class_verify_all<C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &C,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ClassOutcome<C::Row> {
-    let started = Instant::now();
-    let before = db.stats().snapshot();
-    let selection = normalize(selection);
-    let mut gov = make_governor(db, budget, cancel);
-    let mut pruner = VerifyAllPruner;
-    run_class_with(db, &selection, class, &mut pruner, started, before, gov.as_mut())
 }
 
 /// Boolean-first engine for a query class: resolve the selection to the
@@ -189,8 +310,7 @@ pub(crate) fn run_class_scan<C: QueryClass>(
     selection: &Selection,
     class: &C,
 ) -> ClassOutcome<C::Row> {
-    let started = Instant::now();
-    let before = db.stats().snapshot();
+    let start = begin(db, class);
     let selection = normalize(selection);
     let rel = db.relation();
     let candidates: Vec<(u64, Vec<f64>)> =
@@ -199,9 +319,121 @@ pub(crate) fn run_class_scan<C: QueryClass>(
     let t_merge = Instant::now();
     let rows = class.oracle(&candidates);
     stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
-    stats.io = db.stats().snapshot().since(&before);
-    stats.cpu_seconds = started.elapsed().as_secs_f64();
+    stats.io = db.stats().snapshot().since(&start.before);
+    stats.cpu_seconds = start.at.elapsed().as_secs_f64();
     ClassOutcome { rows, stats }
+}
+
+// ---------------------------------------------------------------------------
+// Drill-down and roll-up (§V-C)
+// ---------------------------------------------------------------------------
+
+/// The three lists Algorithm 1 maintains, kept after a resumable run so
+/// that [`PCubeDb::drill_down`] and [`PCubeDb::roll_up`] can rebuild the
+/// candidate heap without starting from the root (Lemma 2). Tied to the
+/// class the lists were pruned under: a follow-up runs the same class.
+pub struct SavedState<'c, C: QueryClass> {
+    class: &'c C,
+    selection: Selection,
+    result: Vec<HeapEntry>,
+    lists: SavedLists,
+}
+
+impl<C: QueryClass> SavedState<'_, C> {
+    /// The (normalized) boolean selection this state answers.
+    pub fn selection(&self) -> &Selection {
+        &self.selection
+    }
+
+    /// Entries pruned by boolean predicates (kept for roll-up).
+    pub fn b_list_len(&self) -> usize {
+        self.lists.b_list.len()
+    }
+
+    /// Entries pruned by preference — dominated entries, and the search
+    /// frontier of a run that halted early (kept for drill-down).
+    pub fn d_list_len(&self) -> usize {
+        self.lists.d_list.len()
+    }
+}
+
+/// A fresh serial run that keeps its lists for incremental follow-ups.
+///
+/// # Panics
+/// Panics if the class does not opt in through
+/// [`QueryClass::restart_entries`].
+pub(crate) fn run_class_resumable<'c, C: QueryClass>(
+    db: &PCubeDb,
+    selection: &Selection,
+    class: &'c C,
+) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+    restart(db, class, normalize(selection), None, SavedLists::default())
+}
+
+/// Strengthens the previous query with one more predicate; the candidate
+/// heap restarts from `result ∪ d_list` (Lemma 2).
+pub(crate) fn drill_down<'c, C: QueryClass>(
+    db: &PCubeDb,
+    prev: SavedState<'c, C>,
+    extra: Predicate,
+) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+    let mut selection = prev.selection;
+    selection.push(extra);
+    let SavedLists { b_list, d_list } = prev.lists;
+    // Entries that failed the old (weaker) predicates still fail.
+    let lists = SavedLists { b_list, d_list: Vec::new() };
+    restart(db, prev.class, normalize(&selection), Some((prev.result, d_list)), lists)
+}
+
+/// Relaxes the previous query by dropping every predicate on `dim`; the
+/// heap restarts from `result ∪ b_list` (Lemma 2).
+pub(crate) fn roll_up<'c, C: QueryClass>(
+    db: &PCubeDb,
+    prev: SavedState<'c, C>,
+    dim: usize,
+) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+    let selection: Selection = prev.selection.into_iter().filter(|p| p.dim != dim).collect();
+    let SavedLists { b_list, d_list } = prev.lists;
+    // The old preference-pruned entries stay pruned: what pruned them
+    // satisfied the stricter old predicates, hence also the relaxed ones.
+    // For a halted top-k the old frontier's lower bounds are no smaller
+    // than the old k-th score, which still qualifies. The list is kept so
+    // later drill-downs retain full coverage.
+    let lists = SavedLists { b_list: Vec::new(), d_list };
+    restart(db, prev.class, selection, Some((prev.result, b_list)), lists)
+}
+
+/// One resumable run: from the root, or from the old result plus one of the
+/// old lists.
+fn restart<'c, C: QueryClass>(
+    db: &PCubeDb,
+    class: &'c C,
+    selection: Selection,
+    from: Option<(Vec<HeapEntry>, Vec<HeapEntry>)>,
+    lists: SavedLists,
+) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+    assert!(
+        class.restart_entries(&class.logic(None)).is_some(),
+        "{} queries keep no state for drill-down / roll-up",
+        class.name()
+    );
+    let start = begin(db, class);
+    let mut probe = db.pcube().probe(&selection, false);
+    let heap = from.map(|(result, list)| {
+        let mut heap = CandidateHeap::new();
+        for e in result {
+            heap.push(e.score, e.cand);
+        }
+        for e in list {
+            heap.push_entry(e);
+        }
+        heap
+    });
+    let mut resume = Resume { heap, lists, result: Vec::new() };
+    let outcome =
+        run_class_with(db, &selection, class, &mut probe, start, None, Some(&mut resume));
+    let state = SavedState { class, selection, result: resume.result, lists: resume.lists };
+    (outcome, state)
 }
 
 // ---------------------------------------------------------------------------
@@ -234,8 +466,14 @@ pub(crate) fn winnow_points(
 // Top-k
 // ---------------------------------------------------------------------------
 
-/// The top-k query class: best-first under a [`RankingFunction`], halting
-/// at `k` results (serial) or at the shared k-th-score bound (parallel).
+/// The top-k query class (§V-B): best-first under a [`RankingFunction`],
+/// halting at `k` results (serial) or at the shared k-th-score bound
+/// (parallel). Candidates pop in ascending lower-bound order and tuples
+/// carry exact scores, so the first `k` qualifying tuples popped *are* the
+/// top-k; the remaining frontier is what a resumable run saves as `d_list`.
+///
+/// Partial answers: a serial partial is a prefix of the true top-k. A
+/// parallel partial is a set of qualifying tuples, not necessarily a prefix.
 pub struct TopKClass<'f, F: RankingFunction + ?Sized> {
     k: usize,
     f: &'f F,
@@ -248,7 +486,7 @@ impl<'f, F: RankingFunction + ?Sized> TopKClass<'f, F> {
     }
 }
 
-impl<F: RankingFunction + ?Sized + Sync> QueryClass for TopKClass<'_, F> {
+impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
     type Row = (u64, Vec<f64>, f64);
     type Local = Vec<(f64, u64, Vec<f64>)>;
     type Shared = SharedBound;
@@ -259,6 +497,10 @@ impl<F: RankingFunction + ?Sized + Sync> QueryClass for TopKClass<'_, F> {
 
     fn name(&self) -> &'static str {
         "topk"
+    }
+
+    fn max_pref_dim(&self) -> Option<usize> {
+        self.f.max_dim()
     }
 
     fn new_shared(&self) -> SharedBound {
@@ -296,6 +538,10 @@ impl<F: RankingFunction + ?Sized + Sync> QueryClass for TopKClass<'_, F> {
             rows.iter().map(|(tid, c)| (self.f.score(c), *tid, c.clone())).collect();
         self.merge(vec![locals])
     }
+
+    fn restart_entries(&self, logic: &TopKLogic<'_>) -> Option<Vec<HeapEntry>> {
+        Some(logic.accepted().iter().map(ResultEntry::requeue).collect())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +550,12 @@ impl<F: RankingFunction + ?Sized + Sync> QueryClass for TopKClass<'_, F> {
 
 /// The static skyline class: Pareto-maximal tuples over a set of
 /// preference dimensions (§V-A), BBS-style.
+///
+/// Partial answers: BBS accepts only never-dominated points, so a serial
+/// partial is a sound subset of the full skyline. A parallel partial is
+/// mutually undominated among the *visited* points only — an unvisited
+/// subtree may hold a dominator. The same holds for the dynamic and
+/// subspace variants.
 pub struct SkylineClass {
     pref_dims: Vec<usize>,
 }
@@ -330,6 +582,10 @@ impl QueryClass for SkylineClass {
 
     fn name(&self) -> &'static str {
         "skyline"
+    }
+
+    fn max_pref_dim(&self) -> Option<usize> {
+        self.pref_dims.iter().copied().max()
     }
 
     fn new_shared(&self) -> SharedWindow {
@@ -363,6 +619,10 @@ impl QueryClass for SkylineClass {
             .collect();
         winnow_points(&points, |a, b| dominates(a, b, &self.pref_dims))
     }
+
+    fn restart_entries(&self, logic: &SkylineLogic<'_>) -> Option<Vec<HeapEntry>> {
+        Some(logic.accepted().iter().map(ResultEntry::requeue).collect())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -370,9 +630,13 @@ impl QueryClass for SkylineClass {
 // ---------------------------------------------------------------------------
 
 /// The dynamic skyline class (§VII): skyline in the transformed space
-/// `x ↦ |x − q|` around a query point `q`, computed without materializing
-/// the transform (the MBR corner bound is the per-dimension distance to the
-/// nearest face).
+/// `x ↦ |x − q|` around a query point `q` — tuple `p` dynamically dominates
+/// `p'` iff `|p_d − q_d| ≤ |p'_d − q_d|` on every chosen dimension and
+/// strictly on one. Computed without materializing the transform: the
+/// transform of a box has an attainable per-dimension lower corner (the
+/// distance from `q_d` to the nearest face, reached independently per
+/// dimension), so both the BBS ordering key and the dominance prune carry
+/// over. `q` is indexed by the full coordinate space, like the tuples.
 pub struct DynamicSkylineClass {
     pref_dims: Vec<usize>,
     query_point: Vec<f64>,
@@ -407,6 +671,10 @@ impl QueryClass for DynamicSkylineClass {
 
     fn name(&self) -> &'static str {
         "dynamic-skyline"
+    }
+
+    fn max_pref_dim(&self) -> Option<usize> {
+        self.pref_dims.iter().copied().max()
     }
 
     fn new_shared(&self) -> SharedWindow {
@@ -449,7 +717,19 @@ impl QueryClass for DynamicSkylineClass {
 // ---------------------------------------------------------------------------
 
 /// The 2-D convex hull class (§VII): hull vertices of the qualifying
-/// tuples projected onto two preference dimensions.
+/// tuples projected onto two preference dimensions, as `(tid, [x, y])` in
+/// counter-clockwise order from the lowest-then-leftmost point.
+///
+/// On top of boolean pruning the search skips a node whose MBR lies strictly
+/// inside the hull of the points found so far — it can contribute no vertex.
+/// Scores surface tuples immediately and expand nodes deepest-first, which
+/// grows the running hull quickly. The answer is traversal-order
+/// independent: a vertex of the final hull is never strictly inside any
+/// running hull (running hulls only grow toward the final one), so every
+/// vertex is collected no matter the visit order.
+///
+/// Partial answers: the hull of the points visited before the stop —
+/// progress accounting only, no membership guarantee.
 pub struct HullClass {
     dims: (usize, usize),
 }
@@ -476,6 +756,10 @@ impl QueryClass for HullClass {
 
     fn name(&self) -> &'static str {
         "hull"
+    }
+
+    fn max_pref_dim(&self) -> Option<usize> {
+        Some(self.dims.0.max(self.dims.1))
     }
 
     fn new_shared(&self) {}
@@ -657,6 +941,9 @@ impl PriorityGraph {
 /// `≻_Γ`, so workers accept a superset and the merge winnows it exact —
 /// sound because `≻_Γ` is transitive and pruning only ever removes
 /// dominated candidates.
+///
+/// Partial answers: qualifying and mutually `≻_Γ`-incomparable, but — the
+/// accepts being tentative — not necessarily members of the full answer.
 pub struct PSkylineClass {
     graph: PriorityGraph,
 }
@@ -684,6 +971,10 @@ impl QueryClass for PSkylineClass {
 
     fn name(&self) -> &'static str {
         "p-skyline"
+    }
+
+    fn max_pref_dim(&self) -> Option<usize> {
+        self.graph.dims().iter().copied().max()
     }
 
     fn new_shared(&self) -> SharedWindow {
@@ -773,6 +1064,10 @@ impl QueryClass for SubspaceSkylineClass {
         "subspace-skyline"
     }
 
+    fn max_pref_dim(&self) -> Option<usize> {
+        self.dims.iter().copied().max()
+    }
+
     fn new_shared(&self) -> SharedWindow {
         SharedWindow::new()
     }
@@ -814,6 +1109,56 @@ impl QueryClass for SubspaceSkylineClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcube::PCubeConfig;
+    use crate::query::ParallelOptions;
+    use crate::rank::MinCoordSum;
+    use pcube_cube::{Relation, Schema};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// `class` reads preference dimension 9 of a two-dimension table: every
+    /// engine entry must refuse it with a message naming the class and the
+    /// dimension, before reading a block.
+    fn assert_out_of_range_is_refused<C: QueryClass + Sync>(db: &PCubeDb, class: &C) {
+        let refused = |entry: &str, call: &dyn Fn()| {
+            let reads_before = db.stats().total_reads();
+            let panic = catch_unwind(AssertUnwindSafe(call)).expect_err("must be refused");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(
+                message.contains(class.name()) && message.contains("dimension 9"),
+                "{} via {entry}: {message}",
+                class.name()
+            );
+            assert_eq!(db.stats().total_reads(), reads_before, "{} via {entry}", class.name());
+        };
+        let planner = Planner::new(db);
+        let sel: Selection = vec![Predicate { dim: 0, value: 1 }];
+        let budget = QueryBudget::unlimited();
+        refused("run", &|| drop(db.run(&sel, class)));
+        refused("par_run", &|| drop(db.par_run(&sel, class, ParallelOptions::with_workers(4))));
+        refused("plan_and_run_class", &|| {
+            drop(db.plan_and_run_class(&planner, class, &sel, &budget, None))
+        });
+        for engine in [EngineKind::PCube, EngineKind::BooleanFirst, EngineKind::DominationFirst] {
+            refused(engine.name(), &|| drop(db.run_class_on(class, &sel, engine)));
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_preference_dimension_is_refused_by_every_class_at_every_entry() {
+        let mut rel = Relation::new(Schema::new(&["a"], &["x", "y"]));
+        for i in 0..400u32 {
+            rel.push_coded(&[i % 3], &[f64::from(i) * 0.37 % 1.0, f64::from(i) * 0.61 % 1.0]);
+        }
+        let db = PCubeDb::build(rel, &PCubeConfig::default());
+        let f = MinCoordSum::new(vec![0, 9]);
+        let graph = PriorityGraph::new(vec![0, 9], &[(0, 9)]).expect("a single edge is a DAG");
+        assert_out_of_range_is_refused(&db, &TopKClass::new(5, &f));
+        assert_out_of_range_is_refused(&db, &SkylineClass::new(vec![0, 9]));
+        assert_out_of_range_is_refused(&db, &DynamicSkylineClass::new(&[0.5; 10], vec![0, 9]));
+        assert_out_of_range_is_refused(&db, &HullClass::new((0, 9)));
+        assert_out_of_range_is_refused(&db, &PSkylineClass::new(graph));
+        assert_out_of_range_is_refused(&db, &SubspaceSkylineClass::new(vec![9, 0]));
+    }
 
     #[test]
     fn priority_graph_rejects_bad_inputs() {

@@ -1,96 +1,7 @@
-//! Convex hull queries — the §VII extension ("Algorithm 1 can also be
-//! easily extended to support … convex hull queries [21]").
-//!
-//! Given a boolean selection, returns the convex hull of the qualifying
-//! tuples in two chosen preference dimensions. The search walks the R-tree
-//! with signature-based boolean pruning plus a geometric prune: a node whose
-//! MBR lies strictly inside the convex hull of the points found so far can
-//! contribute no hull vertex and is skipped. The traversal runs on the
-//! shared [`kernel`](crate::query::kernel) with scores that surface tuples
-//! immediately and expand nodes deepest-first, which grows the running hull
-//! quickly and makes the inside-test prune effective early. The final hull
-//! is traversal-order independent: a vertex of the final hull is never
-//! strictly inside any running hull (running hulls only grow toward the
-//! final one), so every vertex is collected no matter the visit order.
-
-use pcube_cube::{normalize, Selection};
-
-use crate::pcube::PCubeDb;
-use crate::query::budget::{CancelToken, QueryBudget};
-use crate::query::kernel::{run_kernel, HullLogic};
-use crate::query::topk::{apply_kernel_outcome, make_governor};
-use crate::query::{seed_root, CandidateHeap, QueryStats};
-
-/// A completed convex hull query.
-pub struct HullOutcome {
-    /// Hull vertices as `(tid, [x, y])` in counter-clockwise order starting
-    /// from the lowest-then-leftmost point.
-    pub hull: Vec<(u64, [f64; 2])>,
-    /// Execution metrics.
-    pub stats: QueryStats,
-}
-
-/// Computes the convex hull of the tuples satisfying `selection`, projected
-/// on preference dimensions `dims = (x, y)`.
-///
-/// # Panics
-/// Panics if the two dimensions coincide or exceed the schema.
-pub fn convex_hull_query(
-    db: &PCubeDb,
-    selection: &Selection,
-    dims: (usize, usize),
-) -> HullOutcome {
-    convex_hull_query_governed(db, selection, dims, &QueryBudget::unlimited(), None)
-}
-
-/// [`convex_hull_query`] under a [`QueryBudget`] and optional
-/// [`CancelToken`]. A partial hull is the hull of the points *visited* so
-/// far — unlike top-k/skyline partials it carries no membership guarantee
-/// about the full answer, only the progress accounting.
-///
-/// # Panics
-/// Panics if the two dimensions coincide or exceed the schema.
-pub fn convex_hull_query_governed(
-    db: &PCubeDb,
-    selection: &Selection,
-    dims: (usize, usize),
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> HullOutcome {
-    let n_pref = db.relation().schema().n_pref();
-    assert!(dims.0 < n_pref && dims.1 < n_pref, "hull dimensions out of range");
-    assert_ne!(dims.0, dims.1, "hull needs two distinct dimensions");
-    let started = std::time::Instant::now();
-    let before = db.stats().snapshot();
-    let mut gov = make_governor(db, budget, cancel);
-    let selection = normalize(selection);
-    let mut probe = db.pcube().probe(&selection, false);
-    let mut stats = QueryStats::default();
-
-    // Collect qualifying points by the signature-pruned kernel search,
-    // skipping any subtree whose MBR projection is already strictly inside
-    // the running hull (it cannot contain a vertex of the final hull).
-    let mut heap = CandidateHeap::new();
-    seed_root(db, &mut heap);
-    let mut logic = HullLogic::new(dims);
-    let pin_seconds = started.elapsed().as_secs_f64();
-    let kernel_run =
-        run_kernel(db, &selection, &mut probe, &mut heap, &mut logic, None, gov.as_mut());
-    stats.stages = kernel_run.stages;
-    stats.stages.pin_seconds += pin_seconds;
-    stats.nodes_expanded = kernel_run.nodes_expanded;
-    let points = logic.into_points();
-    let t_merge = std::time::Instant::now();
-    let hull = monotone_chain(&points);
-    stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
-
-    stats.peak_heap = heap.peak_size();
-    stats.partials_loaded = probe.partials_loaded();
-    stats.io = db.stats().snapshot().since(&before);
-    stats.cpu_seconds = started.elapsed().as_secs_f64();
-    apply_kernel_outcome(&mut stats, &kernel_run, points.len());
-    HullOutcome { hull, stats }
-}
+//! Planar convex-hull geometry for the hull query class
+//! ([`HullClass`](crate::query::HullClass), §VII): the monotone chain the
+//! class finishes and merges with, and the strict inside-test its kernel
+//! logic prunes with.
 
 fn cross(o: [f64; 2], a: [f64; 2], b: [f64; 2]) -> f64 {
     (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

@@ -52,7 +52,7 @@ use crate::store::BooleanProbe;
 /// full-path membership test for a popped entry, and per-node child masks
 /// for an expansion — plus enough metadata to drive lossy-probe
 /// verification and the `SSig` statistics. See
-/// [`BooleanProbe`](crate::store::BooleanProbe) for the contract between
+/// [`BooleanProbe`] for the contract between
 /// the two.
 pub trait BooleanPruner {
     /// `true` if the subtree/tuple at `path` may contain qualifying tuples:
@@ -187,9 +187,9 @@ pub trait PreferenceLogic {
 }
 
 /// The `b_list`/`d_list` pair Algorithm 1 maintains for incremental
-/// drill-down and roll-up (§V-C). Serial engines pass one in (possibly
-/// pre-seeded by a previous query's state); parallel workers and the
-/// stateless engines pass `None` and pruned entries are dropped.
+/// drill-down and roll-up (§V-C). A resumable serial run passes one in
+/// (possibly pre-seeded by a previous query's state); every other run
+/// passes `None` and pruned entries are dropped.
 #[derive(Default)]
 pub struct SavedLists {
     /// Entries pruned by boolean predicates (kept for roll-up).
@@ -609,6 +609,11 @@ impl<'a> TopKLogic<'a> {
     pub(crate) fn into_result(self) -> Vec<ResultEntry> {
         self.result
     }
+
+    /// The results accepted so far.
+    pub(crate) fn accepted(&self) -> &[ResultEntry] {
+        &self.result
+    }
 }
 
 impl PreferenceLogic for TopKLogic<'_> {
@@ -777,8 +782,9 @@ impl<'a> SkylineLogic<'a> {
         dominated
     }
 
-    pub(crate) fn into_result(self) -> Vec<ResultEntry> {
-        self.result
+    /// The results accepted so far.
+    pub(crate) fn accepted(&self) -> &[ResultEntry] {
+        &self.result
     }
 
     /// `(score, tid, domination coords, original coords)` — the parallel

@@ -1,44 +1,28 @@
 //! Query processing using the P-Cube (§V): the progressive, signature-guided
-//! branch-and-bound framework of Algorithm 1, instantiated for skyline and
-//! top-k queries, plus the incremental drill-down/roll-up execution of §V-C.
+//! branch-and-bound framework of Algorithm 1. One kernel ([`kernel`]), one
+//! serial and one parallel driver over it, and one registration per query
+//! class ([`class`]) — top-k, the skyline family and convex hulls differ only
+//! in the class handed to the driver. The incremental drill-down / roll-up
+//! execution of §V-C is the driver restarted from a [`SavedState`].
 
 pub mod budget;
 pub mod class;
-mod dynamic;
 mod hull;
 pub mod kernel;
 mod parallel;
-mod skyline;
-mod topk;
 
 pub use budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason};
 pub use class::{
     ClassOutcome, DynamicSkylineClass, HullClass, PSkylineClass, PriorityGraph,
-    PriorityGraphError, QueryClass, SkyPoint, SkylineClass, SubspaceSkylineClass, TopKClass,
-};
-pub use dynamic::{
-    dynamic_skyline_query, dynamic_skyline_query_governed, DynamicSkylineOutcome,
+    PriorityGraphError, QueryClass, SavedState, SkyPoint, SkylineClass, SubspaceSkylineClass,
+    TopKClass,
 };
 pub use kernel::{
     run_kernel, BooleanPruner, KernelRun, NoPruner, PopVerdict, PreferenceLogic, Region,
     SavedLists, SharedBound, SharedWindow, VerifyAllPruner,
 };
-pub use parallel::{
-    par_convex_hull_query, par_convex_hull_query_governed, par_dynamic_skyline_query,
-    par_dynamic_skyline_query_governed, par_skyline_query, par_skyline_query_governed,
-    par_topk_query, par_topk_query_governed, ParDynamicSkylineOutcome, ParHullOutcome,
-    ParSkylineOutcome, ParTopKOutcome, ParallelOptions,
-};
 pub(crate) use parallel::par_run_class;
-pub use hull::{convex_hull_query, convex_hull_query_governed, HullOutcome};
-pub use skyline::{
-    skyline_drill_down, skyline_query, skyline_query_governed, skyline_query_probed,
-    skyline_roll_up, SkylineOutcome, SkylineState,
-};
-pub use topk::{
-    topk_drill_down, topk_query, topk_query_governed, topk_query_probed, topk_roll_up,
-    TopKOutcome, TopKState,
-};
+pub use parallel::ParallelOptions;
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -118,6 +102,15 @@ pub(crate) struct ResultEntry {
     pub(crate) coords: Vec<f64>,
     pub(crate) path: Path,
     pub(crate) score: f64,
+}
+
+impl ResultEntry {
+    /// The result as a tuple entry that can be queued again — what a
+    /// drill-down or roll-up restarts its heap from (Lemma 2).
+    pub(crate) fn requeue(&self) -> HeapEntry {
+        let (tid, path, coords) = (self.tid, self.path.clone(), self.coords.clone());
+        HeapEntry { score: self.score, seq: 0, cand: Candidate::Tuple { tid, path, coords } }
+    }
 }
 
 /// A candidate in the branch-and-bound search: an R-tree node or a tuple.
@@ -274,15 +267,20 @@ impl CandidateHeap {
     }
 }
 
-/// Seeds a candidate heap with the R-tree root: an un-dominatable MBR and
-/// the smallest possible score, so it always pops first and is never pruned.
-pub(crate) fn seed_root(db: &crate::pcube::PCubeDb, heap: &mut CandidateHeap) {
+/// The entry every search starts from — the R-tree root with an
+/// un-dominatable MBR and the smallest possible score, so it always pops
+/// first and is never pruned.
+pub(crate) fn root_entry(db: &crate::pcube::PCubeDb) -> HeapEntry {
     let dims = db.rtree().dims();
     let mbr = Mbr { min: vec![f64::NEG_INFINITY; dims], max: vec![f64::INFINITY; dims] };
-    heap.push(
-        f64::NEG_INFINITY,
-        Candidate::Node { pid: db.rtree().root_pid(), path: Path::root(), mbr },
-    );
+    let cand = Candidate::Node { pid: db.rtree().root_pid(), path: Path::root(), mbr };
+    HeapEntry { score: f64::NEG_INFINITY, seq: 0, cand }
+}
+
+/// Seeds a candidate heap with [`root_entry`].
+pub(crate) fn seed_root(db: &crate::pcube::PCubeDb, heap: &mut CandidateHeap) {
+    let root = root_entry(db);
+    heap.push(root.score, root.cand);
 }
 
 /// `true` if `a` dominates `b` on the given dimensions: `a ≤ b` everywhere

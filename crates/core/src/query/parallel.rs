@@ -24,11 +24,9 @@
 //! output order. The oracle differential suite
 //! (`tests/differential_oracle.rs`) and the concurrency stress test
 //! (`tests/concurrent_queries.rs`) hold both engines to that contract.
-//! The per-class `par_*` functions below are thin wrappers over
-//! [`par_run_class`] kept for API compatibility; adding a query class
-//! needs no edits here.
+//! Adding a query class needs no edits here.
 //!
-//! The parallel engines do not produce `b_list`/`d_list` state: incremental
+//! The parallel engine does not produce `b_list`/`d_list` state: incremental
 //! drill-down and roll-up (§V-C) remain a serial-engine feature.
 
 use std::time::Instant;
@@ -40,13 +38,9 @@ use crate::pcube::PCubeDb;
 use crate::query::budget::{
     CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason,
 };
-use crate::query::class::{
-    run_class, ClassOutcome, DynamicSkylineClass, HullClass, QueryClass, SkylineClass,
-    TopKClass,
-};
-use crate::query::kernel::{run_kernel, PreferenceLogic};
-use crate::query::{Candidate, CandidateHeap, QueryStats};
-use crate::rank::RankingFunction;
+use crate::query::class::{begin, run_class, ClassOutcome, QueryClass};
+use crate::query::kernel::{run_kernel, PopVerdict, PreferenceLogic};
+use crate::query::{root_entry, Candidate, CandidateHeap, QueryStats};
 
 /// How a parallel query fans out.
 #[derive(Debug, Clone, Copy)]
@@ -72,42 +66,6 @@ impl ParallelOptions {
     pub fn with_workers(workers: usize) -> Self {
         ParallelOptions { workers, ..ParallelOptions::default() }
     }
-}
-
-/// A completed parallel top-k query.
-pub struct ParTopKOutcome {
-    /// `(tid, coordinates, score)` ascending by `(score, tid)`, at most `k`.
-    pub topk: Vec<(u64, Vec<f64>, f64)>,
-    /// Execution metrics, aggregated across workers (see
-    /// [`merge_worker_stats`] for the conventions).
-    pub stats: QueryStats,
-}
-
-/// A completed parallel skyline query.
-pub struct ParSkylineOutcome {
-    /// Skyline tuples as `(tid, coordinates)` ascending by
-    /// `(coordinate sum, tid)`.
-    pub skyline: Vec<(u64, Vec<f64>)>,
-    /// Execution metrics, aggregated across workers.
-    pub stats: QueryStats,
-}
-
-/// A completed parallel dynamic skyline query.
-pub struct ParDynamicSkylineOutcome {
-    /// Dynamic skyline tuples as `(tid, original coordinates)` ascending by
-    /// `(transformed key, tid)`.
-    pub skyline: Vec<(u64, Vec<f64>)>,
-    /// Execution metrics, aggregated across workers.
-    pub stats: QueryStats,
-}
-
-/// A completed parallel convex hull query.
-pub struct ParHullOutcome {
-    /// Hull vertices in counter-clockwise order from the
-    /// lowest-then-leftmost point.
-    pub hull: Vec<(u64, [f64; 2])>,
-    /// Execution metrics, aggregated across workers.
-    pub stats: QueryStats,
 }
 
 /// Per-worker execution tallies folded into one [`QueryStats`].
@@ -267,8 +225,11 @@ fn deal(seeds: Vec<Seed>, workers: usize) -> Vec<Vec<Seed>> {
 
 /// Parallel Algorithm 1 over any [`QueryClass`]: root fan-out, scoped
 /// workers running the shared kernel with the class's shared pruning state,
-/// then the class's own merge. Falls back to the serial
-/// [`run_class`] at `workers <= 1`.
+/// then the class's own merge. Falls back to the serial [`run_class`] at
+/// `workers <= 1`, and when the class's pop check stops the search at the
+/// root seed — the serial engine applies that check before it reads
+/// anything, so a query with an empty answer by construction (top-k with
+/// `k = 0`) costs no block here either.
 pub(crate) fn par_run_class<C: QueryClass + Sync>(
     db: &PCubeDb,
     selection: &Selection,
@@ -277,20 +238,20 @@ pub(crate) fn par_run_class<C: QueryClass + Sync>(
     budget: &QueryBudget,
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
-    let started = Instant::now();
-    let before = db.stats().snapshot();
-    let selection = normalize(selection);
     if opts.workers <= 1 {
-        return run_class(db, &selection, class, opts.eager_assembly, budget, cancel);
+        return run_class(db, selection, class, opts.eager_assembly, budget, cancel);
     }
+    let start = begin(db, class);
+    // A throwaway serial-mode logic: scoring is identical between the
+    // serial and shared modes of every class, so seeds carry exactly the
+    // scores the serial engine would compute.
+    let mut seed_logic = class.logic(None);
+    if !matches!(seed_logic.on_pop(&root_entry(db)), PopVerdict::Continue) {
+        return run_class(db, selection, class, opts.eager_assembly, budget, cancel);
+    }
+    let selection = normalize(selection);
     let fleet = fleet_governance(db, budget, cancel);
-    let seeds = {
-        // A throwaway serial-mode logic: scoring is identical between the
-        // serial and shared modes of every class, so seeds carry exactly
-        // the scores the serial engine would compute.
-        let mut seed_logic = class.logic(None);
-        root_seeds_for(db, &mut seed_logic)
-    };
+    let seeds = root_seeds_for(db, &mut seed_logic);
     let root_children = seeds.len();
     let groups = deal(seeds, opts.workers);
 
@@ -315,8 +276,8 @@ pub(crate) fn par_run_class<C: QueryClass + Sync>(
 
     let mut stats = merge_worker_stats(root_children, &worker_stats);
     stats.stages.merge_seconds += merge_seconds;
-    stats.io = db.stats().snapshot().since(&before);
-    stats.cpu_seconds = started.elapsed().as_secs_f64();
+    stats.io = db.stats().snapshot().since(&start.before);
+    stats.cpu_seconds = start.at.elapsed().as_secs_f64();
     merge_fleet_outcome(&mut stats, &worker_stats, rows.len());
     ClassOutcome { rows, stats }
 }
@@ -367,194 +328,6 @@ fn class_worker<C: QueryClass>(
     let local = class.finish(logic);
     stats.stages.merge_seconds += t_finish.elapsed().as_secs_f64();
     (local, stats)
-}
-
-// ---------------------------------------------------------------------------
-// Per-class wrappers (API compatibility)
-// ---------------------------------------------------------------------------
-
-/// Parallel [`topk_query`](crate::query::topk_query): fans root subtrees out
-/// to `opts.workers` scoped threads sharing an atomic score threshold, and
-/// returns exactly the serial result (same tuples, same order).
-pub fn par_topk_query(
-    db: &PCubeDb,
-    selection: &Selection,
-    k: usize,
-    f: &(dyn RankingFunction + Sync),
-    opts: ParallelOptions,
-) -> ParTopKOutcome {
-    par_topk_query_governed(db, selection, k, f, opts, &QueryBudget::unlimited(), None)
-}
-
-/// [`par_topk_query`] under a [`QueryBudget`] and optional [`CancelToken`].
-/// One worker's trip (or an external cancel) raises the fleet token and
-/// drains every other worker at its next pop. A parallel partial top-k is
-/// a set of qualifying tuples but — unlike the serial engine's partials —
-/// not necessarily a prefix of the true top-k, because workers stop at
-/// different points of their subtree searches.
-pub fn par_topk_query_governed(
-    db: &PCubeDb,
-    selection: &Selection,
-    k: usize,
-    f: &(dyn RankingFunction + Sync),
-    opts: ParallelOptions,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ParTopKOutcome {
-    // `k == 0` must not fan out: workers would never lower the shared
-    // bound and the fleet would traverse everything for an empty answer.
-    if opts.workers <= 1 || k == 0 {
-        let out = crate::query::topk_query_governed(
-            db,
-            selection,
-            k,
-            f,
-            opts.eager_assembly,
-            budget,
-            cancel,
-        );
-        return ParTopKOutcome { topk: out.topk, stats: out.stats };
-    }
-    let class = TopKClass::new(k, f);
-    let out = par_run_class(db, selection, &class, opts, budget, cancel);
-    ParTopKOutcome { topk: out.rows, stats: out.stats }
-}
-
-/// Parallel [`skyline_query`](crate::query::skyline_query): per-subtree BBS
-/// with a shared window of accepted points, then a cross-filter merge.
-/// Returns exactly the serial skyline in canonical order.
-pub fn par_skyline_query(
-    db: &PCubeDb,
-    selection: &Selection,
-    pref_dims: &[usize],
-    opts: ParallelOptions,
-) -> ParSkylineOutcome {
-    par_skyline_query_governed(db, selection, pref_dims, opts, &QueryBudget::unlimited(), None)
-}
-
-/// [`par_skyline_query`] under a [`QueryBudget`] and optional
-/// [`CancelToken`]. A parallel partial skyline is a set of qualifying
-/// tuples mutually undominated among *visited* points; unlike the serial
-/// engine's partials it is not guaranteed to be a subset of the full
-/// skyline, because an unvisited subtree may hold a dominator.
-pub fn par_skyline_query_governed(
-    db: &PCubeDb,
-    selection: &Selection,
-    pref_dims: &[usize],
-    opts: ParallelOptions,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ParSkylineOutcome {
-    if opts.workers <= 1 {
-        let out = crate::query::skyline_query_governed(
-            db,
-            selection,
-            pref_dims,
-            opts.eager_assembly,
-            budget,
-            cancel,
-        );
-        return ParSkylineOutcome { skyline: out.skyline, stats: out.stats };
-    }
-    let class = SkylineClass::new(pref_dims.to_vec());
-    let out = par_run_class(db, selection, &class, opts, budget, cancel);
-    ParSkylineOutcome { skyline: out.rows, stats: out.stats }
-}
-
-/// Parallel [`dynamic_skyline_query`](crate::query::dynamic_skyline_query):
-/// the skyline engine run in the `x ↦ |x − q|` transformed space.
-pub fn par_dynamic_skyline_query(
-    db: &PCubeDb,
-    selection: &Selection,
-    q: &[f64],
-    pref_dims: &[usize],
-    opts: ParallelOptions,
-) -> ParDynamicSkylineOutcome {
-    par_dynamic_skyline_query_governed(
-        db,
-        selection,
-        q,
-        pref_dims,
-        opts,
-        &QueryBudget::unlimited(),
-        None,
-    )
-}
-
-/// [`par_dynamic_skyline_query`] under a [`QueryBudget`] and optional
-/// [`CancelToken`]; partial-result semantics match
-/// [`par_skyline_query_governed`].
-///
-/// # Panics
-/// Panics if `pref_dims` is empty or `q` is shorter than the coordinate
-/// space.
-pub fn par_dynamic_skyline_query_governed(
-    db: &PCubeDb,
-    selection: &Selection,
-    q: &[f64],
-    pref_dims: &[usize],
-    opts: ParallelOptions,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ParDynamicSkylineOutcome {
-    assert!(!pref_dims.is_empty(), "need at least one preference dimension");
-    assert!(
-        pref_dims.iter().all(|&d| d < q.len()),
-        "query point must cover every preference dimension"
-    );
-    if opts.workers <= 1 {
-        let out = crate::query::dynamic_skyline_query_governed(
-            db,
-            selection,
-            q,
-            pref_dims,
-            budget,
-            cancel,
-        );
-        return ParDynamicSkylineOutcome { skyline: out.skyline, stats: out.stats };
-    }
-    let class = DynamicSkylineClass::new(q, pref_dims.to_vec());
-    let out = par_run_class(db, selection, &class, opts, budget, cancel);
-    ParDynamicSkylineOutcome { skyline: out.rows, stats: out.stats }
-}
-
-/// Parallel [`convex_hull_query`](crate::query::convex_hull_query): each
-/// worker computes its subtrees' local hull (a point interior to a subset's
-/// hull is interior to the full hull, so local pruning never discards a
-/// global vertex), and the merge chains the union of local hull vertices.
-pub fn par_convex_hull_query(
-    db: &PCubeDb,
-    selection: &Selection,
-    dims: (usize, usize),
-    opts: ParallelOptions,
-) -> ParHullOutcome {
-    par_convex_hull_query_governed(db, selection, dims, opts, &QueryBudget::unlimited(), None)
-}
-
-/// [`par_convex_hull_query`] under a [`QueryBudget`] and optional
-/// [`CancelToken`]. A partial hull is the hull of the points visited before
-/// the trip — progress accounting only, no membership guarantee.
-///
-/// # Panics
-/// Panics if the two dimensions coincide or exceed the schema.
-pub fn par_convex_hull_query_governed(
-    db: &PCubeDb,
-    selection: &Selection,
-    dims: (usize, usize),
-    opts: ParallelOptions,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ParHullOutcome {
-    let n_pref = db.relation().schema().n_pref();
-    assert!(dims.0 < n_pref && dims.1 < n_pref, "hull dimensions out of range");
-    assert_ne!(dims.0, dims.1, "hull needs two distinct dimensions");
-    if opts.workers <= 1 {
-        let out = crate::query::convex_hull_query_governed(db, selection, dims, budget, cancel);
-        return ParHullOutcome { hull: out.hull, stats: out.stats };
-    }
-    let class = HullClass::new(dims);
-    let out = par_run_class(db, selection, &class, opts, budget, cancel);
-    ParHullOutcome { hull: out.rows, stats: out.stats }
 }
 
 #[cfg(test)]

@@ -15,6 +15,13 @@ pub trait RankingFunction {
     /// A lower bound of the score over the rectangle (must satisfy
     /// `lower_bound(mbr) <= score(p)` for every `p` in `mbr`).
     fn lower_bound(&self, mbr: &Mbr) -> f64;
+
+    /// The largest preference-dimension index the function reads, or `None`
+    /// if it cannot tell (the default). A top-k query checks it against the
+    /// schema before it runs.
+    fn max_dim(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl<F: RankingFunction + ?Sized> RankingFunction for &F {
@@ -24,6 +31,10 @@ impl<F: RankingFunction + ?Sized> RankingFunction for &F {
 
     fn lower_bound(&self, mbr: &Mbr) -> f64 {
         (**self).lower_bound(mbr)
+    }
+
+    fn max_dim(&self) -> Option<usize> {
+        (**self).max_dim()
     }
 }
 
@@ -57,6 +68,10 @@ impl RankingFunction for LinearFn {
             .enumerate()
             .map(|(d, &w)| if w >= 0.0 { w * mbr.min[d] } else { w * mbr.max[d] })
             .sum()
+    }
+
+    fn max_dim(&self) -> Option<usize> {
+        self.weights.len().checked_sub(1)
     }
 }
 
@@ -109,6 +124,10 @@ impl RankingFunction for WeightedDistanceFn {
             })
             .sum()
     }
+
+    fn max_dim(&self) -> Option<usize> {
+        self.target.len().checked_sub(1)
+    }
 }
 
 /// `f = Σ xᵢ` over a subset of dimensions — the BBS ordering key `d(n)` used
@@ -142,6 +161,10 @@ impl RankingFunction for MinCoordSum {
 
     fn lower_bound(&self, mbr: &Mbr) -> f64 {
         self.dims.iter().map(|&d| mbr.min[d]).sum()
+    }
+
+    fn max_dim(&self) -> Option<usize> {
+        self.dims.iter().copied().max()
     }
 }
 

@@ -138,7 +138,7 @@ impl Signature {
     /// `true` if every prefix bit along `path` is set — i.e. the subtree or
     /// tuple at `path` contains data of this cell.
     ///
-    /// The full root-to-`path` walk ([`walk_path`]): one node lookup per
+    /// The full root-to-`path` walk (`walk_path`): one node lookup per
     /// level, no allocation. The query kernel pays it once per *popped*
     /// entry; the children of an expanded node are tested against that
     /// node's array alone ([`Signature::node`] — stored nodes are exactly

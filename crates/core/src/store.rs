@@ -620,7 +620,7 @@ impl SignatureCursor<'_> {
     /// `true` if the subtree/tuple at `path` contains data of this cell —
     /// the boolean-prune test of Algorithm 1. Loads partials on demand.
     ///
-    /// This is the full root-to-`path` walk ([`walk_path`], one node lookup
+    /// This is the full root-to-`path` walk (`walk_path`, one node lookup
     /// per level). The query kernel pays it once per *popped* entry — the
     /// root seed, entries restored from a `b_list`/`d_list`, and entries it
     /// pushed itself — and never per child of an expanded node: those are

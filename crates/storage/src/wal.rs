@@ -484,7 +484,7 @@ impl Wal {
     /// Makes the tail durable (models one fsync). Returns the bytes synced.
     ///
     /// With a fault plan armed ([`Wal::set_fault_plan`]), each fsync attempt
-    /// may fail transiently; failures are retried up to [`MAX_SYNC_ATTEMPTS`]
+    /// may fail transiently; failures are retried up to `MAX_SYNC_ATTEMPTS`
     /// times with exponential backoff (each retry recorded on the attached
     /// [`SharedStats`] ledger). When the budget is exhausted the tail stays
     /// **pending** — not durable, but not lost either — and the caller gets a

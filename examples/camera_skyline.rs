@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example camera_skyline`
 
-use pcube::core::skyline_roll_up;
+use pcube::core::SkylineClass;
 use pcube::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,28 +38,29 @@ fn main() {
 
     // Skyline of Canon professional cameras.
     let sel = db.selection(&[("brand", "canon"), ("type", "professional")]);
-    let canon = skyline_query(&db, &sel, &[0, 1, 2], false);
+    let skyline = SkylineClass::new(vec![0, 1, 2]);
+    let (canon, canon_state) = db.run_resumable(&sel, &skyline);
     println!(
         "canon professional skyline: {} cameras ({} R-tree blocks read)",
-        canon.skyline.len(),
+        canon.rows.len(),
         canon.stats.io.reads(IoCategory::RtreeBlock)
     );
 
     // Roll up on brand: professional cameras of ALL makers, continuing from
     // the cached candidate lists (result ∪ b_list).
     let brand_dim = db.relation().schema().bool_index("brand").unwrap();
-    let canon_set: Vec<u64> = canon.skyline.iter().map(|p| p.0).collect();
-    let all = skyline_roll_up(&db, canon.state, brand_dim);
+    let canon_set: Vec<u64> = canon.rows.iter().map(|p| p.0).collect();
+    let (all, _) = db.roll_up(canon_state, brand_dim);
     println!(
         "all-brands professional skyline: {} cameras ({} more R-tree blocks)",
-        all.skyline.len(),
+        all.rows.len(),
         all.stats.io.reads(IoCategory::RtreeBlock)
     );
 
     // The analyst's comparison: which Canon skyline models survive against
     // the whole professional market?
     let surviving: Vec<u64> =
-        all.skyline.iter().map(|p| p.0).filter(|t| canon_set.contains(t)).collect();
+        all.rows.iter().map(|p| p.0).filter(|t| canon_set.contains(t)).collect();
     println!(
         "\nmarket position: {}/{} canon skyline models remain on the global \
          professional skyline",
@@ -68,9 +69,9 @@ fn main() {
     );
 
     // Sanity: the roll-up answer equals a fresh query.
-    let fresh = skyline_query(&db, &db.selection(&[("type", "professional")]), &[0, 1, 2], false);
-    let mut a: Vec<u64> = all.skyline.iter().map(|p| p.0).collect();
-    let mut b: Vec<u64> = fresh.skyline.iter().map(|p| p.0).collect();
+    let fresh = db.run(&db.selection(&[("type", "professional")]), &skyline);
+    let mut a: Vec<u64> = all.rows.iter().map(|p| p.0).collect();
+    let mut b: Vec<u64> = fresh.rows.iter().map(|p| p.0).collect();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b, "roll-up must equal the fresh query (Lemma 2)");

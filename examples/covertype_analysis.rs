@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example covertype_analysis`
 //! (pass `--full` for the paper-scale 581,012 rows; default is 50k)
 
-use pcube::core::skyline_drill_down;
+use pcube::core::SkylineClass;
 use pcube::data::covertype_surrogate;
 use pcube::prelude::*;
 use rand::rngs::StdRng;
@@ -29,24 +29,24 @@ fn main() {
     // chain never empties), tracking incremental cost.
     let mut rng = StdRng::seed_from_u64(7);
     let anchor = rng.gen_range(0..db.relation().len() as u64);
-    let pref_dims = [0, 1, 2];
 
     let first_pred = Predicate { dim: 0, value: db.relation().bool_code(anchor, 0) };
-    let mut outcome = skyline_query(&db, &vec![first_pred], &pref_dims, false);
+    let skyline = SkylineClass::new(vec![0, 1, 2]);
+    let (mut outcome, mut state) = db.run_resumable(&vec![first_pred], &skyline);
     println!(
         "\n1 predicate : skyline {} points, {} blocks, {} signature pages",
-        outcome.skyline.len(),
+        outcome.rows.len(),
         outcome.stats.io.reads(IoCategory::RtreeBlock),
         outcome.stats.io.reads(IoCategory::SignaturePage),
     );
 
     for dim in 1..4usize {
         let extra = Predicate { dim, value: db.relation().bool_code(anchor, dim) };
-        outcome = skyline_drill_down(&db, outcome.state, extra);
+        (outcome, state) = db.drill_down(state, extra);
         println!(
             "{} predicates: skyline {} points, {} blocks, {} signature pages (drill-down)",
             dim + 1,
-            outcome.skyline.len(),
+            outcome.rows.len(),
             outcome.stats.io.reads(IoCategory::RtreeBlock),
             outcome.stats.io.reads(IoCategory::SignaturePage),
         );
@@ -54,10 +54,10 @@ fn main() {
 
     // Show the final answer with decoded boolean context.
     println!("\nfinal skyline under 4 predicates (elevation, horiz_dist, vert_dist):");
-    for (tid, coords) in outcome.skyline.iter().take(10) {
+    for (tid, coords) in outcome.rows.iter().take(10) {
         println!("  tid {tid:<7} ({:.3}, {:.3}, {:.3})", coords[0], coords[1], coords[2]);
     }
-    if outcome.skyline.len() > 10 {
-        println!("  … and {} more", outcome.skyline.len() - 10);
+    if outcome.rows.len() > 10 {
+        println!("  … and {} more", outcome.rows.len() - 10);
     }
 }

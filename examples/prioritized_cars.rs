@@ -34,12 +34,13 @@ fn main() {
 
     // Pareto skyline vs p-skyline: prioritizing price shrinks the answer,
     // because a price advantage now excuses a mileage disadvantage.
-    let pareto = skyline_query(&db, &sel, &[0, 1], false);
+    let pareto = db.run(&sel, &SkylineClass::new(vec![0, 1]));
     let graph = PriorityGraph::new(vec![0, 1], &[(0, 1)]).expect("a single edge is a DAG");
-    let prioritized = db.pskyline(&sel, &graph);
+    let pskyline = PSkylineClass::new(graph);
+    let prioritized = db.run(&sel, &pskyline);
     println!(
         "red sedans: {} on the Pareto skyline (price, mileage), {} after PRIORITIZE price OVER mileage",
-        pareto.skyline.len(),
+        pareto.rows.len(),
         prioritized.rows.len()
     );
     for (tid, coords) in prioritized.rows.iter().take(5) {
@@ -51,7 +52,7 @@ fn main() {
     }
 
     // The parallel fan-out answers bit-identically.
-    let par = db.par_pskyline(&sel, &graph, ParallelOptions::with_workers(4));
+    let par = db.par_run(&sel, &pskyline, ParallelOptions::with_workers(4));
     assert_eq!(par.rows, prioritized.rows);
     println!("parallel (4 workers) returned the identical p-skyline");
 

@@ -33,9 +33,9 @@ fn main() {
 
     // Skyline of red sedans over (price, mileage).
     let sel = db.selection(&[("type", "sedan"), ("color", "red")]);
-    let out = skyline_query(&db, &sel, &[0, 1], false);
+    let out = db.run(&sel, &SkylineClass::new(vec![0, 1]));
     println!("\nskyline of red sedans (price, mileage):");
-    for (tid, coords) in &out.skyline {
+    for (tid, coords) in &out.rows {
         println!("  tid {tid}: price {:.2}, mileage {:.2}", coords[0], coords[1]);
     }
     println!(
@@ -46,17 +46,17 @@ fn main() {
 
     // Top-2 red sedans nearest the preference point (0.25, 0.30).
     let f = WeightedDistanceFn::new(vec![0.25, 0.30], vec![1.0, 1.0]);
-    let top = topk_query(&db, &sel, 2, &f, false);
+    let top = db.run(&sel, &TopKClass::new(2, &f));
     println!("\ntop-2 red sedans near price 0.25 / mileage 0.30:");
-    for (tid, coords, score) in &top.topk {
+    for (tid, coords, score) in &top.rows {
         println!("  tid {tid}: ({:.2}, {:.2}) score {score:.4}", coords[0], coords[1]);
     }
 
     // Incremental maintenance: a new bargain appears.
     let tid = db.insert(&["sedan", "red"], &[0.05, 0.05]);
     println!("\ninserted tid {tid} (red sedan at 0.05/0.05); signatures updated in place");
-    let out = skyline_query(&db, &sel, &[0, 1], false);
-    let tids: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+    let out = db.run(&sel, &SkylineClass::new(vec![0, 1]));
+    let tids: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
     println!("new skyline tids: {tids:?}");
     assert!(tids.contains(&tid), "the new bargain must join the skyline");
 }

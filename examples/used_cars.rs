@@ -47,8 +47,8 @@ fn main() {
     let cost = CostModel::default();
 
     println!("\ntop-10 red sedans near $15k / 30k miles:");
-    let sig = topk_query(&db, &sel, 10, &f, false);
-    for (i, (tid, coords, score)) in sig.topk.iter().enumerate() {
+    let sig = db.run(&sel, &TopKClass::new(10, &f));
+    for (i, (tid, coords, score)) in sig.rows.iter().enumerate() {
         println!(
             "  #{:<2} tid {tid:<6} ${:<6.0} {:>6.0} mi  (score {score:.5})",
             i + 1,
@@ -59,12 +59,12 @@ fn main() {
 
     // The same query under the three execution plans.
     db.stats().reset();
-    let sig = topk_query(&db, &sel, 10, &f, false);
+    let sig = db.run(&sel, &TopKClass::new(10, &f));
     db.stats().reset();
     let boolean = indexes.topk(&db, &sel, 10, &f);
     db.stats().reset();
     let (rank_top, rank_stats) = ranking_topk(&db, &sel, 10, &f);
-    assert_eq!(sig.topk.len(), 10);
+    assert_eq!(sig.rows.len(), 10);
     assert_eq!(boolean.topk.len(), 10);
     assert_eq!(rank_top.len(), 10);
 

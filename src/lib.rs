@@ -25,15 +25,15 @@
 //!
 //! // Skyline of red sedans over (price, mileage).
 //! let sel = db.selection(&[("type", "sedan"), ("color", "red")]);
-//! let out = skyline_query(&db, &sel, &[0, 1], false);
-//! let mut tids: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+//! let out = db.run(&sel, &SkylineClass::new(vec![0, 1]));
+//! let mut tids: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
 //! tids.sort();
 //! assert_eq!(tids, vec![0, 3]);
 //!
 //! // Top-1 red sedan closest to (price 0.25, mileage 0.30).
 //! let f = WeightedDistanceFn::new(vec![0.25, 0.30], vec![1.0, 1.0]);
-//! let top = topk_query(&db, &sel, 1, &f, false);
-//! assert_eq!(top.topk[0].0, 3);
+//! let top = db.run(&sel, &TopKClass::new(1, &f));
+//! assert_eq!(top.rows[0].0, 3);
 //! ```
 //!
 //! # Crate map
@@ -69,15 +69,13 @@ pub mod prelude {
         BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
     };
     pub use pcube_core::{
-        convex_hull_query, dynamic_skyline_query, par_convex_hull_query,
-        par_dynamic_skyline_query, par_skyline_query, par_topk_query, skyline_drill_down,
-        skyline_query, skyline_roll_up, topk_drill_down, topk_query, topk_roll_up, CommitReceipt,
-        CostEstimate, DurabilityError, DurabilityOptions, DurableDb, DurableState, EngineKind,
-        ClassOutcome, EpochReader, EpochSnapshot, Executor, LinearFn, MaintenanceOp, MinCoordSum,
-        PCube, PCubeConfig, PCubeDb, PCubeExecutor, PSkylineClass, ParallelOptions, PlanDecision,
-        Planner, PriorityGraph, PriorityGraphError, QueryClass, QuerySpec, QueryStats,
-        RankingFunction, RecoveryReport, RepairOutcome, Signature, SkylineClass, SkylineOutcome,
-        SubspaceSkylineClass, TopKClass, TopKOutcome, WeightedDistanceFn,
+        ClassOutcome, CommitReceipt, CostEstimate, DurabilityError, DurabilityOptions, DurableDb,
+        DurableState, DynamicSkylineClass, EngineKind, EpochReader, EpochSnapshot, Executor,
+        HullClass, LinearFn, MaintenanceOp, MinCoordSum, PCube, PCubeConfig, PCubeDb,
+        PCubeExecutor, PSkylineClass, ParallelOptions, PlanDecision, Planner, PriorityGraph,
+        PriorityGraphError, QueryClass, QueryStats, RankingFunction, RecoveryReport,
+        RepairOutcome, SavedState, Signature, SkylineClass, SubspaceSkylineClass, TopKClass,
+        WeightedDistanceFn,
     };
     pub use pcube_core::{scrub, QueryBudget, ScrubFinding, ScrubReport, StopReason};
     pub use pcube_core::{CommitError, CommitQueue, CommitQueuePolicy, GroupCommitStats};

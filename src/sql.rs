@@ -25,9 +25,9 @@ use pcube_baselines::{
     BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
 };
 use pcube_core::{
-    skyline_query_governed, topk_query_governed, CancelToken, DurableDb, Executor, PCubeDb,
-    PCubeExecutor, PSkylineClass, Planner, PriorityGraph, QueryBudget, QueryClass, QueryOutcome,
-    QueryStats, RankingFunction, SkylineRows, SubspaceSkylineClass, TopKRows,
+    CancelToken, DurableDb, Executor, PCubeDb, PCubeExecutor, PSkylineClass, PlanError, Planner,
+    PriorityGraph, QueryBudget, QueryClass, QueryOutcome, QueryStats, RankingFunction,
+    SkylineClass, SubspaceSkylineClass, TopKClass,
 };
 use pcube_cube::{Predicate, Selection};
 use pcube_rtree::Mbr;
@@ -546,6 +546,10 @@ impl RankingFunction for CompiledRanking {
             })
             .sum()
     }
+
+    fn max_dim(&self) -> Option<usize> {
+        self.terms.iter().map(|(d, _)| *d).max()
+    }
 }
 
 /// One result row with decoded boolean values.
@@ -661,19 +665,15 @@ fn execute_statement(
                     .map(|n| bind_pref_dim(db, n))
                     .collect::<Result<Vec<_>, _>>()?
             };
-            let (skyline, stats) = if stmt.explain {
-                planned_skyline(db, &selection, &dims, budget, cancel)?
-            } else {
-                let out = skyline_query_governed(db, &selection, &dims, false, budget, cancel);
-                (out.skyline, out.stats)
+            let class = SkylineClass::new(dims.clone());
+            let planned = |planner: &Planner| {
+                with_all_engines(db, |engines| {
+                    db.plan_and_run_skyline(planner, engines, &selection, &dims, budget, cancel)
+                })
             };
-            Ok(SqlOutcome {
-                rows: skyline
-                    .iter()
-                    .map(|(tid, coords)| decode_row(db, *tid, coords, None))
-                    .collect(),
-                stats,
-            })
+            let (rows, stats) =
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
+            Ok(skyline_outcome(db, &rows, stats))
         }
         SqlQuery::TopK { k, predicates, ranking } => {
             let selection = bind_selection(db, &predicates)?;
@@ -687,12 +687,14 @@ fn execute_statement(
                 })
                 .collect::<Result<Vec<_>, SqlError>>()?;
             let f = CompiledRanking { terms };
-            let (topk, stats) = if stmt.explain {
-                planned_topk(db, &selection, k, &f, budget, cancel)?
-            } else {
-                let out = topk_query_governed(db, &selection, k, &f, false, budget, cancel);
-                (out.topk, out.stats)
+            let class = TopKClass::new(k, &f);
+            let planned = |planner: &Planner| {
+                with_all_engines(db, |engines| {
+                    db.plan_and_run_topk(planner, engines, &selection, k, &f, budget, cancel)
+                })
             };
+            let (topk, stats) =
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
             Ok(SqlOutcome {
                 rows: topk
                     .iter()
@@ -734,14 +736,12 @@ fn execute_statement(
             let graph = PriorityGraph::new(dims, &edge_ids)
                 .map_err(|e| SqlError(format!("invalid PRIORITIZE clause: {e}")))?;
             let class = PSkylineClass::new(graph);
-            let (rows, stats) = run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;
-            Ok(SqlOutcome {
-                rows: rows
-                    .iter()
-                    .map(|(tid, coords)| decode_row(db, *tid, coords, None))
-                    .collect(),
-                stats,
-            })
+            let planned = |planner: &Planner| {
+                db.plan_and_run_class(planner, &class, &selection, budget, cancel)
+            };
+            let (rows, stats) =
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
+            Ok(skyline_outcome(db, &rows, stats))
         }
         SqlQuery::SubspaceSkyline { predicates, dims } => {
             let selection = bind_selection(db, &predicates)?;
@@ -751,18 +751,22 @@ fn execute_statement(
                 .map(|n| bind_pref_dim(db, n))
                 .collect::<Result<Vec<_>, _>>()?;
             let class = SubspaceSkylineClass::new(dim_ids);
-            let (rows, stats) = run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;
+            let planned = |planner: &Planner| {
+                db.plan_and_run_class(planner, &class, &selection, budget, cancel)
+            };
+            let (rows, stats) =
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
             // Subspace rows carry only the projected coordinates, in the
             // order the SUBSPACE clause listed them.
-            Ok(SqlOutcome {
-                rows: rows
-                    .iter()
-                    .map(|(tid, coords)| decode_row(db, *tid, coords, None))
-                    .collect(),
-                stats,
-            })
+            Ok(skyline_outcome(db, &rows, stats))
         }
     }
+}
+
+/// The outcome of a skyline-family statement: rows without a score.
+fn skyline_outcome(db: &PCubeDb, rows: &[(u64, Vec<f64>)], stats: QueryStats) -> SqlOutcome {
+    let rows = rows.iter().map(|(tid, coords)| decode_row(db, *tid, coords, None)).collect();
+    SqlOutcome { rows, stats }
 }
 
 fn reject_duplicate_dims(names: &[String], what: &str) -> Result<(), SqlError> {
@@ -774,26 +778,37 @@ fn reject_duplicate_dims(names: &[String], what: &str) -> Result<(), SqlError> {
     Ok(())
 }
 
-/// Runs a pluggable query class the way the legacy statements run: direct
-/// serial engine normally, or through the §VI planner when the statement
-/// was `EXPLAIN`-prefixed (the decision lands in `stats.plan` either way
-/// only for the planned path).
-fn run_class_statement<C: QueryClass + Sync>(
+/// Runs one bound statement: the serial engine under the session's budget
+/// normally; for an `EXPLAIN`ed statement, `planned` over a fresh §VI
+/// planner (the decision lands in `stats.plan`). Top-k and skyline plan over
+/// the four engines of §VI-A ([`with_all_engines`]); the classes no
+/// baseline implements plan over the three generic ones
+/// ([`PCubeDb::plan_and_run_class`]).
+fn run_class_statement<C: QueryClass>(
     db: &PCubeDb,
     class: &C,
     selection: &Selection,
     explain: bool,
     budget: &QueryBudget,
     cancel: Option<&CancelToken>,
+    planned: impl FnOnce(&Planner) -> Result<(Vec<C::Row>, QueryStats), PlanError>,
 ) -> Result<(Vec<C::Row>, QueryStats), SqlError> {
     if explain {
-        let planner = Planner::new(db);
-        db.plan_and_run_class(&planner, class, selection, budget, cancel)
-            .map_err(|e| SqlError(e.to_string()))
+        planned(&Planner::new(db)).map_err(|e| SqlError(e.to_string()))
     } else {
         let out = db.run_governed(selection, class, budget, cancel);
         Ok((out.rows, out.stats))
     }
+}
+
+/// Hands `run` P-Cube and the three baseline engines (index-merge is top-k
+/// only; a class that does not support it never has it offered), over
+/// freshly built boolean indexes.
+fn with_all_engines<T>(db: &PCubeDb, run: impl FnOnce(&[&dyn Executor]) -> T) -> T {
+    let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
+    let boolean = BooleanFirstExecutor::new(&indexes);
+    let merge = IndexMergeExecutor::new(&indexes);
+    run(&[&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge])
 }
 
 /// Per-connection execution state: a deadline and block cap applied to
@@ -935,44 +950,6 @@ fn render_stats(db: &PCubeDb) -> String {
         s.quarantine_hits(),
         s.pages_repaired(),
     )
-}
-
-/// Runs a top-k statement through the planner over all four engines.
-fn planned_topk(
-    db: &PCubeDb,
-    selection: &Selection,
-    k: usize,
-    f: &dyn RankingFunction,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> Result<(TopKRows, QueryStats), SqlError> {
-    let planner = Planner::new(db);
-    let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
-    let boolean = BooleanFirstExecutor::new(&indexes);
-    let merge = IndexMergeExecutor::new(&indexes);
-    let executors: Vec<&dyn Executor> =
-        vec![&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge];
-    db.plan_and_run_topk_governed(&planner, &executors, selection, k, f, budget, cancel)
-        .map_err(|e| SqlError(e.to_string()))
-}
-
-/// Runs a skyline statement through the planner over the engines that
-/// support skylines (index-merge is top-k only and excluded by the trait).
-fn planned_skyline(
-    db: &PCubeDb,
-    selection: &Selection,
-    pref_dims: &[usize],
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> Result<(SkylineRows, QueryStats), SqlError> {
-    let planner = Planner::new(db);
-    let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
-    let boolean = BooleanFirstExecutor::new(&indexes);
-    let merge = IndexMergeExecutor::new(&indexes);
-    let executors: Vec<&dyn Executor> =
-        vec![&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge];
-    db.plan_and_run_skyline_governed(&planner, &executors, selection, pref_dims, budget, cancel)
-        .map_err(|e| SqlError(e.to_string()))
 }
 
 /// Renders a [`QueryOutcome::Partial`] as a one-line notice (`None` for

@@ -2,8 +2,7 @@
 //! return exactly the same answers as the exact signatures (soundness — no
 //! false negatives), just with possibly more R-tree reads.
 
-use pcube::core::{skyline_query, skyline_query_probed, topk_query, topk_query_probed, LinearFn};
-use pcube::core::{PCubeConfig, PCubeDb};
+use pcube::core::{LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass};
 use pcube::data::{sample_selection, synthetic, SyntheticSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,12 +25,12 @@ fn bloom_skyline_matches_exact_signature() {
     for n_preds in 1..=3 {
         for _ in 0..4 {
             let sel = sample_selection(db.relation(), n_preds, &mut rng);
-            let exact = skyline_query(&db, &sel, &[0, 1], false);
+            let exact = db.run(&sel, &SkylineClass::new(vec![0, 1]));
             for fp in [0.001, 0.05, 0.3] {
                 let probe = db.pcube().probe_bloom(&sel, fp);
-                let bloom = skyline_query_probed(&db, &sel, &[0, 1], probe);
-                let mut a: Vec<u64> = exact.skyline.iter().map(|p| p.0).collect();
-                let mut b: Vec<u64> = bloom.skyline.iter().map(|p| p.0).collect();
+                let bloom = db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1]), probe);
+                let mut a: Vec<u64> = exact.rows.iter().map(|p| p.0).collect();
+                let mut b: Vec<u64> = bloom.rows.iter().map(|p| p.0).collect();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "sel {sel:?} fp {fp}");
@@ -47,11 +46,11 @@ fn bloom_topk_matches_exact_signature() {
     let f = LinearFn::new(vec![0.4, 0.6]);
     for _ in 0..6 {
         let sel = sample_selection(db.relation(), 2, &mut rng);
-        let exact = topk_query(&db, &sel, 8, &f, false);
+        let exact = db.run(&sel, &TopKClass::new(8, &f));
         let probe = db.pcube().probe_bloom(&sel, 0.02);
-        let bloom = topk_query_probed(&db, &sel, 8, &f, probe);
-        assert_eq!(exact.topk.len(), bloom.topk.len());
-        for (e, b) in exact.topk.iter().zip(&bloom.topk) {
+        let bloom = db.run_with_probe(&sel, &TopKClass::new(8, &f), probe);
+        assert_eq!(exact.rows.len(), bloom.rows.len());
+        for (e, b) in exact.rows.iter().zip(&bloom.rows) {
             assert!((e.2 - b.2).abs() < 1e-12, "scores {} vs {}", e.2, b.2);
         }
     }
@@ -67,7 +66,7 @@ fn looser_filters_read_no_fewer_blocks() {
     for fp in [0.0001, 0.2, 0.49] {
         db.stats().reset();
         let probe = db.pcube().probe_bloom(&sel, fp);
-        let out = skyline_query_probed(&db, &sel, &[0, 1], probe);
+        let out = db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1]), probe);
         reads.push((fp, out.stats.io.reads(pcube::storage::IoCategory::RtreeBlock)));
     }
     // Not strictly monotone per-query (hash luck), but the tight filter must
@@ -83,6 +82,6 @@ fn unknown_value_bloom_probe_is_empty() {
     let db = db();
     let sel = vec![pcube::cube::Predicate { dim: 0, value: 9999 }];
     let probe = db.pcube().probe_bloom(&sel, 0.01);
-    let out = skyline_query_probed(&db, &sel, &[0, 1], probe);
-    assert!(out.skyline.is_empty());
+    let out = db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1]), probe);
+    assert!(out.rows.is_empty());
 }

@@ -89,6 +89,7 @@ fn eight_readers_never_observe_a_torn_snapshot() {
                 let mut iterations = 0u64;
                 let mut last_epoch = 0u64;
                 let opts = ParallelOptions::with_workers(2);
+                let skyline = SkylineClass::new(vec![0, 1]);
                 while !stop.load(Ordering::Relaxed) {
                     let snap = reader.snapshot();
                     assert!(
@@ -101,7 +102,7 @@ fn eight_readers_never_observe_a_torn_snapshot() {
                     // Alternate the selection to vary the probe shape.
                     let sel: Selection =
                         if iterations.is_multiple_of(2) { selection.clone() } else { Vec::new() };
-                    let got = canon(par_skyline_query(snap.db(), &sel, &[0, 1], opts).skyline);
+                    let got = canon(snap.db().par_run(&sel, &skyline, opts).rows);
 
                     // Bit-identical to the pinned snapshot's own oracle:
                     // the answer is a pre- or post-transaction state.
@@ -112,7 +113,7 @@ fn eight_readers_never_observe_a_torn_snapshot() {
                     );
                     // Stable on the pinned snapshot regardless of commits
                     // landing concurrently.
-                    let again = canon(par_skyline_query(snap.db(), &sel, &[0, 1], opts).skyline);
+                    let again = canon(snap.db().par_run(&sel, &skyline, opts).rows);
                     assert_eq!(got, again, "reader {r}: pinned snapshot changed mid-query");
 
                     iterations += 1;
@@ -165,7 +166,16 @@ fn eight_readers_never_observe_a_torn_snapshot() {
     let final_reader = db.reader().snapshot();
     assert_eq!(final_reader.epoch(), db.epoch());
     assert_eq!(
-        canon(par_skyline_query(final_reader.db(), &Vec::new(), &[0, 1], ParallelOptions::with_workers(4)).skyline),
+        canon(
+            final_reader
+                .db()
+                .par_run(
+                    &Vec::new(),
+                    &SkylineClass::new(vec![0, 1]),
+                    ParallelOptions::with_workers(4)
+                )
+                .rows
+        ),
         oracle_skyline(db.db(), &Vec::new()),
     );
 }

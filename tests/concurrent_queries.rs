@@ -10,7 +10,10 @@
 //!    the ledger's total delta across a concurrent run equals the sum of
 //!    the per-query serial deltas.
 
-use pcube::core::{LinearFn, PCubeConfig, PCubeDb, ParallelOptions};
+use pcube::core::{
+    DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass,
+    TopKClass,
+};
 use pcube::cube::Selection;
 use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
 use pcube::storage::{IoCategory, IoSnapshot};
@@ -40,11 +43,13 @@ enum Answer {
 fn run_serial(db: &PCubeDb, q: &Query) -> Answer {
     match q {
         Query::TopK { sel, k, weights } => {
-            Answer::TopK(db.topk(sel, *k, &LinearFn::new(weights.clone())).topk)
+            Answer::TopK(db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone()))).rows)
         }
-        Query::Skyline { sel } => Answer::Skyline(db.skyline(sel, &[0, 1]).skyline),
-        Query::Dynamic { sel, q } => Answer::Skyline(db.dynamic_skyline(sel, q, &[0, 1]).skyline),
-        Query::Hull { sel } => Answer::Hull(db.hull(sel, (0, 1)).hull),
+        Query::Skyline { sel } => Answer::Skyline(db.run(sel, &SkylineClass::new(vec![0, 1])).rows),
+        Query::Dynamic { sel, q } => {
+            Answer::Skyline(db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1])).rows)
+        }
+        Query::Hull { sel } => Answer::Hull(db.run(sel, &HullClass::new((0, 1))).rows),
     }
 }
 
@@ -52,13 +57,16 @@ fn run_parallel(db: &PCubeDb, q: &Query, workers: usize) -> Answer {
     let opts = ParallelOptions::with_workers(workers);
     match q {
         Query::TopK { sel, k, weights } => {
-            Answer::TopK(db.par_topk(sel, *k, &LinearFn::new(weights.clone()), opts).topk)
+            let f = LinearFn::new(weights.clone());
+            Answer::TopK(db.par_run(sel, &TopKClass::new(*k, &f), opts).rows)
         }
-        Query::Skyline { sel } => Answer::Skyline(db.par_skyline(sel, &[0, 1], opts).skyline),
+        Query::Skyline { sel } => {
+            Answer::Skyline(db.par_run(sel, &SkylineClass::new(vec![0, 1]), opts).rows)
+        }
         Query::Dynamic { sel, q } => {
-            Answer::Skyline(db.par_dynamic_skyline(sel, q, &[0, 1], opts).skyline)
+            Answer::Skyline(db.par_run(sel, &DynamicSkylineClass::new(q, vec![0, 1]), opts).rows)
         }
-        Query::Hull { sel } => Answer::Hull(db.par_hull(sel, (0, 1), opts).hull),
+        Query::Hull { sel } => Answer::Hull(db.par_run(sel, &HullClass::new((0, 1)), opts).rows),
     }
 }
 

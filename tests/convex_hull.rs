@@ -1,7 +1,7 @@
 //! §VII convex hull extension: the signature-pruned hull must equal the
 //! hull of the brute-force qualifying set.
 
-use pcube::core::{convex_hull_query, PCubeConfig, PCubeDb};
+use pcube::core::{HullClass, PCubeConfig, PCubeDb};
 use pcube::cube::Selection;
 use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
 use rand::rngs::StdRng;
@@ -52,8 +52,8 @@ fn reference_hull(points: &[(u64, [f64; 2])]) -> Vec<u64> {
 }
 
 fn check(db: &PCubeDb, sel: &Selection) {
-    let out = convex_hull_query(db, sel, (0, 1));
-    let mut got: Vec<u64> = out.hull.iter().map(|p| p.0).collect();
+    let out = db.run(sel, &HullClass::new((0, 1)));
+    let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
     got.sort_unstable();
     let qualifying: Vec<(u64, [f64; 2])> = (0..db.relation().len() as u64)
         .filter(|&t| db.relation().matches(t, sel))
@@ -123,8 +123,8 @@ fn hull_prunes_interior_subtrees() {
     let spec = SyntheticSpec { n_tuples: 20_000, n_pref: 2, ..Default::default() };
     let db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
     db.stats().reset();
-    let out = convex_hull_query(&db, &Vec::new(), (0, 1));
-    assert!(out.hull.len() >= 3);
+    let out = db.run(&Vec::new(), &HullClass::new((0, 1)));
+    assert!(out.rows.len() >= 3);
     let total_nodes = db.rtree().count_nodes() as u64;
     assert!(
         out.stats.nodes_expanded < total_nodes,
@@ -138,6 +138,6 @@ fn hull_of_empty_selection_is_empty() {
     let spec = SyntheticSpec { n_tuples: 200, n_pref: 2, ..Default::default() };
     let db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
     let sel = vec![pcube::cube::Predicate { dim: 0, value: 9_999 }];
-    let out = convex_hull_query(&db, &sel, (0, 1));
-    assert!(out.hull.is_empty());
+    let out = db.run(&sel, &HullClass::new((0, 1)));
+    assert!(out.rows.is_empty());
 }

@@ -130,10 +130,10 @@ fn answers(db: &PCubeDb) -> Vec<Vec<(u64, Vec<f64>)>> {
     let f = MinCoordSum::new(vec![0, 1]);
     let mut out = Vec::new();
     for sel in &selections {
-        out.push(skyline_query(db, sel, &[0, 1], false).skyline);
+        out.push(db.run(sel, &SkylineClass::new(vec![0, 1])).rows);
         out.push(
-            topk_query(db, sel, 5, &f, false)
-                .topk
+            db.run(sel, &TopKClass::new(5, &f))
+                .rows
                 .into_iter()
                 .map(|(tid, coords, score)| {
                     let mut c = coords;
@@ -142,10 +142,10 @@ fn answers(db: &PCubeDb) -> Vec<Vec<(u64, Vec<f64>)>> {
                 })
                 .collect(),
         );
-        out.push(dynamic_skyline_query(db, sel, &[0.45, 0.55], &[0, 1]).skyline);
+        out.push(db.run(sel, &DynamicSkylineClass::new(&[0.45, 0.55], vec![0, 1])).rows);
         out.push(
-            convex_hull_query(db, sel, (0, 1))
-                .hull
+            db.run(sel, &HullClass::new((0, 1)))
+                .rows
                 .into_iter()
                 .map(|(tid, xy)| (tid, xy.to_vec()))
                 .collect(),

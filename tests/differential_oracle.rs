@@ -11,11 +11,9 @@ use pcube::baselines::{
     BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
 };
 use pcube::core::{
-    convex_hull_query, dynamic_skyline_query, par_convex_hull_query, par_dynamic_skyline_query,
-    par_skyline_query, par_topk_query, skyline_query, skyline_query_governed, topk_query,
-    topk_query_governed, Executor, LinearFn, PCubeConfig, PCubeDb, PCubeExecutor, PSkylineClass,
-    ParallelOptions, Planner, PriorityGraph, QueryBudget, RankingFunction, StopReason,
-    SubspaceSkylineClass,
+    DynamicSkylineClass, Executor, HullClass, LinearFn, PCubeConfig, PCubeDb, PCubeExecutor,
+    PSkylineClass, ParallelOptions, Planner, PriorityGraph, QueryBudget, RankingFunction,
+    SkylineClass, StopReason, SubspaceSkylineClass, TopKClass,
 };
 use pcube::cube::{Predicate, Relation, Schema, Selection};
 use proptest::prelude::*;
@@ -260,20 +258,33 @@ proptest! {
         let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
         let f = LinearFn::new(vec![w0, w1]);
         let oracle = naive_topk(&qualifying(&rows, &sel), k, &f);
-        let serial = topk_query(&db, &sel, k, &f, false);
+        let class = TopKClass::new(k, &f);
+        let serial = db.run(&sel, &class);
         // Oracle check: same tids in the same order, scores within float
         // noise of the oracle's recomputation.
         prop_assert_eq!(
-            serial.topk.iter().map(|r| r.0).collect::<Vec<_>>(),
+            serial.rows.iter().map(|r| r.0).collect::<Vec<_>>(),
             oracle.iter().map(|r| r.0).collect::<Vec<_>>()
         );
-        for (g, e) in serial.topk.iter().zip(&oracle) {
+        for (g, e) in serial.rows.iter().zip(&oracle) {
             prop_assert!((g.2 - e.2).abs() < 1e-9, "score {} vs {}", g.2, e.2);
         }
         // Parallel check: bit-identical to serial at every worker count.
         for workers in WORKER_COUNTS {
-            let par = par_topk_query(&db, &sel, k, &f, ParallelOptions::with_workers(workers));
-            prop_assert_eq!(&par.topk, &serial.topk, "workers={}", workers);
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(&par.rows, &serial.rows, "workers={}", workers);
+        }
+        // `k = 0` is an empty answer by construction: the serial engine
+        // halts on its root seed, and the fan-out must not read the R-tree
+        // for it either.
+        let none = TopKClass::new(0, &f);
+        let serial = db.run(&sel, &none);
+        prop_assert!(serial.rows.is_empty());
+        prop_assert_eq!(serial.stats.io.total_reads(), 0);
+        for workers in WORKER_COUNTS {
+            let par = db.par_run(&sel, &none, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(&par.rows, &serial.rows, "k=0 workers={}", workers);
+            prop_assert_eq!(par.stats.io.total_reads(), 0, "k=0 workers={}", workers);
         }
     }
 
@@ -289,11 +300,12 @@ proptest! {
             [..n_preds]
             .to_vec();
         let oracle = oracle_skyline(&qualifying(&rows, &sel), &[0, 1]);
-        let serial = skyline_query(&db, &sel, &[0, 1], false);
-        prop_assert_eq!(&serial.skyline, &oracle);
+        let class = SkylineClass::new(vec![0, 1]);
+        let serial = db.run(&sel, &class);
+        prop_assert_eq!(&serial.rows, &oracle);
         for workers in WORKER_COUNTS {
-            let par = par_skyline_query(&db, &sel, &[0, 1], ParallelOptions::with_workers(workers));
-            prop_assert_eq!(&par.skyline, &serial.skyline, "workers={}", workers);
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(&par.rows, &serial.rows, "workers={}", workers);
         }
     }
 
@@ -309,12 +321,12 @@ proptest! {
         let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
         let q = vec![q0, q1];
         let oracle = oracle_dynamic(&qualifying(&rows, &sel), &q, &[0, 1]);
-        let serial = dynamic_skyline_query(&db, &sel, &q, &[0, 1]);
-        prop_assert_eq!(&serial.skyline, &oracle);
+        let class = DynamicSkylineClass::new(&q, vec![0, 1]);
+        let serial = db.run(&sel, &class);
+        prop_assert_eq!(&serial.rows, &oracle);
         for workers in WORKER_COUNTS {
-            let par =
-                par_dynamic_skyline_query(&db, &sel, &q, &[0, 1], ParallelOptions::with_workers(workers));
-            prop_assert_eq!(&par.skyline, &serial.skyline, "workers={}", workers);
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(&par.rows, &serial.rows, "workers={}", workers);
         }
     }
 
@@ -327,11 +339,12 @@ proptest! {
         let db = db_from(&rows, 2, 2);
         let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
         let oracle = oracle_hull(&qualifying(&rows, &sel), (0, 1));
-        let serial = convex_hull_query(&db, &sel, (0, 1));
-        prop_assert_eq!(&serial.hull, &oracle);
+        let class = HullClass::new((0, 1));
+        let serial = db.run(&sel, &class);
+        prop_assert_eq!(&serial.rows, &oracle);
         for workers in WORKER_COUNTS {
-            let par = par_convex_hull_query(&db, &sel, (0, 1), ParallelOptions::with_workers(workers));
-            prop_assert_eq!(&par.hull, &serial.hull, "workers={}", workers);
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(&par.rows, &serial.rows, "workers={}", workers);
         }
     }
 
@@ -361,7 +374,9 @@ proptest! {
 
         let f = LinearFn::new(vec![w0, w1]);
         let oracle = naive_topk(&qualifying(&rows, &sel), k, &f);
-        let (topk, stats) = db.plan_and_run_topk(&planner, &executors, &sel, k, &f).unwrap();
+        let budget = QueryBudget::unlimited();
+        let (topk, stats) =
+            db.plan_and_run_topk(&planner, &executors, &sel, k, &f, &budget, None).unwrap();
         prop_assert_eq!(
             topk.iter().map(|r| r.0).collect::<Vec<_>>(),
             oracle.iter().map(|r| r.0).collect::<Vec<_>>(),
@@ -379,8 +394,9 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&plan.selectivity));
 
         let oracle = oracle_skyline(&qualifying(&rows, &sel), &[0, 1]);
-        let (sky, stats) =
-            db.plan_and_run_skyline(&planner, &executors, &sel, &[0, 1]).unwrap();
+        let (sky, stats) = db
+            .plan_and_run_skyline(&planner, &executors, &sel, &[0, 1], &budget, None)
+            .unwrap();
         prop_assert_eq!(
             &sky, &oracle,
             "planner chose {:?}", stats.plan.as_ref().map(|p| p.chosen)
@@ -408,46 +424,46 @@ proptest! {
         let db = db_from(&rows, 2, 2);
         let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
         let f = LinearFn::new(vec![0.6, 0.4]);
-        let full_topk = topk_query(&db, &sel, k, &f, false);
-        let full_sky = skyline_query(&db, &sel, &[0, 1], false);
+        let full_topk = db.run(&sel, &TopKClass::new(k, &f));
+        let full_sky = db.run(&sel, &SkylineClass::new(vec![0, 1]));
         let budget = QueryBudget::unlimited().with_block_budget(max_blocks);
 
         // Top-k: the ledger delta measured outside the query must equal
         // the stats the query reports about itself.
         let base = db.stats().total_reads();
-        let cut = topk_query_governed(&db, &sel, k, &f, false, &budget, None);
+        let cut = db.run_governed(&sel, &TopKClass::new(k, &f), &budget, None);
         let delta = db.stats().total_reads() - base;
         prop_assert_eq!(cut.stats.io.total_reads(), delta, "top-k stats vs ledger");
         match &cut.stats.outcome {
             pcube::core::QueryOutcome::Complete => {
-                prop_assert_eq!(&cut.topk, &full_topk.topk, "untripped run is identical");
+                prop_assert_eq!(&cut.rows, &full_topk.rows, "untripped run is identical");
             }
             pcube::core::QueryOutcome::Partial { reason, progress } => {
                 prop_assert_eq!(*reason, StopReason::BlockBudgetExceeded);
                 prop_assert_eq!(progress.blocks_used, delta, "progress vs ledger");
                 prop_assert!(progress.blocks_used > max_blocks, "trips only past the budget");
                 prop_assert_eq!(progress.nodes_expanded, cut.stats.nodes_expanded);
-                prop_assert_eq!(progress.results_so_far, cut.topk.len());
+                prop_assert_eq!(progress.results_so_far, cut.rows.len());
                 prop_assert!(progress.pops >= cut.stats.nodes_expanded,
                     "every expansion was popped first");
                 // Serial partial top-k is a prefix of the true top-k.
-                prop_assert_eq!(&cut.topk[..], &full_topk.topk[..cut.topk.len()]);
+                prop_assert_eq!(&cut.rows[..], &full_topk.rows[..cut.rows.len()]);
             }
         }
 
         // Skyline: same bookkeeping contract; a partial is a sound subset.
         let base = db.stats().total_reads();
-        let cut = skyline_query_governed(&db, &sel, &[0, 1], false, &budget, None);
+        let cut = db.run_governed(&sel, &SkylineClass::new(vec![0, 1]), &budget, None);
         let delta = db.stats().total_reads() - base;
         prop_assert_eq!(cut.stats.io.total_reads(), delta, "skyline stats vs ledger");
         if let pcube::core::QueryOutcome::Partial { progress, .. } = &cut.stats.outcome {
             prop_assert_eq!(progress.blocks_used, delta);
-            prop_assert_eq!(progress.results_so_far, cut.skyline.len());
-            for p in &cut.skyline {
-                prop_assert!(full_sky.skyline.contains(p), "partial skyline ⊆ full");
+            prop_assert_eq!(progress.results_so_far, cut.rows.len());
+            for p in &cut.rows {
+                prop_assert!(full_sky.rows.contains(p), "partial skyline ⊆ full");
             }
         } else {
-            prop_assert_eq!(&cut.skyline, &full_sky.skyline);
+            prop_assert_eq!(&cut.rows, &full_sky.rows);
         }
     }
 
@@ -467,14 +483,15 @@ proptest! {
         let edges = PRIORITY_EDGE_SETS[edge_set];
         let graph = PriorityGraph::new(vec![0, 1, 2], edges).expect("the edge sets are DAGs");
         let oracle = oracle_pskyline(&qualifying(&rows, &sel), &[0, 1, 2], edges, 3);
-        let serial = db.pskyline(&sel, &graph);
+        let class = PSkylineClass::new(graph.clone());
+        let serial = db.run(&sel, &class);
         prop_assert_eq!(&serial.rows, &oracle, "edges {:?}", edges);
         if edges.is_empty() {
-            let pareto = skyline_query(&db, &sel, &[0, 1, 2], false);
-            prop_assert_eq!(&serial.rows, &pareto.skyline, "empty Γ is the Pareto skyline");
+            let pareto = db.run(&sel, &SkylineClass::new(vec![0, 1, 2]));
+            prop_assert_eq!(&serial.rows, &pareto.rows, "empty Γ is the Pareto skyline");
         }
         for workers in WORKER_COUNTS {
-            let par = db.par_pskyline(&sel, &graph, ParallelOptions::with_workers(workers));
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
             prop_assert_eq!(&par.rows, &serial.rows, "workers={}", workers);
         }
     }
@@ -494,10 +511,11 @@ proptest! {
         let db = db_from(&rows, 2, 3);
         let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
         let oracle = oracle_subspace(&qualifying(&rows, &sel), dims);
-        let serial = db.subspace_skyline(&sel, dims);
+        let class = SubspaceSkylineClass::new(dims.to_vec());
+        let serial = db.run(&sel, &class);
         prop_assert_eq!(&serial.rows, &oracle, "dims {:?}", dims);
         for workers in WORKER_COUNTS {
-            let par = db.par_subspace_skyline(&sel, dims, ParallelOptions::with_workers(workers));
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
             prop_assert_eq!(&par.rows, &serial.rows, "workers={}", workers);
         }
     }
@@ -585,10 +603,11 @@ proptest! {
         let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
         for dims in [vec![0usize, 1, 2], vec![2, 0], vec![1]] {
             let oracle = oracle_skyline(&qualifying(&rows, &sel), &dims);
-            let serial = skyline_query(&db, &sel, &dims, false);
-            prop_assert_eq!(&serial.skyline, &oracle, "dims {:?}", &dims);
-            let par = par_skyline_query(&db, &sel, &dims, ParallelOptions::with_workers(4));
-            prop_assert_eq!(&par.skyline, &serial.skyline, "dims {:?}", &dims);
+            let class = SkylineClass::new(dims.clone());
+            let serial = db.run(&sel, &class);
+            prop_assert_eq!(&serial.rows, &oracle, "dims {:?}", &dims);
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(4));
+            prop_assert_eq!(&par.rows, &serial.rows, "dims {:?}", &dims);
         }
     }
 }
@@ -605,10 +624,11 @@ fn parallel_topk_accepts_trait_objects_and_empty_selections() {
         .collect();
     let db = db_from(&rows, 2, 2);
     let f: Box<dyn RankingFunction + Sync> = Box::new(LinearFn::new(vec![0.7, 0.3]));
-    let serial = topk_query(&db, &Vec::new(), 10, f.as_ref(), false);
-    let par = par_topk_query(&db, &Vec::new(), 10, f.as_ref(), ParallelOptions::with_workers(8));
-    assert_eq!(par.topk, serial.topk);
-    assert_eq!(par.topk.len(), 10);
+    let class = TopKClass::new(10, f.as_ref());
+    let serial = db.run(&Vec::new(), &class);
+    let par = db.par_run(&Vec::new(), &class, ParallelOptions::with_workers(8));
+    assert_eq!(par.rows, serial.rows);
+    assert_eq!(par.rows.len(), 10);
 }
 
 /// Impossible selections must come back empty from both engines, and the
@@ -626,10 +646,10 @@ fn parallel_engines_handle_empty_and_tiny_inputs() {
     let impossible: Selection = vec![Predicate { dim: 0, value: 999 }];
     let f = LinearFn::new(vec![1.0, 1.0]);
     let opts = ParallelOptions::with_workers(64);
-    assert!(par_topk_query(&db, &impossible, 5, &f, opts).topk.is_empty());
-    assert!(par_skyline_query(&db, &impossible, &[0, 1], opts).skyline.is_empty());
-    assert!(par_dynamic_skyline_query(&db, &impossible, &[0.5, 0.5], &[0, 1], opts)
-        .skyline
+    assert!(db.par_run(&impossible, &TopKClass::new(5, &f), opts).rows.is_empty());
+    assert!(db.par_run(&impossible, &SkylineClass::new(vec![0, 1]), opts).rows.is_empty());
+    assert!(db.par_run(&impossible, &DynamicSkylineClass::new(&[0.5, 0.5], vec![0, 1]), opts)
+        .rows
         .is_empty());
-    assert!(par_convex_hull_query(&db, &impossible, (0, 1), opts).hull.is_empty());
+    assert!(db.par_run(&impossible, &HullClass::new((0, 1)), opts).rows.is_empty());
 }

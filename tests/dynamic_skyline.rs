@@ -1,7 +1,7 @@
 //! The §VII dynamic-skyline extension must agree with a brute-force oracle
 //! over the transformed space, under boolean selections.
 
-use pcube::core::{dynamic_skyline_query, PCubeConfig, PCubeDb};
+use pcube::core::{DynamicSkylineClass, PCubeConfig, PCubeDb, SkylineClass};
 use pcube::cube::Selection;
 use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
 use rand::rngs::StdRng;
@@ -62,8 +62,8 @@ fn dynamic_skyline_matches_oracle() {
         for _ in 0..4 {
             let sel = sample_selection(db.relation(), n_preds, &mut rng);
             let q = vec![rng.gen::<f64>(), rng.gen::<f64>()];
-            let out = dynamic_skyline_query(&db, &sel, &q, &[0, 1]);
-            let mut got: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+            let out = db.run(&sel, &DynamicSkylineClass::new(&q, vec![0, 1]));
+            let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
             got.sort_unstable();
             assert_eq!(got, oracle(&db, &sel, &q, &[0, 1]), "sel {sel:?} q {q:?}");
         }
@@ -78,10 +78,10 @@ fn query_point_at_origin_reduces_to_static_skyline() {
     let db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
     let mut rng = StdRng::seed_from_u64(2);
     let sel = sample_selection(db.relation(), 1, &mut rng);
-    let dynamic = dynamic_skyline_query(&db, &sel, &[0.0, 0.0, 0.0], &[0, 1, 2]);
-    let static_sky = pcube::core::skyline_query(&db, &sel, &[0, 1, 2], false);
-    let mut a: Vec<u64> = dynamic.skyline.iter().map(|p| p.0).collect();
-    let mut b: Vec<u64> = static_sky.skyline.iter().map(|p| p.0).collect();
+    let dynamic = db.run(&sel, &DynamicSkylineClass::new(&[0.0, 0.0, 0.0], vec![0, 1, 2]));
+    let static_sky = db.run(&sel, &SkylineClass::new(vec![0, 1, 2]));
+    let mut a: Vec<u64> = dynamic.rows.iter().map(|p| p.0).collect();
+    let mut b: Vec<u64> = static_sky.rows.iter().map(|p| p.0).collect();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
@@ -92,8 +92,8 @@ fn center_query_point_prefers_central_tuples() {
     let spec = SyntheticSpec { n_tuples: 2000, n_pref: 2, ..Default::default() };
     let db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
     let q = [0.5, 0.5];
-    let out = dynamic_skyline_query(&db, &Vec::new(), &q, &[0, 1]);
-    assert!(!out.skyline.is_empty());
+    let out = db.run(&Vec::new(), &DynamicSkylineClass::new(&q, vec![0, 1]));
+    assert!(!out.rows.is_empty());
     // Every dynamic skyline point must be closer to q (per-dimension) than
     // the farthest corner would allow; in particular the closest tuple to q
     // by L1 must be in the skyline.
@@ -104,5 +104,5 @@ fn center_query_point_prefers_central_tuples() {
             da.partial_cmp(&dbv).unwrap()
         })
         .unwrap();
-    assert!(out.skyline.iter().any(|p| p.0 == closest), "closest tuple must survive");
+    assert!(out.rows.iter().any(|p| p.0 == closest), "closest tuple must survive");
 }

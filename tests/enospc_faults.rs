@@ -31,7 +31,7 @@ fn insert_op(i: u64) -> Vec<MaintenanceOp> {
 
 fn skyline_tids(db: &PCubeDb) -> Vec<u64> {
     let mut tids: Vec<u64> =
-        skyline_query(db, &Vec::new(), &[0, 1], false).skyline.iter().map(|(t, _)| *t).collect();
+        db.run(&Vec::new(), &SkylineClass::new(vec![0, 1])).rows.iter().map(|(t, _)| *t).collect();
     tids.sort_unstable();
     tids
 }

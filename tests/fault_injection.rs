@@ -12,8 +12,7 @@ use std::sync::OnceLock;
 
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
 use pcube::core::{
-    convex_hull_query, dynamic_skyline_query, skyline_query, topk_query, LinearFn, PCubeConfig,
-    PCubeDb,
+    DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass,
 };
 use pcube::cube::Selection;
 use pcube::data::{sample_selection, synthetic, SyntheticSpec};
@@ -59,18 +58,18 @@ fn qualifying(db: &PCubeDb, sel: &Selection) -> Vec<(u64, Vec<f64>)> {
 fn assert_matches_oracle(db: &PCubeDb, sel: &Selection, label: &str) {
     let points = qualifying(db, sel);
 
-    let out = skyline_query(db, sel, &[0, 1], false);
-    let mut got: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+    let out = db.run(sel, &SkylineClass::new(vec![0, 1]));
+    let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
     let mut want: Vec<u64> = bnl_skyline(&points, &[0, 1]).iter().map(|p| p.0).collect();
     got.sort_unstable();
     want.sort_unstable();
     assert_eq!(got, want, "{label}: skyline mismatch for {sel:?}");
 
     let f = LinearFn::new(vec![0.7, 0.3]);
-    let out = topk_query(db, sel, 8, &f, false);
+    let out = db.run(sel, &TopKClass::new(8, &f));
     let want = naive_topk(&points, 8, &f);
-    assert_eq!(out.topk.len(), want.len(), "{label}: top-k size mismatch for {sel:?}");
-    for (g, w) in out.topk.iter().zip(&want) {
+    assert_eq!(out.rows.len(), want.len(), "{label}: top-k size mismatch for {sel:?}");
+    for (g, w) in out.rows.iter().zip(&want) {
         assert!(
             (g.2 - w.2).abs() < 1e-9,
             "{label}: top-k score mismatch for {sel:?}: got {} want {}",
@@ -87,8 +86,8 @@ fn assert_dynamic_matches_oracle(db: &PCubeDb, sel: &Selection, q: &[f64], label
         .into_iter()
         .map(|(t, c)| (t, c.iter().zip(q).map(|(x, qd)| (x - qd).abs()).collect()))
         .collect();
-    let out = dynamic_skyline_query(db, sel, q, &[0, 1]);
-    let mut got: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+    let out = db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1]));
+    let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
     let mut want: Vec<u64> = bnl_skyline(&t_points, &[0, 1]).iter().map(|p| p.0).collect();
     got.sort_unstable();
     want.sort_unstable();
@@ -177,10 +176,10 @@ fn query_time_fault_sweep_stays_correct() {
             let q = vec![rng.gen::<f64>(), rng.gen::<f64>()];
             assert_dynamic_matches_oracle(&db, &sel, &q, &label);
 
-            let a = convex_hull_query(&db, &sel, (0, 1));
-            let b = convex_hull_query(&clean, &sel, (0, 1));
-            let mut ga: Vec<u64> = a.hull.iter().map(|p| p.0).collect();
-            let mut gb: Vec<u64> = b.hull.iter().map(|p| p.0).collect();
+            let a = db.run(&sel, &HullClass::new((0, 1)));
+            let b = clean.run(&sel, &HullClass::new((0, 1)));
+            let mut ga: Vec<u64> = a.rows.iter().map(|p| p.0).collect();
+            let mut gb: Vec<u64> = b.rows.iter().map(|p| p.0).collect();
             ga.sort_unstable();
             gb.sort_unstable();
             assert_eq!(ga, gb, "{label}: hull mismatch for {sel:?}");
@@ -415,8 +414,8 @@ proptest! {
             }
             Ok(db) => {
                 let points = qualifying(&db, &Selection::new());
-                let out = skyline_query(&db, &Selection::new(), &[0, 1], false);
-                let mut got: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+                let out = db.run(&Selection::new(), &SkylineClass::new(vec![0, 1]));
+                let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
                 let mut want: Vec<u64> =
                     bnl_skyline(&points, &[0, 1]).iter().map(|p| p.0).collect();
                 got.sort_unstable();

@@ -60,8 +60,8 @@ fn batches(n_txns: usize, sizes: &[usize]) -> Vec<Vec<Vec<MaintenanceOp>>> {
 }
 
 fn skyline_tids(db: &PCubeDb) -> Vec<u64> {
-    let out = skyline_query(db, &Vec::new(), &[0, 1], false);
-    let mut tids: Vec<u64> = out.skyline.iter().map(|(t, _)| *t).collect();
+    let out = db.run(&Vec::new(), &SkylineClass::new(vec![0, 1]));
+    let mut tids: Vec<u64> = out.rows.iter().map(|(t, _)| *t).collect();
     tids.sort_unstable();
     tids
 }

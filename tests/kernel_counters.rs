@@ -3,20 +3,20 @@
 //!
 //! One seeded 20k-row table, 24 fixed queries (six classes × 0–3
 //! predicates) through the serial `db.run`, plus the saved-list lengths of
-//! the incremental engines. Every count below was captured on the commit
-//! *before* the kernel's expansion loop was rewritten (PR 12); a kernel
-//! change that reads a different page, loads a partial signature at a
-//! different moment, expands a different node or keeps a different heap
-//! fails here with the full actual table printed, ready to diff.
+//! the resumable runs (`run_resumable` / `drill_down` / `roll_up`). Every
+//! count below was captured on the commit *before* the kernel's expansion
+//! loop was rewritten (PR 12); a kernel change that reads a different page,
+//! loads a partial signature at a different moment, expands a different node
+//! or keeps a different heap fails here with the full actual table printed,
+//! ready to diff.
 //!
 //! 1 KB pages make every cell's signature span several partials, so the
 //! lazy-load moments (which cursor is consulted for which child) show in the
 //! `sig` / `bptree` / `partials` columns rather than rounding to one page.
 
 use pcube::core::{
-    skyline_drill_down, skyline_query, skyline_roll_up, topk_drill_down, topk_query, topk_roll_up,
     DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, PriorityGraph,
-    QueryStats, SkylineClass, SubspaceSkylineClass, TopKClass,
+    QueryClass, QueryStats, SavedState, SkylineClass, SubspaceSkylineClass, TopKClass,
 };
 use pcube::cube::{Predicate, Selection};
 use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
@@ -140,31 +140,35 @@ fn predicate_on(db: &PCubeDb, dim: usize, tid: u64) -> Predicate {
     }
 }
 
+fn list_lengths<C: QueryClass>(state: &SavedState<'_, C>) -> [usize; 2] {
+    [state.b_list_len(), state.d_list_len()]
+}
+
 fn saved_list_lengths(db: &PCubeDb) -> Vec<[usize; 2]> {
     let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
+    let top10 = TopKClass::new(10, &f);
+    let skyline = SkylineClass::new(vec![0, 1, 2]);
     let mut rng = StdRng::seed_from_u64(1209);
     let mut lens = Vec::new();
     for n_preds in 0..=3usize {
         let sel = sample_selection(db.relation(), n_preds, &mut rng);
-        let top = topk_query(db, &sel, 10, &f, false);
-        lens.push([top.state.b_list_len(), top.state.d_list_len()]);
-        let sky = skyline_query(db, &sel, &[0, 1, 2], false);
-        lens.push([sky.state.b_list_len(), sky.state.d_list_len()]);
+        lens.push(list_lengths(&db.run_resumable(&sel, &top10).1));
+        lens.push(list_lengths(&db.run_resumable(&sel, &skyline).1));
     }
     // Restored entries: a drill-down re-probes the old result and d_list at
     // pop time, a roll-up the old b_list — the full-path probe the kernel
     // keeps for entries that did not come from the expansion before them.
     let base: Selection = vec![predicate_on(db, 0, 77)];
-    let top = topk_query(db, &base, 10, &f, false);
-    let drilled = topk_drill_down(db, top.state, predicate_on(db, 1, 77), &f);
-    lens.push([drilled.state.b_list_len(), drilled.state.d_list_len()]);
-    let rolled = topk_roll_up(db, drilled.state, 0, &f);
-    lens.push([rolled.state.b_list_len(), rolled.state.d_list_len()]);
-    let sky = skyline_query(db, &base, &[0, 1, 2], false);
-    let drilled = skyline_drill_down(db, sky.state, predicate_on(db, 2, 77));
-    lens.push([drilled.state.b_list_len(), drilled.state.d_list_len()]);
-    let rolled = skyline_roll_up(db, drilled.state, 0);
-    lens.push([rolled.state.b_list_len(), rolled.state.d_list_len()]);
+    let (_, top) = db.run_resumable(&base, &top10);
+    let (_, drilled) = db.drill_down(top, predicate_on(db, 1, 77));
+    lens.push(list_lengths(&drilled));
+    let (_, rolled) = db.roll_up(drilled, 0);
+    lens.push(list_lengths(&rolled));
+    let (_, sky) = db.run_resumable(&base, &skyline);
+    let (_, drilled) = db.drill_down(sky, predicate_on(db, 2, 77));
+    lens.push(list_lengths(&drilled));
+    let (_, rolled) = db.roll_up(drilled, 0);
+    lens.push(list_lengths(&rolled));
     lens
 }
 

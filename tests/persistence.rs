@@ -1,7 +1,7 @@
 //! Save/open roundtrips: a reloaded database must answer every query
 //! identically and accept further maintenance.
 
-use pcube::core::{skyline_query, topk_query, LinearFn, PCubeConfig, PCubeDb};
+use pcube::core::{LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass};
 use pcube::data::{sample_selection, synthetic, SyntheticSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,18 +32,18 @@ fn bytes_roundtrip_preserves_every_answer() {
     for n_preds in 0..=2 {
         for _ in 0..3 {
             let sel = sample_selection(db.relation(), n_preds, &mut rng);
-            let a = skyline_query(&db, &sel, &[0, 1], false);
-            let b = skyline_query(&reloaded, &sel, &[0, 1], false);
-            let mut ta: Vec<u64> = a.skyline.iter().map(|p| p.0).collect();
-            let mut tb: Vec<u64> = b.skyline.iter().map(|p| p.0).collect();
+            let a = db.run(&sel, &SkylineClass::new(vec![0, 1]));
+            let b = reloaded.run(&sel, &SkylineClass::new(vec![0, 1]));
+            let mut ta: Vec<u64> = a.rows.iter().map(|p| p.0).collect();
+            let mut tb: Vec<u64> = b.rows.iter().map(|p| p.0).collect();
             ta.sort_unstable();
             tb.sort_unstable();
             assert_eq!(ta, tb, "skyline mismatch for {sel:?}");
 
-            let x = topk_query(&db, &sel, 5, &f, false);
-            let y = topk_query(&reloaded, &sel, 5, &f, false);
-            assert_eq!(x.topk.len(), y.topk.len());
-            for (p, q) in x.topk.iter().zip(&y.topk) {
+            let x = db.run(&sel, &TopKClass::new(5, &f));
+            let y = reloaded.run(&sel, &TopKClass::new(5, &f));
+            assert_eq!(x.rows.len(), y.rows.len());
+            for (p, q) in x.rows.iter().zip(&y.rows) {
                 assert!((p.2 - q.2).abs() < 1e-12);
             }
         }
@@ -62,12 +62,12 @@ fn reloaded_database_accepts_inserts() {
     assert_eq!(reloaded.relation().len(), 1540);
     // New rows are findable.
     let sel = vec![pcube::cube::Predicate { dim: 2, value: 1 }];
-    let out = skyline_query(&reloaded, &sel, &[0, 1], false);
-    assert!(!out.skyline.is_empty());
+    let out = reloaded.run(&sel, &SkylineClass::new(vec![0, 1]));
+    assert!(!out.rows.is_empty());
     // Second roundtrip after maintenance.
     let again = PCubeDb::load_from_bytes(&reloaded.save_to_bytes()).unwrap();
-    let out2 = skyline_query(&again, &sel, &[0, 1], false);
-    assert_eq!(out.skyline.len(), out2.skyline.len());
+    let out2 = again.run(&sel, &SkylineClass::new(vec![0, 1]));
+    assert_eq!(out.rows.len(), out2.rows.len());
 }
 
 #[test]
@@ -78,8 +78,8 @@ fn file_roundtrip() {
     let reloaded = PCubeDb::open(&path).expect("open");
     assert_eq!(reloaded.relation().len(), db.relation().len());
     // String dictionaries survive: selection by name still binds.
-    let out = skyline_query(&reloaded, &Vec::new(), &[0, 1], false);
-    assert!(!out.skyline.is_empty());
+    let out = reloaded.run(&Vec::new(), &SkylineClass::new(vec![0, 1]));
+    assert!(!out.rows.is_empty());
     std::fs::remove_file(&path).ok();
 }
 
@@ -215,10 +215,10 @@ fn quiescent_fault_plan_does_not_perturb_roundtrip() {
     let mut rng = StdRng::seed_from_u64(7);
     for n_preds in 0..=2 {
         let sel = sample_selection(db.relation(), n_preds, &mut rng);
-        let a = skyline_query(&db, &sel, &[0, 1], false);
-        let b = skyline_query(&reloaded, &sel, &[0, 1], false);
-        let mut ta: Vec<u64> = a.skyline.iter().map(|p| p.0).collect();
-        let mut tb: Vec<u64> = b.skyline.iter().map(|p| p.0).collect();
+        let a = db.run(&sel, &SkylineClass::new(vec![0, 1]));
+        let b = reloaded.run(&sel, &SkylineClass::new(vec![0, 1]));
+        let mut ta: Vec<u64> = a.rows.iter().map(|p| p.0).collect();
+        let mut tb: Vec<u64> = b.rows.iter().map(|p| p.0).collect();
         ta.sort_unstable();
         tb.sort_unstable();
         assert_eq!(ta, tb, "skyline mismatch for {sel:?}");

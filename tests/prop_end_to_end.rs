@@ -4,7 +4,9 @@
 //! equal a from-scratch rebuild.
 
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
-use pcube::core::{skyline_query, topk_query, LinearFn, PCubeConfig, PCubeDb, Signature};
+use pcube::core::{
+    LinearFn, PCubeConfig, PCubeDb, ParallelOptions, Signature, SkylineClass, TopKClass,
+};
 use pcube::cube::{group_by, Predicate, Relation, Schema, Selection};
 use pcube::rtree::Path;
 use proptest::prelude::*;
@@ -79,8 +81,9 @@ proptest! {
         let mut expect: Vec<u64> = bnl_skyline(&qualifying, &[0, 1]).iter().map(|p| p.0).collect();
         expect.sort_unstable();
         for eager in [false, true] {
-            let out = skyline_query(&db, &sel, &[0, 1], eager);
-            let mut got: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+            let opts = ParallelOptions { workers: 1, eager_assembly: eager };
+            let out = db.par_run(&sel, &SkylineClass::new(vec![0, 1]), opts);
+            let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
             got.sort_unstable();
             prop_assert_eq!(&got, &expect, "eager={}", eager);
         }
@@ -104,9 +107,9 @@ proptest! {
             .map(|(i, r)| (i as u64, r.coords.clone()))
             .collect();
         let expect = naive_topk(&qualifying, k, &f);
-        let out = topk_query(&db, &sel, k, &f, false);
-        prop_assert_eq!(out.topk.len(), expect.len());
-        for (g, e) in out.topk.iter().zip(&expect) {
+        let out = db.run(&sel, &TopKClass::new(k, &f));
+        prop_assert_eq!(out.rows.len(), expect.len());
+        for (g, e) in out.rows.iter().zip(&expect) {
             prop_assert!((g.2 - e.2).abs() < 1e-9, "score {} vs {}", g.2, e.2);
         }
     }
@@ -133,8 +136,8 @@ proptest! {
             .collect();
         let mut expect: Vec<u64> = bnl_skyline(&qualifying, &[0, 1]).iter().map(|p| p.0).collect();
         expect.sort_unstable();
-        let out = skyline_query(&db, &sel, &[0, 1], false);
-        let mut got: Vec<u64> = out.skyline.iter().map(|p| p.0).collect();
+        let out = db.run(&sel, &SkylineClass::new(vec![0, 1]));
+        let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
         got.sort_unstable();
         prop_assert_eq!(got, expect);
     }

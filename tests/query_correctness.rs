@@ -4,7 +4,9 @@
 
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
 use pcube::baselines::{bbs_skyline, index_merge_topk, ranking_topk, BooleanIndexSet};
-use pcube::core::{skyline_query, topk_query, LinearFn, PCubeConfig, PCubeDb, WeightedDistanceFn};
+use pcube::core::{
+    LinearFn, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass, TopKClass, WeightedDistanceFn,
+};
 use pcube::cube::{MaterializationPlan, Predicate, Selection};
 use pcube::data::{covertype_surrogate, sample_selection, synthetic, Distribution, SyntheticSpec};
 use rand::rngs::StdRng;
@@ -26,9 +28,10 @@ fn sorted_tids(pairs: &[(u64, Vec<f64>)]) -> Vec<u64> {
 fn check_skylines(db: &PCubeDb, sel: &Selection, pref_dims: &[usize]) {
     let oracle = sorted_tids(&bnl_skyline(&qualifying(db, sel), pref_dims));
     for eager in [false, true] {
-        let sig = skyline_query(db, sel, pref_dims, eager);
+        let opts = ParallelOptions { workers: 1, eager_assembly: eager };
+        let sig = db.par_run(sel, &SkylineClass::new(pref_dims.to_vec()), opts);
         assert_eq!(
-            sorted_tids(&sig.skyline),
+            sorted_tids(&sig.rows),
             oracle,
             "signature skyline (eager={eager}) vs oracle, sel {sel:?}"
         );
@@ -52,8 +55,8 @@ fn check_topk(db: &PCubeDb, indexes: &BooleanIndexSet, sel: &Selection, k: usize
                 assert!((g - e).abs() < 1e-9, "{name}: score {g} vs {e}, sel {sel:?}");
             }
         };
-        let sig = topk_query(db, sel, k, f.as_ref(), false);
-        assert_scores("signature", &sig.topk);
+        let sig = db.run(sel, &TopKClass::new(k, f.as_ref()));
+        assert_scores("signature", &sig.rows);
         let (rank, _) = ranking_topk(db, sel, k, f.as_ref());
         assert_scores("ranking", &rank);
         let (merge, _) = index_merge_topk(db, indexes, sel, k, f.as_ref());
@@ -186,11 +189,11 @@ fn impossible_selection_returns_nothing() {
         &PCubeConfig::default(),
     );
     let sel = vec![Predicate { dim: 0, value: 999 }];
-    let out = skyline_query(&db, &sel, &[0, 1, 2], false);
-    assert!(out.skyline.is_empty());
+    let out = db.run(&sel, &SkylineClass::new(vec![0, 1, 2]));
+    assert!(out.rows.is_empty());
     let f = LinearFn::new(vec![1.0, 1.0, 1.0]);
-    let top = topk_query(&db, &sel, 5, &f, false);
-    assert!(top.topk.is_empty());
+    let top = db.run(&sel, &TopKClass::new(5, &f));
+    assert!(top.rows.is_empty());
 }
 
 #[test]
@@ -211,9 +214,9 @@ fn level2_materialization_gives_same_answers() {
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..5 {
         let sel = sample_selection(atomic.relation(), 2, &mut rng);
-        let a = skyline_query(&atomic, &sel, &[0, 1], false);
-        let b = skyline_query(&level2, &sel, &[0, 1], false);
-        assert_eq!(sorted_tids(&a.skyline), sorted_tids(&b.skyline), "sel {sel:?}");
+        let a = atomic.run(&sel, &SkylineClass::new(vec![0, 1]));
+        let b = level2.run(&sel, &SkylineClass::new(vec![0, 1]));
+        assert_eq!(sorted_tids(&a.rows), sorted_tids(&b.rows), "sel {sel:?}");
     }
 }
 
@@ -233,7 +236,7 @@ fn signature_prunes_more_rtree_blocks_than_domination() {
     );
     let mut rng = StdRng::seed_from_u64(8);
     let sel = sample_selection(db.relation(), 1, &mut rng);
-    let sig = skyline_query(&db, &sel, &[0, 1], false);
+    let sig = db.run(&sel, &SkylineClass::new(vec![0, 1]));
     let (_, dom) = bbs_skyline(&db, &sel, &[0, 1]);
     use pcube::storage::IoCategory as C;
     assert!(

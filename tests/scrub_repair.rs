@@ -102,10 +102,10 @@ fn answers(db: &PCubeDb) -> Vec<Vec<(u64, Vec<f64>)>> {
     let f = MinCoordSum::new(vec![0, 1]);
     let mut out = Vec::new();
     for sel in &selections {
-        out.push(skyline_query(db, sel, &[0, 1], false).skyline);
+        out.push(db.run(sel, &SkylineClass::new(vec![0, 1])).rows);
         out.push(
-            topk_query(db, sel, 5, &f, false)
-                .topk
+            db.run(sel, &TopKClass::new(5, &f))
+                .rows
                 .into_iter()
                 .map(|(tid, coords, score)| {
                     let mut c = coords;
@@ -114,10 +114,10 @@ fn answers(db: &PCubeDb) -> Vec<Vec<(u64, Vec<f64>)>> {
                 })
                 .collect(),
         );
-        out.push(dynamic_skyline_query(db, sel, &[0.45, 0.55], &[0, 1]).skyline);
+        out.push(db.run(sel, &DynamicSkylineClass::new(&[0.45, 0.55], vec![0, 1])).rows);
         out.push(
-            convex_hull_query(db, sel, (0, 1))
-                .hull
+            db.run(sel, &HullClass::new((0, 1)))
+                .rows
                 .into_iter()
                 .map(|(tid, xy)| (tid, xy.to_vec()))
                 .collect(),
@@ -329,17 +329,13 @@ fn scrub_runs_concurrently_with_parallel_readers() {
         t.sort_unstable();
         t
     };
-    let want = tid_set(&skyline_query(db.db(), &Vec::new(), &[0, 1], false).skyline);
+    let skyline = SkylineClass::new(vec![0, 1]);
+    let want = tid_set(&db.db().run(&Vec::new(), &skyline).rows);
     std::thread::scope(|s| {
         let reader = s.spawn(|| {
             for _ in 0..8 {
-                let out = par_skyline_query(
-                    db.db(),
-                    &Vec::new(),
-                    &[0, 1],
-                    ParallelOptions::default(),
-                );
-                assert_eq!(tid_set(&out.skyline), want, "reader diverged during scrub");
+                let out = db.db().par_run(&Vec::new(), &skyline, ParallelOptions::default());
+                assert_eq!(tid_set(&out.rows), want, "reader diverged during scrub");
             }
         });
         for _ in 0..4 {

@@ -22,11 +22,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pcube::core::{
-    convex_hull_query, convex_hull_query_governed, dynamic_skyline_query,
-    dynamic_skyline_query_governed, par_skyline_query_governed, par_topk_query_governed,
-    skyline_query, skyline_query_governed, topk_query, topk_query_governed, AdmissionGate,
-    CancelToken, LinearFn, PCubeConfig, PCubeDb, ParallelOptions, Progress, QueryBudget,
-    QueryOutcome, QueryStats, StopReason,
+    AdmissionGate, CancelToken, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb,
+    ParallelOptions, Progress, QueryBudget, QueryOutcome, QueryStats, SkylineClass, StopReason,
+    TopKClass,
 };
 use pcube::cube::Selection;
 use pcube::data::{sample_selection, synthetic, SyntheticSpec};
@@ -79,13 +77,15 @@ fn build_cases(db: &PCubeDb, seed: u64) -> Vec<Case> {
             };
             let oracle = match &query {
                 Query::TopK { sel, k, weights } => Answer::TopK(
-                    topk_query(db, sel, *k, &LinearFn::new(weights.clone()), false).topk,
+                    db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone()))).rows,
                 ),
-                Query::Skyline { sel } => Answer::Skyline(skyline_query(db, sel, &[0, 1], false).skyline),
-                Query::Dynamic { sel, q } => {
-                    Answer::Skyline(dynamic_skyline_query(db, sel, q, &[0, 1]).skyline)
+                Query::Skyline { sel } => {
+                    Answer::Skyline(db.run(sel, &SkylineClass::new(vec![0, 1])).rows)
                 }
-                Query::Hull { sel } => Answer::Hull(convex_hull_query(db, sel, (0, 1)).hull),
+                Query::Dynamic { sel, q } => {
+                    Answer::Skyline(db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1])).rows)
+                }
+                Query::Hull { sel } => Answer::Hull(db.run(sel, &HullClass::new((0, 1))).rows),
             };
             Case { query, oracle }
         })
@@ -261,21 +261,14 @@ fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
     match &case.query {
         Query::TopK { sel, k, weights } => {
             let f = LinearFn::new(weights.clone());
-            let (topk, stats) = if serial {
-                let out = topk_query_governed(db, sel, *k, &f, false, &budget, cancel.as_ref());
-                (out.topk, out.stats)
+            let class = TopKClass::new(*k, &f);
+            let out = if serial {
+                db.run_governed(sel, &class, &budget, cancel.as_ref())
             } else {
-                let out = par_topk_query_governed(
-                    db,
-                    sel,
-                    *k,
-                    &f,
-                    ParallelOptions::with_workers(workers),
-                    &budget,
-                    cancel.as_ref(),
-                );
-                (out.topk, out.stats)
+                let opts = ParallelOptions::with_workers(workers);
+                db.par_run_governed(sel, &class, opts, &budget, cancel.as_ref())
             };
+            let (topk, stats) = (out.rows, out.stats);
             check_progress(i, &stats, topk.len(), serial, true);
             match &stats.outcome {
                 QueryOutcome::Complete => {
@@ -301,20 +294,14 @@ fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
             tally.record(&stats.outcome);
         }
         Query::Skyline { sel } => {
-            let (sky, stats) = if serial {
-                let out = skyline_query_governed(db, sel, &[0, 1], false, &budget, cancel.as_ref());
-                (out.skyline, out.stats)
+            let class = SkylineClass::new(vec![0, 1]);
+            let out = if serial {
+                db.run_governed(sel, &class, &budget, cancel.as_ref())
             } else {
-                let out = par_skyline_query_governed(
-                    db,
-                    sel,
-                    &[0, 1],
-                    ParallelOptions::with_workers(workers),
-                    &budget,
-                    cancel.as_ref(),
-                );
-                (out.skyline, out.stats)
+                let opts = ParallelOptions::with_workers(workers);
+                db.par_run_governed(sel, &class, opts, &budget, cancel.as_ref())
             };
+            let (sky, stats) = (out.rows, out.stats);
             check_progress(i, &stats, sky.len(), serial, true);
             match &stats.outcome {
                 QueryOutcome::Complete => {
@@ -344,12 +331,13 @@ fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
         Query::Dynamic { sel, q } => {
             // Serial only (the parallel mode maps dynamic cases here too —
             // governance still applies, just on one thread).
-            let out = dynamic_skyline_query_governed(db, sel, q, &[0, 1], &budget, cancel.as_ref());
-            check_progress(i, &out.stats, out.skyline.len(), true, true);
+            let class = DynamicSkylineClass::new(q, vec![0, 1]);
+            let out = db.run_governed(sel, &class, &budget, cancel.as_ref());
+            check_progress(i, &out.stats, out.rows.len(), true, true);
             match &out.stats.outcome {
                 QueryOutcome::Complete => {
                     assert_eq!(
-                        Answer::Skyline(out.skyline),
+                        Answer::Skyline(out.rows),
                         case.oracle,
                         "query {i}: complete dynamic skyline"
                     );
@@ -357,7 +345,7 @@ fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
                 QueryOutcome::Partial { reason, .. } => {
                     assert_reason_allowed(i, *reason, &allowed);
                     let Answer::Skyline(full) = &case.oracle else { panic!("oracle kind") };
-                    for p in &out.skyline {
+                    for p in &out.rows {
                         assert!(full.contains(p), "query {i}: partial dynamic skyline ⊆ full");
                     }
                 }
@@ -365,11 +353,11 @@ fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
             tally.record(&out.stats.outcome);
         }
         Query::Hull { sel } => {
-            let out = convex_hull_query_governed(db, sel, (0, 1), &budget, cancel.as_ref());
-            check_progress(i, &out.stats, out.hull.len(), true, false);
+            let out = db.run_governed(sel, &HullClass::new((0, 1)), &budget, cancel.as_ref());
+            check_progress(i, &out.stats, out.rows.len(), true, false);
             match &out.stats.outcome {
                 QueryOutcome::Complete => {
-                    assert_eq!(Answer::Hull(out.hull), case.oracle, "query {i}: complete hull");
+                    assert_eq!(Answer::Hull(out.rows), case.oracle, "query {i}: complete hull");
                 }
                 QueryOutcome::Partial { reason, .. } => {
                     // A partial hull carries no membership guarantee (it is

@@ -1,6 +1,6 @@
 //! The SQL front end must produce exactly what the programmatic API does.
 
-use pcube::core::{skyline_query, topk_query, PCubeConfig, PCubeDb, WeightedDistanceFn};
+use pcube::core::{PCubeConfig, PCubeDb, SkylineClass, TopKClass, WeightedDistanceFn};
 use pcube::cube::{Relation, Schema};
 use pcube::sql;
 use rand::rngs::StdRng;
@@ -29,9 +29,9 @@ fn sql_skyline_matches_api() {
     )
     .unwrap();
     let sel = db.selection(&[("type", "sedan"), ("color", "red")]);
-    let api = skyline_query(&db, &sel, &[0, 1], false);
+    let api = db.run(&sel, &SkylineClass::new(vec![0, 1]));
     let mut a: Vec<u64> = out.rows.iter().map(|r| r.tid).collect();
-    let mut b: Vec<u64> = api.skyline.iter().map(|p| p.0).collect();
+    let mut b: Vec<u64> = api.rows.iter().map(|p| p.0).collect();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
@@ -54,9 +54,9 @@ fn sql_topk_matches_api() {
     .unwrap();
     let sel = db.selection(&[("type", "suv")]);
     let f = WeightedDistanceFn::new(vec![0.25, 0.4], vec![1.0, 0.5]);
-    let api = topk_query(&db, &sel, 7, &f, false);
-    assert_eq!(out.rows.len(), api.topk.len());
-    for (row, (tid, _, score)) in out.rows.iter().zip(&api.topk) {
+    let api = db.run(&sel, &TopKClass::new(7, &f));
+    assert_eq!(out.rows.len(), api.rows.len());
+    for (row, (tid, _, score)) in out.rows.iter().zip(&api.rows) {
         assert_eq!(row.tid, *tid);
         assert!((row.score.unwrap() - score).abs() < 1e-12);
     }
