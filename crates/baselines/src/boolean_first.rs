@@ -7,6 +7,9 @@
 //! skylines, a full sort for top-k) — boolean pruning only, no preference
 //! pruning against the indexes.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use pcube_bptree::{composite_key, BPlusTree};
 use pcube_core::{CancelToken, PCubeDb, QueryBudget, QueryStats, RankingFunction};
 use pcube_cube::{normalize, Relation, Selection};
@@ -29,27 +32,49 @@ pub enum SelectRoute {
     Scan,
 }
 
-/// One B+-tree per boolean dimension, keyed by `(value, tid)` composites,
-/// plus per-value row counts (the catalog statistics the optimizer's
-/// index-vs-scan decision is based on).
+/// One B+-tree per boolean dimension, keyed by `(value, tid)` composites
+/// over the live rows, plus per-value row counts (the catalog statistics the
+/// optimizer's index-vs-scan decision is based on).
+///
+/// [`BooleanIndexSet::of`] is the set a database keeps for its current
+/// version; [`BooleanIndexSet::build`] is the constructor behind it.
 pub struct BooleanIndexSet {
     trees: Vec<BPlusTree>,
-    value_counts: Vec<std::collections::HashMap<u32, u64>>,
+    value_counts: Vec<HashMap<u32, u64>>,
 }
 
 impl BooleanIndexSet {
-    /// Bulk loads an index for every boolean dimension of `relation`,
-    /// charging page writes to `page_size`-sized B+-tree pages on the
-    /// relation's ledger.
+    /// The indexes of this version of `db`, at the database's page size:
+    /// built on first use and shared — by every statement, session and
+    /// snapshot — until the next insert or delete ([`PCubeDb::derived`]).
+    /// They stay in memory that long: [`Self::size_bytes`], ~230 B per tuple
+    /// at twelve boolean dimensions.
+    pub fn of(db: &PCubeDb) -> Arc<BooleanIndexSet> {
+        db.derived(|db| {
+            Self::build(db.relation(), db.rtree().pager().page_size(), db.stats().clone())
+        })
+    }
+
+    /// Bulk loads an index over the live rows of every boolean dimension of
+    /// `relation`, charging page writes to `page_size`-sized B+-tree pages
+    /// on the given ledger.
+    ///
+    /// # Panics
+    /// Panics if the relation has more than 2³² rows: the composite key
+    /// holds a tid in 32 bits, and a wider one would alias another row.
     pub fn build(relation: &Relation, page_size: usize, stats: pcube_storage::SharedStats) -> Self {
-        let n = relation.len() as u64;
+        assert!(
+            relation.len() as u64 <= 1 << 32,
+            "boolean indexes key tids in 32 bits; the relation has {} rows",
+            relation.len()
+        );
         let mut value_counts = Vec::new();
         let trees = (0..relation.schema().n_bool())
             .map(|dim| {
-                let mut counts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-                let mut entries: Vec<(u64, u64)> = (0..n)
-                    .map(|tid| {
-                        let v = relation.bool_code(tid, dim);
+                let mut counts: HashMap<u32, u64> = HashMap::new();
+                let mut entries: Vec<(u64, u64)> = relation
+                    .live_bool_column(dim)
+                    .map(|(tid, v)| {
                         *counts.entry(v).or_default() += 1;
                         (composite_key(v, tid as u32), 1)
                     })
@@ -66,7 +91,8 @@ impl BooleanIndexSet {
         BooleanIndexSet { trees, value_counts }
     }
 
-    /// Exact number of rows with `A_dim = value` (catalog statistic; free).
+    /// Exact number of live rows with `A_dim = value` (catalog statistic;
+    /// free).
     pub fn value_count(&self, dim: usize, value: u32) -> u64 {
         self.value_counts[dim].get(&value).copied().unwrap_or(0)
     }
@@ -90,6 +116,24 @@ impl BooleanIndexSet {
         self.trees[dim].get(composite_key(value, tid as u32)).is_some()
     }
 
+    /// What the index route is predicted to read for a normalized, non-empty
+    /// `selection`, from the catalog's exact per-value counts (independence
+    /// assumed across predicates): `(B+-tree pages, tuple fetches)` — each
+    /// predicate's leaf range plus its descent, then one random fetch per
+    /// estimated final match.
+    pub(crate) fn index_route_estimate(&self, relation: &Relation, selection: &Selection) -> (f64, f64) {
+        let t = relation.live_len() as f64;
+        let mut index_pages = 0.0;
+        let mut match_frac = 1.0;
+        for p in selection {
+            let c = self.value_count(p.dim, p.value) as f64;
+            let leaf_cap = self.trees[p.dim].leaf_capacity() as f64;
+            index_pages += (c / leaf_cap).ceil() + 2.0; // range + descent
+            match_frac *= c / t.max(1.0);
+        }
+        (index_pages, t * match_frac)
+    }
+
     /// Selects the tids satisfying `selection` and returns their
     /// coordinates, routing per `route` (see [`SelectRoute`]). An empty
     /// selection always table-scans.
@@ -103,33 +147,25 @@ impl BooleanIndexSet {
         let relation = db.relation();
         let selection = normalize(selection);
         let use_index = !selection.is_empty() && route != SelectRoute::Scan && (route == SelectRoute::Index || {
-            // Cost the two routes from the catalog's exact per-value counts
-            // (independence assumed across predicates). Index route: scan
-            // each predicate's leaf range, then one random fetch per
-            // estimated final match; scan route: every heap page once.
-            let t = relation.len() as f64;
-            let leaf_cap = 255.0; // 4 KB leaf, 16 B entries
-            let mut index_pages = 0.0;
-            let mut match_frac = 1.0;
-            for p in &selection {
-                let c = self.value_count(p.dim, p.value) as f64;
-                index_pages += (c / leaf_cap).ceil() + 2.0; // range + descent
-                match_frac *= c / t.max(1.0);
-            }
-            let matches_est = t * match_frac;
+            // Index route: random page reads; scan route: every heap page
+            // once, sequentially.
+            let (index_pages, matches_est) = self.index_route_estimate(relation, &selection);
             let index_cost = (index_pages + matches_est) * cost.random_page_seconds;
             let scan_cost = relation.heap_pages() as f64 * cost.sequential_page_seconds;
             index_cost < scan_cost
         });
         if use_index {
-            // Intersect ascending tid lists.
+            // Intersect the ascending tid lists, shortest first, by merging.
             let mut lists: Vec<Vec<u64>> =
                 selection.iter().map(|p| self.lookup(p.dim, p.value)).collect();
             lists.sort_by_key(Vec::len);
             let mut current = lists.remove(0);
-            for other in lists {
-                let set: std::collections::HashSet<u64> = other.into_iter().collect();
-                current.retain(|t| set.contains(t));
+            for other in &lists {
+                let mut rest = other.iter().peekable();
+                current.retain(|tid| {
+                    while rest.next_if(|&o| o < tid).is_some() {}
+                    rest.peek() == Some(&tid)
+                });
             }
             // Fetch coordinates by random access (counted per tuple).
             current

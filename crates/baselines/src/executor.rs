@@ -36,24 +36,17 @@ impl<'a> BooleanFirstExecutor<'a> {
     }
 
     /// Chooses index vs scan by predicted block accesses, from the same
-    /// catalog counts `BooleanIndexSet::select` costs with: the index
-    /// route reads each predicate's leaf range plus one fetch per
-    /// estimated match, the scan route reads every heap page.
+    /// estimate `BooleanIndexSet::select` costs in seconds: the index route
+    /// reads each predicate's leaf range plus one fetch per estimated match,
+    /// the scan route reads every heap page.
     fn block_route(&self, db: &PCubeDb, selection: &Selection) -> SelectRoute {
         let selection = normalize(selection);
         if selection.is_empty() {
             return SelectRoute::Scan;
         }
-        let t = db.relation().len() as f64;
-        let leaf_cap = 255.0; // 4 KB leaf, 16 B entries
-        let mut index_pages = 0.0;
-        let mut match_frac = 1.0;
-        for p in &selection {
-            let c = self.indexes.value_count(p.dim, p.value) as f64;
-            index_pages += (c / leaf_cap).ceil() + 2.0;
-            match_frac *= c / t.max(1.0);
-        }
-        if index_pages + t * match_frac < db.relation().heap_pages() as f64 {
+        let (index_pages, matches_est) =
+            self.indexes.index_route_estimate(db.relation(), &selection);
+        if index_pages + matches_est < db.relation().heap_pages() as f64 {
             SelectRoute::Index
         } else {
             SelectRoute::Scan

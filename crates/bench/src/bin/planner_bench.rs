@@ -190,8 +190,8 @@ fn main() {
         .map(|d| relation.bool_column(d).collect())
         .collect();
     let db = PCubeDb::build(relation, &PCubeConfig::default());
-    let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
-    let planner = Planner::new(&db);
+    let indexes = BooleanIndexSet::of(&db);
+    let planner = db.planner();
 
     let boolean = BooleanFirstExecutor::new(&indexes);
     let merge = IndexMergeExecutor::new(&indexes);

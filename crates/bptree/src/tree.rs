@@ -241,6 +241,11 @@ impl BPlusTree {
         self.height
     }
 
+    /// Maximum number of entries one leaf page of this tree holds.
+    pub fn leaf_capacity(&self) -> usize {
+        self.leaf_cap
+    }
+
     /// The pager backing this tree (for size/I-O accounting).
     pub fn pager(&self) -> &Pager {
         &self.pager

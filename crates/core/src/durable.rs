@@ -696,6 +696,7 @@ impl CheckpointImage {
             self.dir.to_pager(StoreKind::Directory, IoCategory::BptreePage, stats.clone())?;
         let config = RTreeConfig::explicit(dims, m_min, m_max);
         let rtree = RTree::from_parts(rtree_pager, config, root, height, len);
+        persist::restore_live_rows(&mut relation, &rtree)?;
         let directory = BPlusTree::from_parts(dir_pager, d_root, d_height, d_len);
         let store = SignatureStore::from_parts(sig_pager, directory, s_m_max, s_height);
         Ok((
@@ -705,6 +706,7 @@ impl CheckpointImage {
                 pcube: PCube { registry: Arc::new(registry), store, cuboids },
                 stats,
                 admission: None,
+                derived: Default::default(),
             },
             v1 + v2 + v3,
         ))
@@ -771,9 +773,6 @@ pub struct DurableDb {
     commits_since_checkpoint: u64,
     /// Pages dirtied since the last checkpoint, per store.
     ckpt_dirty: [BTreeSet<u32>; 3],
-    /// Live (not deleted) tuple ids — upfront validation so a malformed
-    /// batch is rejected *before* any WAL append or page mutation.
-    live: HashSet<u64>,
     /// File mode: the directory holding `checkpoint.pcube` + `wal.pcube`.
     dir: Option<PathBuf>,
     /// File mode: durable WAL bytes already appended to the log file.
@@ -796,7 +795,6 @@ impl DurableDb {
         master.pcube.store.sig_pager_mut().clear_dirty();
         master.pcube.store.dir_pager_mut().clear_dirty();
         let image = CheckpointImage::capture(&master, 1, 0, 1, 1);
-        let live = (0..master.relation.len() as u64).collect();
         let master = Arc::new(master);
         let snapshot = Arc::new(EpochSnapshot { epoch: 1, db: Arc::clone(&master) });
         let mut wal = Wal::new();
@@ -816,7 +814,6 @@ impl DurableDb {
             commits_since_sync: 0,
             commits_since_checkpoint: 0,
             ckpt_dirty: [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()],
-            live,
             dir: None,
             file_synced: 0,
             publishes: 0,
@@ -954,11 +951,6 @@ impl DurableDb {
         ckpt_dirty[2]
             .extend(master.pcube.store.dir_pager_mut().take_dirty().into_iter().map(|p| p.0));
 
-        let mut live: HashSet<u64> = HashSet::new();
-        master.rtree.for_each_tuple(|tid, _, _| {
-            live.insert(tid);
-        });
-
         let report = RecoveryReport {
             clean: txns_replayed == 0 && txns_dropped == 0 && replay.torn_tail_bytes == 0,
             checkpoint_epoch: image.epoch,
@@ -1004,7 +996,6 @@ impl DurableDb {
             commits_since_sync: 0,
             commits_since_checkpoint: 0,
             ckpt_dirty,
-            live,
             dir: None,
             file_synced: 0,
             publishes: 0,
@@ -1050,7 +1041,7 @@ impl DurableDb {
 
     /// Live (not deleted) tuple count.
     pub fn live_tuples(&self) -> usize {
-        self.live.len()
+        self.master.relation.live_len()
     }
 
     /// WAL activity counters.
@@ -1267,12 +1258,9 @@ impl DurableDb {
         for op in ops {
             let touches = match op {
                 MaintenanceOp::Insert { codes, coords } => {
-                    let (tid, touches) = self.master_mut().insert_coded_tracked(codes, coords);
-                    self.live.insert(tid);
-                    touches
+                    self.master_mut().insert_coded_tracked(codes, coords).1
                 }
                 MaintenanceOp::Delete { tid } => {
-                    self.live.remove(tid);
                     // `validate` checked liveness upfront and the master is
                     // single-writer, so a miss here means the master already
                     // diverged from the redo records in the WAL tail — state
@@ -1658,7 +1646,7 @@ impl DurableDb {
                             ),
                         });
                     }
-                    if !self.live.contains(tid) || !deleted.insert(*tid) {
+                    if !self.master.relation.is_live(*tid) || !deleted.insert(*tid) {
                         return Err(DurabilityError::InvalidOp {
                             cause: format!("delete of dead tuple {tid}"),
                         });
@@ -2313,12 +2301,7 @@ mod tests {
             });
         }
         // Delete an old live tuple deterministically.
-        let victim = db
-            .live
-            .iter()
-            .copied()
-            .filter(|&t| t < db.master.relation.len() as u64)
-            .min();
+        let victim = db.master.relation.live_bool_column(0).map(|(tid, _)| tid).next();
         if let Some(tid) = victim {
             ops.push(MaintenanceOp::Delete { tid });
         }

@@ -1,8 +1,9 @@
 //! Building the P-Cube, answering probe requests, and incremental
 //! maintenance (§IV, §IV-B.3).
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use pcube_cube::{
     group_by, normalize, CellKey, CellRegistry, CuboidMask, MaterializationPlan, Predicate,
@@ -316,6 +317,11 @@ impl PCube {
     }
 }
 
+/// One lazily built value per type; see [`PCubeDb::derived`]. The cell is
+/// what a snapshot shares and what makes a build single-flight: the map lock
+/// is held only to find it.
+type DerivedSlots = HashMap<TypeId, Arc<OnceLock<Arc<dyn Any + Send + Sync>>>>;
+
 /// A complete P-Cube database: base relation, shared R-tree partition,
 /// signature cube, and one I/O ledger across all of them.
 ///
@@ -327,6 +333,10 @@ pub struct PCubeDb {
     pub(crate) pcube: PCube,
     pub(crate) stats: SharedStats,
     pub(crate) admission: Option<crate::admission::AdmissionGate>,
+    /// Data derived from this version of the rows ([`PCubeDb::derived`]).
+    /// A snapshot copies the map, sharing its cells; a row change clears it
+    /// in place — a map nobody filled costs the write path no allocation.
+    pub(crate) derived: Mutex<DerivedSlots>,
 }
 
 impl PCubeDb {
@@ -340,7 +350,7 @@ impl PCubeDb {
             (0..relation.len() as u64).map(|t| (t, relation.pref_coords(t))).collect();
         let rtree = RTree::bulk_load(rtree_pager, rtree_cfg, items, config.rtree_fill);
         let pcube = PCube::build(&relation, &rtree, &config.plan, config.page_size, stats.clone());
-        PCubeDb { relation, rtree, pcube, stats, admission: None }
+        PCubeDb { relation, rtree, pcube, stats, admission: None, derived: Mutex::default() }
     }
 
     /// The base relation.
@@ -367,6 +377,32 @@ impl PCubeDb {
     /// The shared I/O ledger.
     pub fn stats(&self) -> &SharedStats {
         &self.stats
+    }
+
+    /// The one `T` derived from this version of the database: built by
+    /// `build` on first use, then shared — by later calls and by every
+    /// [`PCubeDb::clone_snapshot`] (so every published epoch) taken since —
+    /// until the next insert or delete on this value drops it. Nothing else
+    /// drops it: not scrub, repair, checkpoints, fault plans or read
+    /// latencies, which leave rows and R-tree shape alone.
+    ///
+    /// `build` must therefore be a pure function of the live rows and the
+    /// R-tree's shape, the same for every caller of one `T`. Concurrent
+    /// first uses build once; the others wait for it. The §VI catalog
+    /// ([`PCubeDb::planner`]) and the baselines' boolean B+-tree indexes are
+    /// the tenants — keyed by type because the latter's type lives in a
+    /// crate above this one.
+    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce(&PCubeDb) -> T) -> Arc<T> {
+        let cell = Arc::clone(self.derived_slots().entry(TypeId::of::<T>()).or_default());
+        let value = cell.get_or_init(|| Arc::new(build(self)));
+        // invariant: the cell was found under `TypeId::of::<T>()`.
+        Arc::clone(value).downcast().expect("derived slot holds the type it is keyed by")
+    }
+
+    /// Poison-proof: the map only ever gains an empty cell or loses all of
+    /// them, so whatever a panicking holder left behind is valid.
+    fn derived_slots(&self) -> MutexGuard<'_, DerivedSlots> {
+        self.derived.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Runs an online, budget-limited integrity scrub over the signature
@@ -450,6 +486,7 @@ impl PCubeDb {
     }
 
     fn finish_insert(&mut self, tid: u64, coords: &[f64]) -> Vec<SigTouch> {
+        self.derived_slots().clear();
         let delta = self.rtree.insert_tracked(tid, coords);
         self.pcube.apply_delta(&self.relation, &delta, self.rtree.height())
     }
@@ -457,9 +494,9 @@ impl PCubeDb {
     /// Deletes tuple `tid`: removes it from the R-tree partition and clears
     /// its path bit from every affected cell signature (§VIII, the deletion
     /// half of incremental maintenance). The relation row is retained as a
-    /// tombstone — tids stay stable — but the tuple vanishes from every
-    /// query result. Returns `false` if `tid` is out of range or already
-    /// deleted.
+    /// tombstone — tids stay stable — and leaves the relation's live set, so
+    /// the tuple vanishes from every engine's results. Returns `false` if
+    /// `tid` is out of range or already deleted.
     pub fn delete(&mut self, tid: u64) -> bool {
         self.delete_tracked(tid).is_some()
     }
@@ -471,6 +508,8 @@ impl PCubeDb {
         }
         let coords = self.relation.pref_coords(tid);
         let path = self.rtree.delete_tracked(tid, &coords)?;
+        self.relation.mark_deleted(tid);
+        self.derived_slots().clear();
         let delta = PathDelta { removed: Some((tid, path)), ..PathDelta::default() };
         Some(self.pcube.apply_delta(&self.relation, &delta, self.rtree.height()))
     }
@@ -481,7 +520,8 @@ impl PCubeDb {
     /// regardless of database size — the writer re-owns only the pages and
     /// column chunks it actually dirties afterwards. Only the I/O ledger is
     /// shared (snapshot reads keep being charged to the database's cost
-    /// accounting). The admission gate is *not* carried over — snapshot
+    /// accounting), and so is the derived data ([`PCubeDb::derived`]) built
+    /// so far. The admission gate is *not* carried over — snapshot
     /// readers are admitted by the live database, not by its frozen copies.
     pub fn clone_snapshot(&self) -> PCubeDb {
         PCubeDb {
@@ -490,6 +530,7 @@ impl PCubeDb {
             pcube: self.pcube.clone(),
             stats: self.stats.clone(),
             admission: None,
+            derived: Mutex::new(self.derived_slots().clone()),
         }
     }
 }

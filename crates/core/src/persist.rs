@@ -376,6 +376,17 @@ pub(crate) fn read_relation_payload(r: &mut Reader<'_>) -> Result<Relation, Pers
     Ok(relation)
 }
 
+/// Makes live exactly the rows the R-tree holds. An image stores every row
+/// ever appended and no live set: a deleted row is the one the tree no
+/// longer indexes.
+pub(crate) fn restore_live_rows(relation: &mut Relation, rtree: &RTree) -> Result<(), PersistError> {
+    let mut tids = Vec::new();
+    rtree.for_each_tuple(|tid, _, _| tids.push(tid));
+    relation.restore_live(tids).or_else(|tid| {
+        fail("rtree", 0, format!("the R-tree indexes tuple {tid}, which is not a row of the relation"))
+    })
+}
+
 /// Serializes the cube metadata (cuboid list + cell registry in code order)
 /// into `payload` — the body of the `cube` section, shared with the durable
 /// checkpoint image.
@@ -521,6 +532,7 @@ impl PCubeDb {
         r.finish()?;
         let config = RTreeConfig::explicit(dims, m_min, m_max);
         let rtree = RTree::from_parts(pager, config, root, height, len);
+        restore_live_rows(&mut relation, &rtree)?;
 
         // --- cube ---
         let mut r = open_section(image, &mut pos, TAG_CUBE, "cube")?;
@@ -551,6 +563,7 @@ impl PCubeDb {
             // Admission control is runtime configuration, not data: a
             // reopened database starts ungated.
             admission: None,
+            derived: Default::default(),
         })
     }
 

@@ -207,13 +207,16 @@ impl Executor for PCubeExecutor {
 }
 
 /// B+-tree leaf fanout assumed by the boolean-first route model (4 KB
-/// leaves of 16-byte entries) — the same constant
-/// `BooleanIndexSet::select` routes with.
+/// leaves of 16-byte entries; `BooleanIndexSet` routes with the capacity of
+/// the trees it actually built, which is this at the default page size).
 const BPTREE_LEAF_CAP: f64 = 255.0;
 
-/// The §VI cost-based planner. Build once per database (it scans the
-/// boolean columns in memory to collect the exact per-value counts the
-/// signature leaves encode); estimate/choose are then catalog-only.
+/// The §VI cost-based planner: the catalog statistics of one version of a
+/// database. [`PCubeDb::planner`] is the way to get one — built on first
+/// use, shared until the next insert or delete; [`Planner::new`] is the
+/// constructor behind it (it scans the boolean columns in memory to collect
+/// the exact per-value counts the signature leaves encode). Estimate and
+/// choose are catalog-only.
 pub struct Planner {
     n: f64,
     heap_pages: f64,
@@ -226,22 +229,24 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Collects planning statistics from `db` (no counted I/O: column
-    /// scans run on the in-memory relation, tree shapes are metadata).
+    /// Collects planning statistics from `db`'s live rows (no counted I/O:
+    /// column scans run on the in-memory relation, tree shapes are
+    /// metadata). Tombstones count towards the heap pages a scan reads and
+    /// towards nothing else.
     pub fn new(db: &PCubeDb) -> Self {
         let relation = db.relation();
         let n_bool = relation.schema().n_bool();
         let value_counts = (0..n_bool)
             .map(|dim| {
                 let mut counts: HashMap<u32, u64> = HashMap::new();
-                for v in relation.bool_column(dim) {
+                for (_, v) in relation.live_bool_column(dim) {
                     *counts.entry(v).or_default() += 1;
                 }
                 counts
             })
             .collect();
         let fanout = db.rtree().m_max().max(2) as f64;
-        let n = relation.len() as f64;
+        let n = relation.live_len() as f64;
         Planner {
             n,
             heap_pages: relation.heap_pages() as f64,
@@ -531,6 +536,12 @@ fn plan_over<'e, C: QueryClass>(
 }
 
 impl PCubeDb {
+    /// The §VI catalog of this version of the database: built on first use
+    /// and shared until the next insert or delete ([`PCubeDb::derived`]).
+    pub fn planner(&self) -> std::sync::Arc<Planner> {
+        self.derived(Planner::new)
+    }
+
     /// Plans and runs a top-k query over the engines of §VI-A: estimates
     /// each registered executor's block accesses
     /// ([`Planner::choose_class_governed`] — an engine predicted to overrun
@@ -678,7 +689,7 @@ mod tests {
     #[test]
     fn selectivity_uses_exact_counts() {
         let db = db(1000);
-        let planner = Planner::new(&db);
+        let planner = db.planner();
         let sel = vec![Predicate { dim: 0, value: 0 }];
         let sigma = planner.selectivity(&sel);
         assert!((sigma - 0.9).abs() < 1e-9, "σ = {sigma}");
@@ -690,7 +701,7 @@ mod tests {
     #[test]
     fn estimates_are_finite_and_positive() {
         let db = db(500);
-        let planner = Planner::new(&db);
+        let planner = db.planner();
         let f = crate::rank::MinCoordSum::all(2);
         for sel in [Vec::new(), vec![Predicate { dim: 0, value: 1 }]] {
             let estimates = planner
@@ -707,7 +718,7 @@ mod tests {
     #[test]
     fn crossover_selective_to_baseline_unselective_to_pcube() {
         let db = db(2000);
-        let planner = Planner::new(&db);
+        let planner = db.planner();
         let all = [
             EngineKind::PCube,
             EngineKind::BooleanFirst,
@@ -731,7 +742,7 @@ mod tests {
     #[test]
     fn budget_fallback_substitutes_the_cheapest_fitting_engine() {
         let db = db(2000);
-        let planner = Planner::new(&db);
+        let planner = db.planner();
         let all = [
             EngineKind::PCube,
             EngineKind::BooleanFirst,
@@ -781,7 +792,7 @@ mod tests {
     #[test]
     fn plan_and_run_matches_direct_engines() {
         let db = db(800);
-        let planner = Planner::new(&db);
+        let planner = db.planner();
         let budget = QueryBudget::unlimited();
         let pcube = PCubeExecutor;
         let execs: Vec<&dyn Executor> = vec![&pcube];
@@ -805,7 +816,7 @@ mod tests {
     #[test]
     fn plan_and_run_class_matches_direct_run() {
         let db = db(800);
-        let planner = Planner::new(&db);
+        let planner = db.planner();
         let budget = QueryBudget::unlimited();
         let sel = vec![Predicate { dim: 1, value: 2 }];
 

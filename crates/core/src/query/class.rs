@@ -1130,7 +1130,7 @@ mod tests {
             );
             assert_eq!(db.stats().total_reads(), reads_before, "{} via {entry}", class.name());
         };
-        let planner = Planner::new(db);
+        let planner = db.planner();
         let sel: Selection = vec![Predicate { dim: 0, value: 1 }];
         let budget = QueryBudget::unlimited();
         refused("run", &|| drop(db.run(&sel, class)));

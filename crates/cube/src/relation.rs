@@ -49,6 +49,13 @@ impl<T: Copy> ChunkedCol<T> {
         self.len += 1;
     }
 
+    /// Overwrites element `i`, re-owning the spine and the one chunk that
+    /// holds it if a clone still shares them.
+    fn set(&mut self, i: usize, v: T) {
+        let chunks = Arc::make_mut(&mut self.chunks);
+        Arc::make_mut(&mut chunks[i / CHUNK_ROWS])[i % CHUNK_ROWS] = v;
+    }
+
     fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.chunks.iter().flat_map(|c| c.iter().copied())
     }
@@ -73,6 +80,11 @@ impl<T: Copy> ChunkedCol<T> {
 /// * [`Relation::scan`] — a full table scan charging one
 ///   [`IoCategory::HeapScan`] per heap page (the table-scan alternative of
 ///   the boolean-first baseline).
+///
+/// Rows are never removed — tids stay stable — so a deleted row stays in the
+/// columns as a tombstone and the *live set* says which rows still exist:
+/// [`Relation::scan`], [`Relation::live_bool_column`] and everything built
+/// on them (the boolean indexes, the planner's catalog) see live rows only.
 #[derive(Clone)]
 pub struct Relation {
     /// Shared, not deep-cloned: the schema is immutable after construction
@@ -83,6 +95,10 @@ pub struct Relation {
     dictionaries: Arc<Vec<Dictionary>>,
     bool_cols: Vec<ChunkedCol<u32>>,
     pref_cols: Vec<ChunkedCol<f64>>,
+    /// `live[tid]` is `false` once row `tid` was deleted. Copy-on-write like
+    /// the columns, so an epoch snapshot keeps the set it was taken with.
+    live: ChunkedCol<bool>,
+    n_live: usize,
     page_size: usize,
     stats: Option<SharedStats>,
 }
@@ -97,6 +113,8 @@ impl Relation {
             dictionaries: Arc::new(vec![Dictionary::new(); nb]),
             bool_cols: vec![ChunkedCol::new(); nb],
             pref_cols: vec![ChunkedCol::new(); np],
+            live: ChunkedCol::new(),
+            n_live: 0,
             page_size: pcube_storage::PAGE_SIZE,
             stats: None,
         }
@@ -157,9 +175,58 @@ impl Relation {
                 .sum::<usize>()
     }
 
-    /// Number of rows; row ids (tids) are `0..len`.
+    /// Number of rows ever appended, tombstones included; row ids (tids)
+    /// are `0..len`.
     pub fn len(&self) -> usize {
         self.pref_cols[0].len()
+    }
+
+    /// Number of rows not deleted.
+    pub fn live_len(&self) -> usize {
+        self.n_live
+    }
+
+    /// `true` if row `tid` exists and was not deleted.
+    pub fn is_live(&self, tid: u64) -> bool {
+        (tid as usize) < self.len() && self.live.get(tid as usize)
+    }
+
+    /// Marks row `tid` deleted. Returns `false` if it is out of range or
+    /// already deleted.
+    pub fn mark_deleted(&mut self, tid: u64) -> bool {
+        if !self.is_live(tid) {
+            return false;
+        }
+        self.live.set(tid as usize, false);
+        self.n_live -= 1;
+        true
+    }
+
+    /// Replaces the live set by exactly `tids` (persistence restore: images
+    /// store every row, and the R-tree's tuple set says which are live).
+    /// `Err` carries the first tid that is not a row of this relation.
+    pub fn restore_live(&mut self, tids: impl IntoIterator<Item = u64>) -> Result<(), u64> {
+        let mut flags = vec![false; self.len()];
+        let mut n_live = 0;
+        for tid in tids {
+            let flag = flags.get_mut(tid as usize).ok_or(tid)?;
+            n_live += usize::from(!std::mem::replace(flag, true));
+        }
+        let mut live = ChunkedCol::new();
+        for flag in flags {
+            live.push(flag);
+        }
+        self.live = live;
+        self.n_live = n_live;
+        Ok(())
+    }
+
+    /// `(tid, code)` of boolean dimension `dim` for every live row, in tid
+    /// order.
+    pub fn live_bool_column(&self, dim: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
+        (0u64..)
+            .zip(self.bool_cols[dim].iter().zip(self.live.iter()))
+            .filter_map(|(tid, (code, live))| live.then_some((tid, code)))
     }
 
     /// `true` if the relation has no rows.
@@ -180,6 +247,8 @@ impl Relation {
         for (col, &v) in self.pref_cols.iter_mut().zip(pref_coords) {
             col.push(v);
         }
+        self.live.push(true);
+        self.n_live += 1;
         (self.len() - 1) as u64
     }
 
@@ -242,8 +311,8 @@ impl Relation {
     }
 
     /// Scans the whole table, charging one sequential heap-page read per
-    /// [`Relation::tuples_per_page`] rows, yielding tids matching
-    /// `selection`.
+    /// [`Relation::tuples_per_page`] rows (tombstones still occupy their
+    /// heap slots), yielding the live tids matching `selection`.
     pub fn scan<'a>(&'a self, selection: &'a Selection) -> impl Iterator<Item = u64> + 'a {
         let per_page = self.tuples_per_page() as u64;
         // Page accounting is per iterator, so interleaved scans each charge
@@ -257,7 +326,7 @@ impl Relation {
                     stats.record_reads(IoCategory::HeapScan, 1);
                 }
             }
-            self.matches(tid, selection)
+            self.live.get(tid as usize) && self.matches(tid, selection)
         })
     }
 }
@@ -335,6 +404,37 @@ mod tests {
         assert_eq!(hits, 500);
         assert_eq!(stats.reads(IoCategory::HeapScan), r.heap_pages());
         assert!(r.heap_pages() < 5000 / 100, "pages should batch many tuples");
+    }
+
+    #[test]
+    fn deleted_rows_leave_scans_but_keep_their_tid_and_their_heap_slot() {
+        let mut r = sample();
+        let stats = IoStats::new_shared();
+        r.attach_stats(stats.clone());
+        let snap = r.clone();
+        assert!(r.mark_deleted(2));
+        assert!(!r.mark_deleted(2), "already deleted");
+        assert!(!r.mark_deleted(8), "out of range");
+        assert_eq!((r.len(), r.live_len()), (8, 7));
+        assert!(!r.is_live(2) && r.is_live(0) && !r.is_live(8));
+        let a1: Selection = vec![Predicate { dim: 0, value: 0 }];
+        assert_eq!(r.scan(&a1).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(stats.reads(IoCategory::HeapScan), r.heap_pages());
+        let a_codes: Vec<(u64, u32)> = r.live_bool_column(0).collect();
+        assert_eq!(a_codes.len(), 7);
+        assert!(a_codes.iter().all(|&(tid, code)| tid != 2 && code == r.bool_code(tid, 0)));
+        // The clone taken before the delete keeps its own live set.
+        assert_eq!(snap.scan(&a1).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(snap.live_len(), 8);
+        // An append after a delete is live; the tombstone stays dead.
+        assert_eq!(r.push(&["a1", "b1"], &[0.1, 0.1]), 8);
+        assert_eq!(r.scan(&a1).collect::<Vec<_>>(), vec![0, 8]);
+
+        // Persistence restore: the live set is whatever the caller lists.
+        r.restore_live([0, 8, 5, 5]).expect("tids in range");
+        assert_eq!(r.live_len(), 3);
+        assert_eq!(r.live_bool_column(1).map(|(t, _)| t).collect::<Vec<_>>(), vec![0, 5, 8]);
+        assert_eq!(r.restore_live([1, 9]), Err(9));
     }
 
     #[test]

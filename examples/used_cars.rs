@@ -31,7 +31,7 @@ fn main() {
     }
 
     let db = PCubeDb::build(cars, &PCubeConfig::default());
-    let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
+    let indexes = BooleanIndexSet::of(&db);
     println!(
         "inventory: {} cars | P-Cube: {} cells, {:.1} KB of signatures",
         db.relation().len(),

@@ -626,7 +626,10 @@ fn decode_row(db: &PCubeDb, tid: u64, coords: &[f64], score: Option<f64>) -> Res
 /// cost-based planner over every engine (P-Cube and the three baselines):
 /// the rows come back from whichever engine the planner picked, and the
 /// decision — chosen engine, selectivity, per-engine block estimates — is
-/// recorded in `stats.plan` (render it with [`explain_plan`]).
+/// recorded in `stats.plan` (render it with [`explain_plan`]). The planner's
+/// catalog and the baselines' boolean indexes are the database's, not the
+/// statement's: the first `EXPLAIN` after a row change builds them, every
+/// later one — in any session, or in none — shares them.
 pub fn execute(db: &PCubeDb, sql: &str) -> Result<SqlOutcome, SqlError> {
     execute_with(db, sql, &QueryBudget::unlimited(), None)
 }
@@ -779,10 +782,12 @@ fn reject_duplicate_dims(names: &[String], what: &str) -> Result<(), SqlError> {
 }
 
 /// Runs one bound statement: the serial engine under the session's budget
-/// normally; for an `EXPLAIN`ed statement, `planned` over a fresh §VI
-/// planner (the decision lands in `stats.plan`). Top-k and skyline plan over
-/// the four engines of §VI-A ([`with_all_engines`]); the classes no
-/// baseline implements plan over the three generic ones
+/// normally; for an `EXPLAIN`ed statement, `planned` over the database's §VI
+/// catalog ([`PCubeDb::planner`] — built by the first statement that plans
+/// against this version of the database, shared by every later one; the
+/// decision lands in `stats.plan`). Top-k and skyline plan over the four
+/// engines of §VI-A ([`with_all_engines`]); the classes no baseline
+/// implements plan over the three generic ones
 /// ([`PCubeDb::plan_and_run_class`]).
 fn run_class_statement<C: QueryClass>(
     db: &PCubeDb,
@@ -794,7 +799,7 @@ fn run_class_statement<C: QueryClass>(
     planned: impl FnOnce(&Planner) -> Result<(Vec<C::Row>, QueryStats), PlanError>,
 ) -> Result<(Vec<C::Row>, QueryStats), SqlError> {
     if explain {
-        planned(&Planner::new(db)).map_err(|e| SqlError(e.to_string()))
+        planned(&db.planner()).map_err(|e| SqlError(e.to_string()))
     } else {
         let out = db.run_governed(selection, class, budget, cancel);
         Ok((out.rows, out.stats))
@@ -802,10 +807,12 @@ fn run_class_statement<C: QueryClass>(
 }
 
 /// Hands `run` P-Cube and the three baseline engines (index-merge is top-k
-/// only; a class that does not support it never has it offered), over
-/// freshly built boolean indexes.
+/// only; a class that does not support it never has it offered), over the
+/// database's boolean indexes ([`BooleanIndexSet::of`]: bulk loaded — page
+/// writes charged to the ledger — by the first statement that needs them,
+/// then kept until the next insert or delete).
 fn with_all_engines<T>(db: &PCubeDb, run: impl FnOnce(&[&dyn Executor]) -> T) -> T {
-    let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
+    let indexes = BooleanIndexSet::of(db);
     let boolean = BooleanFirstExecutor::new(&indexes);
     let merge = IndexMergeExecutor::new(&indexes);
     run(&[&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge])
