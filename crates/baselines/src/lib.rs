@@ -1,29 +1,37 @@
-//! The comparison methods of §VI-A, built on the same substrates (pager,
-//! R-tree, B+-trees, relation) as the signature approach so that all methods
-//! are measured on one I/O ledger:
+//! The comparison methods of §VI-A — **Boolean**-first, **Domination**-first
+//! / **Ranking** (BBS \[9\] + minimal probing \[3\]) and **Index Merge**
+//! \[14\] — are engines of `pcube-core`'s one engine seam
+//! ([`run_class_engine`] over [`Engine`]): Algorithm 1 behind a different
+//! boolean pruner, or the class's in-memory step behind a B+-tree or
+//! heap-scan selection, all measured on one I/O ledger. What lives here:
 //!
-//! * [`boolean_first`] — **Boolean**: select tuples by B+-tree index scan or
-//!   table scan (whichever the cost model prefers), then compute the
-//!   skyline/top-k of the selected set in memory.
-//! * [`domination_first`] — **Domination**/**Ranking**: the BBS progressive
-//!   algorithm \[9\] without boolean pruning, verifying each candidate result
-//!   by a random tuple access under the minimal-probing principle \[3\].
-//! * [`index_merge`] — **Index Merge** \[14\] (top-k only): progressive R-tree
-//!   expansion with selective B+-tree probes implementing the reformulated
-//!   "MAX if predicates fail" ranking function.
-//! * [`reference`](mod@reference) — in-memory oracles (BNL skyline,
-//!   sort-based top-k) used as ground truth by the test suites.
+//! * [`reference`](mod@reference) — in-memory oracles (BNL and SFS skylines,
+//!   sort-based top-k) used as ground truth by the test suites;
+//! * re-exports of the boolean indexes those engines read, and
+//!   [`index_merge_topk`], the index-merge engine under its paper name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boolean_first;
-pub mod domination_first;
-pub mod executor;
-pub mod index_merge;
 pub mod reference;
 
-pub use boolean_first::{BooleanIndexSet, BooleanSkylineOutcome, BooleanTopKOutcome, SelectRoute};
-pub use domination_first::{bbs_skyline, bbs_skyline_governed, ranking_topk, ranking_topk_governed};
-pub use executor::{BooleanFirstExecutor, DominationFirstExecutor, IndexMergeExecutor};
-pub use index_merge::{index_merge_topk, index_merge_topk_governed};
+pub use pcube_core::{BooleanIndexSet, SelectRoute};
+
+use pcube_core::{
+    run_class_engine, Engine, PCubeDb, QueryBudget, QueryStats, RankingFunction, TopKClass,
+};
+use pcube_cube::Selection;
+
+/// Top-k by progressive & selective index merging: `(tid, coordinates,
+/// score)` ascending, through [`Engine::IndexMerge`] over `indexes`.
+pub fn index_merge_topk(
+    db: &PCubeDb,
+    indexes: &BooleanIndexSet,
+    selection: &Selection,
+    k: usize,
+    f: &dyn RankingFunction,
+) -> (Vec<(u64, Vec<f64>, f64)>, QueryStats) {
+    let (class, budget) = (TopKClass::new(k, f), QueryBudget::unlimited());
+    let out = run_class_engine(db, selection, &class, Engine::IndexMerge(indexes), &budget, None);
+    (out.rows, out.stats)
+}

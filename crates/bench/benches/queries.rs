@@ -3,10 +3,10 @@
 //! lazy-vs-eager signature assembly ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pcube_baselines::{bbs_skyline, index_merge_topk, ranking_topk, BooleanIndexSet};
 use pcube_bench::{build, default_spec, Bench};
 use pcube_core::{
-    DynamicSkylineClass, HullClass, LinearFn, ParallelOptions, SkylineClass, TopKClass,
+    run_class_engine, BooleanIndexSet, DynamicSkylineClass, Engine, HullClass, LinearFn,
+    ParallelOptions, QueryBudget, QueryClass, SelectRoute, SkylineClass, TopKClass,
 };
 use pcube_cube::Selection;
 use pcube_data::sample_selection;
@@ -23,58 +23,49 @@ fn fixture() -> (Bench, Vec<Selection>, Vec<Selection>) {
     (bench, one, two)
 }
 
+/// One Criterion target per `(name, engine)`: `class` over the selections
+/// in turn, through the engine seam.
+fn bench_engines<C: QueryClass>(
+    c: &mut Criterion,
+    bench: &Bench,
+    sels: &[Selection],
+    class: &C,
+    engines: &[(&str, Engine<'_>)],
+) {
+    let mut i = 0usize;
+    for &(name, engine) in engines {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                let sel = &sels[i % sels.len()];
+                run_class_engine(&bench.db, sel, class, engine, &QueryBudget::unlimited(), None)
+                    .rows
+                    .len()
+            })
+        });
+    }
+}
+
 fn bench_skyline_methods(c: &mut Criterion) {
     let (bench, sels, _) = fixture();
-    let dims = [0usize, 1, 2];
-    let mut i = 0usize;
-    c.bench_function("skyline/signature_50k", |b| {
-        b.iter(|| {
-            i += 1;
-            bench.db.run(&sels[i % sels.len()], &SkylineClass::new(dims.to_vec())).rows.len()
-        })
-    });
-    c.bench_function("skyline/boolean_50k", |b| {
-        b.iter(|| {
-            i += 1;
-            bench.indexes.skyline(&bench.db, &sels[i % sels.len()], &dims).skyline.len()
-        })
-    });
-    c.bench_function("skyline/domination_50k", |b| {
-        b.iter(|| {
-            i += 1;
-            bbs_skyline(&bench.db, &sels[i % sels.len()], &dims).0.len()
-        })
-    });
+    let engines = [
+        ("skyline/signature_50k", Engine::PCube),
+        ("skyline/boolean_50k", Engine::BooleanFirst(&bench.indexes, SelectRoute::Auto)),
+        ("skyline/domination_50k", Engine::DominationFirst),
+    ];
+    bench_engines(c, &bench, &sels, &SkylineClass::new(vec![0, 1, 2]), &engines);
 }
 
 fn bench_topk_methods(c: &mut Criterion) {
     let (bench, sels, _) = fixture();
     let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
-    let mut i = 0usize;
-    c.bench_function("topk/signature_50k_k10", |b| {
-        b.iter(|| {
-            i += 1;
-            bench.db.run(&sels[i % sels.len()], &TopKClass::new(10, &f)).rows.len()
-        })
-    });
-    c.bench_function("topk/boolean_50k_k10", |b| {
-        b.iter(|| {
-            i += 1;
-            bench.indexes.topk(&bench.db, &sels[i % sels.len()], 10, &f).topk.len()
-        })
-    });
-    c.bench_function("topk/ranking_50k_k10", |b| {
-        b.iter(|| {
-            i += 1;
-            ranking_topk(&bench.db, &sels[i % sels.len()], 10, &f).0.len()
-        })
-    });
-    c.bench_function("topk/index_merge_50k_k10", |b| {
-        b.iter(|| {
-            i += 1;
-            index_merge_topk(&bench.db, &bench.indexes, &sels[i % sels.len()], 10, &f).0.len()
-        })
-    });
+    let engines = [
+        ("topk/signature_50k_k10", Engine::PCube),
+        ("topk/boolean_50k_k10", Engine::BooleanFirst(&bench.indexes, SelectRoute::Auto)),
+        ("topk/ranking_50k_k10", Engine::DominationFirst),
+        ("topk/index_merge_50k_k10", Engine::IndexMerge(&bench.indexes)),
+    ];
+    bench_engines(c, &bench, &sels, &TopKClass::new(10, &f), &engines);
     // The index-building cost the baselines amortize (context for Fig 5).
     c.bench_function("build/boolean_indexes_50k", |b| {
         b.iter(|| BooleanIndexSet::build(bench.db.relation(), 4096, bench.db.stats().clone()))

@@ -20,13 +20,9 @@
 use std::fmt::Write as _;
 
 use pcube_baselines::reference::{bnl_skyline, naive_topk};
-use pcube_baselines::{
-    BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
-};
 use pcube_core::{
-    EngineKind, Executor, LinearFn, PCubeConfig, PCubeDb, PCubeExecutor, PSkylineClass, Planner,
-    PriorityGraph, QueryBudget, QueryClass, QueryStats, SkylineClass, SubspaceSkylineClass,
-    TopKClass,
+    EngineKind, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, Planner, PriorityGraph,
+    QueryBudget, QueryClass, SkylineClass, SubspaceSkylineClass, TopKClass,
 };
 use pcube_cube::{Predicate, Relation, Schema, Selection};
 use rand::rngs::StdRng;
@@ -110,23 +106,20 @@ struct WorkloadRow {
     engines: Vec<EngineRun>,
 }
 
-/// Engines every plugged-in query class supports (index-merge is a
-/// ranking-only engine and stays out of the generic dispatch set).
-const CLASS_ENGINES: [EngineKind; 3] =
-    [EngineKind::PCube, EngineKind::BooleanFirst, EngineKind::DominationFirst];
-
-/// One calibration workload: measure `class` on every engine in `kinds`
-/// through `run` (each on its own ledger delta), compare against
-/// [`Planner::estimate_class`], and record the planner's pick among them.
-fn workload<C: QueryClass>(
+/// One calibration workload: measure `class` on every engine it supports
+/// through `run_class_on` (each on its own ledger delta), compare against
+/// [`Planner::estimate_class`], record the planner's pick among them, and
+/// dispatch through the planner for the caller's oracle check.
+fn workload<C: QueryClass + Sync>(
+    db: &PCubeDb,
     planner: &Planner,
     class: &C,
     label: &str,
     sel: &Selection,
     qualifying: usize,
-    kinds: &[EngineKind],
-    run: impl Fn(EngineKind) -> QueryStats,
-) -> WorkloadRow {
+) -> (WorkloadRow, Vec<C::Row>) {
+    let kinds: Vec<EngineKind> =
+        EngineKind::ALL.into_iter().filter(|&kind| class.supports(kind)).collect();
     let estimates = planner.estimate_class(sel, class);
     let engines: Vec<EngineRun> = kinds
         .iter()
@@ -137,16 +130,21 @@ fn workload<C: QueryClass>(
                 .find(|e| e.engine == engine)
                 .map(|e| e.blocks())
                 .unwrap_or(f64::NAN),
-            measured_blocks: run(engine).io.total_reads(),
+            measured_blocks: db
+                .run_class_on(class, sel, engine)
+                .expect("a supported engine")
+                .1
+                .io
+                .total_reads(),
         })
         .collect();
-    let decision = planner.choose_class(sel, class, kinds);
+    let decision = planner.choose_class(sel, class, &kinds);
     let measured_best = engines
         .iter()
         .min_by_key(|e| e.measured_blocks)
         .expect("at least one engine")
         .engine;
-    WorkloadRow {
+    let row = WorkloadRow {
         label: format!("{label} / {}", class.name()),
         selectivity: decision.selectivity,
         qualifying,
@@ -154,30 +152,11 @@ fn workload<C: QueryClass>(
         measured_best,
         hit: decision.chosen == measured_best,
         engines,
-    }
-}
-
-/// [`workload`] for a plugged-in class over the three generic engines, plus
-/// an oracle check of the planner-dispatched answer against the class's
-/// naive reference over an independently filtered candidate set.
-fn class_workload<C: QueryClass + Sync>(
-    db: &PCubeDb,
-    planner: &Planner,
-    class: &C,
-    label: &str,
-    sel: &Selection,
-    input: &[(u64, Vec<f64>)],
-) -> (WorkloadRow, bool)
-where
-    C::Row: PartialEq,
-{
-    let row = workload(planner, class, label, sel, input.len(), &CLASS_ENGINES, |kind| {
-        db.run_class_on(class, sel, kind).expect("generic engine").1
-    });
+    };
     let (got, _) = db
         .plan_and_run_class(planner, class, sel, &QueryBudget::unlimited(), None)
         .expect("planner dispatch");
-    (row, got == class.oracle(input))
+    (row, got)
 }
 
 fn main() {
@@ -190,13 +169,7 @@ fn main() {
         .map(|d| relation.bool_column(d).collect())
         .collect();
     let db = PCubeDb::build(relation, &PCubeConfig::default());
-    let indexes = BooleanIndexSet::of(&db);
     let planner = db.planner();
-
-    let boolean = BooleanFirstExecutor::new(&indexes);
-    let merge = IndexMergeExecutor::new(&indexes);
-    let executors: Vec<&dyn Executor> =
-        vec![&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge];
 
     let f = LinearFn::new(vec![0.6, 0.4]);
     let oracle_input = |sel: &Selection| -> Vec<(u64, Vec<f64>)> {
@@ -216,69 +189,45 @@ fn main() {
 
     let mut rows: Vec<WorkloadRow> = Vec::new();
     let mut mismatches = 0usize;
-    let budget = QueryBudget::unlimited();
+    let mut record = |row: WorkloadRow, ok: bool| {
+        if !ok {
+            eprintln!("ORACLE MISMATCH: {} via {}", row.label, row.chosen.name());
+            mismatches += 1;
+        }
+        rows.push(row);
+    };
     let pref_dims = [0usize, 1];
     let topk = TopKClass::new(cfg.k, &f);
     let skyline = SkylineClass::new(pref_dims.to_vec());
-    let executor = |kind: EngineKind| -> &dyn Executor {
-        *executors.iter().find(|e| e.kind() == kind).expect("a registered engine")
-    };
-    let all_kinds = executors.iter().map(|e| e.kind());
-    let topk_kinds: Vec<EngineKind> = all_kinds.clone().filter(|&k| topk.supports(k)).collect();
-    let sky_kinds: Vec<EngineKind> = all_kinds.filter(|&k| skyline.supports(k)).collect();
     for (label, sel) in &selections {
         let input = oracle_input(sel);
 
-        let row = workload(&planner, &topk, label, sel, input.len(), &topk_kinds, |kind| {
-            executor(kind).topk(&db, sel, cfg.k, &f, &budget, None).expect("supported engine").1
-        });
-        let (got, _) = db
-            .plan_and_run_topk(&planner, &executors, sel, cfg.k, &f, &budget, None)
-            .expect("planner dispatch");
+        // Top-k and skyline are checked against the references that do not
+        // share the classes' code.
+        let (row, got) = workload(&db, &planner, &topk, label, sel, input.len());
         let want = naive_topk(&input, cfg.k, &f);
-        let topk_ok = got.iter().map(|r| r.0).eq(want.iter().map(|r| r.0));
+        record(row, got.iter().map(|r| r.0).eq(want.iter().map(|r| r.0)));
 
-        let sky_row = workload(&planner, &skyline, label, sel, input.len(), &sky_kinds, |kind| {
-            let run = executor(kind).skyline(&db, sel, &pref_dims, &budget, None);
-            run.expect("supported engine").1
-        });
-        let (got, _) = db
-            .plan_and_run_skyline(&planner, &executors, sel, &pref_dims, &budget, None)
-            .expect("planner dispatch");
+        let (row, got) = workload(&db, &planner, &skyline, label, sel, input.len());
         let mut want = bnl_skyline(&input, &pref_dims);
         let key = |c: &[f64]| -> f64 { pref_dims.iter().map(|&d| c[d]).sum() };
         want.sort_by(|a, b| key(&a.1).total_cmp(&key(&b.1)).then(a.0.cmp(&b.0)));
-        let sky_ok = got == want;
-
-        for (row, ok) in [(row, topk_ok), (sky_row, sky_ok)] {
-            if !ok {
-                eprintln!("ORACLE MISMATCH: {} via {}", row.label, row.chosen.name());
-                mismatches += 1;
-            }
-            rows.push(row);
-        }
+        record(row, got == want);
     }
 
-    // Plugged-in query classes ride the same sweep through the generic
-    // planner seam (estimate_class / choose_class / plan_and_run_class) —
-    // a second pass so the four-engine workloads above keep an identical
-    // execution order and their measurements stay comparable run-to-run.
+    // The other classes ride the same sweep — a second pass so the
+    // workloads above keep an identical execution order and their
+    // measurements stay comparable run-to-run.
     let pskyline = PSkylineClass::new(
         PriorityGraph::new(vec![0, 1], &[(0, 1)]).expect("a single edge is a DAG"),
     );
     let subspace = SubspaceSkylineClass::new(vec![1]);
     for (label, sel) in &selections {
         let input = oracle_input(sel);
-        for (row, ok) in [
-            class_workload(&db, &planner, &pskyline, label, sel, &input),
-            class_workload(&db, &planner, &subspace, label, sel, &input),
-        ] {
-            if !ok {
-                eprintln!("ORACLE MISMATCH: {}", row.label);
-                mismatches += 1;
-            }
-            rows.push(row);
-        }
+        let (row, got) = workload(&db, &planner, &pskyline, label, sel, input.len());
+        record(row, got == pskyline.oracle(&input));
+        let (row, got) = workload(&db, &planner, &subspace, label, sel, input.len());
+        record(row, got == subspace.oracle(&input));
     }
 
     let hits = rows.iter().filter(|r| r.hit).count();

@@ -13,7 +13,10 @@
 //! paper-vs-measured comparison.
 
 use pcube_bench::*;
-use pcube_core::{LinearFn, PCube, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass};
+use pcube_core::{
+    BooleanIndexSet, Engine, LinearFn, PCube, PCubeConfig, PCubeDb, ParallelOptions, SelectRoute,
+    SkylineClass, TopKClass,
+};
 use pcube_cube::{MaterializationPlan, Predicate, Selection};
 use pcube_data::{
     covertype_surrogate, sample_linear_weights, sample_selection, synthetic, SyntheticSpec,
@@ -321,8 +324,7 @@ fn fig5_construction(scale: &Scale, seed: u64) {
 
         // B+-trees over every boolean dimension.
         let started = Instant::now();
-        let indexes =
-            pcube_baselines::BooleanIndexSet::build(&relation, PAGE_SIZE, stats.clone());
+        let indexes = BooleanIndexSet::build(&relation, PAGE_SIZE, stats.clone());
         let btree_seconds = started.elapsed().as_secs_f64();
         let _ = indexes;
 
@@ -404,18 +406,14 @@ fn skyline_sweep_row(
     let mut boolean = Vec::new();
     let mut bool_idx = Vec::new();
     let mut dom = Vec::new();
+    let skyline = SkylineClass::new(pref_dims.to_vec());
+    let via = |route| Engine::BooleanFirst(&bench.indexes, route);
     for _ in 0..scale.queries {
         let sel = sample_selection(bench.db.relation(), 1, &mut rng);
-        sig.push(measure_signature_skyline(bench, &sel, pref_dims, &cost));
-        boolean.push(measure_boolean_skyline(bench, &sel, pref_dims, &cost));
-        bool_idx.push(measure_boolean_skyline_via(
-            bench,
-            &sel,
-            pref_dims,
-            &cost,
-            pcube_baselines::SelectRoute::Index,
-        ));
-        dom.push(measure_domination_skyline(bench, &sel, pref_dims, &cost));
+        sig.push(measure(bench, &sel, &skyline, Engine::PCube, &cost));
+        boolean.push(measure(bench, &sel, &skyline, via(SelectRoute::Auto), &cost));
+        bool_idx.push(measure(bench, &sel, &skyline, via(SelectRoute::Index), &cost));
+        dom.push(measure(bench, &sel, &skyline, Engine::DominationFirst, &cost));
     }
     (
         Measurement::mean(&sig),
@@ -522,10 +520,16 @@ fn fig13_topk(scale: &Scale, seed: u64) {
         for _ in 0..scale.queries {
             let sel = sample_selection(bench.db.relation(), 1, &mut rng);
             let f = LinearFn::new(sample_linear_weights(3, &mut rng));
-            rows[0].push(measure_boolean_topk(&bench, &sel, k, &f, &cost));
-            rows[1].push(measure_ranking_topk(&bench, &sel, k, &f, &cost));
-            rows[2].push(measure_index_merge_topk(&bench, &sel, k, &f, &cost));
-            rows[3].push(measure_signature_topk(&bench, &sel, k, &f, &cost));
+            let topk = TopKClass::new(k, &f);
+            let engines = [
+                Engine::BooleanFirst(&bench.indexes, SelectRoute::Auto),
+                Engine::DominationFirst,
+                Engine::IndexMerge(&bench.indexes),
+                Engine::PCube,
+            ];
+            for (row, engine) in rows.iter_mut().zip(engines) {
+                row.push(measure(&bench, &sel, &topk, engine, &cost));
+            }
         }
         print_row_seconds(
             &k.to_string(),
@@ -550,16 +554,21 @@ fn fig14_covertype_predicates(scale: &Scale, seed: u64) {
     println!("Paper shape: Signature & Boolean flat; Domination grows sharply.\n");
     let bench = covertype_bench(scale, seed);
     let cost = CostModel::default();
-    let dims = [0, 1, 2];
+    let skyline = SkylineClass::new(vec![0, 1, 2]);
     print_header("#preds", &["Boolean", "Domination", "Signature"]);
     for n_preds in 1..=4usize {
         let mut rng = StdRng::seed_from_u64(seed ^ (n_preds as u64) << 8);
         let mut rows = [Vec::new(), Vec::new(), Vec::new()];
         for _ in 0..scale.queries {
             let sel = sample_selection(bench.db.relation(), n_preds, &mut rng);
-            rows[0].push(measure_boolean_skyline(&bench, &sel, &dims, &cost));
-            rows[1].push(measure_domination_skyline(&bench, &sel, &dims, &cost));
-            rows[2].push(measure_signature_skyline(&bench, &sel, &dims, &cost));
+            let engines = [
+                Engine::BooleanFirst(&bench.indexes, SelectRoute::Auto),
+                Engine::DominationFirst,
+                Engine::PCube,
+            ];
+            for (row, engine) in rows.iter_mut().zip(engines) {
+                row.push(measure(&bench, &sel, &skyline, engine, &cost));
+            }
         }
         print_row_seconds(
             &n_preds.to_string(),
@@ -587,7 +596,7 @@ fn fig15_signature_loading(scale: &Scale, seed: u64) {
         let mut dir_pages = 0u64;
         for _ in 0..scale.queries {
             let sel = sample_selection(bench.db.relation(), n_preds, &mut rng);
-            let m = measure_signature_skyline(&bench, &sel, &[0, 1, 2], &cost);
+            let m = measure(&bench, &sel, &SkylineClass::new(vec![0, 1, 2]), Engine::PCube, &cost);
             let l = modeled_io(
                 &m.io,
                 &cost,

@@ -9,9 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pcube_baselines::{bbs_skyline, index_merge_topk, ranking_topk, BooleanIndexSet, SelectRoute};
 use pcube_core::{
-    PCubeConfig, PCubeDb, QueryStats, RankingFunction, SkylineClass, TopKClass,
+    run_class_engine, BooleanIndexSet, Engine, PCubeConfig, PCubeDb, QueryBudget, QueryClass,
+    QueryStats,
 };
 use pcube_cube::Selection;
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
@@ -151,117 +151,19 @@ impl Measurement {
     }
 }
 
-/// Runs the Signature skyline and measures it.
-pub fn measure_signature_skyline(
+/// Runs `class` over `sel` on one engine of §VI-A and measures it. The
+/// engines that read boolean indexes are handed [`Bench::indexes`] (and, for
+/// Boolean-first, the retrieval route) by the caller.
+pub fn measure<C: QueryClass>(
     bench: &Bench,
     sel: &Selection,
-    pref_dims: &[usize],
+    class: &C,
+    engine: Engine<'_>,
     cost: &CostModel,
 ) -> Measurement {
     bench.db.stats().reset();
-    let out = bench.db.run(sel, &SkylineClass::new(pref_dims.to_vec()));
+    let out = run_class_engine(&bench.db, sel, class, engine, &QueryBudget::unlimited(), None);
     Measurement::from_stats(&out.stats, out.rows.len(), cost)
-}
-
-/// Runs the Boolean-first skyline (auto route) and measures it.
-pub fn measure_boolean_skyline(
-    bench: &Bench,
-    sel: &Selection,
-    pref_dims: &[usize],
-    cost: &CostModel,
-) -> Measurement {
-    measure_boolean_skyline_via(bench, sel, pref_dims, cost, SelectRoute::Auto)
-}
-
-/// Runs the Boolean-first skyline with an explicit retrieval route.
-pub fn measure_boolean_skyline_via(
-    bench: &Bench,
-    sel: &Selection,
-    pref_dims: &[usize],
-    cost: &CostModel,
-    route: SelectRoute,
-) -> Measurement {
-    bench.db.stats().reset();
-    let out = bench.indexes.skyline_via(&bench.db, sel, pref_dims, route);
-    Measurement::from_stats(&out.stats, out.skyline.len(), cost)
-}
-
-/// Runs the Domination-first (BBS + minimal probing) skyline.
-pub fn measure_domination_skyline(
-    bench: &Bench,
-    sel: &Selection,
-    pref_dims: &[usize],
-    cost: &CostModel,
-) -> Measurement {
-    bench.db.stats().reset();
-    let (sky, stats) = bbs_skyline(&bench.db, sel, pref_dims);
-    Measurement::from_stats(&stats, sky.len(), cost)
-}
-
-/// Runs the Signature top-k.
-pub fn measure_signature_topk(
-    bench: &Bench,
-    sel: &Selection,
-    k: usize,
-    f: &dyn RankingFunction,
-    cost: &CostModel,
-) -> Measurement {
-    bench.db.stats().reset();
-    let out = bench.db.run(sel, &TopKClass::new(k, f));
-    Measurement::from_stats(&out.stats, out.rows.len(), cost)
-}
-
-/// Runs the Boolean-first top-k (auto route).
-pub fn measure_boolean_topk(
-    bench: &Bench,
-    sel: &Selection,
-    k: usize,
-    f: &dyn RankingFunction,
-    cost: &CostModel,
-) -> Measurement {
-    bench.db.stats().reset();
-    let out = bench.indexes.topk(&bench.db, sel, k, f);
-    Measurement::from_stats(&out.stats, out.topk.len(), cost)
-}
-
-/// Runs the Boolean-first top-k with an explicit retrieval route.
-pub fn measure_boolean_topk_via(
-    bench: &Bench,
-    sel: &Selection,
-    k: usize,
-    f: &dyn RankingFunction,
-    cost: &CostModel,
-    route: SelectRoute,
-) -> Measurement {
-    bench.db.stats().reset();
-    let out = bench.indexes.topk_via(&bench.db, sel, k, f, route);
-    Measurement::from_stats(&out.stats, out.topk.len(), cost)
-}
-
-/// Runs the Ranking (best-first + minimal probing) top-k.
-pub fn measure_ranking_topk(
-    bench: &Bench,
-    sel: &Selection,
-    k: usize,
-    f: &dyn RankingFunction,
-    cost: &CostModel,
-) -> Measurement {
-    bench.db.stats().reset();
-    let (top, stats) = ranking_topk(&bench.db, sel, k, f);
-    Measurement::from_stats(&stats, top.len(), cost)
-}
-
-/// Runs the Index-merge top-k.
-pub fn measure_index_merge_topk(
-    bench: &Bench,
-    sel: &Selection,
-    k: usize,
-    f: &dyn RankingFunction,
-    cost: &CostModel,
-) -> Measurement {
-    bench.db.stats().reset();
-    let (top, stats) = index_merge_topk(&bench.db, &bench.indexes, sel, k, f);
-    Measurement::from_stats(&stats, top.len(), cost)
 }
 
 /// Prints a table header like `T        Boolean  Domination  Signature`.
@@ -341,25 +243,26 @@ mod tests {
 
     #[test]
     fn measurements_cover_all_methods() {
+        use pcube_core::{SelectRoute, SkylineClass, TopKClass};
         let bench = build(&default_spec(2_000, 1));
         let mut rng = StdRng::seed_from_u64(2);
         let sel = sample_selection(bench.db.relation(), 1, &mut rng);
         let cost = CostModel::default();
-        let sig = measure_signature_skyline(&bench, &sel, &[0, 1, 2], &cost);
-        let boolean = measure_boolean_skyline(&bench, &sel, &[0, 1, 2], &cost);
-        let dom = measure_domination_skyline(&bench, &sel, &[0, 1, 2], &cost);
-        assert_eq!(sig.results, boolean.results);
-        assert_eq!(sig.results, dom.results);
-        assert!(sig.seconds > 0.0 && boolean.seconds > 0.0 && dom.seconds > 0.0);
+        let boolean = Engine::BooleanFirst(&bench.indexes, SelectRoute::Auto);
+        let skyline = SkylineClass::new(vec![0, 1, 2]);
+        let sig = measure(&bench, &sel, &skyline, Engine::PCube, &cost);
+        for engine in [boolean, Engine::DominationFirst] {
+            let m = measure(&bench, &sel, &skyline, engine, &cost);
+            assert_eq!(m.results, sig.results);
+            assert!(m.seconds > 0.0 && sig.seconds > 0.0);
+        }
 
         let f = pcube_core::LinearFn::new(vec![0.5, 0.3, 0.2]);
-        let a = measure_signature_topk(&bench, &sel, 5, &f, &cost);
-        let b = measure_boolean_topk(&bench, &sel, 5, &f, &cost);
-        let c = measure_ranking_topk(&bench, &sel, 5, &f, &cost);
-        let d = measure_index_merge_topk(&bench, &sel, 5, &f, &cost);
-        assert_eq!(a.results, b.results);
-        assert_eq!(a.results, c.results);
-        assert_eq!(a.results, d.results);
+        let top5 = TopKClass::new(5, &f);
+        let sig = measure(&bench, &sel, &top5, Engine::PCube, &cost);
+        for engine in [boolean, Engine::DominationFirst, Engine::IndexMerge(&bench.indexes)] {
+            assert_eq!(measure(&bench, &sel, &top5, engine, &cost).results, sig.results);
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 mod node;
 mod tree;
 
+pub use node::leaf_capacity;
 pub use tree::BPlusTree;
 
 // The signature directory is probed concurrently by query threads; the tree

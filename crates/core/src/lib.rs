@@ -27,13 +27,15 @@
 //! | [`pcube`] | IV, IV-B.3 | [`PCube`] build + incremental maintenance, [`PCubeDb`] |
 //! | [`rank`] | III, V-B | ranking functions with MBR lower bounds |
 //! | [`query`] | V, VII | Algorithm 1 once, every query class through it, drill-down/roll-up |
-//! | [`plan`] | VI | cost-based planner choosing P-Cube vs baseline engines |
+//! | [`boolean_index`] | VI-A | [`BooleanIndexSet`]: the comparison methods' B+-trees, index-vs-scan selection |
+//! | [`plan`] | VI | cost-based planner over the four engines of §VI-A behind one seam ([`Engine`]) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod bloom;
+pub mod boolean_index;
 pub mod durable;
 pub mod encode;
 pub mod pcube;
@@ -47,6 +49,7 @@ pub mod store;
 
 pub use admission::{AdmissionError, AdmissionGate, AdmissionPermit};
 pub use bloom::BloomSignature;
+pub use boolean_index::{BooleanIndexSet, SelectRoute};
 pub use durable::{
     CheckpointImage, CheckpointOutcome, CommitError, CommitQueue, CommitQueuePolicy,
     CommitReceipt, DurabilityError, DurabilityOptions, DurableDb, DurableState, EpochReader,
@@ -54,15 +57,12 @@ pub use durable::{
 };
 pub use pcube::{PCube, PCubeConfig, PCubeDb, SigTouch};
 pub use persist::PersistError;
-pub use plan::{
-    CostEstimate, EngineKind, Executor, PCubeExecutor, PlanDecision, PlanError, Planner,
-    SkylineRows, TopKRows,
-};
+pub use plan::{CostEstimate, EngineKind, PlanDecision, PlanError, Planner};
 pub use query::{
-    CancelToken, ClassOutcome, DynamicSkylineClass, HullClass, PSkylineClass, ParallelOptions,
-    PriorityGraph, PriorityGraphError, Progress, QueryBudget, QueryClass, QueryOutcome,
-    QueryStats, SavedState, SkyPoint, SkylineClass, StageTimes, StopReason,
-    SubspaceSkylineClass, TopKClass,
+    run_class_engine, CancelToken, ClassOutcome, DynamicSkylineClass, Engine, HullClass,
+    PSkylineClass, ParallelOptions, PriorityGraph, PriorityGraphError, Progress, QueryBudget,
+    QueryClass, QueryOutcome, QueryStats, SavedState, SkyPoint, SkylineClass, StageTimes,
+    StopReason, SubspaceSkylineClass, TopKClass,
 };
 pub use rank::{LinearFn, MinCoordSum, RankingFunction, WeightedDistanceFn};
 pub use scrub::{scrub, ScrubFinding, ScrubReport};

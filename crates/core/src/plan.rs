@@ -16,10 +16,9 @@
 //! signature leaf bits encode), R-tree node counts / height / fanout, heap
 //! page counts, and B+-tree shape — picks the cheapest, and records the
 //! whole decision in [`PlanDecision`] so `EXPLAIN`-style output can show
-//! its work. Dispatch goes through the [`Executor`] trait, implemented by
-//! [`PCubeExecutor`] here and by the baseline engines in the `baselines`
-//! crate (the trait lives here, not there, because `baselines` already
-//! depends on this crate).
+//! its work. Dispatch goes through the one engine seam
+//! ([`run_class_engine`]): [`PCubeDb::plan_and_run_class`] plans and runs,
+//! [`PCubeDb::run_class_on`] runs a named engine.
 //!
 //! The cost formulas (documented per engine on [`Planner::estimate_class`] and in
 //! DESIGN.md §8) use:
@@ -36,12 +35,10 @@ use std::collections::HashMap;
 use pcube_cube::{normalize, Selection};
 use pcube_storage::CostModel;
 
+use crate::boolean_index::{index_route_blocks, BooleanIndexSet, SelectRoute};
 use crate::pcube::PCubeDb;
-use crate::query::class::{run_class, run_class_probed, run_class_scan};
-use crate::query::{
-    CancelToken, QueryBudget, QueryClass, QueryStats, SkylineClass, TopKClass, VerifyAllPruner,
-};
-use crate::rank::RankingFunction;
+use crate::query::class::{check_schema, run_class_engine, Engine};
+use crate::query::{CancelToken, ClassOutcome, QueryBudget, QueryClass, QueryStats};
 
 /// The engine families the planner chooses among (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +56,15 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
+    /// Every engine, in the order the planner offers them — which is how
+    /// [`Planner::choose_class`] breaks ties among the comparison methods.
+    pub const ALL: [EngineKind; 4] = [
+        EngineKind::PCube,
+        EngineKind::BooleanFirst,
+        EngineKind::DominationFirst,
+        EngineKind::IndexMerge,
+    ];
+
     /// Stable display name (used by `EXPLAIN` output and benchmarks).
     pub fn name(&self) -> &'static str {
         match self {
@@ -125,92 +131,6 @@ impl PlanDecision {
     }
 }
 
-/// Rows of a top-k answer: `(tid, coordinates, score)` in canonical
-/// ascending `(score, tid)` order.
-pub type TopKRows = Vec<(u64, Vec<f64>, f64)>;
-
-/// Rows of a skyline answer: `(tid, coordinates)` in canonical ascending
-/// `(coordinate sum, tid)` order.
-pub type SkylineRows = Vec<(u64, Vec<f64>)>;
-
-/// A uniform interface over the four engines of §VI-A for the two query
-/// classes all of them (or all but index-merge) implement natively:
-/// selection and query in, canonical-order result with [`QueryStats`] out.
-/// The planner dispatches through it, and the differential oracle iterates
-/// executors with it. Which classes an engine family can answer is the
-/// class's call ([`QueryClass::supports`]); `None` means this executor has
-/// no engine for the class (index-merge has no skyline).
-///
-/// Every method runs under a [`QueryBudget`] and optional [`CancelToken`]:
-/// an engine that is cut short reports a
-/// [`QueryOutcome::Partial`](crate::query::QueryOutcome) in the stats.
-pub trait Executor {
-    /// Which engine family this executor runs.
-    fn kind(&self) -> EngineKind;
-
-    /// Top-k in canonical ascending `(score, tid)` order.
-    fn topk(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(TopKRows, QueryStats)>;
-
-    /// Skyline in canonical ascending `(coordinate sum, tid)` order.
-    fn skyline(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        pref_dims: &[usize],
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(SkylineRows, QueryStats)>;
-}
-
-/// The P-Cube engine behind the [`Executor`] interface: serial Algorithm 1
-/// with lazy signature probes.
-pub struct PCubeExecutor;
-
-impl Executor for PCubeExecutor {
-    fn kind(&self) -> EngineKind {
-        EngineKind::PCube
-    }
-
-    fn topk(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(TopKRows, QueryStats)> {
-        let out = run_class(db, selection, &TopKClass::new(k, f), false, budget, cancel);
-        Some((out.rows, out.stats))
-    }
-
-    fn skyline(
-        &self,
-        db: &PCubeDb,
-        selection: &Selection,
-        pref_dims: &[usize],
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(SkylineRows, QueryStats)> {
-        let class = SkylineClass::new(pref_dims.to_vec());
-        let out = run_class(db, selection, &class, false, budget, cancel);
-        Some((out.rows, out.stats))
-    }
-}
-
-/// B+-tree leaf fanout assumed by the boolean-first route model (4 KB
-/// leaves of 16-byte entries; `BooleanIndexSet` routes with the capacity of
-/// the trees it actually built, which is this at the default page size).
-const BPTREE_LEAF_CAP: f64 = 255.0;
-
 /// The §VI cost-based planner: the catalog statistics of one version of a
 /// database. [`PCubeDb::planner`] is the way to get one — built on first
 /// use, shared until the next insert or delete; [`Planner::new`] is the
@@ -225,6 +145,8 @@ pub struct Planner {
     leaves: f64,
     n_pred_capable: usize,
     value_counts: Vec<HashMap<u32, u64>>,
+    /// Entries per leaf of a boolean index at the database's page size.
+    bptree_leaf_cap: f64,
     cost: CostModel,
 }
 
@@ -255,6 +177,7 @@ impl Planner {
             leaves: (n / fanout).ceil().max(1.0),
             n_pred_capable: n_bool,
             value_counts,
+            bptree_leaf_cap: pcube_bptree::leaf_capacity(db.rtree().pager().page_size()) as f64,
             cost: CostModel::default(),
         }
     }
@@ -324,10 +247,11 @@ impl Planner {
     /// per engine:
     ///
     /// * **Boolean-first** — the cheaper (in blocks) of the index route
-    ///   (`Σ_d (⌈c_d/255⌉ + 2)` B+-tree pages + `q` random tuple fetches)
-    ///   and the table-scan route (`P` sequential pages); the preference
-    ///   step is in-memory. The planner-dispatched executor routes by the
-    ///   same block comparison, so the estimate predicts the route taken.
+    ///   (`Σ_d (⌈c_d/cap⌉ + 2)` B+-tree pages of `cap`-entry leaves + `q`
+    ///   random tuple fetches) and the table-scan route (`P` sequential
+    ///   pages); the preference step is in-memory. The planned engine
+    ///   routes by the same function over the same counts, so the estimate
+    ///   predicts the route taken.
     /// * **Domination-first** — surfaces candidates without boolean
     ///   pruning and random-fetches every one (minimal probing): expected
     ///   candidates are `w/σ`, plus the R-tree nodes to surface them.
@@ -359,22 +283,15 @@ impl Planner {
 
         let mut estimates = Vec::new();
 
-        // Boolean-first. The route mirror: the planner-dispatched executor
-        // routes index-vs-scan by predicted blocks from the same catalog
-        // counts, so the cheaper route here is the route it will take.
+        // Boolean-first: the cheaper route in blocks, which is the route
+        // `BooleanIndexSet::block_route` takes from the same counts.
         {
-            let (random, sequential) = if preds == 0 {
-                (0.0, self.heap_pages)
+            let counts = selection.iter().map(|p| self.value_count(p.dim, p.value));
+            let index_blocks = index_route_blocks(counts, self.n, self.bptree_leaf_cap);
+            let (random, sequential) = if preds > 0 && index_blocks < self.heap_pages {
+                (index_blocks, 0.0)
             } else {
-                let index_pages: f64 = selection
-                    .iter()
-                    .map(|p| (self.value_count(p.dim, p.value) as f64 / BPTREE_LEAF_CAP).ceil() + 2.0)
-                    .sum();
-                if index_pages + q < self.heap_pages {
-                    (index_pages + q, 0.0)
-                } else {
-                    (0.0, self.heap_pages)
-                }
+                (0.0, self.heap_pages)
             };
             estimates.push(self.finish(EngineKind::BooleanFirst, random, sequential));
         }
@@ -495,11 +412,10 @@ fn cheapest<'a>(estimates: impl Iterator<Item = &'a CostEstimate>) -> Option<Eng
         .map(|e| e.engine)
 }
 
-/// Errors from [`PCubeDb::plan_and_run_topk`] /
-/// [`PCubeDb::plan_and_run_skyline`].
+/// Errors from [`PCubeDb::plan_and_run_class`] / [`PCubeDb::run_class_on`].
 #[derive(Debug)]
 pub enum PlanError {
-    /// No registered executor supports the query class.
+    /// No engine (or not the named one) supports the query class.
     NoExecutor,
 }
 
@@ -513,28 +429,6 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Plans `class` over the registered executors whose engine family the
-/// class supports; returns the decision and the executor it dispatches to.
-fn plan_over<'e, C: QueryClass>(
-    planner: &Planner,
-    executors: &[&'e dyn Executor],
-    selection: &Selection,
-    class: &C,
-    budget: &QueryBudget,
-) -> Result<(PlanDecision, &'e dyn Executor), PlanError> {
-    let kinds: Vec<EngineKind> =
-        executors.iter().map(|e| e.kind()).filter(|&kind| class.supports(kind)).collect();
-    if kinds.is_empty() {
-        return Err(PlanError::NoExecutor);
-    }
-    let decision = planner.choose_class_governed(selection, class, &kinds, budget);
-    let exec = executors
-        .iter()
-        .find(|e| e.kind() == decision.chosen)
-        .expect("chosen engine comes from the available set");
-    Ok((decision, *exec))
-}
-
 impl PCubeDb {
     /// The §VI catalog of this version of the database: built on first use
     /// and shared until the next insert or delete ([`PCubeDb::derived`]).
@@ -542,70 +436,21 @@ impl PCubeDb {
         self.derived(Planner::new)
     }
 
-    /// Plans and runs a top-k query over the engines of §VI-A: estimates
-    /// each registered executor's block accesses
-    /// ([`Planner::choose_class_governed`] — an engine predicted to overrun
-    /// the budget loses to the cheapest one predicted to fit), dispatches to
-    /// the winner under the budget and cancel token, and records the
-    /// decision in the returned stats (`stats.plan`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_and_run_topk(
-        &self,
-        planner: &Planner,
-        executors: &[&dyn Executor],
-        selection: &Selection,
-        k: usize,
-        f: &dyn RankingFunction,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(TopKRows, QueryStats), PlanError> {
-        let class = TopKClass::new(k, f);
-        let (decision, exec) = plan_over(planner, executors, selection, &class, budget)?;
-        let (rows, mut stats) =
-            exec.topk(self, selection, k, f, budget, cancel).ok_or(PlanError::NoExecutor)?;
-        stats.plan = Some(decision);
-        Ok((rows, stats))
-    }
-
-    /// Plans and runs a skyline query (see [`Self::plan_and_run_topk`]).
-    pub fn plan_and_run_skyline(
-        &self,
-        planner: &Planner,
-        executors: &[&dyn Executor],
-        selection: &Selection,
-        pref_dims: &[usize],
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(SkylineRows, QueryStats), PlanError> {
-        let class = SkylineClass::new(pref_dims.to_vec());
-        let (decision, exec) = plan_over(planner, executors, selection, &class, budget)?;
-        let (rows, mut stats) = exec
-            .skyline(self, selection, pref_dims, budget, cancel)
-            .ok_or(PlanError::NoExecutor)?;
-        stats.plan = Some(decision);
-        Ok((rows, stats))
-    }
-
-    /// Plans and runs any pluggable [`QueryClass`] under a [`QueryBudget`]
-    /// and optional [`CancelToken`].
+    /// Plans and runs any [`QueryClass`] over the four engines of §VI-A
+    /// (those the class [supports](QueryClass::supports)): estimates each
+    /// one's block accesses ([`Planner::choose_class_governed`] — an engine
+    /// predicted to overrun the budget loses to the cheapest one predicted to
+    /// fit), runs the winner through the engine seam ([`run_class_engine`])
+    /// under the budget and cancel token, and records the decision — with
+    /// per-engine estimates and the class name — in `stats.plan`.
     ///
-    /// Three engines are offered to the planner (filtered further by
-    /// [`QueryClass::supports`]):
-    ///
-    /// * **P-Cube** — the signature-pruned Algorithm-1 traversal, fully
-    ///   governed (budget/cancel produce `Partial` outcomes).
-    /// * **Domination-first** — the same traversal without boolean pruning:
-    ///   every popped tuple is verified against the base table
-    ///   ([`VerifyAllPruner`]), also fully governed.
-    /// * **Boolean-first** — the selection is resolved to a candidate list
-    ///   first (index or scan route, picked inside the relation layer) and
-    ///   the class's reference preference step runs over it in memory. The
-    ///   candidate materialisation is not interruptible, so budget/cancel
-    ///   are ignored on this path — the planner only picks it when the
-    ///   predicted cost fits the budget anyway.
-    ///
-    /// The decision (with per-engine estimates and the class name) is
-    /// recorded in `stats.plan`.
+    /// Every engine is governed: the three kernel engines at pop granularity,
+    /// boolean-first before and after its selection step (a trip there gives
+    /// an empty `Partial`). Boolean-first with a non-empty selection and
+    /// index-merge read the database's boolean indexes
+    /// ([`BooleanIndexSet::of`]: bulk loaded by the first query that needs
+    /// them, kept until the next insert or delete); boolean-first takes the
+    /// index or the scan route by predicted blocks, as estimated.
     pub fn plan_and_run_class<C: QueryClass + Sync>(
         &self,
         planner: &Planner,
@@ -615,26 +460,12 @@ impl PCubeDb {
         cancel: Option<&CancelToken>,
     ) -> Result<(Vec<C::Row>, QueryStats), PlanError> {
         let available: Vec<EngineKind> =
-            [EngineKind::PCube, EngineKind::BooleanFirst, EngineKind::DominationFirst]
-                .into_iter()
-                .filter(|&kind| class.supports(kind))
-                .collect();
+            EngineKind::ALL.into_iter().filter(|&kind| class.supports(kind)).collect();
         if available.is_empty() {
             return Err(PlanError::NoExecutor);
         }
         let decision = planner.choose_class_governed(selection, class, &available, budget);
-        let outcome = match decision.chosen {
-            EngineKind::BooleanFirst => run_class_scan(self, selection, class),
-            EngineKind::DominationFirst => {
-                run_class_probed(self, selection, class, &mut VerifyAllPruner, budget, cancel)
-            }
-            // The generic dispatch never offers index-merge (there is no
-            // generic index-merge engine); if a class ever claims it, run
-            // the signature-guided traversal instead.
-            EngineKind::PCube | EngineKind::IndexMerge => {
-                run_class(self, selection, class, false, budget, cancel)
-            }
-        };
+        let outcome = self.run_class_kind(class, selection, decision.chosen, budget, cancel);
         let mut stats = outcome.stats;
         stats.plan = Some(decision);
         Ok((outcome.rows, stats))
@@ -643,8 +474,7 @@ impl PCubeDb {
     /// Runs `class` on one specific engine, bypassing the planner — the
     /// seam the calibration bench uses to measure every engine's actual
     /// block count against [`Planner::estimate_class`]. Errors when the
-    /// class does not support the engine (or for `IndexMerge`, which has
-    /// no generic engine).
+    /// class does not support the engine.
     pub fn run_class_on<C: QueryClass + Sync>(
         &self,
         class: &C,
@@ -654,16 +484,42 @@ impl PCubeDb {
         if !class.supports(engine) {
             return Err(PlanError::NoExecutor);
         }
-        let budget = QueryBudget::unlimited();
-        let outcome = match engine {
-            EngineKind::BooleanFirst => run_class_scan(self, selection, class),
-            EngineKind::DominationFirst => {
-                run_class_probed(self, selection, class, &mut VerifyAllPruner, &budget, None)
-            }
-            EngineKind::PCube => run_class(self, selection, class, false, &budget, None),
-            EngineKind::IndexMerge => return Err(PlanError::NoExecutor),
-        };
+        let outcome =
+            self.run_class_kind(class, selection, engine, &QueryBudget::unlimited(), None);
         Ok((outcome.rows, outcome.stats))
+    }
+
+    /// `kind` as an [`Engine`] over this database's own indexes — taken
+    /// only by an engine that reads them. Out of line: it instantiates all
+    /// four engines for the class, once per query, in a caller that usually
+    /// holds the class's serial and parallel drivers too.
+    #[inline(never)]
+    fn run_class_kind<C: QueryClass>(
+        &self,
+        class: &C,
+        selection: &Selection,
+        kind: EngineKind,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
+    ) -> ClassOutcome<C::Row> {
+        // Refuse a class the schema cannot answer before building anything.
+        check_schema(self, class);
+        let selection = normalize(selection);
+        let run = |engine| run_class_engine(self, &selection, class, engine, budget, cancel);
+        match kind {
+            EngineKind::PCube => run(Engine::PCube),
+            EngineKind::DominationFirst => run(Engine::DominationFirst),
+            EngineKind::IndexMerge => run(Engine::IndexMerge(&BooleanIndexSet::of(self))),
+            // Nothing to look up: the heap scan needs no index.
+            EngineKind::BooleanFirst if selection.is_empty() => {
+                run(Engine::BooleanFirst(&BooleanIndexSet::default(), SelectRoute::Scan))
+            }
+            EngineKind::BooleanFirst => {
+                let indexes = BooleanIndexSet::of(self);
+                let route = indexes.block_route(self.relation(), &selection);
+                run(Engine::BooleanFirst(&indexes, route))
+            }
+        }
     }
 }
 
@@ -671,6 +527,7 @@ impl PCubeDb {
 mod tests {
     use super::*;
     use crate::pcube::PCubeConfig;
+    use crate::query::{SkylineClass, TopKClass};
     use pcube_cube::{Predicate, Relation, Schema};
 
     fn db(n: usize) -> PCubeDb {
@@ -719,12 +576,7 @@ mod tests {
     fn crossover_selective_to_baseline_unselective_to_pcube() {
         let db = db(2000);
         let planner = db.planner();
-        let all = [
-            EngineKind::PCube,
-            EngineKind::BooleanFirst,
-            EngineKind::DominationFirst,
-            EngineKind::IndexMerge,
-        ];
+        let all = EngineKind::ALL;
         // Rare value: a handful of matches — a B+-tree fetch of the few
         // qualifying rows should beat a signature-guided traversal.
         let f = crate::rank::MinCoordSum::all(2);
@@ -743,12 +595,7 @@ mod tests {
     fn budget_fallback_substitutes_the_cheapest_fitting_engine() {
         let db = db(2000);
         let planner = db.planner();
-        let all = [
-            EngineKind::PCube,
-            EngineKind::BooleanFirst,
-            EngineKind::DominationFirst,
-            EngineKind::IndexMerge,
-        ];
+        let all = EngineKind::ALL;
         let unselective = vec![Predicate { dim: 0, value: 0 }];
         let f = crate::rank::MinCoordSum::all(2);
         let query = TopKClass::new(10, &f);
@@ -790,30 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_and_run_matches_direct_engines() {
-        let db = db(800);
-        let planner = db.planner();
-        let budget = QueryBudget::unlimited();
-        let pcube = PCubeExecutor;
-        let execs: Vec<&dyn Executor> = vec![&pcube];
-        let f = crate::rank::LinearFn::new(vec![0.5, 0.5]);
-        let sel = vec![Predicate { dim: 1, value: 2 }];
-        let (top, stats) = db
-            .plan_and_run_topk(&planner, &execs, &sel, 5, &f, &budget, None)
-            .expect("planned");
-        assert_eq!(top, db.run(&sel, &TopKClass::new(5, &f)).rows);
-        let plan = stats.plan.expect("decision recorded");
-        assert_eq!(plan.chosen, EngineKind::PCube);
-        assert!(plan.chosen_estimate().blocks() > 0.0);
-
-        let (sky, stats) = db
-            .plan_and_run_skyline(&planner, &execs, &sel, &[0, 1], &budget, None)
-            .expect("planned");
-        assert_eq!(sky, db.run(&sel, &SkylineClass::new(vec![0, 1])).rows);
-        assert!(stats.plan.is_some());
-    }
-
-    #[test]
     fn plan_and_run_class_matches_direct_run() {
         let db = db(800);
         let planner = db.planner();
@@ -836,19 +659,99 @@ mod tests {
         assert_eq!(stats.plan.expect("decision recorded").class, "skyline");
     }
 
-    /// Every generic engine the class dispatcher can pick returns the same
-    /// answer (boolean-first and domination-first are verification paths
-    /// for the signature-guided traversal).
+    /// Every engine the class supports returns the class's answer through
+    /// `run_class_on`; index-merge really is index-merge (B+-tree probes, no
+    /// signature page), and an engine the class does not support is refused.
     #[test]
-    fn class_engines_agree_on_every_route() {
+    fn every_supported_engine_agrees_and_unsupported_ones_are_refused() {
+        use pcube_storage::IoCategory;
         let db = db(600);
         let sel = vec![Predicate { dim: 0, value: 0 }];
+        let f = crate::rank::LinearFn::new(vec![0.5, 0.5]);
+        let top = TopKClass::new(5, &f);
+        let want = db.run(&sel, &top).rows;
+        for kind in EngineKind::ALL {
+            let (rows, stats) = db.run_class_on(&top, &sel, kind).expect("top-k runs anywhere");
+            assert_eq!(rows, want, "{}", kind.name());
+            if kind == EngineKind::IndexMerge {
+                assert!(stats.io.reads(IoCategory::BptreePage) > 0, "probes cost B+-tree pages");
+                assert_eq!(stats.io.reads(IoCategory::SignaturePage), 0, "no signatures");
+                assert_eq!(stats.io.reads(IoCategory::TupleRandomAccess), 0, "no heap probes");
+            }
+        }
+        let sky = SkylineClass::new(vec![0, 1]);
+        let want = db.run(&sel, &sky).rows;
+        for kind in EngineKind::ALL.into_iter().filter(|&k| sky.supports(k)) {
+            assert_eq!(db.run_class_on(&sky, &sel, kind).expect("supported").0, want);
+        }
+        assert!(matches!(
+            db.run_class_on(&sky, &sel, EngineKind::IndexMerge),
+            Err(PlanError::NoExecutor)
+        ));
+    }
+
+    /// One copy of the boolean-first route model: at a page size whose
+    /// B+-tree leaves hold 63 entries, not 255, the estimate still predicts
+    /// the route the engine takes and the pages it reads.
+    #[test]
+    fn estimator_and_router_agree_at_a_1_kib_page() {
+        use pcube_storage::IoCategory;
+        assert_eq!(pcube_bptree::leaf_capacity(1024), 63);
+        let mut rel = Relation::new(Schema::new(&["a"], &["x", "y"]));
+        for i in 0..4000u32 {
+            // Value v covers 2^v rows out of every 1024 (v = 0..=9), the rest hold 10.
+            let a = (0..10).find(|&v| i % 1024 < (2 << v) - 1).unwrap_or(10);
+            rel.push_coded(&[a], &[f64::from(i % 61) / 61.0, f64::from(i % 67) / 67.0]);
+        }
+        let cfg = PCubeConfig { page_size: 1024, ..PCubeConfig::default() };
+        let db = PCubeDb::build(rel, &cfg);
+        let planner = db.planner();
         let class = SkylineClass::new(vec![0, 1]);
-        let budget = QueryBudget::unlimited();
-        let pcube = run_class(&db, &sel, &class, false, &budget, None);
-        let verify = run_class_probed(&db, &sel, &class, &mut VerifyAllPruner, &budget, None);
-        let scan = run_class_scan(&db, &sel, &class);
-        assert_eq!(pcube.rows, verify.rows);
-        assert_eq!(pcube.rows, scan.rows);
+        let mut routes = std::collections::HashSet::new();
+        for value in 0..=10 {
+            let sel = vec![Predicate { dim: 0, value }];
+            let estimate = planner
+                .estimate_class(&sel, &class)
+                .into_iter()
+                .find(|e| e.engine == EngineKind::BooleanFirst)
+                .expect("always estimated");
+            let (_, stats) =
+                db.run_class_on(&class, &sel, EngineKind::BooleanFirst).expect("supported");
+            let scanned = stats.io.reads(IoCategory::HeapScan) > 0;
+            assert_eq!(scanned, estimate.sequential_blocks > 0.0, "a = {value}: {estimate:?}");
+            routes.insert(scanned);
+            if !scanned {
+                // Pinned descents: the estimate's `+ 2` per predicate is the
+                // only slack.
+                let read = stats.io.total_reads() as f64;
+                assert!(read <= estimate.blocks() && estimate.blocks() <= read + 2.0, "a = {value}");
+                let c = planner.value_count(0, value) as f64;
+                assert_eq!(estimate.blocks(), (c / 63.0).ceil() + 2.0 + c);
+            }
+        }
+        assert_eq!(routes.len(), 2, "the sweep crosses over");
+    }
+
+    /// Boolean-first is governed for every class: a cancelled token stops it
+    /// before the selection step reads a block, on either route.
+    #[test]
+    fn cancelled_boolean_first_reads_nothing() {
+        let db = db(2000);
+        let sel = vec![Predicate { dim: 0, value: 5 }];
+        let class = crate::query::SubspaceSkylineClass::new(vec![1]);
+        let indexes = BooleanIndexSet::of(&db);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        for route in [SelectRoute::Index, SelectRoute::Scan] {
+            let engine = Engine::BooleanFirst(&indexes, route);
+            let budget = QueryBudget::unlimited();
+            let done = run_class_engine(&db, &sel, &class, engine, &budget, None);
+            assert_eq!(done.rows, db.run(&sel, &class).rows);
+            assert!(done.stats.io.total_reads() > 0);
+            let cut = run_class_engine(&db, &sel, &class, engine, &budget, Some(&cancel));
+            assert!(cut.rows.is_empty());
+            assert_eq!(cut.stats.io.total_reads(), 0);
+            assert!(matches!(cut.stats.outcome, crate::query::QueryOutcome::Partial { .. }));
+        }
     }
 }

@@ -14,7 +14,8 @@
 //! The serial driver seeds the heap, runs the kernel and assembles the
 //! statistics in one place; the entry points around it differ only in the
 //! boolean pruner they hand it (the signature probe, a caller-supplied
-//! probe, [`VerifyAllPruner`](crate::query::kernel::VerifyAllPruner)) and in
+//! probe, or one of the §VI-A comparison methods' — see [`Engine`], the seam
+//! the planner dispatches through) and in
 //! whether they keep the `b_list`/`d_list` for a later
 //! [`drill_down`](crate::PCubeDb::drill_down) or
 //! [`roll_up`](crate::PCubeDb::roll_up) (§V-C). A class opts into that
@@ -40,15 +41,17 @@ use std::fmt;
 use std::time::Instant;
 
 use pcube_cube::{normalize, Predicate, Selection};
-use pcube_storage::IoSnapshot;
+use pcube_storage::{CostModel, IoSnapshot};
 
+use crate::boolean_index::{BooleanIndexSet, SelectRoute};
 use crate::pcube::PCubeDb;
 use crate::plan::{EngineKind, Planner};
 use crate::query::budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome};
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
-    dynamic_point, run_kernel, BooleanPruner, HullLogic, KernelRun, PSkylineLogic,
-    PreferenceLogic, SavedLists, SharedBound, SharedWindow, SkylineLogic, TopKLogic,
+    dynamic_point, run_kernel, BooleanPruner, HullLogic, IndexMergePruner, KernelRun,
+    PSkylineLogic, PreferenceLogic, SavedLists, SharedBound, SharedWindow, SkylineLogic,
+    TopKLogic, VerifyAllPruner,
 };
 use crate::query::{dominates, seed_root, CandidateHeap, HeapEntry, QueryStats, ResultEntry};
 use crate::rank::RankingFunction;
@@ -193,14 +196,12 @@ pub(crate) struct QueryStart {
     pub(crate) before: IoSnapshot,
 }
 
-/// The one entry every engine passes through — serial, parallel, and the
-/// planner's verify-all and scan engines: checks the class against the
-/// schema, then starts the clock.
+/// Checks the class against the schema.
 ///
 /// # Panics
 /// Panics if the class reads a preference dimension the schema does not
 /// have.
-pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
+pub(crate) fn check_schema<C: QueryClass>(db: &PCubeDb, class: &C) {
     let n_pref = db.relation().schema().n_pref();
     if let Some(d) = class.max_pref_dim() {
         assert!(
@@ -209,6 +210,12 @@ pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
             class.name()
         );
     }
+}
+
+/// The one entry every engine passes through — serial, parallel, and the
+/// comparison methods of §VI-A: [`check_schema`], then starts the clock.
+pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
+    check_schema(db, class);
     QueryStart { at: Instant::now(), before: db.stats().snapshot() }
 }
 
@@ -229,10 +236,8 @@ pub(crate) fn run_class<C: QueryClass>(
 }
 
 /// [`run_class`] with a caller-supplied boolean pruner: a Bloom probe
-/// ([`crate::PCube::probe_bloom`], §VII), or
-/// [`VerifyAllPruner`](crate::query::kernel::VerifyAllPruner) — the
-/// planner's domination-first engine, Algorithm 1 with no boolean pruning
-/// and every accepted tuple verified against the base table.
+/// ([`crate::PCube::probe_bloom`], §VII), or the pruner of the
+/// domination-first or index-merge engine.
 pub(crate) fn run_class_probed<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
@@ -299,28 +304,101 @@ fn run_class_with<C: QueryClass>(
     ClassOutcome { rows, stats }
 }
 
-/// Boolean-first engine for a query class: resolve the selection to the
-/// full qualifying candidate list (the relation layer picks the index or
-/// scan route), then run the class's reference preference step over it in
-/// memory. `peak_heap` reports the materialised candidate count; the
-/// in-memory preference step is not governed (see
-/// [`crate::pcube::PCubeDb::plan_and_run_class`]).
-pub(crate) fn run_class_scan<C: QueryClass>(
+/// One of the four engines of §VI-A, with what it reads besides the R-tree
+/// and the base table. [`PCubeDb::plan_and_run_class`] and
+/// [`PCubeDb::run_class_on`] pick one by [`EngineKind`] over the database's
+/// own indexes; the evaluation harness names its own index set and route.
+#[derive(Clone, Copy)]
+pub enum Engine<'a> {
+    /// Algorithm 1 under the signature probe of the selection.
+    PCube,
+    /// Algorithm 1 under [`VerifyAllPruner`].
+    DominationFirst,
+    /// Algorithm 1 under [`IndexMergePruner`] over these indexes.
+    IndexMerge(&'a BooleanIndexSet),
+    /// [`BooleanIndexSet::select`] by this route, then the class's
+    /// in-memory preference step ([`QueryClass::oracle`]).
+    BooleanFirst(&'a BooleanIndexSet, SelectRoute),
+}
+
+/// The engine seam: runs `class` over `selection` on `engine` under a
+/// [`QueryBudget`] and optional [`CancelToken`]. Three of the four engines
+/// are the kernel behind a different [`BooleanPruner`], governed at pop
+/// granularity; boolean-first is the class's in-memory step behind a
+/// selection, governed per phase. Whether the class *should* run on the
+/// engine ([`QueryClass::supports`]) is the planned entry points' question.
+///
+/// # Panics
+/// Panics, before the first block read, if the class reads a preference
+/// dimension the schema does not have.
+pub fn run_class_engine<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
+    engine: Engine<'_>,
+    budget: &QueryBudget,
+    cancel: Option<&CancelToken>,
+) -> ClassOutcome<C::Row> {
+    match engine {
+        Engine::PCube => run_class(db, selection, class, false, budget, cancel),
+        Engine::DominationFirst => {
+            run_class_probed(db, selection, class, &mut VerifyAllPruner, budget, cancel)
+        }
+        Engine::IndexMerge(indexes) => {
+            run_class_probed(db, selection, class, &mut IndexMergePruner(indexes), budget, cancel)
+        }
+        Engine::BooleanFirst(indexes, route) => {
+            run_boolean_first(db, selection, class, indexes, route, budget, cancel)
+        }
+    }
+}
+
+/// The boolean-first engine (§VI-A): resolve the selection to the full
+/// qualifying candidate list, then run the class's reference preference
+/// step over it in memory — boolean pruning only, no preference pruning
+/// against the indexes. `peak_heap` reports the materialised candidate count
+/// (the Fig 10 measure for this method).
+///
+/// The selection step is monolithic, so governance is phase-granular: one
+/// check before it and one after. A trip yields an empty partial answer —
+/// sound for every class, since nothing was accepted before the preference
+/// step ran.
+fn run_boolean_first<C: QueryClass>(
+    db: &PCubeDb,
+    selection: &Selection,
+    class: &C,
+    indexes: &BooleanIndexSet,
+    route: SelectRoute,
+    budget: &QueryBudget,
+    cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
     let start = begin(db, class);
-    let selection = normalize(selection);
-    let rel = db.relation();
-    let candidates: Vec<(u64, Vec<f64>)> =
-        rel.scan(&selection).map(|tid| (tid, rel.pref_coords(tid))).collect();
-    let mut stats = QueryStats { peak_heap: candidates.len(), ..QueryStats::default() };
-    let t_merge = Instant::now();
-    let rows = class.oracle(&candidates);
-    stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
+    let mut gov = make_governor(db, budget, cancel);
+    let mut stats = QueryStats::default();
+    let mut rows = Vec::new();
+    // The two phases in the kernel's terms: the selection is the one "pop",
+    // the candidate list the frontier a trip after it abandons.
+    let mut run = KernelRun { stop: gov.as_mut().and_then(|g| g.check(0)), ..KernelRun::default() };
+    if run.stop.is_none() {
+        let candidates = indexes.select(db, selection, &CostModel::default(), route);
+        stats.peak_heap = candidates.len();
+        run.pops = 1;
+        run.stop = gov.as_mut().and_then(|g| g.check(candidates.len()));
+        if run.stop.is_some() {
+            run.frontier = candidates.len() as u64;
+        } else {
+            let t_merge = Instant::now();
+            rows = class.oracle(&candidates);
+            stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
+        }
+    }
+    if let Some(g) = &gov {
+        run.overshoot_seconds = g.overshoot_seconds();
+        run.max_pop_seconds = g.max_pop_seconds();
+    }
     stats.io = db.stats().snapshot().since(&start.before);
     stats.cpu_seconds = start.at.elapsed().as_secs_f64();
+    apply_kernel_outcome(&mut stats, &run, rows.len());
     ClassOutcome { rows, stats }
 }
 
@@ -1138,7 +1216,7 @@ mod tests {
         refused("plan_and_run_class", &|| {
             drop(db.plan_and_run_class(&planner, class, &sel, &budget, None))
         });
-        for engine in [EngineKind::PCube, EngineKind::BooleanFirst, EngineKind::DominationFirst] {
+        for engine in EngineKind::ALL.into_iter().filter(|&e| class.supports(e)) {
             refused(engine.name(), &|| drop(db.run_class_on(class, &sel, engine)));
         }
     }

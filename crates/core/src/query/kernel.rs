@@ -3,14 +3,15 @@
 //! Every preference engine in this crate — serial and parallel; top-k,
 //! skyline, dynamic skyline and convex hull — is the same loop: pop the
 //! best candidate from the [`CandidateHeap`], apply *preference* pruning,
-//! apply *boolean* pruning, then either accept a tuple (after lossy-probe
-//! verification against the base table) or expand an R-tree node and
-//! classify its children the same way. [`run_kernel`] implements that loop
-//! exactly once; the engines differ only in the two trait objects they pass
-//! in:
+//! apply *boolean* pruning, then either accept a tuple (once the pruner has
+//! verified it) or expand an R-tree node and classify its children the same
+//! way. [`run_kernel`] implements that loop exactly once; the engines —
+//! the comparison methods of §VI-A included — differ only in the two trait
+//! objects they pass in:
 //!
-//! * a [`BooleanPruner`] — the signature probe, a Bloom probe, or
-//!   [`NoPruner`] (Algorithm 1 with boolean pruning switched off), and
+//! * a [`BooleanPruner`] — the signature probe, a Bloom probe, [`NoPruner`]
+//!   (Algorithm 1 with boolean pruning switched off), [`VerifyAllPruner`]
+//!   (domination-first) or [`IndexMergePruner`] (index-merge), and
 //! * a [`PreferenceLogic`] — scoring, preference pruning, halting, and
 //!   result accumulation: top-k bound-and-cut ([`TopKLogic`]), the skyline
 //!   dominance window with an optional coordinate transform for dynamic
@@ -40,6 +41,7 @@ use std::time::Instant;
 use pcube_cube::Selection;
 use pcube_rtree::{Mbr, NodeView, Path};
 
+use crate::boolean_index::BooleanIndexSet;
 use crate::pcube::PCubeDb;
 use crate::query::budget::{Governor, StopReason};
 use crate::query::class::PriorityGraph;
@@ -50,10 +52,9 @@ use crate::store::BooleanProbe;
 
 /// Boolean pruning as Algorithm 1 sees it, at its two granularities — a
 /// full-path membership test for a popped entry, and per-node child masks
-/// for an expansion — plus enough metadata to drive lossy-probe
-/// verification and the `SSig` statistics. See
-/// [`BooleanProbe`] for the contract between
-/// the two.
+/// for an expansion — plus the pop-time check of a tuple about to be
+/// accepted and the `SSig` statistics. See [`BooleanProbe`] for the contract
+/// between the two granularities.
 pub trait BooleanPruner {
     /// `true` if the subtree/tuple at `path` may contain qualifying tuples:
     /// the full root-to-path probe, asked once per popped entry.
@@ -72,9 +73,15 @@ pub trait BooleanPruner {
     fn child_bit(&self, _i: usize, _slot: usize) -> bool {
         true
     }
-    /// `true` if a positive answer may be wrong (Bloom probes, degraded
-    /// cursors) — accepted tuples then require base-table verification.
-    fn is_lossy(&self) -> bool;
+    /// The boolean check "in between lines 7 and 8" (§VI-A): does the popped
+    /// tuple `tid`, which passed [`Self::contains`], satisfy the
+    /// (normalized) `selection`? `false` routes it to the `b_list`. An exact
+    /// pruner has already answered and keeps the default; one whose
+    /// positive answers may be wrong pays for the truth here, before the
+    /// tuple may join the result and prune others.
+    fn verify(&mut self, _db: &PCubeDb, _selection: &Selection, _tid: u64) -> bool {
+        true
+    }
     /// Partial signatures loaded so far (the `SSig` series of Fig 9).
     fn partials_loaded(&self) -> u64;
 }
@@ -92,12 +99,22 @@ impl BooleanPruner for BooleanProbe<'_> {
     fn child_bit(&self, i: usize, slot: usize) -> bool {
         BooleanProbe::child_bit(self, i, slot)
     }
-    fn is_lossy(&self) -> bool {
-        BooleanProbe::is_lossy(self)
+    /// A lossy probe (Bloom, §VII, or a degraded cursor) may pass
+    /// non-qualifying tuples: verify against the base table. The empty
+    /// selection has nothing to get wrong.
+    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
+        !BooleanProbe::is_lossy(self) || selection.is_empty() || fetch_matches(db, selection, tid)
     }
     fn partials_loaded(&self) -> u64 {
         BooleanProbe::partials_loaded(self)
     }
+}
+
+/// One counted random tuple access by tid (the `DBool` counter of Fig 9):
+/// does the row satisfy every predicate?
+fn fetch_matches(db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
+    let codes = db.relation().fetch(tid);
+    selection.iter().all(|p| codes[p.dim] == p.value)
 }
 
 /// A pruner that admits every candidate — Algorithm 1 with boolean pruning
@@ -109,28 +126,48 @@ impl BooleanPruner for NoPruner {
     fn contains(&mut self, _path: &Path) -> bool {
         true
     }
-    fn is_lossy(&self) -> bool {
-        false
-    }
     fn partials_loaded(&self) -> u64 {
         0
     }
 }
 
-/// A pruner that admits every candidate but reports itself lossy, so the
-/// kernel verifies each accepted tuple against the base table — the
-/// minimal-probing discipline of the domination-first baseline family,
-/// expressed as an Algorithm 1 instantiation. Used by the generic
-/// [`QueryClass`](crate::query::class::QueryClass) planner dispatch as its
-/// domination-first engine.
+/// The domination-first engine of §VI-A (BBS \[9\] + minimal probing \[3\];
+/// **Ranking** for top-k): "similar to Algorithm 1, except that there is no
+/// boolean checking in the prune procedure … we only issue a boolean
+/// checking for a tuple in between lines 7 and 8". Admits every candidate
+/// and fetches each tuple about to be accepted from the base table — also
+/// under the empty selection: minimal probing cannot know `BP = ∅` is free.
 pub struct VerifyAllPruner;
 
 impl BooleanPruner for VerifyAllPruner {
     fn contains(&mut self, _path: &Path) -> bool {
         true
     }
-    fn is_lossy(&self) -> bool {
+    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
+        fetch_matches(db, selection, tid)
+    }
+    fn partials_loaded(&self) -> u64 {
+        0
+    }
+}
+
+/// The index-merge engine of §VI-A, after Xin et al.'s progressive and
+/// selective merge \[14\]: "if a data satisfies boolean predicates, the
+/// function value on preference dimensions is returned. Otherwise, it
+/// returns MAX value." The R-tree is expanded best-first (progressive) and
+/// a tuple's membership in each predicate's B+-tree is probed only when it
+/// surfaces as a candidate (selective) — one counted point lookup per
+/// predicate, stopping at the first miss. The closed-source original also
+/// adapts between probing and list-scanning per predicate selectivity; see
+/// DESIGN.md §3.
+pub struct IndexMergePruner<'a>(pub &'a BooleanIndexSet);
+
+impl BooleanPruner for IndexMergePruner<'_> {
+    fn contains(&mut self, _path: &Path) -> bool {
         true
+    }
+    fn verify(&mut self, _db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
+        selection.iter().all(|p| self.0.probe(p.dim, p.value, tid))
     }
     fn partials_loaded(&self) -> u64 {
         0
@@ -264,7 +301,7 @@ pub fn run_kernel(
         }
         // Stage attribution: preference work (on_pop, scoring, pruning, bit
         // tests, heap pushes) counts as `score`; anything that can touch a
-        // page — the pop-time probe, node reads, child-mask fetches, verify
+        // page — the pop-time probe and verification, node reads, child-mask
         // fetches — counts as `page_read`. The clock is read at those
         // transitions only: a handful of times per pop, never per child.
         let t_pop = Instant::now();
@@ -288,8 +325,15 @@ pub fn run_kernel(
             PopVerdict::Continue => {}
         }
         // The full-path probe: the entry may be the root seed or restored
-        // from a saved list, so nothing is known about its ancestors.
-        let keep = probe.contains(entry.cand.path());
+        // from a saved list, so nothing is known about its ancestors. A
+        // tuple is additionally verified (one counted random access under a
+        // lossy probe or minimal probing, B+-tree probes under index-merge)
+        // before it may join the result and prune others.
+        let keep = probe.contains(entry.cand.path())
+            && match &entry.cand {
+                Candidate::Tuple { tid, .. } => probe.verify(db, selection, *tid),
+                Candidate::Node { .. } => true,
+            };
         run.stages.page_read_seconds += t_probed.elapsed().as_secs_f64();
         if !keep {
             if let Some(lists) = lists.as_deref_mut() {
@@ -297,30 +341,8 @@ pub fn run_kernel(
             }
             continue;
         }
-        let (e_score, e_seq) = (entry.score, entry.seq);
         match entry.cand {
-            Candidate::Tuple { tid, path, coords } => {
-                // Lossy probes (Bloom, §VII, or a degraded cursor) may pass
-                // non-qualifying tuples; verify against the base table (one
-                // counted random access, as in minimal probing) before the
-                // tuple may join the result and prune others.
-                if probe.is_lossy() && !selection.is_empty() {
-                    let t_fetch = Instant::now();
-                    let codes = db.relation().fetch(tid);
-                    run.stages.page_read_seconds += t_fetch.elapsed().as_secs_f64();
-                    if !selection.iter().all(|p| codes[p.dim] == p.value) {
-                        if let Some(lists) = lists.as_deref_mut() {
-                            lists.b_list.push(HeapEntry {
-                                score: e_score,
-                                seq: e_seq,
-                                cand: Candidate::Tuple { tid, path, coords },
-                            });
-                        }
-                        continue;
-                    }
-                }
-                logic.accept(e_score, tid, path, coords);
-            }
+            Candidate::Tuple { tid, path, coords } => logic.accept(entry.score, tid, path, coords),
             Candidate::Node { pid, path, .. } => {
                 let t_read = Instant::now();
                 let node = db.rtree().view_node(pid);

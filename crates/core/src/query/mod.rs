@@ -13,13 +13,13 @@ mod parallel;
 
 pub use budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason};
 pub use class::{
-    ClassOutcome, DynamicSkylineClass, HullClass, PSkylineClass, PriorityGraph,
-    PriorityGraphError, QueryClass, SavedState, SkyPoint, SkylineClass, SubspaceSkylineClass,
-    TopKClass,
+    run_class_engine, ClassOutcome, DynamicSkylineClass, Engine, HullClass, PSkylineClass,
+    PriorityGraph, PriorityGraphError, QueryClass, SavedState, SkyPoint, SkylineClass,
+    SubspaceSkylineClass, TopKClass,
 };
 pub use kernel::{
-    run_kernel, BooleanPruner, KernelRun, NoPruner, PopVerdict, PreferenceLogic, Region,
-    SavedLists, SharedBound, SharedWindow, VerifyAllPruner,
+    run_kernel, BooleanPruner, IndexMergePruner, KernelRun, NoPruner, PopVerdict,
+    PreferenceLogic, Region, SavedLists, SharedBound, SharedWindow, VerifyAllPruner,
 };
 pub(crate) use parallel::par_run_class;
 pub use parallel::ParallelOptions;

@@ -1,11 +1,11 @@
 //! The paper's Example 1 at scale: multi-dimensional top-k over a used-car
 //! database. A buyer wants `type = sedan AND color = red` ranked by
 //! `(price − 15k)² + α·(mileage − 30k)²`, and we compare the P-Cube search
-//! against the boolean-first and ranking-first execution plans.
+//! against the boolean-first and ranking-first execution plans — the same
+//! query class handed to three engines of the one engine seam.
 //!
 //! Run with: `cargo run --release --example used_cars`
 
-use pcube::baselines::{ranking_topk, BooleanIndexSet};
 use pcube::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,15 +58,15 @@ fn main() {
     }
 
     // The same query under the three execution plans.
-    db.stats().reset();
-    let sig = db.run(&sel, &TopKClass::new(10, &f));
-    db.stats().reset();
-    let boolean = indexes.topk(&db, &sel, 10, &f);
-    db.stats().reset();
-    let (rank_top, rank_stats) = ranking_topk(&db, &sel, 10, &f);
+    let top10 = TopKClass::new(10, &f);
+    let on = |engine| run_class_engine(&db, &sel, &top10, engine, &QueryBudget::unlimited(), None);
+    let sig = on(Engine::PCube);
+    let boolean = on(Engine::BooleanFirst(&indexes, SelectRoute::Auto));
+    let ranking = on(Engine::DominationFirst);
+    for plan in [&sig, &boolean, &ranking] {
+        assert_eq!(plan.rows, sig.rows);
+    }
     assert_eq!(sig.rows.len(), 10);
-    assert_eq!(boolean.topk.len(), 10);
-    assert_eq!(rank_top.len(), 10);
 
     println!("\nexecution plan comparison (modeled disk seconds, default 2008-era disk):");
     println!(
@@ -74,7 +74,7 @@ fn main() {
         "plan", "modeled s", "rtree blocks", "tuple probes", "peak heap"
     );
     for (name, stats) in
-        [("Signature", &sig.stats), ("Boolean", &boolean.stats), ("Ranking", &rank_stats)]
+        [("Signature", &sig.stats), ("Boolean", &boolean.stats), ("Ranking", &ranking.stats)]
     {
         println!(
             "  {:<12} {:>10.3} {:>12} {:>12} {:>12}",

@@ -46,7 +46,7 @@
 //! | [`bptree`] | `pcube-bptree` | disk B+-tree (indexes + directories) |
 //! | [`bitmap`] | `pcube-bitmap` | bit arrays, compression, Bloom filters |
 //! | [`storage`] | `pcube-storage` | counted pager, buffer pool, cost model |
-//! | [`baselines`] | `pcube-baselines` | Boolean / Domination / Index-merge |
+//! | [`baselines`] | `pcube-baselines` | reference algorithms (BNL, SFS, naive top-k) + re-exports |
 //! | [`data`] | `pcube-data` | synthetic + CoverType-surrogate generators |
 
 #![forbid(unsafe_code)]
@@ -65,17 +65,14 @@ pub use pcube_storage as storage;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use pcube_baselines::{
-        BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
-    };
     pub use pcube_core::{
-        ClassOutcome, CommitReceipt, CostEstimate, DurabilityError, DurabilityOptions, DurableDb,
-        DurableState, DynamicSkylineClass, EngineKind, EpochReader, EpochSnapshot, Executor,
-        HullClass, LinearFn, MaintenanceOp, MinCoordSum, PCube, PCubeConfig, PCubeDb,
-        PCubeExecutor, PSkylineClass, ParallelOptions, PlanDecision, Planner, PriorityGraph,
-        PriorityGraphError, QueryClass, QueryStats, RankingFunction, RecoveryReport,
-        RepairOutcome, SavedState, Signature, SkylineClass, SubspaceSkylineClass, TopKClass,
-        WeightedDistanceFn,
+        run_class_engine, BooleanIndexSet, ClassOutcome, CommitReceipt, CostEstimate,
+        DurabilityError, DurabilityOptions, DurableDb, DurableState, DynamicSkylineClass, Engine,
+        EngineKind, EpochReader, EpochSnapshot, HullClass, LinearFn, MaintenanceOp, MinCoordSum,
+        PCube, PCubeConfig, PCubeDb, PSkylineClass, ParallelOptions, PlanDecision, Planner,
+        PriorityGraph, PriorityGraphError, QueryClass, QueryStats, RankingFunction,
+        RecoveryReport, RepairOutcome, SavedState, SelectRoute, Signature, SkylineClass,
+        SubspaceSkylineClass, TopKClass, WeightedDistanceFn,
     };
     pub use pcube_core::{scrub, QueryBudget, ScrubFinding, ScrubReport, StopReason};
     pub use pcube_core::{CommitError, CommitQueue, CommitQueuePolicy, GroupCommitStats};

@@ -21,13 +21,9 @@
 //! evaluation's linear functions while guaranteeing a derivable lower bound
 //! (§III's requirement).
 
-use pcube_baselines::{
-    BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
-};
 use pcube_core::{
-    CancelToken, DurableDb, Executor, PCubeDb, PCubeExecutor, PSkylineClass, PlanError, Planner,
-    PriorityGraph, QueryBudget, QueryClass, QueryOutcome, QueryStats, RankingFunction,
-    SkylineClass, SubspaceSkylineClass, TopKClass,
+    CancelToken, DurableDb, PCubeDb, PSkylineClass, PriorityGraph, QueryBudget, QueryClass,
+    QueryOutcome, QueryStats, RankingFunction, SkylineClass, SubspaceSkylineClass, TopKClass,
 };
 use pcube_cube::{Predicate, Selection};
 use pcube_rtree::Mbr;
@@ -575,27 +571,31 @@ pub struct SqlOutcome {
 }
 
 fn bind_selection(db: &PCubeDb, predicates: &[(String, String)]) -> Result<Selection, SqlError> {
-    predicates
-        .iter()
-        .map(|(dim_name, value)| {
-            let dim = db
-                .relation()
-                .schema()
-                .bool_index(dim_name)
-                .ok_or_else(|| SqlError(format!("unknown boolean dimension {dim_name:?}")))?;
-            let dict = db.relation().dictionary(dim);
-            let value = match dict.code(value) {
-                Some(code) => code,
-                // Dictionary-less relations (rows appended with raw codes,
-                // e.g. the synthetic generators) accept numeric literals as
-                // the codes themselves. Otherwise an unknown value is legal:
-                // the query just matches nothing.
-                None if dict.is_empty() => value.parse::<u32>().unwrap_or(u32::MAX),
-                None => u32::MAX,
-            };
-            Ok(Predicate { dim, value })
-        })
-        .collect()
+    let mut selection = Selection::new();
+    for (dim_name, value) in predicates {
+        let dim = db
+            .relation()
+            .schema()
+            .bool_index(dim_name)
+            .ok_or_else(|| SqlError(format!("unknown boolean dimension {dim_name:?}")))?;
+        let dict = db.relation().dictionary(dim);
+        let value = match dict.code(value) {
+            Some(code) => code,
+            // Dictionary-less relations (rows appended with raw codes,
+            // e.g. the synthetic generators) accept numeric literals as
+            // the codes themselves. Otherwise an unknown value is legal:
+            // the query just matches nothing.
+            None if dict.is_empty() => value.parse::<u32>().unwrap_or(u32::MAX),
+            None => u32::MAX,
+        };
+        // A repeated predicate is legal; two values for one dimension are
+        // not a selection (`normalize` would panic on them).
+        if selection.iter().any(|p| p.dim == dim && p.value != value) {
+            return err(format!("contradictory predicates on boolean dimension {dim_name:?}"));
+        }
+        selection.push(Predicate { dim, value });
+    }
+    Ok(selection)
 }
 
 fn bind_pref_dim(db: &PCubeDb, name: &str) -> Result<usize, SqlError> {
@@ -623,13 +623,15 @@ fn decode_row(db: &PCubeDb, tid: u64, coords: &[f64], score: Option<f64>) -> Res
 /// Parses and runs one statement against a P-Cube database.
 ///
 /// A statement prefixed with `EXPLAIN` is dispatched through the §VI
-/// cost-based planner over every engine (P-Cube and the three baselines):
-/// the rows come back from whichever engine the planner picked, and the
-/// decision — chosen engine, selectivity, per-engine block estimates — is
-/// recorded in `stats.plan` (render it with [`explain_plan`]). The planner's
-/// catalog and the baselines' boolean indexes are the database's, not the
-/// statement's: the first `EXPLAIN` after a row change builds them, every
-/// later one — in any session, or in none — shares them.
+/// cost-based planner over every engine its class supports (P-Cube and the
+/// comparison methods of §VI-A): the rows come back from whichever engine
+/// the planner picked, and the decision — chosen engine, selectivity,
+/// per-engine block estimates — is recorded in `stats.plan` (render it with
+/// [`explain_plan`]). The planner's catalog and the boolean indexes are the
+/// database's, not the statement's: the first `EXPLAIN` after a row change
+/// builds the catalog, the first plan that lands on an engine reading the
+/// indexes builds those, and every later one — in any session, or in none —
+/// shares them.
 pub fn execute(db: &PCubeDb, sql: &str) -> Result<SqlOutcome, SqlError> {
     execute_with(db, sql, &QueryBudget::unlimited(), None)
 }
@@ -668,14 +670,9 @@ fn execute_statement(
                     .map(|n| bind_pref_dim(db, n))
                     .collect::<Result<Vec<_>, _>>()?
             };
-            let class = SkylineClass::new(dims.clone());
-            let planned = |planner: &Planner| {
-                with_all_engines(db, |engines| {
-                    db.plan_and_run_skyline(planner, engines, &selection, &dims, budget, cancel)
-                })
-            };
+            let class = SkylineClass::new(dims);
             let (rows, stats) =
-                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;
             Ok(skyline_outcome(db, &rows, stats))
         }
         SqlQuery::TopK { k, predicates, ranking } => {
@@ -691,13 +688,8 @@ fn execute_statement(
                 .collect::<Result<Vec<_>, SqlError>>()?;
             let f = CompiledRanking { terms };
             let class = TopKClass::new(k, &f);
-            let planned = |planner: &Planner| {
-                with_all_engines(db, |engines| {
-                    db.plan_and_run_topk(planner, engines, &selection, k, &f, budget, cancel)
-                })
-            };
             let (topk, stats) =
-                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;
             Ok(SqlOutcome {
                 rows: topk
                     .iter()
@@ -739,11 +731,8 @@ fn execute_statement(
             let graph = PriorityGraph::new(dims, &edge_ids)
                 .map_err(|e| SqlError(format!("invalid PRIORITIZE clause: {e}")))?;
             let class = PSkylineClass::new(graph);
-            let planned = |planner: &Planner| {
-                db.plan_and_run_class(planner, &class, &selection, budget, cancel)
-            };
             let (rows, stats) =
-                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;
             Ok(skyline_outcome(db, &rows, stats))
         }
         SqlQuery::SubspaceSkyline { predicates, dims } => {
@@ -754,11 +743,8 @@ fn execute_statement(
                 .map(|n| bind_pref_dim(db, n))
                 .collect::<Result<Vec<_>, _>>()?;
             let class = SubspaceSkylineClass::new(dim_ids);
-            let planned = |planner: &Planner| {
-                db.plan_and_run_class(planner, &class, &selection, budget, cancel)
-            };
             let (rows, stats) =
-                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel, planned)?;
+                run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;
             // Subspace rows carry only the projected coordinates, in the
             // order the SUBSPACE clause listed them.
             Ok(skyline_outcome(db, &rows, stats))
@@ -782,40 +768,27 @@ fn reject_duplicate_dims(names: &[String], what: &str) -> Result<(), SqlError> {
 }
 
 /// Runs one bound statement: the serial engine under the session's budget
-/// normally; for an `EXPLAIN`ed statement, `planned` over the database's §VI
-/// catalog ([`PCubeDb::planner`] — built by the first statement that plans
-/// against this version of the database, shared by every later one; the
-/// decision lands in `stats.plan`). Top-k and skyline plan over the four
-/// engines of §VI-A ([`with_all_engines`]); the classes no baseline
-/// implements plan over the three generic ones
-/// ([`PCubeDb::plan_and_run_class`]).
-fn run_class_statement<C: QueryClass>(
+/// normally; for an `EXPLAIN`ed statement, [`PCubeDb::plan_and_run_class`]
+/// over the database's §VI catalog ([`PCubeDb::planner`] — built by the first
+/// statement that plans against this version of the database, shared by
+/// every later one; the decision lands in `stats.plan`). Every class plans
+/// over the engines of §VI-A it supports, under the same budget and cancel
+/// token whichever engine wins.
+fn run_class_statement<C: QueryClass + Sync>(
     db: &PCubeDb,
     class: &C,
     selection: &Selection,
     explain: bool,
     budget: &QueryBudget,
     cancel: Option<&CancelToken>,
-    planned: impl FnOnce(&Planner) -> Result<(Vec<C::Row>, QueryStats), PlanError>,
 ) -> Result<(Vec<C::Row>, QueryStats), SqlError> {
     if explain {
-        planned(&db.planner()).map_err(|e| SqlError(e.to_string()))
+        db.plan_and_run_class(&db.planner(), class, selection, budget, cancel)
+            .map_err(|e| SqlError(e.to_string()))
     } else {
         let out = db.run_governed(selection, class, budget, cancel);
         Ok((out.rows, out.stats))
     }
-}
-
-/// Hands `run` P-Cube and the three baseline engines (index-merge is top-k
-/// only; a class that does not support it never has it offered), over the
-/// database's boolean indexes ([`BooleanIndexSet::of`]: bulk loaded — page
-/// writes charged to the ledger — by the first statement that needs them,
-/// then kept until the next insert or delete).
-fn with_all_engines<T>(db: &PCubeDb, run: impl FnOnce(&[&dyn Executor]) -> T) -> T {
-    let indexes = BooleanIndexSet::of(db);
-    let boolean = BooleanFirstExecutor::new(&indexes);
-    let merge = IndexMergeExecutor::new(&indexes);
-    run(&[&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge])
 }
 
 /// Per-connection execution state: a deadline and block cap applied to

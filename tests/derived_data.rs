@@ -10,14 +10,10 @@
 
 use std::sync::{Arc, Barrier};
 
-use pcube::baselines::{
-    BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
-    SelectRoute,
-};
 use pcube::core::{
-    DurabilityOptions, DurableDb, EngineKind, Executor, LinearFn, MaintenanceOp, PCubeConfig,
-    PCubeDb, PCubeExecutor, PSkylineClass, Planner, PriorityGraph, QueryBudget, QueryClass,
-    QueryStats, SkylineClass, SubspaceSkylineClass, TopKClass,
+    run_class_engine, BooleanIndexSet, DurabilityOptions, DurableDb, Engine, EngineKind, LinearFn,
+    MaintenanceOp, PCubeConfig, PCubeDb, PSkylineClass, Planner, PriorityGraph, QueryBudget,
+    QueryClass, QueryStats, SelectRoute, SkylineClass, SubspaceSkylineClass, TopKClass,
 };
 use pcube::cube::{Predicate, Relation, Schema, Selection};
 use pcube::sql::{self, ResultRow};
@@ -83,6 +79,19 @@ fn grid_rows(n: usize, card: u32) -> Vec<Row> {
             }
         })
         .collect()
+}
+
+/// `grid_rows` plus three rows holding value 9 on both boolean dimensions.
+/// A statement selecting them plans onto boolean-first's index route — an
+/// engine that reads the database's indexes, which are built by the first
+/// plan that does and by none before it.
+fn grid_rows_with_a_rare_value(n: usize, card: u32) -> Vec<Row> {
+    let mut rows = grid_rows(n, card);
+    rows.extend((1..=3).map(|i| {
+        let f = f64::from(i);
+        Row { codes: vec![9, 9], coords: vec![0.2 * f, 1.0 - 0.2 * f, 0.5] }
+    }));
+    rows
 }
 
 fn arb_row() -> impl Strategy<Value = Row> {
@@ -165,22 +174,22 @@ fn plan_of(stats: &QueryStats) -> String {
 }
 
 /// `class` over `sel` gives the class's own reference answer over the live
-/// qualifying rows on each of the three generic engines.
+/// qualifying rows on each engine the class supports.
 fn engines_match_oracle<C>(db: &PCubeDb, class: &C, sel: &Selection, oracle: &[C::Row], what: &str)
 where
     C: QueryClass + Sync,
     C::Row: PartialEq + std::fmt::Debug,
 {
-    for engine in [EngineKind::PCube, EngineKind::BooleanFirst, EngineKind::DominationFirst] {
-        let (rows, _) = db.run_class_on(class, sel, engine).expect("a generic engine");
+    for engine in EngineKind::ALL.into_iter().filter(|&e| class.supports(e)) {
+        let (rows, _) = db.run_class_on(class, sel, engine).expect("a supported engine");
         assert_eq!(rows, oracle, "{what} on {}", engine.name());
     }
 }
 
 /// One `EXPLAIN` against `db`, checked three ways: against the same plan
-/// and run over a *fresh* catalog and *fresh* indexes of the same value,
-/// against the class's reference answer over the model's live rows, and
-/// against every generic engine.
+/// over a *fresh* catalog and the chosen engine over *fresh* indexes of the
+/// same value, against the class's reference answer over the model's live
+/// rows, and against every engine the class supports.
 fn check_explain(db: &PCubeDb, model: &Model, kind: Kind, preds: &[(usize, u32)]) {
     let text = statement(kind, preds);
     let sel = selection(preds);
@@ -190,11 +199,27 @@ fn check_explain(db: &PCubeDb, model: &Model, kind: Kind, preds: &[(usize, u32)]
     let planner = Planner::new(db);
     let page_size = db.rtree().pager().page_size();
     let indexes = BooleanIndexSet::build(db.relation(), page_size, db.stats().clone());
-    let boolean = BooleanFirstExecutor::new(&indexes);
-    let merge = IndexMergeExecutor::new(&indexes);
-    let engines: [&dyn Executor; 4] = [&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge];
-    let budget = QueryBudget::unlimited();
     let qualifying = model.qualifying(&sel);
+
+    /// Plans over the fresh catalog, then runs the chosen engine over the
+    /// fresh indexes (the planned entry point reads the database's own).
+    fn fresh<C: QueryClass + Sync>(
+        db: &PCubeDb,
+        (planner, indexes): (&Planner, &BooleanIndexSet),
+        class: &C,
+        sel: &Selection,
+    ) -> (Vec<C::Row>, QueryStats) {
+        let budget = QueryBudget::unlimited();
+        let (_, stats) = db.plan_and_run_class(planner, class, sel, &budget, None).expect("planned");
+        let engine = match stats.plan.as_ref().expect("recorded").chosen {
+            EngineKind::PCube => Engine::PCube,
+            EngineKind::DominationFirst => Engine::DominationFirst,
+            EngineKind::IndexMerge => Engine::IndexMerge(indexes),
+            EngineKind::BooleanFirst => Engine::BooleanFirst(indexes, SelectRoute::Auto),
+        };
+        (run_class_engine(db, sel, class, engine, &budget, None).rows, stats)
+    }
+    let fresh_data = (&planner, &indexes);
 
     fn skyline_family<C: QueryClass<Row = Point> + Sync>(
         db: &PCubeDb,
@@ -217,9 +242,7 @@ fn check_explain(db: &PCubeDb, model: &Model, kind: Kind, preds: &[(usize, u32)]
             let f = LinearFn::new(vec![1.0, 0.5, 0.0]);
             let class = TopKClass::new(k, &f);
             let oracle = class.oracle(&qualifying);
-            let (rows, stats) = db
-                .plan_and_run_topk(&planner, &engines, &sel, k, &f, &budget, None)
-                .expect("planned");
+            let (rows, stats) = fresh(db, fresh_data, &class, &sel);
             assert_eq!(rows, oracle, "{text}: fresh catalog and indexes vs the live rows");
             let tids = |rows: &[(u64, Vec<f64>, f64)]| -> Vec<Point> {
                 rows.iter().map(|(tid, coords, _)| (*tid, coords.clone())).collect()
@@ -233,23 +256,19 @@ fn check_explain(db: &PCubeDb, model: &Model, kind: Kind, preds: &[(usize, u32)]
             plan_of(&stats)
         }
         Kind::Skyline => {
-            let dims: Vec<usize> = (0..N_PREF).collect();
-            let fresh = db
-                .plan_and_run_skyline(&planner, &engines, &sel, &dims, &budget, None)
-                .expect("planned");
-            skyline_family(db, &SkylineClass::new(dims), &sel, &qualifying, &got, fresh, &text)
+            let class = SkylineClass::new((0..N_PREF).collect());
+            let fresh = fresh(db, fresh_data, &class, &sel);
+            skyline_family(db, &class, &sel, &qualifying, &got, fresh, &text)
         }
         Kind::PSkyline => {
             let graph = PriorityGraph::new(vec![0, 1], &[(0, 1)]).expect("x over y is acyclic");
             let class = PSkylineClass::new(graph);
-            let fresh =
-                db.plan_and_run_class(&planner, &class, &sel, &budget, None).expect("planned");
+            let fresh = fresh(db, fresh_data, &class, &sel);
             skyline_family(db, &class, &sel, &qualifying, &got, fresh, &text)
         }
         Kind::Subspace => {
             let class = SubspaceSkylineClass::new(vec![2, 0]);
-            let fresh =
-                db.plan_and_run_class(&planner, &class, &sel, &budget, None).expect("planned");
+            let fresh = fresh(db, fresh_data, &class, &sel);
             skyline_family(db, &class, &sel, &qualifying, &got, fresh, &text)
         }
     };
@@ -346,12 +365,13 @@ fn a_deleted_tuple_does_not_come_back_through_boolean_first() {
     assert_eq!(tids(&points_of(&explained.rows)), survivors, "EXPLAIN via boolean-first");
 
     let (scan, _) = db.run_class_on(&class, &sel, EngineKind::BooleanFirst).unwrap();
-    assert_eq!(tids(&scan), survivors, "run_class_on(BooleanFirst): the scan route");
+    assert_eq!(tids(&scan), survivors, "run_class_on(BooleanFirst)");
 
     let indexes = BooleanIndexSet::of(&db);
     for route in [SelectRoute::Index, SelectRoute::Scan, SelectRoute::Auto] {
-        let out = indexes.skyline_via(&db, &sel, &[0, 1], route);
-        assert_eq!(tids(&out.skyline), survivors, "BooleanIndexSet::skyline_via({route:?})");
+        let engine = Engine::BooleanFirst(&indexes, route);
+        let out = run_class_engine(&db, &sel, &class, engine, &QueryBudget::unlimited(), None);
+        assert_eq!(tids(&out.rows), survivors, "Engine::BooleanFirst(_, {route:?})");
     }
     assert_eq!(indexes.lookup(0, sel[0].value), survivors);
     assert_eq!(indexes.value_count(0, sel[0].value), 3);
@@ -379,8 +399,9 @@ fn one_index_build(rows: &[Row]) -> u64 {
     index_page_writes(&twin) - before
 }
 
-/// (b) Build-once, by count: the first top-k `EXPLAIN` bulk loads the
-/// indexes; fifty more statements of every kind write no index page.
+/// (b) Build-once, by count: the first check bulk loads the indexes (its
+/// every-engine pass runs index-merge); fifty more statements of every kind
+/// write no index page.
 #[test]
 fn fifty_statements_after_the_first_build_nothing() {
     let rows = grid_rows(3000, 6);
@@ -415,10 +436,11 @@ fn fifty_statements_after_the_first_build_nothing() {
 /// keeps answering from them; the master rebuilds once after the write.
 #[test]
 fn a_snapshot_keeps_its_derived_data_across_a_write_to_the_master() {
-    let rows = grid_rows(2000, 5);
+    let rows = grid_rows_with_a_rare_value(2000, 5);
     let (mut db, mut model) = world(&rows);
-    let text = statement(Kind::TopK(4), &[(1, 2)]);
+    let text = statement(Kind::TopK(4), &[(1, 9)]);
     let first = sql::execute(&db, &text).unwrap();
+    assert_eq!(first.stats.plan.as_ref().unwrap().chosen, EngineKind::BooleanFirst);
 
     let snap = db.clone_snapshot();
     let snap_model = model.clone();
@@ -427,7 +449,7 @@ fn a_snapshot_keeps_its_derived_data_across_a_write_to_the_master() {
     assert!(Arc::ptr_eq(&BooleanIndexSet::of(&snap), &indexes));
 
     // The new row is the best answer to the statement.
-    let best = Row { codes: vec![0, 2], coords: vec![0.0, 0.0, 0.0] };
+    let best = Row { codes: vec![0, 9], coords: vec![0.0, 0.0, 0.0] };
     let tid = db.insert_coded(&best.codes, &best.coords);
     model.rows.push((best, true));
 
@@ -449,7 +471,7 @@ fn a_snapshot_keeps_its_derived_data_across_a_write_to_the_master() {
     let again = sql::execute(&snap, &text).unwrap();
     assert_eq!(points_of(&again.rows), points_of(&first.rows));
     assert_eq!(plan_of(&again.stats), plan_of(&first.stats));
-    check_explain(&snap, &snap_model, Kind::TopK(4), &[(1, 2)]);
+    check_explain(&snap, &snap_model, Kind::TopK(4), &[(1, 9)]);
 
     // A delete drops the master's derived data as well.
     let planner = db.planner();
@@ -525,9 +547,9 @@ fn durable_commits_drop_derived_data_and_repair_and_checkpoint_do_not() {
 /// page writes in total, and one answer.
 #[test]
 fn concurrent_first_use_builds_once() {
-    let rows = grid_rows(3000, 6);
+    let rows = grid_rows_with_a_rare_value(3000, 6);
     let (db, _) = world(&rows);
-    let text = statement(Kind::TopK(5), &[(0, 2)]);
+    let text = statement(Kind::TopK(5), &[(0, 9)]);
     let cold = index_page_writes(&db);
     let barrier = Barrier::new(8);
     let answers: Vec<(Vec<Point>, String)> = std::thread::scope(|scope| {

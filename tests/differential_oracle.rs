@@ -7,14 +7,12 @@
 //! canonical `(score, tid)` result order is what makes that possible.
 
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
-use pcube::baselines::{
-    BooleanFirstExecutor, BooleanIndexSet, DominationFirstExecutor, IndexMergeExecutor,
-};
 use pcube::core::{
-    DynamicSkylineClass, Executor, HullClass, LinearFn, PCubeConfig, PCubeDb, PCubeExecutor,
-    PSkylineClass, ParallelOptions, Planner, PriorityGraph, QueryBudget, RankingFunction,
+    DynamicSkylineClass, EngineKind, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass,
+    ParallelOptions, Planner, PriorityGraph, QueryBudget, QueryClass, RankingFunction,
     SkylineClass, StopReason, SubspaceSkylineClass, TopKClass,
 };
+use pcube::storage::IoCategory;
 use pcube::cube::{Predicate, Relation, Schema, Selection};
 use proptest::prelude::*;
 
@@ -242,6 +240,65 @@ fn oracle_hull(points: &[(u64, Vec<f64>)], dims: (usize, usize)) -> Vec<(u64, [f
     lower
 }
 
+/// Which engine family a fault-free run's counters give away: boolean-first
+/// never expands an R-tree node, domination-first alone fetches tuples
+/// (every kernel engine pops at least one), index-merge alone reads B+-tree
+/// pages without a signature page beside them. `None` where two engines do
+/// literally the same thing (P-Cube and index-merge under no predicate).
+fn engine_that_ran(stats: &pcube::core::QueryStats) -> Option<EngineKind> {
+    let reads = |c| stats.io.reads(c);
+    if stats.nodes_expanded == 0 {
+        Some(EngineKind::BooleanFirst)
+    } else if reads(IoCategory::TupleRandomAccess) > 0 {
+        Some(EngineKind::DominationFirst)
+    } else if reads(IoCategory::SignaturePage) > 0 {
+        Some(EngineKind::PCube)
+    } else if reads(IoCategory::BptreePage) > 0 {
+        Some(EngineKind::IndexMerge)
+    } else {
+        None
+    }
+}
+
+fn check_engines<C>(
+    db: &PCubeDb,
+    class: &C,
+    sel: &Selection,
+    live: &[(u64, Vec<f64>)],
+)
+where
+    C: QueryClass + Sync,
+    C::Row: PartialEq + std::fmt::Debug,
+{
+    let oracle = class.oracle(live);
+    for kind in EngineKind::ALL {
+        let Ok((rows, stats)) = db.run_class_on(class, sel, kind) else {
+            assert!(!class.supports(kind), "{} refused {}", class.name(), kind.name());
+            continue;
+        };
+        assert!(class.supports(kind), "{} ran on {}", class.name(), kind.name());
+        assert_eq!(&rows, &oracle, "{} on {}", class.name(), kind.name());
+        if let Some(ran) = engine_that_ran(&stats) {
+            assert_eq!(ran, kind, "{}: {:?}", class.name(), stats.io);
+        }
+    }
+    let (rows, stats) = db
+        .plan_and_run_class(&db.planner(), class, sel, &QueryBudget::unlimited(), None)
+        .expect("every class supports some engine");
+    assert_eq!(&rows, &oracle, "{} planned", class.name());
+    let chosen = stats.plan.as_ref().expect("decision recorded").chosen;
+    assert!(class.supports(chosen));
+    let (_, direct) = db.run_class_on(class, sel, chosen).expect("supported");
+    assert_eq!(
+        (stats.io, stats.nodes_expanded, stats.peak_heap),
+        (direct.io, direct.nodes_expanded, direct.peak_heap),
+        "{}: the plan says {}", class.name(), chosen.name()
+    );
+    if let Some(ran) = engine_that_ran(&stats) {
+        assert_eq!(ran, chosen, "{}: {:?}", class.name(), stats.io);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -363,11 +420,6 @@ proptest! {
     ) {
         let db = db_from(&rows, 2, 2);
         let planner = Planner::new(&db);
-        let indexes = BooleanIndexSet::build(db.relation(), 4096, db.stats().clone());
-        let boolean = BooleanFirstExecutor::new(&indexes);
-        let merge = IndexMergeExecutor::new(&indexes);
-        let executors: Vec<&dyn Executor> =
-            vec![&PCubeExecutor, &boolean, &DominationFirstExecutor, &merge];
         let sel: Selection = [Predicate { dim: 0, value: d0 }, Predicate { dim: 1, value: d1 }]
             [..n_preds]
             .to_vec();
@@ -376,7 +428,7 @@ proptest! {
         let oracle = naive_topk(&qualifying(&rows, &sel), k, &f);
         let budget = QueryBudget::unlimited();
         let (topk, stats) =
-            db.plan_and_run_topk(&planner, &executors, &sel, k, &f, &budget, None).unwrap();
+            db.plan_and_run_class(&planner, &TopKClass::new(k, &f), &sel, &budget, None).unwrap();
         prop_assert_eq!(
             topk.iter().map(|r| r.0).collect::<Vec<_>>(),
             oracle.iter().map(|r| r.0).collect::<Vec<_>>(),
@@ -386,7 +438,7 @@ proptest! {
             prop_assert!((g.2 - e.2).abs() < 1e-9, "score {} vs {}", g.2, e.2);
         }
         let plan = stats.plan.expect("planner decision recorded");
-        prop_assert!(!plan.estimates.is_empty());
+        prop_assert_eq!(plan.estimates.len(), 4, "top-k plans over all four engines");
         for e in &plan.estimates {
             prop_assert!(e.blocks().is_finite() && e.blocks() > 0.0, "{:?}", e);
             prop_assert!(e.seconds.is_finite() && e.seconds > 0.0, "{:?}", e);
@@ -395,16 +447,52 @@ proptest! {
 
         let oracle = oracle_skyline(&qualifying(&rows, &sel), &[0, 1]);
         let (sky, stats) = db
-            .plan_and_run_skyline(&planner, &executors, &sel, &[0, 1], &budget, None)
+            .plan_and_run_class(&planner, &SkylineClass::new(vec![0, 1]), &sel, &budget, None)
             .unwrap();
         prop_assert_eq!(
             &sky, &oracle,
             "planner chose {:?}", stats.plan.as_ref().map(|p| p.chosen)
         );
         let plan = stats.plan.expect("planner decision recorded");
+        prop_assert_eq!(plan.estimates.len(), 3, "index-merge is top-k only");
         for e in &plan.estimates {
             prop_assert!(e.blocks().is_finite() && e.blocks() > 0.0, "{:?}", e);
         }
+    }
+
+    /// The engine seam: each of the six classes, on every engine it
+    /// supports, gives the class's own reference answer over the live
+    /// qualifying rows — through `run_class_on` and through the planner,
+    /// whose recorded choice is the engine that ran. An engine the class
+    /// does not support is refused, never substituted.
+    #[test]
+    fn every_class_on_every_supported_engine_matches_its_oracle(
+        rows in arb_rows(2, 3, 120),
+        d0 in 0u32..4,
+        d1 in 0u32..4,
+        n_preds in 0usize..=2,
+        k in 1usize..10,
+    ) {
+        let mut db = db_from(&rows, 2, 3);
+        // Tombstones: no engine may bring a deleted row back.
+        let dead: Vec<u64> = (0..rows.len() as u64).filter(|t| t % 7 == 3).collect();
+        for &tid in &dead {
+            prop_assert!(db.delete(tid));
+        }
+        let sel: Selection = [Predicate { dim: 0, value: d0 }, Predicate { dim: 1, value: d1 }]
+            [..n_preds]
+            .to_vec();
+        let mut live = qualifying(&rows, &sel);
+        live.retain(|(tid, _)| !dead.contains(tid));
+
+        let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
+        let graph = PriorityGraph::new(vec![0, 1, 2], &[(0, 1)]).expect("one edge is a DAG");
+        check_engines(&db, &TopKClass::new(k, &f), &sel, &live);
+        check_engines(&db, &SkylineClass::new(vec![0, 1, 2]), &sel, &live);
+        check_engines(&db, &DynamicSkylineClass::new(&[0.4, 0.6, 0.5], vec![0, 1, 2]), &sel, &live);
+        check_engines(&db, &HullClass::new((0, 2)), &sel, &live);
+        check_engines(&db, &PSkylineClass::new(graph), &sel, &live);
+        check_engines(&db, &SubspaceSkylineClass::new(vec![2, 0]), &sel, &live);
     }
 
     /// Early termination must not corrupt the books: for any block budget,

@@ -3,9 +3,10 @@
 //! the paper's experiments use.
 
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
-use pcube::baselines::{bbs_skyline, index_merge_topk, ranking_topk, BooleanIndexSet};
+use pcube::baselines::{index_merge_topk, BooleanIndexSet};
 use pcube::core::{
-    LinearFn, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass, TopKClass, WeightedDistanceFn,
+    EngineKind, LinearFn, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass, TopKClass,
+    WeightedDistanceFn,
 };
 use pcube::cube::{MaterializationPlan, Predicate, Selection};
 use pcube::data::{covertype_surrogate, sample_selection, synthetic, Distribution, SyntheticSpec};
@@ -36,13 +37,15 @@ fn check_skylines(db: &PCubeDb, sel: &Selection, pref_dims: &[usize]) {
             "signature skyline (eager={eager}) vs oracle, sel {sel:?}"
         );
     }
-    let (bbs, _) = bbs_skyline(db, sel, pref_dims);
+    let (bbs, _) = db
+        .run_class_on(&SkylineClass::new(pref_dims.to_vec()), sel, EngineKind::DominationFirst)
+        .expect("skylines run domination-first");
     assert_eq!(sorted_tids(&bbs), oracle, "BBS vs oracle, sel {sel:?}");
 }
 
 fn check_topk(db: &PCubeDb, indexes: &BooleanIndexSet, sel: &Selection, k: usize) {
     let dims = db.relation().schema().n_pref();
-    let fns: Vec<Box<dyn pcube::core::RankingFunction>> = vec![
+    let fns: Vec<Box<dyn pcube::core::RankingFunction + Sync>> = vec![
         Box::new(LinearFn::new((0..dims).map(|i| 0.3 + 0.2 * i as f64).collect())),
         Box::new(WeightedDistanceFn::new(vec![0.4; dims], vec![1.0; dims])),
     ];
@@ -57,7 +60,9 @@ fn check_topk(db: &PCubeDb, indexes: &BooleanIndexSet, sel: &Selection, k: usize
         };
         let sig = db.run(sel, &TopKClass::new(k, f.as_ref()));
         assert_scores("signature", &sig.rows);
-        let (rank, _) = ranking_topk(db, sel, k, f.as_ref());
+        let (rank, _) = db
+            .run_class_on(&TopKClass::new(k, f.as_ref()), sel, EngineKind::DominationFirst)
+            .expect("top-k runs domination-first");
         assert_scores("ranking", &rank);
         let (merge, _) = index_merge_topk(db, indexes, sel, k, f.as_ref());
         assert_scores("index-merge", &merge);
@@ -237,7 +242,9 @@ fn signature_prunes_more_rtree_blocks_than_domination() {
     let mut rng = StdRng::seed_from_u64(8);
     let sel = sample_selection(db.relation(), 1, &mut rng);
     let sig = db.run(&sel, &SkylineClass::new(vec![0, 1]));
-    let (_, dom) = bbs_skyline(&db, &sel, &[0, 1]);
+    let (_, dom) = db
+        .run_class_on(&SkylineClass::new(vec![0, 1]), &sel, EngineKind::DominationFirst)
+        .expect("skylines run domination-first");
     use pcube::storage::IoCategory as C;
     assert!(
         sig.stats.io.reads(C::RtreeBlock) <= dom.io.reads(C::RtreeBlock),

@@ -106,3 +106,38 @@ fn sql_numeric_codes_work_on_dictionaryless_relations() {
     let out = sql::execute(&db, "select skyline from r where A0 = 'red'").unwrap();
     assert!(out.rows.is_empty());
 }
+
+/// Two different values for one dimension are not a selection: a typed error
+/// naming the dimension from every statement kind, planned or not (it used to
+/// reach `normalize` and panic). A repeated equal predicate stays legal.
+#[test]
+fn sql_contradictory_predicates_are_a_typed_error() {
+    let db = car_db();
+    let heads = [
+        "select skyline from cars",
+        "select top 3 from cars",
+        "select skyline of price, mileage from cars",
+        "select skyline in subspace (price) from cars",
+    ];
+    let tails = ["", " order by price", " prioritize price over mileage", ""];
+    for (head, tail) in heads.iter().zip(tails) {
+        for explain in ["", "explain "] {
+            let clash = format!("{explain}{head} where color = 'red' and color = 'blue'{tail}");
+            let err = sql::execute(&db, &clash).err().unwrap_or_else(|| panic!("{clash}"));
+            assert!(err.0.contains("contradictory") && err.0.contains("\"color\""), "{clash}: {err}");
+            // Another dimension in between does not hide the clash.
+            let clash = format!(
+                "{explain}{head} where color = 'red' and type = 'suv' and color = 'white'{tail}"
+            );
+            assert!(sql::execute(&db, &clash).is_err(), "{clash}");
+
+            let once = format!("{explain}{head} where color = 'red'{tail}");
+            let twice = format!("{explain}{head} where color = 'red' and color = 'red'{tail}");
+            let tids = |text: &str| -> Vec<u64> {
+                let out = sql::execute(&db, text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                out.rows.iter().map(|r| r.tid).collect()
+            };
+            assert_eq!(tids(&twice), tids(&once), "{twice}");
+        }
+    }
+}

@@ -1,4 +1,5 @@
-//! The SQL parser must never panic, whatever the input.
+//! The SQL parser must never panic, whatever the input — and neither must
+//! binding and execution, whatever the `WHERE` clause repeats.
 //!
 //! Runs are fully reproducible: the vendored proptest derives its RNG seed
 //! deterministically from the test's module path and name (override with
@@ -49,5 +50,38 @@ proptest! {
         ),
     ) {
         let _ = pcube::sql::parse(&words.join(" "));
+    }
+
+    /// Statements of all four kinds, planned or not, whose `WHERE` clause
+    /// draws one to four predicates over two dimensions — so it repeats
+    /// dimensions, with the same value or another. Execution answers, or
+    /// refuses with a typed error exactly when two predicates contradict.
+    #[test]
+    fn execution_never_panics_on_repeated_predicates(
+        kind in 0usize..4,
+        explain in any::<bool>(),
+        preds in prop::collection::vec((0usize..2, 0u32..3), 1..=4),
+    ) {
+        use pcube::data::{synthetic, SyntheticSpec};
+        let spec = SyntheticSpec { n_tuples: 300, n_bool: 2, n_pref: 2, cardinality: 3, ..Default::default() };
+        let db = pcube::core::PCubeDb::build(synthetic(&spec), &pcube::core::PCubeConfig::default());
+        let filter: Vec<String> = preds.iter().map(|(dim, v)| format!("A{dim} = {v}")).collect();
+        let (head, tail) = [
+            ("select skyline", ""),
+            ("select top 4", " order by N0 + 0.5 * N1"),
+            ("select skyline of N0, N1", " prioritize N1 over N0"),
+            ("select skyline in subspace (N1)", ""),
+        ][kind];
+        let text = format!(
+            "{}{head} from r where {}{tail}",
+            if explain { "explain " } else { "" },
+            filter.join(" and ")
+        );
+        let contradictory =
+            preds.iter().any(|(d, v)| preds.iter().any(|(e, w)| d == e && v != w));
+        match pcube::sql::execute(&db, &text) {
+            Ok(_) => prop_assert!(!contradictory, "{} ran", text),
+            Err(e) => prop_assert!(contradictory && e.0.contains("contradictory"), "{}: {}", text, e),
+        }
     }
 }
