@@ -53,6 +53,7 @@ use crate::query::kernel::{
     PSkylineLogic, PreferenceLogic, SavedLists, SharedBound, SharedWindow, SkylineLogic,
     TopKLogic, VerifyAllPruner,
 };
+use crate::query::window::{project, Window};
 use crate::query::{dominates, seed_root, CandidateHeap, HeapEntry, QueryStats, ResultEntry};
 use crate::rank::RankingFunction;
 
@@ -527,7 +528,9 @@ pub type SkyPoint = (f64, u64, Vec<f64>, Vec<f64>);
 /// (`dom(a, b)` = "a dominates b" in the class's dominance relation), then
 /// canonicalizes to ascending `(score, tid)` order and keeps `(tid,
 /// original coordinates)`. Traversal-order independent, which is the whole
-/// serial == parallel argument for the skyline family.
+/// serial == parallel argument for the skyline family. All pairs, on
+/// purpose: it is the reference every class's `oracle` answers with, and the
+/// merge of the one class whose score says nothing about its dominance.
 pub(crate) fn winnow_points(
     points: &[SkyPoint],
     dom: impl Fn(&[f64], &[f64]) -> bool,
@@ -538,6 +541,37 @@ pub(crate) fn winnow_points(
         .collect();
     kept.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     kept.into_iter().map(|p| (p.1, p.3.clone())).collect()
+}
+
+/// [`winnow_points`] under Pareto dominance on `dims` for points scored by
+/// the sum of those coordinates, sort-first: floating-point addition is
+/// monotone, so a dominator never scores higher than what it dominates, and
+/// in ascending `(score, tid)` order a point only has to be tested against
+/// the [`Window`] of those kept before it. A dominator's sum can *round to
+/// the same* score, though, so a run of equal scores is also cross-checked
+/// against itself, both ways.
+pub(crate) fn winnow_sorted(mut points: Vec<SkyPoint>, dims: &[usize]) -> Vec<(u64, Vec<f64>)> {
+    points.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut window = Window::new(dims.len());
+    let mut projected = Vec::with_capacity(dims.len());
+    let mut kept = Vec::new();
+    let mut run = 0..0;
+    for at in 0..points.len() {
+        if at == run.end {
+            let tied = points[at..].iter().take_while(|p| p.0 == points[at].0).count();
+            run = at..at + tied;
+        }
+        let dom = &points[at].2;
+        project(dom, dims, &mut projected);
+        if window.dominated(&projected)
+            || points[run.clone()].iter().any(|o| dominates(&o.2, dom, dims))
+        {
+            continue;
+        }
+        window.push(&projected);
+        kept.push((points[at].1, std::mem::take(&mut points[at].3)));
+    }
+    kept
 }
 
 // ---------------------------------------------------------------------------
@@ -679,8 +713,7 @@ impl QueryClass for SkylineClass {
     }
 
     fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = locals.into_iter().flatten().collect();
-        winnow_points(&points, |a, b| dominates(a, b, &self.pref_dims))
+        winnow_sorted(locals.into_iter().flatten().collect(), &self.pref_dims)
     }
 
     fn expected_results(&self, qualifying: f64) -> f64 {
@@ -768,8 +801,7 @@ impl QueryClass for DynamicSkylineClass {
     }
 
     fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = locals.into_iter().flatten().collect();
-        winnow_points(&points, |a, b| dominates(a, b, &self.pref_dims))
+        winnow_sorted(locals.into_iter().flatten().collect(), &self.pref_dims)
     }
 
     fn expected_results(&self, qualifying: f64) -> f64 {
@@ -798,13 +830,17 @@ impl QueryClass for DynamicSkylineClass {
 /// tuples projected onto two preference dimensions, as `(tid, [x, y])` in
 /// counter-clockwise order from the lowest-then-leftmost point.
 ///
-/// On top of boolean pruning the search skips a node whose MBR lies strictly
-/// inside the hull of the points found so far — it can contribute no vertex.
-/// Scores surface tuples immediately and expand nodes deepest-first, which
-/// grows the running hull quickly. The answer is traversal-order
-/// independent: a vertex of the final hull is never strictly inside any
-/// running hull (running hulls only grow toward the final one), so every
-/// vertex is collected no matter the visit order.
+/// On top of boolean pruning the search skips whatever lies in the *closed*
+/// hull of the points found so far and cannot be one of its vertices: a
+/// point on or inside the running hull unless it is coordinate-equal to a
+/// vertex, a node whose projected box lies on or inside it and holds no
+/// vertex. A point of the closed hull of a set that is not one of the set's
+/// vertices is a proper convex combination of them, so it is a vertex of no
+/// superset's hull; a duplicate of a vertex must still surface, because the
+/// answer names each vertex by the smallest tid at its coordinates. Tuples
+/// surface first and nodes farthest outside the running hull next, so the
+/// hull reaches its final extent early. The answer is traversal-order
+/// independent: whatever the visit order, only non-vertices are skipped.
 ///
 /// Partial answers: the hull of the points visited before the stop —
 /// progress accounting only, no membership guarantee.
@@ -990,12 +1026,23 @@ impl PriorityGraph {
     /// where `a` is better that has priority over it. With no edges this
     /// is exactly Pareto dominance.
     pub fn dominates(&self, a: &[f64], b: &[f64]) -> bool {
+        self.relates(self.dims.iter().map(|&d| (a[d], b[d])))
+    }
+
+    /// [`Self::dominates`] for two points already projected onto
+    /// [`Self::dims`], in that order.
+    pub(crate) fn dominates_projected(&self, a: &[f64], b: &[f64]) -> bool {
+        self.relates(a.iter().copied().zip(b.iter().copied()))
+    }
+
+    /// `≻_Γ` over the `(a, b)` coordinate pairs of [`Self::dims`], in order.
+    fn relates(&self, pairs: impl Iterator<Item = (f64, f64)>) -> bool {
         let mut better = 0u64;
         let mut worse = 0u64;
-        for (i, &d) in self.dims.iter().enumerate() {
-            if a[d] < b[d] {
+        for (i, (a, b)) in pairs.enumerate() {
+            if a < b {
                 better |= 1 << i;
-            } else if a[d] > b[d] {
+            } else if a > b {
                 worse |= 1 << i;
             }
         }
@@ -1159,12 +1206,10 @@ impl QueryClass for SubspaceSkylineClass {
     }
 
     fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = locals.into_iter().flatten().collect();
         // Equal projections never strictly dominate each other, so every
         // duplicate survives the winnow; the projection step then collapses
         // them deterministically.
-        let kept = winnow_points(&points, |a, b| dominates(a, b, &self.dims));
-        self.project(kept)
+        self.project(winnow_sorted(locals.into_iter().flatten().collect(), &self.dims))
     }
 
     fn expected_results(&self, qualifying: f64) -> f64 {
@@ -1301,6 +1346,31 @@ mod tests {
         let dims = [0usize, 1];
         let rows = winnow_points(&pts, |a, b| dominates(a, b, &dims));
         assert_eq!(rows, vec![(1, vec![1.0, 2.0]), (2, vec![2.0, 1.0])]);
+    }
+
+    #[test]
+    fn sorted_winnow_agrees_with_all_pairs_when_a_dominator_rounds_to_the_same_score() {
+        // 1e16 + 1.0 rounds to 1e16: the dominator [1e16, 0] and the point
+        // [1e16, 1] it dominates sort by tid alone, so the dominator can come
+        // second. A second such pair shares the run, and a bystander follows.
+        let dims = [0usize, 1];
+        let point =
+            |tid: u64, c: [f64; 2]| -> SkyPoint { (c[0] + c[1], tid, c.to_vec(), c.to_vec()) };
+        for (strong, weak) in [(2, 9), (9, 2)] {
+            let points = vec![
+                point(weak, [1e16, 1.0]),
+                point(strong, [1e16, 0.0]),
+                point(4, [1e16, 1.0]),
+                point(5, [0.5, 3e16]),
+                point(7, [1e16 + 2.0, -2.0]),
+                point(6, [1e16 + 2.0, -3.0]),
+            ];
+            assert!(points[..2].iter().chain(&points[4..]).all(|p| p.0 == 1e16), "the premise");
+            let all_pairs = winnow_points(&points, |a, b| dominates(a, b, &dims));
+            let kept: Vec<u64> = all_pairs.iter().map(|r| r.0).collect();
+            assert_eq!(kept, vec![strong.min(6), strong.max(6), 5]);
+            assert_eq!(winnow_sorted(points, &dims), all_pairs);
+        }
     }
 
     #[test]

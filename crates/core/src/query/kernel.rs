@@ -34,6 +34,7 @@
 //! is allocated only for a child that is pushed on the heap or saved to a
 //! list, and the clock is read per expansion, never per child.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -45,8 +46,9 @@ use crate::boolean_index::BooleanIndexSet;
 use crate::pcube::PCubeDb;
 use crate::query::budget::{Governor, StopReason};
 use crate::query::class::PriorityGraph;
-use crate::query::hull::{monotone_chain, strictly_inside_hull};
-use crate::query::{dominates, Candidate, CandidateHeap, HeapEntry, ResultEntry};
+use crate::query::hull::RunningHull;
+use crate::query::window::{project, Window};
+use crate::query::{Candidate, CandidateHeap, HeapEntry, ResultEntry};
 use crate::rank::{MinCoordSum, RankingFunction};
 use crate::store::BooleanProbe;
 
@@ -286,6 +288,15 @@ pub fn run_kernel(
     let dims = db.rtree().dims();
     let mut coords: Vec<f64> = Vec::with_capacity(dims);
     let mut mbr = Mbr::empty(dims);
+    // Stage attribution: anything that can touch a page — the pop-time probe
+    // and verification, node reads, child-mask fetches — counts as
+    // `page_read`; everything else — the heap pop, the governor check,
+    // `on_pop`, scoring, pruning, bit tests, heap pushes, `accept`, the drop
+    // of a spent entry — counts as `score`. The clock is read at the
+    // transitions only, a handful of times per pop and never per child:
+    // `mark` is where the last page-touching stretch ended, and `score` is
+    // charged from there to where the next one starts.
+    let mut mark = Instant::now();
     while let Some(entry) = heap.pop() {
         run.pops += 1;
         if let Some(g) = gov.as_deref_mut() {
@@ -299,16 +310,7 @@ pub fn run_kernel(
                 break;
             }
         }
-        // Stage attribution: preference work (on_pop, scoring, pruning, bit
-        // tests, heap pushes) counts as `score`; anything that can touch a
-        // page — the pop-time probe and verification, node reads, child-mask
-        // fetches — counts as `page_read`. The clock is read at those
-        // transitions only: a handful of times per pop, never per child.
-        let t_pop = Instant::now();
-        let verdict = logic.on_pop(&entry);
-        let t_probed = Instant::now();
-        run.stages.score_seconds += (t_probed - t_pop).as_secs_f64();
-        match verdict {
+        match logic.on_pop(&entry) {
             PopVerdict::Halt => {
                 if let Some(lists) = lists.as_deref_mut() {
                     lists.d_list.push(entry);
@@ -329,12 +331,15 @@ pub fn run_kernel(
         // tuple is additionally verified (one counted random access under a
         // lossy probe or minimal probing, B+-tree probes under index-merge)
         // before it may join the result and prune others.
+        let t_probe = Instant::now();
+        run.stages.score_seconds += (t_probe - mark).as_secs_f64();
         let keep = probe.contains(entry.cand.path())
             && match &entry.cand {
                 Candidate::Tuple { tid, .. } => probe.verify(db, selection, *tid),
                 Candidate::Node { .. } => true,
             };
-        run.stages.page_read_seconds += t_probed.elapsed().as_secs_f64();
+        mark = Instant::now();
+        run.stages.page_read_seconds += (mark - t_probe).as_secs_f64();
         if !keep {
             if let Some(lists) = lists.as_deref_mut() {
                 lists.b_list.push(entry);
@@ -344,10 +349,9 @@ pub fn run_kernel(
         match entry.cand {
             Candidate::Tuple { tid, path, coords } => logic.accept(entry.score, tid, path, coords),
             Candidate::Node { pid, path, .. } => {
-                let t_read = Instant::now();
                 let node = db.rtree().view_node(pid);
                 let t_children = Instant::now();
-                run.stages.page_read_seconds += (t_children - t_read).as_secs_f64();
+                run.stages.page_read_seconds += (t_children - mark).as_secs_f64();
                 run.nodes_expanded += 1;
                 let leaf = node.is_leaf();
                 let child_depth = path.depth() + 1;
@@ -387,12 +391,13 @@ pub fn run_kernel(
                         list.push(HeapEntry { score, seq: 0, cand });
                     }
                 }
-                let children_seconds = t_children.elapsed().as_secs_f64();
+                mark = Instant::now();
                 run.stages.page_read_seconds += fetch_seconds;
-                run.stages.score_seconds += children_seconds - fetch_seconds;
+                run.stages.score_seconds += (mark - t_children).as_secs_f64() - fetch_seconds;
             }
         }
     }
+    run.stages.score_seconds += mark.elapsed().as_secs_f64();
     if let Some(g) = gov {
         run.overshoot_seconds = g.overshoot_seconds();
         run.max_pop_seconds = g.max_pop_seconds();
@@ -576,21 +581,22 @@ impl SharedWindow {
     }
 
     /// Appends a point: reserve a slot, publish into it. Lock-free on both
-    /// steps.
-    pub fn push(&self, coords: Vec<f64>) {
+    /// steps. Returns the slot.
+    pub fn push(&self, coords: Vec<f64>) -> usize {
         let index = self.reserve();
         self.publish(index, coords);
+        index
     }
 
-    /// Appends entries `[from..]` to `into`, stopping at the first slot not
-    /// yet published; returns the new high-water mark, making each periodic
-    /// refresh an incremental copy rather than a full clone. A reserved but
-    /// unpublished slot pauses the mark (never skips), so the mark is
-    /// monotone and no point is lost or duplicated across refreshes.
-    pub fn refresh(&self, from: usize, into: &mut Vec<Vec<f64>>) -> usize {
+    /// Hands entries `[from..]` to `sink` as `(slot, point)`, stopping at the
+    /// first slot not yet published; returns the new high-water mark, making
+    /// each periodic refresh an incremental read rather than a full copy. A
+    /// reserved but unpublished slot pauses the mark (never skips), so the
+    /// mark is monotone and no point is lost or duplicated across refreshes.
+    pub fn refresh(&self, from: usize, mut sink: impl FnMut(usize, &[f64])) -> usize {
         let mut mark = from;
         while let Some(point) = self.peek(mark).and_then(OnceLock::get) {
-            into.push(point.clone());
+            sink(mark, point);
             mark += 1;
         }
         mark
@@ -601,6 +607,51 @@ impl SharedWindow {
 /// staleness only costs extra traversal, never correctness (the merge
 /// cross-filters every local result against every other).
 pub(crate) const WINDOW_REFRESH_INTERVAL: u64 = 32;
+
+/// One search's view of the accepted points: its own, pushed as they are
+/// accepted, and — in a parallel worker — every other worker's, read from
+/// the [`SharedWindow`] every [`WINDOW_REFRESH_INTERVAL`] pops. All in one
+/// [`Window`], each point once.
+struct Accepted<'a> {
+    points: Window,
+    shared: Option<&'a SharedWindow>,
+    /// Shared slots this worker published into and has not read past yet:
+    /// its own points come back through the refresh and are skipped.
+    mine: VecDeque<usize>,
+    mark: usize,
+    pops: u64,
+}
+
+impl<'a> Accepted<'a> {
+    fn new(stride: usize, shared: Option<&'a SharedWindow>) -> Self {
+        Accepted { points: Window::new(stride), shared, mine: VecDeque::new(), mark: 0, pops: 0 }
+    }
+
+    /// Counts a pop; on every [`WINDOW_REFRESH_INTERVAL`]-th, reads what the
+    /// other workers have published since the last one.
+    fn on_pop(&mut self) {
+        self.pops += 1;
+        let Some(shared) = self.shared else { return };
+        if self.pops.is_multiple_of(WINDOW_REFRESH_INTERVAL) {
+            let (points, mine) = (&mut self.points, &mut self.mine);
+            self.mark = shared.refresh(self.mark, |slot, point| {
+                if mine.front() == Some(&slot) {
+                    mine.pop_front();
+                } else {
+                    points.push(point);
+                }
+            });
+        }
+    }
+
+    /// An accepted point (projected) joins the window and is published.
+    fn push(&mut self, point: &[f64]) {
+        self.points.push(point);
+        if let Some(shared) = self.shared {
+            self.mine.push_back(shared.push(point.to_vec()));
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Top-k logic (§V-B): bound-and-cut
@@ -722,9 +773,8 @@ fn dynamic_corner(q: &[f64], mbr: &Mbr, out: &mut Vec<f64>) {
     }));
 }
 
-/// (Dynamic) skyline accumulation: BBS dominance pruning against the
-/// accepted result, plus — in parallel workers — a periodically refreshed
-/// mirror of the shared window.
+/// (Dynamic) skyline accumulation: BBS dominance pruning against the window
+/// of accepted points — in a parallel worker, every worker's.
 pub struct SkylineLogic<'a> {
     f: MinCoordSum,
     pref_dims: &'a [usize],
@@ -732,20 +782,12 @@ pub struct SkylineLogic<'a> {
     /// `|x − q|`); `None` for a static one (domination space is the data
     /// space).
     query_point: Option<&'a [f64]>,
-    window: Option<&'a SharedWindow>,
     result: Vec<ResultEntry>,
-    /// Domination-space coordinates, aligned with `result`.
-    dom: Vec<Vec<f64>>,
-    /// Local mirror of the shared window (other workers' accepted points).
-    seen: Vec<Vec<f64>>,
-    seen_mark: usize,
-    pops: u64,
-    /// Domination point computed by `on_pop`, reused by the following
-    /// `accept` (bitwise the same value the serial engines recompute).
-    pending_dom: Vec<f64>,
-    /// Reused buffer for the transformed point of the child being scored or
-    /// pruned.
+    window: Accepted<'a>,
+    /// Reused buffer for the transformed point of the child being scored.
     scratch: Vec<f64>,
+    /// Reused buffer for the projected domination-space point under test.
+    projected: Vec<f64>,
 }
 
 impl<'a> SkylineLogic<'a> {
@@ -758,50 +800,42 @@ impl<'a> SkylineLogic<'a> {
             f: MinCoordSum::new(pref_dims.to_vec()),
             pref_dims,
             query_point,
-            window,
             result: Vec::new(),
-            dom: Vec::new(),
-            seen: Vec::new(),
-            seen_mark: 0,
-            pops: 0,
-            pending_dom: Vec::new(),
+            window: Accepted::new(pref_dims.len(), window),
             scratch: Vec::new(),
+            projected: Vec::new(),
         }
     }
 
-    /// The domination-space point of `region` — a tuple's transform, or a
-    /// node's attainable lower corner: borrowed from the region itself for
-    /// a static skyline, written into `buf` for a dynamic one.
-    fn dom_point<'r>(&self, region: Region<'r>, buf: &'r mut Vec<f64>) -> &'r [f64] {
-        match (self.query_point, region) {
+    /// Writes the domination-space point of `region` — a tuple's transform,
+    /// or a node's attainable lower corner — projected onto the preference
+    /// dimensions, into `self.projected`.
+    fn project_region(&mut self, region: Region<'_>) {
+        let full: &[f64] = match (self.query_point, region) {
             (None, Region::Point(coords)) => coords,
             (None, Region::Box(mbr)) => &mbr.min,
             (Some(q), Region::Point(coords)) => {
-                dynamic_point(q, coords, buf);
-                buf
+                dynamic_point(q, coords, &mut self.scratch);
+                &self.scratch
             }
             (Some(q), Region::Box(mbr)) => {
-                dynamic_corner(q, mbr, buf);
-                buf
+                dynamic_corner(q, mbr, &mut self.scratch);
+                &self.scratch
             }
-        }
+        };
+        project(full, self.pref_dims, &mut self.projected);
     }
 
     /// Domination pruning: a candidate is pruned if some accepted point
     /// dominates its domination-space point (for a node's lower corner the
-    /// point then dominates everything inside, the BBS rule). On a survivor,
-    /// `keep_as_pending` saves the point for the `accept` that may follow.
-    fn dominated(&mut self, region: Region<'_>, keep_as_pending: bool) -> bool {
-        let mut buf = std::mem::take(&mut self.scratch);
-        let p = self.dom_point(region, &mut buf);
-        let dominated = self.dom.iter().any(|r| dominates(r, p, self.pref_dims))
-            || self.seen.iter().any(|r| dominates(r, p, self.pref_dims));
-        if keep_as_pending && !dominated {
-            self.pending_dom.clear();
-            self.pending_dom.extend_from_slice(p);
+    /// point then dominates everything inside, the BBS rule).
+    fn dominated(&mut self, region: Region<'_>) -> bool {
+        // Until the first accept there is nothing to project for.
+        if self.window.points.is_empty() {
+            return false;
         }
-        self.scratch = buf;
-        dominated
+        self.project_region(region);
+        self.window.points.dominated(&self.projected)
     }
 
     /// The results accepted so far.
@@ -812,23 +846,25 @@ impl<'a> SkylineLogic<'a> {
     /// `(score, tid, domination coords, original coords)` — the parallel
     /// merge's working representation.
     pub(crate) fn into_points(self) -> Vec<(f64, u64, Vec<f64>, Vec<f64>)> {
+        let q = self.query_point;
         self.result
             .into_iter()
-            .zip(self.dom)
-            .map(|(r, dom)| (r.score, r.tid, dom, r.coords))
+            .map(|r| {
+                let mut dom = Vec::with_capacity(r.coords.len());
+                match q {
+                    Some(q) => dynamic_point(q, &r.coords, &mut dom),
+                    None => dom.extend_from_slice(&r.coords),
+                }
+                (r.score, r.tid, dom, r.coords)
+            })
             .collect()
     }
 }
 
 impl PreferenceLogic for SkylineLogic<'_> {
     fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        self.pops += 1;
-        if let Some(w) = self.window {
-            if self.pops.is_multiple_of(WINDOW_REFRESH_INTERVAL) {
-                self.seen_mark = w.refresh(self.seen_mark, &mut self.seen);
-            }
-        }
-        if self.dominated(entry.cand.region(), true) {
+        self.window.on_pop();
+        if self.dominated(entry.cand.region()) {
             return PopVerdict::Prune;
         }
         PopVerdict::Continue
@@ -855,15 +891,12 @@ impl PreferenceLogic for SkylineLogic<'_> {
     }
 
     fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
-        self.dominated(child, false)
+        self.dominated(child)
     }
 
     fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
-        let dom = std::mem::take(&mut self.pending_dom);
-        if let Some(w) = self.window {
-            w.push(dom.clone());
-        }
-        self.dom.push(dom);
+        self.project_region(Region::Point(&coords));
+        self.window.push(&self.projected);
         self.result.push(ResultEntry { tid, coords, path, score });
     }
 }
@@ -878,16 +911,16 @@ impl PreferenceLogic for SkylineLogic<'_> {
 /// compatible with `≻_Γ`, so accepts are tentative: members of the true
 /// p-skyline are never pruned (pruning only ever removes `≻_Γ`-dominated
 /// candidates, and `≻_Γ` is transitive), and the class's merge step winnows
-/// the accepted superset down to the exact maximal set.
+/// the accepted superset down to the exact maximal set. `≻_Γ` is not
+/// coordinate-wise, so no coordinate bounds its dominators: the window is
+/// scanned whole, over the same flat layout.
 pub struct PSkylineLogic<'a> {
     f: MinCoordSum,
     graph: &'a PriorityGraph,
-    window: Option<&'a SharedWindow>,
     result: Vec<ResultEntry>,
-    /// Local mirror of the shared window (other workers' accepted points).
-    seen: Vec<Vec<f64>>,
-    seen_mark: usize,
-    pops: u64,
+    window: Accepted<'a>,
+    /// Reused buffer for the projected point under test.
+    projected: Vec<f64>,
 }
 
 impl<'a> PSkylineLogic<'a> {
@@ -895,12 +928,22 @@ impl<'a> PSkylineLogic<'a> {
         PSkylineLogic {
             f: MinCoordSum::new(graph.dims().to_vec()),
             graph,
-            window,
             result: Vec::new(),
-            seen: Vec::new(),
-            seen_mark: 0,
-            pops: 0,
+            window: Accepted::new(graph.dims().len(), window),
+            projected: Vec::new(),
         }
+    }
+
+    /// Writes `region`'s attainable lower corner, projected onto the graph's
+    /// dimensions, into `self.projected`.
+    fn project_region(&mut self, region: Region<'_>) {
+        let corner: &[f64] = match region {
+            Region::Point(coords) => coords,
+            // The seeded root's `-∞` corner is never dominated (no point is
+            // strictly smaller than `-∞` anywhere), so no special guard.
+            Region::Box(mbr) => &mbr.min,
+        };
+        project(corner, self.graph.dims(), &mut self.projected);
     }
 
     /// A candidate is pruned if some accepted point `≻_Γ`-dominates its
@@ -908,18 +951,12 @@ impl<'a> PSkylineLogic<'a> {
     /// `p ≻_Γ mbr.min` implies `p ≻_Γ t` for every tuple `t` inside the
     /// node, because moving `t` up coordinate-wise only grows `W(p, t)`
     /// and shrinks `W(t, p)`.
-    fn dominated(&self, p: &[f64]) -> bool {
-        self.result.iter().any(|r| self.graph.dominates(&r.coords, p))
-            || self.seen.iter().any(|r| self.graph.dominates(r, p))
-    }
-
-    fn corner(region: Region<'_>) -> &[f64] {
-        match region {
-            Region::Point(coords) => coords,
-            // The seeded root's `-∞` corner is never dominated (no point is
-            // strictly smaller than `-∞` anywhere), so no special guard.
-            Region::Box(mbr) => &mbr.min,
+    fn dominated(&mut self, region: Region<'_>) -> bool {
+        if self.window.points.is_empty() {
+            return false;
         }
+        self.project_region(region);
+        self.window.points.members().any(|r| self.graph.dominates_projected(r, &self.projected))
     }
 
     /// `(score, tid, domination coords, original coords)` — the merge's
@@ -935,13 +972,8 @@ impl<'a> PSkylineLogic<'a> {
 
 impl PreferenceLogic for PSkylineLogic<'_> {
     fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        self.pops += 1;
-        if let Some(w) = self.window {
-            if self.pops.is_multiple_of(WINDOW_REFRESH_INTERVAL) {
-                self.seen_mark = w.refresh(self.seen_mark, &mut self.seen);
-            }
-        }
-        if self.dominated(Self::corner(entry.cand.region())) {
+        self.window.on_pop();
+        if self.dominated(entry.cand.region()) {
             return PopVerdict::Prune;
         }
         PopVerdict::Continue
@@ -956,13 +988,12 @@ impl PreferenceLogic for PSkylineLogic<'_> {
     }
 
     fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
-        self.dominated(Self::corner(child))
+        self.dominated(child)
     }
 
     fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
-        if let Some(w) = self.window {
-            w.push(coords.clone());
-        }
+        self.project_region(Region::Point(&coords));
+        self.window.push(&self.projected);
         self.result.push(ResultEntry { tid, coords, path, score });
     }
 }
@@ -971,38 +1002,28 @@ impl PreferenceLogic for PSkylineLogic<'_> {
 // Convex hull logic (§VII): geometric pruning
 // ---------------------------------------------------------------------------
 
-/// Convex-hull accumulation: collects qualifying points and prunes any
-/// candidate strictly inside the running hull (it cannot contribute a
-/// vertex of the final hull, because the running hull only ever grows).
-/// Scores send tuples first (`-∞`) and nodes deepest-first, so points
-/// surface early and keep the inside-test sharp — the heap-driven analogue
-/// of the original DFS.
+/// Convex-hull accumulation: collects qualifying points and prunes what
+/// cannot hold a vertex of the final hull. A point of the closed hull of the
+/// points accepted so far is a convex combination of the running hull's
+/// vertices, so it is extreme in no superset unless it *is* one of them; it
+/// is pruned unless it is coordinate-equal to a vertex (the duplicate with
+/// the smallest tid is the one the answer names), and a node is pruned when
+/// its box lies in the closed hull and holds no vertex. Tuples surface first
+/// (`-∞`); nodes go farthest-outside-the-hull first, so the hull reaches its
+/// final extent early and the boxes behind it are pruned unread.
 pub struct HullLogic {
     dims: (usize, usize),
     points: Vec<(u64, [f64; 2])>,
-    hull: Vec<(u64, [f64; 2])>,
+    hull: RunningHull,
 }
 
 impl HullLogic {
     pub(crate) fn new(dims: (usize, usize)) -> Self {
-        HullLogic { dims, points: Vec::new(), hull: Vec::new() }
+        HullLogic { dims, points: Vec::new(), hull: RunningHull::default() }
     }
 
-    fn inside(&self, region: Region<'_>) -> bool {
-        match region {
-            Region::Point(coords) => {
-                strictly_inside_hull(&self.hull, [coords[self.dims.0], coords[self.dims.1]])
-            }
-            Region::Box(mbr) => {
-                let corners = [
-                    [mbr.min[self.dims.0], mbr.min[self.dims.1]],
-                    [mbr.min[self.dims.0], mbr.max[self.dims.1]],
-                    [mbr.max[self.dims.0], mbr.min[self.dims.1]],
-                    [mbr.max[self.dims.0], mbr.max[self.dims.1]],
-                ];
-                corners.iter().all(|&c| strictly_inside_hull(&self.hull, c))
-            }
-        }
+    fn project(&self, coords: &[f64]) -> [f64; 2] {
+        [coords[self.dims.0], coords[self.dims.1]]
     }
 
     /// The collected qualifying points; the caller chains them into the
@@ -1014,7 +1035,12 @@ impl HullLogic {
 
 impl PreferenceLogic for HullLogic {
     fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        if self.inside(entry.cand.region()) {
+        // A queued score is as old as the hull it was measured against.
+        let score = match entry.cand.region() {
+            Region::Point(_) => entry.score,
+            Region::Box(mbr) => self.score_node(mbr, 0),
+        };
+        if self.prune_child(score, entry.cand.region()) {
             PopVerdict::Prune
         } else {
             PopVerdict::Continue
@@ -1025,20 +1051,27 @@ impl PreferenceLogic for HullLogic {
         f64::NEG_INFINITY
     }
 
-    fn score_node(&mut self, _mbr: &Mbr, depth: usize) -> f64 {
-        -(depth as f64)
+    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
+        -self.hull.outside_box(self.project(&mbr.min), self.project(&mbr.max))
     }
 
-    fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
-        self.inside(child)
+    fn prune_child(&mut self, score: f64, child: Region<'_>) -> bool {
+        match child {
+            Region::Point(coords) => {
+                let p = self.project(coords);
+                self.hull.outside(p) <= 0.0 && !self.hull.has_vertex_in(p, p)
+            }
+            // A node's score is how far its box reaches outside the hull.
+            Region::Box(mbr) => {
+                score >= 0.0
+                    && !self.hull.has_vertex_in(self.project(&mbr.min), self.project(&mbr.max))
+            }
+        }
     }
 
     fn accept(&mut self, _score: f64, tid: u64, _path: Path, coords: Vec<f64>) {
-        self.points.push((tid, [coords[self.dims.0], coords[self.dims.1]]));
-        // Rebuild the running hull occasionally to keep the inside-test
-        // sharp without paying O(n log n) per point.
-        if self.points.len().is_power_of_two() {
-            self.hull = monotone_chain(&self.points);
-        }
+        let p = self.project(&coords);
+        self.points.push((tid, p));
+        self.hull.insert(p);
     }
 }

@@ -10,6 +10,7 @@ pub mod class;
 mod hull;
 pub mod kernel;
 mod parallel;
+pub mod window;
 
 pub use budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason};
 pub use class::{
@@ -23,6 +24,7 @@ pub use kernel::{
 };
 pub(crate) use parallel::par_run_class;
 pub use parallel::ParallelOptions;
+pub use window::Window;
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -44,9 +46,11 @@ pub struct StageTimes {
     /// fetches — everything that can pay counted (and, under
     /// `Pager::set_read_delay`, wall-clock) I/O.
     pub page_read_seconds: f64,
-    /// Preference work: scoring, dominance/bound pruning, accumulation —
-    /// and the rest of each expansion's child loop (in-place decode, bit
-    /// tests, heap pushes), which is timed as one block.
+    /// Everything in the kernel loop that cannot touch a page: heap pops,
+    /// governor checks, scoring, dominance/bound pruning, accumulation, the
+    /// rest of each expansion's child loop (in-place decode, bit tests, heap
+    /// pushes) and the drop of spent entries — so the four stages of a
+    /// serial run sum to its `cpu_seconds`.
     pub score_seconds: f64,
     /// Result canonicalization and (for parallel engines) the cross-worker
     /// merge.

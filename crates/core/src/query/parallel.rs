@@ -386,12 +386,12 @@ mod tests {
         w.push(vec![1.0]);
         w.push(vec![2.0]);
         let mut local = Vec::new();
-        let mark = w.refresh(0, &mut local);
+        let mark = w.refresh(0, |slot, p| local.push((slot, p.to_vec())));
         assert_eq!(mark, 2);
         assert_eq!(local.len(), 2);
-        w.push(vec![3.0]);
-        let mark = w.refresh(mark, &mut local);
+        assert_eq!(w.push(vec![3.0]), 2);
+        let mark = w.refresh(mark, |slot, p| local.push((slot, p.to_vec())));
         assert_eq!(mark, 3);
-        assert_eq!(local, vec![vec![1.0], vec![2.0], vec![3.0]]);
+        assert_eq!(local, vec![(0, vec![1.0]), (1, vec![2.0]), (2, vec![3.0])]);
     }
 }

@@ -186,7 +186,7 @@ fn check_window_schedule(workers: usize, points: usize, schedule: &[usize]) {
             }
         }
         let before = seen.len();
-        let new_mark = window.refresh(mark, &mut seen);
+        let new_mark = window.refresh(mark, |_, p| seen.push(p.to_vec()));
         assert!(new_mark >= mark, "refresh mark went backwards");
         assert_eq!(seen.len() - before, new_mark - mark, "mark/point count mismatch");
         mark = new_mark;
@@ -198,7 +198,7 @@ fn check_window_schedule(workers: usize, points: usize, schedule: &[usize]) {
     }
     // All publishes have landed: the final refresh must surface every point
     // exactly once (no lost update, no duplicate).
-    mark = window.refresh(mark, &mut seen);
+    mark = window.refresh(mark, |_, p| seen.push(p.to_vec()));
     assert_eq!(mark, workers * points, "final mark misses published points");
     assert_eq!(seen.len(), workers * points);
     let mut tags: Vec<(usize, usize)> =
@@ -268,7 +268,7 @@ fn shared_window_concurrent_push_and_refresh_2_4_8_workers() {
             let mut seen: Vec<Vec<f64>> = Vec::new();
             let mut mark = 0usize;
             while mark < workers * per_worker {
-                let new_mark = window.refresh(mark, &mut seen);
+                let new_mark = window.refresh(mark, |_, p| seen.push(p.to_vec()));
                 assert!(new_mark >= mark);
                 for p in &seen[mark..new_mark] {
                     let (w, i) = (p[0] as usize, p[1] as usize);

@@ -8,7 +8,12 @@
 //! loop was rewritten (PR 12); a kernel change that reads a different page,
 //! loads a partial signature at a different moment, expands a different node
 //! or keeps a different heap fails here with the full actual table printed,
-//! ready to diff.
+//! ready to diff. The one exception: PR 16 changed what the hull class prunes
+//! (a closed inside-test against an exact running hull, nodes ordered by
+//! their distance outside it), so its four rows — 3, 9, 15, 21 — were
+//! captured after it: 780 / 911 / 816 / 972 nodes expanded became 159 / 282 /
+//! 380 / 538, and the frontier (`peak_heap`), no longer depth-first, went
+//! from 45 / 33 / 30 / 29 to 465 / 512 / 287 / 361.
 //!
 //! 1 KB pages make every cell's signature span several partials, so the
 //! lazy-load moments (which cursor is consulted for which child) show in the
@@ -33,25 +38,25 @@ const EXPECTED_QUERIES: &[[u64; 8]] = &[
     [16, 0, 0, 0, 0, 0, 16, 168],
     [114, 0, 0, 0, 0, 0, 114, 134],
     [600, 0, 0, 0, 0, 0, 600, 318],
-    [780, 0, 0, 0, 0, 0, 780, 45],
+    [159, 0, 0, 0, 0, 0, 159, 465],
     [59, 0, 0, 0, 0, 0, 59, 133],
     [52, 0, 0, 0, 0, 0, 52, 323],
     [30, 3, 3, 0, 0, 3, 30, 139],
     [179, 12, 2, 0, 0, 12, 179, 112],
     [511, 13, 1, 0, 0, 13, 511, 260],
-    [911, 13, 2, 0, 0, 13, 911, 33],
+    [282, 12, 2, 0, 0, 12, 282, 512],
     [114, 9, 1, 0, 0, 9, 114, 120],
     [66, 10, 1, 0, 0, 10, 66, 284],
     [121, 12, 3, 0, 0, 12, 121, 236],
     [267, 23, 3, 0, 0, 23, 267, 121],
     [495, 26, 3, 0, 0, 26, 495, 317],
-    [816, 26, 3, 0, 0, 26, 816, 30],
+    [380, 25, 3, 0, 0, 25, 380, 287],
     [162, 21, 3, 0, 0, 21, 162, 94],
     [129, 19, 4, 0, 0, 19, 129, 208],
     [402, 32, 5, 0, 0, 32, 402, 272],
     [514, 39, 4, 0, 0, 39, 514, 301],
     [475, 38, 5, 0, 0, 38, 475, 286],
-    [972, 39, 5, 0, 0, 39, 972, 29],
+    [538, 38, 5, 0, 0, 38, 538, 361],
     [308, 34, 5, 0, 0, 34, 308, 154],
     [153, 32, 3, 0, 0, 32, 153, 235],
 ];
@@ -102,11 +107,11 @@ fn row(stats: &QueryStats) -> [u64; 8] {
     ]
 }
 
-fn query_rows(db: &PCubeDb) -> Vec<[u64; 8]> {
+/// Runs the 24 fixed queries and hands each one's statistics to `record`.
+fn for_each_query(db: &PCubeDb, mut record: impl FnMut(&'static str, QueryStats)) {
     let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
     let graph = PriorityGraph::new(vec![0, 1, 2], &[(0, 1)]).expect("acyclic");
     let mut rng = StdRng::seed_from_u64(1208);
-    let mut rows = Vec::new();
     for n_preds in 0..=3usize {
         for class in CLASSES {
             let sel = sample_selection(db.relation(), n_preds, &mut rng);
@@ -125,9 +130,14 @@ fn query_rows(db: &PCubeDb) -> Vec<[u64; 8]> {
                 "subspace" => db.run(&sel, &SubspaceSkylineClass::new(vec![1, 2])).stats,
                 other => unreachable!("unknown class {other}"),
             };
-            rows.push(row(&stats));
+            record(class, stats);
         }
     }
+}
+
+fn query_rows(db: &PCubeDb) -> Vec<[u64; 8]> {
+    let mut rows = Vec::new();
+    for_each_query(db, |_, stats| rows.push(row(&stats)));
     rows
 }
 
@@ -206,4 +216,38 @@ fn saved_list_lengths_match_the_pre_rewrite_capture() {
             .collect::<String>()
     );
     assert!(lens.iter().any(|l| l[0] > 0) && lens.iter().any(|l| l[1] > 0));
+}
+
+/// The four stage clocks of a serial run leave nothing out: pin, page-read,
+/// score and merge sum to the run's `cpu_seconds` (ROADMAP item 1: layers
+/// sum to the end-to-end figure). Before PR 16 the heap pop, `accept` and
+/// the drop of each popped entry ran between the clocks, and an unfiltered
+/// hull's stages summed to 59 % of its run.
+#[test]
+fn serial_stage_times_sum_to_the_run() {
+    let db = build_db();
+    // A stretch outside every clock is a few instructions long, but a
+    // preemption that lands in one is charged to it: the sum is over all 24
+    // queries, and the best of three passes counts.
+    let mut best: Vec<(&str, f64)> = Vec::new();
+    for _ in 0..3 {
+        let mut sums = [(0.0, 0.0); CLASSES.len()];
+        for_each_query(&db, |class, stats| {
+            let at = CLASSES.iter().position(|&c| c == class).expect("listed");
+            sums[at].0 += stats.stages.total_seconds();
+            sums[at].1 += stats.cpu_seconds;
+        });
+        let shares = CLASSES.iter().zip(sums).map(|(&c, (staged, cpu))| (c, staged / cpu));
+        best = match best.is_empty() {
+            true => shares.collect(),
+            false => shares.zip(&best).map(|((c, new), &(_, old))| (c, new.max(old))).collect(),
+        };
+    }
+    for (class, share) in best {
+        assert!(
+            (0.95..=1.0 + 1e-9).contains(&share),
+            "{class}: the stages cover {:.1} % of cpu_seconds",
+            100.0 * share
+        );
+    }
 }
