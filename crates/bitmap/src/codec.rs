@@ -1,14 +1,24 @@
 //! Per-node bitmap compression codecs.
 //!
 //! Every encoding is self-describing: one tag byte ([`CodecKind`]), a varint
-//! bit length, then the scheme-specific payload. [`AdaptiveCodec`] encodes
-//! with every scheme and keeps the smallest — the paper's point that "bit
-//! arrays in different nodes may have significantly different characteristics,
-//! and one may achieve better compression ratio by adaptively choosing
-//! different compression scheme[s]".
+//! bit length, then the scheme-specific payload. [`AdaptiveCodec`] keeps the
+//! smallest of the three — the paper's point that "bit arrays in different
+//! nodes may have significantly different characteristics, and one may achieve
+//! better compression ratio by adaptively choosing different compression
+//! scheme[s]".
+//!
+//! The encoders work on the array's 64-bit words, never bit by bit: the
+//! run-length scheme walks run boundaries (`trailing_zeros` of a word xored
+//! with the current run's value), the word-aligned scheme takes each 31-bit
+//! group with a shift, and both are iterators, so the length of an encoding
+//! is known without producing it. [`AdaptiveCodec`] therefore *sizes* the
+//! three candidates from the words (the literal length in closed form) and
+//! writes only the winner, straight into the caller's buffer. On a tie the
+//! first minimum in the order literal, RLE, WAH wins; stored pages depend on
+//! that rule.
 
 use crate::array::BitArray;
-use crate::varint::{read_varint, write_varint};
+use crate::varint::{read_varint, varint_len, write_varint};
 
 /// Identifies which scheme produced an encoded bit array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,24 +66,36 @@ pub trait Codec {
 /// Decodes any encoding produced by the codecs in this module.
 ///
 /// Returns the decoded array and the number of bytes consumed, or `None` on
-/// malformed input.
+/// malformed input. The bit length is taken from the encoding on trust and
+/// the array is sized from it: for bytes that did not come straight from an
+/// encoder (a stored page, a network buffer) use [`decode_bounded`].
 pub fn decode(buf: &[u8]) -> Option<(BitArray, usize)> {
+    decode_bounded(buf, usize::MAX)
+}
+
+/// [`decode`] that refuses — before sizing anything — an encoding claiming
+/// more than `max_bits` bits. A run-length or fill encoding of a few bytes
+/// can claim any length, so this bound is the only thing between a corrupt
+/// length field and an allocation of that size.
+pub fn decode_bounded(buf: &[u8], max_bits: usize) -> Option<(BitArray, usize)> {
     let mut pos = 0usize;
     let tag = *buf.get(pos)?;
     pos += 1;
     let kind = CodecKind::from_tag(tag)?;
     let len = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
+    if len > max_bits {
+        return None;
+    }
     let bits = match kind {
         CodecKind::Literal => {
-            let n_words = len.div_ceil(64);
-            let mut words = Vec::with_capacity(n_words);
-            for _ in 0..n_words {
-                let end = pos.checked_add(8)?;
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(buf.get(pos..end)?);
-                words.push(u64::from_le_bytes(raw));
-                pos = end;
-            }
+            // The payload must be present before the words are sized from it.
+            let end = pos.checked_add(len.div_ceil(64).checked_mul(8)?)?;
+            let words = buf
+                .get(pos..end)?
+                .chunks_exact(8)
+                .map(|raw| u64::from_le_bytes(raw.try_into().expect("chunks of eight bytes")))
+                .collect();
+            pos = end;
             BitArray::from_words(len, words)
         }
         CodecKind::Rle => {
@@ -158,27 +180,49 @@ impl Codec for RleCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
         out.push(CodecKind::Rle.tag());
         write_varint(out, bits.len() as u64);
-        let mut value = false;
-        let mut run = 0u64;
-        for i in 0..bits.len() {
-            if bits.get(i) == value {
-                run += 1;
-            } else {
-                write_varint(out, run);
-                value = !value;
-                run = 1;
-            }
-        }
-        if run > 0 {
+        for run in runs(bits) {
             write_varint(out, run);
         }
     }
+}
+
+/// The lengths of the alternating runs of `bits`, starting with the run of
+/// zeros (empty when bit 0 is set; no other run is).
+///
+/// Word-level: the end of a run is the first set bit of `word ^ value` at or
+/// after the run's start. Bits past the array's length are zero
+/// ([`BitArray::words`]), so a final run of ones is stopped by them and a
+/// final run of zeros by the length.
+fn runs(bits: &BitArray) -> impl Iterator<Item = u64> + '_ {
+    let (words, len) = (bits.words(), bits.len());
+    let mut pos = 0usize;
+    let mut flip = 0u64; // all ones while the current run is of ones
+    std::iter::from_fn(move || {
+        if pos >= len {
+            return None;
+        }
+        let mut wi = pos / 64;
+        let mut differs = (words[wi] ^ flip) >> (pos % 64) << (pos % 64);
+        while differs == 0 && wi + 1 < words.len() {
+            wi += 1;
+            differs = words[wi] ^ flip;
+        }
+        let end = match differs {
+            0 => len,
+            _ => (wi * 64 + differs.trailing_zeros() as usize).min(len),
+        };
+        let run = end - pos;
+        pos = end;
+        flip = !flip;
+        Some(run as u64)
+    })
 }
 
 const GROUP_BITS: usize = 31;
 const FILL_FLAG: u32 = 1 << 31;
 const FILL_VALUE: u32 = 1 << 30;
 const FILL_COUNT: u32 = (1 << 30) - 1;
+const LITERAL_MASK: u32 = (1 << GROUP_BITS) - 1;
 
 /// 32-bit word-aligned hybrid. Bits are grouped into 31-bit groups; a group
 /// that is all zeros or all ones is folded into a *fill word* (flag bit,
@@ -192,71 +236,93 @@ impl Codec for WahCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
         out.push(CodecKind::Wah.tag());
         write_varint(out, bits.len() as u64);
-        let mut pending_fill: Option<(bool, u32)> = None;
-        let mut i = 0usize;
-        while i < bits.len() {
-            let group_len = GROUP_BITS.min(bits.len() - i);
-            let mut word = 0u32;
-            for k in 0..group_len {
-                if bits.get(i + k) {
-                    word |= 1 << k;
-                }
-            }
-            let full = group_len == GROUP_BITS;
-            let fill_of = if !full {
-                None
-            } else if word == 0 {
-                Some(false)
-            } else if word == (1u32 << GROUP_BITS) - 1 {
-                Some(true)
-            } else {
-                None
-            };
-            match (fill_of, &mut pending_fill) {
-                (Some(v), Some((pv, count))) if *pv == v && *count < FILL_COUNT => {
-                    *count += 1;
-                }
-                (Some(v), pending) => {
-                    if let Some((pv, count)) = pending.take() {
-                        emit_fill(out, pv, count);
-                    }
-                    *pending = Some((v, 1));
-                }
-                (None, pending) => {
-                    if let Some((pv, count)) = pending.take() {
-                        emit_fill(out, pv, count);
-                    }
-                    out.extend_from_slice(&word.to_le_bytes());
-                }
-            }
-            i += group_len;
-        }
-        if let Some((pv, count)) = pending_fill {
-            emit_fill(out, pv, count);
+        for word in wah_words(bits) {
+            out.extend_from_slice(&word.to_le_bytes());
         }
     }
 }
 
-fn emit_fill(out: &mut Vec<u8>, value: bool, count: u32) {
-    let word = FILL_FLAG | if value { FILL_VALUE } else { 0 } | (count & FILL_COUNT);
-    out.extend_from_slice(&word.to_le_bytes());
+/// The 31 bits of group `g` (bits `31g .. 31g + 31`), taken from the words
+/// with one shift, two when the group straddles a word boundary. Positions
+/// past the array's length read as zero.
+#[inline]
+fn group(words: &[u64], g: usize) -> u32 {
+    let (wi, shift) = (g * GROUP_BITS / 64, g * GROUP_BITS % 64);
+    let mut v = words[wi] >> shift;
+    if shift > 64 - GROUP_BITS {
+        if let Some(next) = words.get(wi + 1) {
+            v |= next << (64 - shift);
+        }
+    }
+    v as u32 & LITERAL_MASK
 }
 
-/// Encodes with every scheme and keeps the smallest output.
+/// The fill and literal words of the WAH encoding of `bits`, in order.
+/// Consecutive full groups of one value share a fill word (up to
+/// [`FILL_COUNT`] groups); the final partial group is always a literal.
+fn wah_words(bits: &BitArray) -> impl Iterator<Item = u32> + '_ {
+    let words = bits.words();
+    let n_groups = bits.len().div_ceil(GROUP_BITS);
+    let full_groups = bits.len() / GROUP_BITS;
+    let mut g = 0usize;
+    std::iter::from_fn(move || {
+        if g >= n_groups {
+            return None;
+        }
+        let word = group(words, g);
+        let is_fill = g < full_groups && (word == 0 || word == LITERAL_MASK);
+        g += 1;
+        if !is_fill {
+            return Some(word);
+        }
+        let mut count = 1u32;
+        while g < full_groups && count < FILL_COUNT && group(words, g) == word {
+            g += 1;
+            count += 1;
+        }
+        Some(FILL_FLAG | if word == 0 { 0 } else { FILL_VALUE } | count)
+    })
+}
+
+/// Keeps the smallest of the literal, RLE and WAH encodings; on a tie the
+/// first of them in that order.
+///
+/// The three lengths are computed from the words ([`adaptive_len`]) and only
+/// the winner is written — no candidate buffer is ever allocated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptiveCodec;
 
 impl Codec for AdaptiveCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
-        let lit = LiteralCodec.encode(bits);
-        let rle = RleCodec.encode(bits);
-        let wah = WahCodec.encode(bits);
-        let best = [&lit, &rle, &wah]
-            .into_iter()
-            .min_by_key(|b| b.len())
-            .expect("the candidate list is non-empty");
-        out.extend_from_slice(best);
+        match cheapest(bits).0 {
+            CodecKind::Literal => LiteralCodec.encode_into(bits, out),
+            CodecKind::Rle => RleCodec.encode_into(bits, out),
+            CodecKind::Wah => WahCodec.encode_into(bits, out),
+        }
     }
+}
+
+/// The scheme [`AdaptiveCodec`] picks for `bits` and the length of its
+/// encoding.
+fn cheapest(bits: &BitArray) -> (CodecKind, usize) {
+    let header = 1 + varint_len(bits.len() as u64);
+    let literal = header + 8 * bits.words().len();
+    let rle = header + runs(bits).map(varint_len).sum::<usize>();
+    let wah = header + 4 * wah_words(bits).count();
+    // Strict comparisons: an earlier scheme keeps a tie.
+    let mut best = (CodecKind::Literal, literal);
+    if rle < best.1 {
+        best = (CodecKind::Rle, rle);
+    }
+    if wah < best.1 {
+        best = (CodecKind::Wah, wah);
+    }
+    best
+}
+
+/// `AdaptiveCodec.encode(bits).len()`, without encoding.
+pub fn adaptive_len(bits: &BitArray) -> usize {
+    cheapest(bits).1
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //! * [`Codec`] and its implementations [`LiteralCodec`], [`RleCodec`],
 //!   [`WahCodec`] and [`AdaptiveCodec`] — the per-node compression schemes.
 //!   `AdaptiveCodec` picks the smallest encoding per array, which is exactly
-//!   the paper's argument (2).
+//!   the paper's argument (2); [`adaptive_len`] is that encoding's length
+//!   without producing it. [`decode_bounded`] is the decoder for bytes read
+//!   back from storage.
 //! * [`BloomFilter`] — the lossy alternative sketched in §VII: a Bloom filter
 //!   over the SIDs whose signature bits are 1.
 
@@ -30,5 +32,8 @@ mod varint;
 
 pub use array::BitArray;
 pub use bloom::BloomFilter;
-pub use codec::{decode, AdaptiveCodec, Codec, CodecKind, LiteralCodec, RleCodec, WahCodec};
-pub use varint::{read_varint, write_varint};
+pub use codec::{
+    adaptive_len, decode, decode_bounded, AdaptiveCodec, Codec, CodecKind, LiteralCodec, RleCodec,
+    WahCodec,
+};
+pub use varint::{read_varint, varint_len, write_varint};

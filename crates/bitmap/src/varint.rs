@@ -13,6 +13,12 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Number of bytes [`write_varint`] appends for `value`.
+pub fn varint_len(value: u64) -> usize {
+    // One byte per started group of seven significant bits.
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Reads a varint from `buf` starting at `*pos`, advancing `*pos`.
 ///
 /// Returns `None` on truncated or oversized (> 10 byte) input.
@@ -39,9 +45,10 @@ mod tests {
 
     #[test]
     fn roundtrip_boundaries() {
-        for v in [0u64, 1, 127, 128, 255, 16384, u32::MAX as u64, u64::MAX] {
+        for v in [0u64, 1, 127, 128, 255, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "varint_len({v})");
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());

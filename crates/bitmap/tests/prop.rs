@@ -5,10 +5,193 @@
 //! `PROPTEST_SEED`), so every CI run replays the identical case sequence.
 
 use pcube_bitmap::{
-    decode, read_varint, write_varint, AdaptiveCodec, BitArray, BloomFilter, Codec, LiteralCodec,
-    RleCodec, WahCodec,
+    adaptive_len, decode, decode_bounded, read_varint, varint_len, write_varint, AdaptiveCodec,
+    BitArray, BloomFilter, Codec, LiteralCodec, RleCodec, WahCodec,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The definition of the three encodings: the bit-by-bit encoders the
+/// word-level ones in `codec.rs` replaced, kept as the reference they are
+/// tested against. `adaptive` is what "encode with every scheme and keep the
+/// smallest" meant: `min_by_key` returns the first minimum.
+mod reference {
+    use pcube_bitmap::{write_varint, BitArray};
+
+    const GROUP_BITS: usize = 31;
+    const FILL_FLAG: u32 = 1 << 31;
+    const FILL_VALUE: u32 = 1 << 30;
+    const FILL_COUNT: u32 = (1 << 30) - 1;
+
+    pub fn literal(bits: &BitArray) -> Vec<u8> {
+        let mut out = vec![0u8];
+        write_varint(&mut out, bits.len() as u64);
+        for w in bits.words() {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    pub fn rle(bits: &BitArray) -> Vec<u8> {
+        let mut out = vec![1u8];
+        write_varint(&mut out, bits.len() as u64);
+        let mut value = false;
+        let mut run = 0u64;
+        for i in 0..bits.len() {
+            if bits.get(i) == value {
+                run += 1;
+            } else {
+                write_varint(&mut out, run);
+                value = !value;
+                run = 1;
+            }
+        }
+        if run > 0 {
+            write_varint(&mut out, run);
+        }
+        out
+    }
+
+    fn emit_fill(out: &mut Vec<u8>, value: bool, count: u32) {
+        let word = FILL_FLAG | if value { FILL_VALUE } else { 0 } | (count & FILL_COUNT);
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+
+    pub fn wah(bits: &BitArray) -> Vec<u8> {
+        let mut out = vec![2u8];
+        write_varint(&mut out, bits.len() as u64);
+        let mut pending_fill: Option<(bool, u32)> = None;
+        let mut i = 0usize;
+        while i < bits.len() {
+            let group_len = GROUP_BITS.min(bits.len() - i);
+            let mut word = 0u32;
+            for k in 0..group_len {
+                if bits.get(i + k) {
+                    word |= 1 << k;
+                }
+            }
+            let full = group_len == GROUP_BITS;
+            let fill_of = if !full {
+                None
+            } else if word == 0 {
+                Some(false)
+            } else if word == (1u32 << GROUP_BITS) - 1 {
+                Some(true)
+            } else {
+                None
+            };
+            match (fill_of, &mut pending_fill) {
+                (Some(v), Some((pv, count))) if *pv == v && *count < FILL_COUNT => {
+                    *count += 1;
+                }
+                (Some(v), pending) => {
+                    if let Some((pv, count)) = pending.take() {
+                        emit_fill(&mut out, pv, count);
+                    }
+                    *pending = Some((v, 1));
+                }
+                (None, pending) => {
+                    if let Some((pv, count)) = pending.take() {
+                        emit_fill(&mut out, pv, count);
+                    }
+                    out.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+            i += group_len;
+        }
+        if let Some((pv, count)) = pending_fill {
+            emit_fill(&mut out, pv, count);
+        }
+        out
+    }
+
+    pub fn adaptive(bits: &BitArray) -> Vec<u8> {
+        [literal(bits), rle(bits), wah(bits)]
+            .into_iter()
+            .min_by_key(|b| b.len())
+            .expect("three candidates")
+    }
+}
+
+/// Every codec against its reference on one array, plus both decoders.
+fn assert_matches_reference(arr: &BitArray, what: &str) {
+    assert_eq!(LiteralCodec.encode(arr), reference::literal(arr), "literal, {what}");
+    assert_eq!(RleCodec.encode(arr), reference::rle(arr), "rle, {what}");
+    assert_eq!(WahCodec.encode(arr), reference::wah(arr), "wah, {what}");
+    let adaptive = AdaptiveCodec.encode(arr);
+    assert_eq!(adaptive, reference::adaptive(arr), "adaptive, {what}");
+    assert_eq!(adaptive_len(arr), adaptive.len(), "adaptive_len, {what}");
+    // Appending leaves what is already in the buffer alone.
+    let mut appended = vec![0xEE];
+    AdaptiveCodec.encode_into(arr, &mut appended);
+    assert_eq!(appended[0], 0xEE);
+    assert_eq!(&appended[1..], adaptive.as_slice(), "encode_into, {what}");
+    for enc in [LiteralCodec.encode(arr), RleCodec.encode(arr), WahCodec.encode(arr), adaptive] {
+        assert_eq!(decode(&enc), Some((arr.clone(), enc.len())), "decode, {what}");
+        assert_eq!(decode_bounded(&enc, arr.len()), Some((arr.clone(), enc.len())), "{what}");
+        if !arr.is_empty() {
+            assert_eq!(decode_bounded(&enc, arr.len() - 1), None, "bound, {what}");
+        }
+    }
+}
+
+/// The word-level encoders are the bit-level definition: every length
+/// 0..=300 (the word, group and double-group boundaries 31, 32, 62, 63, 64,
+/// 65, 93, 124, 128 among them) under all-zero, all-one, both alternations,
+/// every two-bit-apart single bit, clustered runs and five random densities.
+#[test]
+fn word_level_encoders_equal_the_bitwise_reference() {
+    let mut rng = StdRng::seed_from_u64(0x18c0dec);
+    for len in 0..=300usize {
+        let mut cases: Vec<(String, BitArray)> = vec![
+            ("zeros".into(), BitArray::zeros(len)),
+            ("ones".into(), BitArray::from_bits(std::iter::repeat_n(true, len))),
+            ("alternating 01".into(), BitArray::from_bits((0..len).map(|i| i % 2 == 1))),
+            ("alternating 10".into(), BitArray::from_bits((0..len).map(|i| i % 2 == 0))),
+        ];
+        for at in (0..len).step_by(2).chain(len.checked_sub(1)) {
+            let mut one = BitArray::zeros(len);
+            one.set(at, true);
+            cases.push((format!("single bit {at}"), one));
+            let mut hole = BitArray::from_bits(std::iter::repeat_n(true, len));
+            hole.set(at, false);
+            cases.push((format!("single hole {at}"), hole));
+        }
+        for density in [0.02, 0.1, 0.5, 0.9, 0.98] {
+            let random = BitArray::from_bits((0..len).map(|_| rng.gen_bool(density)));
+            cases.push((format!("density {density}"), random));
+        }
+        let mut runs = BitArray::zeros(len);
+        let (mut i, mut value) = (0usize, rng.gen_bool(0.5));
+        while i < len {
+            let run = rng.gen_range(1..=70usize).min(len - i);
+            for j in i..i + run {
+                runs.set(j, value);
+            }
+            i += run;
+            value = !value;
+        }
+        cases.push(("runs".into(), runs));
+        for (what, arr) in cases {
+            assert_matches_reference(&arr, &format!("{what}, length {len}"));
+        }
+    }
+}
+
+/// Fill runs longer than one word of groups, and a length whose varint has
+/// two bytes.
+#[test]
+fn long_fills_equal_the_bitwise_reference() {
+    for len in [31 * 40, 31 * 40 + 5, 2048, 4096] {
+        let mut arr = BitArray::zeros(len);
+        assert_matches_reference(&arr, &format!("zeros {len}"));
+        arr.set(len / 2, true);
+        assert_matches_reference(&arr, &format!("one bit in {len}"));
+        let ones = BitArray::from_bits(std::iter::repeat_n(true, len));
+        assert_matches_reference(&ones, &format!("ones {len}"));
+    }
+}
 
 fn arb_bits() -> impl Strategy<Value = Vec<bool>> {
     prop::collection::vec(any::<bool>(), 0..600)
@@ -62,6 +245,23 @@ proptest! {
     }
 
     #[test]
+    fn encoders_equal_the_reference_on_random_and_clustered_arrays(
+        bits in arb_bits(),
+        runs in arb_runs(),
+    ) {
+        assert_matches_reference(&BitArray::from_bits(bits.iter().copied()), "random");
+        assert_matches_reference(&BitArray::from_bits(runs.iter().copied()), "clustered");
+    }
+
+    #[test]
+    fn varint_len_is_the_written_length(v in any::<u64>(), shift in 0u32..64) {
+        let v = v >> shift;
+        let mut buf = Vec::new();
+        write_varint(&mut buf, v);
+        prop_assert_eq!(varint_len(v), buf.len());
+    }
+
+    #[test]
     fn or_and_match_boolean_semantics(a in arb_bits(), b in arb_bits()) {
         let n = a.len().min(b.len());
         let x = BitArray::from_bits(a[..n].iter().copied());
@@ -97,8 +297,17 @@ proptest! {
     }
 
     #[test]
-    fn decode_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        // Must return None or a valid array, never panic.
-        let _ = decode(&bytes);
+    fn decode_never_panics_on_garbage(
+        tag in 0u8..4,
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        // Must return None or an array within the bound, never panic and
+        // never size anything from a length field it has not checked. Half
+        // the cases are given a valid tag so that they reach the length.
+        for buf in [bytes.clone(), [vec![tag], bytes].concat()] {
+            if let Some((arr, used)) = decode_bounded(&buf, 4096) {
+                prop_assert!(arr.len() <= 4096 && used <= buf.len());
+            }
+        }
     }
 }

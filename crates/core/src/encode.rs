@@ -7,11 +7,17 @@
 //! from the root's first child, then its following children, then the next
 //! level, skipping nodes already coded. Each partial is a subtree fragment
 //! referenced by the SID of its root.
+//!
+//! [`for_each_partial`] is that process as one pass over the signature's
+//! SID-ordered node table (see [`Signature`], "Storage order"): the restart
+//! points are the nodes in table order, the traversal under a restart point
+//! is one contiguous table range per level, and "already coded" is a flag
+//! per table index — no queue, no path, no hash lookup. Each node is encoded
+//! once, straight into the record being filled, and the page is cut by the
+//! length just written; the traversal stops when every node is coded.
 
-use std::collections::{HashSet, VecDeque};
-
-use pcube_bitmap::{decode, AdaptiveCodec, BitArray, Codec};
-use pcube_rtree::{Path, Sid};
+use pcube_bitmap::{decode_bounded, read_varint, varint_len, write_varint, AdaptiveCodec, BitArray, Codec};
+use pcube_rtree::Sid;
 
 use crate::signature::Signature;
 
@@ -25,133 +31,165 @@ pub struct PartialSignature {
     pub nodes: Vec<(Sid, BitArray)>,
 }
 
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
+/// Bytes budgeted for a record's header when a page is cut: the root SID
+/// plus three bytes for the node count (its varint is usually shorter; the
+/// slack is part of the stored layout).
+fn header_budget(root_sid: Sid) -> usize {
+    varint_len(root_sid.0) + 3
 }
 
-fn encoded_node_len(sid: Sid, bits: &BitArray) -> usize {
-    varint_len(sid.0) + AdaptiveCodec.encode(bits).len()
+/// Appends one node of a record: `[sid][adaptively encoded bits]`.
+fn push_node(out: &mut Vec<u8>, sid: Sid, bits: &BitArray) {
+    write_varint(out, sid.0);
+    AdaptiveCodec.encode_into(bits, out);
 }
 
 /// Serializes a partial: `[root_sid][n_nodes]` then `[sid][encoded bits]`
 /// per node, all varint/self-describing.
 pub fn encode_partial(partial: &PartialSignature) -> Vec<u8> {
     let mut out = Vec::new();
-    pcube_bitmap::write_varint(&mut out, partial.root_sid.0);
-    pcube_bitmap::write_varint(&mut out, partial.nodes.len() as u64);
+    write_varint(&mut out, partial.root_sid.0);
+    write_varint(&mut out, partial.nodes.len() as u64);
     for (sid, bits) in &partial.nodes {
-        pcube_bitmap::write_varint(&mut out, sid.0);
-        AdaptiveCodec.encode_into(bits, &mut out);
+        push_node(&mut out, *sid, bits);
     }
     out
 }
 
-/// Inverse of [`encode_partial`]. Returns `None` on malformed input.
-pub fn decode_partial(buf: &[u8]) -> Option<PartialSignature> {
+/// Inverse of [`encode_partial`] for bytes read back from a page. Returns
+/// `None` on malformed input, which includes — checked before anything is
+/// sized from them — a node count the record is too short to hold and a
+/// node array longer than the fanout `m_max`.
+pub fn decode_partial(buf: &[u8], m_max: usize) -> Option<PartialSignature> {
+    /// The shortest encoded node: a one-byte SID, a tag, a one-byte length.
+    const MIN_NODE_BYTES: usize = 3;
     let mut pos = 0usize;
-    let root_sid = Sid(pcube_bitmap::read_varint(buf, &mut pos)?);
-    let n = pcube_bitmap::read_varint(buf, &mut pos)? as usize;
+    let root_sid = Sid(read_varint(buf, &mut pos)?);
+    let n = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
+    if n > (buf.len() - pos) / MIN_NODE_BYTES {
+        return None;
+    }
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
-        let sid = Sid(pcube_bitmap::read_varint(buf, &mut pos)?);
-        let (bits, used) = decode(&buf[pos..])?;
+        let sid = Sid(read_varint(buf, &mut pos)?);
+        let (bits, used) = decode_bounded(&buf[pos..], m_max)?;
         pos += used;
         nodes.push((sid, bits));
     }
     Some(PartialSignature { root_sid, nodes })
 }
 
-/// Decomposes a signature into partials no larger than `payload_limit`
-/// bytes each (§IV-B.1).
+/// Decomposes a signature into records of at most `payload_limit` bytes
+/// each (§IV-B.1), calling `emit(root_sid, record)` for every partial in
+/// storage order; `record` is the partial exactly as [`encode_partial`]
+/// would serialize it.
 ///
-/// `height` is the R-tree height (node levels), needed to know where bits
-/// stop referring to child nodes.
+/// `height` is the R-tree height (node levels): no node lies deeper than
+/// `height - 1`.
 ///
 /// # Panics
 /// Panics if a single node's encoding exceeds `payload_limit` (cannot
-/// happen for sane page sizes: an M=204 literal array is ~30 bytes).
-pub fn decompose(sig: &Signature, height: usize, payload_limit: usize) -> Vec<PartialSignature> {
-    let m = sig.m_max();
-    let mut partials = Vec::new();
-    if sig.is_empty() {
-        return partials;
-    }
-    let mut coded: HashSet<Sid> = HashSet::new();
-    let mut frontier: Vec<Path> = vec![Path::root()];
-    let total = sig.node_count();
-
-    while !frontier.is_empty() && coded.len() < total {
-        let mut next: Vec<Path> = Vec::new();
-        for root in &frontier {
-            let root_sid = root.sid(m);
-            // BFS within the subtree under `root`, skipping coded nodes and
-            // cutting when the page payload would overflow.
-            let mut queue: VecDeque<Path> = VecDeque::new();
-            queue.push_back(root.clone());
-            let mut nodes: Vec<(Sid, BitArray)> = Vec::new();
-            let mut size = varint_len(root_sid.0) + 3; // header: root sid + node-count varint
-            'bfs: while let Some(p) = queue.pop_front() {
-                let sid = p.sid(m);
-                let Some(bits) = sig.node(sid) else { continue };
-                if !coded.contains(&sid) {
-                    let len = encoded_node_len(sid, bits);
-                    assert!(
-                        varint_len(root_sid.0) + 3 + len <= payload_limit,
-                        "single node encoding ({len} B) exceeds page payload {payload_limit}"
-                    );
-                    if size + len > payload_limit {
-                        break 'bfs;
-                    }
-                    size += len;
-                    coded.insert(sid);
-                    nodes.push((sid, bits.clone()));
-                }
-                if p.depth() + 1 < height {
-                    for pos in bits.iter_ones() {
-                        queue.push_back(p.child(pos as u16 + 1));
-                    }
-                }
-            }
-            if !nodes.is_empty() {
-                partials.push(PartialSignature { root_sid, nodes });
-            }
-            // Next round restarts from this root's children.
-            if root.depth() + 1 < height {
-                if let Some(bits) = sig.node(root_sid) {
-                    for pos in bits.iter_ones() {
-                        next.push(root.child(pos as u16 + 1));
-                    }
-                }
-            }
+/// happen for sane page sizes: an M=204 literal array is ~30 bytes), or if
+/// the signature holds a node no stored ancestor chain leads to
+/// ([`Signature::validate`]).
+pub fn for_each_partial(
+    sig: &Signature,
+    height: usize,
+    payload_limit: usize,
+    mut emit: impl FnMut(Sid, &[u8]),
+) {
+    let nodes = sig.nodes();
+    let base = sig.m_max() as u64 + 1;
+    let mut coded = vec![false; nodes.len()];
+    let mut uncoded = nodes.len();
+    let (mut encoded, mut record) = (Vec::new(), Vec::new());
+    // Depth of the restart point: SIDs below `base^depth` are no deeper.
+    let (mut depth, mut depth_end) = (0usize, 1u64);
+    for &(root_sid, _) in nodes {
+        if uncoded == 0 {
+            break;
         }
-        frontier = next;
+        while root_sid.0 >= depth_end {
+            depth += 1;
+            depth_end = depth_end.saturating_mul(base);
+        }
+        // Breadth-first under `root_sid`, skipping coded nodes and cutting
+        // when the page payload would overflow.
+        let header = header_budget(root_sid);
+        let mut size = header;
+        let mut count = 0usize;
+        encoded.clear();
+        // The subtree's nodes `k` levels down are the table's SIDs from
+        // `root` followed by `k` digits 1 up to, excluding, `(root + 1)`
+        // followed by `k` digits 0; none means none deeper either.
+        let (mut lo, mut hi) = (root_sid.0, root_sid.0.saturating_add(1));
+        'bfs: for _ in depth..height {
+            let start = nodes.partition_point(|(sid, _)| sid.0 < lo);
+            let end = start + nodes[start..].partition_point(|(sid, _)| sid.0 < hi);
+            if start == end {
+                break;
+            }
+            for i in start..end {
+                if coded[i] {
+                    continue;
+                }
+                let before = encoded.len();
+                push_node(&mut encoded, nodes[i].0, &nodes[i].1);
+                let len = encoded.len() - before;
+                assert!(
+                    header + len <= payload_limit,
+                    "single node encoding ({len} B) exceeds page payload {payload_limit}"
+                );
+                if size + len > payload_limit {
+                    encoded.truncate(before);
+                    break 'bfs;
+                }
+                size += len;
+                coded[i] = true;
+                count += 1;
+            }
+            let Some(next_lo) = lo.checked_mul(base).and_then(|lo| lo.checked_add(1)) else {
+                break;
+            };
+            (lo, hi) = (next_lo, hi.saturating_mul(base));
+        }
+        if count > 0 {
+            uncoded -= count;
+            // The count is known only now: header, then the encoded nodes.
+            record.clear();
+            write_varint(&mut record, root_sid.0);
+            write_varint(&mut record, count as u64);
+            record.extend_from_slice(&encoded);
+            emit(root_sid, &record);
+        }
     }
-    debug_assert_eq!(coded.len(), total, "decomposition must cover every node");
+    assert_eq!(uncoded, 0, "decomposition must cover every node");
+}
+
+/// The decomposition of [`for_each_partial`] as decoded partials (tests,
+/// diagnostics and benches; the store writes the records as they come).
+pub fn decompose(sig: &Signature, height: usize, payload_limit: usize) -> Vec<PartialSignature> {
+    let mut partials = Vec::new();
+    for_each_partial(sig, height, payload_limit, |_, record| {
+        partials.push(decode_partial(record, sig.m_max()).expect("a record just encoded decodes"));
+    });
     partials
 }
 
 /// Reassembles a signature from all of its partials.
 pub fn reassemble(m_max: usize, partials: &[PartialSignature]) -> Signature {
-    let mut sig = Signature::empty(m_max);
-    for p in partials {
-        for (sid, bits) in &p.nodes {
-            let mut b = bits.clone();
-            b.grow(m_max);
-            sig.insert_node(*sid, b);
-        }
-    }
-    sig
+    Signature::from_nodes(m_max, partials.iter().flat_map(|p| p.nodes.iter().cloned()).collect())
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use pcube_rtree::Path;
+
+    fn encoded_node_len(sid: Sid, bits: &BitArray) -> usize {
+        varint_len(sid.0) + pcube_bitmap::adaptive_len(bits)
+    }
 
     fn table1_a1() -> Signature {
         // (A = a1): t1 <1,1,1>, t3 <1,2,1>.
@@ -237,7 +275,7 @@ mod tests {
         let sig = table1_a1();
         for p in decompose(&sig, 3, 4096) {
             let enc = encode_partial(&p);
-            let dec = decode_partial(&enc).expect("decodes");
+            let dec = decode_partial(&enc, 2).expect("decodes");
             assert_eq!(dec.root_sid, p.root_sid);
             assert_eq!(dec.nodes.len(), p.nodes.len());
             for ((s1, b1), (s2, b2)) in dec.nodes.iter().zip(&p.nodes) {
@@ -249,11 +287,46 @@ mod tests {
 
     #[test]
     fn decode_partial_rejects_garbage() {
-        assert!(decode_partial(&[]).is_none());
+        assert!(decode_partial(&[], 2).is_none());
         let sig = table1_a1();
         let mut enc = encode_partial(&decompose(&sig, 3, 4096).remove(0));
+        assert!(decode_partial(&enc, 1).is_none(), "a node longer than the fanout");
         enc.truncate(enc.len() - 2);
-        assert!(decode_partial(&enc).is_none());
+        assert!(decode_partial(&enc, 2).is_none());
+    }
+
+    #[test]
+    fn decode_partial_sizes_nothing_from_an_unchecked_length() {
+        // Root 0, one node, SID 5, RLE tag, bit length 2^45: the array would
+        // be 4 TiB. Refused by the fanout bound before anything is sized.
+        let mut node_of_2_45_bits = vec![0, 1, 5, 1];
+        write_varint(&mut node_of_2_45_bits, 1 << 45);
+        assert!(decode_partial(&node_of_2_45_bits, 204).is_none());
+        // Root 0, 2^45 nodes in a record of a few bytes.
+        let mut record_of_2_45_nodes = vec![0];
+        write_varint(&mut record_of_2_45_nodes, 1 << 45);
+        record_of_2_45_nodes.extend_from_slice(&[5, 1, 2, 2]);
+        assert!(decode_partial(&record_of_2_45_nodes, 204).is_none());
+    }
+
+    #[test]
+    fn records_are_the_serialized_partials() {
+        let mut sig = Signature::empty(4);
+        for a in 1..=4u16 {
+            for b in 1..=4u16 {
+                sig.set_path(&Path(vec![a, b, 1 + (a + b) % 4]));
+            }
+        }
+        for limit in [24usize, 40, 64, 4096] {
+            let mut records: Vec<(Sid, Vec<u8>)> = Vec::new();
+            for_each_partial(&sig, 3, limit, |root, record| records.push((root, record.to_vec())));
+            let partials = decompose(&sig, 3, limit);
+            assert_eq!(records.len(), partials.len());
+            for ((root, record), partial) in records.iter().zip(&partials) {
+                assert_eq!(*root, partial.root_sid);
+                assert_eq!(record, &encode_partial(partial), "limit {limit}");
+            }
+        }
     }
 
     #[test]

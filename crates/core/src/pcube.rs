@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use pcube_cube::{
-    group_by, normalize, CellKey, CellRegistry, CuboidMask, MaterializationPlan, Predicate,
+    group_rows, normalize, CellKey, CellRegistry, CuboidMask, MaterializationPlan, Predicate,
     Relation, Selection,
 };
 use pcube_rtree::{Path, PathDelta, RTree, RTreeConfig};
@@ -93,7 +93,11 @@ impl PCube {
     ///
     /// This is the tuple-oriented generation of §IV-B.1: one R-tree
     /// traversal yields the `path` column, then each cuboid group-by turns
-    /// its cells' path lists into signatures.
+    /// its cells' path lists into signatures. The rows are the R-tree's
+    /// tuples — live by construction, whatever `relation` still holds as
+    /// tombstones — taken in the traversal's depth-first order, which every
+    /// cell inherits: its paths arrive sorted, so its node table fills in
+    /// SID order with no lookup (`Signature::from_sorted_paths`).
     pub fn build(
         relation: &Relation,
         rtree: &RTree,
@@ -103,19 +107,25 @@ impl PCube {
     ) -> Self {
         let sig_pager = Pager::new(page_size, IoCategory::SignaturePage, stats.clone());
         let dir_pager = Pager::new(page_size, IoCategory::BptreePage, stats);
-        let mut store = SignatureStore::new(sig_pager, dir_pager, rtree.m_max(), rtree.height());
+        let (m_max, height) = (rtree.m_max(), rtree.height());
+        let mut store = SignatureStore::new(sig_pager, dir_pager, m_max, height);
         let mut registry = CellRegistry::new();
 
-        // The `path` column: tids are dense, so a vector indexes it.
-        let mut paths: Vec<Path> = vec![Path::root(); relation.len()];
-        rtree.for_each_tuple(|tid, path, _| paths[tid as usize] = path.clone());
+        // The `path` column, flat: every tuple path has one slot per node
+        // level, and tids index the rows.
+        let mut slots = vec![0u16; relation.len() * height];
+        let mut walk_order = Vec::with_capacity(rtree.len() as usize);
+        rtree.for_each_tuple(|tid, path, _| {
+            slots[tid as usize * height..][..height].copy_from_slice(&path.0);
+            walk_order.push(tid);
+        });
 
         let cuboids = plan.cuboids(relation.schema().n_bool());
         for &cuboid in &cuboids {
-            for (cell, tids) in group_by(relation, cuboid) {
-                let sig = Signature::from_paths(
-                    rtree.m_max(),
-                    tids.iter().map(|&t| &paths[t as usize]),
+            for (cell, tids) in group_rows(relation, cuboid, &walk_order) {
+                let sig = Signature::from_sorted_paths(
+                    m_max,
+                    tids.iter().map(|&tid| &slots[tid as usize * height..][..height]),
                 );
                 let code = registry.intern(cell);
                 store.write_signature(code, &sig);
@@ -340,14 +350,18 @@ pub struct PCubeDb {
 }
 
 impl PCubeDb {
-    /// Builds the R-tree partition and the P-Cube over `relation`.
+    /// Builds the R-tree partition and the P-Cube over the live rows of
+    /// `relation`: a table with tombstones builds the cube of its compacted
+    /// copy (same tree shape, same signatures; only the tids differ).
     pub fn build(mut relation: Relation, config: &PCubeConfig) -> Self {
         let stats = IoStats::new_shared();
         relation.attach_stats(stats.clone());
         let rtree_pager = Pager::new(config.page_size, IoCategory::RtreeBlock, stats.clone());
         let rtree_cfg = RTreeConfig::for_page(relation.schema().n_pref(), config.page_size);
-        let items: Vec<(u64, Vec<f64>)> =
-            (0..relation.len() as u64).map(|t| (t, relation.pref_coords(t))).collect();
+        let items: Vec<(u64, Vec<f64>)> = (0..relation.len() as u64)
+            .filter(|&t| relation.is_live(t))
+            .map(|t| (t, relation.pref_coords(t)))
+            .collect();
         let rtree = RTree::bulk_load(rtree_pager, rtree_cfg, items, config.rtree_fill);
         let pcube = PCube::build(&relation, &rtree, &config.plan, config.page_size, stats.clone());
         PCubeDb { relation, rtree, pcube, stats, admission: None, derived: Mutex::default() }
@@ -687,7 +701,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcube_cube::{Predicate, Schema};
+    use pcube_cube::{group_by, Predicate, Schema};
 
     /// The paper's Table I as a PCubeDb (coordinates force Fig 1's grouping
     /// only approximately — STR packs its own tiles — but every signature
@@ -737,6 +751,44 @@ mod tests {
         // A has 4 values, B has 3 → 7 atomic cells.
         assert_eq!(db.pcube().registry().len(), 7);
         assert_signatures_consistent(&db);
+    }
+
+    #[test]
+    fn tombstoned_relation_builds_the_cube_of_its_compacted_copy() {
+        let schema = || Schema::new(&["A", "B"], &["X", "Y"]);
+        let (mut tombstoned, mut compacted) = (Relation::new(schema()), Relation::new(schema()));
+        let mut dead = Vec::new();
+        for i in 0..600u32 {
+            let f = f64::from(i);
+            let coords = [(f * 0.137) % 1.0, (f * 0.311) % 1.0];
+            // A = 9 is carried by deleted rows only.
+            let dies = i % 4 == 1;
+            let codes = [if dies && i % 3 == 0 { 9 } else { i % 5 }, i % 3];
+            let tid = tombstoned.push_coded(&codes, &coords);
+            if dies {
+                dead.push(tid);
+            } else {
+                compacted.push_coded(&codes, &coords);
+            }
+        }
+        for tid in dead {
+            assert!(tombstoned.mark_deleted(tid));
+        }
+        // Small pages: a three-level tree, cells of several partials.
+        let cfg = PCubeConfig { page_size: 256, ..PCubeConfig::default() };
+        let (tombstoned, compacted) =
+            (PCubeDb::build(tombstoned, &cfg), PCubeDb::build(compacted, &cfg));
+        assert_eq!(tombstoned.rtree().len(), 450);
+        assert!(tombstoned.rtree().height() >= 3);
+        assert_signatures_consistent(&tombstoned);
+        let (got, expect) = (tombstoned.pcube(), compacted.pcube());
+        assert_eq!(got.registry().len(), expect.registry().len(), "a cell for dead rows only");
+        assert_eq!(got.registry().code(&CellKey::atomic(0, 9)), None);
+        for code in 0..expect.registry().len() as u32 {
+            assert_eq!(got.registry().key(code), expect.registry().key(code));
+            assert_eq!(got.store().load_full(code), expect.store().load_full(code), "cell {code}");
+        }
+        assert_eq!(got.size_bytes(), expect.size_bytes());
     }
 
     #[test]

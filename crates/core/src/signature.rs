@@ -1,6 +1,6 @@
 //! The in-memory signature: a tree of bit arrays mirroring the R-tree.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use pcube_bitmap::BitArray;
 use pcube_rtree::{Path, Sid};
@@ -17,6 +17,20 @@ use pcube_rtree::{Path, Sid};
 /// * for every set bit at a non-leaf node, the child node's array is present;
 /// * every stored non-root node is reachable via a set bit in its parent.
 ///
+/// # Storage order
+///
+/// The nodes are kept in one vector in ascending [`Sid`] order, and that is
+/// the breadth-first order of the tree: a SID is its path read as a number
+/// in base `M + 1` with digits `1..=M`, so a deeper path (one more digit) is
+/// always the larger number, and two paths of one depth compare as their
+/// slot sequences do. Under any node, too, breadth-first order is ascending
+/// SID order, and the descendants `k` levels below the node with SID `s` are
+/// exactly the stored SIDs from `s` followed by `k` digits 1 up to, and
+/// excluding, `s + 1` followed by `k` digits 0. The page
+/// decomposition ([`crate::encode`]) walks that order with no queue and no
+/// visited set, and generation ([`Signature::from_paths`]) fills it level by
+/// level with no lookup at all.
+///
 /// # Example — the paper's (A = a1) cell (Fig 2.a)
 ///
 /// ```
@@ -32,30 +46,95 @@ use pcube_rtree::{Path, Sid};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Signature {
     m_max: usize,
-    nodes: HashMap<Sid, BitArray>,
+    /// `(sid, bits)`, ascending by SID, one entry per SID.
+    nodes: Vec<(Sid, BitArray)>,
 }
 
 impl Signature {
     /// An empty signature (no tuple of the cell anywhere) for fanout `m_max`.
     pub fn empty(m_max: usize) -> Self {
-        Signature { m_max, nodes: HashMap::new() }
+        Signature { m_max, nodes: Vec::new() }
     }
 
-    /// Builds the signature from the cell's tuple paths.
+    /// Builds the signature from the cell's tuple paths, in any order.
     ///
     /// This is the tuple-oriented generation of §IV-B.1: group the relation
     /// by the cuboid, and for each cell turn its tuples' `path` column into
-    /// the bit tree. (The paper describes it as a recursive sort; setting
-    /// bits per path prefix computes the identical result in one pass.)
+    /// the bit tree. The paper describes it as a recursive sort, and so it
+    /// is here: the paths are sorted (one linear pass for the depth-first
+    /// order an R-tree walk yields) and each level's nodes are then appended
+    /// in SID order.
     ///
     /// # Panics
-    /// Panics if a path position exceeds `m_max`.
+    /// Panics if a path position is outside `1..=m_max`.
     pub fn from_paths<'a>(m_max: usize, paths: impl IntoIterator<Item = &'a Path>) -> Self {
-        let mut sig = Signature::empty(m_max);
+        let mut paths: Vec<&[u16]> = paths.into_iter().map(|p| p.0.as_slice()).collect();
+        paths.sort_unstable();
+        Signature::from_sorted_paths(m_max, paths)
+    }
+
+    /// [`Signature::from_paths`] over slot sequences already in
+    /// lexicographic order — the order of a depth-first R-tree walk. The
+    /// length-`l` prefixes of such a sequence are themselves non-decreasing,
+    /// so every level's nodes arrive in SID order: a path either sets a bit
+    /// in the level's last node or appends a new one. No lookup, no sort.
+    ///
+    /// # Panics
+    /// Panics if the paths are out of order or a position is outside
+    /// `1..=m_max`.
+    pub(crate) fn from_sorted_paths<'a>(
+        m_max: usize,
+        paths: impl IntoIterator<Item = &'a [u16]>,
+    ) -> Self {
+        let mut levels: Vec<Vec<(Sid, BitArray)>> = Vec::new();
         for path in paths {
-            sig.set_path(path);
+            if levels.len() < path.len() {
+                levels.resize_with(path.len(), Vec::new);
+            }
+            let mut sid = Sid::ROOT;
+            for (level, &position) in path.iter().enumerate() {
+                if level > 0 {
+                    sid = sid.child(path[level - 1], m_max);
+                }
+                assert!(
+                    position >= 1 && position as usize <= m_max,
+                    "path position {position} out of 1..={m_max}"
+                );
+                let nodes = &mut levels[level];
+                match nodes.last_mut() {
+                    Some((last, bits)) if *last == sid => bits.set(position as usize - 1, true),
+                    last => {
+                        assert!(last.is_none_or(|(s, _)| *s < sid), "paths out of order");
+                        let mut bits = BitArray::zeros(m_max);
+                        bits.set(position as usize - 1, true);
+                        nodes.push((sid, bits));
+                    }
+                }
+            }
         }
-        sig
+        Signature { m_max, nodes: levels.into_iter().flatten().collect() }
+    }
+
+    /// Builds the signature from decoded node arrays in any order (the
+    /// reassembly of stored partials). Arrays shorter than `m_max` are padded
+    /// with zeros; of two arrays under one SID the later wins.
+    ///
+    /// # Panics
+    /// Panics if an array is longer than `m_max`.
+    pub fn from_nodes(m_max: usize, mut nodes: Vec<(Sid, BitArray)>) -> Self {
+        for (_, bits) in &mut nodes {
+            bits.grow(m_max);
+            assert_eq!(bits.len(), m_max, "node array length must equal M");
+        }
+        nodes.sort_by_key(|(sid, _)| *sid);
+        nodes.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        Signature { m_max, nodes }
     }
 
     /// The fanout this signature was built for (bit-array length).
@@ -70,7 +149,7 @@ impl Signature {
 
     /// Total number of set bits across all nodes.
     pub fn bit_count(&self) -> usize {
-        self.nodes.values().map(BitArray::count_ones).sum()
+        self.nodes.iter().map(|(_, bits)| bits.count_ones()).sum()
     }
 
     /// `true` if the signature covers no tuple.
@@ -78,36 +157,39 @@ impl Signature {
         self.nodes.is_empty()
     }
 
-    /// The bit array of the node at `sid`, if present.
-    pub fn node(&self, sid: Sid) -> Option<&BitArray> {
-        self.nodes.get(&sid)
+    /// The stored `(sid, bits)` pairs in ascending SID — breadth-first —
+    /// order.
+    pub fn nodes(&self) -> &[(Sid, BitArray)] {
+        &self.nodes
     }
 
-    /// Iterates over `(sid, bits)` pairs in unspecified order.
+    /// Where `sid` is stored, or where it would be inserted.
+    fn position(&self, sid: Sid) -> Result<usize, usize> {
+        self.nodes.binary_search_by_key(&sid, |(s, _)| *s)
+    }
+
+    /// The bit array of the node at `sid`, if present.
+    pub fn node(&self, sid: Sid) -> Option<&BitArray> {
+        self.position(sid).ok().map(|i| &self.nodes[i].1)
+    }
+
+    /// Iterates over `(sid, bits)` pairs in ascending SID order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (Sid, &BitArray)> {
         self.nodes.iter().map(|(s, b)| (*s, b))
     }
 
-    /// Inserts a decoded node array (used when reassembling from partials).
-    ///
-    /// # Panics
-    /// Panics if the array length differs from `m_max`.
-    pub fn insert_node(&mut self, sid: Sid, bits: BitArray) {
-        assert_eq!(bits.len(), self.m_max, "node array length must equal M");
-        self.nodes.insert(sid, bits);
-    }
-
     /// Sets the bits for every prefix of `path` (marks the tuple present).
     pub fn set_path(&mut self, path: &Path) {
-        for level in 0..path.depth() {
-            let node_sid = path.prefix_sid(level, self.m_max);
-            let pos = path.0[level] as usize - 1;
-            assert!(pos < self.m_max, "path position exceeds fanout");
-            self.nodes
-                .entry(node_sid)
-                .or_insert_with(|| BitArray::zeros(self.m_max))
-                .set(pos, true);
-        }
+        let m_max = self.m_max;
+        walk_path(path, m_max, |_, sid, pos| {
+            assert!(pos < m_max, "path position exceeds fanout");
+            let at = self.position(sid).unwrap_or_else(|at| {
+                self.nodes.insert(at, (sid, BitArray::zeros(m_max)));
+                at
+            });
+            self.nodes[at].1.set(pos, true);
+            true
+        });
     }
 
     /// Clears the leaf-most bit of `path` and prunes emptied ancestors.
@@ -116,22 +198,19 @@ impl Signature {
     /// (paths are unique per tuple, so this holds by construction).
     pub fn clear_path(&mut self, path: &Path) {
         for level in (0..path.depth()).rev() {
-            let node_sid = path.prefix_sid(level, self.m_max);
-            let pos = path.0[level] as usize - 1;
             // Only clear the parent bit if the child subtree became empty.
-            if level + 1 < path.depth() {
-                let child_sid = path.prefix_sid(level + 1, self.m_max);
-                if self.nodes.contains_key(&child_sid) {
-                    break;
-                }
-            }
-            let Some(bits) = self.nodes.get_mut(&node_sid) else { break };
-            bits.set(pos, false);
-            if bits.all_zero() {
-                self.nodes.remove(&node_sid);
-            } else {
+            if level + 1 < path.depth()
+                && self.position(path.prefix_sid(level + 1, self.m_max)).is_ok()
+            {
                 break;
             }
+            let Ok(at) = self.position(path.prefix_sid(level, self.m_max)) else { break };
+            let bits = &mut self.nodes[at].1;
+            bits.set(path.0[level] as usize - 1, false);
+            if !bits.all_zero() {
+                break;
+            }
+            self.nodes.remove(at);
         }
     }
 
@@ -145,27 +224,34 @@ impl Signature {
     /// the contained ones, so bit `i` of the node at a contained `path`
     /// answers `contains(path.child(i + 1))`).
     pub fn contains(&self, path: &Path) -> bool {
-        walk_path(path, self.m_max, |_, sid, pos| {
-            self.nodes.get(&sid).is_some_and(|bits| bits.get(pos))
-        })
+        walk_path(path, self.m_max, |_, sid, pos| self.node(sid).is_some_and(|bits| bits.get(pos)))
     }
 
-    /// The union operator: bit-or of both signatures (§IV-B.2, Fig 3.b).
+    /// The union operator: bit-or of both signatures (§IV-B.2, Fig 3.b), one
+    /// merge of the two SID-ordered node lists.
     ///
     /// # Panics
     /// Panics on fanout mismatch.
     pub fn union(&self, other: &Signature) -> Signature {
         assert_eq!(self.m_max, other.m_max, "union of signatures over different partitions");
-        let mut out = self.clone();
-        for (sid, bits) in &other.nodes {
-            match out.nodes.get_mut(sid) {
-                Some(mine) => mine.or_assign(bits),
-                None => {
-                    out.nodes.insert(*sid, bits.clone());
-                }
+        let mut nodes = Vec::with_capacity(self.nodes.len().max(other.nodes.len()));
+        let (mut mine, mut theirs) = (self.nodes.iter().peekable(), other.nodes.iter().peekable());
+        loop {
+            let order = match (mine.peek(), theirs.peek()) {
+                (Some(a), Some(b)) => a.0.cmp(&b.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            let mut node = if order.is_le() { mine.next() } else { theirs.next() }
+                .expect("peeked above")
+                .clone();
+            if order.is_eq() {
+                node.1.or_assign(&theirs.next().expect("peeked above").1);
             }
+            nodes.push(node);
         }
-        out
+        Signature { m_max: self.m_max, nodes }
     }
 
     /// The intersection operator with the recursive fix-up (§IV-B.2,
@@ -179,32 +265,35 @@ impl Signature {
     /// Panics on fanout mismatch.
     pub fn intersect(&self, other: &Signature, height: usize) -> Signature {
         assert_eq!(self.m_max, other.m_max, "intersection over different partitions");
-        let mut out = Signature::empty(self.m_max);
-        self.intersect_rec(other, &Path::root(), height, &mut out);
-        out
+        let mut nodes = Vec::new();
+        self.intersect_rec(other, Sid::ROOT, 0, height, &mut nodes);
+        // The recursion emits children before their parent.
+        nodes.sort_unstable_by_key(|(sid, _)| *sid);
+        Signature { m_max: self.m_max, nodes }
     }
 
-    /// Recursively intersects the subtree at `node_path`; returns `true` if
-    /// any bit survives (so the parent keeps its bit).
+    /// Recursively intersects the subtree at the node `sid` of depth
+    /// `depth`; returns `true` if any bit survives (so the parent keeps its
+    /// bit).
     fn intersect_rec(
         &self,
         other: &Signature,
-        node_path: &Path,
+        sid: Sid,
+        depth: usize,
         height: usize,
-        out: &mut Signature,
+        out: &mut Vec<(Sid, BitArray)>,
     ) -> bool {
-        let sid = node_path.sid(self.m_max);
-        let (Some(a), Some(b)) = (self.nodes.get(&sid), other.nodes.get(&sid)) else {
+        let (Some(a), Some(b)) = (self.node(sid), other.node(sid)) else {
             return false;
         };
         let mut bits = a.clone();
         bits.and_assign(b);
-        if node_path.depth() + 1 < height {
+        if depth + 1 < height {
             // Internal node: verify each surviving bit's child recursively.
             let set: Vec<usize> = bits.iter_ones().collect();
             for pos in set {
-                let child = node_path.child(pos as u16 + 1);
-                if !self.intersect_rec(other, &child, height, out) {
+                let child = sid.child(pos as u16 + 1, self.m_max);
+                if !self.intersect_rec(other, child, depth + 1, height, out) {
                     bits.set(pos, false);
                 }
             }
@@ -212,7 +301,7 @@ impl Signature {
         if bits.all_zero() {
             return false;
         }
-        out.nodes.insert(sid, bits);
+        out.push((sid, bits));
         true
     }
 
@@ -221,20 +310,21 @@ impl Signature {
     /// # Panics
     /// Panics with a description of the violated invariant.
     pub fn validate(&self, height: usize) {
+        assert!(self.nodes.windows(2).all(|w| w[0].0 < w[1].0), "nodes out of SID order");
         if self.nodes.is_empty() {
             return;
         }
-        assert!(self.nodes.contains_key(&Sid::ROOT), "non-empty signature must have a root");
+        assert!(self.node(Sid::ROOT).is_some(), "non-empty signature must have a root");
         let mut reachable = 0usize;
-        let mut stack = vec![Path::root()];
-        while let Some(p) = stack.pop() {
-            let sid = p.sid(self.m_max);
-            let bits = self.nodes.get(&sid).expect("set bit points at a missing child node");
+        let mut stack = vec![(Sid::ROOT, 0usize)];
+        while let Some((sid, depth)) = stack.pop() {
+            let bits = self.node(sid).expect("set bit points at a missing child node");
+            assert_eq!(bits.len(), self.m_max, "stored node {sid} has the wrong length");
             assert!(!bits.all_zero(), "stored node {sid} is all-zero");
             reachable += 1;
-            if p.depth() + 1 < height {
+            if depth + 1 < height {
                 for pos in bits.iter_ones() {
-                    stack.push(p.child(pos as u16 + 1));
+                    stack.push((sid.child(pos as u16 + 1, self.m_max), depth + 1));
                 }
             }
         }

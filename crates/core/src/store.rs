@@ -19,7 +19,7 @@ use pcube_bptree::{composite_key, split_key, BPlusTree};
 use pcube_rtree::{Path, Sid};
 use pcube_storage::{read_u32, write_u32, IoCategory, Pager, StorageError};
 
-use crate::encode::{decode_partial, decompose, encode_partial, PartialSignature};
+use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
 use crate::signature::{walk_path, Signature};
 
 const RECORD_HEADER: usize = 4; // per-partial payload length u32
@@ -143,37 +143,41 @@ impl SignatureStore {
     }
 
     /// Writes (or replaces) the signature of `cell`, packing its partials
-    /// contiguously across as few pages as possible.
+    /// contiguously across as few pages as possible. Each node is encoded
+    /// once, by the decomposition walk, into the record that lands on the
+    /// page.
     pub fn write_signature(&mut self, cell: u32, sig: &Signature) {
         assert_eq!(sig.m_max(), self.m_max, "fanout mismatch");
         self.delete_signature(cell);
-        let page_size = self.pager.page_size();
-        let mut page = vec![0u8; page_size];
-        let mut used = 0usize;
-        let mut pid: Option<pcube_storage::PageId> = None;
-        for partial in decompose(sig, self.height, self.payload_limit) {
-            let bytes = encode_partial(&partial);
-            assert!(bytes.len() <= self.payload_limit, "partial exceeds page payload");
-            if pid.is_none() || used + RECORD_HEADER + bytes.len() > page_size {
-                if let Some(full) = pid.take() {
-                    self.pager.write(full, &page);
-                }
-                page.fill(0);
-                used = 0;
-                pid = Some(self.pager.allocate());
-            }
-            write_u32(&mut page, used, bytes.len() as u32);
-            page[used + RECORD_HEADER..used + RECORD_HEADER + bytes.len()]
-                .copy_from_slice(&bytes);
-            let old = self.directory.insert(
-                Self::dir_key(cell, partial.root_sid),
-                Self::locator(pid.expect("set by the `is_none()` branch above"), used),
-            );
-            assert!(old.is_none(), "duplicate partial reference for cell {cell}");
-            used += RECORD_HEADER + bytes.len();
+        let mut packer = RecordPacker::new(self.pager.page_size());
+        for_each_partial(sig, self.height, self.payload_limit, |root_sid, record| {
+            self.pack_record(&mut packer, cell, root_sid, record);
+        });
+        self.flush_packer(&mut packer);
+    }
+
+    /// Appends `record` as the partial `(cell, root_sid)`: onto the packer's
+    /// open page if it fits there, otherwise onto a freshly allocated page
+    /// (the full one is written out first). The reference must be new to
+    /// the directory.
+    fn pack_record(&mut self, packer: &mut RecordPacker, cell: u32, root_sid: Sid, record: &[u8]) {
+        assert!(record.len() <= self.payload_limit, "partial exceeds page payload");
+        if packer.pid.is_none() || packer.used + RECORD_HEADER + record.len() > packer.page.len() {
+            self.flush_packer(packer);
+            packer.page.fill(0);
+            packer.used = 0;
+            packer.pid = Some(self.pager.allocate());
         }
-        if let Some(last) = pid {
-            self.pager.write(last, &page);
+        let pid = packer.pid.expect("a page was opened above");
+        let old = self.directory.insert(Self::dir_key(cell, root_sid), Self::locator(pid, packer.used));
+        assert!(old.is_none(), "duplicate partial reference for cell {cell}");
+        packer.used = put_record(&mut packer.page, packer.used, record);
+    }
+
+    /// Writes the packer's open page, if any.
+    fn flush_packer(&mut self, packer: &mut RecordPacker) {
+        if let Some(pid) = packer.pid.take() {
+            self.pager.write(pid, &packer.page);
         }
     }
 
@@ -229,7 +233,11 @@ impl SignatureStore {
         if len > page.len() - offset - RECORD_HEADER {
             return Err(self.malformed(pid, "partial-signature length exceeds the page"));
         }
-        match decode_partial(&page[offset + RECORD_HEADER..offset + RECORD_HEADER + len]) {
+        // A record read back is not trusted: the decoder refuses a node count
+        // the record cannot hold and a node wider than the fanout before it
+        // sizes anything from them.
+        let record = &page[offset + RECORD_HEADER..offset + RECORD_HEADER + len];
+        match decode_partial(record, self.m_max) {
             Some(partial) => Ok(partial),
             None => Err(self.malformed(pid, "undecodable partial signature")),
         }
@@ -305,19 +313,14 @@ impl SignatureStore {
     /// Fallible [`SignatureStore::load_full`]: any unreadable page or
     /// undecodable record along the way aborts the assembly with the error.
     pub fn try_load_full(&self, cell: u32) -> Result<Signature, StorageError> {
-        let mut sig = Signature::empty(self.m_max);
+        let mut nodes = Vec::new();
         for (_, loc) in self
             .directory
             .try_range_collect(composite_key(cell, 0)..=composite_key(cell, u32::MAX))?
         {
-            let partial = self.try_load_partial_at(loc)?;
-            for (sid, bits) in partial.nodes {
-                let mut b = bits;
-                b.grow(self.m_max);
-                sig.insert_node(sid, b);
-            }
+            nodes.extend(self.try_load_partial_at(loc)?.nodes);
         }
-        Ok(sig)
+        Ok(Signature::from_nodes(self.m_max, nodes))
     }
 
     /// The paper's in-place maintenance fast path for pure insertions
@@ -441,11 +444,8 @@ impl SignatureStore {
                 if used + RECORD_HEADER + bytes.len() > new_page.len() {
                     return false; // would overflow: fall back to full rewrite
                 }
-                write_u32(&mut new_page, used, bytes.len() as u32);
-                new_page[used + RECORD_HEADER..used + RECORD_HEADER + bytes.len()]
-                    .copy_from_slice(&bytes);
                 new_offsets.push((r, used));
-                used += RECORD_HEADER + bytes.len();
+                used = put_record(&mut new_page, used, &bytes);
             }
             page_rewrites.push((pid, new_page, new_offsets));
         }
@@ -491,35 +491,11 @@ impl SignatureStore {
             }
         }
         // 2) append new partials, packed onto fresh pages.
-        if !new_partials.is_empty() {
-            let page_size = self.pager.page_size();
-            let mut page = vec![0u8; page_size];
-            let mut used = 0usize;
-            let mut pid: Option<pcube_storage::PageId> = None;
-            for partial in &new_partials {
-                let bytes = encode_partial(partial);
-                if pid.is_none() || used + RECORD_HEADER + bytes.len() > page_size {
-                    if let Some(full) = pid.take() {
-                        self.pager.write(full, &page);
-                    }
-                    page.fill(0);
-                    used = 0;
-                    pid = Some(self.pager.allocate());
-                }
-                write_u32(&mut page, used, bytes.len() as u32);
-                page[used + RECORD_HEADER..used + RECORD_HEADER + bytes.len()]
-                    .copy_from_slice(&bytes);
-                let old = self.directory.insert(
-                    Self::dir_key(cell, partial.root_sid),
-                    Self::locator(pid.expect("set by the `is_none()` branch above"), used),
-                );
-                assert!(old.is_none(), "new partial must have a fresh reference");
-                used += RECORD_HEADER + bytes.len();
-            }
-            if let Some(last) = pid {
-                self.pager.write(last, &page);
-            }
+        let mut packer = RecordPacker::new(self.pager.page_size());
+        for partial in &new_partials {
+            self.pack_record(&mut packer, cell, partial.root_sid, &encode_partial(partial));
         }
+        self.flush_packer(&mut packer);
         true
     }
 
@@ -544,6 +520,30 @@ impl SignatureStore {
             mask: ChildMask::default(),
         }
     }
+}
+
+/// The page being filled with records: several partials share a page, each
+/// record `[len u32][bytes]` behind the previous one.
+struct RecordPacker {
+    page: Vec<u8>,
+    used: usize,
+    /// The page the buffer will be written to; `None` until a record arrives.
+    pid: Option<pcube_storage::PageId>,
+}
+
+impl RecordPacker {
+    fn new(page_size: usize) -> Self {
+        RecordPacker { page: vec![0u8; page_size], used: 0, pid: None }
+    }
+}
+
+/// Writes `[len u32][record]` at offset `used` of `page`; returns the offset
+/// behind it.
+fn put_record(page: &mut [u8], used: usize, record: &[u8]) -> usize {
+    write_u32(page, used, record.len() as u32);
+    let end = used + RECORD_HEADER + record.len();
+    page[used + RECORD_HEADER..end].copy_from_slice(record);
+    end
 }
 
 /// What one conjunct of a probe knows about the children of the R-tree node

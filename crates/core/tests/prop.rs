@@ -99,7 +99,7 @@ proptest! {
         for p in &partials {
             let enc = encode_partial(p);
             prop_assert!(enc.len() <= limit, "partial {} bytes > {limit}", enc.len());
-            let dec = decode_partial(&enc).expect("roundtrip");
+            let dec = decode_partial(&enc, M).expect("roundtrip");
             prop_assert_eq!(dec.root_sid, p.root_sid);
             for (sid, _) in &p.nodes {
                 prop_assert!(seen.insert(*sid), "node {sid} coded twice");

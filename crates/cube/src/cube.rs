@@ -188,21 +188,79 @@ impl MaterializationPlan {
     }
 }
 
-/// Groups the relation's rows by their values on the cuboid's dimensions.
-/// Returns `(cell, tids)` pairs; tids are ascending within each cell.
+/// Groups the relation's live rows by their values on the cuboid's
+/// dimensions. Returns `(cell, tids)` pairs in ascending order of the cells'
+/// values; tids are ascending within each cell. A value only deleted rows
+/// carry has no cell.
 pub fn group_by(relation: &Relation, mask: CuboidMask) -> Vec<(CellKey, Vec<u64>)> {
+    let live: Vec<u64> = (0..relation.len() as u64).filter(|&tid| relation.is_live(tid)).collect();
+    group_rows(relation, mask, &live)
+}
+
+/// [`group_by`] over the given rows only: `(cell, tids)` pairs in ascending
+/// order of the cells' values, the tids of each cell in the order `rows` had
+/// them (cube generation passes the R-tree's depth-first order, so that every
+/// cell's paths arrive sorted).
+///
+/// The rows are bucketed by dictionary code, one stable pass per dimension
+/// from the last to the first: no key is allocated per row and nothing is
+/// hashed.
+///
+/// # Panics
+/// Panics if there are more than `u32::MAX` rows.
+pub fn group_rows(relation: &Relation, mask: CuboidMask, rows: &[u64]) -> Vec<(CellKey, Vec<u64>)> {
     let dims = mask.dims();
-    let mut groups: HashMap<Vec<u32>, Vec<u64>> = HashMap::new();
-    for tid in 0..relation.len() as u64 {
-        let values: Vec<u32> = dims.iter().map(|&d| relation.bool_code(tid, d)).collect();
-        groups.entry(values).or_default().push(tid);
+    let n_rows = u32::try_from(rows.len()).expect("more rows than a u32 counts");
+    // Positions in `rows`: half the bytes of a tid to move through each pass.
+    let mut order: Vec<u32> = (0..n_rows).collect();
+    for &dim in dims.iter().rev() {
+        sort_by_code(&mut order, |at| relation.bool_code(rows[at as usize], dim));
     }
-    let mut out: Vec<(CellKey, Vec<u64>)> = groups
-        .into_iter()
-        .map(|(values, tids)| (CellKey { mask, values }, tids))
-        .collect();
-    out.sort_by(|a, b| a.0.values.cmp(&b.0.values));
-    out
+    let values =
+        |at: u32| dims.iter().map(move |&dim| relation.bool_code(rows[at as usize], dim));
+    order
+        .chunk_by(|&a, &b| values(a).eq(values(b)))
+        .map(|cell| {
+            let key = CellKey { mask, values: values(cell[0]).collect() };
+            (key, cell.iter().map(|&at| rows[at as usize]).collect())
+        })
+        .collect()
+}
+
+/// Stable sort of `order` by a `u32` code of each element: a byte-wise radix
+/// sort, least significant byte first. A byte all codes agree on (the three
+/// upper ones of any dictionary below 256 values) costs no pass.
+fn sort_by_code(order: &mut [u32], code: impl Fn(u32) -> u32) {
+    let mut keyed: Vec<(u32, u32)> = order.iter().map(|&at| (code(at), at)).collect();
+    let byte = |key: u32, b: usize| (key >> (8 * b)) as usize & 0xFF;
+    // A byte's histogram does not depend on the order the earlier passes
+    // leave, so all four are counted in one read.
+    let mut counts = [[0usize; 256]; 4];
+    for &(key, _) in &keyed {
+        for (b, counts) in counts.iter_mut().enumerate() {
+            counts[byte(key, b)] += 1;
+        }
+    }
+    let mut moved = keyed.clone();
+    for (b, counts) in counts.iter_mut().enumerate() {
+        if counts.contains(&keyed.len()) {
+            continue;
+        }
+        // Counts become each bucket's first position.
+        let mut start = 0usize;
+        for count in counts.iter_mut() {
+            start += std::mem::replace(count, start);
+        }
+        for &(key, at) in &keyed {
+            let to = &mut counts[byte(key, b)];
+            moved[*to] = (key, at);
+            *to += 1;
+        }
+        std::mem::swap(&mut keyed, &mut moved);
+    }
+    for (slot, (_, at)) in order.iter_mut().zip(keyed) {
+        *slot = at;
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +369,45 @@ mod tests {
         assert_eq!(groups.len(), 6);
         let total: usize = groups.iter().map(|(_, t)| t.len()).sum();
         assert_eq!(total, 8);
+    }
+
+    #[test]
+    fn group_by_sees_live_rows_only() {
+        let mut r = sample();
+        // t4 and t8 are the a3 rows: the value loses its cell with them.
+        assert!(r.mark_deleted(3) && r.mark_deleted(7) && r.mark_deleted(0));
+        let groups = group_by(&r, CuboidMask::atomic(0));
+        let cells: Vec<(u32, &[u64])> =
+            groups.iter().map(|(key, tids)| (key.values[0], tids.as_slice())).collect();
+        assert_eq!(cells, vec![(0, &[2u64][..]), (1, &[1, 5]), (3, &[4, 6])]);
+    }
+
+    #[test]
+    fn group_rows_keeps_the_given_order_within_a_cell() {
+        let r = sample();
+        let groups = group_rows(&r, CuboidMask::from_dims(&[0, 1]), &[7, 6, 5, 3, 2, 0]);
+        let cells: Vec<(&[u32], &[u64])> =
+            groups.iter().map(|(key, tids)| (key.values.as_slice(), tids.as_slice())).collect();
+        // (a1,b1) t3 t1 · (a2,b3) t6 · (a3,b3) t8 t4 · (a4,b2) t7, by value.
+        assert_eq!(
+            cells,
+            vec![
+                (&[0u32, 0][..], &[2u64, 0][..]),
+                (&[1, 2], &[5]),
+                (&[2, 2], &[7, 3]),
+                (&[3, 1], &[6]),
+            ]
+        );
+    }
+
+    #[test]
+    fn sort_by_code_is_stable_across_every_byte() {
+        let codes = [70_000u32, 3, 256, 3, u32::MAX, 0, 256, 70_000, 1 << 24];
+        let mut order: Vec<u32> = (0..codes.len() as u32).collect();
+        sort_by_code(&mut order, |at| codes[at as usize]);
+        let mut expect: Vec<u32> = (0..codes.len() as u32).collect();
+        expect.sort_by_key(|&at| codes[at as usize]);
+        assert_eq!(order, expect);
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod predicate;
 mod relation;
 mod schema;
 
-pub use cube::{group_by, CellKey, CellRegistry, CuboidMask, MaterializationPlan};
+pub use cube::{group_by, group_rows, CellKey, CellRegistry, CuboidMask, MaterializationPlan};
 pub use predicate::{normalize, Predicate, Selection};
 pub use relation::Relation;
 pub use schema::{Dictionary, Schema};

@@ -263,17 +263,20 @@ impl RTree {
     /// (e.g. signature generation) account for it at their own layer via the
     /// number of nodes, available as [`RTree::count_nodes`].
     pub fn for_each_tuple(&self, mut f: impl FnMut(u64, &Path, &[f64])) {
-        self.visit(self.root, &Path::root(), &mut f);
+        self.visit(self.root, &mut Path::root(), &mut f);
     }
 
-    fn visit(&self, pid: PageId, prefix: &Path, f: &mut impl FnMut(u64, &Path, &[f64])) {
+    /// `path` is the walk's one buffer: the path of the node `pid` on entry
+    /// and on return, each entry's in between.
+    fn visit(&self, pid: PageId, path: &mut Path, f: &mut impl FnMut(u64, &Path, &[f64])) {
         let n = self.read_node_uncounted(pid);
         for (slot, entry) in &n.entries {
-            let child_path = prefix.child(*slot as u16 + 1);
+            path.0.push(*slot as u16 + 1);
             match entry {
-                DecodedEntry::Tuple { tid, coords } => f(*tid, &child_path, coords),
-                DecodedEntry::Child { child, .. } => self.visit(*child, &child_path, f),
+                DecodedEntry::Tuple { tid, coords } => f(*tid, path, coords),
+                DecodedEntry::Child { child, .. } => self.visit(*child, path, f),
             }
+            path.0.pop();
         }
     }
 
