@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pcube_bench::{build, default_spec, Bench};
 use pcube_core::{
     run_class_engine, BooleanIndexSet, DynamicSkylineClass, Engine, HullClass, LinearFn,
-    ParallelOptions, QueryBudget, QueryClass, SelectRoute, SkylineClass, TopKClass,
+    QueryBudget, QueryClass, SelectRoute, SkylineClass, TopKClass,
 };
 use pcube_cube::Selection;
 use pcube_data::sample_selection;
@@ -87,8 +87,8 @@ fn bench_assembly_ablation(c: &mut Criterion) {
     c.bench_function("skyline/2preds_eager_assembly", |b| {
         b.iter(|| {
             i += 1;
-            let eager = ParallelOptions { workers: 1, eager_assembly: true };
-            bench.db.par_run(&sels2[i % sels2.len()], &skyline, eager).rows.len()
+            let sel = &sels2[i % sels2.len()];
+            bench.db.run_with_probe(sel, &skyline, bench.db.pcube().probe(sel, true)).rows.len()
         })
     });
 }

@@ -11,11 +11,12 @@
 //!    (`SigUpdate`), a physical CRC witness per dirtied page (`PageWrite`),
 //!    and finally `Commit`. Fsyncs batch across commits
 //!    ([`DurabilityOptions::fsync_every`]).
-//! 2. **Checkpoint incrementally.** The pagers track dirty pages; a
-//!    checkpoint flushes only those into a shadow [`CheckpointImage`]
-//!    (staged, then installed atomically), logs a `Checkpoint` record, and
-//!    truncates the WAL prefix it covers — replacing the monolithic
-//!    persist-v2 save on the write path.
+//! 2. **Checkpoint incrementally.** The pagers track dirty pages; the
+//!    [`CheckpointImage`] is three frozen copy-on-write pagers, and a
+//!    checkpoint re-points only the dirty slots at the master's current page
+//!    versions (staged, then installed atomically — no page byte is copied),
+//!    logs a `Checkpoint` record, and truncates the WAL prefix it covers
+//!    once the image file has landed.
 //! 3. **Recover by replay.** [`DurableDb::open_or_recover`] restores the
 //!    last checkpoint image (verifying every page CRC), re-executes the
 //!    committed WAL suffix, verifies each transaction's page witnesses and
@@ -24,10 +25,12 @@
 //!    [`RecoveryReport`] — never a panic, never an approximately-right
 //!    database.
 //! 4. **Publish epochs.** Every commit publishes a new immutable
-//!    [`EpochSnapshot`] (a deep copy sharing only the I/O ledger) through an
-//!    atomic pointer swap. Readers obtained via [`DurableDb::reader`] pin
-//!    whatever epoch they started with: the writer never blocks them, and a
-//!    query never observes a half-applied transaction.
+//!    [`EpochSnapshot`] (the master's own `Arc`: pages, column chunks and
+//!    metadata stay shared copy-on-write until the writer dirties them)
+//!    through an atomic pointer swap. Readers obtained via
+//!    [`DurableDb::reader`] pin whatever epoch they started with: the writer
+//!    never blocks them, and a query never observes a half-applied
+//!    transaction.
 //!
 //! Crash testing: install a [`CrashPlan`] with [`DurableDb::set_crash_plan`]
 //! and the engine deterministically "dies" (poisons itself) at any chosen
@@ -41,15 +44,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use pcube_bptree::BPlusTree;
 use pcube_cube::{CellKey, Relation};
-use pcube_rtree::{Path as TreePath, RTree, RTreeConfig};
+use pcube_rtree::Path as TreePath;
 use pcube_storage::{
-    crc32, CrashPlan, CrashPoint, IoCategory, IoStats, Lsn, PageId, Pager, SharedStats, StoreKind,
-    TreeOp, Wal, WalRecord, WalStats,
+    crc32, CrashPlan, CrashPoint, IoCategory, IoStats, Lsn, PageId, Pager, StoreKind, TreeOp, Wal,
+    WalRecord, WalStats,
 };
 
-use crate::pcube::{PCube, PCubeConfig, PCubeDb};
+use crate::pcube::{PCubeConfig, PCubeDb};
 use crate::persist::{
     self, open_section, put_section, put_u32, put_u64, PersistError, Reader,
 };
@@ -62,11 +64,14 @@ const CKPT_MAGIC: &[u8; 8] = b"PCUBECK2";
 /// Byte length of the watermark header after the magic: four u64 watermarks
 /// (epoch, txns, next_txn, next_lsn) followed by their CRC32.
 const CKPT_HEAD_LEN: usize = 36;
-/// Section tags inside a checkpoint image, in order.
+/// Section tags inside a checkpoint image, in order: the metadata, then one
+/// page table per store in [`STORE_KINDS`] order.
 const TAG_META: u8 = 1;
-const TAG_RTREE_PAGES: u8 = 2;
-const TAG_SIG_PAGES: u8 = 3;
-const TAG_DIR_PAGES: u8 = 4;
+const PAGE_SECTIONS: [(u8, &str, IoCategory); 3] = [
+    (2, "checkpoint-rtree", IoCategory::RtreeBlock),
+    (3, "checkpoint-signatures", IoCategory::SignaturePage),
+    (4, "checkpoint-directory", IoCategory::BptreePage),
+];
 
 /// Tuning knobs of the durability pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +139,8 @@ pub struct CheckpointOutcome {
     pub epoch: u64,
     /// Committed transactions contained in the image.
     pub txns: u64,
-    /// Dirty pages flushed into the image (across all three stores).
+    /// Pages dirtied since the last checkpoint that the image took over
+    /// (across all three stores; a freed page counts).
     pub pages_flushed: u64,
     /// WAL bytes reclaimed by truncation.
     pub wal_bytes_reclaimed: u64,
@@ -407,163 +413,43 @@ impl EpochReader {
 
 // ------------------------------------------------------- checkpoint image --
 
-/// The durable mirror of one pager: page bytes + CRC32 per live slot, plus
-/// the free list. Patched incrementally from dirty-page flushes.
-/// A staged checkpoint patch: one entry per flushed dirty page (`None`
-/// drops a freed slot), each carrying the page bytes and their CRC32.
-type PagePatch = Vec<(u32, Option<(Box<[u8]>, u32)>)>;
-
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Mirror {
-    page_size: usize,
-    pages: Vec<Option<(Box<[u8]>, u32)>>,
-    free: Vec<PageId>,
-}
-
-impl Mirror {
-    /// Full capture of a pager (initial checkpoint).
-    fn capture(pager: &Pager) -> Mirror {
-        let pages = (0..pager.n_slots())
-            .map(|i| {
-                pager
-                    .page_bytes(PageId(i as u32))
-                    .map(|b| (b.to_vec().into_boxed_slice(), crc32(b)))
-            })
-            .collect();
-        Mirror { page_size: pager.page_size(), pages, free: pager.free_list() }
-    }
-
-    /// Applies a staged patch (one entry per flushed dirty page; `None`
-    /// drops a freed page) and replaces the free list.
-    fn apply(&mut self, patch: PagePatch, free: Vec<PageId>) {
-        for (pid, entry) in patch {
-            let idx = pid as usize;
-            if self.pages.len() <= idx {
-                self.pages.resize(idx + 1, None);
-            }
-            self.pages[idx] = entry;
-        }
-        self.free = free;
-    }
-
-    /// Rebuilds a live pager, verifying every stored page CRC. Returns the
-    /// pager and the number of pages verified.
-    fn to_pager(
-        &self,
-        kind: StoreKind,
-        category: IoCategory,
-        stats: SharedStats,
-    ) -> Result<(Pager, u64), DurabilityError> {
-        let mut pages: Vec<Option<Box<[u8]>>> = Vec::with_capacity(self.pages.len());
-        let mut verified = 0u64;
-        for (i, slot) in self.pages.iter().enumerate() {
-            match slot {
-                None => pages.push(None),
-                Some((bytes, stored)) => {
-                    if bytes.len() != self.page_size {
-                        return Err(DurabilityError::Corrupt {
-                            store: kind.name().to_string(),
-                            cause: format!(
-                                "page {i} has {} bytes, expected {}",
-                                bytes.len(),
-                                self.page_size
-                            ),
-                        });
-                    }
-                    let actual = crc32(bytes);
-                    if actual != *stored {
-                        return Err(DurabilityError::Corrupt {
-                            store: kind.name().to_string(),
-                            cause: format!(
-                                "page {i} checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                            ),
-                        });
-                    }
-                    verified += 1;
-                    pages.push(Some(bytes.clone()));
-                }
-            }
-        }
-        Ok((Pager::from_pages(self.page_size, pages, self.free.clone(), category, stats), verified))
-    }
-
-    fn serialize_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.page_size as u64);
-        put_u64(out, self.pages.len() as u64);
-        for slot in &self.pages {
-            match slot {
-                None => out.push(0),
-                Some((bytes, crc)) => {
-                    out.push(1);
-                    out.extend_from_slice(bytes);
-                    put_u32(out, *crc);
-                }
-            }
-        }
-        put_u64(out, self.free.len() as u64);
-        for pid in &self.free {
-            put_u32(out, pid.0);
-        }
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Mirror, PersistError> {
-        let page_size = r.u64()? as usize;
-        if page_size == 0 || page_size > (1 << 24) {
-            return r.err(format!("implausible page size {page_size}"));
-        }
-        let n_slots = r.count(8, 1, "page slot count")?;
-        let mut pages = Vec::with_capacity(n_slots);
-        for i in 0..n_slots {
-            match r.u8()? {
-                0 => pages.push(None),
-                1 => {
-                    let bytes = r.bytes(page_size)?;
-                    let crc = r.u32()?;
-                    pages.push(Some((bytes.to_vec().into_boxed_slice(), crc)));
-                }
-                t => return r.err(format!("invalid page tag {t} at slot {i}")),
-            }
-        }
-        let n_free = r.count(8, 4, "free-list length")?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(PageId(r.u32()?));
-        }
-        Ok(Mirror { page_size, pages, free })
-    }
-}
-
 /// The durable checkpoint: metadata (relation, registry, cuboids, tree
-/// scalars — reusing the persist-v2 payload formats) plus one `Mirror`
-/// per paged store. Installed atomically; serializable for the file mode
-/// and the crash harness.
-#[derive(Debug, Clone, PartialEq)]
+/// scalars — reusing the persist-v2 payload formats) plus one *frozen*
+/// [`Pager`] per paged store (R-tree, signatures, directory). A frozen pager
+/// is a copy-on-write clone of the master's: it shares every page the master
+/// has not rewritten since the last checkpoint, keeps the CRC32 each page
+/// had when it entered, carries no fault plan and no dirty set, and is never
+/// read through a counted path. Installed atomically; serializable for the
+/// file mode and the crash harness.
+#[derive(Debug, Clone)]
 pub struct CheckpointImage {
-    epoch: u64,
+    pub(super) epoch: u64,
     /// Committed transactions whose effects the image contains — the replay
     /// cutoff: recovery re-executes only transactions beyond this.
-    txns: u64,
-    next_txn: u64,
-    next_lsn: Lsn,
+    pub(super) txns: u64,
+    pub(super) next_txn: u64,
+    pub(super) next_lsn: Lsn,
     meta: Vec<u8>,
-    rtree: Mirror,
-    sigs: Mirror,
-    dir: Mirror,
+    pagers: [Pager; 3],
 }
 
 impl CheckpointImage {
-    /// Full capture of a master database (initial checkpoint).
-    fn capture(master: &PCubeDb, epoch: u64, txns: u64, next_txn: u64, next_lsn: Lsn) -> Self {
-        let (sig_pager, directory, _, _) = master.pcube.store.parts_ref();
+    /// Full capture of a freshly built master (no fault plan, no read delay,
+    /// dirty marks already cleared): three pager clones, checksummed once.
+    pub(super) fn capture(master: &PCubeDb) -> Self {
+        let pagers = STORE_KINDS.map(|kind| {
+            let mut frozen = pager_of(master, kind).clone();
+            debug_assert_eq!(frozen.dirty_len(), 0, "the capture covers every page");
+            frozen.set_checksums(true);
+            frozen
+        });
         CheckpointImage {
-            epoch,
-            txns,
-            next_txn,
-            next_lsn,
+            epoch: 1,
+            txns: 0,
+            next_txn: 1,
+            next_lsn: 1,
             meta: meta_payload(master),
-            rtree: Mirror::capture(master.rtree.pager()),
-            sigs: Mirror::capture(sig_pager),
-            dir: Mirror::capture(directory.pager()),
+            pagers,
         }
     }
 
@@ -577,7 +463,8 @@ impl CheckpointImage {
         self.epoch
     }
 
-    /// Serializes the image (magic, watermarks, framed sections).
+    /// Serializes the image (magic, watermarks, framed sections). Page
+    /// checksums are the ones the frozen pagers hold.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(CKPT_MAGIC);
@@ -593,20 +480,17 @@ impl CheckpointImage {
         out.extend_from_slice(&head);
         put_section(&mut out, TAG_META, &self.meta);
         let mut payload = Vec::new();
-        self.rtree.serialize_into(&mut payload);
-        put_section(&mut out, TAG_RTREE_PAGES, &payload);
-        payload.clear();
-        self.sigs.serialize_into(&mut payload);
-        put_section(&mut out, TAG_SIG_PAGES, &payload);
-        payload.clear();
-        self.dir.serialize_into(&mut payload);
-        put_section(&mut out, TAG_DIR_PAGES, &payload);
+        for ((tag, _, _), pager) in PAGE_SECTIONS.iter().zip(&self.pagers) {
+            payload.clear();
+            pager.write_table(&mut payload);
+            put_section(&mut out, *tag, &payload);
+        }
         out
     }
 
-    /// Parses an image serialized by [`CheckpointImage::to_bytes`]. Section
-    /// framing and CRCs are verified here; per-page CRCs are verified when
-    /// the image is restored into pagers.
+    /// Parses an image serialized by [`CheckpointImage::to_bytes`],
+    /// verifying the watermark checksum, every section's framing and
+    /// checksum, and every live page against its stored CRC32.
     pub fn from_bytes(image: &[u8]) -> Result<CheckpointImage, DurabilityError> {
         if image.len() < CKPT_MAGIC.len() + CKPT_HEAD_LEN {
             return persist::fail("checkpoint-header", 0, "image shorter than the header").map_err(Into::into);
@@ -645,71 +529,54 @@ impl CheckpointImage {
         let mut pos = 8 + CKPT_HEAD_LEN;
         let mut r = open_section(image, &mut pos, TAG_META, "checkpoint-meta")?;
         let meta = r.remaining_bytes().to_vec();
-        let mut r = open_section(image, &mut pos, TAG_RTREE_PAGES, "checkpoint-rtree")?;
-        let rtree = Mirror::read(&mut r)?;
-        r.finish()?;
-        let mut r = open_section(image, &mut pos, TAG_SIG_PAGES, "checkpoint-signatures")?;
-        let sigs = Mirror::read(&mut r)?;
-        r.finish()?;
-        let mut r = open_section(image, &mut pos, TAG_DIR_PAGES, "checkpoint-directory")?;
-        let dir = Mirror::read(&mut r)?;
-        r.finish()?;
+        // The ledger of the database this image will be restored into: the
+        // frozen pagers hold it but never charge it.
+        let stats = IoStats::new_shared();
+        let mut page_table = |(tag, name, category): (u8, &'static str, IoCategory)| {
+            let mut r = open_section(image, &mut pos, tag, name)?;
+            let pager = r.pager(Pager::read_table, category, stats.clone())?;
+            r.finish()?;
+            Ok::<Pager, PersistError>(pager)
+        };
+        let pagers = [
+            page_table(PAGE_SECTIONS[0])?,
+            page_table(PAGE_SECTIONS[1])?,
+            page_table(PAGE_SECTIONS[2])?,
+        ];
         if pos != image.len() {
             return persist::fail("checkpoint-image", pos, "trailing bytes after the image").map_err(Into::into);
         }
-        Ok(CheckpointImage { epoch, txns, next_txn, next_lsn, meta, rtree, sigs, dir })
+        Ok(CheckpointImage { epoch, txns, next_txn, next_lsn, meta, pagers })
     }
 
-    /// Restores the image into a fresh, queryable master database,
-    /// verifying every live page's CRC32. Returns the database and the
-    /// number of pages verified.
-    fn restore(&self) -> Result<(PCubeDb, u64), DurabilityError> {
-        let stats = IoStats::new_shared();
+    /// Restores the image into a fresh, queryable master database whose
+    /// pagers share every page with the image (checksums off, as a built
+    /// database has them). Returns the database and the number of live pages
+    /// — each verified against its CRC32 when the image was parsed.
+    pub(super) fn restore(&self) -> Result<(PCubeDb, u64), DurabilityError> {
         let mut r = Reader::over(&self.meta, "checkpoint-meta");
-        let mut relation = persist::read_relation_payload(&mut r)?;
-        relation.attach_stats(stats.clone());
-        let (cuboids, registry) = persist::read_cube_payload(&mut r)?;
-        let dims = r.u32()? as usize;
-        let m_max = r.u32()? as usize;
-        let m_min = r.u32()? as usize;
-        let root = PageId(r.u32()?);
-        let height = r.u64()? as usize;
-        let len = r.u64()?;
-        let s_m_max = r.u64()? as usize;
-        let s_height = r.u64()? as usize;
-        let d_root = PageId(r.u32()?);
-        let d_height = r.u64()? as usize;
-        let d_len = r.u64()?;
-        if dims != relation.schema().n_pref() {
-            return r.err("R-tree dimensionality does not match the schema").map_err(Into::into);
-        }
-        if m_max < 2 || m_min == 0 || 2 * m_min > m_max + 1 {
-            return r
-                .err(format!("implausible R-tree fanout (m_min {m_min}, m_max {m_max})"))
-                .map_err(Into::into);
-        }
+        let relation = persist::read_relation_payload(&mut r)?;
+        let cube = persist::read_cube_payload(&mut r)?;
+        let rtree = persist::read_rtree_scalars(&mut r, relation.schema().n_pref())?;
+        let store = persist::read_store_scalars(&mut r)?;
+        let directory = persist::read_directory_scalars(&mut r)?;
         r.finish()?;
-        let (rtree_pager, v1) = self.rtree.to_pager(StoreKind::Rtree, IoCategory::RtreeBlock, stats.clone())?;
-        let (sig_pager, v2) =
-            self.sigs.to_pager(StoreKind::Signature, IoCategory::SignaturePage, stats.clone())?;
-        let (dir_pager, v3) =
-            self.dir.to_pager(StoreKind::Directory, IoCategory::BptreePage, stats.clone())?;
-        let config = RTreeConfig::explicit(dims, m_min, m_max);
-        let rtree = RTree::from_parts(rtree_pager, config, root, height, len);
-        persist::restore_live_rows(&mut relation, &rtree)?;
-        let directory = BPlusTree::from_parts(dir_pager, d_root, d_height, d_len);
-        let store = SignatureStore::from_parts(sig_pager, directory, s_m_max, s_height);
-        Ok((
-            PCubeDb {
-                relation,
-                rtree,
-                pcube: PCube { registry: Arc::new(registry), store, cuboids },
-                stats,
-                admission: None,
-                derived: Default::default(),
-            },
-            v1 + v2 + v3,
-        ))
+        let thaw = |frozen: &Pager| {
+            let mut pager = frozen.clone();
+            pager.set_checksums(false);
+            pager
+        };
+        let [rtree_pages, sig_pages, dir_pages] = &self.pagers;
+        let master = persist::assemble(
+            relation,
+            cube,
+            (rtree, thaw(rtree_pages)),
+            (store, thaw(sig_pages)),
+            (directory, thaw(dir_pages)),
+            rtree_pages.stats().clone(),
+        )?;
+        let pages_verified = self.pagers.iter().map(|p| p.live_pages() as u64).sum();
+        Ok((master, pages_verified))
     }
 }
 
@@ -719,20 +586,11 @@ fn meta_payload(master: &PCubeDb) -> Vec<u8> {
     let mut meta = Vec::new();
     persist::write_relation_payload(&master.relation, &mut meta);
     persist::write_cube_payload(&master.pcube, &mut meta);
-    let (root, height, len) = master.rtree.parts();
-    put_u32(&mut meta, master.rtree.dims() as u32);
-    put_u32(&mut meta, master.rtree.m_max() as u32);
-    put_u32(&mut meta, master.rtree.m_min() as u32);
-    put_u32(&mut meta, root.0);
-    put_u64(&mut meta, height as u64);
-    put_u64(&mut meta, len);
+    persist::write_rtree_scalars(&master.rtree, &mut meta);
     let (_, directory, s_m_max, s_height) = master.pcube.store.parts_ref();
     put_u64(&mut meta, s_m_max as u64);
     put_u64(&mut meta, s_height as u64);
-    let (d_root, d_height, d_len) = directory.parts();
-    put_u32(&mut meta, d_root.0);
-    put_u64(&mut meta, d_height as u64);
-    put_u64(&mut meta, d_len);
+    persist::write_directory_scalars(directory, &mut meta);
     meta
 }
 
@@ -746,6 +604,23 @@ fn kind_idx(kind: StoreKind) -> usize {
         StoreKind::Signature => 1,
         StoreKind::Directory => 2,
     }
+}
+
+fn pager_of(db: &PCubeDb, kind: StoreKind) -> &Pager {
+    match kind {
+        StoreKind::Rtree => db.rtree.pager(),
+        StoreKind::Signature => db.pcube.store.parts_ref().0,
+        StoreKind::Directory => db.pcube.store.parts_ref().1.pager(),
+    }
+}
+
+/// Drains the three pagers' dirty sets, in [`STORE_KINDS`] order.
+fn take_dirty(db: &mut PCubeDb) -> [Vec<PageId>; 3] {
+    [
+        db.rtree.pager_mut().take_dirty(),
+        db.pcube.store.sig_pager_mut().take_dirty(),
+        db.pcube.store.dir_pager_mut().take_dirty(),
+    ]
 }
 
 /// A [`PCubeDb`] under durable, snapshot-isolated maintenance. See the
@@ -791,14 +666,27 @@ impl DurableDb {
     pub fn create(relation: Relation, config: &PCubeConfig, opts: DurabilityOptions) -> Self {
         let mut master = PCubeDb::build(relation, config);
         // The build dirtied every page; the full capture below covers them.
-        master.rtree.pager_mut().clear_dirty();
-        master.pcube.store.sig_pager_mut().clear_dirty();
-        master.pcube.store.dir_pager_mut().clear_dirty();
-        let image = CheckpointImage::capture(&master, 1, 0, 1, 1);
-        let master = Arc::new(master);
-        let snapshot = Arc::new(EpochSnapshot { epoch: 1, db: Arc::clone(&master) });
-        let mut wal = Wal::new();
+        take_dirty(&mut master);
+        let image = CheckpointImage::capture(&master);
+        Self::open(master, image, Wal::new(), opts, 1, 1, 0, Default::default())
+    }
+
+    /// A live instance over `master` as of `applied_txns` (all of them
+    /// durable), publishing `epoch`.
+    #[allow(clippy::too_many_arguments)]
+    fn open(
+        master: PCubeDb,
+        image: CheckpointImage,
+        mut wal: Wal,
+        opts: DurabilityOptions,
+        epoch: u64,
+        next_txn: u64,
+        applied_txns: u64,
+        ckpt_dirty: [BTreeSet<u32>; 3],
+    ) -> Self {
         wal.attach_stats(master.stats.clone());
+        let master = Arc::new(master);
+        let snapshot = Arc::new(EpochSnapshot { epoch, db: Arc::clone(&master) });
         DurableDb {
             master,
             published: Arc::new(RwLock::new(snapshot)),
@@ -807,13 +695,13 @@ impl DurableDb {
             opts,
             crash: None,
             poisoned: None,
-            epoch: 1,
-            next_txn: 1,
-            applied_txns: 0,
-            synced_txns: 0,
+            epoch,
+            next_txn,
+            applied_txns,
+            synced_txns: applied_txns,
             commits_since_sync: 0,
             commits_since_checkpoint: 0,
-            ckpt_dirty: [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()],
+            ckpt_dirty,
             dir: None,
             file_synced: 0,
             publishes: 0,
@@ -941,15 +829,8 @@ impl DurableDb {
             .map(|(lsn, _)| *lsn);
 
         // Everything the replay dirtied belongs to the next checkpoint.
-        let mut ckpt_dirty = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
-        for (set, pager) in ckpt_dirty.iter_mut().zip([
-            master.rtree.pager_mut(),
-            master.pcube.store.sig_pager_mut(),
-        ]) {
-            set.extend(pager.take_dirty().into_iter().map(|p| p.0));
-        }
-        ckpt_dirty[2]
-            .extend(master.pcube.store.dir_pager_mut().take_dirty().into_iter().map(|p| p.0));
+        let ckpt_dirty =
+            take_dirty(&mut master).map(|pids| pids.into_iter().map(|p| p.0).collect());
 
         let report = RecoveryReport {
             clean: txns_replayed == 0 && txns_dropped == 0 && replay.torn_tail_bytes == 0,
@@ -965,43 +846,17 @@ impl DurableDb {
             pages_verified,
         };
 
+        let mut wal = Wal::from_durable(
+            state.wal[..intact].to_vec(),
+            max_lsn.max(image.next_lsn.saturating_sub(1)) + 1,
+        );
+        if let Some(lsn) = drop_from {
+            wal.truncate_durable_from(lsn);
+        }
         let epoch = image.epoch + txns_replayed;
         let next_txn = image.next_txn.max(expect_txn + 1);
         let applied = image.txns + txns_replayed;
-        let master = Arc::new(master);
-        let snapshot = Arc::new(EpochSnapshot { epoch, db: Arc::clone(&master) });
-        let stats_handle = master.stats.clone();
-        let db = DurableDb {
-            master,
-            published: Arc::new(RwLock::new(snapshot)),
-            wal: {
-                let mut wal = Wal::from_durable(
-                    state.wal[..intact].to_vec(),
-                    max_lsn.max(image.next_lsn.saturating_sub(1)) + 1,
-                );
-                if let Some(lsn) = drop_from {
-                    wal.truncate_durable_from(lsn);
-                }
-                wal.attach_stats(stats_handle);
-                wal
-            },
-            image,
-            opts,
-            crash: None,
-            poisoned: None,
-            epoch,
-            next_txn,
-            applied_txns: applied,
-            synced_txns: applied,
-            commits_since_sync: 0,
-            commits_since_checkpoint: 0,
-            ckpt_dirty,
-            dir: None,
-            file_synced: 0,
-            publishes: 0,
-            publish_ns: 0,
-        };
-        Ok((db, report))
+        Ok((Self::open(master, image, wal, opts, epoch, next_txn, applied, ckpt_dirty), report))
     }
 
     // ------------------------------------------------------------ reading --
@@ -1285,16 +1140,21 @@ impl DurableDb {
             }
         }
 
-        // 3. Physical witnesses of every page the transaction dirtied.
-        self.append_witnesses(txn)?;
+        // 3–4. Witness the dirtied pages, seal and account.
+        Ok((txn, self.seal(txn)?))
+    }
 
-        // 4. Seal and account.
+    /// Ends transaction `txn`: one physical `PageWrite` witness per page it
+    /// dirtied, the `Commit` record (whose LSN is returned), and the
+    /// counters.
+    pub(super) fn seal(&mut self, txn: u64) -> Result<Lsn, DurabilityError> {
+        self.append_witnesses(txn)?;
         let lsn = self.wal_append(WalRecord::Commit { txn })?;
         self.next_txn += 1;
         self.applied_txns = txn;
         self.commits_since_sync += 1;
         self.commits_since_checkpoint += 1;
-        Ok((txn, lsn))
+        Ok(lsn)
     }
 
     /// Single-insert convenience: one transaction, one row.
@@ -1322,50 +1182,38 @@ impl DurableDb {
         self.sync_internal()
     }
 
-    /// Incremental checkpoint: flush the pages dirtied since the last
-    /// checkpoint into the shadow image (staged, then installed
-    /// atomically), log + fsync a `Checkpoint` record, truncate the WAL
-    /// prefix the image now covers, and (in file mode) persist both files.
+    /// Incremental checkpoint: re-point the image's slots for the pages
+    /// dirtied since the last checkpoint at the master's current versions
+    /// (staged, then installed atomically), log + fsync a `Checkpoint`
+    /// record, and — once the image file has landed, in file mode — truncate
+    /// the WAL prefix the image now covers.
     pub fn checkpoint(&mut self) -> Result<CheckpointOutcome, DurabilityError> {
         self.ensure_alive()?;
         self.drain_dirty();
 
-        // Stage: copy each dirty page (or its death) out of the pagers.
-        // Every staged page is one PageFlush crash point.
-        let mut staged: [PagePatch; 3] = Default::default();
-        let mut pages_flushed = 0u64;
-        for kind in STORE_KINDS {
-            let idx = kind_idx(kind);
-            let dirty: Vec<u32> = self.ckpt_dirty[idx].iter().copied().collect();
-            for pid in dirty {
-                self.observe(CrashPoint::PageFlush)?;
-                let entry = self
-                    .pager_of(kind)
-                    .page_bytes(PageId(pid))
-                    .map(|b| (b.to_vec().into_boxed_slice(), crc32(b)));
-                staged[idx].push((pid, entry));
-                pages_flushed += 1;
-            }
+        // Stage: every page dirtied since the last checkpoint is one
+        // PageFlush crash point. A crash here leaves the image untouched.
+        let pages_flushed: u64 = self.ckpt_dirty.iter().map(|set| set.len() as u64).sum();
+        for _ in 0..pages_flushed {
+            self.observe(CrashPoint::PageFlush)?;
         }
 
-        // Install atomically (modeled as a rename-over swap).
+        // Install atomically (modeled as a rename-over swap): the image
+        // shares the master's current version of each dirty page, or drops a
+        // freed one. Only dirty slots move — a page that rotted in memory
+        // without being written keeps the clean version the image holds.
         self.observe(CrashPoint::CheckpointInstall)?;
         let txns = self.applied_txns;
         let epoch = self.epoch;
-        let [st_rtree, st_sigs, st_dir] = staged;
-        self.image.rtree.apply(st_rtree, self.master.rtree.pager().free_list());
-        {
-            let (sig_pager, directory, _, _) = self.master.pcube.store.parts_ref();
-            self.image.sigs.apply(st_sigs, sig_pager.free_list());
-            self.image.dir.apply(st_dir, directory.pager().free_list());
+        let stores = STORE_KINDS.into_iter().zip(&mut self.image.pagers).zip(&mut self.ckpt_dirty);
+        for ((kind, frozen), dirty) in stores {
+            let pids = std::mem::take(dirty).into_iter().map(PageId);
+            frozen.share_slots(pager_of(&self.master, kind), pids);
         }
         self.image.meta = meta_payload(&self.master);
         self.image.epoch = epoch;
         self.image.txns = txns;
         self.image.next_txn = self.next_txn;
-        for set in &mut self.ckpt_dirty {
-            set.clear();
-        }
 
         // Log the checkpoint and make it durable.
         let lsn = self.wal_append(WalRecord::Checkpoint { epoch, txns })?;
@@ -1373,14 +1221,14 @@ impl DurableDb {
         self.sync_internal()?;
 
         // Truncate the covered prefix (the Checkpoint record itself stays
-        // as a harmless marker).
+        // as a harmless marker) — in memory and then on disk, and only after
+        // the image file landed: when that write fails the previous image
+        // still has its whole log beside it, and later commits append to it.
         self.observe(CrashPoint::CheckpointTruncate)?;
+        self.persist_checkpoint_file()?;
         let reclaimed = self.wal.truncate_durable_before(lsn) as u64;
         self.commits_since_checkpoint = 0;
-        if self.dir.is_some() {
-            self.persist_checkpoint_file()?;
-            self.persist_wal_file_full()?;
-        }
+        self.persist_wal_file_full()?;
         Ok(CheckpointOutcome { epoch, txns, pages_flushed, wal_bytes_reclaimed: reclaimed })
     }
 
@@ -1445,12 +1293,7 @@ impl DurableDb {
             self.master_mut().pcube.store_mut().write_signature(cell, &sig);
             cells_rebuilt += 1;
         }
-        self.append_witnesses(txn)?;
-        let _lsn = self.wal_append(WalRecord::Commit { txn })?;
-        self.next_txn += 1;
-        self.applied_txns = txn;
-        self.commits_since_sync += 1;
-        self.commits_since_checkpoint += 1;
+        self.seal(txn)?;
 
         // Repair is always synced before it becomes visible: a volatile
         // heal that a crash could un-heal would defeat the point.
@@ -1492,12 +1335,12 @@ impl DurableDb {
         Ok(())
     }
 
-    fn wal_append(&mut self, rec: WalRecord) -> Result<Lsn, DurabilityError> {
+    pub(super) fn wal_append(&mut self, rec: WalRecord) -> Result<Lsn, DurabilityError> {
         self.observe(CrashPoint::WalAppend)?;
         Ok(self.wal.append(&rec))
     }
 
-    fn sync_internal(&mut self) -> Result<(), DurabilityError> {
+    pub(super) fn sync_internal(&mut self) -> Result<(), DurabilityError> {
         if let Some(plan) = &mut self.crash {
             if plan.observe(CrashPoint::WalSync) {
                 // A crash mid-fsync: a prefix of the tail lands, the rest is
@@ -1517,10 +1360,7 @@ impl DurableDb {
         }
         self.commits_since_sync = 0;
         self.synced_txns = self.applied_txns;
-        if self.dir.is_some() {
-            self.persist_wal_file_append()?;
-        }
-        Ok(())
+        self.persist_wal_file_append()
     }
 
     /// Re-owns the master for mutation. The first call after a publish
@@ -1537,7 +1377,7 @@ impl DurableDb {
         // Stamp the epoch onto the quarantine registries so entries created
         // from here on record which epoch first observed the failure.
         for kind in STORE_KINDS {
-            self.pager_of(kind).set_quarantine_epoch(self.epoch);
+            pager_of(&self.master, kind).set_quarantine_epoch(self.epoch);
         }
         let snapshot = Arc::new(EpochSnapshot { epoch: self.epoch, db: Arc::clone(&self.master) });
         let previous = {
@@ -1554,22 +1394,9 @@ impl DurableDb {
         drop(previous);
     }
 
-    fn pager_of(&self, kind: StoreKind) -> &Pager {
-        match kind {
-            StoreKind::Rtree => self.master.rtree.pager(),
-            StoreKind::Signature => self.master.pcube.store.parts_ref().0,
-            StoreKind::Directory => self.master.pcube.store.parts_ref().1.pager(),
-        }
-    }
-
     /// Drains the pagers' dirty sets into the per-checkpoint accumulator.
     fn drain_dirty(&mut self) {
-        let master = self.master_mut();
-        let drained = [
-            master.rtree.pager_mut().take_dirty(),
-            master.pcube.store.sig_pager_mut().take_dirty(),
-            master.pcube.store.dir_pager_mut().take_dirty(),
-        ];
+        let drained = take_dirty(self.master_mut());
         for (set, pids) in self.ckpt_dirty.iter_mut().zip(drained) {
             set.extend(pids.into_iter().map(|p| p.0));
         }
@@ -1579,22 +1406,12 @@ impl DurableDb {
     /// (live pages only; freed pages have no contents to witness), and
     /// feeds the same pages to the checkpoint accumulator.
     fn append_witnesses(&mut self, txn: u64) -> Result<(), DurabilityError> {
-        for kind in STORE_KINDS {
-            let master = self.master_mut();
-            let dirty = match kind {
-                StoreKind::Rtree => master.rtree.pager_mut().take_dirty(),
-                StoreKind::Signature => master.pcube.store.sig_pager_mut().take_dirty(),
-                StoreKind::Directory => master.pcube.store.dir_pager_mut().take_dirty(),
-            };
-            let witnesses: Vec<(u32, Option<u32>)> = dirty
-                .iter()
-                .map(|&pid| (pid.0, self.pager_of(kind).page_bytes(pid).map(crc32)))
-                .collect();
-            let idx = kind_idx(kind);
-            for (pid, crc) in witnesses {
-                self.ckpt_dirty[idx].insert(pid);
-                if let Some(crc) = crc {
-                    self.wal_append(WalRecord::PageWrite { txn, store: kind, pid, crc })?;
+        let dirty = take_dirty(self.master_mut());
+        for (kind, pids) in STORE_KINDS.into_iter().zip(dirty) {
+            for pid in pids {
+                self.ckpt_dirty[kind_idx(kind)].insert(pid.0);
+                if let Some(crc) = pager_of(&self.master, kind).page_bytes(pid).map(crc32) {
+                    self.wal_append(WalRecord::PageWrite { txn, store: kind, pid: pid.0, crc })?;
                 }
             }
         }
@@ -1659,7 +1476,7 @@ impl DurableDb {
 
     // ----------------------------------------------------------- file mode --
 
-    fn persist_checkpoint_file(&self) -> Result<(), DurabilityError> {
+    pub(super) fn persist_checkpoint_file(&self) -> Result<(), DurabilityError> {
         let Some(dir) = &self.dir else { return Ok(()) };
         let tmp = dir.join("checkpoint.pcube.tmp");
         let dst = dir.join("checkpoint.pcube");
@@ -1668,7 +1485,7 @@ impl DurableDb {
         Ok(())
     }
 
-    fn persist_wal_file_full(&mut self) -> Result<(), DurabilityError> {
+    pub(super) fn persist_wal_file_full(&mut self) -> Result<(), DurabilityError> {
         let Some(dir) = &self.dir else { return Ok(()) };
         let path = dir.join("wal.pcube");
         std::fs::write(&path, self.wal.durable_bytes()).map_err(|e| io_err(&path, e))?;
@@ -2134,7 +1951,7 @@ fn io_err(path: &Path, e: std::io::Error) -> DurabilityError {
 /// One R-tree walk collecting every live tuple's path — the shared input
 /// to per-cell signature rebuilds. Tombstoned rows are absent from the
 /// tree, so they are naturally excluded.
-fn collect_paths(master: &PCubeDb) -> HashMap<u64, TreePath> {
+pub(super) fn collect_paths(master: &PCubeDb) -> HashMap<u64, TreePath> {
     let mut paths = HashMap::new();
     master.rtree.for_each_tuple(|tid, path, _| {
         paths.insert(tid, path.clone());
@@ -2149,7 +1966,7 @@ fn collect_paths(master: &PCubeDb) -> HashMap<u64, TreePath> {
 /// is bit-identical to a never-corrupted original. `None` when the cell is
 /// not registered or no live row matches (the caller writes an empty
 /// signature, which deletes the cell's partials).
-fn rebuild_cell_signature(
+pub(super) fn rebuild_cell_signature(
     master: &PCubeDb,
     paths: &HashMap<u64, TreePath>,
     cell: u32,
@@ -2214,12 +2031,7 @@ fn replay_txn(
                 logged_sigs.push((*cell, *sets, *clears));
             }
             WalRecord::PageWrite { store, pid, crc, .. } => {
-                let pager = match store {
-                    StoreKind::Rtree => master.rtree.pager(),
-                    StoreKind::Signature => master.pcube.store.parts_ref().0,
-                    StoreKind::Directory => master.pcube.store.parts_ref().1.pager(),
-                };
-                let actual = pager.page_bytes(PageId(*pid)).map(crc32);
+                let actual = pager_of(master, *store).page_bytes(PageId(*pid)).map(crc32);
                 if actual != Some(*crc) {
                     return Err(diverged(format!(
                         "page witness mismatch on {} page {pid}: log says {crc:#010x}, replay has {}",
@@ -2272,7 +2084,7 @@ mod tests {
     use crate::query::SkylineClass;
     use pcube_cube::Schema;
 
-    fn seed_relation(n: usize) -> Relation {
+    pub(super) fn seed_relation(n: usize) -> Relation {
         let mut r = Relation::new(Schema::new(&["A", "B"], &["X", "Y"]));
         let vals_a = ["a1", "a2", "a3"];
         let vals_b = ["b1", "b2"];
@@ -2284,14 +2096,14 @@ mod tests {
         r
     }
 
-    fn skyline_tids(db: &PCubeDb) -> Vec<u64> {
+    pub(super) fn skyline_tids(db: &PCubeDb) -> Vec<u64> {
         let out = db.run(&Vec::new(), &SkylineClass::new(vec![0, 1]));
         let mut tids: Vec<u64> = out.rows.iter().map(|(t, _)| *t).collect();
         tids.sort_unstable();
         tids
     }
 
-    fn some_ops(db: &DurableDb, round: u64) -> Vec<MaintenanceOp> {
+    pub(super) fn some_ops(db: &DurableDb, round: u64) -> Vec<MaintenanceOp> {
         let mut ops = Vec::new();
         for j in 0..3u64 {
             let i = round * 3 + j;
@@ -2714,6 +2526,105 @@ mod tests {
         assert_eq!(report2.torn_tail_bytes, 0, "recovered WAL still carries the torn tail");
         assert_eq!(second.applied_txns(), 3, "acked-durable txn lost behind the torn tail");
         assert_eq!(skyline_tids(second.db()), skyline_tids(recovered.db()));
+    }
+
+    #[test]
+    fn rot_that_was_never_written_never_reaches_the_image() {
+        // Only pages dirtied since the last checkpoint move into the image,
+        // so a page that decays in memory (no write, no dirty bit) keeps the
+        // clean version the image already holds. A checkpoint that took the
+        // master's page table wholesale would pass every other suite.
+        //
+        // The commits after the rot insert values no row had in either
+        // boolean dimension, too few to split an R-tree node: they write new
+        // cells' pages and R-tree and directory pages, and never read a
+        // rotted signature page. The R-tree rot is the node's reserved byte,
+        // which nothing decodes.
+        let run = |rot: bool| {
+            let mut db = DurableDb::create(
+                seed_relation(2000),
+                &PCubeConfig::default(),
+                DurabilityOptions::default(),
+            );
+            db.apply(&some_ops(&db, 0)).expect("apply");
+            db.checkpoint().expect("checkpoint");
+            let before: Vec<Vec<u8>> = {
+                let pager = db.master.rtree.pager();
+                pager.live_page_ids().iter().map(|&p| pager.read_uncounted(p).to_vec()).collect()
+            };
+            let fresh = |k: u32| MaintenanceOp::Insert {
+                codes: vec![10 + k, 20 + k],
+                coords: vec![0.2 + f64::from(k) * 0.3, 0.8 - f64::from(k) * 0.3],
+            };
+            let commits = [vec![fresh(0), fresh(1)], vec![fresh(0)], vec![fresh(2), fresh(1)]];
+            let mut rotted = Vec::new();
+            if rot {
+                // An R-tree page the commits below leave alone.
+                let mut twin = DurableDb::open_or_recover_from_state(
+                    &db.durable_state(),
+                    DurabilityOptions::default(),
+                )
+                .expect("twin")
+                .0;
+                for ops in &commits {
+                    twin.apply(ops).expect("apply");
+                }
+                let twin_pager = twin.master.rtree.pager();
+                let untouched = twin_pager
+                    .live_page_ids()
+                    .into_iter()
+                    .zip(&before)
+                    .find(|(pid, bytes)| twin_pager.read_uncounted(*pid) == &bytes[..])
+                    .map(|(pid, _)| pid)
+                    .expect("some R-tree page is not on the insert path");
+                let master = db.master_mut();
+                master.rtree.pager_mut().corrupt_page(untouched, 1, 0xFF).expect("live page");
+                rotted.push((StoreKind::Rtree, untouched));
+                let sig_pager = master.pcube.store.sig_pager_mut();
+                for pid in sig_pager.live_page_ids() {
+                    sig_pager.corrupt_page(pid, 7 + pid.index(), 0x5A).expect("live page");
+                    rotted.push((StoreKind::Signature, pid));
+                }
+            }
+            for ops in &commits {
+                db.apply(ops).expect("apply");
+            }
+            let outcome = db.checkpoint().expect("checkpoint");
+            assert!(outcome.pages_flushed > 0);
+            (db, rotted)
+        };
+        let pages = |db: &PCubeDb| -> Vec<(StoreKind, PageId, Vec<u8>)> {
+            STORE_KINDS
+                .into_iter()
+                .flat_map(|kind| {
+                    let pager = pager_of(db, kind);
+                    pager
+                        .live_page_ids()
+                        .into_iter()
+                        .map(move |pid| (kind, pid, pager.read_uncounted(pid).to_vec()))
+                })
+                .collect()
+        };
+
+        let (twin, _) = run(false);
+        let (subject, rotted) = run(true);
+        assert!(rotted.len() > 3, "every signature page and one R-tree page rotted");
+        for &(kind, pid) in &rotted {
+            assert_ne!(
+                pager_of(&subject.master, kind).page_bytes(pid),
+                pager_of(&twin.master, kind).page_bytes(pid),
+                "{} page {pid} of the live master carries the rot",
+                kind.name()
+            );
+        }
+        let (recovered, report) = DurableDb::open_or_recover_from_state(
+            &subject.durable_state(),
+            DurabilityOptions::default(),
+        )
+        .expect("recover");
+        assert!(report.clean, "{report}");
+        assert!(pages(recovered.db()) == pages(twin.db()), "the image saw the in-memory rot");
+        assert!(!pager_of(recovered.db(), StoreKind::Signature).checksums_enabled());
     }
 
     #[test]

@@ -599,7 +599,7 @@ impl PCubeDb {
     /// Runs a query class through the serial Algorithm-1 kernel under the
     /// signature probe.
     pub fn run<C: QueryClass>(&self, selection: &Selection, class: &C) -> ClassOutcome<C::Row> {
-        run_class(self, selection, class, false, &QueryBudget::unlimited(), None)
+        run_class(self, selection, class, &QueryBudget::unlimited(), None)
     }
 
     /// [`Self::run`] under a [`QueryBudget`] and optional [`CancelToken`]:
@@ -613,7 +613,7 @@ impl PCubeDb {
         budget: &QueryBudget,
         cancel: Option<&CancelToken>,
     ) -> ClassOutcome<C::Row> {
-        run_class(self, selection, class, false, budget, cancel)
+        run_class(self, selection, class, budget, cancel)
     }
 
     /// [`Self::run`] with a parallel subtree fan-out.

@@ -36,7 +36,8 @@ use std::sync::Arc;
 
 use pcube_cube::{CellKey, CuboidMask, Relation, Schema};
 use pcube_rtree::{RTree, RTreeConfig};
-use pcube_storage::{crc32, IoCategory, IoStats, PageId, Pager};
+use pcube_bptree::BPlusTree;
+use pcube_storage::{crc32, ImageError, IoCategory, IoStats, PageId, Pager, SharedStats};
 
 use crate::pcube::{PCube, PCubeDb};
 use crate::store::SignatureStore;
@@ -79,6 +80,10 @@ pub(crate) fn fail<T>(section: &'static str, offset: usize, cause: impl Into<Str
 
 // ------------------------------------------------------------ wire format --
 
+/// How a [`Reader`] parses an embedded page table:
+/// [`Pager::try_deserialize_from`] or [`Pager::read_table`].
+type PagerParser = fn(&[u8], IoCategory, SharedStats) -> Result<(Pager, usize), ImageError>;
+
 /// Reads one section's payload, carrying the section name and the payload's
 /// absolute position so every error can name an exact image offset.
 ///
@@ -112,15 +117,6 @@ impl<'a> Reader<'a> {
             }
             None => self.err("truncated input"),
         }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads exactly `n` raw bytes.
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        self.take(n)
     }
 
     /// Everything from the current position to the end of the payload,
@@ -183,11 +179,18 @@ impl<'a> Reader<'a> {
         Ok(raw as usize)
     }
 
-    /// Deserializes an embedded pager image starting at the current
-    /// position, translating its [`pcube_storage::ImageError`] offset into
-    /// an absolute image offset.
-    pub(crate) fn pager(&mut self, category: IoCategory, stats: pcube_storage::SharedStats) -> Result<Pager, PersistError> {
-        match Pager::try_deserialize_from(&self.buf[self.pos..], category, stats) {
+    /// Parses an embedded page table starting at the current position with
+    /// `parse` — [`Pager::try_deserialize_from`] for persist-v2, whose pager
+    /// images end in their own checksum, [`Pager::read_table`] for a
+    /// checkpoint section — translating its [`pcube_storage::ImageError`]
+    /// offset into an absolute image offset.
+    pub(crate) fn pager(
+        &mut self,
+        parse: PagerParser,
+        category: IoCategory,
+        stats: SharedStats,
+    ) -> Result<Pager, PersistError> {
+        match parse(&self.buf[self.pos..], category, stats) {
             Ok((pager, used)) => {
                 self.pos += used;
                 Ok(pager)
@@ -379,7 +382,7 @@ pub(crate) fn read_relation_payload(r: &mut Reader<'_>) -> Result<Relation, Pers
 /// Makes live exactly the rows the R-tree holds. An image stores every row
 /// ever appended and no live set: a deleted row is the one the tree no
 /// longer indexes.
-pub(crate) fn restore_live_rows(relation: &mut Relation, rtree: &RTree) -> Result<(), PersistError> {
+fn restore_live_rows(relation: &mut Relation, rtree: &RTree) -> Result<(), PersistError> {
     let mut tids = Vec::new();
     rtree.for_each_tuple(|tid, _, _| tids.push(tid));
     relation.restore_live(tids).or_else(|tid| {
@@ -432,6 +435,86 @@ pub(crate) fn read_cube_payload(
     Ok((cuboids, registry))
 }
 
+/// The R-tree's structural scalars: `(dims, m_max, m_min, root, height,
+/// len)`, stored in front of its page table by both image formats.
+pub(crate) type RtreeScalars = (usize, usize, usize, PageId, usize, u64);
+
+pub(crate) fn write_rtree_scalars(rtree: &RTree, payload: &mut Vec<u8>) {
+    let (root, height, len) = rtree.parts();
+    put_u32(payload, rtree.dims() as u32);
+    put_u32(payload, rtree.m_max() as u32);
+    put_u32(payload, rtree.m_min() as u32);
+    put_u32(payload, root.0);
+    put_u64(payload, height as u64);
+    put_u64(payload, len);
+}
+
+/// Reads what [`write_rtree_scalars`] wrote for a relation of `n_pref`
+/// preference dimensions, refusing a shape [`RTreeConfig::explicit`] would
+/// assert on.
+pub(crate) fn read_rtree_scalars(r: &mut Reader<'_>, n_pref: usize) -> Result<RtreeScalars, PersistError> {
+    let dims = r.u32()? as usize;
+    let m_max = r.u32()? as usize;
+    let m_min = r.u32()? as usize;
+    let root = PageId(r.u32()?);
+    let height = r.u64()? as usize;
+    let len = r.u64()?;
+    if dims != n_pref {
+        return r.err("R-tree dimensionality does not match the schema");
+    }
+    if m_max < 2 || m_min == 0 || 2 * m_min > m_max + 1 {
+        return r.err(format!("implausible R-tree fanout (m_min {m_min}, m_max {m_max})"));
+    }
+    Ok((dims, m_max, m_min, root, height, len))
+}
+
+/// The signature store's `(m_max, height)`.
+pub(crate) fn read_store_scalars(r: &mut Reader<'_>) -> Result<(usize, usize), PersistError> {
+    Ok((r.u64()? as usize, r.u64()? as usize))
+}
+
+pub(crate) fn write_directory_scalars(directory: &BPlusTree, payload: &mut Vec<u8>) {
+    let (root, height, len) = directory.parts();
+    put_u32(payload, root.0);
+    put_u64(payload, height as u64);
+    put_u64(payload, len);
+}
+
+/// The directory B+-tree's `(root, height, len)`.
+pub(crate) fn read_directory_scalars(r: &mut Reader<'_>) -> Result<(PageId, usize, u64), PersistError> {
+    Ok((PageId(r.u32()?), r.u64()? as usize, r.u64()?))
+}
+
+/// Builds a database from the parts either image format stores: the decoded
+/// relation and cube metadata, and each paged structure's scalars with its
+/// pager. Every part charges `stats`; the live rows are the ones the R-tree
+/// holds.
+pub(crate) fn assemble(
+    mut relation: Relation,
+    (cuboids, registry): (Vec<CuboidMask>, pcube_cube::CellRegistry),
+    ((dims, m_max, m_min, root, height, len), rtree_pager): (RtreeScalars, Pager),
+    ((sig_m_max, sig_height), sig_pager): ((usize, usize), Pager),
+    ((dir_root, dir_height, dir_len), dir_pager): ((PageId, usize, u64), Pager),
+    stats: SharedStats,
+) -> Result<PCubeDb, PersistError> {
+    relation.attach_stats(stats.clone());
+    let config = RTreeConfig::explicit(dims, m_min, m_max);
+    let rtree = RTree::from_parts(rtree_pager, config, root, height, len);
+    restore_live_rows(&mut relation, &rtree)?;
+    let directory = BPlusTree::from_parts(dir_pager, dir_root, dir_height, dir_len);
+    let store = SignatureStore::from_parts(sig_pager, directory, sig_m_max, sig_height);
+    Ok(PCubeDb {
+        relation,
+        rtree,
+        pcube: PCube { registry: Arc::new(registry), store, cuboids },
+        stats,
+        // Admission control is runtime configuration, not data: a reopened
+        // database starts ungated.
+        admission: None,
+        derived: Default::default(),
+    })
+}
+
 impl PCubeDb {
     /// Serializes the whole database (relation, R-tree, signatures,
     /// registry) into one buffer in format version 2.
@@ -447,13 +530,7 @@ impl PCubeDb {
 
         // --- R-tree ---
         payload.clear();
-        let (root, height, len) = self.rtree.parts();
-        put_u32(&mut payload, self.rtree.dims() as u32);
-        put_u32(&mut payload, self.rtree.m_max() as u32);
-        put_u32(&mut payload, self.rtree.m_min() as u32);
-        put_u32(&mut payload, root.0);
-        put_u64(&mut payload, height as u64);
-        put_u64(&mut payload, len);
+        write_rtree_scalars(&self.rtree, &mut payload);
         self.rtree.pager().serialize_into(&mut payload);
         put_section(&mut out, TAG_RTREE, &payload);
 
@@ -468,10 +545,7 @@ impl PCubeDb {
         put_u64(&mut payload, m_max as u64);
         put_u64(&mut payload, s_height as u64);
         sig_pager.serialize_into(&mut payload);
-        let (d_root, d_height, d_len) = directory.parts();
-        put_u32(&mut payload, d_root.0);
-        put_u64(&mut payload, d_height as u64);
-        put_u64(&mut payload, d_len);
+        write_directory_scalars(directory, &mut payload);
         directory.pager().serialize_into(&mut payload);
         put_section(&mut out, TAG_SIGNATURES, &payload);
 
@@ -507,64 +581,38 @@ impl PCubeDb {
 
         // --- relation ---
         let mut r = open_section(image, &mut pos, TAG_RELATION, "relation")?;
-        let mut relation = read_relation_payload(&mut r)?;
-        let n_pref = relation.schema().n_pref();
-        relation.attach_stats(stats.clone());
+        let relation = read_relation_payload(&mut r)?;
         r.finish()?;
 
         // --- R-tree ---
         let mut r = open_section(image, &mut pos, TAG_RTREE, "rtree")?;
-        let dims = r.u32()? as usize;
-        let m_max = r.u32()? as usize;
-        let m_min = r.u32()? as usize;
-        let root = PageId(r.u32()?);
-        let height = r.u64()? as usize;
-        let len = r.u64()?;
-        if dims != n_pref {
-            return r.err("R-tree dimensionality does not match the schema");
-        }
-        // Mirror `RTreeConfig::explicit`'s invariant so garbage fanouts come
-        // back as an error instead of an assertion failure.
-        if m_max < 2 || m_min == 0 || 2 * m_min > m_max + 1 {
-            return r.err(format!("implausible R-tree fanout (m_min {m_min}, m_max {m_max})"));
-        }
-        let pager = r.pager(IoCategory::RtreeBlock, stats.clone())?;
+        let rtree_scalars = read_rtree_scalars(&mut r, relation.schema().n_pref())?;
+        let rtree_pager = r.pager(Pager::try_deserialize_from, IoCategory::RtreeBlock, stats.clone())?;
         r.finish()?;
-        let config = RTreeConfig::explicit(dims, m_min, m_max);
-        let rtree = RTree::from_parts(pager, config, root, height, len);
-        restore_live_rows(&mut relation, &rtree)?;
 
         // --- cube ---
         let mut r = open_section(image, &mut pos, TAG_CUBE, "cube")?;
-        let (cuboids, registry) = read_cube_payload(&mut r)?;
+        let cube = read_cube_payload(&mut r)?;
         r.finish()?;
 
         // --- signature store ---
         let mut r = open_section(image, &mut pos, TAG_SIGNATURES, "signatures")?;
-        let s_m_max = r.u64()? as usize;
-        let s_height = r.u64()? as usize;
-        let sig_pager = r.pager(IoCategory::SignaturePage, stats.clone())?;
-        let d_root = PageId(r.u32()?);
-        let d_height = r.u64()? as usize;
-        let d_len = r.u64()?;
-        let dir_pager = r.pager(IoCategory::BptreePage, stats.clone())?;
+        let store_scalars = read_store_scalars(&mut r)?;
+        let sig_pager = r.pager(Pager::try_deserialize_from, IoCategory::SignaturePage, stats.clone())?;
+        let dir_scalars = read_directory_scalars(&mut r)?;
+        let dir_pager = r.pager(Pager::try_deserialize_from, IoCategory::BptreePage, stats.clone())?;
         r.finish()?;
         if pos != image.len() {
             return fail("image", pos, "trailing bytes after database image");
         }
-        let directory = pcube_bptree::BPlusTree::from_parts(dir_pager, d_root, d_height, d_len);
-        let store = SignatureStore::from_parts(sig_pager, directory, s_m_max, s_height);
-
-        Ok(PCubeDb {
+        assemble(
             relation,
-            rtree,
-            pcube: PCube { registry: Arc::new(registry), store, cuboids },
+            cube,
+            (rtree_scalars, rtree_pager),
+            (store_scalars, sig_pager),
+            (dir_scalars, dir_pager),
             stats,
-            // Admission control is runtime configuration, not data: a
-            // reopened database starts ungated.
-            admission: None,
-            derived: Default::default(),
-        })
+        )
     }
 
     /// Saves the database to a file.

@@ -150,7 +150,7 @@ pub struct ClassOutcome<R> {
 /// Builds the per-query governor, or `None` when the budget is unlimited
 /// and no cancel token is attached (the ungoverned fast path: zero checks
 /// per pop). The ledger baseline is read ahead of probe construction, so
-/// eager assembly's loads are charged to the budget too.
+/// the probe's own loads are charged to the budget too.
 pub(crate) fn make_governor(
     db: &PCubeDb,
     budget: &QueryBudget,
@@ -190,8 +190,9 @@ pub(crate) fn apply_kernel_outcome(
 }
 
 /// The start of one query: wall clock and I/O ledger baseline. Taken ahead
-/// of probe construction, so eager assembly's signature loads are part of
-/// the measured cost.
+/// of probe construction, so the probe's own signature loads are part of
+/// the measured cost (a probe the caller built for
+/// [`PCubeDb::run_with_probe`] was paid for before the query began).
 pub(crate) struct QueryStart {
     pub(crate) at: Instant,
     pub(crate) before: IoSnapshot,
@@ -225,14 +226,13 @@ pub(crate) fn run_class<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
-    eager_assembly: bool,
     budget: &QueryBudget,
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
     let start = begin(db, class);
     let selection = normalize(selection);
     let mut gov = make_governor(db, budget, cancel);
-    let mut probe = db.pcube().probe(&selection, eager_assembly);
+    let mut probe = db.pcube().probe(&selection, false);
     run_class_with(db, &selection, class, &mut probe, start, gov.as_mut(), None)
 }
 
@@ -282,8 +282,8 @@ fn run_class_with<C: QueryClass>(
         heap
     });
     let mut logic = class.logic(None);
-    // Everything so far was setup — probe construction (+ eager assembly),
-    // heap seeding, governor arming: the pin stage.
+    // Everything so far was setup — probe construction, heap seeding,
+    // governor arming: the pin stage.
     let pin_seconds = start.at.elapsed().as_secs_f64();
     let lists = resume.as_mut().map(|r| &mut r.lists);
     let run = run_kernel(db, selection, probe, &mut heap, &mut logic, lists, gov);
@@ -341,7 +341,7 @@ pub fn run_class_engine<C: QueryClass>(
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
     match engine {
-        Engine::PCube => run_class(db, selection, class, false, budget, cancel),
+        Engine::PCube => run_class(db, selection, class, budget, cancel),
         Engine::DominationFirst => {
             run_class_probed(db, selection, class, &mut VerifyAllPruner, budget, cancel)
         }

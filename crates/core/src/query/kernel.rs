@@ -9,9 +9,9 @@
 //! the comparison methods of §VI-A included — differ only in the two trait
 //! objects they pass in:
 //!
-//! * a [`BooleanPruner`] — the signature probe, a Bloom probe, [`NoPruner`]
-//!   (Algorithm 1 with boolean pruning switched off), [`VerifyAllPruner`]
-//!   (domination-first) or [`IndexMergePruner`] (index-merge), and
+//! * a [`BooleanPruner`] — the signature probe, a Bloom probe,
+//!   [`VerifyAllPruner`] (domination-first) or [`IndexMergePruner`]
+//!   (index-merge), and
 //! * a [`PreferenceLogic`] — scoring, preference pruning, halting, and
 //!   result accumulation: top-k bound-and-cut ([`TopKLogic`]), the skyline
 //!   dominance window with an optional coordinate transform for dynamic
@@ -117,20 +117,6 @@ impl BooleanPruner for BooleanProbe<'_> {
 fn fetch_matches(db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
     let codes = db.relation().fetch(tid);
     selection.iter().all(|p| codes[p.dim] == p.value)
-}
-
-/// A pruner that admits every candidate — Algorithm 1 with boolean pruning
-/// switched off (the preference-only traversal of the domination-first
-/// baseline family).
-pub struct NoPruner;
-
-impl BooleanPruner for NoPruner {
-    fn contains(&mut self, _path: &Path) -> bool {
-        true
-    }
-    fn partials_loaded(&self) -> u64 {
-        0
-    }
 }
 
 /// The domination-first engine of §VI-A (BBS \[9\] + minimal probing \[3\];

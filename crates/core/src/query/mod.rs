@@ -19,7 +19,7 @@ pub use class::{
     SubspaceSkylineClass, TopKClass,
 };
 pub use kernel::{
-    run_kernel, BooleanPruner, IndexMergePruner, KernelRun, NoPruner, PopVerdict,
+    run_kernel, BooleanPruner, IndexMergePruner, KernelRun, PopVerdict,
     PreferenceLogic, Region, SavedLists, SharedBound, SharedWindow, VerifyAllPruner,
 };
 pub(crate) use parallel::par_run_class;

@@ -49,22 +49,18 @@ pub struct ParallelOptions {
     /// engine on the calling thread; larger values are capped by the number
     /// of root-level subtrees.
     pub workers: usize,
-    /// Multi-predicate probes: eagerly assemble the intersected signature
-    /// (tightest pruning, higher up-front cost) instead of lazy per-cursor
-    /// intersection. Mirrors the serial `eager_assembly` flag.
-    pub eager_assembly: bool,
 }
 
 impl Default for ParallelOptions {
     fn default() -> Self {
-        ParallelOptions { workers: 1, eager_assembly: false }
+        ParallelOptions { workers: 1 }
     }
 }
 
 impl ParallelOptions {
-    /// Options for `workers` threads with lazy probe assembly.
+    /// Options for `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        ParallelOptions { workers, ..ParallelOptions::default() }
+        ParallelOptions { workers }
     }
 }
 
@@ -239,7 +235,7 @@ pub(crate) fn par_run_class<C: QueryClass + Sync>(
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
     if opts.workers <= 1 {
-        return run_class(db, selection, class, opts.eager_assembly, budget, cancel);
+        return run_class(db, selection, class, budget, cancel);
     }
     let start = begin(db, class);
     // A throwaway serial-mode logic: scoring is identical between the
@@ -247,7 +243,7 @@ pub(crate) fn par_run_class<C: QueryClass + Sync>(
     // scores the serial engine would compute.
     let mut seed_logic = class.logic(None);
     if !matches!(seed_logic.on_pop(&root_entry(db)), PopVerdict::Continue) {
-        return run_class(db, selection, class, opts.eager_assembly, budget, cancel);
+        return run_class(db, selection, class, budget, cancel);
     }
     let selection = normalize(selection);
     let fleet = fleet_governance(db, budget, cancel);
@@ -262,7 +258,7 @@ pub(crate) fn par_run_class<C: QueryClass + Sync>(
             .map(|group| {
                 let (shared, selection, fleet) = (&shared, &selection, fleet.as_ref());
                 scope.spawn(move || {
-                    class_worker(db, selection, class, opts.eager_assembly, group, shared, fleet)
+                    class_worker(db, selection, class, group, shared, fleet)
                 })
             })
             .collect();
@@ -289,13 +285,12 @@ fn class_worker<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
-    eager: bool,
     seeds: Vec<Seed>,
     shared: &C::Shared,
     fg: Option<&FleetGovernance>,
 ) -> (C::Local, WorkerStats) {
     let t_pin = Instant::now();
-    let mut probe = db.pcube().probe(selection, eager);
+    let mut probe = db.pcube().probe(selection, false);
     let mut heap = CandidateHeap::new();
     for (score, cand) in seeds {
         heap.push(score, cand);

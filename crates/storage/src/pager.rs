@@ -219,23 +219,6 @@ impl Pager {
         }
     }
 
-    /// Packs a dense slot vector into the two-level copy-on-write table.
-    fn build_table(pages: Vec<Option<Box<[u8]>>>) -> (Arc<Vec<Arc<PageGroup>>>, usize) {
-        let n_slots = pages.len();
-        let mut groups: Vec<Arc<PageGroup>> = Vec::with_capacity(n_slots.div_ceil(GROUP_PAGES));
-        let mut current = PageGroup::empty();
-        for (i, slot) in pages.into_iter().enumerate() {
-            current.slots[i & GROUP_MASK] = slot.map(Arc::from);
-            if i & GROUP_MASK == GROUP_MASK {
-                groups.push(Arc::new(std::mem::replace(&mut current, PageGroup::empty())));
-            }
-        }
-        if n_slots & GROUP_MASK != 0 {
-            groups.push(Arc::new(current));
-        }
-        (Arc::new(groups), n_slots)
-    }
-
     /// The slot for page id `idx`, `None` when dead or out of range.
     #[inline]
     fn slot(&self, idx: usize) -> Option<&Arc<[u8]>> {
@@ -257,42 +240,6 @@ impl Pager {
     fn group_mut(&mut self, idx: usize) -> &mut PageGroup {
         let table = Arc::make_mut(&mut self.table);
         Arc::make_mut(&mut table[idx >> GROUP_SHIFT])
-    }
-
-    /// Rebuilds a pager from raw parts: the page table (dense slot vector,
-    /// `None` = dead) and free list of a recovered checkpoint image. The
-    /// dirty set starts empty — the caller asserts these pages are exactly
-    /// what durable storage holds.
-    ///
-    /// # Panics
-    /// Panics if `page_size` is zero or any live page has the wrong length.
-    pub fn from_pages(
-        page_size: usize,
-        pages: Vec<Option<Box<[u8]>>>,
-        free: Vec<PageId>,
-        category: IoCategory,
-        stats: SharedStats,
-    ) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        for (i, slot) in pages.iter().enumerate() {
-            if let Some(p) = slot {
-                assert_eq!(p.len(), page_size, "page {i} has the wrong length");
-            }
-        }
-        let (table, n_slots) = Self::build_table(pages);
-        Pager {
-            page_size,
-            table,
-            n_slots,
-            free,
-            category,
-            stats,
-            verify: false,
-            fault: None,
-            read_delay: None,
-            dirty: BTreeSet::new(),
-            quarantine: Arc::new(Quarantine::default()),
-        }
     }
 
     /// The fixed page size of this pager, in bytes.
@@ -347,16 +294,6 @@ impl Pager {
         self.live_pages() as u64 * self.page_size as u64
     }
 
-    /// Number of page slots (live + dead); ids are dense in `0..n_slots`.
-    pub fn n_slots(&self) -> usize {
-        self.n_slots
-    }
-
-    /// The current free list, in pop order (last entry is allocated next).
-    pub fn free_list(&self) -> Vec<PageId> {
-        self.free.clone()
-    }
-
     /// The raw contents of a page, `None` if the slot is dead. Uncounted and
     /// unfaulted: this is the checkpointer's view of what memory holds.
     pub fn page_bytes(&self, pid: PageId) -> Option<&[u8]> {
@@ -376,12 +313,6 @@ impl Pager {
     /// Number of pages currently marked dirty.
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
-    }
-
-    /// Forgets all dirty marks without reporting them (used right after a
-    /// full image capture, which by construction covers every page).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
     }
 
     /// Enables or disables per-page CRC32 verification on the fallible read
@@ -810,45 +741,73 @@ impl Pager {
         self.try_update(pid, f).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Serializes the pager's pages and free list (not counted as I/O;
-    /// checkpointing is outside the query cost model).
+    /// Makes each listed slot of `self` share `from`'s current page version
+    /// — the same `Arc`, no byte copied — or its death, and takes over
+    /// `from`'s slot count and free list: how a frozen checkpoint pager
+    /// follows its master. `pids` must name every slot that changed in `from`
+    /// since the two last agreed (the master's dirty set); a slot not listed
+    /// keeps the version it holds, whatever has happened to `from`'s bytes
+    /// since. When `self` keeps checksums the CRC32 of an entering page is
+    /// taken here, from the bytes it has now. Nothing is counted as I/O or
+    /// marked dirty.
+    pub fn share_slots(&mut self, from: &Pager, pids: impl IntoIterator<Item = PageId>) {
+        assert_eq!(self.page_size, from.page_size, "pagers of different page sizes");
+        let verify = self.verify;
+        let table = Arc::make_mut(&mut self.table);
+        table.resize_with(from.table.len(), || Arc::new(PageGroup::empty()));
+        for pid in pids {
+            let idx = pid.index();
+            let page = from.slot(idx).cloned();
+            let group = Arc::make_mut(&mut table[idx >> GROUP_SHIFT]);
+            group.sums[idx & GROUP_MASK] =
+                if verify { page.as_ref().map_or(0, |p| crc32(p)) } else { 0 };
+            group.slots[idx & GROUP_MASK] = page;
+        }
+        self.n_slots = from.n_slots;
+        self.free.clone_from(&from.free);
+    }
+
+    /// Appends the page table — every slot, then the free list (not counted
+    /// as I/O; checkpointing is outside the query cost model):
     ///
-    /// Image format (v2): `page_size u64 | n_pages u64 | per slot: tag u8
-    /// (0 = dead, 1 = live) followed, when live, by the page bytes and their
-    /// CRC32 | n_free u64 | free pids u32... | CRC32 of everything above`.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        let mut buf = [0u8; 8];
-        crate::write_u64(&mut buf, 0, self.page_size as u64);
-        out.extend_from_slice(&buf);
-        crate::write_u64(&mut buf, 0, self.n_slots as u64);
-        out.extend_from_slice(&buf);
-        let mut b4 = [0u8; 4];
+    /// `page_size u64 | n_slots u64 | per slot: tag u8 (0 = dead, 1 = live)
+    /// followed, when live, by the page bytes and their CRC32 | n_free u64 |
+    /// free pids u32...`
+    ///
+    /// This is the one layout both durable formats store pages in: a
+    /// checkpoint section holds it as is, persist-v2 appends a CRC32 of the
+    /// whole ([`Pager::serialize_into`]). A pager that keeps checksums writes
+    /// the sum it holds — taken when the page was written or entered the
+    /// table — so serializing a checkpoint image reads no page byte twice,
+    /// and a page torn in memory is refused on load rather than laundered;
+    /// otherwise the CRC32 is computed here.
+    pub fn write_table(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.page_size as u64).to_le_bytes());
+        out.extend_from_slice(&(self.n_slots as u64).to_le_bytes());
         for idx in 0..self.n_slots {
             match self.slot(idx) {
                 None => out.push(0),
                 Some(p) => {
                     out.push(1);
                     out.extend_from_slice(p);
-                    crate::write_u32(&mut b4, 0, crc32(p));
-                    out.extend_from_slice(&b4);
+                    let sum = if self.verify { self.sum(idx) } else { crc32(p) };
+                    out.extend_from_slice(&sum.to_le_bytes());
                 }
             }
         }
-        crate::write_u64(&mut buf, 0, self.free.len() as u64);
-        out.extend_from_slice(&buf);
+        out.extend_from_slice(&(self.free.len() as u64).to_le_bytes());
         for pid in &self.free {
-            crate::write_u32(&mut b4, 0, pid.0);
-            out.extend_from_slice(&b4);
+            out.extend_from_slice(&pid.0.to_le_bytes());
         }
-        crate::write_u32(&mut b4, 0, crc32(&out[start..]));
-        out.extend_from_slice(&b4);
     }
 
-    /// Rebuilds a pager from [`Pager::serialize_into`] output, verifying the
-    /// per-page checksums and the trailing image checksum. Returns the pager
-    /// and the bytes consumed, or a precise [`ImageError`].
-    pub fn try_deserialize_from(
+    /// Parses a page table written by [`Pager::write_table`], verifying
+    /// every live page against its stored CRC32. Returns the pager — with
+    /// checksums on, holding the verified sums, and nothing dirty — and the
+    /// bytes consumed, or a precise [`ImageError`]. No count read from `buf`
+    /// sizes an allocation before it is checked against the bytes that
+    /// remain.
+    pub fn read_table(
         buf: &[u8],
         category: IoCategory,
         stats: SharedStats,
@@ -856,35 +815,37 @@ impl Pager {
         let err = |offset: usize, cause: &str| ImageError { offset, cause: cause.to_string() };
         let mut pos = 0usize;
         let page_size = read_u64_at(buf, &mut pos)
-            .ok_or_else(|| err(0, "image shorter than the page-size header"))?
-            as usize;
-        if page_size == 0 || page_size > buf.len() {
-            return Err(err(0, "implausible page size"));
-        }
-        let n_pages = read_u64_at(buf, &mut pos)
-            .ok_or_else(|| err(8, "image shorter than the page-count header"))?
-            as usize;
-        // Every page slot costs at least one tag byte, bounding n_pages.
-        if n_pages > buf.len() {
-            return Err(err(8, "page count exceeds image size"));
-        }
-        let mut pages = Vec::with_capacity(n_pages);
-        for i in 0..n_pages {
+            .ok_or_else(|| err(0, "image shorter than the page-size header"))?;
+        let page_size = match usize::try_from(page_size) {
+            Ok(size) if size > 0 && size <= buf.len() => size,
+            _ => return Err(err(0, "implausible page size")),
+        };
+        let n_slots = read_u64_at(buf, &mut pos)
+            .ok_or_else(|| err(8, "image shorter than the page-count header"))?;
+        // Every page slot costs at least one tag byte, bounding the count.
+        let n_slots = match usize::try_from(n_slots) {
+            Ok(n) if n <= buf.len() - pos && n < u32::MAX as usize => n,
+            _ => return Err(err(8, "page count exceeds image size")),
+        };
+        let mut groups: Vec<Arc<PageGroup>> = Vec::with_capacity(n_slots.div_ceil(GROUP_PAGES));
+        let mut group = PageGroup::empty();
+        let mut live = 0usize;
+        for i in 0..n_slots {
             let tag_pos = pos;
             let tag = *buf
                 .get(pos)
                 .ok_or_else(|| err(tag_pos, "image truncated inside the page table"))?;
             pos += 1;
             match tag {
-                0 => pages.push(None),
+                0 => {}
                 1 => {
-                    let end = pos + page_size;
-                    let page = buf
-                        .get(pos..end)
+                    let page = pos
+                        .checked_add(page_size)
+                        .and_then(|end| buf.get(pos..end))
                         .ok_or_else(|| err(tag_pos, "image truncated inside a page"))?;
-                    pos = end;
+                    pos += page_size;
                     let stored = read_u32_at(buf, &mut pos)
-                        .ok_or_else(|| err(end, "image truncated before a page checksum"))?;
+                        .ok_or_else(|| err(pos, "image truncated before a page checksum"))?;
                     let actual = crc32(page);
                     if stored != actual {
                         return Err(ImageError {
@@ -894,27 +855,74 @@ impl Pager {
                             ),
                         });
                     }
-                    pages.push(Some(page.to_vec().into_boxed_slice()));
+                    group.slots[i & GROUP_MASK] = Some(Arc::from(page));
+                    group.sums[i & GROUP_MASK] = stored;
+                    live += 1;
                 }
                 _ => return Err(err(tag_pos, "invalid page tag (not 0 or 1)")),
+            }
+            if i & GROUP_MASK == GROUP_MASK || i + 1 == n_slots {
+                groups.push(Arc::new(std::mem::replace(&mut group, PageGroup::empty())));
             }
         }
         let free_pos = pos;
         let n_free = read_u64_at(buf, &mut pos)
-            .ok_or_else(|| err(free_pos, "image truncated before the free list"))?
-            as usize;
-        if n_free > buf.len() {
-            return Err(err(free_pos, "free-list length exceeds image size"));
+            .ok_or_else(|| err(free_pos, "image truncated before the free list"))?;
+        let n_free = match usize::try_from(n_free) {
+            Ok(n) if n <= (buf.len() - pos) / 4 => n,
+            _ => return Err(err(free_pos, "free-list length exceeds image size")),
+        };
+        // The free list names the dead slots, each once: any other entry
+        // would hand a later allocation a live or a non-existent page.
+        if n_free != n_slots - live {
+            return Err(err(free_pos, "free-list length is not the number of dead page slots"));
         }
         let mut free = Vec::with_capacity(n_free);
+        let mut listed = vec![false; n_slots];
         for _ in 0..n_free {
+            let entry_pos = pos;
             let v = read_u32_at(buf, &mut pos)
-                .ok_or_else(|| err(pos, "image truncated inside the free list"))?;
+                .ok_or_else(|| err(entry_pos, "image truncated inside the free list"))?;
+            let idx = v as usize;
+            let dead = idx < n_slots
+                && groups[idx >> GROUP_SHIFT].slots[idx & GROUP_MASK].is_none()
+                && !std::mem::replace(&mut listed[idx], true);
+            if !dead {
+                return Err(err(entry_pos, "free-list entry does not name a dead page slot once"));
+            }
             free.push(PageId(v));
         }
-        let body_end = pos;
-        let stored = read_u32_at(buf, &mut pos)
-            .ok_or_else(|| err(body_end, "image truncated before the trailing checksum"))?;
+        let mut pager = Pager::new(page_size, category, stats);
+        pager.table = Arc::new(groups);
+        pager.n_slots = n_slots;
+        pager.free = free;
+        pager.verify = true;
+        Ok((pager, pos))
+    }
+
+    /// The persist-v2 pager image: [`Pager::write_table`] followed by a
+    /// CRC32 of everything it wrote.
+    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        self.write_table(out);
+        let sum = crc32(&out[start..]);
+        out.extend_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Rebuilds a pager from [`Pager::serialize_into`] output:
+    /// [`Pager::read_table`], then the trailing image checksum. The pager
+    /// comes back with checksums off, as it was built.
+    pub fn try_deserialize_from(
+        buf: &[u8],
+        category: IoCategory,
+        stats: SharedStats,
+    ) -> Result<(Pager, usize), ImageError> {
+        let (mut pager, body_end) = Self::read_table(buf, category, stats)?;
+        let mut pos = body_end;
+        let stored = read_u32_at(buf, &mut pos).ok_or_else(|| ImageError {
+            offset: body_end,
+            cause: "image truncated before the trailing checksum".to_string(),
+        })?;
         let actual = crc32(&buf[..body_end]);
         if stored != actual {
             return Err(ImageError {
@@ -924,32 +932,8 @@ impl Pager {
                 ),
             });
         }
-        let (table, n_slots) = Self::build_table(pages);
-        Ok((
-            Pager {
-                page_size,
-                table,
-                n_slots,
-                free,
-                category,
-                stats,
-                verify: false,
-                fault: None,
-                read_delay: None,
-                dirty: BTreeSet::new(),
-                quarantine: Arc::new(Quarantine::default()),
-            },
-            pos,
-        ))
-    }
-
-    /// [`Pager::try_deserialize_from`] with the error collapsed to `None`.
-    pub fn deserialize_from(
-        buf: &[u8],
-        category: IoCategory,
-        stats: SharedStats,
-    ) -> Option<(Pager, usize)> {
-        Self::try_deserialize_from(buf, category, stats).ok()
+        pager.set_checksums(false);
+        Ok((pager, pos))
     }
 }
 
@@ -1289,9 +1273,10 @@ mod tests {
         let mut bytes = Vec::new();
         p.serialize_into(&mut bytes);
         let (q, used) =
-            Pager::deserialize_from(&bytes, IoCategory::SignaturePage, IoStats::new_shared())
+            Pager::try_deserialize_from(&bytes, IoCategory::SignaturePage, IoStats::new_shared())
                 .expect("roundtrip");
         assert_eq!(used, bytes.len());
+        assert!(!q.checksums_enabled(), "a persist-v2 pager comes back as it was built");
         assert_eq!(q.page_size(), 64);
         assert_eq!(q.live_pages(), 2);
         assert_eq!(q.read_uncounted(a)[0], 1);
@@ -1304,12 +1289,12 @@ mod tests {
     #[test]
     fn deserialize_rejects_garbage() {
         for bytes in [&b""[..], &[0u8; 4][..], &[0xFFu8; 64][..]] {
-            assert!(Pager::deserialize_from(
+            assert!(Pager::try_deserialize_from(
                 bytes,
                 IoCategory::RtreeBlock,
                 IoStats::new_shared()
             )
-            .is_none());
+            .is_err());
         }
     }
 
@@ -1352,32 +1337,82 @@ mod tests {
 
         p.free(a);
         assert_eq!(p.take_dirty(), vec![a], "frees dirty (checkpoint must drop the page)");
-        assert_eq!(p.free_list(), vec![a]);
         assert_eq!(p.page_bytes(a), None);
         assert_eq!(p.page_bytes(b).map(|s| s[0]), Some(7));
 
-        // Clone carries the dirty set; clear_dirty forgets it.
+        // Clone carries the dirty set.
         p.write(b, &[8u8; 64]);
         let mut q = p.clone();
         assert_eq!(q.take_dirty(), vec![b]);
-        p.clear_dirty();
-        assert_eq!(p.dirty_len(), 0);
+        assert_eq!(p.dirty_len(), 1);
     }
 
     #[test]
-    fn from_pages_rebuilds_an_equivalent_pager() {
+    fn a_frozen_pager_follows_its_master_slot_by_slot_and_copies_nothing() {
+        let stats = IoStats::new_shared();
+        let mut master = Pager::new(32, IoCategory::RtreeBlock, stats.clone());
+        let pids: Vec<PageId> = (0..70).map(|_| master.allocate()).collect();
+        for (i, &pid) in pids.iter().enumerate() {
+            master.write(pid, &[i as u8; 32]);
+        }
+        master.take_dirty();
+        let mut frozen = master.clone();
+        frozen.set_checksums(true);
+
+        // A write, a free, an allocation past the frozen table's end, and a
+        // page that rots without being written.
+        master.write(pids[3], &[0xAA; 32]);
+        let grown: Vec<PageId> = (0..130).map(|_| master.allocate()).collect();
+        master.free(pids[5]);
+        master.corrupt_page(pids[9], 0, 0xFF).unwrap();
+        let before = stats.snapshot();
+        let dirty = master.take_dirty();
+        frozen.share_slots(&master, dirty);
+        assert_eq!(stats.snapshot().since(&before).total_reads(), 0, "sharing is not I/O");
+        assert_eq!(frozen.dirty_len(), 0);
+
+        assert_eq!(frozen.live_page_ids(), master.live_page_ids());
+        assert_eq!(frozen.pages_shared_with(&master), master.live_pages() - 1);
+        assert_eq!(frozen.page_bytes(pids[3]), Some(&[0xAA; 32][..]));
+        assert_eq!(frozen.page_bytes(pids[5]), None);
+        assert_eq!(frozen.page_bytes(pids[9]), Some(&[9u8; 32][..]), "rot never enters");
+        assert!(frozen.try_read(pids[3]).is_ok(), "an entering page gets its checksum");
+        assert!(frozen.try_read(*grown.last().unwrap()).is_ok());
+
+        // The two now serialize identically, and the frozen one allocates
+        // what the master would (same free list, same slot count).
+        master.write(pids[9], &[9u8; 32]);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        master.write_table(&mut a);
+        frozen.write_table(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(frozen.allocate(), master.allocate());
+    }
+
+    #[test]
+    fn a_parsed_table_keeps_the_stored_sums_and_writes_them_back() {
         let mut p = Pager::new(32, IoCategory::RtreeBlock, IoStats::new_shared());
         let a = p.allocate();
         let b = p.allocate();
         p.write(a, &[3u8; 32]);
         p.free(b);
-        let pages: Vec<Option<Box<[u8]>>> =
-            (0..p.n_slots()).map(|i| p.page_bytes(PageId(i as u32)).map(|s| s.to_vec().into_boxed_slice())).collect();
-        let mut q = Pager::from_pages(32, pages, p.free_list(), IoCategory::RtreeBlock, IoStats::new_shared());
-        assert_eq!(q.live_pages(), 1);
-        assert_eq!(q.read_uncounted(a)[0], 3);
+        let mut bytes = Vec::new();
+        p.write_table(&mut bytes);
+        let (mut q, used) =
+            Pager::read_table(&bytes, IoCategory::RtreeBlock, IoStats::new_shared()).unwrap();
+        assert_eq!(used, bytes.len());
+        assert!(q.checksums_enabled());
+        assert_eq!(q.dirty_len(), 0, "a parsed table starts clean");
+        assert!(q.try_read(a).is_ok());
+        // Rot in memory: the table still writes the sum it holds, so the
+        // image it produces is refused instead of carrying the rot along.
+        q.corrupt_page(a, 0, 1).unwrap();
+        let mut rotted = Vec::new();
+        q.write_table(&mut rotted);
+        let e = Pager::read_table(&rotted, IoCategory::RtreeBlock, IoStats::new_shared())
+            .unwrap_err();
+        assert!(e.cause.contains("checksum mismatch"), "cause: {}", e.cause);
         assert_eq!(q.allocate(), b, "free list survives");
-        assert_eq!(q.take_dirty(), vec![b], "rebuild starts clean; only the new alloc is dirty");
     }
 
     #[test]

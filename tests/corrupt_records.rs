@@ -14,64 +14,19 @@
 //! truncation yields a typed error or a valid decode, with no panic and no
 //! single allocation above a few pages.
 //!
-//! This file is its own test binary because it installs a measuring
-//! `#[global_allocator]`; the measure is per thread, so the harness's own
-//! threads do not disturb it.
+//! This file is its own test binary because it installs the measuring
+//! `#[global_allocator]` of `support/measuring_allocator.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/measuring_allocator.rs"]
+mod measuring_allocator;
 
+use measuring_allocator::largest_allocation_of;
 use pcube::bptree::composite_key;
 use pcube::core::encode::decode_partial;
 use pcube::core::{PCubeConfig, PCubeDb};
 use pcube::data::{synthetic, Distribution, SyntheticSpec};
 use pcube::rtree::{Path, Sid};
 use pcube::storage::{read_u32, PageId, StorageError};
-
-thread_local! {
-    /// The largest single allocation this thread has asked for.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct MeasuringAllocator;
-
-fn note(size: usize) {
-    LARGEST.with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is an update of a
-// const-initialized, destructor-free thread-local cell, which neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for MeasuringAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: `layout` is the caller's, passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` was returned by `System` for this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: MeasuringAllocator = MeasuringAllocator;
-
-/// Runs `f` and returns its result with the largest single allocation it
-/// made.
-fn largest_allocation_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    LARGEST.with(|largest| largest.set(0));
-    let result = f();
-    (result, LARGEST.with(Cell::get))
-}
 
 const PAGE_SIZE: usize = 512;
 /// "A few pages": a decoded partial's node vector is sized from a node count

@@ -95,6 +95,41 @@ fn checkpoint_write_failure_is_typed_and_prior_generation_recovers() {
 }
 
 #[test]
+fn a_commit_after_a_failed_checkpoint_write_loses_nothing() {
+    // The checkpoint file is written before the log is cut: when the write
+    // fails, the old image must still have its whole log beside it — in
+    // memory too, or the next commit's append rewrites `wal.pcube` to a log
+    // that starts after transactions the old image never saw.
+    let dir = temp_dir("ckpt-then-commit");
+    let mut db = DurableDb::create_at(
+        &dir,
+        seed_relation(),
+        &PCubeConfig::default(),
+        DurabilityOptions::default(),
+    )
+    .expect("create_at succeeds");
+    for i in 0..4 {
+        db.apply(&insert_op(i)).expect("apply succeeds");
+    }
+    let tmp = dir.join("checkpoint.pcube.tmp");
+    std::fs::create_dir(&tmp).expect("occupy tmp path");
+    let err = db.checkpoint().expect_err("checkpoint must fail");
+    assert!(matches!(&err, DurabilityError::Io { .. }), "typed Io error, got: {err}");
+
+    let receipt = db.apply(&insert_op(4)).expect("the instance keeps committing");
+    assert!(receipt.durable, "acknowledged durable");
+    let want = skyline_tids(db.db());
+    drop(db);
+    std::fs::remove_dir(&tmp).expect("clear obstruction");
+
+    let (recovered, report) = DurableDb::open_or_recover(&dir, DurabilityOptions::default())
+        .expect("the directory still opens");
+    assert_eq!(recovered.applied_txns(), 5, "acknowledged transactions lost: {report}");
+    assert_eq!(skyline_tids(recovered.db()), want, "recovered answers diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn wal_append_failure_is_typed_and_checkpoint_generation_recovers() {
     let dir = temp_dir("wal");
     let mut db = DurableDb::create_at(

@@ -5,7 +5,7 @@
 
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
 use pcube::core::{
-    LinearFn, PCubeConfig, PCubeDb, ParallelOptions, Signature, SkylineClass, TopKClass,
+    LinearFn, PCubeConfig, PCubeDb, Signature, SkylineClass, TopKClass,
 };
 use pcube::cube::{group_by, Predicate, Relation, Schema, Selection};
 use pcube::rtree::Path;
@@ -81,8 +81,8 @@ proptest! {
         let mut expect: Vec<u64> = bnl_skyline(&qualifying, &[0, 1]).iter().map(|p| p.0).collect();
         expect.sort_unstable();
         for eager in [false, true] {
-            let opts = ParallelOptions { workers: 1, eager_assembly: eager };
-            let out = db.par_run(&sel, &SkylineClass::new(vec![0, 1]), opts);
+            let class = SkylineClass::new(vec![0, 1]);
+            let out = db.run_with_probe(&sel, &class, db.pcube().probe(&sel, eager));
             let mut got: Vec<u64> = out.rows.iter().map(|p| p.0).collect();
             got.sort_unstable();
             prop_assert_eq!(&got, &expect, "eager={}", eager);

@@ -5,7 +5,7 @@
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
 use pcube::baselines::{index_merge_topk, BooleanIndexSet};
 use pcube::core::{
-    EngineKind, LinearFn, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass, TopKClass,
+    EngineKind, LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass,
     WeightedDistanceFn,
 };
 use pcube::cube::{MaterializationPlan, Predicate, Selection};
@@ -29,8 +29,8 @@ fn sorted_tids(pairs: &[(u64, Vec<f64>)]) -> Vec<u64> {
 fn check_skylines(db: &PCubeDb, sel: &Selection, pref_dims: &[usize]) {
     let oracle = sorted_tids(&bnl_skyline(&qualifying(db, sel), pref_dims));
     for eager in [false, true] {
-        let opts = ParallelOptions { workers: 1, eager_assembly: eager };
-        let sig = db.par_run(sel, &SkylineClass::new(pref_dims.to_vec()), opts);
+        let class = SkylineClass::new(pref_dims.to_vec());
+        let sig = db.run_with_probe(sel, &class, db.pcube().probe(sel, eager));
         assert_eq!(
             sorted_tids(&sig.rows),
             oracle,
