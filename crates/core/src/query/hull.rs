@@ -26,6 +26,10 @@ fn edges(v: &[[f64; 2]]) -> impl Iterator<Item = ([f64; 2], [f64; 2])> + '_ {
     v.iter().copied().zip(v.iter().copied().cycle().skip(1))
 }
 
+// `#[inline]` throughout: `HullLogic` (kernel.rs) calls these once or more per
+// popped entry, and without it whether they inline there depends on how rustc
+// happens to partition the crate into codegen units — moving an unrelated
+// module cost hull queries 12 % (EXPERIMENTS.md, PR 21).
 impl RunningHull {
     /// How far `p` lies outside the hull: the largest distance from `p` to
     /// the line of an edge that has `p` on its outer side (negative when
@@ -33,6 +37,7 @@ impl RunningHull {
     /// *closed* hull iff this is `≤ 0` — the sign is that of the edge's
     /// cross product, so a point on an edge is inside exactly. `f64::MAX`
     /// while the hull has no area yet.
+    #[inline]
     pub(crate) fn outside(&self, p: [f64; 2]) -> f64 {
         if self.vertices.len() < 3 {
             return f64::MAX;
@@ -45,6 +50,7 @@ impl RunningHull {
 
     /// [`Self::outside`] of the farthest corner of the box `[min, max]`; the
     /// box lies in the closed hull iff this is `≤ 0`.
+    #[inline]
     pub(crate) fn outside_box(&self, min: [f64; 2], max: [f64; 2]) -> f64 {
         [[min[0], min[1]], [min[0], max[1]], [max[0], min[1]], [max[0], max[1]]]
             .into_iter()
@@ -54,6 +60,7 @@ impl RunningHull {
 
     /// `true` if some vertex lies in the closed box `[min, max]` (a point,
     /// when `min == max`).
+    #[inline]
     pub(crate) fn has_vertex_in(&self, min: [f64; 2], max: [f64; 2]) -> bool {
         self.vertices
             .iter()
@@ -61,6 +68,7 @@ impl RunningHull {
     }
 
     /// Grows the hull to cover `p`; a no-op when `p` is in the closed hull.
+    #[inline]
     pub(crate) fn insert(&mut self, p: [f64; 2]) {
         let v = &mut self.vertices;
         let n = v.len();

@@ -228,6 +228,7 @@ impl CandidateHeap {
     }
 
     /// Pushes a candidate with the given score.
+    #[inline]
     pub fn push(&mut self, score: f64, cand: Candidate) {
         self.seq += 1;
         self.heap.push(HeapEntry { score, seq: self.seq, cand });
@@ -235,12 +236,14 @@ impl CandidateHeap {
     }
 
     /// Re-inserts an existing entry (keeps its original sequence number).
+    #[inline]
     pub fn push_entry(&mut self, entry: HeapEntry) {
         self.heap.push(entry);
         self.peak = self.peak.max(self.heap.len());
     }
 
     /// Pops the minimum-score entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<HeapEntry> {
         self.heap.pop()
     }
