@@ -17,9 +17,8 @@
 //!
 //! Results land in `BENCH_planner.json` (override with `--out`).
 
-use std::fmt::Write as _;
-
 use pcube_baselines::reference::{bnl_skyline, naive_topk};
+use pcube_bench::cli::{Args, JsonObject};
 use pcube_core::{
     EngineKind, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, Planner, PriorityGraph,
     QueryBudget, QueryClass, SkylineClass, SubspaceSkylineClass, TopKClass,
@@ -51,18 +50,14 @@ struct Config {
 }
 
 fn parse_args() -> Config {
-    let mut cfg = Config { rows: 50_000, k: 10, seed: 42, out: "BENCH_planner.json".into() };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| panic!("{name} needs a value"));
-        match flag.as_str() {
-            "--rows" => cfg.rows = value("--rows").parse().expect("--rows"),
-            "--k" => cfg.k = value("--k").parse().expect("--k"),
-            "--seed" => cfg.seed = value("--seed").parse().expect("--seed"),
-            "--out" => cfg.out = value("--out"),
-            other => panic!("unknown flag {other:?} (use --rows --k --seed --out)"),
-        }
-    }
+    let mut args = Args::from_env();
+    let cfg = Config {
+        rows: args.take("--rows", 50_000),
+        k: args.take("--k", 10),
+        seed: args.take("--seed", 42),
+        out: args.take("--out", "BENCH_planner.json".into()),
+    };
+    args.finish();
     cfg
 }
 
@@ -239,48 +234,39 @@ fn main() {
         .iter()
         .any(|r| r.selectivity > 0.5 && r.chosen == EngineKind::PCube);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"planner_bench\",");
-    let _ = writeln!(json, "  \"rows\": {},", cfg.rows);
-    let _ = writeln!(json, "  \"k\": {},", cfg.k);
-    let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let engines: Vec<String> = r
-            .engines
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"engine\": \"{}\", \"estimated_blocks\": {:.1}, \"measured_blocks\": {}}}",
-                    e.engine.name(),
-                    e.estimated_blocks,
-                    e.measured_blocks
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"selectivity\": {:.6}, \"qualifying\": {}, \
-             \"chosen\": \"{}\", \"measured_best\": \"{}\", \"hit\": {}, \"engines\": [{}]}}{}",
-            r.label,
-            r.selectivity,
-            r.qualifying,
-            r.chosen.name(),
-            r.measured_best.name(),
-            r.hit,
-            engines.join(", "),
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"workload_count\": {},", rows.len());
-    let _ = writeln!(json, "  \"planner_hits\": {hits},");
-    let _ = writeln!(json, "  \"planner_hit_rate\": {hit_rate:.3},");
-    let _ = writeln!(json, "  \"baseline_chosen_on_selective\": {baseline_on_selective},");
-    let _ = writeln!(json, "  \"pcube_chosen_on_unselective\": {pcube_on_unselective},");
-    let _ = writeln!(json, "  \"oracle_mismatches\": {mismatches}");
-    json.push_str("}\n");
+    let json = JsonObject::new()
+        .text("bench", "planner_bench")
+        .value("rows", cfg.rows)
+        .value("k", cfg.k)
+        .value("seed", cfg.seed)
+        .rows(
+            "workloads",
+            rows.iter().map(|r| {
+                JsonObject::new()
+                    .text("workload", &r.label)
+                    .fixed("selectivity", r.selectivity, 6)
+                    .value("qualifying", r.qualifying)
+                    .text("chosen", r.chosen.name())
+                    .text("measured_best", r.measured_best.name())
+                    .value("hit", r.hit)
+                    .list(
+                        "engines",
+                        r.engines.iter().map(|e| {
+                            JsonObject::new()
+                                .text("engine", e.engine.name())
+                                .fixed("estimated_blocks", e.estimated_blocks, 1)
+                                .value("measured_blocks", e.measured_blocks)
+                        }),
+                    )
+            }),
+        )
+        .value("workload_count", rows.len())
+        .value("planner_hits", hits)
+        .fixed("planner_hit_rate", hit_rate, 3)
+        .value("baseline_chosen_on_selective", baseline_on_selective)
+        .value("pcube_chosen_on_unselective", pcube_on_unselective)
+        .value("oracle_mismatches", mismatches)
+        .document();
     std::fs::write(&cfg.out, &json).expect("write results json");
     println!("{json}");
 

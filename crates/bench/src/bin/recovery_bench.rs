@@ -34,6 +34,7 @@
 //! [--publish-max N] [--fsync-delay-us U] [--out PATH]` — results land in
 //! `BENCH_recovery.json`.
 
+use pcube_bench::cli::{Args, JsonObject};
 use pcube_core::{
     CommitQueue, CommitQueuePolicy, DurabilityOptions, DurableDb, MaintenanceOp, PCubeConfig,
     PCubeDb, QueryBudget, SkylineClass,
@@ -41,7 +42,6 @@ use pcube_core::{
 use pcube_cube::{Predicate, Relation};
 use pcube_data::{synthetic, SyntheticSpec};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 struct Config {
@@ -54,56 +54,18 @@ struct Config {
 }
 
 fn parse_args() -> Config {
-    let mut cfg = Config {
-        txns: 400,
-        tuples: 10_000,
-        ops_per_txn: 4,
-        publish_max: 1_000_000,
+    let mut args = Args::from_env();
+    let cfg = Config {
+        txns: args.take("--txns", 400),
+        tuples: args.take("--tuples", 10_000),
+        ops_per_txn: args.take("--ops-per-txn", 4),
+        publish_max: args.take("--publish-max", 1_000_000),
         // A rotational-class fsync: write barriers are why group commit
         // exists; NVMe-class latencies hide the effect behind apply cost.
-        fsync_delay_us: 5_000,
-        out: "BENCH_recovery.json".into(),
+        fsync_delay_us: args.take("--fsync-delay-us", 5_000),
+        out: args.take("--out", "BENCH_recovery.json".into()),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |n: usize| {
-            args.get(n).unwrap_or_else(|| {
-                eprintln!("{} needs a value", args[n - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--txns" => {
-                cfg.txns = need(i + 1).parse().expect("--txns N");
-                i += 2;
-            }
-            "--tuples" => {
-                cfg.tuples = need(i + 1).parse().expect("--tuples N");
-                i += 2;
-            }
-            "--ops-per-txn" => {
-                cfg.ops_per_txn = need(i + 1).parse().expect("--ops-per-txn K");
-                i += 2;
-            }
-            "--publish-max" => {
-                cfg.publish_max = need(i + 1).parse().expect("--publish-max N");
-                i += 2;
-            }
-            "--fsync-delay-us" => {
-                cfg.fsync_delay_us = need(i + 1).parse().expect("--fsync-delay-us U");
-                i += 2;
-            }
-            "--out" => {
-                cfg.out = need(i + 1).clone();
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    args.finish();
     cfg
 }
 
@@ -466,71 +428,70 @@ fn main() {
     );
 
     // --- emit ------------------------------------------------------------
-    // Hand-rolled JSON (the workspace deliberately has no serde).
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"recovery_bench\",");
-    let _ = writeln!(json, "  \"tuples\": {},", cfg.tuples);
-    let _ = writeln!(json, "  \"txns\": {},", cfg.txns);
-    let _ = writeln!(json, "  \"ops_per_txn\": {},", cfg.ops_per_txn);
-    json.push_str("  \"recovery_vs_wal\": [\n");
-    for (i, (depth, wal_bytes, records, micros)) in recovery_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"txns\": {depth}, \"wal_bytes\": {wal_bytes}, \"records_replayed\": {records}, \"recovery_us\": {micros}}}"
-        );
-        json.push_str(if i + 1 < recovery_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"post_checkpoint_open_us\": {post_ckpt_micros},");
-    json.push_str("  \"write_throughput\": [\n");
-    for (i, (label, secs, tps)) in throughput_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{label}\", \"seconds\": {secs:.4}, \"txns_per_sec\": {tps:.1}}}"
-        );
-        json.push_str(if i + 1 < throughput_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"epoch_publish\": [\n");
-    for (i, (size, publishes, avg_ns)) in publish_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"tuples\": {size}, \"publishes\": {publishes}, \"avg_publish_ns\": {avg_ns:.0}}}"
-        );
-        json.push_str(if i + 1 < publish_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"publish_flat_ratio\": {publish_ratio:.3},");
-    json.push_str("  \"group_commit\": {\n");
-    let _ = writeln!(json, "    \"fsync_delay_us\": {},", cfg.fsync_delay_us);
-    let _ = writeln!(json, "    \"submitters\": 8,");
-    let _ = writeln!(json, "    \"txns\": {group_txns},");
-    let _ = writeln!(json, "    \"baseline_txns_per_sec\": {base_tps:.1},");
-    let _ = writeln!(json, "    \"group_txns_per_sec\": {group_tps:.1},");
-    let _ = writeln!(json, "    \"speedup\": {speedup:.2},");
-    let _ = writeln!(json, "    \"batches\": {},", group_stats.batches);
-    let _ = writeln!(json, "    \"max_batch\": {},", group_stats.max_batch);
-    let _ = writeln!(
-        json,
-        "    \"fsync_amortization\": {:.2}",
-        group_stats.fsync_amortization()
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"self_healing\": {\n");
-    let _ = writeln!(json, "    \"sig_pages_rotted\": {sig_pages},");
-    let _ = writeln!(json, "    \"probe_reads_clean\": {reads_clean},");
-    let _ = writeln!(json, "    \"probe_reads_degraded\": {reads_degraded},");
-    let _ = writeln!(json, "    \"probe_reads_healed\": {reads_healed},");
-    let _ = writeln!(json, "    \"degraded_reads\": {degraded_reads},");
-    let _ = writeln!(json, "    \"scrub_us\": {scrub_us},");
-    let _ = writeln!(json, "    \"scrub_pages_scanned\": {},", scrub_report.pages_scanned);
-    let _ = writeln!(json, "    \"repair_us\": {repair_us},");
-    let _ = writeln!(json, "    \"cells_rebuilt\": {},", repair.cells_rebuilt);
-    let _ = writeln!(json, "    \"pages_healed\": {}", repair.pages_healed);
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"result_mismatches\": {mismatches}");
-    json.push_str("}\n");
+    let json = JsonObject::new()
+        .text("bench", "recovery_bench")
+        .value("tuples", cfg.tuples)
+        .value("txns", cfg.txns)
+        .value("ops_per_txn", cfg.ops_per_txn)
+        .rows(
+            "recovery_vs_wal",
+            recovery_rows.iter().map(|(depth, wal_bytes, records, micros)| {
+                JsonObject::new()
+                    .value("txns", depth)
+                    .value("wal_bytes", wal_bytes)
+                    .value("records_replayed", records)
+                    .value("recovery_us", micros)
+            }),
+        )
+        .value("post_checkpoint_open_us", post_ckpt_micros)
+        .rows(
+            "write_throughput",
+            throughput_rows.iter().map(|(label, secs, tps)| {
+                JsonObject::new()
+                    .text("mode", label)
+                    .fixed("seconds", *secs, 4)
+                    .fixed("txns_per_sec", *tps, 1)
+            }),
+        )
+        .rows(
+            "epoch_publish",
+            publish_rows.iter().map(|(size, publishes, avg_ns)| {
+                JsonObject::new()
+                    .value("tuples", size)
+                    .value("publishes", publishes)
+                    .fixed("avg_publish_ns", *avg_ns, 0)
+            }),
+        )
+        .fixed("publish_flat_ratio", publish_ratio, 3)
+        .object(
+            "group_commit",
+            JsonObject::new()
+                .value("fsync_delay_us", cfg.fsync_delay_us)
+                .value("submitters", 8)
+                .value("txns", group_txns)
+                .fixed("baseline_txns_per_sec", base_tps, 1)
+                .fixed("group_txns_per_sec", group_tps, 1)
+                .fixed("speedup", speedup, 2)
+                .value("batches", group_stats.batches)
+                .value("max_batch", group_stats.max_batch)
+                .fixed("fsync_amortization", group_stats.fsync_amortization(), 2),
+        )
+        .object(
+            "self_healing",
+            JsonObject::new()
+                .value("sig_pages_rotted", sig_pages)
+                .value("probe_reads_clean", reads_clean)
+                .value("probe_reads_degraded", reads_degraded)
+                .value("probe_reads_healed", reads_healed)
+                .value("degraded_reads", degraded_reads)
+                .value("scrub_us", scrub_us)
+                .value("scrub_pages_scanned", scrub_report.pages_scanned)
+                .value("repair_us", repair_us)
+                .value("cells_rebuilt", repair.cells_rebuilt)
+                .value("pages_healed", repair.pages_healed),
+        )
+        .value("result_mismatches", mismatches)
+        .document();
     std::fs::write(&cfg.out, &json).expect("write results json");
     println!("{json}");
 

@@ -28,27 +28,10 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut figure = String::from("all");
-    let mut scale_name = String::from("small");
-    let mut seed = 42u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale_name = args.get(i + 1).expect("--scale needs a value").clone();
-                i += 2;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).expect("--seed needs a value").parse().expect("seed");
-                i += 2;
-            }
-            other => {
-                figure = other.to_string();
-                i += 1;
-            }
-        }
-    }
+    let mut args = cli::Args::from_env();
+    let scale_name = args.take("--scale", String::from("small"));
+    let seed = args.take("--seed", 42u64);
+    let figure = args.rest().pop().unwrap_or_else(|| String::from("all"));
     let Some(scale) = Scale::try_named(&scale_name) else {
         eprintln!("unknown scale {scale_name:?}; use small, medium or full");
         std::process::exit(2);

@@ -1,6 +1,6 @@
 //! Concurrent-throughput harness: M client threads hammer one shared
-//! [`PCubeDb`] with a mixed preference-query workload (top-k, skyline,
-//! dynamic skyline, convex hull), verifying on the fly that
+//! [`PCubeDb`] with the six-class mixed workload of [`pcube_bench::mix`],
+//! verifying on the fly that
 //!
 //! * every answer is **bit-identical** to the single-threaded answer, and
 //! * the atomic I/O ledger's total delta equals the sum of per-query serial
@@ -37,66 +37,16 @@
 //!
 //! Results land in `BENCH_concurrency.json` (override with `--out`).
 
-use pcube_core::{
-    AdmissionGate, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, SkylineClass,
-    StageTimes, TopKClass,
-};
-use pcube_cube::Selection;
-use pcube_data::{sample_selection, synthetic, Distribution, SyntheticSpec};
+use pcube_bench::cli::{percentile, Args, JsonObject};
+use pcube_bench::mix::{drain, mix, Case, Row};
+use pcube_core::{AdmissionGate, PCubeConfig, PCubeDb, StageTimes};
+use pcube_data::{synthetic, Distribution, SyntheticSpec};
 use pcube_storage::{CostModel, IoCategory, IoSnapshot};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// One query of the mixed workload.
-#[derive(Clone)]
-enum Query {
-    TopK { sel: Selection, k: usize, weights: Vec<f64> },
-    Skyline { sel: Selection },
-    Dynamic { sel: Selection, q: Vec<f64> },
-    Hull { sel: Selection },
-}
-
-impl Query {
-    fn kind(&self) -> &'static str {
-        match self {
-            Query::TopK { .. } => "topk",
-            Query::Skyline { .. } => "skyline",
-            Query::Dynamic { .. } => "dynamic",
-            Query::Hull { .. } => "hull",
-        }
-    }
-}
-
-/// A canonicalized answer, comparable with `==` across threads and runs.
-#[derive(Clone, PartialEq)]
-enum Answer {
-    TopK(Vec<(u64, Vec<f64>, f64)>),
-    Skyline(Vec<(u64, Vec<f64>)>),
-    Hull(Vec<(u64, [f64; 2])>),
-}
-
-fn run_query(db: &PCubeDb, q: &Query) -> (Answer, StageTimes) {
-    match q {
-        Query::TopK { sel, k, weights } => {
-            let out = db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone())));
-            (Answer::TopK(out.rows), out.stats.stages)
-        }
-        Query::Skyline { sel } => {
-            let out = db.run(sel, &SkylineClass::new(vec![0, 1]));
-            (Answer::Skyline(out.rows), out.stats.stages)
-        }
-        Query::Dynamic { sel, q } => {
-            let out = db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1]));
-            (Answer::Skyline(out.rows), out.stats.stages)
-        }
-        Query::Hull { sel } => {
-            let out = db.run(sel, &HullClass::new((0, 1)));
-            (Answer::Hull(out.rows), out.stats.stages)
-        }
-    }
+fn run_query(db: &PCubeDb, q: &Case) -> (Vec<Row>, StageTimes) {
+    let out = q.run(db, 0, None);
+    (out.rows, out.stats.stages)
 }
 
 struct Config {
@@ -111,69 +61,22 @@ struct Config {
 }
 
 fn parse_args() -> Config {
-    let mut cfg = Config {
-        scale: "medium".into(),
-        threads: vec![1, 2, 4, 8],
-        queries: 0, // 0 = pick per scale
-        seed: 42,
-        out: "BENCH_concurrency.json".into(),
-        min_speedup: 3.0,
-        wall_io_us: 100,
-        min_wall_speedup: 0.0,
+    let mut args = Args::from_env();
+    let cfg = Config {
+        scale: args.take("--scale", "medium".into()),
+        threads: args
+            .take("--threads", String::from("1,2,4,8"))
+            .split(',')
+            .map(|s| s.trim().parse().expect("--threads takes e.g. 1,2,4,8"))
+            .collect(),
+        queries: args.take("--queries", 0), // 0 = pick per scale
+        seed: args.take("--seed", 42),
+        out: args.take("--out", "BENCH_concurrency.json".into()),
+        min_speedup: args.take("--min-speedup", 3.0),
+        wall_io_us: args.take("--wall-io-us", 100), // 0 disables
+        min_wall_speedup: args.take("--min-wall-speedup", 0.0),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |n: usize| {
-            args.get(n).unwrap_or_else(|| {
-                eprintln!("{} needs a value", args[n - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--scale" => {
-                cfg.scale = need(i + 1).clone();
-                i += 2;
-            }
-            "--threads" => {
-                cfg.threads = need(i + 1)
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes e.g. 1,2,4,8"))
-                    .collect();
-                i += 2;
-            }
-            "--queries" => {
-                cfg.queries = need(i + 1).parse().expect("--queries takes a count");
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = need(i + 1).parse().expect("--seed takes a number");
-                i += 2;
-            }
-            "--out" => {
-                cfg.out = need(i + 1).clone();
-                i += 2;
-            }
-            "--min-speedup" => {
-                cfg.min_speedup = need(i + 1).parse().expect("--min-speedup takes a float");
-                i += 2;
-            }
-            "--wall-io-us" => {
-                cfg.wall_io_us =
-                    need(i + 1).parse().expect("--wall-io-us takes microseconds (0 disables)");
-                i += 2;
-            }
-            "--min-wall-speedup" => {
-                cfg.min_wall_speedup =
-                    need(i + 1).parse().expect("--min-wall-speedup takes a float");
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    args.finish();
     cfg
 }
 
@@ -188,28 +91,6 @@ fn scale_params(scale: &str) -> (usize, usize) {
             std::process::exit(2);
         }
     }
-}
-
-fn build_workload(db: &PCubeDb, n: usize, seed: u64) -> Vec<Query> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let sel = sample_selection(db.relation(), i % 3, &mut rng);
-            match i % 4 {
-                0 => Query::TopK {
-                    sel,
-                    k: 5 + i % 20,
-                    weights: vec![0.15 + 0.1 * (i % 8) as f64, 0.95 - 0.1 * (i % 6) as f64],
-                },
-                1 => Query::Skyline { sel },
-                2 => Query::Dynamic {
-                    sel,
-                    q: vec![0.1 * (i % 10) as f64, 1.0 - 0.1 * (i % 10) as f64],
-                },
-                _ => Query::Hull { sel },
-            }
-        })
-        .collect()
 }
 
 struct ConfigResult {
@@ -230,64 +111,31 @@ struct ConfigResult {
     stages: StageTimes,
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_config(
     db: &PCubeDb,
-    workload: &[Query],
-    expected: &[Answer],
+    workload: &[Case],
+    expected: &[Vec<Row>],
     per_query_io: &[IoSnapshot],
     cost: &CostModel,
     threads: usize,
     total_queries: usize,
 ) -> ConfigResult {
-    let mismatches = AtomicU64::new(0);
-    let next = AtomicU64::new(0);
     let before = db.stats().snapshot();
     let started = Instant::now();
-    // Dynamic dispatch, like a real query router: each client thread grabs
-    // the next pending query index; workload entries repeat round-robin
-    // until `total_queries` are issued. Every index in 0..total_queries is
-    // executed exactly once regardless of the schedule.
-    let per_thread: Vec<(Vec<(u64, u64)>, StageTimes)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (mismatches, next) = (&mismatches, &next);
-                scope.spawn(move || {
-                    let mut done: Vec<(u64, u64)> = Vec::new(); // (index, µs)
-                    let mut stages = StageTimes::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= total_queries {
-                            break;
-                        }
-                        let w = i % workload.len();
-                        let q_started = Instant::now();
-                        // The gate is sized to the widest thread count, so
-                        // measured configs are admitted without shedding —
-                        // but every query still pays the admission path.
-                        let permit =
-                            db.admit().expect("gate sized to the widest config never sheds");
-                        let (got, query_stages) = run_query(db, &workload[w]);
-                        drop(permit);
-                        done.push((i as u64, q_started.elapsed().as_micros() as u64));
-                        stages.add(&query_stages);
-                        if got != expected[w] {
-                            mismatches.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    (done, stages)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+    // Dynamic dispatch, like a real query router; workload entries repeat
+    // round-robin until `total_queries` are issued. Per query: its index,
+    // latency in µs, stage times, and whether the answer was wrong.
+    let done: Vec<(usize, u64, StageTimes, bool)> = drain(threads, total_queries, |i| {
+        let w = i % workload.len();
+        let q_started = Instant::now();
+        // The gate is sized to the widest thread count, so measured configs
+        // are admitted without shedding — but every query still pays the
+        // admission path.
+        let permit = db.admit().expect("gate sized to the widest config never sheds");
+        let (got, stages) = run_query(db, &workload[w]);
+        drop(permit);
+        (i, q_started.elapsed().as_micros() as u64, stages, got != expected[w])
     });
     let wall_seconds = started.elapsed().as_secs_f64();
     let delta = db.stats().snapshot().since(&before);
@@ -335,14 +183,10 @@ fn run_config(
     // earliest-available client — exactly what the dynamic dispatcher above
     // does in wall time, replayed in modeled time).
     let mut stages = StageTimes::default();
-    for (_, thread_stages) in &per_thread {
-        stages.add(thread_stages);
-    }
-
     let mut instance_cost: Vec<f64> = vec![0.0; total_queries];
-    for &(i, us) in per_thread.iter().flat_map(|(done, _)| done) {
-        instance_cost[i as usize] =
-            us as f64 * 1e-6 + cost.seconds(&per_query_io[i as usize % workload.len()]);
+    for (i, us, query_stages, _) in &done {
+        stages.add(query_stages);
+        instance_cost[*i] = *us as f64 * 1e-6 + cost.seconds(&per_query_io[i % workload.len()]);
     }
     let mut client_busy_until = vec![0.0f64; threads];
     for c in instance_cost {
@@ -354,11 +198,7 @@ fn run_config(
     }
     let modeled_makespan = client_busy_until.into_iter().fold(0.0f64, f64::max);
 
-    let mut all_lat: Vec<u64> = per_thread
-        .into_iter()
-        .flat_map(|(done, _)| done)
-        .map(|(_, us)| us)
-        .collect();
+    let mut all_lat: Vec<u64> = done.iter().map(|d| d.1).collect();
     all_lat.sort_unstable();
     ConfigResult {
         threads,
@@ -367,7 +207,7 @@ fn run_config(
         qps_modeled: total_queries as f64 / modeled_makespan.max(1e-12),
         p50_us: percentile(&all_lat, 0.50),
         p99_us: percentile(&all_lat, 0.99),
-        mismatches: mismatches.load(Ordering::Relaxed),
+        mismatches: done.iter().filter(|d| d.3).count() as u64,
         counter_consistent: consistent,
         degraded_reads: delta.degraded_reads(),
         pages_quarantined: delta.pages_quarantined(),
@@ -391,7 +231,7 @@ fn main() {
         seed: cfg.seed,
     };
     let mut db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
-    let workload = build_workload(&db, 64, cfg.seed);
+    let workload = mix(db.relation(), 64, cfg.seed);
 
     // Admission control: enough slots for the widest measured config (so
     // throughput numbers are not distorted by shedding), with a generous
@@ -447,31 +287,16 @@ fn main() {
     let burst_threads = max_threads.max(4);
     let burst_queries = 256usize;
     eprintln!("shed burst: {burst_queries} queries on {burst_threads} threads, 2 slots…");
-    let burst_next = AtomicU64::new(0);
-    let burst_shed = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..burst_threads {
-            let (db, workload, burst_next, burst_shed) =
-                (&db, &workload, &burst_next, &burst_shed);
-            scope.spawn(move || loop {
-                let i = burst_next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= burst_queries {
-                    break;
-                }
-                match db.admit() {
-                    Err(_) => {
-                        burst_shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(permit) => {
-                        run_query(db, &workload[i % workload.len()]);
-                        drop(permit);
-                    }
-                }
-            });
+    let shed = drain(burst_threads, burst_queries, |i| match db.admit() {
+        Err(_) => true,
+        Ok(permit) => {
+            run_query(&db, &workload[i % workload.len()]);
+            drop(permit);
+            false
         }
     });
+    let burst_shed = shed.into_iter().filter(|&shed| shed).count() as u64;
     let burst_gate = db.admission_gate().expect("burst gate installed");
-    let burst_shed = burst_shed.load(Ordering::Relaxed);
     let burst_admitted = burst_gate.admitted_total();
     eprintln!("shed burst: {burst_admitted} admitted, {burst_shed} shed");
 
@@ -500,61 +325,57 @@ fn main() {
         *kinds.entry(q.kind()).or_insert(0usize) += 1;
     }
 
-    // Hand-rolled JSON (the workspace deliberately has no serde).
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"serve_bench\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", cfg.scale);
-    let _ = writeln!(json, "  \"tuples\": {tuples},");
-    let _ = writeln!(json, "  \"queries_per_config\": {total_queries},");
-    let _ = writeln!(json, "  \"distinct_queries\": {},", workload.len());
-    let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(
-        json,
-        "  \"workload_mix\": {{{}}},",
-        kinds
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"wall_io_us\": {},", cfg.wall_io_us);
-    json.push_str("  \"configs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"threads\": {}, \"wall_seconds\": {:.4}, \"qps_wall\": {:.1}, \"qps_modeled\": {:.3}, \"wall_speedup_vs_1_thread\": {:.3}, \"p50_us\": {}, \"p99_us\": {}, \"result_mismatches\": {}, \"counter_consistent\": {}, \"degraded_reads\": {}, \"pages_quarantined\": {}, \"pages_repaired\": {}, \"stage_seconds\": {{\"pin\": {:.4}, \"page_read\": {:.4}, \"score\": {:.4}, \"merge\": {:.4}}}}}{}",
-            r.threads,
-            r.wall_seconds,
-            r.qps_wall,
-            r.qps_modeled,
-            r.qps_wall / wall_base,
-            r.p50_us,
-            r.p99_us,
-            r.mismatches,
-            r.counter_consistent,
-            r.degraded_reads,
-            r.pages_quarantined,
-            r.pages_repaired,
-            r.stages.pin_seconds,
-            r.stages.page_read_seconds,
-            r.stages.score_seconds,
-            r.stages.merge_seconds,
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"admission_measured_queries\": {measured_admitted},");
-    let _ = writeln!(
-        json,
-        "  \"admission_burst\": {{\"queries\": {burst_queries}, \"threads\": {burst_threads}, \"slots\": 2, \"admitted\": {burst_admitted}, \"shed\": {burst_shed}}},"
-    );
-    let _ = writeln!(json, "  \"widest_threads\": {},", widest.threads);
-    let _ = writeln!(json, "  \"modeled_speedup_vs_1_thread\": {speedup:.3},");
-    let _ = writeln!(json, "  \"wall_speedup_vs_1_thread\": {wall_speedup:.3},");
-    let _ = writeln!(json, "  \"min_speedup_required\": {:.1},", cfg.min_speedup);
-    let _ = writeln!(json, "  \"min_wall_speedup_required\": {:.1}", cfg.min_wall_speedup);
-    json.push_str("}\n");
+    let json = JsonObject::new()
+        .text("bench", "serve_bench")
+        .text("scale", &cfg.scale)
+        .value("tuples", tuples)
+        .value("queries_per_config", total_queries)
+        .value("distinct_queries", workload.len())
+        .value("seed", cfg.seed)
+        .object("workload_mix", kinds.iter().fold(JsonObject::new(), |o, (k, n)| o.value(k, n)))
+        .value("wall_io_us", cfg.wall_io_us)
+        .rows(
+            "configs",
+            results.iter().map(|r| {
+                JsonObject::new()
+                    .value("threads", r.threads)
+                    .fixed("wall_seconds", r.wall_seconds, 4)
+                    .fixed("qps_wall", r.qps_wall, 1)
+                    .fixed("qps_modeled", r.qps_modeled, 3)
+                    .fixed("wall_speedup_vs_1_thread", r.qps_wall / wall_base, 3)
+                    .value("p50_us", r.p50_us)
+                    .value("p99_us", r.p99_us)
+                    .value("result_mismatches", r.mismatches)
+                    .value("counter_consistent", r.counter_consistent)
+                    .value("degraded_reads", r.degraded_reads)
+                    .value("pages_quarantined", r.pages_quarantined)
+                    .value("pages_repaired", r.pages_repaired)
+                    .object(
+                        "stage_seconds",
+                        JsonObject::new()
+                            .fixed("pin", r.stages.pin_seconds, 4)
+                            .fixed("page_read", r.stages.page_read_seconds, 4)
+                            .fixed("score", r.stages.score_seconds, 4)
+                            .fixed("merge", r.stages.merge_seconds, 4),
+                    )
+            }),
+        )
+        .value("admission_measured_queries", measured_admitted)
+        .object(
+            "admission_burst",
+            JsonObject::new()
+                .value("queries", burst_queries)
+                .value("threads", burst_threads)
+                .value("slots", 2)
+                .value("admitted", burst_admitted)
+                .value("shed", burst_shed),
+        )
+        .value("widest_threads", widest.threads)
+        .fixed("modeled_speedup_vs_1_thread", speedup, 3)
+        .fixed("wall_speedup_vs_1_thread", wall_speedup, 3)
+        .fixed("min_speedup_required", cfg.min_speedup, 1)
+        .fixed("min_wall_speedup_required", cfg.min_wall_speedup, 1)
+        .document();
     std::fs::write(&cfg.out, &json).expect("write results json");
 
     println!("{json}");

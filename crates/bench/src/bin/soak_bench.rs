@@ -1,5 +1,6 @@
-//! Chaos soak benchmark: a mixed preference-query workload hammered by many
-//! client threads against one shared [`PCubeDb`] while the signature pagers
+//! Chaos soak benchmark: the six-class mixed workload of [`pcube_bench::mix`]
+//! hammered by many client threads against one shared [`PCubeDb`] while the
+//! signature pagers
 //! inject seeded read faults, every query runs under a randomized
 //! [`QueryBudget`], and an admission gate narrower than the thread count
 //! sheds overload on a short wait.
@@ -13,41 +14,26 @@
 //! * **p50/p99 latency under faults** — over the admitted queries.
 //!
 //! It is also a correctness gate: any `Complete` answer differing from the
-//! clean serial oracle, any deadline overshoot beyond one kernel pop, or
-//! any progress-counter inconsistency exits non-zero.
+//! clean serial oracle, any deadline overshoot beyond one kernel pop, any
+//! progress-counter inconsistency, or any partial answer that breaks its
+//! class's documented guarantee exits non-zero.
 //!
 //! Usage: `soak_bench [--queries N] [--threads T] [--tuples N] [--seed S]
 //! [--slots K] [--max-wait-us U] [--out PATH]`
 //!
 //! Results land in `BENCH_soak.json` (override with `--out`).
 
+use pcube_bench::cli::{percentile, Args, JsonObject};
+use pcube_bench::mix::{drain, mix, Case, Row};
 use pcube_core::{
-    AdmissionGate, CancelToken, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb,
-    QueryBudget, QueryOutcome, QueryStats, SkylineClass, StopReason, TopKClass,
+    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, QueryBudget, QueryOutcome, StopReason,
 };
-use pcube_cube::Selection;
-use pcube_data::{sample_selection, synthetic, Distribution, SyntheticSpec};
+use pcube_data::{synthetic, Distribution, SyntheticSpec};
 use pcube_storage::FaultPlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-#[derive(Clone)]
-enum Query {
-    TopK { sel: Selection, k: usize, weights: Vec<f64> },
-    Skyline { sel: Selection },
-    Dynamic { sel: Selection, q: Vec<f64> },
-    Hull { sel: Selection },
-}
-
-#[derive(Clone, PartialEq)]
-enum Answer {
-    TopK(Vec<(u64, Vec<f64>, f64)>),
-    Skyline(Vec<(u64, Vec<f64>)>),
-    Hull(Vec<(u64, [f64; 2])>),
-}
 
 struct Config {
     queries: usize,
@@ -60,78 +46,18 @@ struct Config {
 }
 
 fn parse_args() -> Config {
-    let mut cfg = Config {
-        queries: 5_000,
-        threads: 8,
-        tuples: 20_000,
-        seed: 42,
-        slots: 4,
-        max_wait: Duration::from_micros(500),
-        out: "BENCH_soak.json".into(),
+    let mut args = Args::from_env();
+    let cfg = Config {
+        queries: args.take("--queries", 5_000),
+        threads: args.take("--threads", 8),
+        tuples: args.take("--tuples", 20_000),
+        seed: args.take("--seed", 42),
+        slots: args.take("--slots", 4),
+        max_wait: Duration::from_micros(args.take("--max-wait-us", 500)),
+        out: args.take("--out", "BENCH_soak.json".into()),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |n: usize| {
-            args.get(n).unwrap_or_else(|| {
-                eprintln!("{} needs a value", args[n - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--queries" => cfg.queries = need(i + 1).parse().expect("--queries takes a count"),
-            "--threads" => cfg.threads = need(i + 1).parse().expect("--threads takes a count"),
-            "--tuples" => cfg.tuples = need(i + 1).parse().expect("--tuples takes a count"),
-            "--seed" => cfg.seed = need(i + 1).parse().expect("--seed takes a number"),
-            "--slots" => cfg.slots = need(i + 1).parse().expect("--slots takes a count"),
-            "--max-wait-us" => {
-                cfg.max_wait =
-                    Duration::from_micros(need(i + 1).parse().expect("--max-wait-us takes µs"))
-            }
-            "--out" => cfg.out = need(i + 1).clone(),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+    args.finish();
     cfg
-}
-
-fn build_workload(db: &PCubeDb, n: usize, seed: u64) -> Vec<(Query, Answer)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let sel = sample_selection(db.relation(), i % 3, &mut rng);
-            let query = match i % 4 {
-                0 => Query::TopK {
-                    sel,
-                    k: 5 + i % 16,
-                    weights: vec![0.2 + 0.1 * (i % 7) as f64, 0.9 - 0.1 * (i % 5) as f64],
-                },
-                1 => Query::Skyline { sel },
-                2 => Query::Dynamic {
-                    sel,
-                    q: vec![0.1 * (i % 10) as f64, 1.0 - 0.1 * (i % 10) as f64],
-                },
-                _ => Query::Hull { sel },
-            };
-            let oracle = match &query {
-                Query::TopK { sel, k, weights } => Answer::TopK(
-                    db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone()))).rows,
-                ),
-                Query::Skyline { sel } => {
-                    Answer::Skyline(db.run(sel, &SkylineClass::new(vec![0, 1])).rows)
-                }
-                Query::Dynamic { sel, q } => {
-                    Answer::Skyline(db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1])).rows)
-                }
-                Query::Hull { sel } => Answer::Hull(db.run(sel, &HullClass::new((0, 1))).rows),
-            };
-            (query, oracle)
-        })
-        .collect()
 }
 
 /// A randomized budget for query `i`: most queries run free, the rest get a
@@ -177,78 +103,26 @@ impl Tally {
     }
 }
 
-/// Checks the lifecycle invariants on one finished query; counts violations
-/// instead of panicking so the bench reports totals before failing.
-fn audit(stats: &QueryStats, rows: usize, exact_rows: bool, tally: &Tally) {
-    if let QueryOutcome::Partial { reason, progress } = &stats.outcome {
-        let rows_ok = if exact_rows {
-            progress.results_so_far == rows
-        } else {
-            progress.results_so_far >= rows
-        };
-        let overshoot_ok = if *reason == StopReason::DeadlineExceeded {
-            progress.overshoot_seconds <= progress.max_pop_seconds + 1e-6
-        } else {
-            progress.overshoot_seconds == 0.0
-        };
-        if !rows_ok || !overshoot_ok {
-            tally.violations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn run_one(db: &PCubeDb, i: usize, case: &(Query, Answer), tally: &Tally) {
+/// Runs query `i` under its budget and audits it, counting mismatches and
+/// violations instead of panicking so the bench reports totals before
+/// failing.
+fn run_one(db: &PCubeDb, i: usize, case: &(Case, Vec<Row>), tally: &Tally) {
     let mut rng = StdRng::seed_from_u64(0xBE4C ^ i as u64);
     let (budget, cancel) = budget_for(i, &mut rng);
-    let mut mismatch = false;
-    match &case.0 {
-        Query::TopK { sel, k, weights } => {
-            let f = LinearFn::new(weights.clone());
-            let out = db.run_governed(sel, &TopKClass::new(*k, &f), &budget, cancel.as_ref());
-            audit(&out.stats, out.rows.len(), true, tally);
-            if out.stats.outcome.is_complete() {
-                mismatch = Answer::TopK(out.rows) != case.1;
-            }
-            tally.record(&out.stats.outcome);
+    let (case, oracle) = case;
+    let out = case.run(db, 0, Some((&budget, cancel.as_ref())));
+    if out.stats.outcome.is_complete() {
+        if out.rows != *oracle {
+            tally.mismatches.fetch_add(1, Ordering::Relaxed);
         }
-        Query::Skyline { sel } => {
-            let class = SkylineClass::new(vec![0, 1]);
-            let out = db.run_governed(sel, &class, &budget, cancel.as_ref());
-            audit(&out.stats, out.rows.len(), true, tally);
-            if out.stats.outcome.is_complete() {
-                mismatch = Answer::Skyline(out.rows) != case.1;
-            }
-            tally.record(&out.stats.outcome);
-        }
-        Query::Dynamic { sel, q } => {
-            let class = DynamicSkylineClass::new(q, vec![0, 1]);
-            let out = db.run_governed(sel, &class, &budget, cancel.as_ref());
-            audit(&out.stats, out.rows.len(), true, tally);
-            if out.stats.outcome.is_complete() {
-                mismatch = Answer::Skyline(out.rows) != case.1;
-            }
-            tally.record(&out.stats.outcome);
-        }
-        Query::Hull { sel } => {
-            let out = db.run_governed(sel, &HullClass::new((0, 1)), &budget, cancel.as_ref());
-            audit(&out.stats, out.rows.len(), false, tally);
-            if out.stats.outcome.is_complete() {
-                mismatch = Answer::Hull(out.rows) != case.1;
-            }
-            tally.record(&out.stats.outcome);
-        }
+    } else if let Err(why) = case
+        .check_progress(&out.stats, out.rows.len(), true)
+        .and_then(|()| case.check_partial(db, &out.rows, oracle, true))
+    {
+        eprintln!("query {i} ({}): {why}", case.kind());
+        tally.violations.fetch_add(1, Ordering::Relaxed);
     }
-    if mismatch {
-        tally.mismatches.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
+    tally.record(&out.stats.outcome);
 }
 
 fn main() {
@@ -264,8 +138,16 @@ fn main() {
     };
     let mut db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
 
-    eprintln!("computing clean oracles for 64 distinct queries…");
-    let workload = build_workload(&db, 64, cfg.seed);
+    // 63 distinct queries: coprime to the eight budget slots of
+    // `budget_for`, so every query — hence every class — meets every slot.
+    eprintln!("computing clean oracles for 63 distinct queries…");
+    let workload: Vec<(Case, Vec<Row>)> = mix(db.relation(), 63, cfg.seed)
+        .into_iter()
+        .map(|case| {
+            let oracle = case.run(&db, 0, None).rows;
+            (case, oracle)
+        })
+        .collect();
 
     // Chaos on: seeded faults on both signature pagers, and an admission
     // gate with fewer slots than client threads and a short wait, so real
@@ -283,40 +165,25 @@ fn main() {
         cfg.queries, cfg.threads, cfg.slots, cfg.max_wait
     );
     let tally = Tally::default();
-    let next = AtomicU64::new(0);
     let started = Instant::now();
-    let per_thread: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|_| {
-                let (db, workload, tally, next, cfg) = (&db, &workload, &tally, &next, &cfg);
-                scope.spawn(move || {
-                    let mut lat_us: Vec<u64> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= cfg.queries {
-                            break;
-                        }
-                        let q_started = Instant::now();
-                        match db.admit() {
-                            Err(_) => {
-                                tally.shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(permit) => {
-                                run_one(db, i, &workload[i % workload.len()], tally);
-                                drop(permit);
-                                lat_us.push(q_started.elapsed().as_micros() as u64);
-                            }
-                        }
-                    }
-                    lat_us
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("soak thread panicked")).collect()
+    // Per issued query: its latency in µs if it was admitted.
+    let admitted: Vec<Option<u64>> = drain(cfg.threads, cfg.queries, |i| {
+        let q_started = Instant::now();
+        match db.admit() {
+            Err(_) => {
+                tally.shed.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Ok(permit) => {
+                run_one(&db, i, &workload[i % workload.len()], &tally);
+                drop(permit);
+                Some(q_started.elapsed().as_micros() as u64)
+            }
+        }
     });
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    let mut lat: Vec<u64> = per_thread.into_iter().flatten().collect();
+    let mut lat: Vec<u64> = admitted.into_iter().flatten().collect();
     lat.sort_unstable();
     let shed = tally.shed.load(Ordering::Relaxed);
     let complete = tally.complete.load(Ordering::Relaxed);
@@ -330,37 +197,35 @@ fn main() {
     let partials = deadline + blocks + heap + cancelled;
     let gate = db.admission_gate().expect("gate installed");
 
-    // Hand-rolled JSON (the workspace deliberately has no serde).
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"soak_bench\",");
-    let _ = writeln!(json, "  \"tuples\": {},", cfg.tuples);
-    let _ = writeln!(json, "  \"queries\": {},", cfg.queries);
-    let _ = writeln!(json, "  \"threads\": {},", cfg.threads);
-    let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(json, "  \"admission_slots\": {},", cfg.slots);
-    let _ = writeln!(json, "  \"admission_max_wait_us\": {},", cfg.max_wait.as_micros());
-    let _ = writeln!(json, "  \"wall_seconds\": {wall_seconds:.4},");
-    let _ = writeln!(json, "  \"executed\": {executed},");
-    let _ = writeln!(json, "  \"shed\": {shed},");
-    let _ = writeln!(json, "  \"shed_rate\": {:.4},", shed as f64 / cfg.queries as f64);
-    let _ = writeln!(json, "  \"admitted_total\": {},", gate.admitted_total());
-    let _ = writeln!(json, "  \"complete\": {complete},");
-    let _ = writeln!(
-        json,
-        "  \"partials\": {{\"deadline\": {deadline}, \"blocks\": {blocks}, \"heap\": {heap}, \"cancelled\": {cancelled}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"partial_rate\": {:.4},",
-        partials as f64 / executed.max(1) as f64
-    );
-    let _ = writeln!(json, "  \"p50_us\": {},", percentile(&lat, 0.50));
-    let _ = writeln!(json, "  \"p99_us\": {},", percentile(&lat, 0.99));
-    let _ = writeln!(json, "  \"degraded_reads\": {},", db.stats().degraded_reads());
-    let _ = writeln!(json, "  \"result_mismatches\": {mismatches},");
-    let _ = writeln!(json, "  \"invariant_violations\": {violations}");
-    json.push_str("}\n");
+    let json = JsonObject::new()
+        .text("bench", "soak_bench")
+        .value("tuples", cfg.tuples)
+        .value("queries", cfg.queries)
+        .value("threads", cfg.threads)
+        .value("seed", cfg.seed)
+        .value("admission_slots", cfg.slots)
+        .value("admission_max_wait_us", cfg.max_wait.as_micros())
+        .fixed("wall_seconds", wall_seconds, 4)
+        .value("executed", executed)
+        .value("shed", shed)
+        .fixed("shed_rate", shed as f64 / cfg.queries as f64, 4)
+        .value("admitted_total", gate.admitted_total())
+        .value("complete", complete)
+        .object(
+            "partials",
+            JsonObject::new()
+                .value("deadline", deadline)
+                .value("blocks", blocks)
+                .value("heap", heap)
+                .value("cancelled", cancelled),
+        )
+        .fixed("partial_rate", partials as f64 / executed.max(1) as f64, 4)
+        .value("p50_us", percentile(&lat, 0.50))
+        .value("p99_us", percentile(&lat, 0.99))
+        .value("degraded_reads", db.stats().degraded_reads())
+        .value("result_mismatches", mismatches)
+        .value("invariant_violations", violations)
+        .document();
     std::fs::write(&cfg.out, &json).expect("write results json");
     println!("{json}");
 
@@ -369,7 +234,7 @@ fn main() {
         std::process::exit(1);
     }
     if violations > 0 {
-        eprintln!("FAIL: {violations} progress/overshoot invariant violations");
+        eprintln!("FAIL: {violations} progress/overshoot/partial-soundness invariant violations");
         std::process::exit(1);
     }
     if executed + shed != cfg.queries as u64 {

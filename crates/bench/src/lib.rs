@@ -5,9 +5,15 @@
 //! and table printing. Absolute numbers differ from the paper's 2008 testbed
 //! (see DESIGN.md §3 — I/O is simulated and charged through a
 //! [`CostModel`]); the reproduction target is the *shape* of each figure.
+//!
+//! The concurrency and robustness harnesses draw their queries from [`mix`];
+//! every binary reads its command line and writes its report through [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli;
+pub mod mix;
 
 use pcube_core::{
     run_class_engine, BooleanIndexSet, Engine, PCubeConfig, PCubeDb, QueryBudget, QueryClass,

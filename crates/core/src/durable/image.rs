@@ -345,7 +345,8 @@ mod tests {
             db.checkpoint().expect("checkpoint");
             let before: Vec<Vec<u8>> = {
                 let pager = db.master.rtree.pager();
-                pager.live_page_ids().iter().map(|&p| pager.read_uncounted(p).to_vec()).collect()
+                let live = pager.live_page_ids();
+                live.iter().filter_map(|&p| pager.page_bytes(p)).map(<[u8]>::to_vec).collect()
             };
             let fresh = |k: u32| MaintenanceOp::Insert {
                 codes: vec![10 + k, 20 + k],
@@ -369,7 +370,7 @@ mod tests {
                     .live_page_ids()
                     .into_iter()
                     .zip(&before)
-                    .find(|(pid, bytes)| twin_pager.read_uncounted(*pid) == &bytes[..])
+                    .find(|(pid, bytes)| twin_pager.page_bytes(*pid) == Some(&bytes[..]))
                     .map(|(pid, _)| pid)
                     .expect("some R-tree page is not on the insert path");
                 let master = db.master_mut();
@@ -396,7 +397,7 @@ mod tests {
                     pager
                         .live_page_ids()
                         .into_iter()
-                        .map(move |pid| (kind, pid, pager.read_uncounted(pid).to_vec()))
+                        .filter_map(move |pid| Some((kind, pid, pager.page_bytes(pid)?.to_vec())))
                 })
                 .collect()
         };

@@ -603,11 +603,6 @@ impl DurableDb {
         self.crash = Some(plan);
     }
 
-    /// Removes the crash plan, returning it with its event counter.
-    pub fn take_crash_plan(&mut self) -> Option<CrashPlan> {
-        self.crash.take()
-    }
-
     /// Durability events observed by the installed plan so far.
     pub fn crash_events_seen(&self) -> u64 {
         self.crash.as_ref().map_or(0, |p| p.events_seen())

@@ -166,26 +166,32 @@ pub fn for_each_partial(
     assert_eq!(uncoded, 0, "decomposition must cover every node");
 }
 
-/// The decomposition of [`for_each_partial`] as decoded partials (tests,
-/// diagnostics and benches; the store writes the records as they come).
-pub fn decompose(sig: &Signature, height: usize, payload_limit: usize) -> Vec<PartialSignature> {
-    let mut partials = Vec::new();
-    for_each_partial(sig, height, payload_limit, |_, record| {
-        partials.push(decode_partial(record, sig.m_max()).expect("a record just encoded decodes"));
-    });
-    partials
-}
-
-/// Reassembles a signature from all of its partials.
-pub fn reassemble(m_max: usize, partials: &[PartialSignature]) -> Signature {
-    Signature::from_nodes(m_max, partials.iter().flat_map(|p| p.nodes.iter().cloned()).collect())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use pcube_rtree::Path;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The decomposition of [`for_each_partial`] as decoded partials (the
+    /// store writes the records as they come).
+    fn decompose(sig: &Signature, height: usize, payload_limit: usize) -> Vec<PartialSignature> {
+        let mut partials = Vec::new();
+        for_each_partial(sig, height, payload_limit, |_, record| {
+            partials
+                .push(decode_partial(record, sig.m_max()).expect("a record just encoded decodes"));
+        });
+        partials
+    }
+
+    /// Reassembles a signature from all of its partials.
+    fn reassemble(m_max: usize, partials: &[PartialSignature]) -> Signature {
+        Signature::from_nodes(
+            m_max,
+            partials.iter().flat_map(|p| p.nodes.iter().cloned()).collect(),
+        )
+    }
 
     fn encoded_node_len(sid: Sid, bits: &BitArray) -> usize {
         varint_len(sid.0) + pcube_bitmap::adaptive_len(bits)
@@ -334,5 +340,35 @@ mod tests {
         let sig = Signature::empty(4);
         assert!(decompose(&sig, 3, 100).is_empty());
         assert!(reassemble(4, &[]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A random set of distinct depth-3 tuple paths over fanout 4: every
+        /// node is coded once, every partial fits the limit and round-trips,
+        /// and the partials reassemble to the signature.
+        #[test]
+        fn decompose_covers_each_node_once(
+            paths in prop::collection::hash_set((1u16..=4, 1u16..=4, 1u16..=4), 0..40),
+            limit in 16usize..300,
+        ) {
+            let paths: Vec<Path> = paths.into_iter().map(|(a, b, c)| Path(vec![a, b, c])).collect();
+            let sig = Signature::from_paths(4, paths.iter());
+            let partials = decompose(&sig, 3, limit);
+            let coded: usize = partials.iter().map(|p| p.nodes.len()).sum();
+            prop_assert_eq!(coded, sig.node_count());
+            let mut seen = HashSet::new();
+            for p in &partials {
+                let enc = encode_partial(p);
+                prop_assert!(enc.len() <= limit, "partial {} bytes > {limit}", enc.len());
+                let dec = decode_partial(&enc, 4).expect("roundtrip");
+                prop_assert_eq!(dec.root_sid, p.root_sid);
+                for (sid, _) in &p.nodes {
+                    prop_assert!(seen.insert(*sid), "node {sid} coded twice");
+                }
+            }
+            prop_assert_eq!(reassemble(4, &partials), sig);
+        }
     }
 }

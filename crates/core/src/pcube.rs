@@ -452,11 +452,6 @@ impl PCubeDb {
         self.admission = Some(gate);
     }
 
-    /// Removes the admission gate; [`Self::admit`] becomes a free pass.
-    pub fn clear_admission_gate(&mut self) {
-        self.admission = None;
-    }
-
     /// The installed admission gate, if any (for its admit/shed tallies).
     pub fn admission_gate(&self) -> Option<&crate::admission::AdmissionGate> {
         self.admission.as_ref()

@@ -98,12 +98,6 @@ impl WeightedDistanceFn {
         );
         WeightedDistanceFn { target, weights }
     }
-
-    /// Unweighted squared Euclidean distance to `target`.
-    pub fn euclidean(target: Vec<f64>) -> Self {
-        let w = vec![1.0; target.len()];
-        Self::new(target, w)
-    }
 }
 
 impl RankingFunction for WeightedDistanceFn {

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 use pcube_bitmap::BitArray;
 use pcube_bptree::{composite_key, split_key, BPlusTree};
 use pcube_rtree::{Path, Sid};
-use pcube_storage::{read_u32, write_u32, IoCategory, Pager, StorageError};
+use pcube_storage::{read_u32, write_u32, IoCategory, PageOp, Pager, StorageError};
 
 use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
 use crate::signature::{walk_path, Signature};
@@ -67,12 +67,6 @@ impl SignatureStore {
             height,
             payload_limit,
         }
-    }
-
-    /// Decomposes the store for persistence: `(signature pager, directory
-    /// tree, m_max, height)`.
-    pub fn into_parts(self) -> (Pager, BPlusTree, usize, usize) {
-        (self.pager, self.directory, self.m_max, self.height)
     }
 
     /// Borrowed view of the parts (for serialization without consuming).
@@ -437,7 +431,9 @@ impl SignatureStore {
                 } else {
                     // Copy the untouched record verbatim.
                     let (p, off) = ref_set[&r];
-                    let page = self.pager.read_uncounted(p);
+                    let page = self.pager.page_bytes(p).unwrap_or_else(|| {
+                        panic!("{}", StorageError::DeadPage { pid: p, op: PageOp::Read })
+                    });
                     let len = read_u32(page, off) as usize;
                     page[off + RECORD_HEADER..off + RECORD_HEADER + len].to_vec()
                 };

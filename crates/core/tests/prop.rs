@@ -1,11 +1,11 @@
 //! Property tests for the signature life cycle: generation, boolean
-//! algebra, incremental set/clear, decomposition and the lazy cursor.
+//! algebra, incremental set/clear and the lazy cursor (the decomposition
+//! property lives beside `encode::for_each_partial`).
 //!
 //! Runs are fully reproducible: the vendored proptest derives its RNG seed
 //! deterministically from the test's module path and name (override with
 //! `PROPTEST_SEED`), so every CI run replays the identical case sequence.
 
-use pcube_core::encode::{decode_partial, decompose, encode_partial, reassemble};
 use pcube_core::{LinearFn, MinCoordSum, RankingFunction, Signature, SignatureStore, WeightedDistanceFn};
 use pcube_rtree::{Mbr, Path};
 use pcube_storage::{IoCategory, IoStats, Pager};
@@ -87,25 +87,6 @@ proptest! {
             paths.iter().enumerate().filter(|(i, _)| *i != v).map(|(_, p)| p.clone()).collect();
         let expect = Signature::from_paths(M, rest.iter());
         prop_assert_eq!(sig, expect);
-    }
-
-    #[test]
-    fn decompose_covers_each_node_once(paths in arb_paths(), limit in 16usize..300) {
-        let sig = Signature::from_paths(M, paths.iter());
-        let partials = decompose(&sig, HEIGHT, limit);
-        let coded: usize = partials.iter().map(|p| p.nodes.len()).sum();
-        prop_assert_eq!(coded, sig.node_count());
-        let mut seen = HashSet::new();
-        for p in &partials {
-            let enc = encode_partial(p);
-            prop_assert!(enc.len() <= limit, "partial {} bytes > {limit}", enc.len());
-            let dec = decode_partial(&enc, M).expect("roundtrip");
-            prop_assert_eq!(dec.root_sid, p.root_sid);
-            for (sid, _) in &p.nodes {
-                prop_assert!(seen.insert(*sid), "node {sid} coded twice");
-            }
-        }
-        prop_assert_eq!(reassemble(M, &partials), sig);
     }
 
     #[test]

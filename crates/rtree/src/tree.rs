@@ -1,7 +1,7 @@
 //! The R-tree proper: construction, mutation (with path tracking) and node
 //! access for the query processors.
 
-use pcube_storage::{PageId, Pager};
+use pcube_storage::{PageId, PageOp, Pager, StorageError};
 
 use crate::geom::Mbr;
 use crate::node::{self, DecodedEntry, DecodedNode, Layout, NodeView};
@@ -254,7 +254,18 @@ impl RTree {
     /// Reads and decodes a node without charging I/O (for rebuild passes and
     /// invariant checks, not query processing).
     pub fn read_node_uncounted(&self, pid: PageId) -> DecodedNode {
-        node::decode(self.pager.read_uncounted(pid), &self.layout)
+        node::decode(self.page(pid), &self.layout)
+    }
+
+    /// A live page's bytes as memory holds them: uncounted, unfaulted,
+    /// unverified.
+    ///
+    /// # Panics
+    /// Panics if `pid` is not a live page.
+    fn page(&self, pid: PageId) -> &[u8] {
+        self.pager
+            .page_bytes(pid)
+            .unwrap_or_else(|| panic!("{}", StorageError::DeadPage { pid, op: PageOp::Read }))
     }
 
     /// Visits every tuple with its path, in depth-first slot order.
@@ -520,7 +531,7 @@ impl RTree {
         let mut freed = std::collections::HashSet::new();
         for i in (1..leaf_steps.len()).rev() {
             let pid = leaf_steps[i];
-            let n = node::count_occupied(self.pager.read_uncounted(pid), &self.layout);
+            let n = node::count_occupied(self.page(pid), &self.layout);
             if n > 0 {
                 break;
             }
@@ -537,7 +548,7 @@ impl RTree {
                 continue;
             }
             let mbr =
-                node::decode(self.pager.read_uncounted(child_pid), &self.layout).mbr(self.config.dims);
+                node::decode(self.page(child_pid), &self.layout).mbr(self.config.dims);
             let slot = path.0[i - 1] as usize - 1;
             self.pager.update(leaf_steps[i - 1], |p| {
                 node::write_internal_entry(p, &self.layout, slot, child_pid, &mbr);
@@ -653,11 +664,11 @@ impl RTree {
             let child_pid = steps[i].pid;
             // Skip nodes that were freed by a delete.
             let mbr = {
-                let page = self.pager.read_uncounted(steps[i - 1].pid);
+                let page = self.page(steps[i - 1].pid);
                 if !node::occupied(page, steps[i].slot_in_parent) {
                     continue;
                 }
-                node::decode(self.pager.read_uncounted(child_pid), &self.layout)
+                node::decode(self.page(child_pid), &self.layout)
                     .mbr(self.config.dims)
             };
             let slot = steps[i].slot_in_parent;

@@ -1,9 +1,9 @@
-//! A small LRU buffer pool layered over a [`Pager`].
+//! A sharded LRU buffer pool layered over a [`Pager`].
 //!
 //! The paper's query-time I/O counts assume a cold cache per query (every node
-//! visit is a block retrieval). The buffer pool exists for the ablation
-//! experiments that ask how much a warm cache changes the picture: reads served
-//! from the pool are *not* charged to the ledger, only misses are.
+//! visit is a block retrieval). The buffer pool exists to ask how much a warm
+//! cache changes the picture: reads served from the pool are *not* charged to
+//! the ledger, only misses are.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,122 +12,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use crate::page::PageId;
 use crate::pager::Pager;
 
-/// LRU read cache with hit/miss accounting.
-///
-/// Only caches reads; writes go straight through to the pager and invalidate
-/// any cached copy.
-#[derive(Debug)]
-pub struct BufferPool {
-    capacity: usize,
-    /// Map page id -> slot in `entries`.
-    map: HashMap<PageId, usize>,
-    /// Cached pages in arbitrary slot order.
-    entries: Vec<(PageId, Box<[u8]>, u64)>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl BufferPool {
-    /// Creates a pool that holds up to `capacity` pages.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer pool capacity must be positive");
-        BufferPool {
-            capacity,
-            map: HashMap::with_capacity(capacity),
-            entries: Vec::with_capacity(capacity),
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of read requests served from the pool.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of read requests that had to touch the pager.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Pages currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Reads `pid`, consulting the cache first. A miss charges one counted
-    /// read on `pager` and installs the page, evicting the least recently
-    /// used entry if the pool is full.
-    ///
-    /// A failed pager read (dead page, injected fault, checksum mismatch)
-    /// is propagated as a typed [`crate::StorageError`] and nothing is
-    /// cached, so a later retry re-reads the underlying page. There is
-    /// deliberately no infallible wrapper: pool reads sit on query paths,
-    /// which must surface storage errors, never panic on them.
-    pub fn try_read<'a>(
-        &'a mut self,
-        pager: &Pager,
-        pid: PageId,
-    ) -> Result<&'a [u8], crate::StorageError> {
-        self.clock += 1;
-        if let Some(&slot) = self.map.get(&pid) {
-            self.hits += 1;
-            self.entries[slot].2 = self.clock;
-            return Ok(&self.entries[slot].1);
-        }
-        self.misses += 1;
-        let data: Box<[u8]> = pager.try_read(pid)?.into();
-        let slot = if self.entries.len() < self.capacity {
-            self.entries.push((pid, data, self.clock));
-            self.entries.len() - 1
-        } else {
-            // Evict the entry with the smallest timestamp.
-            let (victim, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.2)
-                .expect("capacity > 0");
-            let old = self.entries[victim].0;
-            self.map.remove(&old);
-            self.entries[victim] = (pid, data, self.clock);
-            victim
-        };
-        self.map.insert(pid, slot);
-        Ok(&self.entries[slot].1)
-    }
-
-    /// Writes through to the pager and invalidates any cached copy of `pid`.
-    pub fn write(&mut self, pager: &mut Pager, pid: PageId, data: &[u8]) {
-        if let Some(slot) = self.map.remove(&pid) {
-            // Keep slot layout simple: replace with the new contents rather
-            // than compacting the vector.
-            self.entries[slot] = (pid, data.into(), self.clock);
-            self.map.insert(pid, slot);
-        }
-        pager.write(pid, data);
-    }
-
-    /// Drops every cached page (e.g. between queries to model a cold cache).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-    }
-}
-
 /// One lock-protected slice of a [`ShardedBufferPool`]: an independent LRU
-/// cache identical in policy to [`BufferPool`], but holding `Arc<[u8]>`
-/// pages so hits can hand out references without copying or pinning.
+/// cache holding `Arc<[u8]>` pages, so hits can hand out references without
+/// copying or pinning.
 #[derive(Debug)]
 struct BufferShard {
     capacity: usize,
@@ -225,13 +112,12 @@ impl Shard {
 /// mutex, with lock-free hit/miss accounting.
 ///
 /// Pages hash to a shard by page id, so concurrent readers of different
-/// pages almost never contend on the same lock. Each shard runs the same
-/// LRU policy as the single-threaded [`BufferPool`]; capacity is divided
-/// evenly across shards (so the worst-case resident set is `capacity`
-/// pages, not `capacity × shards`).
+/// pages almost never contend on the same lock. Each shard evicts its
+/// least recently used page; capacity is divided evenly across shards (so
+/// the worst-case resident set is `capacity` pages, not `capacity ×
+/// shards`).
 ///
-/// Like [`BufferPool`], only misses charge a counted read on the pager;
-/// hits are free.
+/// Only misses charge a counted read on the pager; hits are free.
 ///
 /// # Lock hierarchy
 ///
@@ -454,67 +340,19 @@ mod tests {
     }
 
     #[test]
-    fn repeated_reads_hit_the_cache() {
-        let (pager, pids) = setup(1);
-        let mut pool = BufferPool::new(4);
-        for _ in 0..5 {
-            let page = pool.try_read(&pager, pids[0]).expect("read");
-            assert_eq!(page[0], 0);
-        }
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.hits(), 4);
-        assert_eq!(pager.stats().reads(IoCategory::RtreeBlock), 1);
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
+    fn a_shard_evicts_its_least_recently_used_page() {
         let (pager, pids) = setup(3);
-        let mut pool = BufferPool::new(2);
-        pool.try_read(&pager, pids[0]).expect("read"); // miss
-        pool.try_read(&pager, pids[1]).expect("read"); // miss
-        pool.try_read(&pager, pids[0]).expect("read"); // hit, makes 1 the LRU
-        pool.try_read(&pager, pids[2]).expect("read"); // miss, evicts 1
-        pool.try_read(&pager, pids[0]).expect("read"); // hit
-        pool.try_read(&pager, pids[1]).expect("read"); // miss again
-        assert_eq!(pool.misses(), 4);
-        assert_eq!(pool.hits(), 2);
+        let pool = ShardedBufferPool::new(2, 1);
+        for (i, hit) in [(0, false), (1, false), (0, true), (2, false), (0, true), (1, false)] {
+            let before = pool.hits();
+            pool.try_read(&pager, pids[i]).expect("read");
+            assert_eq!(pool.hits() - before, u64::from(hit), "page 2 evicts 1, the LRU, not 0");
+        }
+        assert_eq!((pool.misses(), pool.hits()), (4, 2));
     }
 
     #[test]
-    fn write_through_updates_cached_copy() {
-        let (mut pager, pids) = setup(1);
-        let mut pool = BufferPool::new(2);
-        pool.try_read(&pager, pids[0]).expect("read");
-        pool.write(&mut pager, pids[0], &[9u8; 64]);
-        let page = pool.try_read(&pager, pids[0]).expect("read");
-        assert_eq!(page[0], 9);
-        // The post-write read must be a cache hit (write refreshed the copy).
-        assert_eq!(pool.misses(), 1);
-    }
-
-    #[test]
-    fn failed_reads_propagate_and_are_not_cached() {
-        let (mut pager, pids) = setup(1);
-        let mut pool = BufferPool::new(2);
-        pager.set_fault_plan(crate::FaultPlan::seeded(2).with_read_errors(1.0));
-        assert!(pool.try_read(&pager, pids[0]).is_err());
-        assert!(pool.is_empty(), "a failed read must not install a cache entry");
-        pager.take_fault_plan();
-        assert!(pool.try_read(&pager, pids[0]).is_ok());
-    }
-
-    #[test]
-    fn clear_models_a_cold_cache() {
-        let (pager, pids) = setup(1);
-        let mut pool = BufferPool::new(2);
-        pool.try_read(&pager, pids[0]).expect("read");
-        pool.clear();
-        pool.try_read(&pager, pids[0]).expect("read");
-        assert_eq!(pool.misses(), 2);
-    }
-
-    #[test]
-    fn sharded_pool_caches_and_counts_like_the_serial_pool() {
+    fn sharded_pool_caches_and_charges_misses_only() {
         let (pager, pids) = setup(4);
         let pool = ShardedBufferPool::new(8, 4);
         for _ in 0..3 {

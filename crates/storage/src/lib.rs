@@ -8,10 +8,9 @@
 //!
 //! * [`Pager`] — an in-memory "disk" of fixed-size pages. Every read and write
 //!   is charged to an [`IoCategory`] on a shared [`IoStats`] ledger.
-//! * [`BufferPool`] — an optional LRU read cache layered over a pager, used by
-//!   ablation experiments to study buffering effects.
-//! * [`ShardedBufferPool`] — the thread-safe variant: N independent LRU
-//!   shards, each behind its own lock, for the concurrent query engine.
+//! * [`ShardedBufferPool`] — an optional thread-safe LRU read cache layered
+//!   over a pager (N independent shards, each behind its own lock), used to
+//!   study buffering effects.
 //! * [`CostModel`] — converts an I/O ledger into modeled seconds so the
 //!   time-based figures of the paper can be reproduced independently of the
 //!   host machine's RAM speed.
@@ -52,7 +51,7 @@ mod pager;
 mod stats;
 mod wal;
 
-pub use buffer::{BufferPool, ShardedBufferPool};
+pub use buffer::ShardedBufferPool;
 pub use bytes::{read_f64, read_u16, read_u32, read_u64, write_f64, write_u16, write_u32, write_u64};
 pub use crc::crc32;
 pub use error::{ImageError, PageOp, StorageError};

@@ -294,8 +294,10 @@ impl Pager {
         self.live_pages() as u64 * self.page_size as u64
     }
 
-    /// The raw contents of a page, `None` if the slot is dead. Uncounted and
-    /// unfaulted: this is the checkpointer's view of what memory holds.
+    /// The raw contents of a page, `None` if the slot is dead. Uncounted,
+    /// unfaulted and unverified: the one view of what memory holds, for the
+    /// checkpointer and for in-memory rebuild passes the paper does not
+    /// count as query I/O.
     pub fn page_bytes(&self, pid: PageId) -> Option<&[u8]> {
         self.slot(pid.index()).map(|p| &p[..])
     }
@@ -607,17 +609,6 @@ impl Pager {
     #[inline]
     pub fn read(&self, pid: PageId) -> &[u8] {
         self.try_read(pid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Returns page contents *without* charging a disk access, bypassing
-    /// fault injection and checksum verification (a pure memory view).
-    ///
-    /// Used by callers that have their own accounting policy, e.g. the
-    /// [`crate::BufferPool`] (which charges only on cache miss) and in-memory
-    /// rebuild passes that the paper does not count as query I/O.
-    pub fn read_uncounted(&self, pid: PageId) -> &[u8] {
-        self.slot(pid.index())
-            .unwrap_or_else(|| panic!("{}", StorageError::DeadPage { pid, op: PageOp::Read }))
     }
 
     /// Overwrites a page, charging one write. `data` must be exactly one page.
@@ -1009,7 +1000,7 @@ mod tests {
         assert_eq!(stats.total_reads() + stats.total_writes(), 0);
         p.write(pid, &[1u8; 64]);
         let _ = p.read(pid);
-        let _ = p.read_uncounted(pid);
+        let _ = p.page_bytes(pid);
         p.update(pid, |b| b[0] = 2);
         assert_eq!(stats.reads(IoCategory::BptreePage), 2); // read + update
         assert_eq!(stats.writes(IoCategory::BptreePage), 2); // write + update
@@ -1189,16 +1180,33 @@ mod tests {
 
     #[test]
     fn torn_writes_are_detected_by_checksums() {
-        let mut p = Pager::new(64, IoCategory::SignaturePage, IoStats::new_shared());
-        let a = p.allocate();
-        p.set_checksums(true);
-        p.set_fault_plan(FaultPlan::seeded(3).with_torn_writes(1.0));
-        p.try_write(a, &[0xAB; 64]).unwrap();
-        assert_eq!(p.fault_counts().unwrap().torn_writes, 1);
-        assert!(
-            matches!(p.try_read(a), Err(StorageError::Corrupt { .. })),
-            "a torn write of nonzero bytes over a zeroed page must break the checksum"
-        );
+        // A write the plan damages lands silently under the checksum of the
+        // bytes that were meant: the next verified read finds it and
+        // quarantines the page. The third row fails if `try_update` flips
+        // the bit before it takes the checksum — the sum would then cover
+        // the flipped byte and the read would verify.
+        type Damage = fn(&mut Pager, PageId);
+        let write: Damage = |p, a| p.try_write(a, &[0xAB; 64]).unwrap();
+        let update: Damage = |p, a| p.try_update(a, |page| page[0] = 0xAB).unwrap();
+        let torn = FaultCounts { torn_writes: 1, ..FaultCounts::default() };
+        let flipped = FaultCounts { bit_flips: 1, ..FaultCounts::default() };
+        for (what, plan, damage, injected) in [
+            ("torn write", FaultPlan::seeded(3).with_torn_writes(1.0), write, torn),
+            ("bit-flipped write", FaultPlan::seeded(3).with_bit_flips(1.0), write, flipped),
+            ("bit-flipped update", FaultPlan::seeded(3).with_bit_flips(1.0), update, flipped),
+        ] {
+            let mut p = Pager::new(64, IoCategory::SignaturePage, IoStats::new_shared());
+            let a = p.allocate();
+            p.set_checksums(true);
+            p.set_fault_plan(plan);
+            damage(&mut p, a);
+            assert_eq!(p.fault_counts().unwrap(), injected, "{what}");
+            assert!(
+                matches!(p.try_read(a), Err(StorageError::Corrupt { .. })),
+                "a {what} of nonzero bytes over a zeroed page must break the checksum"
+            );
+            assert!(p.is_quarantined(a), "a {what} is quarantined by the read that finds it");
+        }
     }
 
     #[test]
@@ -1279,8 +1287,8 @@ mod tests {
         assert!(!q.checksums_enabled(), "a persist-v2 pager comes back as it was built");
         assert_eq!(q.page_size(), 64);
         assert_eq!(q.live_pages(), 2);
-        assert_eq!(q.read_uncounted(a)[0], 1);
-        assert_eq!(q.read_uncounted(c)[0], 3);
+        assert_eq!(q.page_bytes(a).map(|s| s[0]), Some(1));
+        assert_eq!(q.page_bytes(c).map(|s| s[0]), Some(3));
         // The free list survives: the next allocation reuses b.
         let mut q = q;
         assert_eq!(q.allocate(), b);
@@ -1332,7 +1340,7 @@ mod tests {
         assert_eq!(p.take_dirty(), vec![a, b], "drain is in ascending page order");
 
         let _ = p.read(a);
-        let _ = p.read_uncounted(b);
+        let _ = p.page_bytes(b);
         assert_eq!(p.dirty_len(), 0, "reads never dirty");
 
         p.free(a);

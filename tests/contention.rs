@@ -13,64 +13,12 @@
 //!    holding the shard lock across the pager read, or looping waiters
 //!    without making progress — blows through the bound.
 
-use pcube::core::{
-    DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, ParallelOptions, SkylineClass,
-    TopKClass,
-};
-use pcube::cube::Selection;
-use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
+use pcube::core::{PCubeConfig, PCubeDb};
+use pcube::data::{synthetic, Distribution, SyntheticSpec};
 use pcube::storage::{IoCategory, IoStats, Pager, ShardedBufferPool, PAGE_SIZE};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pcube_bench::mix::{mix, Case, Row};
 
 const CLIENT_THREADS: usize = 8;
-
-/// One query of the hot-cell workload.
-#[derive(Clone)]
-enum Query {
-    TopK { sel: Selection, k: usize, weights: Vec<f64> },
-    Skyline { sel: Selection },
-    Dynamic { sel: Selection, q: Vec<f64> },
-    Hull { sel: Selection },
-}
-
-/// A canonicalized answer, comparable with `==` across runs.
-#[derive(Clone, PartialEq, Debug)]
-enum Answer {
-    TopK(Vec<(u64, Vec<f64>, f64)>),
-    Skyline(Vec<(u64, Vec<f64>)>),
-    Hull(Vec<(u64, [f64; 2])>),
-}
-
-fn run_serial(db: &PCubeDb, q: &Query) -> Answer {
-    match q {
-        Query::TopK { sel, k, weights } => {
-            Answer::TopK(db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone()))).rows)
-        }
-        Query::Skyline { sel } => Answer::Skyline(db.run(sel, &SkylineClass::new(vec![0, 1])).rows),
-        Query::Dynamic { sel, q } => {
-            Answer::Skyline(db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1])).rows)
-        }
-        Query::Hull { sel } => Answer::Hull(db.run(sel, &HullClass::new((0, 1))).rows),
-    }
-}
-
-fn run_parallel(db: &PCubeDb, q: &Query, workers: usize) -> Answer {
-    let opts = ParallelOptions::with_workers(workers);
-    match q {
-        Query::TopK { sel, k, weights } => {
-            let f = LinearFn::new(weights.clone());
-            Answer::TopK(db.par_run(sel, &TopKClass::new(*k, &f), opts).rows)
-        }
-        Query::Skyline { sel } => {
-            Answer::Skyline(db.par_run(sel, &SkylineClass::new(vec![0, 1]), opts).rows)
-        }
-        Query::Dynamic { sel, q } => {
-            Answer::Skyline(db.par_run(sel, &DynamicSkylineClass::new(q, vec![0, 1]), opts).rows)
-        }
-        Query::Hull { sel } => Answer::Hull(db.par_run(sel, &HullClass::new((0, 1)), opts).rows),
-    }
-}
 
 fn build_db() -> PCubeDb {
     let spec = SyntheticSpec {
@@ -84,22 +32,11 @@ fn build_db() -> PCubeDb {
     PCubeDb::build(synthetic(&spec), &PCubeConfig::default())
 }
 
-/// A *small* hot set (6 distinct queries) that every thread loops over many
-/// times — unlike a broad workload, contention concentrates on the same
-/// cells, pages and shared bounds.
-fn build_hot_set(db: &PCubeDb) -> Vec<Query> {
-    let mut rng = StdRng::seed_from_u64(13);
-    (0..6)
-        .map(|i| {
-            let sel = sample_selection(db.relation(), i % 3, &mut rng);
-            match i % 4 {
-                0 => Query::TopK { sel, k: 5 + i, weights: vec![0.3, 0.7] },
-                1 => Query::Skyline { sel },
-                2 => Query::Dynamic { sel, q: vec![0.4, 0.6] },
-                _ => Query::Hull { sel },
-            }
-        })
-        .collect()
+/// A *small* hot set (one query of each of the six classes) that every
+/// thread loops over many times — unlike a broad workload, contention
+/// concentrates on the same cells, pages and shared bounds.
+fn build_hot_set(db: &PCubeDb) -> Vec<Case> {
+    mix(db.relation(), 6, 13)
 }
 
 /// 8 client threads loop a 6-query hot set; each iteration runs the parallel
@@ -110,7 +47,7 @@ fn build_hot_set(db: &PCubeDb) -> Vec<Query> {
 fn hot_cell_contention_parallel_answers_bit_identical_at_2_4_8_workers() {
     let db = build_db();
     let hot = build_hot_set(&db);
-    let expected: Vec<Answer> = hot.iter().map(|q| run_serial(&db, q)).collect();
+    let expected: Vec<Vec<Row>> = hot.iter().map(|q| q.run(&db, 0, None).rows).collect();
     const ROUNDS: usize = 8;
 
     std::thread::scope(|scope| {
@@ -123,7 +60,7 @@ fn hot_cell_contention_parallel_answers_bit_identical_at_2_4_8_workers() {
                         // worker count runs concurrently with every other.
                         let workers = 1 << (1 + (t + round + i) % 3);
                         assert_eq!(
-                            run_parallel(db, q, workers),
+                            q.run(db, workers, None).rows,
                             expected[i],
                             "thread {t}, round {round}, hot query {i}, {workers} workers"
                         );
@@ -140,7 +77,7 @@ fn hot_cell_contention_parallel_answers_bit_identical_at_2_4_8_workers() {
 fn hot_cell_contention_serial_answers_bit_identical() {
     let db = build_db();
     let hot = build_hot_set(&db);
-    let expected: Vec<Answer> = hot.iter().map(|q| run_serial(&db, q)).collect();
+    let expected: Vec<Vec<Row>> = hot.iter().map(|q| q.run(&db, 0, None).rows).collect();
 
     std::thread::scope(|scope| {
         for t in 0..CLIENT_THREADS {
@@ -149,7 +86,7 @@ fn hot_cell_contention_serial_answers_bit_identical() {
                 for round in 0..8 {
                     for (i, q) in hot.iter().enumerate() {
                         assert_eq!(
-                            run_serial(db, q),
+                            q.run(db, 0, None).rows,
                             expected[i],
                             "thread {t}, round {round}, hot query {i}"
                         );

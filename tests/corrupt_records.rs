@@ -56,7 +56,7 @@ fn records_of(db: &PCubeDb, cell: u32) -> Vec<(Sid, PageId, usize, usize)> {
         .range(composite_key(cell, 0)..=composite_key(cell, u32::MAX))
         .map(|(key, locator)| {
             let (pid, offset) = (PageId((locator >> 32) as u32), (locator & 0xFFFF_FFFF) as usize);
-            let len = read_u32(sig_pager.read_uncounted(pid), offset) as usize;
+            let len = read_u32(sig_pager.page_bytes(pid).expect("a live page"), offset) as usize;
             (Sid(key & 0xFFFF_FFFF), pid, offset, len)
         })
         .collect()
@@ -71,7 +71,7 @@ fn every_flip_and_truncation_of_a_record_decodes_or_is_refused() {
     let mut refused = 0usize;
     for &(_, pid, offset, len) in &records {
         let start = offset + RECORD_HEADER;
-        let record = sig_pager.read_uncounted(pid)[start..start + len].to_vec();
+        let record = sig_pager.page_bytes(pid).expect("a live page")[start..start + len].to_vec();
         assert!(decode_partial(&record, m_max).is_some(), "the stored record decodes");
         let mut check = |bytes: &[u8], what: String| {
             let (decoded, largest) = largest_allocation_of(|| decode_partial(bytes, m_max));
@@ -137,7 +137,7 @@ fn a_flipped_stored_record_is_malformed_quarantined_and_degrades_the_cursor() {
     let pager = db.signature_store_mut().sig_pager_mut();
     for (i, &byte) in poisoned.iter().enumerate() {
         let at = offset + RECORD_HEADER + i;
-        let old = pager.read_uncounted(pid)[at];
+        let old = pager.page_bytes(pid).expect("a live page")[at];
         pager.corrupt_page(pid, at, old ^ byte).expect("live page");
     }
     let mut tuple_paths: Vec<Path> = Vec::new();

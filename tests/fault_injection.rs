@@ -149,20 +149,34 @@ fn corrupt_image_sweep_errors_cleanly_or_answers_correctly() {
 
 /// 120 seeded fault plans on the signature (and sometimes directory) pager,
 /// each answering skyline, top-k, dynamic-skyline and convex-hull queries
-/// under 0–2 predicates. Answers must match the oracles / the fault-free
-/// twin exactly; the degradation counter must have fired somewhere.
+/// under 0–2 predicates. Every fourth plan also flips a bit in about a third
+/// of the pages written under it, and the store — checksums on — is written
+/// once more before the queries run. Answers must match the oracles / the
+/// fault-free twin exactly; the degradation counter must have fired
+/// somewhere, and flipped pages must have been found and quarantined.
 #[test]
 fn query_time_fault_sweep_stays_correct() {
     let image = clean_image();
     let clean = PCubeDb::load_from_bytes(image).expect("clean image loads");
     let mut degraded_total = 0u64;
+    let (mut flipped_total, mut quarantined_total) = (0u64, 0u64);
     for seed in 0..120u64 {
         let mut db = PCubeDb::load_from_bytes(image).expect("clean image loads");
         let mut rng = StdRng::seed_from_u64(1_000 + seed);
         let p = 0.1 + 0.8 * rng.gen::<f64>();
-        db.signature_store_mut()
-            .sig_pager_mut()
-            .set_fault_plan(FaultPlan::seeded(seed).with_read_errors(p));
+        let plan = FaultPlan::seeded(seed).with_read_errors(p);
+        let pager = db.signature_store_mut().sig_pager_mut();
+        if seed % 4 == 1 {
+            pager.set_checksums(true);
+            pager.set_fault_plan(plan.with_bit_flips(0.3));
+            for pid in pager.live_page_ids() {
+                let bytes = pager.page_bytes(pid).expect("a live page").to_vec();
+                pager.try_write(pid, &bytes).expect("a flipped write reports success");
+            }
+            flipped_total += pager.fault_counts().map_or(0, |c| c.bit_flips);
+        } else {
+            pager.set_fault_plan(plan);
+        }
         if seed % 3 == 0 {
             // Every third scenario also makes the signature directory flaky.
             db.signature_store_mut()
@@ -185,11 +199,14 @@ fn query_time_fault_sweep_stays_correct() {
             assert_eq!(ga, gb, "{label}: hull mismatch for {sel:?}");
         }
         degraded_total += db.stats().degraded_reads();
+        quarantined_total += db.stats().pages_quarantined();
     }
     assert!(
         degraded_total > 0,
         "sweeping 120 fault plans should have triggered at least one degraded read"
     );
+    assert!(flipped_total > 0, "30 plans at p = 0.3 over every live page must flip some bit");
+    assert!(quarantined_total > 0, "a flipped page is quarantined by the read that finds it");
 }
 
 // --------------------------------------------------------- targeted checks --

@@ -10,87 +10,35 @@
 //!   even while the signature pagers are injecting seeded read faults
 //!   (graceful degradation must not bend answers, only cost);
 //! * **`Partial` is honest** — the reason matches a budget that was actually
-//!   set, the progress counters agree with the returned rows, serial top-k
-//!   partials are prefixes and serial skyline partials sound subsets, and
-//!   parallel partials contain only tuples satisfying the selection;
+//!   set, the progress counters agree with the returned rows, and the rows
+//!   keep what their class documents (`Case::check_partial`: serial top-k
+//!   partials are prefixes and serial skyline partials sound subsets;
+//!   p-skyline and parallel partials contain only tuples satisfying the
+//!   selection);
 //! * **deadline overshoot ≤ one kernel pop** — the cooperative-checking
 //!   guarantee `overshoot_seconds <= max_pop_seconds`, asserted on every
 //!   deadline trip.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pcube::core::{
-    AdmissionGate, CancelToken, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb,
-    ParallelOptions, Progress, QueryBudget, QueryOutcome, QueryStats, SkylineClass, StopReason,
-    TopKClass,
+    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, QueryBudget, QueryOutcome, StopReason,
 };
-use pcube::cube::Selection;
-use pcube::data::{sample_selection, synthetic, SyntheticSpec};
+use pcube::data::{synthetic, SyntheticSpec};
 use pcube::storage::FaultPlan;
+use pcube_bench::mix::{drain, mix, Case, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREADS: usize = 8;
 const TOTAL_QUERIES: usize = 5_000;
-const DISTINCT_CASES: usize = 64;
-
-#[derive(Clone)]
-enum Query {
-    TopK { sel: Selection, k: usize, weights: Vec<f64> },
-    Skyline { sel: Selection },
-    Dynamic { sel: Selection, q: Vec<f64> },
-    Hull { sel: Selection },
-}
-
-/// A canonicalized answer, comparable with `==` across threads and runs.
-#[derive(Clone, PartialEq, Debug)]
-enum Answer {
-    TopK(Vec<(u64, Vec<f64>, f64)>),
-    Skyline(Vec<(u64, Vec<f64>)>),
-    Hull(Vec<(u64, [f64; 2])>),
-}
-
-struct Case {
-    query: Query,
-    oracle: Answer,
-}
-
-fn build_cases(db: &PCubeDb, seed: u64) -> Vec<Case> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..DISTINCT_CASES)
-        .map(|i| {
-            let sel = sample_selection(db.relation(), i % 3, &mut rng);
-            let query = match i % 4 {
-                0 => Query::TopK {
-                    sel,
-                    k: 3 + i % 16,
-                    weights: vec![0.2 + 0.1 * (i % 7) as f64, 0.9 - 0.1 * (i % 5) as f64],
-                },
-                1 => Query::Skyline { sel },
-                2 => Query::Dynamic {
-                    sel,
-                    q: vec![0.1 * (i % 10) as f64, 1.0 - 0.1 * (i % 10) as f64],
-                },
-                _ => Query::Hull { sel },
-            };
-            let oracle = match &query {
-                Query::TopK { sel, k, weights } => Answer::TopK(
-                    db.run(sel, &TopKClass::new(*k, &LinearFn::new(weights.clone()))).rows,
-                ),
-                Query::Skyline { sel } => {
-                    Answer::Skyline(db.run(sel, &SkylineClass::new(vec![0, 1])).rows)
-                }
-                Query::Dynamic { sel, q } => {
-                    Answer::Skyline(db.run(sel, &DynamicSkylineClass::new(q, vec![0, 1])).rows)
-                }
-                Query::Hull { sel } => Answer::Hull(db.run(sel, &HullClass::new((0, 1))).rows),
-            };
-            Case { query, oracle }
-        })
-        .collect()
-}
+/// Coprime to the ten governance slots of [`governance_for`]: query `i` runs
+/// case `i % 63` under arm `i % 10`, so every case — hence every class —
+/// meets every arm.
+const DISTINCT_CASES: usize = 63;
 
 /// How query `i` is governed, derived deterministically from its index.
 enum Governance {
@@ -141,11 +89,16 @@ struct Tally {
     blocks: AtomicU64,
     heap: AtomicU64,
     cancelled: AtomicU64,
+    /// Which class ended how (`None` = complete), serial and parallel.
+    ended: Mutex<BTreeSet<(&'static str, Option<String>, bool)>>,
 }
 
 impl Tally {
-    fn record(&self, outcome: &QueryOutcome) {
-        let counter = match outcome.partial_reason() {
+    fn record(&self, kind: &'static str, outcome: &QueryOutcome, serial: bool) {
+        let reason = outcome.partial_reason();
+        let ended = (kind, reason.map(|r| r.to_string()), serial);
+        self.ended.lock().expect("no holder panics").insert(ended);
+        let counter = match reason {
             None => &self.complete,
             Some(StopReason::DeadlineExceeded) => &self.deadline,
             Some(StopReason::BlockBudgetExceeded) => &self.blocks,
@@ -156,32 +109,6 @@ impl Tally {
     }
 }
 
-/// The per-partial invariants every engine must honor. `exact_rows` is
-/// false only for hulls, whose `results_so_far` counts the points *visited*
-/// (the returned rows are the hull of those, necessarily no larger).
-fn check_progress(i: usize, stats: &QueryStats, rows: usize, serial: bool, exact_rows: bool) {
-    let QueryOutcome::Partial { reason, progress } = &stats.outcome else {
-        return;
-    };
-    let Progress { results_so_far, overshoot_seconds, max_pop_seconds, frontier, .. } = *progress;
-    if exact_rows {
-        assert_eq!(results_so_far, rows, "query {i}: progress vs returned rows");
-    } else {
-        assert!(results_so_far >= rows, "query {i}: visited points bound the hull size");
-    }
-    if serial {
-        assert!(frontier >= 1, "query {i}: a serial trip abandons at least the popped entry");
-    }
-    if *reason == StopReason::DeadlineExceeded {
-        assert!(
-            overshoot_seconds <= max_pop_seconds + 1e-6,
-            "query {i}: overshoot {overshoot_seconds}s exceeds one pop ({max_pop_seconds}s)"
-        );
-    } else {
-        assert_eq!(overshoot_seconds, 0.0, "query {i}: overshoot only for deadline trips");
-    }
-}
-
 fn assert_reason_allowed(i: usize, reason: StopReason, allowed: &[StopReason]) {
     assert!(
         allowed.contains(&reason),
@@ -189,8 +116,7 @@ fn assert_reason_allowed(i: usize, reason: StopReason, allowed: &[StopReason]) {
     );
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
+fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Tally) {
     let mut rng = StdRng::seed_from_u64(0x50AC ^ i as u64);
     let governance = governance_for(i, &mut rng);
 
@@ -258,117 +184,22 @@ fn run_one(db: &PCubeDb, i: usize, case: &Case, tally: &Tally) {
     let permit = db.admit().expect("generous admission wait must not shed");
     assert!(permit.is_some(), "the soak installs a gate");
 
-    match &case.query {
-        Query::TopK { sel, k, weights } => {
-            let f = LinearFn::new(weights.clone());
-            let class = TopKClass::new(*k, &f);
-            let out = if serial {
-                db.run_governed(sel, &class, &budget, cancel.as_ref())
-            } else {
-                let opts = ParallelOptions::with_workers(workers);
-                db.par_run_governed(sel, &class, opts, &budget, cancel.as_ref())
-            };
-            let (topk, stats) = (out.rows, out.stats);
-            check_progress(i, &stats, topk.len(), serial, true);
-            match &stats.outcome {
-                QueryOutcome::Complete => {
-                    assert_eq!(Answer::TopK(topk), case.oracle, "query {i}: complete top-k");
-                }
-                QueryOutcome::Partial { reason, .. } => {
-                    assert_reason_allowed(i, *reason, &allowed);
-                    let Answer::TopK(full) = &case.oracle else { panic!("oracle kind") };
-                    if serial {
-                        // Serial top-k accepts in ascending score order: any
-                        // partial is a prefix of the true answer.
-                        assert_eq!(&topk[..], &full[..topk.len()], "query {i}: partial prefix");
-                    } else {
-                        for (tid, _, _) in &topk {
-                            assert!(
-                                db.relation().matches(*tid, sel),
-                                "query {i}: parallel partial returned non-qualifying {tid}"
-                            );
-                        }
-                    }
-                }
-            }
-            tally.record(&stats.outcome);
-        }
-        Query::Skyline { sel } => {
-            let class = SkylineClass::new(vec![0, 1]);
-            let out = if serial {
-                db.run_governed(sel, &class, &budget, cancel.as_ref())
-            } else {
-                let opts = ParallelOptions::with_workers(workers);
-                db.par_run_governed(sel, &class, opts, &budget, cancel.as_ref())
-            };
-            let (sky, stats) = (out.rows, out.stats);
-            check_progress(i, &stats, sky.len(), serial, true);
-            match &stats.outcome {
-                QueryOutcome::Complete => {
-                    assert_eq!(Answer::Skyline(sky), case.oracle, "query {i}: complete skyline");
-                }
-                QueryOutcome::Partial { reason, .. } => {
-                    assert_reason_allowed(i, *reason, &allowed);
-                    let Answer::Skyline(full) = &case.oracle else { panic!("oracle kind") };
-                    if serial {
-                        // BBS accepts only never-dominated points: a serial
-                        // partial skyline is a sound subset.
-                        for p in &sky {
-                            assert!(full.contains(p), "query {i}: partial skyline ⊆ full");
-                        }
-                    } else {
-                        for (tid, _) in &sky {
-                            assert!(
-                                db.relation().matches(*tid, sel),
-                                "query {i}: parallel partial returned non-qualifying {tid}"
-                            );
-                        }
-                    }
-                }
-            }
-            tally.record(&stats.outcome);
-        }
-        Query::Dynamic { sel, q } => {
-            // Serial only (the parallel mode maps dynamic cases here too —
-            // governance still applies, just on one thread).
-            let class = DynamicSkylineClass::new(q, vec![0, 1]);
-            let out = db.run_governed(sel, &class, &budget, cancel.as_ref());
-            check_progress(i, &out.stats, out.rows.len(), true, true);
-            match &out.stats.outcome {
-                QueryOutcome::Complete => {
-                    assert_eq!(
-                        Answer::Skyline(out.rows),
-                        case.oracle,
-                        "query {i}: complete dynamic skyline"
-                    );
-                }
-                QueryOutcome::Partial { reason, .. } => {
-                    assert_reason_allowed(i, *reason, &allowed);
-                    let Answer::Skyline(full) = &case.oracle else { panic!("oracle kind") };
-                    for p in &out.rows {
-                        assert!(full.contains(p), "query {i}: partial dynamic skyline ⊆ full");
-                    }
-                }
-            }
-            tally.record(&out.stats.outcome);
-        }
-        Query::Hull { sel } => {
-            let out = db.run_governed(sel, &HullClass::new((0, 1)), &budget, cancel.as_ref());
-            check_progress(i, &out.stats, out.rows.len(), true, false);
-            match &out.stats.outcome {
-                QueryOutcome::Complete => {
-                    assert_eq!(Answer::Hull(out.rows), case.oracle, "query {i}: complete hull");
-                }
-                QueryOutcome::Partial { reason, .. } => {
-                    // A partial hull carries no membership guarantee (it is
-                    // the hull of the visited points); only the books are
-                    // checked, which check_progress already did.
-                    assert_reason_allowed(i, *reason, &allowed);
-                }
-            }
-            tally.record(&out.stats.outcome);
+    // Every class runs on the engine its governance names (the parallel
+    // arm fans all six out), answers in one row type, and is audited by
+    // the rule its own rustdoc states.
+    let out = case.run(db, workers, Some((&budget, cancel.as_ref())));
+    let kind = case.kind();
+    case.check_progress(&out.stats, out.rows.len(), serial)
+        .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
+    match &out.stats.outcome {
+        QueryOutcome::Complete => assert_eq!(&out.rows, oracle, "query {i}: complete {kind}"),
+        QueryOutcome::Partial { reason, .. } => {
+            assert_reason_allowed(i, *reason, &allowed);
+            case.check_partial(db, &out.rows, oracle, serial)
+                .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
         }
     }
+    tally.record(kind, &out.stats.outcome, serial);
     drop(permit);
     if let Some(h) = canceller {
         h.join().expect("canceller thread never panics");
@@ -406,7 +237,13 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     let mut db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
 
     // Oracles come from the clean database; faults are installed after.
-    let cases = build_cases(&db, 7);
+    let cases: Vec<(Case, Vec<Row>)> = mix(db.relation(), DISTINCT_CASES, 7)
+        .into_iter()
+        .map(|case| {
+            let oracle = case.run(&db, 0, None).rows;
+            (case, oracle)
+        })
+        .collect();
 
     db.signature_store_mut()
         .sig_pager_mut()
@@ -417,24 +254,7 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     db.set_admission_gate(AdmissionGate::new(THREADS - 2, Duration::from_secs(60)));
 
     let tally = Tally::default();
-    let next = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let (db, cases, tally, next) = (&db, &cases, &tally, &next);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    if i >= TOTAL_QUERIES {
-                        break;
-                    }
-                    run_one(db, i, &cases[i % cases.len()], tally);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("soak worker panicked");
-        }
-    });
+    drain(THREADS, TOTAL_QUERIES, |i| run_one(&db, i, &cases[i % cases.len()], &tally));
     finished.store(true, Ordering::Relaxed);
 
     // The gate saw every query and, with its generous wait, shed none.
@@ -459,6 +279,27 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     assert!(blocks > 0, "small block budgets tripped");
     assert!(heap > 0, "small heap caps tripped");
     assert!(cancelled > 0, "pre-cancelled tokens tripped");
+    // Class by class: each of the six completed and was cut short for each
+    // of the four reasons on the serial engine, and completed and was cut
+    // short on the parallel one.
+    let ended = tally.ended.into_inner().expect("no holder panics");
+    for kind in ["topk", "skyline", "dynamic", "hull", "pskyline", "subspace"] {
+        let reasons = [
+            StopReason::DeadlineExceeded,
+            StopReason::BlockBudgetExceeded,
+            StopReason::HeapCapExceeded,
+            StopReason::Cancelled,
+        ];
+        for reason in reasons.map(|r| Some(r.to_string())).into_iter().chain([None]) {
+            assert!(ended.contains(&(kind, reason.clone(), true)), "no serial {kind} ended {reason:?}");
+        }
+        for complete in [true, false] {
+            assert!(
+                ended.iter().any(|(k, reason, serial)| *k == kind && !serial && reason.is_none() == complete),
+                "no parallel {kind} run with complete = {complete}"
+            );
+        }
+    }
     assert!(
         db.stats().degraded_reads() > 0,
         "the seeded fault plans must actually have fired during the soak"
