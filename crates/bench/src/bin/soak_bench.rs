@@ -1,9 +1,8 @@
 //! Chaos soak benchmark: the six-class mixed workload of [`pcube_bench::mix`]
 //! hammered by many client threads against one shared [`PCubeDb`] while the
-//! signature pagers
-//! inject seeded read faults, every query runs under a randomized
-//! [`QueryBudget`], and an admission gate narrower than the thread count
-//! sheds overload on a short wait.
+//! signature pagers inject seeded read faults, every query runs under a
+//! randomized [`QueryBudget`], and an admission gate narrower than the
+//! thread count sheds overload on a short wait.
 //!
 //! Unlike `serve_bench` (which measures clean-path throughput), this binary
 //! measures the *lifecycle* numbers the robustness layer owes operators:

@@ -19,9 +19,8 @@
 //!   guarantee `overshoot_seconds <= max_pop_seconds`, asserted on every
 //!   deadline trip.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pcube::core::{
@@ -89,16 +88,11 @@ struct Tally {
     blocks: AtomicU64,
     heap: AtomicU64,
     cancelled: AtomicU64,
-    /// Which class ended how (`None` = complete), serial and parallel.
-    ended: Mutex<BTreeSet<(&'static str, Option<String>, bool)>>,
 }
 
 impl Tally {
-    fn record(&self, kind: &'static str, outcome: &QueryOutcome, serial: bool) {
-        let reason = outcome.partial_reason();
-        let ended = (kind, reason.map(|r| r.to_string()), serial);
-        self.ended.lock().expect("no holder panics").insert(ended);
-        let counter = match reason {
+    fn record(&self, outcome: &QueryOutcome) {
+        let counter = match outcome.partial_reason() {
             None => &self.complete,
             Some(StopReason::DeadlineExceeded) => &self.deadline,
             Some(StopReason::BlockBudgetExceeded) => &self.blocks,
@@ -116,7 +110,11 @@ fn assert_reason_allowed(i: usize, reason: StopReason, allowed: &[StopReason]) {
     );
 }
 
-fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Tally) {
+/// How one query ended: its class, why it stopped early (`None` = complete),
+/// and whether it ran on the serial engine.
+type Ended = (&'static str, Option<StopReason>, bool);
+
+fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Tally) -> Ended {
     let mut rng = StdRng::seed_from_u64(0x50AC ^ i as u64);
     let governance = governance_for(i, &mut rng);
 
@@ -199,11 +197,12 @@ fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Ta
                 .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
         }
     }
-    tally.record(kind, &out.stats.outcome, serial);
+    tally.record(&out.stats.outcome);
     drop(permit);
     if let Some(h) = canceller {
         h.join().expect("canceller thread never panics");
     }
+    (kind, out.stats.outcome.partial_reason(), serial)
 }
 
 /// The soak itself: ≥5,000 queries, ≥8 threads, seeded faults on both
@@ -254,7 +253,7 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     db.set_admission_gate(AdmissionGate::new(THREADS - 2, Duration::from_secs(60)));
 
     let tally = Tally::default();
-    drain(THREADS, TOTAL_QUERIES, |i| run_one(&db, i, &cases[i % cases.len()], &tally));
+    let ended = drain(THREADS, TOTAL_QUERIES, |i| run_one(&db, i, &cases[i % cases.len()], &tally));
     finished.store(true, Ordering::Relaxed);
 
     // The gate saw every query and, with its generous wait, shed none.
@@ -282,7 +281,6 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     // Class by class: each of the six completed and was cut short for each
     // of the four reasons on the serial engine, and completed and was cut
     // short on the parallel one.
-    let ended = tally.ended.into_inner().expect("no holder panics");
     for kind in ["topk", "skyline", "dynamic", "hull", "pskyline", "subspace"] {
         let reasons = [
             StopReason::DeadlineExceeded,
@@ -290,12 +288,12 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
             StopReason::HeapCapExceeded,
             StopReason::Cancelled,
         ];
-        for reason in reasons.map(|r| Some(r.to_string())).into_iter().chain([None]) {
-            assert!(ended.contains(&(kind, reason.clone(), true)), "no serial {kind} ended {reason:?}");
+        for reason in reasons.map(Some).into_iter().chain([None]) {
+            assert!(ended.contains(&(kind, reason, true)), "no serial {kind} ended {reason:?}");
         }
         for complete in [true, false] {
             assert!(
-                ended.iter().any(|(k, reason, serial)| *k == kind && !serial && reason.is_none() == complete),
+                ended.iter().any(|&(k, r, serial)| k == kind && !serial && r.is_none() == complete),
                 "no parallel {kind} run with complete = {complete}"
             );
         }
