@@ -9,6 +9,14 @@
 //!   sort-based top-k) used as ground truth by the test suites;
 //! * re-exports of the boolean indexes those engines read, and
 //!   [`index_merge_topk`], the index-merge engine under its paper name.
+//!
+//! Why a crate of 173 lines stays a crate: `benchmark/Cargo.toml` (its own
+//! workspace, frozen for every PR that is not a benchmark PR) path-depends
+//! on `pcube-baselines` and its adapter imports [`index_merge_topk`],
+//! [`BooleanIndexSet`] and [`SelectRoute`] under these paths, so folding
+//! the crate into `pcube-core` — or trimming this manifest's unused
+//! dependencies, which rewrites `benchmark/Cargo.lock` — belongs to a
+//! benchmark PR.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,6 +41,7 @@ use pcube_core::{
 };
 use pcube_cube::{Predicate, Relation};
 use pcube_data::{synthetic, SyntheticSpec};
+use pcube_storage::Counter;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -389,7 +390,7 @@ fn main() {
     };
     let degraded_before = heal.db().stats().snapshot();
     let reads_degraded = probe_reads(&heal, &want, "degraded", &mut mismatches);
-    let degraded_reads = heal.db().stats().snapshot().since(&degraded_before).degraded_reads();
+    let degraded_reads = heal.db().stats().snapshot().since(&degraded_before).get(Counter::DegradedReads);
     if degraded_reads == 0 {
         eprintln!("FAIL: degraded probe left no trace on the ledger");
         mismatches += 1;
@@ -410,7 +411,7 @@ fn main() {
     }
     let healed_before = heal.db().stats().snapshot();
     let reads_healed = probe_reads(&heal, &want, "healed", &mut mismatches);
-    if heal.db().stats().snapshot().since(&healed_before).degraded_reads() > 0 {
+    if heal.db().stats().snapshot().since(&healed_before).get(Counter::DegradedReads) > 0 {
         eprintln!("FAIL: healed store still issues degraded reads");
         mismatches += 1;
     }

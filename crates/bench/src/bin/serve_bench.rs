@@ -41,7 +41,7 @@ use pcube_bench::cli::{percentile, Args, JsonObject};
 use pcube_bench::mix::{drain, mix, Case, Row};
 use pcube_core::{AdmissionGate, PCubeConfig, PCubeDb, StageTimes};
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
-use pcube_storage::{CostModel, IoCategory, IoSnapshot};
+use pcube_storage::{CostModel, Counter, IoCategory, IoSnapshot};
 use std::time::{Duration, Instant};
 
 fn run_query(db: &PCubeDb, q: &Case) -> (Vec<Row>, StageTimes) {
@@ -164,15 +164,15 @@ fn run_config(
     // The self-healing ledger is part of the same gate: a read-only serving
     // run over a healthy store must never degrade, quarantine, or repair —
     // any nonzero delta here means silent damage (or a double charge).
-    if delta.degraded_reads() != 0
-        || delta.pages_quarantined() != 0
-        || delta.pages_repaired() != 0
+    if delta.get(Counter::DegradedReads) != 0
+        || delta.get(Counter::PagesQuarantined) != 0
+        || delta.get(Counter::PagesRepaired) != 0
     {
         eprintln!(
             "self-healing drift: degraded_reads {}, pages_quarantined {}, pages_repaired {}",
-            delta.degraded_reads(),
-            delta.pages_quarantined(),
-            delta.pages_repaired(),
+            delta.get(Counter::DegradedReads),
+            delta.get(Counter::PagesQuarantined),
+            delta.get(Counter::PagesRepaired),
         );
         consistent = false;
     }
@@ -209,9 +209,9 @@ fn run_config(
         p99_us: percentile(&all_lat, 0.99),
         mismatches: done.iter().filter(|d| d.3).count() as u64,
         counter_consistent: consistent,
-        degraded_reads: delta.degraded_reads(),
-        pages_quarantined: delta.pages_quarantined(),
-        pages_repaired: delta.pages_repaired(),
+        degraded_reads: delta.get(Counter::DegradedReads),
+        pages_quarantined: delta.get(Counter::PagesQuarantined),
+        pages_repaired: delta.get(Counter::PagesRepaired),
         stages,
     }
 }

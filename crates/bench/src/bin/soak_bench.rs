@@ -28,7 +28,7 @@ use pcube_core::{
     AdmissionGate, CancelToken, PCubeConfig, PCubeDb, QueryBudget, QueryOutcome, StopReason,
 };
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
-use pcube_storage::FaultPlan;
+use pcube_storage::{Counter, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,7 +221,7 @@ fn main() {
         .fixed("partial_rate", partials as f64 / executed.max(1) as f64, 4)
         .value("p50_us", percentile(&lat, 0.50))
         .value("p99_us", percentile(&lat, 0.99))
-        .value("degraded_reads", db.stats().degraded_reads())
+        .value("degraded_reads", db.stats().get(Counter::DegradedReads))
         .value("result_mismatches", mismatches)
         .value("invariant_violations", violations)
         .document();

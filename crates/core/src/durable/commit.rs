@@ -314,8 +314,7 @@ impl DurableDb {
 
     pub(super) fn persist_wal_file_full(&mut self) -> Result<(), DurabilityError> {
         let Some(dir) = &self.dir else { return Ok(()) };
-        let path = dir.join("wal.pcube");
-        std::fs::write(&path, self.wal.durable_bytes()).map_err(|e| io_err(&path, e))?;
+        replace_durable_file(&dir.join("wal.pcube"), self.wal.durable_bytes())?;
         self.file_synced = self.wal.durable_len();
         Ok(())
     }
@@ -395,7 +394,7 @@ mod tests {
 
     #[test]
     fn terminal_fsync_failure_is_typed_and_the_tail_lands_later() {
-        use pcube_storage::FaultPlan;
+        use pcube_storage::{Counter, FaultPlan};
         let mut db = DurableDb::create(seed_relation(48), &PCubeConfig::default(), DurabilityOptions::default());
         db.set_wal_fault_plan(FaultPlan::seeded(7).with_fsync_failures(1.0));
         let err = db.apply(&some_ops(&db, 0)).expect_err("fsync must exhaust its retries");
@@ -405,8 +404,8 @@ mod tests {
         );
         assert!(db.poisoned().is_none(), "a failed fsync is not a crash");
         // Retries and backoff were accounted on the shared ledger.
-        assert!(db.db().stats.wal_retries() > 0);
-        assert!(db.db().stats.wal_backoff_us() > 0);
+        assert!(db.db().stats.get(Counter::WalRetries) > 0);
+        assert!(db.db().stats.get(Counter::WalBackoffUs) > 0);
 
         // The tail is pending, not lost: heal the fault and sync again.
         db.take_wal_fault_plan();

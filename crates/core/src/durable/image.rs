@@ -1,207 +1,9 @@
-//! The checkpoint image — three frozen pagers plus the non-paged metadata —
-//! and the checkpoint that keeps it current.
+//! The checkpoint that keeps the durable database's image
+//! ([`CheckpointImage`], `crate::persist`) current, and its file.
 
-use pcube_storage::{crc32, IoCategory, IoStats};
-
-use crate::persist::{self, open_section, put_section, put_u32, put_u64, Reader};
+use crate::persist::meta_payload;
 
 use super::*;
-
-/// 8-byte magic of a serialized checkpoint image; the version is the last
-/// byte.
-const CKPT_MAGIC: &[u8; 8] = b"PCUBECK2";
-/// Byte length of the watermark header after the magic: four u64 watermarks
-/// (epoch, txns, next_txn, next_lsn) followed by their CRC32.
-const CKPT_HEAD_LEN: usize = 36;
-/// Section tags inside a checkpoint image, in order: the metadata, then one
-/// page table per store in [`STORE_KINDS`] order.
-const TAG_META: u8 = 1;
-const PAGE_SECTIONS: [(u8, &str, IoCategory); 3] = [
-    (2, "checkpoint-rtree", IoCategory::RtreeBlock),
-    (3, "checkpoint-signatures", IoCategory::SignaturePage),
-    (4, "checkpoint-directory", IoCategory::BptreePage),
-];
-
-/// The durable checkpoint: metadata (relation, registry, cuboids, tree
-/// scalars — reusing the persist-v2 payload formats) plus one *frozen*
-/// [`Pager`] per paged store (R-tree, signatures, directory). A frozen pager
-/// is a copy-on-write clone of the master's: it shares every page the master
-/// has not rewritten since the last checkpoint, keeps the CRC32 each page
-/// had when it entered, carries no fault plan and no dirty set, and is never
-/// read through a counted path. Installed atomically; serializable for the
-/// file mode and the crash harness.
-#[derive(Debug, Clone)]
-pub struct CheckpointImage {
-    pub(super) epoch: u64,
-    /// Committed transactions whose effects the image contains — the replay
-    /// cutoff: recovery re-executes only transactions beyond this.
-    pub(super) txns: u64,
-    pub(super) next_txn: u64,
-    pub(super) next_lsn: Lsn,
-    meta: Vec<u8>,
-    pagers: [Pager; 3],
-}
-
-impl CheckpointImage {
-    /// Full capture of a freshly built master (no fault plan, no read delay,
-    /// dirty marks already cleared): three pager clones, checksummed once.
-    pub(super) fn capture(master: &PCubeDb) -> Self {
-        let pagers = STORE_KINDS.map(|kind| {
-            let mut frozen = pager_of(master, kind).clone();
-            debug_assert_eq!(frozen.dirty_len(), 0, "the capture covers every page");
-            frozen.set_checksums(true);
-            frozen
-        });
-        CheckpointImage {
-            epoch: 1,
-            txns: 0,
-            next_txn: 1,
-            next_lsn: 1,
-            meta: meta_payload(master),
-            pagers,
-        }
-    }
-
-    /// The committed-transaction watermark (the replay cutoff).
-    pub fn txns(&self) -> u64 {
-        self.txns
-    }
-
-    /// The epoch the image was installed at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Serializes the image (magic, watermarks, framed sections). Page
-    /// checksums are the ones the frozen pagers hold.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(CKPT_MAGIC);
-        let mut head = Vec::new();
-        put_u64(&mut head, self.epoch);
-        put_u64(&mut head, self.txns);
-        put_u64(&mut head, self.next_txn);
-        put_u64(&mut head, self.next_lsn);
-        // The sections below are CRC-framed; the watermarks need their own
-        // checksum or a flipped bit silently skews the replay cutoff.
-        let head_crc = crc32(&head);
-        put_u32(&mut head, head_crc);
-        out.extend_from_slice(&head);
-        put_section(&mut out, TAG_META, &self.meta);
-        let mut payload = Vec::new();
-        for ((tag, _, _), pager) in PAGE_SECTIONS.iter().zip(&self.pagers) {
-            payload.clear();
-            pager.write_table(&mut payload);
-            put_section(&mut out, *tag, &payload);
-        }
-        out
-    }
-
-    /// Parses an image serialized by [`CheckpointImage::to_bytes`],
-    /// verifying the watermark checksum, every section's framing and
-    /// checksum, and every live page against its stored CRC32.
-    pub fn from_bytes(image: &[u8]) -> Result<CheckpointImage, DurabilityError> {
-        if image.len() < CKPT_MAGIC.len() + CKPT_HEAD_LEN {
-            return persist::fail("checkpoint-header", 0, "image shorter than the header").map_err(Into::into);
-        }
-        if &image[..8] != CKPT_MAGIC {
-            return persist::fail("checkpoint-header", 0, "not a checkpoint image").map_err(Into::into);
-        }
-        let stored = {
-            let mut raw = [0u8; 4];
-            raw.copy_from_slice(&image[40..44]);
-            u32::from_le_bytes(raw)
-        };
-        let actual = crc32(&image[8..40]);
-        if actual != stored {
-            return Err(DurabilityError::Corrupt {
-                store: "checkpoint-header".to_string(),
-                cause: format!(
-                    "watermark checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                ),
-            });
-        }
-        let word = |i: usize| {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(&image[8 + i * 8..16 + i * 8]);
-            u64::from_le_bytes(raw)
-        };
-        let (epoch, txns, next_txn, next_lsn) = (word(0), word(1), word(2), word(3));
-        if next_lsn == 0 || next_txn == 0 || txns >= next_txn {
-            return Err(DurabilityError::Corrupt {
-                store: "checkpoint-header".to_string(),
-                cause: format!(
-                    "implausible watermarks (txns {txns}, next_txn {next_txn}, next_lsn {next_lsn})"
-                ),
-            });
-        }
-        let mut pos = 8 + CKPT_HEAD_LEN;
-        let mut r = open_section(image, &mut pos, TAG_META, "checkpoint-meta")?;
-        let meta = r.remaining_bytes().to_vec();
-        // The ledger of the database this image will be restored into: the
-        // frozen pagers hold it but never charge it.
-        let stats = IoStats::new_shared();
-        let mut page_table = |(tag, name, category): (u8, &'static str, IoCategory)| {
-            let mut r = open_section(image, &mut pos, tag, name)?;
-            let pager = r.pager(Pager::read_table, category, stats.clone())?;
-            r.finish()?;
-            Ok::<Pager, PersistError>(pager)
-        };
-        let pagers = [
-            page_table(PAGE_SECTIONS[0])?,
-            page_table(PAGE_SECTIONS[1])?,
-            page_table(PAGE_SECTIONS[2])?,
-        ];
-        if pos != image.len() {
-            return persist::fail("checkpoint-image", pos, "trailing bytes after the image").map_err(Into::into);
-        }
-        Ok(CheckpointImage { epoch, txns, next_txn, next_lsn, meta, pagers })
-    }
-
-    /// Restores the image into a fresh, queryable master database whose
-    /// pagers share every page with the image (checksums off, as a built
-    /// database has them). Returns the database and the number of live pages
-    /// — each verified against its CRC32 when the image was parsed.
-    pub(super) fn restore(&self) -> Result<(PCubeDb, u64), DurabilityError> {
-        let mut r = Reader::over(&self.meta, "checkpoint-meta");
-        let relation = persist::read_relation_payload(&mut r)?;
-        let cube = persist::read_cube_payload(&mut r)?;
-        let rtree = persist::read_rtree_scalars(&mut r, relation.schema().n_pref())?;
-        let store = persist::read_store_scalars(&mut r)?;
-        let directory = persist::read_directory_scalars(&mut r)?;
-        r.finish()?;
-        let thaw = |frozen: &Pager| {
-            let mut pager = frozen.clone();
-            pager.set_checksums(false);
-            pager
-        };
-        let [rtree_pages, sig_pages, dir_pages] = &self.pagers;
-        let master = persist::assemble(
-            relation,
-            cube,
-            (rtree, thaw(rtree_pages)),
-            (store, thaw(sig_pages)),
-            (directory, thaw(dir_pages)),
-            rtree_pages.stats().clone(),
-        )?;
-        let pages_verified = self.pagers.iter().map(|p| p.live_pages() as u64).sum();
-        Ok((master, pages_verified))
-    }
-}
-
-/// Serializes the non-paged state of a master database: relation + cube
-/// payloads (persist-v2 formats) followed by the tree scalars.
-fn meta_payload(master: &PCubeDb) -> Vec<u8> {
-    let mut meta = Vec::new();
-    persist::write_relation_payload(&master.relation, &mut meta);
-    persist::write_cube_payload(&master.pcube, &mut meta);
-    persist::write_rtree_scalars(&master.rtree, &mut meta);
-    let (_, directory, s_m_max, s_height) = master.pcube.store.parts_ref();
-    put_u64(&mut meta, s_m_max as u64);
-    put_u64(&mut meta, s_height as u64);
-    persist::write_directory_scalars(directory, &mut meta);
-    meta
-}
 
 impl DurableDb {
     /// Incremental checkpoint: re-point the image's slots for the pages
@@ -264,11 +66,7 @@ impl DurableDb {
 
     pub(super) fn persist_checkpoint_file(&self) -> Result<(), DurabilityError> {
         let Some(dir) = &self.dir else { return Ok(()) };
-        let tmp = dir.join("checkpoint.pcube.tmp");
-        let dst = dir.join("checkpoint.pcube");
-        std::fs::write(&tmp, self.image.to_bytes()).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, e))?;
-        Ok(())
+        replace_durable_file(&dir.join("checkpoint.pcube"), &self.image.to_bytes())
     }
 }
 
@@ -317,7 +115,7 @@ mod tests {
                 Err(e) => e,
             };
             assert!(
-                matches!(err, DurabilityError::Corrupt { ref store, .. } if store == "checkpoint-header"),
+                matches!(err, DurabilityError::Persist(PersistError { section: "checkpoint-header", .. })),
                 "byte {byte}: unexpected error {err}"
             );
         }
@@ -437,9 +235,6 @@ mod tests {
             Ok(_) => panic!("must detect corruption"),
             Err(e) => e,
         };
-        match err {
-            DurabilityError::Corrupt { .. } | DurabilityError::Persist(_) => {}
-            other => panic!("unexpected error: {other}"),
-        }
+        assert!(matches!(err, DurabilityError::Persist(_)), "unexpected error: {err}");
     }
 }

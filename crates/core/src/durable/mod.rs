@@ -49,7 +49,8 @@ use pcube_storage::{
 };
 
 use crate::pcube::{PCubeConfig, PCubeDb};
-use crate::persist::PersistError;
+use crate::persist::{replace_file, PersistError};
+pub use crate::persist::CheckpointImage;
 use crate::store::SignatureStore;
 
 mod commit;
@@ -58,7 +59,6 @@ mod queue;
 mod recover;
 mod repair;
 
-pub use image::CheckpointImage;
 pub use queue::{CommitError, CommitQueue, CommitQueuePolicy, GroupCommitStats};
 
 /// Tuning knobs of the durability pipeline.
@@ -249,13 +249,6 @@ pub enum DurabilityError {
         /// What was wrong with it.
         cause: String,
     },
-    /// A checkpoint image failed validation (bad magic, page CRC, framing).
-    Corrupt {
-        /// Which store or image part failed.
-        store: String,
-        /// What failed.
-        cause: String,
-    },
     /// WAL replay diverged from the logged evidence — the recovered state
     /// would not be bit-identical to the pre-crash state, so recovery fails
     /// loudly instead of serving wrong answers.
@@ -284,7 +277,8 @@ pub enum DurabilityError {
         /// What stopped the rebuild.
         cause: String,
     },
-    /// A persist-format error inside the checkpoint metadata.
+    /// The checkpoint image failed validation (magic, watermarks, framing,
+    /// a section or page CRC, the metadata): what its one decoder reports.
     Persist(PersistError),
     /// A filesystem error (file mode only).
     Io {
@@ -305,9 +299,6 @@ impl std::fmt::Display for DurabilityError {
                 write!(f, "instance poisoned by an earlier crash at {}", point.name())
             }
             DurabilityError::InvalidOp { cause } => write!(f, "invalid operation: {cause}"),
-            DurabilityError::Corrupt { store, cause } => {
-                write!(f, "corrupt checkpoint ({store}): {cause}")
-            }
             DurabilityError::Replay { txn, cause } => {
                 write!(f, "replay diverged at txn {txn}: {cause}")
             }
@@ -426,6 +417,11 @@ fn take_dirty(db: &mut PCubeDb) -> [Vec<PageId>; 3] {
         db.pcube.store.sig_pager_mut().take_dirty(),
         db.pcube.store.dir_pager_mut().take_dirty(),
     ]
+}
+
+/// [`replace_file`] as the durable layer reports it.
+fn replace_durable_file(path: &Path, bytes: &[u8]) -> Result<(), DurabilityError> {
+    replace_file(path, bytes).map_err(|(failed, e)| io_err(&failed, e))
 }
 
 /// A [`PCubeDb`] under durable, snapshot-isolated maintenance. See the

@@ -5,6 +5,7 @@ use std::collections::{HashMap, HashSet};
 
 use pcube_cube::CellKey;
 use pcube_rtree::Path as TreePath;
+use pcube_storage::Counter;
 
 use crate::signature::Signature;
 use super::*;
@@ -55,7 +56,7 @@ impl DurableDb {
         let cells = store
             .cells_on_pages(&quarantined)
             .map_err(|e| DurabilityError::Repair { cause: e.to_string() })?;
-        let healed_base = self.master.stats().snapshot().pages_repaired();
+        let healed_base = self.master.stats().snapshot().get(Counter::PagesRepaired);
 
         // Tuple paths come from the R-tree (live rows only), one walk
         // shared by every rebuilt cell.
@@ -88,7 +89,7 @@ impl DurableDb {
         for pid in &quarantined {
             sig_pager.clear_quarantine(PageId(*pid));
         }
-        let pages_healed = self.master.stats().snapshot().pages_repaired() - healed_base;
+        let pages_healed = self.master.stats().snapshot().get(Counter::PagesRepaired) - healed_base;
         Ok(RepairOutcome { cells_rebuilt, pages_healed, txn: Some(txn), epoch: self.epoch })
     }
 }

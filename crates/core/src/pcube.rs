@@ -10,7 +10,7 @@ use pcube_cube::{
     Relation, Selection,
 };
 use pcube_rtree::{Path, PathDelta, RTree, RTreeConfig};
-use pcube_storage::{IoCategory, IoStats, Pager, SharedStats};
+use pcube_storage::{Counter, IoCategory, IoStats, Pager, SharedStats};
 
 use crate::query::class::{
     drill_down, roll_up, run_class, run_class_probed, run_class_resumable,
@@ -189,7 +189,7 @@ impl PCube {
                 // A cell's signature could not be fully loaded (corrupt or
                 // unreadable page). Degrade to lazy cursors, which survive
                 // per-partial failures conservatively instead of aborting.
-                None => self.store.stats().record_degraded_reads(1),
+                None => self.store.stats().add(Counter::DegradedReads, 1),
             }
         }
         BooleanProbe::IntersectLazy(
@@ -240,7 +240,7 @@ impl PCube {
                 // cannot be read, degrade every predicate to a lazy cursor
                 // rather than (unsoundly) pruning with a partial filter set.
                 Err(_) => {
-                    self.store.stats().record_degraded_reads(1);
+                    self.store.stats().add(Counter::DegradedReads, 1);
                     return BooleanProbe::IntersectLazy(
                         codes.into_iter().map(|c| self.store.cursor(c)).collect(),
                     );

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 use pcube_bitmap::BitArray;
 use pcube_bptree::{composite_key, split_key, BPlusTree};
 use pcube_rtree::{Path, Sid};
-use pcube_storage::{read_u32, write_u32, IoCategory, PageOp, Pager, StorageError};
+use pcube_storage::{read_u32, write_u32, Counter, IoCategory, PageOp, Pager, StorageError};
 
 use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
 use crate::signature::{walk_path, Signature};
@@ -610,7 +610,7 @@ impl SignatureCursor<'_> {
 
     fn mark_degraded(&mut self) {
         self.degraded = true;
-        self.store.pager.stats().record_degraded_reads(1);
+        self.store.pager.stats().add(Counter::DegradedReads, 1);
     }
 
     /// `true` if the subtree/tuple at `path` contains data of this cell —
@@ -1140,7 +1140,7 @@ mod tests {
             }
         }
         assert!(cursor.is_degraded());
-        assert!(stats.degraded_reads() > 0, "failures must be tallied");
+        assert!(stats.get(Counter::DegradedReads) > 0, "failures must be tallied");
         let probe = BooleanProbe::Single(cursor);
         assert!(probe.is_lossy(), "degraded cursors make the probe lossy");
     }

@@ -58,7 +58,7 @@ pub use error::{ImageError, PageOp, StorageError};
 pub use fault::{CrashPlan, CrashPoint, FaultCounts, FaultPlan, WalDamage};
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::{Pager, QuarantineEntry};
-pub use stats::{CostModel, IoCategory, IoSnapshot, IoStats, SharedStats};
+pub use stats::{CostModel, Counter, IoCategory, IoSnapshot, IoStats, SharedStats};
 pub use wal::{Lsn, StoreKind, TreeOp, Wal, WalRecord, WalReplay, WalStats, WalSyncError};
 
 // The concurrent query engine shares pagers, the ledger and the sharded

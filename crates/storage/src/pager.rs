@@ -5,7 +5,7 @@ use crate::crc::crc32;
 use crate::error::{ImageError, PageOp, StorageError};
 use crate::fault::{FaultCounts, FaultPlan, WriteEffect};
 use crate::page::PageId;
-use crate::stats::{IoCategory, SharedStats};
+use crate::stats::{Counter, IoCategory, SharedStats};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -417,7 +417,7 @@ impl Pager {
         }
         entries.insert(pid.0, (QuarantineEntry { error, epoch }, ptr));
         self.quarantine.armed.store(true, Ordering::Relaxed);
-        self.stats.record_pages_quarantined(1);
+        self.stats.add(Counter::PagesQuarantined, 1);
         true
     }
 
@@ -433,7 +433,7 @@ impl Pager {
         if entries.is_empty() {
             self.quarantine.armed.store(false, Ordering::Relaxed);
         }
-        self.stats.record_pages_repaired(1);
+        self.stats.add(Counter::PagesRepaired, 1);
         true
     }
 
@@ -567,7 +567,7 @@ impl Pager {
     /// delay is paid — the ledger's `quarantine_hits` counts the skip).
     pub fn try_read(&self, pid: PageId) -> Result<&[u8], StorageError> {
         if let Some(err) = self.quarantined_error(pid) {
-            self.stats.record_quarantine_hits(1);
+            self.stats.add(Counter::QuarantineHits, 1);
             return Err(err);
         }
         self.stats.record_reads(self.category, 1);
@@ -683,7 +683,7 @@ impl Pager {
         // page those are known-bad, so serve the memoized failure instead of
         // mutating garbage. Heal with a full `try_write` or a free+rebuild.
         if let Some(err) = self.quarantined_error(pid) {
-            self.stats.record_quarantine_hits(1);
+            self.stats.add(Counter::QuarantineHits, 1);
             return Err(err);
         }
         self.stats.record_reads(self.category, 1);
@@ -765,13 +765,11 @@ impl Pager {
     /// followed, when live, by the page bytes and their CRC32 | n_free u64 |
     /// free pids u32...`
     ///
-    /// This is the one layout both durable formats store pages in: a
-    /// checkpoint section holds it as is, persist-v2 appends a CRC32 of the
-    /// whole ([`Pager::serialize_into`]). A pager that keeps checksums writes
-    /// the sum it holds — taken when the page was written or entered the
-    /// table — so serializing a checkpoint image reads no page byte twice,
-    /// and a page torn in memory is refused on load rather than laundered;
-    /// otherwise the CRC32 is computed here.
+    /// This is the layout the database image stores pages in, one table per
+    /// section. A pager that keeps checksums writes the sum it holds — taken
+    /// when the page was written or entered the table — so serializing an
+    /// image reads no page byte twice, and a page torn in memory is refused
+    /// on load rather than laundered; otherwise the CRC32 is computed here.
     pub fn write_table(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.page_size as u64).to_le_bytes());
         out.extend_from_slice(&(self.n_slots as u64).to_le_bytes());
@@ -891,41 +889,6 @@ impl Pager {
         Ok((pager, pos))
     }
 
-    /// The persist-v2 pager image: [`Pager::write_table`] followed by a
-    /// CRC32 of everything it wrote.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        self.write_table(out);
-        let sum = crc32(&out[start..]);
-        out.extend_from_slice(&sum.to_le_bytes());
-    }
-
-    /// Rebuilds a pager from [`Pager::serialize_into`] output:
-    /// [`Pager::read_table`], then the trailing image checksum. The pager
-    /// comes back with checksums off, as it was built.
-    pub fn try_deserialize_from(
-        buf: &[u8],
-        category: IoCategory,
-        stats: SharedStats,
-    ) -> Result<(Pager, usize), ImageError> {
-        let (mut pager, body_end) = Self::read_table(buf, category, stats)?;
-        let mut pos = body_end;
-        let stored = read_u32_at(buf, &mut pos).ok_or_else(|| ImageError {
-            offset: body_end,
-            cause: "image truncated before the trailing checksum".to_string(),
-        })?;
-        let actual = crc32(&buf[..body_end]);
-        if stored != actual {
-            return Err(ImageError {
-                offset: body_end,
-                cause: format!(
-                    "image checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                ),
-            });
-        }
-        pager.set_checksums(false);
-        Ok((pager, pos))
-    }
 }
 
 fn read_u64_at(buf: &[u8], pos: &mut usize) -> Option<u64> {
@@ -1103,9 +1066,9 @@ mod tests {
         }
         let delta = stats.snapshot().since(&base);
         assert_eq!(delta.reads(IoCategory::SignaturePage), 1, "one doomed read, then skips");
-        assert_eq!(delta.quarantine_hits(), 9);
-        assert_eq!(delta.pages_quarantined(), 1, "recorded exactly once");
-        assert_eq!(stats.pages_repaired(), 0);
+        assert_eq!(delta.get(Counter::QuarantineHits), 9);
+        assert_eq!(delta.get(Counter::PagesQuarantined), 1, "recorded exactly once");
+        assert_eq!(stats.get(Counter::PagesRepaired), 0);
     }
 
     #[test]
@@ -1128,7 +1091,7 @@ mod tests {
         assert_eq!(p.try_read(a).unwrap()[0], 7);
         p.free(b);
         assert_eq!(p.quarantine_len(), 0);
-        assert_eq!(stats.pages_repaired(), 2);
+        assert_eq!(stats.get(Counter::PagesRepaired), 2);
         // The recycled slot comes back zeroed and readable.
         let b2 = p.allocate();
         assert_eq!(b2, b);
@@ -1269,65 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrips_pages_and_free_list() {
-        let mut p = Pager::new(64, IoCategory::SignaturePage, IoStats::new_shared());
-        let a = p.allocate();
-        let b = p.allocate();
-        let c = p.allocate();
-        p.write(a, &[1u8; 64]);
-        p.write(b, &[2u8; 64]);
-        p.write(c, &[3u8; 64]);
-        p.free(b);
-        let mut bytes = Vec::new();
-        p.serialize_into(&mut bytes);
-        let (q, used) =
-            Pager::try_deserialize_from(&bytes, IoCategory::SignaturePage, IoStats::new_shared())
-                .expect("roundtrip");
-        assert_eq!(used, bytes.len());
-        assert!(!q.checksums_enabled(), "a persist-v2 pager comes back as it was built");
-        assert_eq!(q.page_size(), 64);
-        assert_eq!(q.live_pages(), 2);
-        assert_eq!(q.page_bytes(a).map(|s| s[0]), Some(1));
-        assert_eq!(q.page_bytes(c).map(|s| s[0]), Some(3));
-        // The free list survives: the next allocation reuses b.
-        let mut q = q;
-        assert_eq!(q.allocate(), b);
-    }
-
-    #[test]
-    fn deserialize_rejects_garbage() {
-        for bytes in [&b""[..], &[0u8; 4][..], &[0xFFu8; 64][..]] {
-            assert!(Pager::try_deserialize_from(
-                bytes,
-                IoCategory::RtreeBlock,
-                IoStats::new_shared()
-            )
-            .is_err());
-        }
-    }
-
-    #[test]
-    fn deserialize_pinpoints_corrupt_pages() {
-        let mut p = Pager::new(32, IoCategory::RtreeBlock, IoStats::new_shared());
-        let a = p.allocate();
-        p.write(a, &[5u8; 32]);
-        let mut bytes = Vec::new();
-        p.serialize_into(&mut bytes);
-        // Flip one bit inside the stored page (after the two u64 headers and
-        // the tag byte).
-        let mut corrupt = bytes.clone();
-        corrupt[16 + 1 + 4] ^= 0x10;
-        let e = Pager::try_deserialize_from(&corrupt, IoCategory::RtreeBlock, IoStats::new_shared())
-            .unwrap_err();
-        assert!(e.cause.contains("checksum mismatch"), "cause: {}", e.cause);
-        assert!(e.offset <= corrupt.len());
-        // Truncations are reported too.
-        let e = Pager::try_deserialize_from(&bytes[..bytes.len() - 2], IoCategory::RtreeBlock, IoStats::new_shared())
-            .unwrap_err();
-        assert!(e.cause.contains("truncated"), "cause: {}", e.cause);
-    }
-
-    #[test]
     fn dirty_tracking_covers_every_mutation_kind() {
         let mut p = Pager::new(64, IoCategory::SignaturePage, IoStats::new_shared());
         let a = p.allocate();
@@ -1399,26 +1303,50 @@ mod tests {
 
     #[test]
     fn a_parsed_table_keeps_the_stored_sums_and_writes_them_back() {
+        let read_table = |bytes: &[u8]| Pager::read_table(bytes, IoCategory::RtreeBlock, IoStats::new_shared());
         let mut p = Pager::new(32, IoCategory::RtreeBlock, IoStats::new_shared());
         let a = p.allocate();
         let b = p.allocate();
+        let c = p.allocate();
         p.write(a, &[3u8; 32]);
+        p.write(b, &[4u8; 32]);
+        p.write(c, &[5u8; 32]);
         p.free(b);
         let mut bytes = Vec::new();
         p.write_table(&mut bytes);
-        let (mut q, used) =
-            Pager::read_table(&bytes, IoCategory::RtreeBlock, IoStats::new_shared()).unwrap();
+        let (mut q, used) = read_table(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert!(q.checksums_enabled());
         assert_eq!(q.dirty_len(), 0, "a parsed table starts clean");
         assert!(q.try_read(a).is_ok());
+        // Pages and the free list round-trip.
+        assert_eq!((q.page_size(), q.live_pages()), (32, 2));
+        assert_eq!(q.page_bytes(a), Some(&[3u8; 32][..]));
+        assert_eq!(q.page_bytes(b), None);
+        assert_eq!(q.page_bytes(c), Some(&[5u8; 32][..]));
+
+        // Garbage and every truncation are refused; a flipped page bit (past
+        // the two u64 headers and the tag byte) is pinpointed.
+        for garbage in [&b""[..], &[0u8; 4][..], &[0xFFu8; 64][..]] {
+            assert!(read_table(garbage).is_err());
+        }
+        for cut in 0..bytes.len() {
+            assert!(read_table(&bytes[..cut]).is_err(), "the first {cut} bytes parsed");
+        }
+        let e = read_table(&bytes[..16 + 1 + 32 + 16]).unwrap_err();
+        assert!(e.cause.contains("truncated"), "cause: {}", e.cause);
+        let mut corrupt = bytes.clone();
+        corrupt[16 + 1 + 4] ^= 0x10;
+        let e = read_table(&corrupt).unwrap_err();
+        assert!(e.cause.contains("page 0 checksum mismatch"), "cause: {}", e.cause);
+        assert_eq!(e.offset, 16, "the error names the page's tag byte");
+
         // Rot in memory: the table still writes the sum it holds, so the
         // image it produces is refused instead of carrying the rot along.
         q.corrupt_page(a, 0, 1).unwrap();
         let mut rotted = Vec::new();
         q.write_table(&mut rotted);
-        let e = Pager::read_table(&rotted, IoCategory::RtreeBlock, IoStats::new_shared())
-            .unwrap_err();
+        let e = read_table(&rotted).unwrap_err();
         assert!(e.cause.contains("checksum mismatch"), "cause: {}", e.cause);
         assert_eq!(q.allocate(), b, "free list survives");
     }

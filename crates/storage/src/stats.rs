@@ -69,6 +69,54 @@ impl fmt::Display for IoCategory {
     }
 }
 
+/// The ledger's scalar counters: everything it tallies that is not a page
+/// read or write in an [`IoCategory`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Counter {
+    /// Signature loads that failed (corrupt or unreadable data) and fell back
+    /// to unfiltered traversal. Queries stay correct; only pruning is lost.
+    DegradedReads,
+    /// WAL fsync attempts that failed transiently and were retried.
+    WalRetries,
+    /// Total microseconds spent in exponential backoff between WAL fsync
+    /// retries. Soak harnesses assert this stays bounded — transient storage
+    /// faults must surface as bounded retries, never silent stalls.
+    WalBackoffUs,
+    /// Pages whose deterministic read failure was memoized in a pager's
+    /// quarantine registry (each page counts once per quarantine episode).
+    PagesQuarantined,
+    /// Reads answered from a quarantine entry in O(1) — the doomed physical
+    /// read was skipped, so these do *not* also count as category reads.
+    QuarantineHits,
+    /// Quarantined pages healed back to service: rewritten with fresh
+    /// contents or freed and rebuilt by the repair path.
+    PagesRepaired,
+}
+
+impl Counter {
+    /// All counters, in display order.
+    pub const ALL: [Counter; 6] = [
+        Counter::DegradedReads,
+        Counter::WalRetries,
+        Counter::WalBackoffUs,
+        Counter::PagesQuarantined,
+        Counter::QuarantineHits,
+        Counter::PagesRepaired,
+    ];
+
+    /// The counter's name as reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::DegradedReads => "degraded_reads",
+            Counter::WalRetries => "wal_retries",
+            Counter::WalBackoffUs => "wal_backoff_us",
+            Counter::PagesQuarantined => "pages_quarantined",
+            Counter::QuarantineHits => "quarantine_hits",
+            Counter::PagesRepaired => "pages_repaired",
+        }
+    }
+}
+
 /// Shared, thread-safe I/O ledger.
 ///
 /// One `IoStats` is typically shared (via [`SharedStats`]) by every pager in a
@@ -79,23 +127,7 @@ impl fmt::Display for IoCategory {
 pub struct IoStats {
     reads: [AtomicU64; 5],
     writes: [AtomicU64; 5],
-    /// Signature loads that failed and fell back to unfiltered traversal.
-    degraded_reads: AtomicU64,
-    /// WAL fsync attempts that failed transiently and were retried.
-    wal_retries: AtomicU64,
-    /// Total microseconds spent in exponential backoff between WAL fsync
-    /// retries. Soak harnesses assert this stays bounded — transient storage
-    /// faults must surface as bounded retries, never silent stalls.
-    wal_backoff_us: AtomicU64,
-    /// Pages whose deterministic read failure was memoized in a pager's
-    /// quarantine registry (each page counts once per quarantine episode).
-    pages_quarantined: AtomicU64,
-    /// Reads answered from a quarantine entry in O(1) — the doomed physical
-    /// read was skipped, so these do *not* also count as category reads.
-    quarantine_hits: AtomicU64,
-    /// Quarantined pages healed back to service: rewritten with fresh
-    /// contents or freed and rebuilt by the repair path.
-    pages_repaired: AtomicU64,
+    counters: [AtomicU64; Counter::ALL.len()],
 }
 
 /// Reference-counted, thread-safe handle to an [`IoStats`] ledger.
@@ -153,77 +185,16 @@ impl IoStats {
         self.total_reads().saturating_sub(base)
     }
 
-    /// Records `n` degraded reads: storage-level failures (corrupt or
-    /// unreadable signature data) that the query layer survived by falling
-    /// back to unfiltered traversal. Queries stay correct; only pruning is
-    /// lost.
+    /// Adds `n` to `counter`.
     #[inline]
-    pub fn record_degraded_reads(&self, n: u64) {
-        self.degraded_reads.fetch_add(n, Ordering::Relaxed);
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Number of degraded reads recorded so far.
+    /// The value of `counter` so far.
     #[inline]
-    pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads.load(Ordering::Relaxed)
-    }
-
-    /// Records one retried WAL fsync and the backoff it paid before the
-    /// retry. The WAL's durability path calls this for every transient fsync
-    /// failure it absorbs, so harnesses can assert retries are bounded.
-    #[inline]
-    pub fn record_wal_retry(&self, backoff_us: u64) {
-        self.wal_retries.fetch_add(1, Ordering::Relaxed);
-        self.wal_backoff_us.fetch_add(backoff_us, Ordering::Relaxed);
-    }
-
-    /// Number of transiently-failed-and-retried WAL fsyncs so far.
-    #[inline]
-    pub fn wal_retries(&self) -> u64 {
-        self.wal_retries.load(Ordering::Relaxed)
-    }
-
-    /// Total microseconds of WAL fsync retry backoff paid so far.
-    #[inline]
-    pub fn wal_backoff_us(&self) -> u64 {
-        self.wal_backoff_us.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` pages entering quarantine (first failure only; repeat
-    /// probes of an already-quarantined page count as hits instead).
-    #[inline]
-    pub fn record_pages_quarantined(&self, n: u64) {
-        self.pages_quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Pages quarantined so far.
-    #[inline]
-    pub fn pages_quarantined(&self) -> u64 {
-        self.pages_quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` reads short-circuited by a quarantine entry.
-    #[inline]
-    pub fn record_quarantine_hits(&self, n: u64) {
-        self.quarantine_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads short-circuited by quarantine entries so far.
-    #[inline]
-    pub fn quarantine_hits(&self) -> u64 {
-        self.quarantine_hits.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` quarantined pages healed (rewritten or freed-and-rebuilt).
-    #[inline]
-    pub fn record_pages_repaired(&self, n: u64) {
-        self.pages_repaired.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Quarantined pages healed so far.
-    #[inline]
-    pub fn pages_repaired(&self) -> u64 {
-        self.pages_repaired.load(Ordering::Relaxed)
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     /// Copies the current counter values into an owned [`IoSnapshot`].
@@ -234,43 +205,17 @@ impl IoStats {
     pub fn snapshot(&self) -> IoSnapshot {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         IoSnapshot {
-            reads: [
-                load(&self.reads[0]),
-                load(&self.reads[1]),
-                load(&self.reads[2]),
-                load(&self.reads[3]),
-                load(&self.reads[4]),
-            ],
-            writes: [
-                load(&self.writes[0]),
-                load(&self.writes[1]),
-                load(&self.writes[2]),
-                load(&self.writes[3]),
-                load(&self.writes[4]),
-            ],
-            degraded_reads: load(&self.degraded_reads),
-            wal_retries: load(&self.wal_retries),
-            wal_backoff_us: load(&self.wal_backoff_us),
-            pages_quarantined: load(&self.pages_quarantined),
-            quarantine_hits: load(&self.quarantine_hits),
-            pages_repaired: load(&self.pages_repaired),
+            reads: std::array::from_fn(|i| load(&self.reads[i])),
+            writes: std::array::from_fn(|i| load(&self.writes[i])),
+            counters: std::array::from_fn(|i| load(&self.counters[i])),
         }
     }
 
     /// Resets every counter to zero.
     pub fn reset(&self) {
-        for c in &self.reads {
+        for c in self.reads.iter().chain(&self.writes).chain(&self.counters) {
             c.store(0, Ordering::Relaxed);
         }
-        for c in &self.writes {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.degraded_reads.store(0, Ordering::Relaxed);
-        self.wal_retries.store(0, Ordering::Relaxed);
-        self.wal_backoff_us.store(0, Ordering::Relaxed);
-        self.pages_quarantined.store(0, Ordering::Relaxed);
-        self.quarantine_hits.store(0, Ordering::Relaxed);
-        self.pages_repaired.store(0, Ordering::Relaxed);
     }
 }
 
@@ -280,12 +225,7 @@ impl IoStats {
 pub struct IoSnapshot {
     reads: [u64; 5],
     writes: [u64; 5],
-    degraded_reads: u64,
-    wal_retries: u64,
-    wal_backoff_us: u64,
-    pages_quarantined: u64,
-    quarantine_hits: u64,
-    pages_repaired: u64,
+    counters: [u64; Counter::ALL.len()],
 }
 
 impl IoSnapshot {
@@ -299,50 +239,19 @@ impl IoSnapshot {
         self.writes[category.slot()]
     }
 
-    /// Degraded reads recorded at snapshot time.
-    pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads
-    }
-
-    /// Retried WAL fsyncs recorded at snapshot time.
-    pub fn wal_retries(&self) -> u64 {
-        self.wal_retries
-    }
-
-    /// Microseconds of WAL fsync retry backoff recorded at snapshot time.
-    pub fn wal_backoff_us(&self) -> u64 {
-        self.wal_backoff_us
-    }
-
-    /// Pages quarantined at snapshot time.
-    pub fn pages_quarantined(&self) -> u64 {
-        self.pages_quarantined
-    }
-
-    /// Quarantine-served reads at snapshot time.
-    pub fn quarantine_hits(&self) -> u64 {
-        self.quarantine_hits
-    }
-
-    /// Quarantined pages healed at snapshot time.
-    pub fn pages_repaired(&self) -> u64 {
-        self.pages_repaired
+    /// The value of `counter` at snapshot time.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
     }
 
     /// Counter-wise difference `self - earlier`, saturating at zero.
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        let mut out = IoSnapshot::default();
-        for i in 0..5 {
-            out.reads[i] = self.reads[i].saturating_sub(earlier.reads[i]);
-            out.writes[i] = self.writes[i].saturating_sub(earlier.writes[i]);
+        let sub = |now: u64, then: u64| now.saturating_sub(then);
+        IoSnapshot {
+            reads: std::array::from_fn(|i| sub(self.reads[i], earlier.reads[i])),
+            writes: std::array::from_fn(|i| sub(self.writes[i], earlier.writes[i])),
+            counters: std::array::from_fn(|i| sub(self.counters[i], earlier.counters[i])),
         }
-        out.degraded_reads = self.degraded_reads.saturating_sub(earlier.degraded_reads);
-        out.wal_retries = self.wal_retries.saturating_sub(earlier.wal_retries);
-        out.wal_backoff_us = self.wal_backoff_us.saturating_sub(earlier.wal_backoff_us);
-        out.pages_quarantined = self.pages_quarantined.saturating_sub(earlier.pages_quarantined);
-        out.quarantine_hits = self.quarantine_hits.saturating_sub(earlier.quarantine_hits);
-        out.pages_repaired = self.pages_repaired.saturating_sub(earlier.pages_repaired);
-        out
     }
 
     /// Total reads across all categories.
@@ -449,9 +358,20 @@ mod tests {
         let stats = IoStats::default();
         stats.record_reads(IoCategory::HeapScan, 9);
         stats.record_writes(IoCategory::HeapScan, 9);
+        for (n, counter) in Counter::ALL.into_iter().enumerate() {
+            stats.add(counter, n as u64 + 1);
+        }
+        let before = stats.snapshot();
+        stats.add(Counter::WalBackoffUs, 40);
+        for (n, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(before.get(counter), n as u64 + 1, "{}", counter.name());
+            let grew = if counter == Counter::WalBackoffUs { 40 } else { 0 };
+            assert_eq!(stats.snapshot().since(&before).get(counter), grew, "{}", counter.name());
+        }
         stats.reset();
         assert_eq!(stats.total_reads(), 0);
         assert_eq!(stats.total_writes(), 0);
+        assert_eq!(stats.snapshot(), IoSnapshot::default());
     }
 
     #[test]
@@ -477,14 +397,14 @@ mod tests {
                     for _ in 0..per_thread {
                         stats.record_reads(IoCategory::RtreeBlock, 1);
                         stats.record_writes(IoCategory::SignaturePage, 1);
-                        stats.record_degraded_reads(1);
+                        stats.add(Counter::DegradedReads, 1);
                     }
                 });
             }
         });
         assert_eq!(stats.reads(IoCategory::RtreeBlock), threads * per_thread);
         assert_eq!(stats.writes(IoCategory::SignaturePage), threads * per_thread);
-        assert_eq!(stats.degraded_reads(), threads * per_thread);
+        assert_eq!(stats.get(Counter::DegradedReads), threads * per_thread);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::crc::crc32;
 use crate::bytes::{read_u32, read_u64, write_u32, write_u64};
 use crate::fault::FaultPlan;
-use crate::stats::SharedStats;
+use crate::stats::{Counter, SharedStats};
 use std::fmt;
 use std::time::Duration;
 
@@ -498,7 +498,8 @@ impl Wal {
             }
             let backoff = SYNC_BACKOFF_BASE_US << (attempts - 1);
             if let Some(stats) = &self.io_stats {
-                stats.record_wal_retry(backoff);
+                stats.add(Counter::WalRetries, 1);
+                stats.add(Counter::WalBackoffUs, backoff);
             }
             backoff_total += backoff;
             std::thread::sleep(Duration::from_micros(backoff));
@@ -788,14 +789,14 @@ mod tests {
             }
         }
         assert!(ok > 0, "some syncs must eventually succeed");
-        assert!(stats.wal_retries() > 0, "retries must be reported, not silent");
-        assert!(stats.wal_backoff_us() > 0);
+        assert!(stats.get(Counter::WalRetries) > 0, "retries must be reported, not silent");
+        assert!(stats.get(Counter::WalBackoffUs) > 0);
         // Backoff is exponential from the base and capped by the attempt
         // budget per sync.
         let max_per_sync: u64 = (0..MAX_SYNC_ATTEMPTS - 1).map(|i| SYNC_BACKOFF_BASE_US << i).sum();
-        assert!(stats.wal_backoff_us() <= max_per_sync * 50);
+        assert!(stats.get(Counter::WalBackoffUs) <= max_per_sync * 50);
         let counts = wal.take_fault_plan().unwrap().counts();
-        assert_eq!(counts.fsync_failures, stats.wal_retries() + (50 - ok as u64), "every failed attempt is either retried or ends a failed sync");
+        assert_eq!(counts.fsync_failures, stats.get(Counter::WalRetries) + (50 - ok as u64), "every failed attempt is either retried or ends a failed sync");
     }
 
     #[test]

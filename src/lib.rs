@@ -80,6 +80,6 @@ pub mod prelude {
         CellKey, CuboidMask, MaterializationPlan, Predicate, Relation, Schema, Selection,
     };
     pub use pcube_storage::{
-        CostModel, CrashPlan, CrashPoint, FaultPlan, IoCategory, WalDamage, WalSyncError,
+        CostModel, Counter, CrashPlan, CrashPoint, FaultPlan, IoCategory, WalDamage, WalSyncError,
     };
 }

@@ -27,6 +27,7 @@ use pcube_core::{
 };
 use pcube_cube::{Predicate, Selection};
 use pcube_rtree::Mbr;
+use pcube_storage::Counter;
 use std::fmt;
 use std::time::Duration;
 
@@ -912,24 +913,19 @@ impl SqlSession {
     }
 }
 
-/// Renders the database's I/O ledger as a one-line-per-counter summary —
-/// the `STATS` directive. The self-healing counters make degraded
-/// operation visible at the prompt: `degraded_reads` grows while damaged
-/// pages are being verified around, `pages_quarantined`/`quarantine_hits`
-/// show the memoization working, and `pages_repaired` confirms a `REPAIR`
-/// healed them.
+/// Renders the database's I/O ledger as one line — the `STATS` directive:
+/// total reads and writes, then every [`Counter`] by name. The self-healing
+/// counters make degraded operation visible at the prompt: `degraded_reads`
+/// grows while damaged pages are being verified around,
+/// `pages_quarantined`/`quarantine_hits` show the memoization working, and
+/// `pages_repaired` confirms a `REPAIR` healed them.
 fn render_stats(db: &PCubeDb) -> String {
     let s = db.stats().snapshot();
-    format!(
-        "reads: {} (degraded: {}), writes: {}, pages_quarantined: {}, \
-         quarantine_hits: {}, pages_repaired: {}",
-        s.total_reads(),
-        s.degraded_reads(),
-        s.total_writes(),
-        s.pages_quarantined(),
-        s.quarantine_hits(),
-        s.pages_repaired(),
-    )
+    let mut line = format!("reads: {}, writes: {}", s.total_reads(), s.total_writes());
+    for counter in Counter::ALL {
+        line.push_str(&format!(", {}: {}", counter.name(), s.get(counter)));
+    }
+    line
 }
 
 /// Renders a [`QueryOutcome::Partial`] as a one-line notice (`None` for

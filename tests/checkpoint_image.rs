@@ -1,22 +1,26 @@
 //! The two durable byte strings, pinned, and their decoder against any bytes.
 //!
-//! A checkpoint image and a persist-v2 image are *formats*: what an older
-//! build wrote, this build must read, and what this build writes must be
-//! what the older build would have written. The first test says so with
-//! literals — an FNV-1a digest of `durable_state().checkpoint`, of `.wal`
-//! and of `save_to_bytes()` at five points of one seeded script (after
-//! `create`, after commits, after a checkpoint, after more commits, after
-//! recovery and another checkpoint). The literals were computed on the
-//! commit *before* the checkpoint image stopped keeping its own copy of
-//! every page (PR 21's parent) and must never be edited for a refactor.
+//! The image and the WAL are *formats*: what an older build wrote, this
+//! build must read, and what this build writes must be what the older build
+//! would have written. The first test says so with literals — an FNV-1a
+//! digest of `durable_state().checkpoint` and of `.wal` at five points of
+//! one seeded script (after `create`, after commits, after a checkpoint,
+//! after more commits, after recovery and another checkpoint). The literals
+//! were computed on the commit *before* the checkpoint image stopped keeping
+//! its own copy of every page (PR 21's parent) and must never be edited for
+//! a refactor. A saved database is the same image: `save_to_bytes()` of a
+//! fresh build *is* the checkpoint `create` captures, after any checkpoint
+//! the two agree past the 44-byte watermark header, and a saved buffer with
+//! an empty log recovers clean.
 //!
-//! The second test feeds `DurableDb::open_or_recover_from_state` every
-//! truncation of a real image, a bit flip at every sampled offset, and — so
-//! that the page-table codec itself sees hostile bytes, not just the section
-//! checksum in front of it — the same flips inside the three page-table
-//! sections with the section checksum recomputed. Each one is a typed error
-//! or a store that answers like the original: no panic, no allocation beyond
-//! a few images' worth.
+//! The second test feeds `DurableDb::open_or_recover_from_state` — the one
+//! image decoder, with a log to replay on top — every truncation of a real
+//! image, a bit flip at every sampled offset, seeded zeroed and overwritten
+//! ranges, and — so that the page-table codec itself sees hostile bytes, not
+//! just the section checksum in front of it — the same flips inside the
+//! three page-table sections with the section checksum recomputed. Each one
+//! is a typed error naming a section or a store that answers like the
+//! original: no panic, no allocation beyond a few images' worth.
 //!
 //! This file is its own test binary because it installs the measuring
 //! `#[global_allocator]` of `support/measuring_allocator.rs`.
@@ -109,38 +113,42 @@ fn config(page_size: usize) -> PCubeConfig {
 
 // ----------------------------------------------------------- pinned bytes --
 
-/// `(point, checkpoint length, checkpoint digest, WAL length, WAL digest,
-/// persist-v2 length, persist-v2 digest)`.
-type Pin = (&'static str, usize, u64, usize, u64, usize, u64);
+/// `(point, checkpoint length, checkpoint digest, WAL length, WAL digest)`.
+type Pin = (&'static str, usize, u64, usize, u64);
 
 fn pin(point: &'static str, db: &DurableDb) -> Pin {
     let state = db.durable_state();
-    let saved = db.db().save_to_bytes();
-    (
-        point,
-        state.checkpoint.len(),
-        fnv(&state.checkpoint),
-        state.wal.len(),
-        fnv(&state.wal),
-        saved.len(),
-        fnv(&saved),
-    )
+    (point, state.checkpoint.len(), fnv(&state.checkpoint), state.wal.len(), fnv(&state.wal))
+}
+
+/// Byte length of the image's magic and watermark header: what a checkpoint
+/// advances and a save resets to generation zero.
+const HEADER_LEN: usize = 8 + 36;
+
+/// Right after a checkpoint, saving the live database writes the installed
+/// image again, watermarks aside.
+fn assert_saved_is_the_checkpoint(point: &str, db: &DurableDb) {
+    let (saved, checkpoint) = (db.db().save_to_bytes(), db.durable_state().checkpoint);
+    assert!(saved[HEADER_LEN..] == checkpoint[HEADER_LEN..], "{point}: saved and installed image differ");
 }
 
 /// Computed on PR 21's parent.
 const PINNED: &[Pin] = &[
-    ("create", 527889, 0x67817150ac0947ec, 0, 0xcbf29ce484222325, 527865, 0x17cfb0f245cf3b0c),
-    ("20 commits", 527889, 0x67817150ac0947ec, 65998, 0x8535fc1101fad7a1, 531144, 0xfb53040f6a8ca0b1),
-    ("checkpoint", 531168, 0xf610dc6b73db516c, 33, 0xf05dc072b2ac8125, 531144, 0xfb53040f6a8ca0b1),
-    ("20 more commits", 531168, 0xf610dc6b73db516c, 67947, 0x9259a9f6a19d3704, 534904, 0x03575ce41ce02117),
-    ("recovered + checkpoint", 534928, 0x4ed9880fdd6e71e1, 33, 0xa9fb56ddee0d9762, 534904, 0x03575ce41ce02117),
+    ("create", 527889, 0x67817150ac0947ec, 0, 0xcbf29ce484222325),
+    ("20 commits", 527889, 0x67817150ac0947ec, 65998, 0x8535fc1101fad7a1),
+    ("checkpoint", 531168, 0xf610dc6b73db516c, 33, 0xf05dc072b2ac8125),
+    ("20 more commits", 531168, 0xf610dc6b73db516c, 67947, 0x9259a9f6a19d3704),
+    ("recovered + checkpoint", 534928, 0x4ed9880fdd6e71e1, 33, 0xa9fb56ddee0d9762),
 ];
 
 #[test]
 fn checkpoint_wal_and_persist_bytes_are_the_parents() {
     let table = relation(4_000);
     let txns = script(&table, 40);
+    let saved = PCubeDb::build(table.clone(), &config(512)).save_to_bytes();
     let mut db = DurableDb::create(table, &config(512), DurabilityOptions::default());
+    assert!(saved == db.durable_state().checkpoint, "a saved fresh build is the checkpoint `create` captures");
+    assert_saved_is_the_checkpoint("create", &db);
     let mut actual = vec![pin("create", &db)];
     for txn in &txns[..20] {
         db.apply(txn).expect("no crash plan is armed");
@@ -148,6 +156,7 @@ fn checkpoint_wal_and_persist_bytes_are_the_parents() {
     actual.push(pin("20 commits", &db));
     db.checkpoint().expect("checkpoint");
     actual.push(pin("checkpoint", &db));
+    assert_saved_is_the_checkpoint("checkpoint", &db);
     for txn in &txns[20..] {
         db.apply(txn).expect("no crash plan is armed");
     }
@@ -159,12 +168,19 @@ fn checkpoint_wal_and_persist_bytes_are_the_parents() {
     assert_eq!(pin("20 more commits", &recovered), actual[3], "replay == live, byte for byte");
     recovered.checkpoint().expect("checkpoint after recovery");
     actual.push(pin("recovered + checkpoint", &recovered));
+    assert_saved_is_the_checkpoint("recovered + checkpoint", &recovered);
+
+    // A saved database is a checkpoint with an empty log.
+    let state = DurableState { checkpoint: recovered.db().save_to_bytes(), wal: Vec::new() };
+    let (reopened, report) = DurableDb::open_or_recover_from_state(&state, DurabilityOptions::default())
+        .expect("a saved image opens as generation zero");
+    assert!(report.clean, "{report}");
+    assert_eq!((report.checkpoint_epoch, report.checkpoint_txns), (1, 0));
+    assert_eq!(answers(reopened.db()), answers(recovered.db()));
 
     let show = |rows: &[Pin]| -> String {
         rows.iter()
-            .map(|(p, cl, cd, wl, wd, sl, sd)| {
-                format!("    ({p:?}, {cl}, {cd:#018x}, {wl}, {wd:#018x}, {sl}, {sd:#018x}),\n")
-            })
+            .map(|(p, cl, cd, wl, wd)| format!("    ({p:?}, {cl}, {cd:#018x}, {wl}, {wd:#018x}),\n"))
             .collect()
     };
     assert_eq!(show(&actual), show(PINNED), "actual bytes:\n{}", show(&actual));
@@ -187,7 +203,7 @@ fn answers(db: &PCubeDb) -> String {
 /// [crc32 u32] …`.
 fn sections(image: &[u8]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    let mut pos = 8 + 36;
+    let mut pos = HEADER_LEN;
     while pos < image.len() {
         let len = u64::from_le_bytes(image[pos + 1..pos + 9].try_into().expect("8 bytes")) as usize;
         out.push((pos + 9, len));
@@ -211,10 +227,13 @@ fn any_bytes_are_a_typed_error_or_the_same_store() {
     }
     let clean = db.durable_state();
     let want = answers(db.db());
+    let want_unreplayed = answers(&PCubeDb::load_from_bytes(&clean.checkpoint).expect("the clean image"));
     let bound = 4 * clean.checkpoint.len();
 
     // `true` when the bytes opened (as the same store), `false` when they
-    // were refused with a typed error.
+    // were refused with a typed error. `load_from_bytes` is the same decoder
+    // without the log: it loads what recovery opens and refuses what
+    // recovery refuses, with the same error.
     let opens = |checkpoint: Vec<u8>, what: String| -> bool {
         let state = DurableState { checkpoint, wal: clean.wal.clone() };
         let (result, largest) = largest_allocation_of(|| {
@@ -224,9 +243,17 @@ fn any_bytes_are_a_typed_error_or_the_same_store() {
         match result {
             Ok((recovered, _)) => {
                 assert_eq!(answers(recovered.db()), want, "{what}: opened, answers differ");
+                let loaded = PCubeDb::load_from_bytes(&state.checkpoint);
+                let loaded = loaded.unwrap_or_else(|e| panic!("{what}: opened, but does not load: {e}"));
+                assert_eq!(answers(&loaded), want_unreplayed, "{what}: loaded, answers differ");
                 true
             }
-            Err(DurabilityError::Corrupt { .. } | DurabilityError::Persist(_)) => false,
+            Err(DurabilityError::Persist(e)) => {
+                assert!(e.section.starts_with("checkpoint-"), "{what}: {e} names no section of the image");
+                assert!(e.offset <= state.checkpoint.len() && !e.cause.is_empty(), "{what}: {e}");
+                assert_eq!(PCubeDb::load_from_bytes(&state.checkpoint).err(), Some(e), "{what}");
+                false
+            }
             Err(other) => panic!("{what}: unexpected error {other}"),
         }
     };
@@ -249,6 +276,19 @@ fn any_bytes_are_a_typed_error_or_the_same_store() {
             let what = format!("bit {bit} of byte {at}");
             assert!(!opens(flipped, what.clone()), "{what} opened");
         }
+    }
+
+    // Seeded zeroed ranges and random overwrites: refused, or — when the
+    // range held those bytes already — the same store.
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mutated = clean.checkpoint.clone();
+        let start = rng.gen_range(0..mutated.len());
+        let len = rng.gen_range(1..256usize).min(mutated.len() - start);
+        for b in &mut mutated[start..start + len] {
+            *b = if seed % 2 == 0 { 0 } else { rng.gen::<u8>() };
+        }
+        opens(mutated, format!("seed {seed}: {len} bytes from {start} overwritten"));
     }
 
     // The same flips inside the three page-table sections with the section

@@ -455,7 +455,7 @@ fn transient_fsync_failures_retry_bounded_and_lose_nothing() {
             }
             Err(e) => panic!("seed {seed}: unexpected failure {e}"),
         }
-        retried += db.db().stats().wal_retries();
+        retried += db.db().stats().get(Counter::WalRetries);
         let applied = db.applied_txns();
         let acked = db.durable_txns();
 

@@ -1,5 +1,7 @@
 //! Save/open roundtrips: a reloaded database must answer every query
-//! identically and accept further maintenance.
+//! identically and accept further maintenance. A saved database is a
+//! checkpoint image of generation zero (`pcube::core::persist`), so the
+//! sections errors name are that format's.
 
 use pcube::core::{LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass};
 use pcube::data::{sample_selection, synthetic, SyntheticSpec};
@@ -111,25 +113,33 @@ fn persist_errors_pinpoint_section_and_offset() {
 
     // Zero-length buffer.
     let e = load_err(&[]);
-    assert_eq!(e.section, "header");
-    assert!(e.cause.contains("shorter than the magic header"), "{e}");
+    assert_eq!(e.section, "checkpoint-header");
+    assert!(e.cause.contains("shorter than the header"), "{e}");
 
-    // Wrong magic.
-    let e = load_err(b"NOTADB99");
-    assert_eq!((e.section, e.offset), ("header", 0));
-
-    // Future version byte.
+    // Wrong magic, short and long; an unknown version byte is a wrong magic.
     let mut future = bytes.clone();
     future[7] = b'9';
-    let e = load_err(&future);
-    assert_eq!((e.section, e.offset), ("header", 7));
-    assert!(e.cause.contains("future format version"), "{e}");
+    for wrong in [&b"NOTADB99"[..], &[b'x'; 64][..], &future[..]] {
+        let e = load_err(wrong);
+        assert_eq!((e.section, e.offset), ("checkpoint-header", 0), "{e}");
+    }
 
-    // Old version byte gets a precise "unsupported" message.
-    let mut old = bytes.clone();
-    old[7] = b'1';
-    let e = load_err(&old);
-    assert!(e.cause.contains("unsupported format version 1"), "{e}");
+    // The two retired formats are refused by name, from the header alone or
+    // in front of a whole file.
+    let mut old_file = bytes.clone();
+    old_file[..8].copy_from_slice(b"PCUBEDB2");
+    for (legacy, version) in [(&b"PCUBEDB1"[..], 1), (&b"PCUBEDB2"[..], 2), (&old_file[..], 2)] {
+        let e = load_err(legacy);
+        assert_eq!((e.section, e.offset), ("checkpoint-header", 7), "{e}");
+        assert!(e.cause.contains(&format!("unsupported format version {version}")), "{e}");
+    }
+
+    // A flipped watermark is caught by the header's own checksum.
+    let mut skewed = bytes.clone();
+    skewed[16] ^= 1;
+    let e = load_err(&skewed);
+    assert_eq!(e.section, "checkpoint-header");
+    assert!(e.cause.contains("watermark checksum mismatch"), "{e}");
 
     // Truncation inside a section.
     let e = load_err(&bytes[..bytes.len() - 10]);
@@ -137,7 +147,7 @@ fn persist_errors_pinpoint_section_and_offset() {
     assert!(e.offset <= bytes.len(), "{e}");
 
     // A bit flip anywhere in a section payload trips that section's CRC.
-    for &at in &[20usize, bytes.len() / 3, bytes.len() / 2, bytes.len() - 20] {
+    for &at in &[60usize, bytes.len() / 3, bytes.len() / 2, bytes.len() - 20] {
         let mut flipped = bytes.clone();
         flipped[at] ^= 0x10;
         let e = load_err(&flipped);
@@ -155,15 +165,15 @@ fn persist_errors_pinpoint_section_and_offset() {
 fn truncated_trailing_section_names_the_section_not_a_length_error() {
     // A partial write that cuts the *last* section short — the classic
     // torn-file shape — must be reported as a truncation of that section
-    // by name ("signatures", the trailing section of the v2 layout), not
-    // as a generic length complaint against the whole image.
+    // by name ("checkpoint-directory", the trailing section of the image),
+    // not as a generic length complaint against the whole image.
     let db = build();
     let bytes = db.save_to_bytes();
 
-    // Find where the trailing signatures section begins: its 9-byte header
+    // Find where the trailing directory section begins: its 9-byte header
     // (tag 4 + u64 length) is the last section header in the image.
     // Walk the framing from the front to locate it robustly.
-    let mut pos = 8; // magic
+    let mut pos = 8 + 36; // magic, watermarks and their checksum
     let mut last_body = 0usize;
     while pos + 9 <= bytes.len() {
         let mut raw = [0u8; 8];
@@ -173,14 +183,14 @@ fn truncated_trailing_section_names_the_section_not_a_length_error() {
         pos = pos + 9 + len + 4;
     }
     assert_eq!(pos, bytes.len(), "walked framing must land on the image end");
-    assert_eq!(bytes[last_body - 9], 4, "trailing section must be the signatures tag");
+    assert_eq!(bytes[last_body - 9], 4, "trailing section must be the directory tag");
 
     // Cut at several depths inside the trailing section: just after the
     // header, mid-payload, and one byte short of complete.
     for cut in [last_body, last_body + (bytes.len() - last_body) / 2, bytes.len() - 1] {
         let e = load_err(&bytes[..cut]);
         assert_eq!(
-            e.section, "signatures",
+            e.section, "checkpoint-directory",
             "cut at {cut}: wrong section named: {e}"
         );
         assert!(
@@ -194,15 +204,16 @@ fn truncated_trailing_section_names_the_section_not_a_length_error() {
     }
 
     // Cutting *inside the header itself* is still attributed to the
-    // signatures section at the header's offset.
+    // directory section at the header's offset.
     let e = load_err(&bytes[..last_body - 5]);
-    assert_eq!(e.section, "signatures", "header cut: {e}");
+    assert_eq!(e.section, "checkpoint-directory", "header cut: {e}");
 }
 
 #[test]
 fn quiescent_fault_plan_does_not_perturb_roundtrip() {
     // An installed-but-zero-probability fault plan must be a no-op: the
-    // saved image and every reloaded answer stay identical.
+    // saved image (frozen clones of the pagers, which carry no plan) and
+    // every reloaded answer stay identical.
     let mut db = build();
     let clean_bytes = db.save_to_bytes();
     db.signature_store_mut()

@@ -157,7 +157,7 @@ fn bit_rot_in_every_signature_page_is_survived_found_and_healed() {
         assert_eq!(answers(db.db()), want, "seed {seed}: degraded answers diverged");
         let while_degraded = db.db().stats().snapshot().since(&before);
         assert!(
-            while_degraded.degraded_reads() > 0,
+            while_degraded.get(Counter::DegradedReads) > 0,
             "seed {seed}: degraded queries must be visible on the ledger"
         );
 
@@ -179,7 +179,7 @@ fn bit_rot_in_every_signature_page_is_survived_found_and_healed() {
         assert_eq!(again.pages_scanned, 0, "seed {seed}: quarantined pages were re-read");
         assert_eq!(again.already_quarantined as usize, damaged);
         assert!(
-            db.db().stats().snapshot().since(&before).quarantine_hits() > 0,
+            db.db().stats().snapshot().since(&before).get(Counter::QuarantineHits) > 0,
             "seed {seed}: cell walk should hit the quarantine, not the disk"
         );
         last_report_json = again.to_json();
@@ -203,7 +203,7 @@ fn bit_rot_in_every_signature_page_is_survived_found_and_healed() {
         assert_eq!(answers(db.db()), want, "seed {seed}: healed answers diverged");
         let after_repair = db.db().stats().snapshot().since(&before);
         assert_eq!(
-            after_repair.degraded_reads(),
+            after_repair.get(Counter::DegradedReads),
             0,
             "seed {seed}: healed store still degrading"
         );

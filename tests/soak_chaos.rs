@@ -27,7 +27,7 @@ use pcube::core::{
     AdmissionGate, CancelToken, PCubeConfig, PCubeDb, QueryBudget, QueryOutcome, StopReason,
 };
 use pcube::data::{synthetic, SyntheticSpec};
-use pcube::storage::FaultPlan;
+use pcube::storage::{Counter, FaultPlan};
 use pcube_bench::mix::{drain, mix, Case, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -299,7 +299,7 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
         }
     }
     assert!(
-        db.stats().degraded_reads() > 0,
+        db.stats().get(Counter::DegradedReads) > 0,
         "the seeded fault plans must actually have fired during the soak"
     );
     eprintln!(
