@@ -29,7 +29,11 @@
 //!
 //! One node expansion costs what the paper says it costs: one R-tree page,
 //! one signature-node lookup per conjunct of the probe, and one bit test
-//! per child. Children are scored and pruned in place from a borrowed
+//! per child — plus, under two or more conjuncts, one look-ahead lookup per
+//! conjunct for each kept child that is itself a node (one level of the
+//! Fig 3.c fix-up, [`BooleanPruner::look_ahead`]), which is what keeps a
+//! leaf holding no qualifying tuple from being read. Children are scored
+//! and pruned in place from a borrowed
 //! [`NodeView`] of the page; a [`Path`], a coordinate vector or an [`Mbr`]
 //! is allocated only for a child that is pushed on the heap or saved to a
 //! list, and the clock is read per expansion, never per child.
@@ -75,6 +79,13 @@ pub trait BooleanPruner {
     fn child_bit(&self, _i: usize, _slot: usize) -> bool {
         true
     }
+    /// Asked of a child in `slot` of the node at `path` that every mask
+    /// kept and that is itself an R-tree node: may its own subtree hold
+    /// qualifying tuples, judged one level further down? Can touch a page.
+    /// An exact pruner — or one with no node arrays — keeps the default.
+    fn look_ahead(&mut self, _path: &Path, _slot: usize) -> bool {
+        true
+    }
     /// The boolean check "in between lines 7 and 8" (§VI-A): does the popped
     /// tuple `tid`, which passed [`Self::contains`], satisfy the
     /// (normalized) `selection`? `false` routes it to the `b_list`. An exact
@@ -100,6 +111,9 @@ impl BooleanPruner for BooleanProbe<'_> {
     }
     fn child_bit(&self, i: usize, slot: usize) -> bool {
         BooleanProbe::child_bit(self, i, slot)
+    }
+    fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
+        BooleanProbe::look_ahead(self, path, slot)
     }
     /// A lossy probe (Bloom, §VII, or a degraded cursor) may pass
     /// non-qualifying tuples: verify against the base table. The empty
@@ -275,7 +289,7 @@ pub fn run_kernel(
     let mut coords: Vec<f64> = Vec::with_capacity(dims);
     let mut mbr = Mbr::empty(dims);
     // Stage attribution: anything that can touch a page — the pop-time probe
-    // and verification, node reads, child-mask fetches — counts as
+    // and verification, node reads, child-mask fetches, look-aheads — counts as
     // `page_read`; everything else — the heap pop, the governor check,
     // `on_pop`, scoring, pruning, bit tests, heap pushes, `accept`, the drop
     // of a spent entry — counts as `score`. The clock is read at the
@@ -345,7 +359,9 @@ pub fn run_kernel(
                 // by its bit in this node's masks alone. Mask `i` is fetched
                 // at the first child that survives preference pruning and
                 // masks `0..i` — the moment the per-child walk used to load
-                // the same partial signature.
+                // the same partial signature. A child node the masks keep is
+                // then looked ahead at: do the conjuncts share a bit in *its*
+                // arrays? (With one conjunct its set bit already says so.)
                 let mut fetched = 0;
                 let mut fetch_seconds = 0.0;
                 for slot in node.slots() {
@@ -366,6 +382,12 @@ pub fn run_kernel(
                                 fetched += 1;
                             }
                             probe.child_bit(i, slot)
+                        })
+                        && (leaf || masks < 2 || {
+                            let t_ahead = Instant::now();
+                            let ahead = probe.look_ahead(&path, slot);
+                            fetch_seconds += t_ahead.elapsed().as_secs_f64();
+                            ahead
                         });
                     // Only a child that goes somewhere is materialized.
                     if keep {

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 
 use pcube_bitmap::BitArray;
 use pcube_bptree::{composite_key, split_key, BPlusTree};
-use pcube_rtree::{Path, Sid};
+use pcube_rtree::{Path, Sid, SidBuildHasher};
 use pcube_storage::{read_u32, write_u32, Counter, IoCategory, PageOp, Pager, StorageError};
 
 use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
@@ -250,7 +250,10 @@ impl SignatureStore {
     /// All `(reference SID, locator)` pairs of a cell, via one directory
     /// range scan (the refs are contiguous in key space, so this typically
     /// costs a descent plus one leaf page).
-    fn try_locators_of(&self, cell: u32) -> Result<HashMap<Sid, u64>, StorageError> {
+    fn try_locators_of(
+        &self,
+        cell: u32,
+    ) -> Result<HashMap<Sid, u64, SidBuildHasher>, StorageError> {
         Ok(self
             .directory
             .try_range_collect(composite_key(cell, 0)..=composite_key(cell, u32::MAX))?
@@ -508,12 +511,14 @@ impl SignatureStore {
         SignatureCursor {
             store: self,
             cell,
-            nodes: HashMap::new(),
-            tried_refs: HashSet::new(),
+            nodes: HashMap::default(),
+            tried_refs: HashSet::default(),
             locators: None,
             partials_loaded: 0,
             degraded: false,
+            mask_sid: Sid::ROOT,
             mask: ChildMask::default(),
+            ahead: ChildMask::default(),
         }
     }
 }
@@ -569,6 +574,13 @@ impl ChildMask {
     fn get(&self, slot: usize) -> bool {
         self.words[slot / 64] >> (slot % 64) & 1 == 1
     }
+
+    /// `true` if some bit is set in every one of `masks` (at least one, all
+    /// of one fanout).
+    fn intersect<'m>(masks: impl Iterator<Item = &'m ChildMask> + Clone) -> bool {
+        let words = masks.clone().next().map_or(0, |m| m.words.len());
+        (0..words).any(|w| masks.clone().fold(u64::MAX, |acc, m| acc & m.words[w]) != 0)
+    }
 }
 
 /// Lazily materializes one cell's signature during query processing,
@@ -584,16 +596,21 @@ impl ChildMask {
 pub struct SignatureCursor<'a> {
     store: &'a SignatureStore,
     cell: u32,
-    nodes: HashMap<Sid, BitArray>,
-    tried_refs: HashSet<Sid>,
+    /// Every node of every loaded partial, by SID.
+    nodes: HashMap<Sid, BitArray, SidBuildHasher>,
+    tried_refs: HashSet<Sid, SidBuildHasher>,
     /// Reference→locator map, fetched with one directory range scan on
     /// first use (a cell's directory entries are contiguous).
-    locators: Option<HashMap<Sid, u64>>,
+    locators: Option<HashMap<Sid, u64, SidBuildHasher>>,
     partials_loaded: u64,
     degraded: bool,
-    /// Child mask of the node last passed to
-    /// [`SignatureCursor::fetch_child_mask`].
+    /// SID of the node last passed to [`SignatureCursor::fetch_child_mask`].
+    mask_sid: Sid,
+    /// Child mask of that node.
     mask: ChildMask,
+    /// Bits of the child node last passed to
+    /// [`SignatureCursor::fetch_ahead`].
+    ahead: ChildMask,
 }
 
 impl SignatureCursor<'_> {
@@ -644,8 +661,9 @@ impl SignatureCursor<'_> {
     /// keep.
     pub fn fetch_child_mask(&mut self, path: &Path) {
         let sid = path.sid(self.store.m_max);
+        self.mask_sid = sid;
         if !self.nodes.contains_key(&sid) {
-            self.load_node(path, path.depth(), sid);
+            self.load_node(path.0.iter().copied(), sid);
         }
         // No bits for the node: normally that proves emptiness, but a
         // degraded cursor may simply have failed to load them.
@@ -661,6 +679,21 @@ impl SignatureCursor<'_> {
         self.mask.get(slot)
     }
 
+    /// One level of the Fig 3.c fix-up: copies the bit array of the child
+    /// node in `slot` (0-based) of the node whose mask was fetched last (at
+    /// `path`) into the look-ahead mask, loading a partial signature by the
+    /// retrieval rule if need be — all ones where a degraded cursor cannot
+    /// tell. The child's SID is derived from the parent's; no [`Path`] is
+    /// built.
+    fn fetch_ahead(&mut self, path: &Path, slot: usize) {
+        let position = slot as u16 + 1;
+        let sid = self.mask_sid.child(position, self.store.m_max);
+        if !self.nodes.contains_key(&sid) {
+            self.load_node(path.0.iter().copied().chain(std::iter::once(position)), sid);
+        }
+        self.ahead.load(self.nodes.get(&sid), self.degraded, self.store.m_max);
+    }
+
     /// Bit `pos` of the node at `path.prefix(level)`, whose SID is `sid`
     /// (the walk accumulates it, so no prefix `Path` is materialized).
     /// A node the cell has no bits for reads as 0 — or, on a degraded
@@ -669,23 +702,23 @@ impl SignatureCursor<'_> {
         if let Some(bits) = self.nodes.get(&sid) {
             return bits.get(pos);
         }
-        self.load_node(path, level, sid);
+        self.load_node(path.0[..level].iter().copied(), sid);
         match self.nodes.get(&sid) {
             Some(bits) => bits.get(pos),
             None => self.degraded,
         }
     }
 
-    /// Tries to bring the bits of the node at `path.prefix(len)` (SID `sid`,
-    /// not loaded yet) into memory, by the paper's retrieval rule: the
-    /// partial referenced by the root, then by deeper and deeper ancestors
-    /// along the path. Each reference is tried at most once per cursor.
+    /// Tries to bring the bits of the node `sid` (not loaded yet), reached
+    /// from the root by the slot `positions`, into memory by the paper's
+    /// retrieval rule: the partial referenced by the root, then by deeper
+    /// and deeper ancestors along the path. Each reference is tried at most
+    /// once per cursor.
     ///
     /// Load failures mark the cursor degraded instead of propagating; the
     /// callers then treat "no bits" as "unknown" rather than "empty".
-    fn load_node(&mut self, path: &Path, len: usize, sid: Sid) {
+    fn load_node(&mut self, mut positions: impl Iterator<Item = u16>, sid: Sid) {
         let m_max = self.store.m_max;
-        debug_assert_eq!(sid, path.prefix_sid(len, m_max));
         if self.locators.is_none() {
             self.locators = Some(match self.store.try_locators_of(self.cell) {
                 Ok(map) => map,
@@ -693,12 +726,12 @@ impl SignatureCursor<'_> {
                     // Directory unreadable: no locators at all, every node
                     // is unknown from here on.
                     self.mark_degraded();
-                    HashMap::new()
+                    HashMap::default()
                 }
             });
         }
         let mut ref_sid = Sid::ROOT;
-        for level in 0..=len {
+        loop {
             if self.tried_refs.insert(ref_sid) {
                 let locators = self.locators.as_ref().expect("populated above");
                 if let Some(&loc) = locators.get(&ref_sid) {
@@ -718,10 +751,15 @@ impl SignatureCursor<'_> {
                     break;
                 }
             }
-            if level < len {
-                ref_sid = ref_sid.child(path.0[level], m_max);
+            match positions.next() {
+                Some(position) => ref_sid = ref_sid.child(position, m_max),
+                None => break,
             }
         }
+        debug_assert!(
+            self.nodes.contains_key(&sid) || ref_sid == sid,
+            "the positions do not lead to {sid}"
+        );
     }
 }
 
@@ -731,8 +769,10 @@ impl SignatureCursor<'_> {
 /// * [`BooleanProbe::All`] — no predicates (`BP = ∅`), prunes nothing.
 /// * [`BooleanProbe::Single`] — one predicate, one lazily-loaded signature.
 /// * [`BooleanProbe::IntersectLazy`] — k predicates ANDed across k lazy
-///   cursors. Exact for tuples; conservative (never over-prunes) for
-///   internal nodes because the recursive emptiness fix-up is skipped.
+///   cursors, plus one level of the recursive emptiness fix-up at
+///   expansion ([`BooleanProbe::look_ahead`]). Exact for tuples and for
+///   leaf-level nodes; conservative (never over-prunes) above them, where
+///   the rest of the fix-up is skipped.
 /// * [`BooleanProbe::Assembled`] — k signatures loaded fully and intersected
 ///   with the fix-up (Fig 3.c) before the search; tightest pruning, highest
 ///   up-front load cost. The `assemble-eager` ablation compares the two.
@@ -741,7 +781,7 @@ impl SignatureCursor<'_> {
 ///
 /// # The probe contract
 ///
-/// Two operations, for the two places Algorithm 1 asks:
+/// Three operations, for the three places Algorithm 1 asks:
 ///
 /// * [`BooleanProbe::contains`] — the full root-to-path walk, for an entry
 ///   that was just *popped* (the root seed, an entry restored from a saved
@@ -752,10 +792,19 @@ impl SignatureCursor<'_> {
 ///   per child ([`BooleanProbe::child_bit`]). A child is kept iff its bit is
 ///   set in every mask. This equals `contains(child path)` because the node
 ///   was popped and passed `contains`, so only the last level is undecided.
-///
-/// Masks are fetched one conjunct at a time, each at the first child that
-/// reaches it (the caller short-circuits like `contains` does), which is
-/// what keeps partial signatures loaded lazily per predicate.
+///   Masks are fetched one conjunct at a time, each at the first child that
+///   reaches it (the caller short-circuits like `contains` does), which is
+///   what keeps partial signatures loaded lazily per predicate.
+/// * The *look-ahead* ([`BooleanProbe::look_ahead`]) for a child every mask
+///   kept that is itself an R-tree node: do the conjuncts' bit arrays *of
+///   that child node* share a set bit? One level of the Fig 3.c fix-up, so
+///   a child whose subtree holds data of every conjunct but no tuple of all
+///   of them is dropped unread when the disagreement shows one level down.
+///   Exact for a leaf-level child (it is read only if it holds a qualifying
+///   tuple), sound above that. Only [`BooleanProbe::IntersectLazy`] can
+///   answer `false`: one cursor's or an assembled signature's set bit
+///   already proves a non-empty child, and a Bloom summary stores no node
+///   arrays.
 pub enum BooleanProbe<'a> {
     /// No boolean predicate.
     All,
@@ -835,6 +884,24 @@ impl BooleanProbe<'_> {
         }
     }
 
+    /// The look-ahead for the child node in `slot` (0-based) of the node at
+    /// `path`, after every mask of that node was fetched and kept the
+    /// child: `false` if the conjuncts' bit arrays of the child node share
+    /// no set bit, so no qualifying tuple lies under it. Each conjunct's
+    /// bits are loaded by the retrieval rule (counted in
+    /// [`Self::partials_loaded`]), stopping at the first conjunct that
+    /// empties the AND; a degraded cursor that cannot load them answers
+    /// all ones and never prunes.
+    pub fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
+        match self {
+            BooleanProbe::IntersectLazy(cs) if cs.len() > 1 => (0..cs.len()).all(|i| {
+                cs[i].fetch_ahead(path, slot);
+                ChildMask::intersect(cs[..=i].iter().map(|c| &c.ahead))
+            }),
+            _ => true,
+        }
+    }
+
     /// `true` if the probe can report false positives — lossy Bloom
     /// summaries, or a cursor that degraded after a storage failure. Query
     /// processors must then verify candidate result tuples against the base
@@ -863,12 +930,18 @@ impl BooleanProbe<'_> {
 mod tests {
     use super::*;
     use pcube_storage::{IoStats, SharedStats, PAGE_SIZE};
+    use proptest::prelude::*;
 
     fn store_with(page_size: usize) -> (SignatureStore, SharedStats) {
+        store_for(2, page_size)
+    }
+
+    /// An empty store for a height-3 tree of fanout `m_max`.
+    fn store_for(m_max: usize, page_size: usize) -> (SignatureStore, SharedStats) {
         let stats = IoStats::new_shared();
         let sig_pager = Pager::new(page_size, IoCategory::SignaturePage, stats.clone());
         let dir_pager = Pager::new(PAGE_SIZE, IoCategory::BptreePage, stats.clone());
-        (SignatureStore::new(sig_pager, dir_pager, 2, 3), stats)
+        (SignatureStore::new(sig_pager, dir_pager, m_max, 3), stats)
     }
 
     fn a1_signature() -> Signature {
@@ -1051,7 +1124,7 @@ mod tests {
                 }
             }
         }
-        // Internal nodes: lazy may be looser, never tighter.
+        // Internal nodes: the lazy walk may be looser, never tighter.
         for a in 1..=2u16 {
             for b in 1..=2u16 {
                 let p = Path(vec![a, b]);
@@ -1060,10 +1133,102 @@ mod tests {
                 }
             }
         }
-        // The N2 subtree is the paper's example of lazy being looser: both
-        // cells have data under <2>, but no shared tuple.
-        assert!(lazy.contains(&Path(vec![2])));
-        assert!(!eager.contains(&Path(vec![2])));
+        // The N2 subtree is the paper's example of the walk being looser:
+        // both cells have data under <2>, but no shared tuple (a2 has t6
+        // under N5, b2 has t7 under N6). The root's masks keep <2>; the
+        // look-ahead ANDs the two cells' arrays *of N2* (10 & 01) and prunes
+        // it at the root's expansion, as the eager intersection does.
+        let n2 = Path(vec![2]);
+        assert!(lazy.contains(&n2));
+        assert!(!eager.contains(&n2));
+        let root = Path::root();
+        assert_eq!(mask_verdicts(&mut lazy, &root, 2), [true, true]);
+        assert!(lazy.look_ahead(&root, 0), "<1> holds t2");
+        assert!(!lazy.look_ahead(&root, 1), "<2> is pruned at the root's expansion");
+        // An assembled signature's set bit already proves its child
+        // non-empty: the look-ahead has nothing to add.
+        assert!(eager.look_ahead(&root, 1));
+    }
+
+    /// Walks a complete height-3 tree of fanout `m_max` the way the kernel
+    /// expands it — masks fetched per node, every child they keep expanded
+    /// down to the leaf level — and returns the look-ahead verdict of every
+    /// kept child node.
+    fn look_ahead_verdicts(probe: &mut BooleanProbe<'_>, m_max: usize) -> Vec<(Path, bool)> {
+        let mut verdicts = Vec::new();
+        let mut frontier = vec![Path::root()];
+        while let Some(node) = frontier.pop() {
+            for (slot, kept) in mask_verdicts(probe, &node, m_max).into_iter().enumerate() {
+                if kept {
+                    let child = node.child(slot as u16 + 1);
+                    verdicts.push((child.clone(), probe.look_ahead(&node, slot)));
+                    if child.depth() < 2 {
+                        frontier.push(child);
+                    }
+                }
+            }
+        }
+        verdicts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random 2- and 3-cell signatures on a height-3 tree of fanout 3 or
+        /// 4, over pages small enough to split every cell into several
+        /// partials. For a leaf-level child the look-ahead equals the
+        /// assembled intersection (Fig 3.c); at any level it never drops a
+        /// child the intersection keeps. With the signature pages corrupted
+        /// (every `corrupt_every`-th under checksums; all of them at 1) the
+        /// cursors degrade: the look-ahead may keep more, never less.
+        #[test]
+        fn look_ahead_is_one_level_of_the_fixup(
+            m_max in 3usize..=4,
+            cells in prop::collection::vec(
+                prop::collection::hash_set((1u16..=4, 1u16..=4, 1u16..=4), 1..40),
+                2..=3,
+            ),
+            page_size in 24usize..160,
+            corrupt_every in 0usize..=3,
+        ) {
+            // Fold positions into `1..=m_max`.
+            let fold = |p: u16| (p - 1) % m_max as u16 + 1;
+            let sigs: Vec<Signature> = cells
+                .iter()
+                .map(|cell| {
+                    let paths: Vec<Path> = cell
+                        .iter()
+                        .map(|&(a, b, c)| Path(vec![fold(a), fold(b), fold(c)]))
+                        .collect();
+                    Signature::from_paths(m_max, paths.iter())
+                })
+                .collect();
+            let exact = sigs[1..].iter().fold(sigs[0].clone(), |acc, s| acc.intersect(s, 3));
+
+            let (mut store, _) = store_for(m_max, page_size);
+            for (cell, sig) in sigs.iter().enumerate() {
+                store.write_signature(cell as u32, sig);
+            }
+            if corrupt_every > 0 {
+                let pager = store.sig_pager_mut();
+                pager.set_checksums(true);
+                for pid in pager.live_page_ids().into_iter().step_by(corrupt_every) {
+                    pager.corrupt_page(pid, 2, 0x40).unwrap();
+                }
+            }
+            let cursors = (0..sigs.len() as u32).map(|c| store.cursor(c)).collect();
+            let mut lazy = BooleanProbe::IntersectLazy(cursors);
+            for (child, ahead) in look_ahead_verdicts(&mut lazy, m_max) {
+                let holds = exact.contains(&child);
+                prop_assert!(ahead || !holds, "dropped {} holding a qualifying tuple", child);
+                if child.depth() == 2 && corrupt_every == 0 {
+                    prop_assert_eq!(ahead, holds, "leaf-level child {}", child);
+                }
+            }
+            if corrupt_every == 0 {
+                prop_assert!(!lazy.is_lossy());
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod tree;
 
 pub use geom::Mbr;
 pub use node::{DecodedEntry, DecodedNode, NodeView};
-pub use path::{Path, Sid};
+pub use path::{Path, Sid, SidBuildHasher, SidHasher};
 pub use tree::{PathDelta, RTree, RTreeConfig};
 
 // Parallel branch-and-bound shares one tree across scoped worker threads.

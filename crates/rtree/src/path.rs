@@ -39,6 +39,46 @@ impl std::fmt::Display for Sid {
     }
 }
 
+/// The [`std::hash::BuildHasher`] of every map keyed by [`Sid`] on the query
+/// path: one multiply per key instead of SipHash. SIDs are integers the tree
+/// derives, never user input, so hash flooding does not apply.
+pub type SidBuildHasher = std::hash::BuildHasherDefault<SidHasher>;
+
+/// Multiplicative hasher behind [`SidBuildHasher`]: each word is xored into
+/// the state, which is then multiplied by an odd constant, and `finish`
+/// rotates the well-mixed high bits of the product down to where hash
+/// tables take their bucket index.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SidHasher(u64);
+
+impl SidHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl std::hash::Hasher for SidHasher {
+    /// Byte by byte; a [`Sid`] hashes through `write_u64`.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// A path from the R-tree root: the sequence of 1-based slot positions taken
 /// at each level. The empty path denotes the root itself. A *tuple path*
 /// ends with the tuple's slot inside its leaf; a *node path* stops at the
@@ -224,6 +264,16 @@ mod tests {
                 assert_eq!(p.prefix_sid(len, m), p.prefix(len).sid(m), "m={m} len={len}");
             }
         }
+    }
+
+    #[test]
+    fn sid_hash_is_injective() {
+        use std::hash::BuildHasher;
+        // One multiply by an odd constant and a rotate: a bijection on u64,
+        // so two SIDs never share a hash, consecutive ones included.
+        let hashes: std::collections::HashSet<u64> =
+            (0..10_000u64).map(|s| SidBuildHasher::default().hash_one(Sid(s))).collect();
+        assert_eq!(hashes.len(), 10_000);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! 380 / 538, and the frontier (`peak_heap`), no longer depth-first, went
 //! from 45 / 33 / 30 / 29 to 465 / 512 / 287 / 361.
 //!
+//! PR 25 gave the lazy multi-predicate probe one level of the Fig 3.c
+//! fix-up (`BooleanProbe::look_ahead`): a child node the masks keep is
+//! dropped unread when the conjuncts share no bit in its own arrays. Only
+//! runs under two or more predicates can move, and each moved row says why
+//! beside it; the 0- and 1-predicate rows are the capture above, byte for
+//! byte.
+//!
 //! 1 KB pages make every cell's signature span several partials, so the
 //! lazy-load moments (which cursor is consulted for which child) show in the
 //! `sig` / `bptree` / `partials` columns rather than rounding to one page.
@@ -47,18 +54,23 @@ const EXPECTED_QUERIES: &[[u64; 8]] = &[
     [282, 12, 2, 0, 0, 12, 282, 512],
     [114, 9, 1, 0, 0, 9, 114, 120],
     [66, 10, 1, 0, 0, 10, 66, 284],
-    [121, 12, 3, 0, 0, 12, 121, 236],
-    [267, 23, 3, 0, 0, 23, 267, 121],
-    [495, 26, 3, 0, 0, 26, 495, 317],
-    [380, 25, 3, 0, 0, 25, 380, 287],
-    [162, 21, 3, 0, 0, 21, 162, 94],
-    [129, 19, 4, 0, 0, 19, 129, 208],
-    [402, 32, 5, 0, 0, 32, 402, 272],
-    [514, 39, 4, 0, 0, 39, 514, 301],
-    [475, 38, 5, 0, 0, 38, 475, 286],
-    [538, 38, 5, 0, 0, 38, 538, 361],
-    [308, 34, 5, 0, 0, 34, 308, 154],
-    [153, 32, 3, 0, 0, 32, 153, 235],
+    // Two and three predicates (PR 25): every row reads fewer R-tree nodes
+    // (the look-ahead drops leaves holding no tuple of every conjunct), so
+    // fewer nodes are expanded and the frontier is smaller; `sig` and
+    // `partials` grow by what the look-ahead loads — the child's bits, by
+    // the retrieval rule — minus what the dropped subtrees no longer need.
+    [58, 16, 3, 0, 0, 16, 58, 120],   // top-k:    121 nodes → 58,  12 partials → 16
+    [130, 24, 3, 0, 0, 24, 130, 66],  // skyline:  267 → 130, 23 → 24
+    [211, 26, 3, 0, 0, 26, 211, 135], // dynamic:  495 → 211, 26 = 26
+    [178, 26, 3, 0, 0, 26, 178, 157], // hull:     380 → 178, 25 → 26
+    [100, 24, 3, 0, 0, 24, 100, 63],  // pskyline: 162 → 100, 21 → 24
+    [84, 24, 4, 0, 0, 24, 84, 123],   // subspace: 129 → 84,  19 → 24
+    [106, 36, 5, 0, 0, 36, 106, 84],  // top-k:    402 → 106, 32 → 36
+    [141, 39, 4, 0, 0, 39, 141, 92],  // skyline:  514 → 141, 39 = 39
+    [145, 39, 5, 0, 0, 39, 145, 95],  // dynamic:  475 → 145, 38 → 39
+    [153, 39, 5, 0, 0, 39, 153, 118], // hull:     538 → 153, 38 → 39
+    [112, 36, 5, 0, 0, 36, 112, 62],  // pskyline: 308 → 112, 34 → 36
+    [66, 34, 3, 0, 0, 34, 66, 105],   // subspace: 153 → 66,  32 → 34
 ];
 
 /// `[b_list, d_list]` lengths after each saved-lists run, in the order
@@ -68,14 +80,21 @@ const EXPECTED_LISTS: &[[usize; 2]] = &[
     [0, 1198],
     [189, 143],
     [261, 1827],
-    [965, 225],
-    [602, 2094],
-    [4042, 228],
-    [3221, 1618],
-    [1177, 244],
-    [82, 1383],
-    [808, 2435],
-    [168, 3238],
+    // Two and three predicates (PR 25): a leaf the look-ahead drops is one
+    // `b_list` entry instead of its tuples' (a shorter `b_list`), and a
+    // search that expands fewer nodes saves a smaller frontier (a shorter
+    // `d_list`).
+    [479, 117],  // top-k,   2 predicates: 965 → 479, 225 → 117
+    [364, 1067], // skyline, 2 predicates: 602 → 364, 2094 → 1067
+    [1050, 63],  // top-k,   3 predicates: 4042 → 1050, 228 → 63
+    [823, 595],  // skyline, 3 predicates: 3221 → 823, 1618 → 595
+    // A drill-down to 2 predicates looks ahead in its own expansions; the
+    // roll-up after it is a 1-predicate run (no look-ahead) restarted from
+    // that moved `b_list`, so only its `d_list` moves.
+    [1108, 148], // top-k drill-down:   1177 → 1108, 244 → 148
+    [82, 1218],  // top-k roll-up:      82 = 82, 1383 → 1218
+    [794, 2295], // skyline drill-down: 808 → 794, 2435 → 2295
+    [168, 3139], // skyline roll-up:    168 = 168, 3238 → 3139
 ];
 
 fn build_db() -> PCubeDb {
