@@ -11,15 +11,27 @@
 //!   through a SQL session.
 //! * Index-merge is reachable through the generic entry points, and only
 //!   for a class that supports it.
+//! * A governed P-Cube run stops where the pinned table says: six classes ×
+//!   three trips (a block budget that trips mid-search, a pre-cancelled
+//!   token, a heap cap), each run serially and through the fan-out entry
+//!   point at one worker — the tids, the `Progress` counters and the reads
+//!   per category, captured before the serial and the parallel driver
+//!   became one. Multi-worker partials depend on timing and are checked
+//!   for soundness elsewhere (`differential_oracle`, `soak_chaos`).
+
+#[path = "support/governed.rs"]
+mod governed;
 
 use pcube::core::{
-    run_class_engine, BooleanIndexSet, CancelToken, Engine, EngineKind, LinearFn, PCubeConfig,
-    PCubeDb, PSkylineClass, PlanError, PriorityGraph, QueryBudget, QueryClass, QueryStats,
-    SkylineClass, StopReason, SubspaceSkylineClass, TopKClass,
+    run_class_engine, BooleanIndexSet, CancelToken, ClassOutcome, DynamicSkylineClass, Engine,
+    EngineKind, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, PlanError,
+    PriorityGraph, QueryBudget, QueryClass, QueryStats, SkylineClass, StopReason,
+    SubspaceSkylineClass, TopKClass,
 };
 use pcube::cube::{Predicate, Relation, Schema, Selection};
 use pcube::sql::{SessionReply, SqlSession};
 use pcube::storage::IoCategory;
+use pcube_bench::mix::Row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,6 +106,104 @@ fn the_kernel_reproduces_the_hand_written_loops() {
     let expected: Vec<(Vec<u64>, [u64; 7])> =
         HAND_WRITTEN_LOOPS.iter().map(|(tids, c)| (tids.to_vec(), *c)).collect();
     assert_eq!(actual, expected, "actual table:\n{actual:#?}");
+}
+
+/// `(tids in answer order, [pops, nodes_expanded, results_so_far,
+/// blocks_used, frontier] of the `Progress`, [R-tree, signature, B+-tree,
+/// tuple, heap-scan reads])` of one governed run on [`seeded_db`]. Class-major
+/// (top-k, skyline, dynamic skyline, hull, p-skyline, subspace skyline),
+/// trip-minor in [`governed_trips`]' order.
+type PinnedTrip = (&'static [u64], [u64; 5], [u64; 5]);
+const GOVERNED_TRIPS: &[PinnedTrip] = &[
+    (&[], [4, 3, 0, 7, 95], [3, 2, 2, 0, 0]),
+    (&[], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+    (&[], [3, 2, 0, 4, 89], [2, 1, 1, 0, 0]),
+    (&[], [4, 3, 0, 7, 95], [3, 2, 2, 0, 0]),
+    (&[], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+    (&[], [3, 2, 0, 4, 89], [2, 1, 1, 0, 0]),
+    (&[], [4, 3, 0, 7, 89], [3, 2, 2, 0, 0]),
+    (&[], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+    (&[], [3, 2, 0, 4, 87], [2, 1, 1, 0, 0]),
+    (&[2738, 4223, 1352, 4823, 2706, 4962], [17, 3, 6, 7, 78], [3, 2, 2, 0, 0]),
+    (&[], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+    (&[], [3, 2, 0, 4, 89], [2, 1, 1, 0, 0]),
+    (&[], [4, 3, 0, 7, 95], [3, 2, 2, 0, 0]),
+    (&[], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+    (&[], [3, 2, 0, 4, 89], [2, 1, 1, 0, 0]),
+    (&[], [4, 3, 0, 7, 87], [3, 2, 2, 0, 0]),
+    (&[], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+    (&[], [3, 2, 0, 4, 85], [2, 1, 1, 0, 0]),
+];
+
+/// The three trips: `(selection, budget, cancelled?, the reason it stops)`.
+fn governed_trips() -> [(Selection, QueryBudget, bool, StopReason); 3] {
+    let p = |dim, value| Predicate { dim, value };
+    let unlimited = QueryBudget::unlimited();
+    let blocks = unlimited.with_block_budget(6);
+    [
+        (vec![p(0, 0), p(1, 1)], blocks, false, StopReason::BlockBudgetExceeded),
+        (vec![p(1, 2)], unlimited, true, StopReason::Cancelled),
+        (vec![p(0, 1)], unlimited.with_heap_cap(80), false, StopReason::HeapCapExceeded),
+    ]
+}
+
+fn governed_row<R: Into<Row>>(out: ClassOutcome<R>) -> (Vec<u64>, [u64; 5], [u64; 5]) {
+    let progress = *out.stats.outcome.progress().expect("a governed row stops early");
+    let io = |c| out.stats.io.reads(c);
+    let reads = [
+        io(IoCategory::RtreeBlock),
+        io(IoCategory::SignaturePage),
+        io(IoCategory::BptreePage),
+        io(IoCategory::TupleRandomAccess),
+        io(IoCategory::HeapScan),
+    ];
+    let progress = [
+        progress.pops,
+        progress.nodes_expanded,
+        progress.results_so_far as u64,
+        progress.blocks_used,
+        progress.frontier,
+    ];
+    (out.rows.into_iter().map(|r| r.into().tid).collect(), progress, reads)
+}
+
+/// Runs `class` under every trip, serially and at one worker, and appends
+/// one row per trip (the two entry points must agree on it).
+fn governed_rows<C>(db: &PCubeDb, class: &C, rows: &mut Vec<(Vec<u64>, [u64; 5], [u64; 5])>)
+where
+    C: QueryClass + Sync,
+    C::Row: Into<Row>,
+{
+    for (sel, budget, cancelled, reason) in governed_trips() {
+        let token = CancelToken::new();
+        if cancelled {
+            token.cancel();
+        }
+        let cancel = cancelled.then_some(&token);
+        let serial = governed::serial(db, &sel, class, &budget, cancel);
+        assert_eq!(serial.stats.outcome.partial_reason(), Some(reason), "{}", class.name());
+        let one = governed::one_worker(db, &sel, class, &budget, cancel);
+        let row = governed_row(serial);
+        assert_eq!(governed_row(one), row, "{} at one worker, {reason}", class.name());
+        rows.push(row);
+    }
+}
+
+#[test]
+fn governed_runs_stop_where_the_pinned_table_says() {
+    let db = seeded_db();
+    let f = LinearFn::new(vec![0.6, 0.4]);
+    let graph = PriorityGraph::new(vec![0, 1], &[(0, 1)]).expect("one edge is a DAG");
+    let mut actual = Vec::new();
+    governed_rows(&db, &TopKClass::new(10, &f), &mut actual);
+    governed_rows(&db, &SkylineClass::new(vec![0, 1]), &mut actual);
+    governed_rows(&db, &DynamicSkylineClass::new(&[0.3, 0.6], vec![0, 1]), &mut actual);
+    governed_rows(&db, &HullClass::new((0, 1)), &mut actual);
+    governed_rows(&db, &PSkylineClass::new(graph), &mut actual);
+    governed_rows(&db, &SubspaceSkylineClass::new(vec![1]), &mut actual);
+    let expected: Vec<(Vec<u64>, [u64; 5], [u64; 5])> =
+        GOVERNED_TRIPS.iter().map(|(tids, p, r)| (tids.to_vec(), *p, *r)).collect();
+    assert_eq!(actual, expected, "actual table:\n{actual:?}");
 }
 
 /// A table where one value of `a` is rare enough that every class plans a
