@@ -168,12 +168,10 @@ fn ablation_bloom(scale: &Scale, seed: u64) {
         for _ in 0..scale.queries {
             let sel = sample_selection(bench.db.relation(), 1, &mut rng);
             bench.db.stats().reset();
+            let class = SkylineClass::new(vec![0, 1, 2]);
             let out = match fp {
-                None => bench.db.run(&sel, &SkylineClass::new(vec![0, 1, 2])),
-                Some(rate) => {
-                    let probe = bench.db.pcube().probe_bloom(&sel, rate);
-                    bench.db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1, 2]), probe)
-                }
+                None => bench.db.run(&sel, &class),
+                Some(rate) => bloom::run(&bench.db, &sel, &class, rate),
             };
             ms.push(Measurement::from_stats(&out.stats, out.rows.len(), &cost));
         }

@@ -39,13 +39,13 @@
 
 use pcube_bench::cli::{percentile, Args, JsonObject};
 use pcube_bench::mix::{drain, mix, Case, Row};
-use pcube_core::{AdmissionGate, PCubeConfig, PCubeDb, StageTimes};
+use pcube_core::{AdmissionGate, PCubeConfig, PCubeDb, ParallelOptions, StageTimes};
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
 use pcube_storage::{CostModel, Counter, IoCategory, IoSnapshot};
 use std::time::{Duration, Instant};
 
 fn run_query(db: &PCubeDb, q: &Case) -> (Vec<Row>, StageTimes) {
-    let out = q.run(db, 0, None);
+    let out = q.run(db, ParallelOptions::default());
     (out.rows, out.stats.stages)
 }
 

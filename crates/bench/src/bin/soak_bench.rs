@@ -25,7 +25,8 @@
 use pcube_bench::cli::{percentile, Args, JsonObject};
 use pcube_bench::mix::{drain, mix, Case, Row};
 use pcube_core::{
-    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, QueryBudget, QueryOutcome, StopReason,
+    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, ParallelOptions, QueryBudget, QueryOutcome,
+    StopReason,
 };
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
 use pcube_storage::{Counter, FaultPlan};
@@ -109,7 +110,7 @@ fn run_one(db: &PCubeDb, i: usize, case: &(Case, Vec<Row>), tally: &Tally) {
     let mut rng = StdRng::seed_from_u64(0xBE4C ^ i as u64);
     let (budget, cancel) = budget_for(i, &mut rng);
     let (case, oracle) = case;
-    let out = case.run(db, 0, Some((&budget, cancel.as_ref())));
+    let out = case.run(db, ParallelOptions { budget, cancel, ..ParallelOptions::default() });
     if out.stats.outcome.is_complete() {
         if out.rows != *oracle {
             tally.mismatches.fetch_add(1, Ordering::Relaxed);
@@ -143,7 +144,7 @@ fn main() {
     let workload: Vec<(Case, Vec<Row>)> = mix(db.relation(), 63, cfg.seed)
         .into_iter()
         .map(|case| {
-            let oracle = case.run(&db, 0, None).rows;
+            let oracle = case.run(&db, ParallelOptions::default()).rows;
             (case, oracle)
         })
         .collect();

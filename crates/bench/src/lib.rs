@@ -8,10 +8,13 @@
 //!
 //! The concurrency and robustness harnesses draw their queries from [`mix`];
 //! every binary reads its command line and writes its report through [`cli`].
+//! The lossy Bloom signatures of §VII are an ablation, not a served probe:
+//! [`bloom`] holds them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bloom;
 pub mod cli;
 pub mod mix;
 

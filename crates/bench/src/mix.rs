@@ -5,17 +5,17 @@
 //!
 //! Outside `src/sql.rs` this is the only place that names the classes of a
 //! mixed workload; a new class joins the harnesses by gaining an arm in
-//! [`ClassSpec`] and in [`Case::run`]. A case runs through the facade's
-//! four entry points ([`PCubeDb::run`], [`PCubeDb::par_run`] and their
-//! governed forms), answers in one row type so serial, parallel and oracle
-//! answers compare with `==`, and audits a partial answer by the guarantee
-//! its class documents. [`drain`] is the client-thread dispatcher the
+//! [`ClassSpec`] and in [`Case::run`]. A case runs through the facade's one
+//! options call ([`PCubeDb::par_run`]: workers, budget and cancel token in
+//! [`ParallelOptions`]), answers in one row type so serial, parallel and
+//! oracle answers compare with `==`, and audits a partial answer by the
+//! guarantee its class documents. [`drain`] is the client-thread dispatcher the
 //! harnesses issue their cases through.
 
 use pcube_core::{
-    CancelToken, ClassOutcome, DynamicSkylineClass, HullClass, LinearFn, PCubeDb, PSkylineClass,
-    ParallelOptions, PriorityGraph, QueryBudget, QueryClass, QueryOutcome, QueryStats,
-    SkylineClass, StopReason, SubspaceSkylineClass, TopKClass,
+    ClassOutcome, DynamicSkylineClass, HullClass, LinearFn, PCubeDb, PSkylineClass,
+    ParallelOptions, PriorityGraph, QueryClass, QueryOutcome, QueryStats, SkylineClass,
+    StopReason, SubspaceSkylineClass, TopKClass,
 };
 use pcube_cube::{Relation, Selection};
 use pcube_data::sample_selection;
@@ -149,28 +149,17 @@ pub fn drain<T: Send>(threads: usize, total: usize, work: impl Fn(usize) -> T + 
     })
 }
 
-/// How a case runs: `None` to completion, or under a budget and an optional
-/// cancel token.
-pub type Governance<'a> = Option<(&'a QueryBudget, Option<&'a CancelToken>)>;
-
 fn run_class<C>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
-    workers: usize,
-    governance: Governance<'_>,
+    opts: ParallelOptions,
 ) -> ClassOutcome<Row>
 where
     C: QueryClass + Sync,
     C::Row: Into<Row>,
 {
-    let opts = ParallelOptions::with_workers(workers);
-    let out = match (workers, governance) {
-        (0, None) => db.run(selection, class),
-        (0, Some((budget, cancel))) => db.run_governed(selection, class, budget, cancel),
-        (_, None) => db.par_run(selection, class, opts),
-        (_, Some((budget, cancel))) => db.par_run_governed(selection, class, opts, budget, cancel),
-    };
+    let out = db.par_run(selection, class, opts);
     ClassOutcome { rows: out.rows.into_iter().map(Into::into).collect(), stats: out.stats }
 }
 
@@ -187,30 +176,28 @@ impl Case {
         }
     }
 
-    /// Runs the case on the serial engine for `workers == 0`, else fanned out
-    /// over `workers` workers. The rows come in the class's canonical order,
-    /// in the one row type.
-    pub fn run(&self, db: &PCubeDb, workers: usize, governance: Governance<'_>) -> ClassOutcome<Row> {
+    /// Runs the case under `opts`: on the serial engine at `workers <= 1`,
+    /// else fanned out. The rows come in the class's canonical order, in
+    /// the one row type.
+    pub fn run(&self, db: &PCubeDb, opts: ParallelOptions) -> ClassOutcome<Row> {
         let sel = &self.selection;
         match &self.class {
             ClassSpec::TopK { k, weights } => {
                 let f = LinearFn::new(weights.clone());
-                run_class(db, sel, &TopKClass::new(*k, &f), workers, governance)
+                run_class(db, sel, &TopKClass::new(*k, &f), opts)
             }
-            ClassSpec::Skyline => {
-                run_class(db, sel, &SkylineClass::new(vec![0, 1]), workers, governance)
-            }
+            ClassSpec::Skyline => run_class(db, sel, &SkylineClass::new(vec![0, 1]), opts),
             ClassSpec::Dynamic { q } => {
-                run_class(db, sel, &DynamicSkylineClass::new(q, vec![0, 1]), workers, governance)
+                run_class(db, sel, &DynamicSkylineClass::new(q, vec![0, 1]), opts)
             }
-            ClassSpec::Hull => run_class(db, sel, &HullClass::new((0, 1)), workers, governance),
+            ClassSpec::Hull => run_class(db, sel, &HullClass::new((0, 1)), opts),
             ClassSpec::PSkyline { edges } => {
                 let graph =
                     PriorityGraph::new(vec![0, 1], edges).expect("one edge over two dims is a DAG");
-                run_class(db, sel, &PSkylineClass::new(graph), workers, governance)
+                run_class(db, sel, &PSkylineClass::new(graph), opts)
             }
             ClassSpec::Subspace { dims } => {
-                run_class(db, sel, &SubspaceSkylineClass::new(dims.clone()), workers, governance)
+                run_class(db, sel, &SubspaceSkylineClass::new(dims.clone()), opts)
             }
         }
     }
@@ -289,7 +276,7 @@ impl Case {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcube_core::PCubeConfig;
+    use pcube_core::{CancelToken, PCubeConfig, QueryBudget};
     use pcube_data::{synthetic, SyntheticSpec};
 
     fn db() -> PCubeDb {
@@ -314,13 +301,18 @@ mod tests {
     #[test]
     fn serial_parallel_and_unlimited_governed_runs_agree_for_every_class() {
         let db = db();
-        let unlimited = QueryBudget::unlimited();
+        let governed = |workers| ParallelOptions {
+            workers,
+            budget: QueryBudget::unlimited(),
+            cancel: Some(CancelToken::new()),
+        };
         for case in mix(db.relation(), 18, 3) {
-            let serial = case.run(&db, 0, None);
+            let serial = case.run(&db, ParallelOptions::default());
             assert!(serial.stats.outcome.is_complete());
-            assert_eq!(case.run(&db, 3, None).rows, serial.rows, "{case:?}");
-            assert_eq!(case.run(&db, 0, Some((&unlimited, None))).rows, serial.rows, "{case:?}");
-            assert_eq!(case.run(&db, 2, Some((&unlimited, None))).rows, serial.rows, "{case:?}");
+            let fanned = case.run(&db, ParallelOptions::with_workers(3));
+            assert_eq!(fanned.rows, serial.rows, "{case:?}");
+            assert_eq!(case.run(&db, governed(0)).rows, serial.rows, "{case:?}");
+            assert_eq!(case.run(&db, governed(2)).rows, serial.rows, "{case:?}");
         }
     }
 
@@ -328,10 +320,10 @@ mod tests {
     fn the_partial_audit_accepts_real_partials_and_refuses_forged_ones() {
         let db = db();
         for case in mix(db.relation(), 18, 5) {
-            let full = case.run(&db, 0, None).rows;
+            let full = case.run(&db, ParallelOptions::default()).rows;
             for workers in [0, 2] {
                 let budget = QueryBudget::unlimited().with_block_budget(3);
-                let cut = case.run(&db, workers, Some((&budget, None)));
+                let cut = case.run(&db, ParallelOptions { workers, budget, cancel: None });
                 let serial = workers == 0;
                 case.check_progress(&cut.stats, cut.rows.len(), serial).expect("honest books");
                 if !cut.stats.outcome.is_complete() {

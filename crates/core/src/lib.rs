@@ -23,10 +23,10 @@
 //! |---|---|---|
 //! | [`signature`] | IV-B.1 | [`Signature`]: generation, union, intersection |
 //! | [`encode`] | IV-B.1 | node-level compression + page-sized decomposition |
-//! | [`store`] | IV-B.2 | on-disk partial signatures, lazy [`SignatureCursor`] |
+//! | [`store`] | IV-B.2 | on-disk partial signatures, lazy [`SignatureCursor`], the probe ([`BooleanProbe`]: lazy cursors or an assembled signature) |
 //! | [`pcube`] | IV, IV-B.3 | [`PCube`] build + incremental maintenance, [`PCubeDb`] |
 //! | [`rank`] | III, V-B | ranking functions with MBR lower bounds |
-//! | [`query`] | V, VII | Algorithm 1 once, every query class through it, drill-down/roll-up |
+//! | [`query`] | V, VII | Algorithm 1 once, one driver around it (a serial run is a fan-out of one worker; [`ParallelOptions`] carries workers, budget and cancel), every query class through it, drill-down/roll-up |
 //! | [`boolean_index`] | VI-A | [`BooleanIndexSet`]: the comparison methods' B+-trees, index-vs-scan selection |
 //! | [`plan`] | VI | cost-based planner over the four engines of §VI-A behind one seam ([`Engine`]) |
 
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod bloom;
 pub mod boolean_index;
 pub mod durable;
 pub mod encode;
@@ -48,7 +47,6 @@ pub mod signature;
 pub mod store;
 
 pub use admission::{AdmissionError, AdmissionGate, AdmissionPermit};
-pub use bloom::BloomSignature;
 pub use boolean_index::{BooleanIndexSet, SelectRoute};
 pub use durable::{
     CheckpointImage, CheckpointOutcome, CommitError, CommitQueue, CommitQueuePolicy,

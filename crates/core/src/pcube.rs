@@ -12,13 +12,6 @@ use pcube_cube::{
 use pcube_rtree::{Path, PathDelta, RTree, RTreeConfig};
 use pcube_storage::{Counter, IoCategory, IoStats, Pager, SharedStats};
 
-use crate::query::class::{
-    drill_down, roll_up, run_class, run_class_probed, run_class_resumable,
-};
-use crate::query::{
-    par_run_class, BooleanPruner, CancelToken, ClassOutcome, ParallelOptions, QueryBudget,
-    QueryClass, SavedState,
-};
 use crate::signature::Signature;
 use crate::store::{BooleanProbe, SignatureStore};
 
@@ -165,14 +158,15 @@ impl PCube {
     /// If the exact cell is materialized, a single lazy cursor serves it.
     /// Otherwise the selection is covered by its atomic cells: lazily ANDed
     /// cursors by default, or — with `eager_assembly` — fully loaded and
-    /// intersected with the recursive fix-up (Fig 3.c) up front.
+    /// intersected with the recursive fix-up (Fig 3.c) up front. No
+    /// predicate is no cursor at all.
     pub fn probe(&self, selection: &Selection, eager_assembly: bool) -> BooleanProbe<'_> {
         let selection = normalize(selection);
         if selection.is_empty() {
-            return BooleanProbe::All;
+            return BooleanProbe::Cursors(Vec::new());
         }
         if let Some(code) = self.registry.code(&CellKey::from_selection(&selection)) {
-            return BooleanProbe::Single(self.store.cursor(code));
+            return BooleanProbe::Cursors(vec![self.store.cursor(code)]);
         }
         // Assemble from atomic cells. A predicate value never seen in the
         // data has no cell; the empty signature prunes everything.
@@ -192,7 +186,7 @@ impl PCube {
                 None => self.store.stats().add(Counter::DegradedReads, 1),
             }
         }
-        BooleanProbe::IntersectLazy(
+        BooleanProbe::Cursors(
             // invariant: the `any(Option::is_none)` guard above returned.
             codes.into_iter().map(|c| self.store.cursor(c.expect("all codes resolved"))).collect(),
         )
@@ -211,43 +205,6 @@ impl PCube {
             });
         }
         acc
-    }
-
-    /// Builds a lossy Bloom-filter probe (§VII) for the selection at the
-    /// given false-positive target. The filters are constructed from the
-    /// exact signatures (one full load per predicate cell); a production
-    /// deployment would persist them instead. Sound: never prunes a
-    /// qualifying subtree.
-    pub fn probe_bloom(&self, selection: &Selection, fp_rate: f64) -> BooleanProbe<'_> {
-        let selection = normalize(selection);
-        if selection.is_empty() {
-            return BooleanProbe::All;
-        }
-        let mut codes = Vec::with_capacity(selection.len());
-        for p in &selection {
-            match self.registry.code(&CellKey::atomic(p.dim, p.value)) {
-                None => return BooleanProbe::assembled(Signature::empty(self.store.m_max())),
-                Some(code) => codes.push(code),
-            }
-        }
-        let mut filters = Vec::with_capacity(codes.len());
-        for &code in &codes {
-            match self.store.try_load_full(code) {
-                Ok(sig) => {
-                    filters.push(crate::bloom::BloomSignature::from_signature(&sig, fp_rate));
-                }
-                // Filter construction needs the exact signature; if one
-                // cannot be read, degrade every predicate to a lazy cursor
-                // rather than (unsoundly) pruning with a partial filter set.
-                Err(_) => {
-                    self.store.stats().add(Counter::DegradedReads, 1);
-                    return BooleanProbe::IntersectLazy(
-                        codes.into_iter().map(|c| self.store.cursor(c)).collect(),
-                    );
-                }
-            }
-        }
-        BooleanProbe::Bloom(filters)
     }
 
     /// Applies the path changes of one R-tree insert/delete to every
@@ -579,113 +536,6 @@ impl PCubeDb {
     }
 }
 
-/// The thread-safe query facade: every method takes `&self`, so a single
-/// `PCubeDb` can serve many client threads at once (`PCubeDb: Send + Sync`
-/// is asserted below). Any [`QueryClass`] — built in or user defined — runs
-/// through these methods; there is no per-class entry point. With
-/// [`ParallelOptions::workers`] `> 1` a query also fans its own search out
-/// over root-level R-tree subtrees; results are identical to the serial
-/// engine either way (the class's merge contract guarantees it).
-///
-/// # Panics
-/// Every method panics, before its first block read, if the class reads a
-/// preference dimension the schema does not have.
-impl PCubeDb {
-    /// Runs a query class through the serial Algorithm-1 kernel under the
-    /// signature probe.
-    pub fn run<C: QueryClass>(&self, selection: &Selection, class: &C) -> ClassOutcome<C::Row> {
-        run_class(self, selection, class, &QueryBudget::unlimited(), None)
-    }
-
-    /// [`Self::run`] under a [`QueryBudget`] and optional [`CancelToken`]:
-    /// stops cooperatively at pop granularity and reports a
-    /// [`QueryOutcome::Partial`](crate::query::QueryOutcome) when cut short
-    /// (each class documents what its partial answers guarantee).
-    pub fn run_governed<C: QueryClass>(
-        &self,
-        selection: &Selection,
-        class: &C,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> ClassOutcome<C::Row> {
-        run_class(self, selection, class, budget, cancel)
-    }
-
-    /// [`Self::run`] with a parallel subtree fan-out.
-    pub fn par_run<C: QueryClass + Sync>(
-        &self,
-        selection: &Selection,
-        class: &C,
-        opts: ParallelOptions,
-    ) -> ClassOutcome<C::Row> {
-        par_run_class(self, selection, class, opts, &QueryBudget::unlimited(), None)
-    }
-
-    /// [`Self::par_run`] under a budget and optional cancel token. One
-    /// worker's trip (or an external cancel) drains every other worker at
-    /// its next pop.
-    pub fn par_run_governed<C: QueryClass + Sync>(
-        &self,
-        selection: &Selection,
-        class: &C,
-        opts: ParallelOptions,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> ClassOutcome<C::Row> {
-        par_run_class(self, selection, class, opts, budget, cancel)
-    }
-
-    /// [`Self::run`] under a caller-supplied boolean pruner instead of the
-    /// signature probe of `selection` — e.g. the lossy Bloom probes of §VII
-    /// ([`PCube::probe_bloom`]). A lossy pruner's accepted tuples are
-    /// verified against `selection` in the base table.
-    pub fn run_with_probe<C: QueryClass>(
-        &self,
-        selection: &Selection,
-        class: &C,
-        mut probe: impl BooleanPruner,
-    ) -> ClassOutcome<C::Row> {
-        run_class_probed(self, selection, class, &mut probe, &QueryBudget::unlimited(), None)
-    }
-
-    /// [`Self::run`], keeping the `b_list`/`d_list` of Algorithm 1 so that
-    /// [`Self::drill_down`] and [`Self::roll_up`] can continue from them
-    /// (§V-C).
-    ///
-    /// # Panics
-    /// Panics if the class keeps no resumable state
-    /// ([`QueryClass::restart_entries`]); top-k and skyline do.
-    pub fn run_resumable<'c, C: QueryClass>(
-        &self,
-        selection: &Selection,
-        class: &'c C,
-    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        run_class_resumable(self, selection, class)
-    }
-
-    /// Strengthens the query behind `prev` with one more predicate,
-    /// restarting the search from `result ∪ d_list` instead of the root
-    /// (Lemma 2).
-    pub fn drill_down<'c, C: QueryClass>(
-        &self,
-        prev: SavedState<'c, C>,
-        extra: Predicate,
-    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        drill_down(self, prev, extra)
-    }
-
-    /// Relaxes the query behind `prev` by dropping every predicate on
-    /// boolean dimension `dim`, restarting the search from `result ∪
-    /// b_list` (Lemma 2).
-    pub fn roll_up<'c, C: QueryClass>(
-        &self,
-        prev: SavedState<'c, C>,
-        dim: usize,
-    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        roll_up(self, prev, dim)
-    }
-}
-
 // The whole read path must stay shareable across threads: the parallel
 // engines and any multi-client server lean on this.
 const _: () = {
@@ -894,7 +744,10 @@ mod tests {
         assert_eq!(db.pcube().cuboids().len(), 3);
         let sel = vec![Predicate { dim: 0, value: 1 }, Predicate { dim: 1, value: 0 }];
         let probe = db.pcube().probe(&sel, false);
-        assert!(matches!(probe, BooleanProbe::Single(_)), "composite cell should be direct");
+        assert!(
+            matches!(&probe, BooleanProbe::Cursors(cs) if cs.len() == 1),
+            "composite cell should be direct"
+        );
         assert_signatures_consistent(&db);
     }
 }

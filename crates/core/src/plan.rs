@@ -37,8 +37,8 @@ use pcube_storage::CostModel;
 
 use crate::boolean_index::{index_route_blocks, BooleanIndexSet, SelectRoute};
 use crate::pcube::PCubeDb;
-use crate::query::class::{check_schema, run_class_engine, Engine};
-use crate::query::{CancelToken, ClassOutcome, QueryBudget, QueryClass, QueryStats};
+use crate::query::class::{run_class_engine, Engine};
+use crate::query::{check_schema, CancelToken, ClassOutcome, QueryBudget, QueryClass, QueryStats};
 
 /// The engine families the planner chooses among (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -492,7 +492,7 @@ impl PCubeDb {
     /// `kind` as an [`Engine`] over this database's own indexes — taken
     /// only by an engine that reads them. Out of line: it instantiates all
     /// four engines for the class, once per query, in a caller that usually
-    /// holds the class's serial and parallel drivers too.
+    /// holds the class's instance of the driver's fan-out too.
     #[inline(never)]
     fn run_class_kind<C: QueryClass>(
         &self,

@@ -1,23 +1,22 @@
 //! The query-class plugin seam (§V): one registration per preference
-//! query class, and the one serial driver every class runs through.
+//! query class, and the engine seam the planner dispatches through.
 //!
 //! The kernel answers every preference query with the same branch-and-bound
-//! loop ([`run_kernel`]); what varies per class is (a) how candidates are
-//! scored and pruned (a [`PreferenceLogic`]), (b) how parallel workers'
-//! local results merge into the global answer, (c) how the planner should
-//! estimate the answer's size, and (d) what the naive reference answer is.
-//! [`QueryClass`] bundles exactly those four things, so adding a query
-//! class is one `impl` — the facade ([`crate::PCubeDb::run`]), the parallel
-//! fan-out, the planner dispatch ([`crate::plan::Planner::choose_class`])
-//! and the SQL layer are all generic over it and need no edits.
+//! loop ([`run_kernel`](crate::query::run_kernel)); what varies per class is
+//! (a) how candidates are scored and pruned (a [`PreferenceLogic`]), (b) how
+//! parallel workers' local results merge into the global answer, (c) how the
+//! planner should estimate the answer's size, and (d) what the naive
+//! reference answer is. [`QueryClass`] bundles exactly those four things, so
+//! adding a query class is one `impl` — the facade ([`crate::PCubeDb::run`]),
+//! the parallel fan-out, the planner dispatch
+//! ([`crate::plan::Planner::choose_class`]) and the SQL layer are all generic
+//! over it and need no edits.
 //!
-//! The serial driver seeds the heap, runs the kernel and assembles the
-//! statistics in one place; the entry points around it differ only in the
-//! boolean pruner they hand it (the signature probe, a caller-supplied
-//! probe, or one of the §VI-A comparison methods' — see [`Engine`], the seam
-//! the planner dispatches through) and in
-//! whether they keep the `b_list`/`d_list` for a later
-//! [`drill_down`](crate::PCubeDb::drill_down) or
+//! Every class runs through one driver, at any worker count; the entry
+//! points differ only in the boolean pruner they hand it (the signature
+//! probe, a caller-supplied probe, or one of the §VI-A comparison methods' —
+//! see [`Engine`]) and in whether they keep the `b_list`/`d_list` for a
+//! later [`drill_down`](crate::PCubeDb::drill_down) or
 //! [`roll_up`](crate::PCubeDb::roll_up) (§V-C). A class opts into that
 //! through [`QueryClass::restart_entries`].
 //!
@@ -30,7 +29,8 @@
 //!
 //! # Partial answers
 //!
-//! A governed run that is cut short ([`QueryOutcome::Partial`]) returns what
+//! A governed run that is cut short
+//! ([`QueryOutcome::Partial`](crate::query::QueryOutcome::Partial)) returns what
 //! the class had accepted so far. What that set guarantees depends on the
 //! class and is stated on each one; the serial guarantees are stronger than
 //! the parallel ones because parallel workers stop at different points of
@@ -41,20 +41,22 @@ use std::fmt;
 use std::time::Instant;
 
 use pcube_cube::{normalize, Predicate, Selection};
-use pcube_storage::{CostModel, IoSnapshot};
+use pcube_storage::CostModel;
 
 use crate::boolean_index::{BooleanIndexSet, SelectRoute};
 use crate::pcube::PCubeDb;
 use crate::plan::{EngineKind, Planner};
-use crate::query::budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome};
+use crate::query::budget::{CancelToken, QueryBudget};
+use crate::query::driver::{
+    begin, fold, run_class, run_resumed, Governance, ParallelOptions, Tally,
+};
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
-    dynamic_point, run_kernel, BooleanPruner, HullLogic, IndexMergePruner, KernelRun,
-    PSkylineLogic, PreferenceLogic, SavedLists, SharedBound, SharedWindow, SkylineLogic,
-    TopKLogic, VerifyAllPruner,
+    dynamic_point, HullLogic, IndexMergePruner, PSkylineLogic, PreferenceLogic, SavedLists,
+    SharedBound, SharedWindow, SkylineLogic, TopKLogic, VerifyAllPruner,
 };
 use crate::query::window::{project, Window};
-use crate::query::{dominates, seed_root, CandidateHeap, HeapEntry, QueryStats, ResultEntry};
+use crate::query::{dominates, HeapEntry, QueryStats, ResultEntry};
 use crate::rank::RankingFunction;
 
 // ---------------------------------------------------------------------------
@@ -62,8 +64,8 @@ use crate::rank::RankingFunction;
 // ---------------------------------------------------------------------------
 
 /// Everything the engine stack needs to know about one preference query
-/// class. Implementing this trait *is* the registration: the serial runner,
-/// the parallel fan-out, the planner and the SQL layer are generic over it.
+/// class. Implementing this trait *is* the registration: the driver (at any
+/// worker count), the planner and the SQL layer are generic over it.
 ///
 /// The contract that makes serial == parallel bit-identical: `merge` must
 /// be a pure function of the *set* of locals (traversal-order independent)
@@ -143,168 +145,6 @@ pub struct ClassOutcome<R> {
     pub stats: QueryStats,
 }
 
-// ---------------------------------------------------------------------------
-// The serial driver
-// ---------------------------------------------------------------------------
-
-/// Builds the per-query governor, or `None` when the budget is unlimited
-/// and no cancel token is attached (the ungoverned fast path: zero checks
-/// per pop). The ledger baseline is read ahead of probe construction, so
-/// the probe's own loads are charged to the budget too.
-pub(crate) fn make_governor(
-    db: &PCubeDb,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> Option<Governor> {
-    if budget.is_unlimited() && cancel.is_none() {
-        return None;
-    }
-    let mut gov = Governor::new(budget);
-    if let Some(c) = cancel {
-        gov = gov.with_cancel(c.clone());
-    }
-    Some(gov.with_ledger(db.stats().clone(), db.stats().total_reads()))
-}
-
-/// Folds a kernel run's stop (if any) into the stats' outcome. Call after
-/// `stats.io` is final so `blocks_used` matches the reported I/O.
-pub(crate) fn apply_kernel_outcome(
-    stats: &mut QueryStats,
-    run: &KernelRun,
-    results_so_far: usize,
-) {
-    if let Some(reason) = run.stop {
-        stats.outcome = QueryOutcome::Partial {
-            reason,
-            progress: Progress {
-                pops: run.pops,
-                nodes_expanded: run.nodes_expanded,
-                results_so_far,
-                blocks_used: stats.io.total_reads(),
-                frontier: run.frontier,
-                overshoot_seconds: run.overshoot_seconds,
-                max_pop_seconds: run.max_pop_seconds,
-            },
-        };
-    }
-}
-
-/// The start of one query: wall clock and I/O ledger baseline. Taken ahead
-/// of probe construction, so the probe's own signature loads are part of
-/// the measured cost (a probe the caller built for
-/// [`PCubeDb::run_with_probe`] was paid for before the query began).
-pub(crate) struct QueryStart {
-    pub(crate) at: Instant,
-    pub(crate) before: IoSnapshot,
-}
-
-/// Checks the class against the schema.
-///
-/// # Panics
-/// Panics if the class reads a preference dimension the schema does not
-/// have.
-pub(crate) fn check_schema<C: QueryClass>(db: &PCubeDb, class: &C) {
-    let n_pref = db.relation().schema().n_pref();
-    if let Some(d) = class.max_pref_dim() {
-        assert!(
-            d < n_pref,
-            "{} query: preference dimension {d} is out of range (the schema has {n_pref})",
-            class.name()
-        );
-    }
-}
-
-/// The one entry every engine passes through — serial, parallel, and the
-/// comparison methods of §VI-A: [`check_schema`], then starts the clock.
-pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
-    check_schema(db, class);
-    QueryStart { at: Instant::now(), before: db.stats().snapshot() }
-}
-
-/// Serial Algorithm 1 over one query class under the signature probe.
-pub(crate) fn run_class<C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &C,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ClassOutcome<C::Row> {
-    let start = begin(db, class);
-    let selection = normalize(selection);
-    let mut gov = make_governor(db, budget, cancel);
-    let mut probe = db.pcube().probe(&selection, false);
-    run_class_with(db, &selection, class, &mut probe, start, gov.as_mut(), None)
-}
-
-/// [`run_class`] with a caller-supplied boolean pruner: a Bloom probe
-/// ([`crate::PCube::probe_bloom`], §VII), or the pruner of the
-/// domination-first or index-merge engine.
-pub(crate) fn run_class_probed<C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &C,
-    probe: &mut dyn BooleanPruner,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
-) -> ClassOutcome<C::Row> {
-    let start = begin(db, class);
-    let selection = normalize(selection);
-    let mut gov = make_governor(db, budget, cancel);
-    run_class_with(db, &selection, class, probe, start, gov.as_mut(), None)
-}
-
-/// What a resumable run threads through the driver. In: the heap to start
-/// from (`None` starts at the root) and the lists carried over from the
-/// previous query. Out: the lists as the kernel left them, and the accepted
-/// results as entries that can be queued again.
-struct Resume {
-    heap: Option<CandidateHeap>,
-    lists: SavedLists,
-    result: Vec<HeapEntry>,
-}
-
-/// The serial driver: seed the heap, run the kernel, assemble the
-/// statistics, then the class's own finish + merge (with a single local, so
-/// the merge is the canonicalization step). `selection` is normalized.
-fn run_class_with<C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &C,
-    probe: &mut dyn BooleanPruner,
-    start: QueryStart,
-    gov: Option<&mut Governor>,
-    mut resume: Option<&mut Resume>,
-) -> ClassOutcome<C::Row> {
-    let mut stats = QueryStats::default();
-    let mut heap = resume.as_mut().and_then(|r| r.heap.take()).unwrap_or_else(|| {
-        let mut heap = CandidateHeap::new();
-        seed_root(db, &mut heap);
-        heap
-    });
-    let mut logic = class.logic(None);
-    // Everything so far was setup — probe construction, heap seeding,
-    // governor arming: the pin stage.
-    let pin_seconds = start.at.elapsed().as_secs_f64();
-    let lists = resume.as_mut().map(|r| &mut r.lists);
-    let run = run_kernel(db, selection, probe, &mut heap, &mut logic, lists, gov);
-    stats.stages = run.stages;
-    stats.stages.pin_seconds += pin_seconds;
-    stats.nodes_expanded = run.nodes_expanded;
-    stats.peak_heap = heap.peak_size();
-    stats.partials_loaded = probe.partials_loaded();
-    if let Some(resume) = resume {
-        resume.result = class.restart_entries(&logic).expect("checked by `restart`");
-    }
-    let t_merge = Instant::now();
-    let local = class.finish(logic);
-    let rows = class.merge(vec![local]);
-    stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
-    stats.io = db.stats().snapshot().since(&start.before);
-    stats.cpu_seconds = start.at.elapsed().as_secs_f64();
-    apply_kernel_outcome(&mut stats, &run, rows.len());
-    ClassOutcome { rows, stats }
-}
-
 /// One of the four engines of §VI-A, with what it reads besides the R-tree
 /// and the base table. [`PCubeDb::plan_and_run_class`] and
 /// [`PCubeDb::run_class_on`] pick one by [`EngineKind`] over the database's
@@ -324,7 +164,8 @@ pub enum Engine<'a> {
 
 /// The engine seam: runs `class` over `selection` on `engine` under a
 /// [`QueryBudget`] and optional [`CancelToken`]. Three of the four engines
-/// are the kernel behind a different [`BooleanPruner`], governed at pop
+/// are the one driver's serial run behind a different
+/// [`BooleanPruner`](crate::query::BooleanPruner), governed at pop
 /// granularity; boolean-first is the class's in-memory step behind a
 /// selection, governed per phase. Whether the class *should* run on the
 /// engine ([`QueryClass::supports`]) is the planned entry points' question.
@@ -340,16 +181,17 @@ pub fn run_class_engine<C: QueryClass>(
     budget: &QueryBudget,
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
+    let opts = ParallelOptions { budget: *budget, cancel: cancel.cloned(), ..Default::default() };
     match engine {
-        Engine::PCube => run_class(db, selection, class, budget, cancel),
+        Engine::PCube => run_class(db, selection, class, &opts, None),
         Engine::DominationFirst => {
-            run_class_probed(db, selection, class, &mut VerifyAllPruner, budget, cancel)
+            run_class(db, selection, class, &opts, Some(&mut VerifyAllPruner))
         }
         Engine::IndexMerge(indexes) => {
-            run_class_probed(db, selection, class, &mut IndexMergePruner(indexes), budget, cancel)
+            run_class(db, selection, class, &opts, Some(&mut IndexMergePruner(indexes)))
         }
         Engine::BooleanFirst(indexes, route) => {
-            run_boolean_first(db, selection, class, indexes, route, budget, cancel)
+            run_boolean_first(db, selection, class, indexes, route, &opts)
         }
     }
 }
@@ -370,19 +212,20 @@ fn run_boolean_first<C: QueryClass>(
     class: &C,
     indexes: &BooleanIndexSet,
     route: SelectRoute,
-    budget: &QueryBudget,
-    cancel: Option<&CancelToken>,
+    opts: &ParallelOptions,
 ) -> ClassOutcome<C::Row> {
     let start = begin(db, class);
-    let mut gov = make_governor(db, budget, cancel);
-    let mut stats = QueryStats::default();
+    let mut gov = Governance::of(db, opts).map(|g| g.governor(db));
+    let mut tally = Tally::default();
     let mut rows = Vec::new();
+    let mut merge_seconds = 0.0;
     // The two phases in the kernel's terms: the selection is the one "pop",
     // the candidate list the frontier a trip after it abandons.
-    let mut run = KernelRun { stop: gov.as_mut().and_then(|g| g.check(0)), ..KernelRun::default() };
+    let run = &mut tally.run;
+    run.stop = gov.as_mut().and_then(|g| g.check(0));
     if run.stop.is_none() {
         let candidates = indexes.select(db, selection, &CostModel::default(), route);
-        stats.peak_heap = candidates.len();
+        tally.peak_heap = candidates.len();
         run.pops = 1;
         run.stop = gov.as_mut().and_then(|g| g.check(candidates.len()));
         if run.stop.is_some() {
@@ -390,16 +233,14 @@ fn run_boolean_first<C: QueryClass>(
         } else {
             let t_merge = Instant::now();
             rows = class.oracle(&candidates);
-            stats.stages.merge_seconds += t_merge.elapsed().as_secs_f64();
+            merge_seconds = t_merge.elapsed().as_secs_f64();
         }
     }
     if let Some(g) = &gov {
         run.overshoot_seconds = g.overshoot_seconds();
         run.max_pop_seconds = g.max_pop_seconds();
     }
-    stats.io = db.stats().snapshot().since(&start.before);
-    stats.cpu_seconds = start.at.elapsed().as_secs_f64();
-    apply_kernel_outcome(&mut stats, &run, rows.len());
+    let stats = fold(db, &start, &[tally], None, rows.len(), merge_seconds);
     ClassOutcome { rows, stats }
 }
 
@@ -436,50 +277,57 @@ impl<C: QueryClass> SavedState<'_, C> {
     }
 }
 
-/// A fresh serial run that keeps its lists for incremental follow-ups.
-///
-/// # Panics
-/// Panics if the class does not opt in through
-/// [`QueryClass::restart_entries`].
-pub(crate) fn run_class_resumable<'c, C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &'c C,
-) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-    restart(db, class, normalize(selection), None, SavedLists::default())
-}
+/// Drill-down and roll-up: the query facade's incremental entry points.
+impl PCubeDb {
+    /// [`Self::run`], keeping the `b_list`/`d_list` of Algorithm 1 so that
+    /// [`Self::drill_down`] and [`Self::roll_up`] can continue from them
+    /// (§V-C).
+    ///
+    /// # Panics
+    /// Panics if the class keeps no resumable state
+    /// ([`QueryClass::restart_entries`]); top-k and skyline do.
+    pub fn run_resumable<'c, C: QueryClass>(
+        &self,
+        selection: &Selection,
+        class: &'c C,
+    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+        restart(self, class, normalize(selection), None, SavedLists::default())
+    }
 
-/// Strengthens the previous query with one more predicate; the candidate
-/// heap restarts from `result ∪ d_list` (Lemma 2).
-pub(crate) fn drill_down<'c, C: QueryClass>(
-    db: &PCubeDb,
-    prev: SavedState<'c, C>,
-    extra: Predicate,
-) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-    let mut selection = prev.selection;
-    selection.push(extra);
-    let SavedLists { b_list, d_list } = prev.lists;
-    // Entries that failed the old (weaker) predicates still fail.
-    let lists = SavedLists { b_list, d_list: Vec::new() };
-    restart(db, prev.class, normalize(&selection), Some((prev.result, d_list)), lists)
-}
+    /// Strengthens the query behind `prev` with one more predicate,
+    /// restarting the search from `result ∪ d_list` instead of the root
+    /// (Lemma 2).
+    pub fn drill_down<'c, C: QueryClass>(
+        &self,
+        prev: SavedState<'c, C>,
+        extra: Predicate,
+    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+        let mut selection = prev.selection;
+        selection.push(extra);
+        let SavedLists { b_list, d_list } = prev.lists;
+        // Entries that failed the old (weaker) predicates still fail.
+        let lists = SavedLists { b_list, d_list: Vec::new() };
+        restart(self, prev.class, normalize(&selection), Some((prev.result, d_list)), lists)
+    }
 
-/// Relaxes the previous query by dropping every predicate on `dim`; the
-/// heap restarts from `result ∪ b_list` (Lemma 2).
-pub(crate) fn roll_up<'c, C: QueryClass>(
-    db: &PCubeDb,
-    prev: SavedState<'c, C>,
-    dim: usize,
-) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-    let selection: Selection = prev.selection.into_iter().filter(|p| p.dim != dim).collect();
-    let SavedLists { b_list, d_list } = prev.lists;
-    // The old preference-pruned entries stay pruned: what pruned them
-    // satisfied the stricter old predicates, hence also the relaxed ones.
-    // For a halted top-k the old frontier's lower bounds are no smaller
-    // than the old k-th score, which still qualifies. The list is kept so
-    // later drill-downs retain full coverage.
-    let lists = SavedLists { b_list: Vec::new(), d_list };
-    restart(db, prev.class, selection, Some((prev.result, b_list)), lists)
+    /// Relaxes the query behind `prev` by dropping every predicate on
+    /// boolean dimension `dim`, restarting the search from `result ∪
+    /// b_list` (Lemma 2).
+    pub fn roll_up<'c, C: QueryClass>(
+        &self,
+        prev: SavedState<'c, C>,
+        dim: usize,
+    ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
+        let selection: Selection = prev.selection.into_iter().filter(|p| p.dim != dim).collect();
+        let SavedLists { b_list, d_list } = prev.lists;
+        // The old preference-pruned entries stay pruned: what pruned them
+        // satisfied the stricter old predicates, hence also the relaxed
+        // ones. For a halted top-k the old frontier's lower bounds are no
+        // smaller than the old k-th score, which still qualifies. The list
+        // is kept so later drill-downs retain full coverage.
+        let lists = SavedLists { b_list: Vec::new(), d_list };
+        restart(self, prev.class, selection, Some((prev.result, b_list)), lists)
+    }
 }
 
 /// One resumable run: from the root, or from the old result plus one of the
@@ -489,30 +337,15 @@ fn restart<'c, C: QueryClass>(
     class: &'c C,
     selection: Selection,
     from: Option<(Vec<HeapEntry>, Vec<HeapEntry>)>,
-    lists: SavedLists,
+    mut lists: SavedLists,
 ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
     assert!(
         class.restart_entries(&class.logic(None)).is_some(),
         "{} queries keep no state for drill-down / roll-up",
         class.name()
     );
-    let start = begin(db, class);
-    let mut probe = db.pcube().probe(&selection, false);
-    let heap = from.map(|(result, list)| {
-        let mut heap = CandidateHeap::new();
-        for e in result {
-            heap.push(e.score, e.cand);
-        }
-        for e in list {
-            heap.push_entry(e);
-        }
-        heap
-    });
-    let mut resume = Resume { heap, lists, result: Vec::new() };
-    let outcome =
-        run_class_with(db, &selection, class, &mut probe, start, None, Some(&mut resume));
-    let state = SavedState { class, selection, result: resume.result, lists: resume.lists };
-    (outcome, state)
+    let (outcome, result) = run_resumed(db, &selection, class, from, &mut lists);
+    (outcome, SavedState { class, selection, result, lists })
 }
 
 // ---------------------------------------------------------------------------
@@ -1299,6 +1132,22 @@ mod tests {
             Err(PriorityGraphError::Cycle)
         );
         assert_eq!(PriorityGraph::new(vec![0], &[(0, 0)]), Err(PriorityGraphError::Cycle));
+    }
+
+    #[test]
+    fn priority_graph_holds_64_dimensions_and_refuses_65_typed() {
+        // The relation lives in one `u64` mask per dimension.
+        let chain: Vec<(usize, usize)> = (1..64).map(|d| (d - 1, d)).collect();
+        let graph = PriorityGraph::new((0..64).collect(), &chain).expect("64 dimensions fit");
+        assert_eq!(graph.source_dims(), 1, "a chain has one source");
+        let (mut a, b) = (vec![1.0; 64], vec![1.0; 64]);
+        a[0] = 0.0;
+        a[63] = 9.0;
+        assert!(graph.dominates(&a, &b), "dimension 0 excuses dimension 63 through the closure");
+        assert_eq!(
+            PriorityGraph::new((0..65).collect(), &[]),
+            Err(PriorityGraphError::TooManyDims(65))
+        );
     }
 
     #[test]

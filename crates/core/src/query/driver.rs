@@ -1,0 +1,537 @@
+//! The one query driver: Algorithm 1 (§V) at any worker count.
+//!
+//! [`run_kernel`] is Algorithm 1's loop; this module is everything around
+//! it, once. One worker function ([`work`]) runs the kernel over a seeded
+//! [`CandidateHeap`] with a boolean pruner, the class's logic (holding the
+//! fleet's shared pruning state, if any), an optional governor and optional
+//! `b_list`/`d_list`, and returns the class's local result and a [`Tally`].
+//! Its three callers differ only in how they seed it:
+//!
+//! * a serial run ([`run_class`]): one worker on the calling thread, seeded
+//!   with the R-tree root, which it reads through the probe like any other
+//!   popped entry;
+//! * a resumed drill-down or roll-up ([`run_resumed`], §V-C): the same,
+//!   seeded with `result ∪ list`, keeping its lists for the next one;
+//! * a fan-out ([`PCubeDb::par_run`]): the root expanded once, unprobed, on
+//!   the calling thread and its children dealt round-robin to scoped
+//!   workers, which share the class's pruning state
+//!   ([`QueryClass::Shared`]: an atomic f64-bit threshold for top-k, a
+//!   lock-free window of accepted points for the skyline family).
+//!
+//! A serial run is a fleet of one worker. One builder ([`Governance`]) arms
+//! every worker's [`Governor`] — none at all when the budget is unlimited
+//! and no cancel token is attached, so an ungoverned run makes no check per
+//! pop — and one fold ([`fold`]) turns the workers' tallies into
+//! [`QueryStats`] and the [`QueryOutcome`].
+//!
+//! Answers are identical at any worker count — same tuples, same order —
+//! because shared bounds are only ever conservative (a stale bound admits
+//! extra work, never a wrong answer) and every class's merge is
+//! traversal-order independent with a canonical output order. The oracle
+//! differential suite (`tests/differential_oracle.rs`) and the concurrency
+//! stress test (`tests/concurrent_queries.rs`) hold the driver to that
+//! contract. Adding a query class needs no edits here.
+
+use std::time::Instant;
+
+use pcube_cube::{normalize, Selection};
+use pcube_rtree::{DecodedEntry, Path};
+use pcube_storage::IoSnapshot;
+
+use crate::pcube::PCubeDb;
+use crate::query::budget::{
+    CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason,
+};
+use crate::query::class::{ClassOutcome, QueryClass};
+use crate::query::kernel::{
+    run_kernel, BooleanPruner, KernelRun, PopVerdict, PreferenceLogic, SavedLists,
+};
+use crate::query::{root_entry, seed_root, Candidate, CandidateHeap, HeapEntry, QueryStats};
+
+/// How a query runs: over how many workers, and under which budget and
+/// cancel token.
+#[derive(Debug, Clone)]
+pub struct ParallelOptions {
+    /// Worker threads for the subtree fan-out. `0` or `1` runs the serial
+    /// engine on the calling thread; larger values are capped by the number
+    /// of root-level subtrees.
+    pub workers: usize,
+    /// Resource limits; [`QueryBudget::unlimited`] by default. A parallel
+    /// query's workers share one deadline and one block budget.
+    pub budget: QueryBudget,
+    /// Stops the query cooperatively at its next pop when cancelled. A
+    /// stopped query reports a [`QueryOutcome::Partial`] (each class
+    /// documents what its partial answers guarantee); one worker's trip
+    /// drains every other worker at its next pop.
+    pub cancel: Option<CancelToken>,
+}
+
+impl Default for ParallelOptions {
+    fn default() -> Self {
+        ParallelOptions { workers: 1, budget: QueryBudget::unlimited(), cancel: None }
+    }
+}
+
+impl ParallelOptions {
+    /// Options for `workers` threads, ungoverned.
+    pub fn with_workers(workers: usize) -> Self {
+        ParallelOptions { workers, ..ParallelOptions::default() }
+    }
+}
+
+/// The start of one query: wall clock and I/O ledger baseline. Taken ahead
+/// of probe construction, so the probe's own signature loads are part of
+/// the measured cost (a probe the caller built for
+/// [`PCubeDb::run_with_probe`] was paid for before the query began).
+pub(crate) struct QueryStart {
+    at: Instant,
+    before: IoSnapshot,
+}
+
+/// Checks the class against the schema.
+///
+/// # Panics
+/// Panics if the class reads a preference dimension the schema does not
+/// have.
+pub(crate) fn check_schema<C: QueryClass>(db: &PCubeDb, class: &C) {
+    let n_pref = db.relation().schema().n_pref();
+    if let Some(d) = class.max_pref_dim() {
+        assert!(
+            d < n_pref,
+            "{} query: preference dimension {d} is out of range (the schema has {n_pref})",
+            class.name()
+        );
+    }
+}
+
+/// The one entry every engine passes through — serial, parallel, and the
+/// comparison methods of §VI-A: [`check_schema`], then starts the clock.
+pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
+    check_schema(db, class);
+    QueryStart { at: Instant::now(), before: db.stats().snapshot() }
+}
+
+/// What every governor of one query shares: the budget, one absolute
+/// deadline, the caller's cancel token, the fleet token that lets one
+/// worker's trip drain the rest, and the ledger baseline — the block budget
+/// is query-wide, so every worker charges one pool.
+pub(crate) struct Governance {
+    budget: QueryBudget,
+    deadline_at: Option<Instant>,
+    cancel: Option<CancelToken>,
+    fleet: Option<CancelToken>,
+    base: u64,
+}
+
+impl Governance {
+    /// `None` when governance would be a no-op — the ungoverned fast path
+    /// runs zero per-pop checks. The fleet token is armed only for more
+    /// than one worker. Read ahead of probe construction, so the probe's
+    /// own loads are charged to the block budget too.
+    pub(crate) fn of(db: &PCubeDb, opts: &ParallelOptions) -> Option<Governance> {
+        let ParallelOptions { workers, budget, cancel } = opts;
+        if budget.is_unlimited() && cancel.is_none() {
+            return None;
+        }
+        Some(Governance {
+            budget: *budget,
+            deadline_at: budget.deadline().map(|d| Instant::now() + d),
+            cancel: cancel.clone(),
+            fleet: (*workers > 1).then(CancelToken::new),
+            base: db.stats().total_reads(),
+        })
+    }
+
+    /// One worker's governor.
+    pub(crate) fn governor(&self, db: &PCubeDb) -> Governor {
+        let mut gov = Governor::new(&self.budget).with_ledger(db.stats().clone(), self.base);
+        if let Some(c) = &self.cancel {
+            gov = gov.with_cancel(c.clone());
+        }
+        if let Some(f) = &self.fleet {
+            gov = gov.with_fleet(f.clone());
+        }
+        if let Some(d) = self.deadline_at {
+            gov = gov.with_deadline_at(d);
+        }
+        gov
+    }
+}
+
+/// What one worker did: the kernel's counters, its heap's high water and
+/// the partial signatures its pruner loaded.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) run: KernelRun,
+    pub(crate) peak_heap: usize,
+    pub(crate) partials_loaded: u64,
+}
+
+/// The one fold from worker tallies to [`QueryStats`] and the outcome. A
+/// fan-out passes its `root_fanout` (the root's children): the root it
+/// expanded is one more node, and its children were one more heap.
+///
+/// Node expansions, partial loads, pops, the abandoned frontier and stage
+/// times add up across workers (stages measure where the work went, not
+/// the critical path; `cpu_seconds` is the wall clock); `peak_heap`,
+/// overshoot and the longest pop take the worst worker. The reported stop is
+/// the first *originating* trip in worker order — a drained sibling reports
+/// `Cancelled`, which only wins when the whole query was cancelled.
+pub(crate) fn fold(
+    db: &PCubeDb,
+    start: &QueryStart,
+    tallies: &[Tally],
+    root_fanout: Option<usize>,
+    results_so_far: usize,
+    merge_seconds: f64,
+) -> QueryStats {
+    let runs = || tallies.iter().map(|t| &t.run);
+    let mut stats = QueryStats {
+        nodes_expanded: u64::from(root_fanout.is_some())
+            + runs().map(|r| r.nodes_expanded).sum::<u64>(),
+        peak_heap: tallies.iter().map(|t| t.peak_heap).chain(root_fanout).max().unwrap_or(0),
+        partials_loaded: tallies.iter().map(|t| t.partials_loaded).sum(),
+        ..QueryStats::default()
+    };
+    for r in runs() {
+        stats.stages.add(&r.stages);
+    }
+    stats.stages.merge_seconds += merge_seconds;
+    stats.io = db.stats().snapshot().since(&start.before);
+    stats.cpu_seconds = start.at.elapsed().as_secs_f64();
+    let originating = runs().filter_map(|r| r.stop).find(|r| *r != StopReason::Cancelled);
+    if let Some(reason) = originating.or_else(|| runs().find_map(|r| r.stop)) {
+        stats.outcome = QueryOutcome::Partial {
+            reason,
+            progress: Progress {
+                pops: runs().map(|r| r.pops).sum(),
+                nodes_expanded: stats.nodes_expanded,
+                results_so_far,
+                blocks_used: stats.io.total_reads(),
+                frontier: runs().map(|r| r.frontier).sum(),
+                overshoot_seconds: runs().map(|r| r.overshoot_seconds).fold(0.0, f64::max),
+                max_pop_seconds: runs().map(|r| r.max_pop_seconds).fold(0.0, f64::max),
+            },
+        };
+    }
+    stats
+}
+
+/// The class's merge of the workers' locals, then [`fold`].
+fn conclude<C: QueryClass>(
+    db: &PCubeDb,
+    class: &C,
+    start: &QueryStart,
+    locals: Vec<C::Local>,
+    tallies: &[Tally],
+    root_fanout: Option<usize>,
+) -> ClassOutcome<C::Row> {
+    let t_merge = Instant::now();
+    let rows = class.merge(locals);
+    let merge_seconds = t_merge.elapsed().as_secs_f64();
+    let stats = fold(db, start, tallies, root_fanout, rows.len(), merge_seconds);
+    ClassOutcome { rows, stats }
+}
+
+/// One worker: the kernel over `heap`, with the class's logic (in shared
+/// mode when `shared` is given), under a governor when the query is
+/// governed — a trip raises the fleet token, so every sibling drains at its
+/// next pop. Everything since `pinned_at` is the pin stage. With `lists`
+/// the results it accepted come back as entries a follow-up can queue
+/// again ([`QueryClass::restart_entries`]).
+#[allow(clippy::too_many_arguments)]
+fn work<C: QueryClass>(
+    db: &PCubeDb,
+    selection: &Selection,
+    class: &C,
+    mut heap: CandidateHeap,
+    probe: &mut dyn BooleanPruner,
+    shared: Option<&C::Shared>,
+    governance: Option<&Governance>,
+    lists: Option<&mut SavedLists>,
+    pinned_at: Instant,
+) -> (C::Local, Tally, Option<Vec<HeapEntry>>) {
+    let mut logic = class.logic(shared);
+    let mut gov = governance.map(|g| g.governor(db));
+    let keeps_lists = lists.is_some();
+    let pin_seconds = pinned_at.elapsed().as_secs_f64();
+    let mut run = run_kernel(db, selection, probe, &mut heap, &mut logic, lists, gov.as_mut());
+    run.stages.pin_seconds += pin_seconds;
+    if run.stop.is_some() {
+        if let Some(fleet) = governance.and_then(|g| g.fleet.as_ref()) {
+            fleet.cancel();
+        }
+    }
+    let restart =
+        keeps_lists.then(|| class.restart_entries(&logic).expect("checked by `restart`"));
+    // Local finishing work (e.g. the hull class chains its local vertices
+    // here) is merge-stage time, measured on the worker.
+    let t_finish = Instant::now();
+    let local = class.finish(logic);
+    run.stages.merge_seconds += t_finish.elapsed().as_secs_f64();
+    let (peak_heap, partials_loaded) = (heap.peak_size(), probe.partials_loaded());
+    (local, Tally { run, peak_heap, partials_loaded }, restart)
+}
+
+/// A serial run of `class` under `opts`' budget and cancel token: one
+/// worker on the calling thread, from the root, under the signature probe
+/// of `selection` — or under `pruner`, the domination-first or index-merge
+/// engine's or one the caller built ([`PCubeDb::run_with_probe`]).
+pub(crate) fn run_class<C: QueryClass>(
+    db: &PCubeDb,
+    selection: &Selection,
+    class: &C,
+    opts: &ParallelOptions,
+    pruner: Option<&mut dyn BooleanPruner>,
+) -> ClassOutcome<C::Row> {
+    let start = begin(db, class);
+    let selection = normalize(selection);
+    let governance = Governance::of(db, opts);
+    let mut signature_probe;
+    let probe: &mut dyn BooleanPruner = match pruner {
+        Some(pruner) => pruner,
+        None => {
+            signature_probe = db.pcube().probe(&selection, false);
+            &mut signature_probe
+        }
+    };
+    let mut heap = CandidateHeap::new();
+    seed_root(db, &mut heap);
+    let (local, tally, _) =
+        work(db, &selection, class, heap, probe, None, governance.as_ref(), None, start.at);
+    conclude(db, class, &start, vec![local], &[tally], None)
+}
+
+/// A resumable serial run (§V-C) over the normalized `selection`: from the
+/// root, or from `result ∪ list` of a previous run (Lemma 2), ungoverned,
+/// under the signature probe. `lists` comes in as the run should start
+/// them and goes out as the kernel left them; the accepted results come
+/// back as entries the next follow-up can queue again.
+pub(crate) fn run_resumed<C: QueryClass>(
+    db: &PCubeDb,
+    selection: &Selection,
+    class: &C,
+    from: Option<(Vec<HeapEntry>, Vec<HeapEntry>)>,
+    lists: &mut SavedLists,
+) -> (ClassOutcome<C::Row>, Vec<HeapEntry>) {
+    let start = begin(db, class);
+    let mut probe = db.pcube().probe(selection, false);
+    let mut heap = CandidateHeap::new();
+    match from {
+        None => seed_root(db, &mut heap),
+        Some((result, list)) => {
+            for e in result {
+                heap.push(e.score, e.cand);
+            }
+            for e in list {
+                heap.push_entry(e);
+            }
+        }
+    }
+    let (local, tally, restart) =
+        work(db, selection, class, heap, &mut probe, None, None, Some(lists), start.at);
+    let outcome = conclude(db, class, &start, vec![local], &[tally], None);
+    (outcome, restart.expect("a resumed run keeps its lists"))
+}
+
+/// A root-level seed: `(score, candidate)` as the serial engine would have
+/// pushed it after expanding the root.
+type Seed = (f64, Candidate);
+
+/// Expands the root node into per-child seeds (one counted block read —
+/// the root fan-out's node in [`fold`]), scored by the class's own logic so
+/// seeds carry exactly the scores the serial engine would compute.
+fn root_seeds_for(db: &PCubeDb, logic: &mut dyn PreferenceLogic) -> Vec<Seed> {
+    let node = db.rtree().read_node(db.rtree().root_pid());
+    let mut seeds = Vec::with_capacity(node.entries.len());
+    for (slot, child) in node.entries {
+        let child_path = Path::root().child(slot as u16 + 1);
+        let seed = match child {
+            DecodedEntry::Tuple { tid, coords } => {
+                let s = logic.score_tuple(&coords);
+                (s, Candidate::Tuple { tid, path: child_path, coords })
+            }
+            DecodedEntry::Child { child, mbr } => {
+                let s = logic.score_node(&mbr, child_path.depth());
+                (s, Candidate::Node { pid: child, path: child_path, mbr })
+            }
+        };
+        seeds.push(seed);
+    }
+    seeds
+}
+
+/// Deals seeds round-robin across at most `workers` groups (never more
+/// groups than seeds, always at least one group so `thread::scope` has a
+/// worker to join even on an empty root).
+fn deal(seeds: Vec<Seed>, workers: usize) -> Vec<Vec<Seed>> {
+    let n = workers.min(seeds.len()).max(1);
+    let mut groups: Vec<Vec<Seed>> = (0..n).map(|_| Vec::new()).collect();
+    for (i, seed) in seeds.into_iter().enumerate() {
+        groups[i % n].push(seed);
+    }
+    groups
+}
+
+/// The thread-safe query facade: every method takes `&self`, so a single
+/// `PCubeDb` can serve many client threads at once (`PCubeDb: Send + Sync`
+/// is asserted at compile time). Any [`QueryClass`] — built in or user defined —
+/// runs through these methods; there is no per-class entry point.
+/// [`ParallelOptions`] says how many workers fan the search out over
+/// root-level R-tree subtrees — answers are identical to the serial run
+/// either way, as the class's merge contract guarantees — and under which
+/// [`QueryBudget`] and [`CancelToken`] the query runs.
+///
+/// # Panics
+/// Every method panics, before its first block read, if the class reads a
+/// preference dimension the schema does not have.
+impl PCubeDb {
+    /// Runs a query class through the serial Algorithm-1 kernel under the
+    /// signature probe, ungoverned: [`Self::par_run`] with
+    /// [`ParallelOptions::default`].
+    pub fn run<C: QueryClass>(&self, selection: &Selection, class: &C) -> ClassOutcome<C::Row> {
+        run_class(self, selection, class, &ParallelOptions::default(), None)
+    }
+
+    /// Runs a query class under `opts`: serially on the calling thread at
+    /// `workers <= 1`, else the root fan-out, scoped workers with the
+    /// class's shared pruning state, then the class's own merge. Under a
+    /// budget or cancel token the query stops cooperatively at pop
+    /// granularity and reports a [`QueryOutcome::Partial`] when cut short
+    /// (each class documents what its partial answers guarantee); one
+    /// worker's trip, or a cancel, drains every other worker at its next
+    /// pop.
+    ///
+    /// A query the class's pop check stops at the root seed runs serially
+    /// too: the serial run applies that check before it reads anything, so
+    /// a query with an empty answer by construction (top-k with `k = 0`)
+    /// costs no block here either.
+    pub fn par_run<C: QueryClass + Sync>(
+        &self,
+        selection: &Selection,
+        class: &C,
+        opts: ParallelOptions,
+    ) -> ClassOutcome<C::Row> {
+        if opts.workers <= 1 {
+            return run_class(self, selection, class, &opts, None);
+        }
+        let start = begin(self, class);
+        // A throwaway serial-mode logic: scoring is identical between the
+        // serial and shared modes of every class, so seeds carry exactly the
+        // scores the serial engine would compute.
+        let mut seed_logic = class.logic(None);
+        if !matches!(seed_logic.on_pop(&root_entry(self)), PopVerdict::Continue) {
+            return run_class(self, selection, class, &opts, None);
+        }
+        let selection = normalize(selection);
+        let governance = Governance::of(self, &opts);
+        let seeds = root_seeds_for(self, &mut seed_logic);
+        let root_fanout = seeds.len();
+        let groups = deal(seeds, opts.workers);
+
+        let shared = class.new_shared();
+        let (locals, tallies): (Vec<C::Local>, Vec<Tally>) = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|group| {
+                    let (shared, selection, governance) =
+                        (&shared, &selection, governance.as_ref());
+                    scope.spawn(move || {
+                        let pinned_at = Instant::now();
+                        let mut probe = self.pcube().probe(selection, false);
+                        let mut heap = CandidateHeap::new();
+                        for (score, cand) in group {
+                            heap.push(score, cand);
+                        }
+                        let (local, tally, _) = work(
+                            self, selection, class, heap, &mut probe, Some(shared), governance,
+                            None, pinned_at,
+                        );
+                        (local, tally)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("query worker panicked")).unzip()
+        });
+        conclude(self, class, &start, locals, &tallies, Some(root_fanout))
+    }
+
+    /// [`Self::run`] under a caller-supplied boolean pruner instead of the
+    /// signature probe of `selection`. A pruner whose positive answers may
+    /// be wrong verifies the tuples it accepts against `selection`
+    /// ([`BooleanPruner::verify`]).
+    pub fn run_with_probe<C: QueryClass>(
+        &self,
+        selection: &Selection,
+        class: &C,
+        mut probe: impl BooleanPruner,
+    ) -> ClassOutcome<C::Row> {
+        run_class(self, selection, class, &ParallelOptions::default(), Some(&mut probe))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::kernel::{f64_to_ordered, ordered_to_f64, SharedBound, SharedWindow};
+
+    #[test]
+    fn ordered_f64_mapping_is_monotone() {
+        let samples = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -0.0,
+            0.0,
+            1e-300,
+            1.0,
+            2.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        for w in samples.windows(2) {
+            assert!(f64_to_ordered(w[0]) <= f64_to_ordered(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        for &x in &samples {
+            assert_eq!(ordered_to_f64(f64_to_ordered(x)), x);
+        }
+    }
+
+    #[test]
+    fn shared_bound_is_a_running_min() {
+        let b = SharedBound::unbounded();
+        assert_eq!(b.get(), f64::INFINITY);
+        b.lower_to(3.5);
+        b.lower_to(7.0); // no effect: higher than the current bound
+        assert_eq!(b.get(), 3.5);
+        b.lower_to(-2.0);
+        assert_eq!(b.get(), -2.0);
+    }
+
+    #[test]
+    fn deal_round_robins_without_losing_seeds() {
+        let seeds: Vec<Seed> = (0..7)
+            .map(|i| (i as f64, Candidate::Tuple { tid: i, path: Path::root(), coords: vec![] }))
+            .collect();
+        let groups = deal(seeds, 3);
+        assert_eq!(groups.len(), 3);
+        assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 7);
+        let groups = deal(Vec::new(), 3);
+        assert_eq!(groups.len(), 1);
+    }
+
+    #[test]
+    fn shared_window_refresh_is_incremental() {
+        let w = SharedWindow::new();
+        w.push(vec![1.0]);
+        w.push(vec![2.0]);
+        let mut local = Vec::new();
+        let mark = w.refresh(0, |slot, p| local.push((slot, p.to_vec())));
+        assert_eq!(mark, 2);
+        assert_eq!(local.len(), 2);
+        assert_eq!(w.push(vec![3.0]), 2);
+        let mark = w.refresh(mark, |slot, p| local.push((slot, p.to_vec())));
+        assert_eq!(mark, 3);
+        assert_eq!(local, vec![(0, vec![1.0]), (1, vec![2.0]), (2, vec![3.0])]);
+    }
+}

@@ -9,9 +9,10 @@
 //! the comparison methods of §VI-A included — differ only in the two trait
 //! objects they pass in:
 //!
-//! * a [`BooleanPruner`] — the signature probe, a Bloom probe,
-//!   [`VerifyAllPruner`] (domination-first) or [`IndexMergePruner`]
-//!   (index-merge), and
+//! * a [`BooleanPruner`] — the signature probe
+//!   ([`BooleanProbe`](crate::store::BooleanProbe)), [`VerifyAllPruner`]
+//!   (domination-first), [`IndexMergePruner`] (index-merge) or one a caller
+//!   built ([`PCubeDb::run_with_probe`]), and
 //! * a [`PreferenceLogic`] — scoring, preference pruning, halting, and
 //!   result accumulation: top-k bound-and-cut ([`TopKLogic`]), the skyline
 //!   dominance window with an optional coordinate transform for dynamic
@@ -54,13 +55,15 @@ use crate::query::hull::RunningHull;
 use crate::query::window::{project, Window};
 use crate::query::{Candidate, CandidateHeap, HeapEntry, ResultEntry};
 use crate::rank::{MinCoordSum, RankingFunction};
-use crate::store::BooleanProbe;
 
 /// Boolean pruning as Algorithm 1 sees it, at its two granularities — a
 /// full-path membership test for a popped entry, and per-node child masks
 /// for an expansion — plus the pop-time check of a tuple about to be
 /// accepted and the `SSig` statistics. See [`BooleanProbe`] for the contract
-/// between the two granularities.
+/// between the two granularities; its implementation is the signature
+/// probe's.
+///
+/// [`BooleanProbe`]: crate::store::BooleanProbe
 pub trait BooleanPruner {
     /// `true` if the subtree/tuple at `path` may contain qualifying tuples:
     /// the full root-to-path probe, asked once per popped entry.
@@ -99,40 +102,6 @@ pub trait BooleanPruner {
     fn partials_loaded(&self) -> u64;
 }
 
-impl BooleanPruner for BooleanProbe<'_> {
-    fn contains(&mut self, path: &Path) -> bool {
-        BooleanProbe::contains(self, path)
-    }
-    fn mask_count(&self) -> usize {
-        BooleanProbe::mask_count(self)
-    }
-    fn fetch_child_mask(&mut self, i: usize, path: &Path) {
-        BooleanProbe::fetch_child_mask(self, i, path)
-    }
-    fn child_bit(&self, i: usize, slot: usize) -> bool {
-        BooleanProbe::child_bit(self, i, slot)
-    }
-    fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
-        BooleanProbe::look_ahead(self, path, slot)
-    }
-    /// A lossy probe (Bloom, §VII, or a degraded cursor) may pass
-    /// non-qualifying tuples: verify against the base table. The empty
-    /// selection has nothing to get wrong.
-    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-        !BooleanProbe::is_lossy(self) || selection.is_empty() || fetch_matches(db, selection, tid)
-    }
-    fn partials_loaded(&self) -> u64 {
-        BooleanProbe::partials_loaded(self)
-    }
-}
-
-/// One counted random tuple access by tid (the `DBool` counter of Fig 9):
-/// does the row satisfy every predicate?
-fn fetch_matches(db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-    let codes = db.relation().fetch(tid);
-    selection.iter().all(|p| codes[p.dim] == p.value)
-}
-
 /// The domination-first engine of §VI-A (BBS \[9\] + minimal probing \[3\];
 /// **Ranking** for top-k): "similar to Algorithm 1, except that there is no
 /// boolean checking in the prune procedure … we only issue a boolean
@@ -145,8 +114,11 @@ impl BooleanPruner for VerifyAllPruner {
     fn contains(&mut self, _path: &Path) -> bool {
         true
     }
+    /// One counted random tuple access by tid (the `DBool` counter of
+    /// Fig 9): does the row satisfy every predicate?
     fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-        fetch_matches(db, selection, tid)
+        let codes = db.relation().fetch(tid);
+        selection.iter().all(|p| codes[p.dim] == p.value)
     }
     fn partials_loaded(&self) -> u64 {
         0

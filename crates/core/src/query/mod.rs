@@ -1,15 +1,17 @@
 //! Query processing using the P-Cube (§V): the progressive, signature-guided
 //! branch-and-bound framework of Algorithm 1. One kernel ([`kernel`]), one
-//! serial and one parallel driver over it, and one registration per query
-//! class ([`class`]) — top-k, the skyline family and convex hulls differ only
-//! in the class handed to the driver. The incremental drill-down / roll-up
-//! execution of §V-C is the driver restarted from a [`SavedState`].
+//! driver around it — a serial run is a fan-out of one worker, and
+//! [`ParallelOptions`] carries the worker count, the [`QueryBudget`] and
+//! the [`CancelToken`] — and one registration per query class ([`class`]):
+//! top-k, the skyline family and convex hulls differ only in the class
+//! handed to the driver. The incremental drill-down / roll-up execution of
+//! §V-C is the driver restarted from a [`SavedState`].
 
 pub mod budget;
 pub mod class;
+mod driver;
 mod hull;
 pub mod kernel;
-mod parallel;
 pub mod window;
 
 pub use budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason};
@@ -22,8 +24,8 @@ pub use kernel::{
     run_kernel, BooleanPruner, IndexMergePruner, KernelRun, PopVerdict,
     PreferenceLogic, Region, SavedLists, SharedBound, SharedWindow, VerifyAllPruner,
 };
-pub(crate) use parallel::par_run_class;
-pub use parallel::ParallelOptions;
+pub(crate) use driver::check_schema;
+pub use driver::ParallelOptions;
 pub use window::Window;
 
 use std::cmp::Ordering;

@@ -16,10 +16,13 @@ use std::collections::{HashMap, HashSet};
 
 use pcube_bitmap::BitArray;
 use pcube_bptree::{composite_key, split_key, BPlusTree};
+use pcube_cube::Selection;
 use pcube_rtree::{Path, Sid, SidBuildHasher};
 use pcube_storage::{read_u32, write_u32, Counter, IoCategory, PageOp, Pager, StorageError};
 
 use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
+use crate::pcube::PCubeDb;
+use crate::query::{BooleanPruner, VerifyAllPruner};
 use crate::signature::{walk_path, Signature};
 
 const RECORD_HEADER: usize = 4; // per-partial payload length u32
@@ -766,58 +769,54 @@ impl SignatureCursor<'_> {
 /// The boolean-pruning side of Algorithm 1: answers "may the subtree/tuple
 /// at this path contain data satisfying the selection?".
 ///
-/// * [`BooleanProbe::All`] — no predicates (`BP = ∅`), prunes nothing.
-/// * [`BooleanProbe::Single`] — one predicate, one lazily-loaded signature.
-/// * [`BooleanProbe::IntersectLazy`] — k predicates ANDed across k lazy
-///   cursors, plus one level of the recursive emptiness fix-up at
-///   expansion ([`BooleanProbe::look_ahead`]). Exact for tuples and for
-///   leaf-level nodes; conservative (never over-prunes) above them, where
-///   the rest of the fix-up is skipped.
-/// * [`BooleanProbe::Assembled`] — k signatures loaded fully and intersected
-///   with the fix-up (Fig 3.c) before the search; tightest pruning, highest
-///   up-front load cost. The `assemble-eager` ablation compares the two.
-/// * [`BooleanProbe::Bloom`] — the lossy Bloom-filter summaries of §VII,
-///   ANDed across predicates; sound but with false positives.
+/// * [`BooleanProbe::Cursors`] — one lazily-loaded cursor per conjunct,
+///   ANDed: none for no predicate (`BP = ∅`, prunes nothing), one for a
+///   materialized cell, k for k atomic cells. Under k ≥ 2 one level of the
+///   recursive emptiness fix-up runs at expansion (the look-ahead, below):
+///   exact for tuples and for leaf-level nodes, conservative (never
+///   over-prunes) above them, where the rest of the fix-up is skipped.
+/// * [`BooleanProbe::Assembled`] — k signatures loaded fully and
+///   intersected with the fix-up (Fig 3.c) before the search: tightest
+///   pruning, highest up-front load cost (the `assemble-eager` ablation
+///   compares the two); also the empty signature of a value never seen in
+///   the data, which prunes everything.
 ///
 /// # The probe contract
 ///
-/// Three operations, for the three places Algorithm 1 asks:
+/// Algorithm 1 asks through [`BooleanPruner`], in three places:
 ///
 /// * [`BooleanProbe::contains`] — the full root-to-path walk, for an entry
 ///   that was just *popped* (the root seed, an entry restored from a saved
 ///   list, or one the search pushed itself).
 /// * The *child masks* of the node being expanded — one per conjunct
-///   ([`BooleanProbe::mask_count`]), each fetched with one node lookup
-///   ([`BooleanProbe::fetch_child_mask`]) and then read with one bit test
-///   per child ([`BooleanProbe::child_bit`]). A child is kept iff its bit is
+///   ([`BooleanPruner::mask_count`]), each fetched with one node lookup
+///   ([`BooleanPruner::fetch_child_mask`]) and then read with one bit test
+///   per child ([`BooleanPruner::child_bit`]). A child is kept iff its bit is
 ///   set in every mask. This equals `contains(child path)` because the node
 ///   was popped and passed `contains`, so only the last level is undecided.
 ///   Masks are fetched one conjunct at a time, each at the first child that
 ///   reaches it (the caller short-circuits like `contains` does), which is
 ///   what keeps partial signatures loaded lazily per predicate.
-/// * The *look-ahead* ([`BooleanProbe::look_ahead`]) for a child every mask
+/// * The *look-ahead* ([`BooleanPruner::look_ahead`]) for a child every mask
 ///   kept that is itself an R-tree node: do the conjuncts' bit arrays *of
 ///   that child node* share a set bit? One level of the Fig 3.c fix-up, so
 ///   a child whose subtree holds data of every conjunct but no tuple of all
 ///   of them is dropped unread when the disagreement shows one level down.
 ///   Exact for a leaf-level child (it is read only if it holds a qualifying
-///   tuple), sound above that. Only [`BooleanProbe::IntersectLazy`] can
-///   answer `false`: one cursor's or an assembled signature's set bit
-///   already proves a non-empty child, and a Bloom summary stores no node
-///   arrays.
+///   tuple), sound above that. Only two or more cursors can answer `false`:
+///   one cursor's or an assembled signature's set bit already proves a
+///   non-empty child.
+///
+/// A cursor that degraded after a storage failure may answer a false
+/// positive; the probe then verifies the tuples it accepts against the base
+/// table ([`BooleanPruner::verify`]).
 pub enum BooleanProbe<'a> {
-    /// No boolean predicate.
-    All,
-    /// Exactly one predicate.
-    Single(SignatureCursor<'a>),
-    /// Conjunction evaluated lazily across per-predicate cursors.
-    IntersectLazy(Vec<SignatureCursor<'a>>),
-    /// Conjunction assembled eagerly into one in-memory signature (build
-    /// with [`BooleanProbe::assembled`]); the second field is the child
-    /// mask of the node under expansion.
+    /// The conjunction evaluated lazily, one cursor per conjunct.
+    Cursors(Vec<SignatureCursor<'a>>),
+    /// The conjunction assembled eagerly into one in-memory signature
+    /// (build with [`BooleanProbe::assembled`]); the second field is the
+    /// child mask of the node under expansion.
     Assembled(Signature, ChildMask),
-    /// Lossy Bloom summaries (§VII), one per predicate, ANDed.
-    Bloom(Vec<crate::bloom::BloomSignature>),
 }
 
 impl BooleanProbe<'_> {
@@ -827,74 +826,63 @@ impl BooleanProbe<'_> {
     }
 
     /// `true` if the path may contain qualifying data (never a false
-    /// negative; see the variant docs for false-positive behaviour).
+    /// negative; a degraded cursor may answer a false positive).
     pub fn contains(&mut self, path: &Path) -> bool {
         match self {
-            BooleanProbe::All => true,
-            BooleanProbe::Single(c) => c.contains(path),
-            BooleanProbe::IntersectLazy(cs) => cs.iter_mut().all(|c| c.contains(path)),
+            BooleanProbe::Cursors(cs) => cs.iter_mut().all(|c| c.contains(path)),
             BooleanProbe::Assembled(sig, _) => sig.contains(path),
-            BooleanProbe::Bloom(filters) => filters.iter().all(|f| f.contains(path)),
         }
     }
 
-    /// Number of child masks one node expansion consults: one per conjunct,
-    /// none for a probe that prunes nothing.
-    pub fn mask_count(&self) -> usize {
+    /// `true` if a cursor degraded after a storage failure, so the probe
+    /// can report false positives ([`BooleanPruner::verify`] then checks
+    /// the base table).
+    pub fn is_lossy(&self) -> bool {
         match self {
-            BooleanProbe::All => 0,
-            BooleanProbe::Single(_) | BooleanProbe::Assembled(..) => 1,
-            BooleanProbe::IntersectLazy(cs) => cs.len(),
-            BooleanProbe::Bloom(filters) => filters.len(),
+            BooleanProbe::Cursors(cs) => cs.iter().any(SignatureCursor::is_degraded),
+            BooleanProbe::Assembled(..) => false,
+        }
+    }
+}
+
+impl BooleanPruner for BooleanProbe<'_> {
+    fn contains(&mut self, path: &Path) -> bool {
+        BooleanProbe::contains(self, path)
+    }
+
+    fn mask_count(&self) -> usize {
+        match self {
+            BooleanProbe::Cursors(cs) => cs.len(),
+            BooleanProbe::Assembled(..) => 1,
         }
     }
 
-    /// Fetches conjunct `i`'s child mask of the node at `path` (which must
-    /// have passed [`Self::contains`]): one node lookup, loading a partial
-    /// signature if the node's bits are not in memory yet.
-    ///
-    /// # Panics
-    /// Panics if `i >= mask_count()`.
-    pub fn fetch_child_mask(&mut self, i: usize, path: &Path) {
-        assert!(i < self.mask_count(), "conjunct {i} out of range");
+    /// One node lookup, loading a partial signature if the node's bits are
+    /// not in memory yet.
+    fn fetch_child_mask(&mut self, i: usize, path: &Path) {
         match self {
-            BooleanProbe::All => {}
-            BooleanProbe::Single(c) => c.fetch_child_mask(path),
-            BooleanProbe::IntersectLazy(cs) => cs[i].fetch_child_mask(path),
+            BooleanProbe::Cursors(cs) => cs[i].fetch_child_mask(path),
             BooleanProbe::Assembled(sig, mask) => {
                 mask.load(sig.node(path.sid(sig.m_max())), false, sig.m_max());
             }
-            BooleanProbe::Bloom(filters) => filters[i].fetch_child_mask(path),
         }
     }
 
-    /// Bit `slot` (0-based) of conjunct `i`'s mask fetched last: may the
-    /// child in that slot contain qualifying data?
-    ///
-    /// # Panics
-    /// Panics if `i >= mask_count()` or the mask was never fetched.
     #[inline]
-    pub fn child_bit(&self, i: usize, slot: usize) -> bool {
+    fn child_bit(&self, i: usize, slot: usize) -> bool {
         match self {
-            BooleanProbe::All => true,
-            BooleanProbe::Single(c) => c.child_bit(slot),
-            BooleanProbe::IntersectLazy(cs) => cs[i].child_bit(slot),
+            BooleanProbe::Cursors(cs) => cs[i].child_bit(slot),
             BooleanProbe::Assembled(_, mask) => mask.get(slot),
-            BooleanProbe::Bloom(filters) => filters[i].child_bit(slot),
         }
     }
 
-    /// The look-ahead for the child node in `slot` (0-based) of the node at
-    /// `path`, after every mask of that node was fetched and kept the
-    /// child: `false` if the conjuncts' bit arrays of the child node share
-    /// no set bit, so no qualifying tuple lies under it. Each conjunct's
-    /// bits are loaded by the retrieval rule (counted in
-    /// [`Self::partials_loaded`]), stopping at the first conjunct that
-    /// empties the AND; a degraded cursor that cannot load them answers
-    /// all ones and never prunes.
-    pub fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
+    /// Each conjunct's bits of the child node are loaded by the retrieval
+    /// rule (counted in `partials_loaded`), stopping at the first conjunct
+    /// that empties the AND; a degraded cursor that cannot load them
+    /// answers all ones and never prunes.
+    fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
         match self {
-            BooleanProbe::IntersectLazy(cs) if cs.len() > 1 => (0..cs.len()).all(|i| {
+            BooleanProbe::Cursors(cs) if cs.len() > 1 => (0..cs.len()).all(|i| {
                 cs[i].fetch_ahead(path, slot);
                 ChildMask::intersect(cs[..=i].iter().map(|c| &c.ahead))
             }),
@@ -902,25 +890,17 @@ impl BooleanProbe<'_> {
         }
     }
 
-    /// `true` if the probe can report false positives — lossy Bloom
-    /// summaries, or a cursor that degraded after a storage failure. Query
-    /// processors must then verify candidate result tuples against the base
-    /// table before emitting them.
-    pub fn is_lossy(&self) -> bool {
-        match self {
-            BooleanProbe::All | BooleanProbe::Assembled(..) => false,
-            BooleanProbe::Single(c) => c.is_degraded(),
-            BooleanProbe::IntersectLazy(cs) => cs.iter().any(SignatureCursor::is_degraded),
-            BooleanProbe::Bloom(_) => true,
-        }
+    /// A degraded cursor may pass non-qualifying tuples: pay what
+    /// domination-first pays, one counted random access. The empty
+    /// selection has nothing to get wrong.
+    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
+        !self.is_lossy() || selection.is_empty() || VerifyAllPruner.verify(db, selection, tid)
     }
 
-    /// Partial signatures loaded by the underlying cursors.
-    pub fn partials_loaded(&self) -> u64 {
+    fn partials_loaded(&self) -> u64 {
         match self {
-            BooleanProbe::All | BooleanProbe::Assembled(..) | BooleanProbe::Bloom(_) => 0,
-            BooleanProbe::Single(c) => c.partials_loaded(),
-            BooleanProbe::IntersectLazy(cs) => cs.iter().map(|c| c.partials_loaded()).sum(),
+            BooleanProbe::Cursors(cs) => cs.iter().map(SignatureCursor::partials_loaded).sum(),
+            BooleanProbe::Assembled(..) => 0,
         }
     }
 }
@@ -1057,34 +1037,25 @@ mod tests {
 
         // Probe equivalence: for every node path and every child slot, the
         // child masks answer exactly what the full walk answers for the
-        // child's path — for all five probe variants.
+        // child's path — for no cursor, one, two, and an assembled signature.
         let other = Signature::from_paths(
             2,
             [Path(vec![1, 1, 1]), Path(vec![1, 2, 2]), Path(vec![2, 1, 1])].iter(),
         );
         store.write_signature(6, &other);
-        let blooms = || {
-            vec![
-                crate::bloom::BloomSignature::from_signature(&sig, 0.01),
-                crate::bloom::BloomSignature::from_signature(&other, 0.01),
-            ]
-        };
         // One probe answers by masks, its twin by walks, so that the cursors'
         // memoized state cannot leak from one method into the other.
+        let cursors =
+            |cells: &[u32]| BooleanProbe::Cursors(cells.iter().map(|&c| store.cursor(c)).collect());
         let variants: Vec<(&str, BooleanProbe<'_>, BooleanProbe<'_>)> = vec![
-            ("All", BooleanProbe::All, BooleanProbe::All),
-            ("Single", BooleanProbe::Single(store.cursor(5)), BooleanProbe::Single(store.cursor(5))),
+            ("no cursor", cursors(&[]), cursors(&[])),
+            ("one cursor", cursors(&[5]), cursors(&[5])),
+            ("two cursors", cursors(&[5, 6]), cursors(&[5, 6])),
             (
-                "IntersectLazy",
-                BooleanProbe::IntersectLazy(vec![store.cursor(5), store.cursor(6)]),
-                BooleanProbe::IntersectLazy(vec![store.cursor(5), store.cursor(6)]),
-            ),
-            (
-                "Assembled",
+                "assembled",
                 BooleanProbe::assembled(sig.intersect(&other, 3)),
                 BooleanProbe::assembled(sig.intersect(&other, 3)),
             ),
-            ("Bloom", BooleanProbe::Bloom(blooms()), BooleanProbe::Bloom(blooms())),
         ];
         for (name, mut by_mask, mut by_walk) in variants {
             for node in node_paths() {
@@ -1113,7 +1084,7 @@ mod tests {
         store.write_signature(0, &a2);
         store.write_signature(1, &b2);
 
-        let mut lazy = BooleanProbe::IntersectLazy(vec![store.cursor(0), store.cursor(1)]);
+        let mut lazy = BooleanProbe::Cursors(vec![store.cursor(0), store.cursor(1)]);
         let assembled = a2.intersect(&b2, 3);
         let mut eager = BooleanProbe::assembled(assembled);
         for a in 1..=2u16 {
@@ -1217,7 +1188,7 @@ mod tests {
                 }
             }
             let cursors = (0..sigs.len() as u32).map(|c| store.cursor(c)).collect();
-            let mut lazy = BooleanProbe::IntersectLazy(cursors);
+            let mut lazy = BooleanProbe::Cursors(cursors);
             for (child, ahead) in look_ahead_verdicts(&mut lazy, m_max) {
                 let holds = exact.contains(&child);
                 prop_assert!(ahead || !holds, "dropped {} holding a qualifying tuple", child);
@@ -1306,7 +1277,7 @@ mod tests {
         }
         assert!(cursor.is_degraded());
         assert!(stats.get(Counter::DegradedReads) > 0, "failures must be tallied");
-        let probe = BooleanProbe::Single(cursor);
+        let probe = BooleanProbe::Cursors(vec![cursor]);
         assert!(probe.is_lossy(), "degraded cursors make the probe lossy");
     }
 

@@ -22,8 +22,9 @@
 //! (§III's requirement).
 
 use pcube_core::{
-    CancelToken, DurableDb, PCubeDb, PSkylineClass, PriorityGraph, QueryBudget, QueryClass,
-    QueryOutcome, QueryStats, RankingFunction, SkylineClass, SubspaceSkylineClass, TopKClass,
+    CancelToken, DurableDb, PCubeDb, PSkylineClass, ParallelOptions, PriorityGraph, QueryBudget,
+    QueryClass, QueryOutcome, QueryStats, RankingFunction, SkylineClass, SubspaceSkylineClass,
+    TopKClass,
 };
 use pcube_cube::{Predicate, Selection};
 use pcube_rtree::Mbr;
@@ -787,7 +788,9 @@ fn run_class_statement<C: QueryClass + Sync>(
         db.plan_and_run_class(&db.planner(), class, selection, budget, cancel)
             .map_err(|e| SqlError(e.to_string()))
     } else {
-        let out = db.run_governed(selection, class, budget, cancel);
+        let opts =
+            ParallelOptions { budget: *budget, cancel: cancel.cloned(), ..Default::default() };
+        let out = db.par_run(selection, class, opts);
         Ok((out.rows, out.stats))
     }
 }

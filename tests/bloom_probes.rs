@@ -1,9 +1,11 @@
-//! §VII extension: queries driven by lossy Bloom-filter signatures must
-//! return exactly the same answers as the exact signatures (soundness — no
-//! false negatives), just with possibly more R-tree reads.
+//! §VII extension: queries driven by lossy Bloom-filter signatures (the
+//! ablation's pruner, `pcube_bench::bloom`) must return exactly the same
+//! answers as the exact signatures (soundness — no false negatives), just
+//! with possibly more R-tree reads.
 
 use pcube::core::{LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass};
 use pcube::data::{sample_selection, synthetic, SyntheticSpec};
+use pcube_bench::bloom;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,8 +29,7 @@ fn bloom_skyline_matches_exact_signature() {
             let sel = sample_selection(db.relation(), n_preds, &mut rng);
             let exact = db.run(&sel, &SkylineClass::new(vec![0, 1]));
             for fp in [0.001, 0.05, 0.3] {
-                let probe = db.pcube().probe_bloom(&sel, fp);
-                let bloom = db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1]), probe);
+                let bloom = bloom::run(&db, &sel, &SkylineClass::new(vec![0, 1]), fp);
                 let mut a: Vec<u64> = exact.rows.iter().map(|p| p.0).collect();
                 let mut b: Vec<u64> = bloom.rows.iter().map(|p| p.0).collect();
                 a.sort_unstable();
@@ -47,8 +48,7 @@ fn bloom_topk_matches_exact_signature() {
     for _ in 0..6 {
         let sel = sample_selection(db.relation(), 2, &mut rng);
         let exact = db.run(&sel, &TopKClass::new(8, &f));
-        let probe = db.pcube().probe_bloom(&sel, 0.02);
-        let bloom = db.run_with_probe(&sel, &TopKClass::new(8, &f), probe);
+        let bloom = bloom::run(&db, &sel, &TopKClass::new(8, &f), 0.02);
         assert_eq!(exact.rows.len(), bloom.rows.len());
         for (e, b) in exact.rows.iter().zip(&bloom.rows) {
             assert!((e.2 - b.2).abs() < 1e-12, "scores {} vs {}", e.2, b.2);
@@ -65,8 +65,7 @@ fn looser_filters_read_no_fewer_blocks() {
     let mut reads = Vec::new();
     for fp in [0.0001, 0.2, 0.49] {
         db.stats().reset();
-        let probe = db.pcube().probe_bloom(&sel, fp);
-        let out = db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1]), probe);
+        let out = bloom::run(&db, &sel, &SkylineClass::new(vec![0, 1]), fp);
         reads.push((fp, out.stats.io.reads(pcube::storage::IoCategory::RtreeBlock)));
     }
     // Not strictly monotone per-query (hash luck), but the tight filter must
@@ -81,7 +80,6 @@ fn looser_filters_read_no_fewer_blocks() {
 fn unknown_value_bloom_probe_is_empty() {
     let db = db();
     let sel = vec![pcube::cube::Predicate { dim: 0, value: 9999 }];
-    let probe = db.pcube().probe_bloom(&sel, 0.01);
-    let out = db.run_with_probe(&sel, &SkylineClass::new(vec![0, 1]), probe);
+    let out = bloom::run(&db, &sel, &SkylineClass::new(vec![0, 1]), 0.01);
     assert!(out.rows.is_empty());
 }

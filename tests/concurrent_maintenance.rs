@@ -102,7 +102,7 @@ fn eight_readers_never_observe_a_torn_snapshot() {
                     // Alternate the selection to vary the probe shape.
                     let sel: Selection =
                         if iterations.is_multiple_of(2) { selection.clone() } else { Vec::new() };
-                    let got = canon(snap.db().par_run(&sel, &skyline, opts).rows);
+                    let got = canon(snap.db().par_run(&sel, &skyline, opts.clone()).rows);
 
                     // Bit-identical to the pinned snapshot's own oracle:
                     // the answer is a pre- or post-transaction state.
@@ -113,7 +113,7 @@ fn eight_readers_never_observe_a_torn_snapshot() {
                     );
                     // Stable on the pinned snapshot regardless of commits
                     // landing concurrently.
-                    let again = canon(snap.db().par_run(&sel, &skyline, opts).rows);
+                    let again = canon(snap.db().par_run(&sel, &skyline, opts.clone()).rows);
                     assert_eq!(got, again, "reader {r}: pinned snapshot changed mid-query");
 
                     iterations += 1;

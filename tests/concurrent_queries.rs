@@ -10,7 +10,7 @@
 //!    the ledger's total delta across a concurrent run equals the sum of
 //!    the per-query serial deltas.
 
-use pcube::core::{PCubeConfig, PCubeDb};
+use pcube::core::{PCubeConfig, PCubeDb, ParallelOptions};
 use pcube::data::{synthetic, Distribution, SyntheticSpec};
 use pcube::storage::{IoCategory, IoSnapshot};
 use pcube_bench::mix::{mix, Case, Row};
@@ -49,7 +49,7 @@ fn concurrent_serial_queries_identical_results_and_exact_counters() {
     // (a cold concurrent pass could double-charge racing cache misses —
     // that is a cache property, not a ledger property).
     for q in &workload {
-        q.run(&db, 0, None);
+        q.run(&db, ParallelOptions::default());
     }
 
     // Measure pass: per-query expected answers and per-query I/O deltas.
@@ -57,14 +57,15 @@ fn concurrent_serial_queries_identical_results_and_exact_counters() {
     let mut deltas: Vec<IoSnapshot> = Vec::new();
     for q in &workload {
         let before = db.stats().snapshot();
-        expected.push(q.run(&db, 0, None).rows);
+        expected.push(q.run(&db, ParallelOptions::default()).rows);
         deltas.push(db.stats().snapshot().since(&before));
     }
     // Sanity: warmed queries must be deterministic, otherwise the counter
     // equality below would be vacuous or flaky.
     for (i, q) in workload.iter().enumerate() {
         let before = db.stats().snapshot();
-        assert_eq!(q.run(&db, 0, None).rows, expected[i], "query {i} not deterministic");
+        let again = q.run(&db, ParallelOptions::default()).rows;
+        assert_eq!(again, expected[i], "query {i} not deterministic");
         assert_eq!(
             db.stats().snapshot().since(&before),
             deltas[i],
@@ -81,7 +82,8 @@ fn concurrent_serial_queries_identical_results_and_exact_counters() {
             scope.spawn(move || {
                 for (i, q) in workload.iter().enumerate() {
                     if i % THREADS == t {
-                        assert_eq!(q.run(db, 0, None).rows, expected[i], "thread {t}, query {i}");
+                        let rows = q.run(db, ParallelOptions::default()).rows;
+                        assert_eq!(rows, expected[i], "thread {t}, query {i}");
                     }
                 }
             });
@@ -107,7 +109,8 @@ fn concurrent_serial_queries_identical_results_and_exact_counters() {
 fn concurrent_parallel_queries_are_bit_identical_to_serial() {
     let db = build_db();
     let workload = build_workload(&db, 24);
-    let expected: Vec<Vec<Row>> = workload.iter().map(|q| q.run(&db, 0, None).rows).collect();
+    let expected: Vec<Vec<Row>> =
+        workload.iter().map(|q| q.run(&db, ParallelOptions::default()).rows).collect();
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -117,7 +120,7 @@ fn concurrent_parallel_queries_are_bit_identical_to_serial() {
                     if i % THREADS == t {
                         let workers = [2, 3, 8][(i / 6) % 3];
                         assert_eq!(
-                            q.run(db, workers, None).rows,
+                            q.run(db, ParallelOptions::with_workers(workers)).rows,
                             expected[i],
                             "thread {t}, query {i} ({workers} workers)"
                         );
@@ -134,7 +137,8 @@ fn concurrent_parallel_queries_are_bit_identical_to_serial() {
 fn mixed_serial_and_parallel_fleet_agrees() {
     let db = build_db();
     let workload = build_workload(&db, 18);
-    let expected: Vec<Vec<Row>> = workload.iter().map(|q| q.run(&db, 0, None).rows).collect();
+    let expected: Vec<Vec<Row>> =
+        workload.iter().map(|q| q.run(&db, ParallelOptions::default()).rows).collect();
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -143,9 +147,9 @@ fn mixed_serial_and_parallel_fleet_agrees() {
                 for (i, q) in workload.iter().enumerate() {
                     if i % THREADS == t {
                         let got = if t % 2 == 0 {
-                            q.run(db, 0, None).rows
+                            q.run(db, ParallelOptions::default()).rows
                         } else {
-                            q.run(db, 3, None).rows
+                            q.run(db, ParallelOptions::with_workers(3)).rows
                         };
                         assert_eq!(got, expected[i], "thread {t}, query {i}");
                     }

@@ -13,7 +13,7 @@
 //!    holding the shard lock across the pager read, or looping waiters
 //!    without making progress — blows through the bound.
 
-use pcube::core::{PCubeConfig, PCubeDb};
+use pcube::core::{PCubeConfig, PCubeDb, ParallelOptions};
 use pcube::data::{synthetic, Distribution, SyntheticSpec};
 use pcube::storage::{IoCategory, IoStats, Pager, ShardedBufferPool, PAGE_SIZE};
 use pcube_bench::mix::{mix, Case, Row};
@@ -47,7 +47,8 @@ fn build_hot_set(db: &PCubeDb) -> Vec<Case> {
 fn hot_cell_contention_parallel_answers_bit_identical_at_2_4_8_workers() {
     let db = build_db();
     let hot = build_hot_set(&db);
-    let expected: Vec<Vec<Row>> = hot.iter().map(|q| q.run(&db, 0, None).rows).collect();
+    let expected: Vec<Vec<Row>> =
+        hot.iter().map(|q| q.run(&db, ParallelOptions::default()).rows).collect();
     const ROUNDS: usize = 8;
 
     std::thread::scope(|scope| {
@@ -60,7 +61,7 @@ fn hot_cell_contention_parallel_answers_bit_identical_at_2_4_8_workers() {
                         // worker count runs concurrently with every other.
                         let workers = 1 << (1 + (t + round + i) % 3);
                         assert_eq!(
-                            q.run(db, workers, None).rows,
+                            q.run(db, ParallelOptions::with_workers(workers)).rows,
                             expected[i],
                             "thread {t}, round {round}, hot query {i}, {workers} workers"
                         );
@@ -77,7 +78,8 @@ fn hot_cell_contention_parallel_answers_bit_identical_at_2_4_8_workers() {
 fn hot_cell_contention_serial_answers_bit_identical() {
     let db = build_db();
     let hot = build_hot_set(&db);
-    let expected: Vec<Vec<Row>> = hot.iter().map(|q| q.run(&db, 0, None).rows).collect();
+    let expected: Vec<Vec<Row>> =
+        hot.iter().map(|q| q.run(&db, ParallelOptions::default()).rows).collect();
 
     std::thread::scope(|scope| {
         for t in 0..CLIENT_THREADS {
@@ -86,7 +88,7 @@ fn hot_cell_contention_serial_answers_bit_identical() {
                 for round in 0..8 {
                     for (i, q) in hot.iter().enumerate() {
                         assert_eq!(
-                            q.run(db, 0, None).rows,
+                            q.run(db, ParallelOptions::default()).rows,
                             expected[i],
                             "thread {t}, round {round}, hot query {i}"
                         );

@@ -519,7 +519,8 @@ proptest! {
         // Top-k: the ledger delta measured outside the query must equal
         // the stats the query reports about itself.
         let base = db.stats().total_reads();
-        let cut = db.run_governed(&sel, &TopKClass::new(k, &f), &budget, None);
+        let opts = ParallelOptions { budget, ..Default::default() };
+        let cut = db.par_run(&sel, &TopKClass::new(k, &f), opts);
         let delta = db.stats().total_reads() - base;
         prop_assert_eq!(cut.stats.io.total_reads(), delta, "top-k stats vs ledger");
         match &cut.stats.outcome {
@@ -541,7 +542,8 @@ proptest! {
 
         // Skyline: same bookkeeping contract; a partial is a sound subset.
         let base = db.stats().total_reads();
-        let cut = db.run_governed(&sel, &SkylineClass::new(vec![0, 1]), &budget, None);
+        let opts = ParallelOptions { budget, ..Default::default() };
+        let cut = db.par_run(&sel, &SkylineClass::new(vec![0, 1]), opts);
         let delta = db.stats().total_reads() - base;
         prop_assert_eq!(cut.stats.io.total_reads(), delta, "skyline stats vs ledger");
         if let pcube::core::QueryOutcome::Partial { progress, .. } = &cut.stats.outcome {
@@ -629,7 +631,7 @@ proptest! {
         let graph = PriorityGraph::new(vec![0, 1, 2], &edges).expect("DAG");
         let class = PSkylineClass::new(graph);
         let full = db.run(&sel, &class);
-        let cut = db.run_governed(&sel, &class, &budget, None);
+        let cut = db.par_run(&sel, &class, ParallelOptions { budget, ..Default::default() });
         match &cut.stats.outcome {
             pcube::core::QueryOutcome::Complete => {
                 prop_assert_eq!(&cut.rows, &full.rows, "untripped run is identical");
@@ -654,7 +656,7 @@ proptest! {
         let dims = [1usize, 2];
         let class = SubspaceSkylineClass::new(dims.to_vec());
         let full = db.run(&sel, &class);
-        let cut = db.run_governed(&sel, &class, &budget, None);
+        let cut = db.par_run(&sel, &class, ParallelOptions { budget, ..Default::default() });
         match &cut.stats.outcome {
             pcube::core::QueryOutcome::Complete => {
                 prop_assert_eq!(&cut.rows, &full.rows, "untripped run is identical");
@@ -734,9 +736,9 @@ fn parallel_engines_handle_empty_and_tiny_inputs() {
     let impossible: Selection = vec![Predicate { dim: 0, value: 999 }];
     let f = LinearFn::new(vec![1.0, 1.0]);
     let opts = ParallelOptions::with_workers(64);
-    assert!(db.par_run(&impossible, &TopKClass::new(5, &f), opts).rows.is_empty());
-    assert!(db.par_run(&impossible, &SkylineClass::new(vec![0, 1]), opts).rows.is_empty());
-    assert!(db.par_run(&impossible, &DynamicSkylineClass::new(&[0.5, 0.5], vec![0, 1]), opts)
+    assert!(db.par_run(&impossible, &TopKClass::new(5, &f), opts.clone()).rows.is_empty());
+    assert!(db.par_run(&impossible, &SkylineClass::new(vec![0, 1]), opts.clone()).rows.is_empty());
+    assert!(db.par_run(&impossible, &DynamicSkylineClass::new(&[0.5, 0.5], vec![0, 1]), opts.clone())
         .rows
         .is_empty());
     assert!(db.par_run(&impossible, &HullClass::new((0, 1)), opts).rows.is_empty());

@@ -199,6 +199,7 @@ fn corrupt_signature_pages_degrade_but_answers_stay_exact() {
 /// checksums, so cursors degrade part-way through the search).
 #[test]
 fn child_masks_equal_the_full_walk_clean_and_degraded() {
+    use pcube::core::query::BooleanPruner;
     use pcube::core::BooleanProbe;
     use pcube::rtree::{DecodedEntry, Path};
     use std::collections::HashSet;

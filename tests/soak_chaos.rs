@@ -24,7 +24,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pcube::core::{
-    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, QueryBudget, QueryOutcome, StopReason,
+    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, ParallelOptions, QueryBudget, QueryOutcome,
+    StopReason,
 };
 use pcube::data::{synthetic, SyntheticSpec};
 use pcube::storage::{Counter, FaultPlan};
@@ -185,7 +186,7 @@ fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Ta
     // Every class runs on the engine its governance names (the parallel
     // arm fans all six out), answers in one row type, and is audited by
     // the rule its own rustdoc states.
-    let out = case.run(db, workers, Some((&budget, cancel.as_ref())));
+    let out = case.run(db, ParallelOptions { workers, budget, cancel });
     let kind = case.kind();
     case.check_progress(&out.stats, out.rows.len(), serial)
         .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
@@ -239,7 +240,7 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     let cases: Vec<(Case, Vec<Row>)> = mix(db.relation(), DISTINCT_CASES, 7)
         .into_iter()
         .map(|case| {
-            let oracle = case.run(&db, 0, None).rows;
+            let oracle = case.run(&db, ParallelOptions::default()).rows;
             (case, oracle)
         })
         .collect();
