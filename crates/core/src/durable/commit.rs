@@ -5,6 +5,8 @@ use std::collections::HashSet;
 
 use pcube_storage::{crc32, TreeOp};
 
+use crate::pcube::SigTouch;
+
 use super::*;
 
 impl DurableDb {
@@ -115,8 +117,9 @@ impl DurableDb {
         // 1. Redo records — appended before any page mutation.
         let base = self.master.relation.len() as u64;
         let mut inserts = 0u64;
-        for op in ops {
-            let rec = match op {
+        let redo: Vec<WalRecord> = ops
+            .iter()
+            .map(|op| match op {
                 MaintenanceOp::Insert { codes, coords } => {
                     let tid = base + inserts;
                     inserts += 1;
@@ -135,39 +138,25 @@ impl DurableDb {
                     codes: Vec::new(),
                     coords: self.master.relation.pref_coords(*tid),
                 },
-            };
+            })
+            .collect();
+        for rec in &redo {
             self.wal_append(rec)?;
         }
 
-        // 2. Mutate the master; log the per-cell signature summaries.
-        for op in ops {
-            let touches = match op {
-                MaintenanceOp::Insert { codes, coords } => {
-                    self.master_mut().insert_coded_tracked(codes, coords).1
-                }
-                MaintenanceOp::Delete { tid } => {
-                    // `validate` checked liveness upfront and the master is
-                    // single-writer, so a miss here means the master already
-                    // diverged from the redo records in the WAL tail — state
-                    // no recoverable error can repair. Returning would keep
-                    // accepting transactions on a master the log no longer
-                    // describes; dying loudly is the only honest option.
-                    self.master_mut().delete_tracked(*tid).unwrap_or_else(|| {
-                        panic!(
-                            "invariant violated: tuple {tid} vanished mid-transaction \
-                             with its redo record already logged"
-                        )
-                    })
-                }
-            };
-            for t in touches {
-                self.wal_append(WalRecord::SigUpdate {
-                    txn,
-                    cell: t.cell,
-                    sets: t.sets,
-                    clears: t.clears,
-                })?;
-            }
+        // 2. Mutate the master by running those records, exactly as
+        //    recovery will; log the per-cell signature summaries.
+        //    `validate` checked every tid upfront and the master is
+        //    single-writer, so a divergence here means the master already
+        //    disagrees with the redo records in the WAL tail — state no
+        //    recoverable error can repair. Returning would keep accepting
+        //    transactions on a master the log no longer describes; dying
+        //    loudly is the only honest option.
+        let touches = apply_txn(self.master_mut(), &redo).unwrap_or_else(|cause| {
+            panic!("invariant violated: {cause} mid-transaction, with its redo record already logged")
+        });
+        for t in touches {
+            self.wal_append(&WalRecord::SigUpdate { txn, cell: t.cell, sets: t.sets, clears: t.clears })?;
         }
 
         // 3–4. Witness the dirtied pages, seal and account.
@@ -179,7 +168,7 @@ impl DurableDb {
     /// counters.
     pub(super) fn seal(&mut self, txn: u64) -> Result<Lsn, DurabilityError> {
         self.append_witnesses(txn)?;
-        let lsn = self.wal_append(WalRecord::Commit { txn })?;
+        let lsn = self.wal_append(&WalRecord::Commit { txn })?;
         self.next_txn += 1;
         self.applied_txns = txn;
         self.commits_since_sync += 1;
@@ -212,9 +201,9 @@ impl DurableDb {
         self.sync_internal()
     }
 
-    pub(super) fn wal_append(&mut self, rec: WalRecord) -> Result<Lsn, DurabilityError> {
+    pub(super) fn wal_append(&mut self, rec: &WalRecord) -> Result<Lsn, DurabilityError> {
         self.observe(CrashPoint::WalAppend)?;
-        Ok(self.wal.append(&rec))
+        Ok(self.wal.append(rec))
     }
 
     pub(super) fn sync_internal(&mut self) -> Result<(), DurabilityError> {
@@ -249,7 +238,7 @@ impl DurableDb {
             for pid in pids {
                 self.ckpt_dirty[kind_idx(kind)].insert(pid.0);
                 if let Some(crc) = pager_of(&self.master, kind).page_bytes(pid).map(crc32) {
-                    self.wal_append(WalRecord::PageWrite { txn, store: kind, pid: pid.0, crc })?;
+                    self.wal_append(&WalRecord::PageWrite { txn, store: kind, pid: pid.0, crc })?;
                 }
             }
         }
@@ -338,6 +327,42 @@ impl DurableDb {
         self.file_synced = durable.len();
         Ok(())
     }
+}
+
+/// Runs one transaction's redo records against `master`: each `TreeSplit`
+/// insert or delete through the tracked maintenance calls, then every
+/// `SigRebuild` cell regenerated in one pass. Commit, repair and recovery
+/// all mutate the master through here, so a replay re-executes the very
+/// function the commit ran. Returns the tree operations' signature touches
+/// in record order — what the `SigUpdate` records log. Evidence records
+/// (`SigUpdate`, `PageWrite`, `Commit`, `Checkpoint`) are skipped.
+pub(super) fn apply_txn<'a>(
+    master: &mut PCubeDb,
+    recs: impl IntoIterator<Item = &'a WalRecord>,
+) -> Result<Vec<SigTouch>, String> {
+    let mut touches = Vec::new();
+    let mut rebuilt = Vec::new();
+    for rec in recs {
+        match rec {
+            WalRecord::TreeSplit { op: TreeOp::Insert, tid, codes, coords, .. } => {
+                let (got, t) = master.insert_coded_tracked(codes, coords);
+                if got != *tid {
+                    return Err(format!("insert produced tid {got}, log says {tid}"));
+                }
+                touches.extend(t);
+            }
+            WalRecord::TreeSplit { op: TreeOp::Delete, tid, .. } => {
+                let t = master.delete_tracked(*tid);
+                touches.extend(t.ok_or_else(|| format!("delete of {tid} found no tuple"))?);
+            }
+            WalRecord::SigRebuild { cell, .. } => rebuilt.push(*cell),
+            _ => {}
+        }
+    }
+    if !rebuilt.is_empty() {
+        master.pcube.regenerate(&master.relation, &master.rtree, &rebuilt);
+    }
+    Ok(touches)
 }
 
 #[cfg(test)]

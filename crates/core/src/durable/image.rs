@@ -40,7 +40,7 @@ impl DurableDb {
         self.image.next_txn = self.next_txn;
 
         // Log the checkpoint and make it durable.
-        let lsn = self.wal_append(WalRecord::Checkpoint { epoch, txns })?;
+        let lsn = self.wal_append(&WalRecord::Checkpoint { epoch, txns })?;
         self.image.next_lsn = lsn + 1;
         self.sync_internal()?;
 

@@ -5,11 +5,13 @@
 //! ARIES-shaped discipline, scaled to this workspace's simulated storage
 //! (see `DESIGN.md` §10):
 //!
-//! 1. **Log first.** Every maintenance transaction appends typed,
-//!    CRC32-framed [`WalRecord`]s *before* mutating any page: a logical redo
-//!    record per operation (`TreeSplit`), a per-cell signature summary
-//!    (`SigUpdate`), a physical CRC witness per dirtied page (`PageWrite`),
-//!    and finally `Commit`. Fsyncs batch across commits
+//! 1. **Log first.** Every maintenance transaction appends its typed,
+//!    CRC32-framed redo records *before* mutating any page — one `TreeSplit`
+//!    per operation, or one `SigRebuild` per cell online repair regenerates
+//!    — then runs them through the one apply function recovery replays
+//!    them with. The evidence derived from that mutation follows: a per-cell
+//!    signature summary (`SigUpdate`), a physical CRC witness per dirtied
+//!    page (`PageWrite`), and finally `Commit`. Fsyncs batch across commits
 //!    ([`DurabilityOptions::fsync_every`]).
 //! 2. **Checkpoint incrementally.** The pagers track dirty pages; the
 //!    [`CheckpointImage`] is three frozen copy-on-write pagers, and a
@@ -19,9 +21,10 @@
 //!    once the image file has landed.
 //! 3. **Recover by replay.** [`DurableDb::open_or_recover`] restores the
 //!    last checkpoint image (verifying every page CRC), re-executes the
-//!    committed WAL suffix, verifies each transaction's page witnesses and
-//!    signature summaries against the replay, drops the torn tail and any
-//!    uncommitted transaction, and reports it all in a typed
+//!    committed WAL suffix through that same apply function, verifies each
+//!    transaction's page witnesses and signature summaries against the
+//!    replay, drops the torn tail and any uncommitted transaction, and
+//!    reports it all in a typed
 //!    [`RecoveryReport`] — never a panic, never an approximately-right
 //!    database.
 //! 4. **Publish epochs.** Every commit publishes a new immutable

@@ -1,14 +1,13 @@
 //! Crash recovery: restore the checkpoint image, replay the committed WAL
 //! suffix and verify it against the logged evidence.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use pcube_rtree::Path as TreePath;
-use pcube_storage::{crc32, TreeOp};
+use pcube_storage::crc32;
 
-use crate::signature::Signature;
+use crate::pcube::SigTouch;
 
-use super::repair::{collect_paths, rebuild_cell_signature};
+use super::commit::apply_txn;
 use super::*;
 
 impl DurableDb {
@@ -146,10 +145,12 @@ impl DurableDb {
     }
 }
 
-/// Re-executes one committed transaction and verifies it against the logged
-/// evidence: re-derived tuple ids must match the redo records, re-derived
-/// signature summaries must match the `SigUpdate` records, and every
-/// `PageWrite` witness CRC must match the replayed page bytes.
+/// Re-executes one committed transaction through [`apply_txn`] — the
+/// function its commit ran — and verifies it against the logged evidence:
+/// re-derived tuple ids must match the redo records, re-derived signature
+/// summaries must match the `SigUpdate` records, and every `PageWrite`
+/// witness CRC must match the replayed page bytes. A `SigRebuild` is
+/// verified by the witnesses that follow it: regeneration is deterministic.
 fn replay_txn(
     master: &mut PCubeDb,
     txn: u64,
@@ -157,34 +158,12 @@ fn replay_txn(
     repaired: &mut HashSet<(StoreKind, u32)>,
 ) -> Result<(), DurabilityError> {
     let diverged = |cause: String| DurabilityError::Replay { txn, cause };
-    let mut logged_sigs: Vec<(u32, u32, u32)> = Vec::new();
-    let mut replayed_sigs: Vec<(u32, u32, u32)> = Vec::new();
-    // Lazily built on the first `SigRebuild` record: one R-tree walk shared
-    // by every rebuilt cell in the transaction, same as live repair.
-    let mut rebuild_paths: Option<HashMap<u64, TreePath>> = None;
+    let replayed = apply_txn(master, recs.iter().copied()).map_err(diverged)?;
+    let mut logged: Vec<SigTouch> = Vec::new();
     for rec in recs {
         match rec {
-            WalRecord::TreeSplit { op, tid, codes, coords, .. } => match op {
-                TreeOp::Insert => {
-                    let (got, touches) = master.insert_coded_tracked(codes, coords);
-                    if got != *tid {
-                        return Err(diverged(format!(
-                            "re-executed insert produced tid {got}, log says {tid}"
-                        )));
-                    }
-                    replayed_sigs
-                        .extend(touches.iter().map(|t| (t.cell, t.sets, t.clears)));
-                }
-                TreeOp::Delete => {
-                    let touches = master
-                        .delete_tracked(*tid)
-                        .ok_or_else(|| diverged(format!("re-executed delete of {tid} found no tuple")))?;
-                    replayed_sigs
-                        .extend(touches.iter().map(|t| (t.cell, t.sets, t.clears)));
-                }
-            },
             WalRecord::SigUpdate { cell, sets, clears, .. } => {
-                logged_sigs.push((*cell, *sets, *clears));
+                logged.push(SigTouch { cell: *cell, sets: *sets, clears: *clears });
             }
             WalRecord::PageWrite { store, pid, crc, .. } => {
                 let actual = pager_of(master, *store).page_bytes(PageId(*pid)).map(crc32);
@@ -197,29 +176,15 @@ fn replay_txn(
                 }
                 repaired.insert((*store, *pid));
             }
-            WalRecord::SigRebuild { cell, .. } => {
-                // A logical redo record of online repair: re-derive the
-                // cell's signature from the replayed base table. The
-                // rebuild is deterministic, so the `PageWrite` witnesses
-                // that follow in the same transaction verify it
-                // byte-for-byte.
-                if rebuild_paths.is_none() {
-                    rebuild_paths = Some(collect_paths(master));
-                }
-                let paths = rebuild_paths.as_ref().expect("just populated");
-                let m_max = master.rtree.m_max();
-                let sig = rebuild_cell_signature(master, paths, *cell)
-                    .unwrap_or_else(|| Signature::empty(m_max));
-                master.pcube.store_mut().write_signature(*cell, &sig);
-            }
-            WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => {}
+            _ => {}
         }
     }
-    if logged_sigs != replayed_sigs {
+    let n = logged.len().max(replayed.len());
+    if let Some(at) = (0..n).find(|&i| logged.get(i) != replayed.get(i)) {
         return Err(diverged(format!(
-            "signature summary mismatch: log has {} cell updates, replay produced {}",
-            logged_sigs.len(),
-            replayed_sigs.len()
+            "signature summary mismatch at cell update {at} of {n}: log has {:?}, replay produced {:?}",
+            logged.get(at),
+            replayed.get(at)
         )));
     }
     Ok(())
@@ -229,6 +194,7 @@ fn replay_txn(
 mod tests {
     use super::super::tests::{seed_relation, skyline_tids, some_ops};
     use super::*;
+    use pcube_storage::TreeOp;
 
     #[test]
     fn recovery_replays_committed_suffix() {
@@ -325,5 +291,109 @@ mod tests {
         assert_eq!(report2.torn_tail_bytes, 0, "recovered WAL still carries the torn tail");
         assert_eq!(second.applied_txns(), 3, "acked-durable txn lost behind the torn tail");
         assert_eq!(skyline_tids(second.db()), skyline_tids(recovered.db()));
+    }
+
+    /// `state` with its log re-framed record by record through
+    /// `Wal::append` after `tamper` rewrote (or, on `None`, dropped) each
+    /// record: every frame and CRC is valid, only the content lies.
+    fn relogged(
+        state: &DurableState,
+        mut tamper: impl FnMut(WalRecord) -> Option<WalRecord>,
+    ) -> DurableState {
+        let mut wal = Wal::new();
+        for (_, rec) in Wal::replay(&state.wal).records {
+            if let Some(rec) = tamper(rec) {
+                wal.append(&rec);
+            }
+        }
+        wal.sync().expect("in-memory sync");
+        DurableState { checkpoint: state.checkpoint.clone(), wal: wal.durable_bytes().to_vec() }
+    }
+
+    /// [`relogged`] with one record tampered: the first one `pick` edits
+    /// and returns `true` for.
+    fn tampered(state: &DurableState, mut pick: impl FnMut(&mut WalRecord) -> bool) -> DurableState {
+        let mut done = false;
+        relogged(state, |mut rec| {
+            done = done || pick(&mut rec);
+            Some(rec)
+        })
+    }
+
+    #[test]
+    fn a_well_framed_but_lying_log_is_a_typed_replay_error() {
+        let mut db = DurableDb::create(seed_relation(64), &PCubeConfig::default(), DurabilityOptions::default());
+        for round in 0..3 {
+            db.apply(&some_ops(&db, round)).expect("apply");
+        }
+        let state = db.durable_state();
+        assert_eq!(relogged(&state, Some), state, "re-framing alone changes no byte");
+
+        let mut dead = None;
+        let cases: Vec<(&str, u64, DurableState)> = vec![
+            (
+                "insert produced tid",
+                1,
+                tampered(&state, |rec| match rec {
+                    WalRecord::TreeSplit { op: TreeOp::Insert, tid, .. } => {
+                        *tid += 1;
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            (
+                "found no tuple",
+                2,
+                tampered(&state, move |rec| match rec {
+                    // The second transaction deletes the first one's victim.
+                    WalRecord::TreeSplit { op: TreeOp::Delete, tid, .. } => match dead {
+                        None => {
+                            dead = Some(*tid);
+                            false
+                        }
+                        Some(victim) => {
+                            *tid = victim;
+                            true
+                        }
+                    },
+                    _ => false,
+                }),
+            ),
+            (
+                "summary mismatch",
+                1,
+                tampered(&state, |rec| match rec {
+                    WalRecord::SigUpdate { sets, .. } => {
+                        *sets += 1;
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            (
+                "witness mismatch",
+                1,
+                tampered(&state, |rec| match rec {
+                    WalRecord::PageWrite { crc, .. } => {
+                        *crc ^= 1;
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            ("commit gap", 3, relogged(&state, |rec| (rec.txn() != Some(2)).then_some(rec))),
+        ];
+        for (cause, txn, lying) in cases {
+            assert_ne!(lying, state, "{cause}: the tamper must change the log");
+            match DurableDb::open_or_recover_from_state(&lying, DurabilityOptions::default()) {
+                Err(DurabilityError::Replay { txn: at, cause: got }) => {
+                    assert_eq!(at, txn, "{cause}: {got}");
+                    assert!(got.contains(cause), "expected {cause:?}, got {got:?}");
+                }
+                Err(e) => panic!("{cause}: expected a replay divergence, got {e}"),
+                Ok((_, report)) => panic!("{cause}: a lying log recovered: {report}"),
+            }
+        }
     }
 }

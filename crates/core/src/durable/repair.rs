@@ -1,13 +1,11 @@
 //! Online repair: quarantined signature pages rebuilt from the base table,
 //! through the WAL.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use pcube_cube::CellKey;
-use pcube_rtree::Path as TreePath;
 use pcube_storage::Counter;
 
-use crate::signature::Signature;
+use super::commit::apply_txn;
 use super::*;
 
 impl DurableDb {
@@ -20,10 +18,11 @@ impl DurableDb {
     /// Repair exploits that: it maps the quarantined pages back to the
     /// cells whose partials live there (a directory range scan that never
     /// reads the damaged bytes), then per cell logs a logical
-    /// [`WalRecord::SigRebuild`] redo record and re-derives the signature
-    /// from the live R-tree paths. `write_signature` frees the old pages
-    /// *unread* (auto-clearing their quarantine entries) and allocates
-    /// fresh ones, the rebuilt pages get the usual `PageWrite` CRC
+    /// [`WalRecord::SigRebuild`] redo record, then regenerates all of them
+    /// from the live R-tree paths in one pass of the build's own generator.
+    /// `write_signature` frees the old pages *unread* (auto-clearing their
+    /// quarantine entries) and allocates fresh ones, the rebuilt pages get
+    /// the usual `PageWrite` CRC
     /// witnesses, and the whole batch seals with one `Commit`, one fsync,
     /// and one epoch publish.
     ///
@@ -58,20 +57,17 @@ impl DurableDb {
             .map_err(|e| DurabilityError::Repair { cause: e.to_string() })?;
         let healed_base = self.master.stats().snapshot().get(Counter::PagesRepaired);
 
-        // Tuple paths come from the R-tree (live rows only), one walk
-        // shared by every rebuilt cell.
-        let paths = collect_paths(&self.master);
-        let m_max = self.master.rtree.m_max();
+        // Log every cell's redo record, then run them as replay will: the
+        // cells regenerate together from the live R-tree paths.
         let txn = self.next_txn;
-        let mut cells_rebuilt = 0u64;
+        let mut rebuilds = Vec::with_capacity(cells.len());
         for &cell in &cells {
             self.observe(CrashPoint::RepairCell)?;
-            self.wal_append(WalRecord::SigRebuild { txn, cell })?;
-            let sig = rebuild_cell_signature(&self.master, &paths, cell)
-                .unwrap_or_else(|| Signature::empty(m_max));
-            self.master_mut().pcube.store_mut().write_signature(cell, &sig);
-            cells_rebuilt += 1;
+            let rec = WalRecord::SigRebuild { txn, cell };
+            self.wal_append(&rec)?;
+            rebuilds.push(rec);
         }
+        apply_txn(self.master_mut(), &rebuilds).expect("a rebuild has no tuple id to diverge on");
         self.seal(txn)?;
 
         // Repair is always synced before it becomes visible: a volatile
@@ -90,48 +86,11 @@ impl DurableDb {
             sig_pager.clear_quarantine(PageId(*pid));
         }
         let pages_healed = self.master.stats().snapshot().get(Counter::PagesRepaired) - healed_base;
-        Ok(RepairOutcome { cells_rebuilt, pages_healed, txn: Some(txn), epoch: self.epoch })
+        Ok(RepairOutcome {
+            cells_rebuilt: cells.len() as u64,
+            pages_healed,
+            txn: Some(txn),
+            epoch: self.epoch,
+        })
     }
-}
-
-/// One R-tree walk collecting every live tuple's path — the shared input
-/// to per-cell signature rebuilds. Tombstoned rows are absent from the
-/// tree, so they are naturally excluded.
-pub(super) fn collect_paths(master: &PCubeDb) -> HashMap<u64, TreePath> {
-    let mut paths = HashMap::new();
-    master.rtree.for_each_tuple(|tid, path, _| {
-        paths.insert(tid, path.clone());
-    });
-    paths
-}
-
-/// Re-derives one cell's signature from the base table: scan the relation
-/// for rows matching the cell's boolean selection, keep the live ones (the
-/// R-tree walk skipped tombstones), and regenerate the signature from
-/// their tree paths — exactly the §IV-B generation procedure, so a rebuild
-/// is bit-identical to a never-corrupted original. `None` when the cell is
-/// not registered or no live row matches (the caller writes an empty
-/// signature, which deletes the cell's partials).
-pub(super) fn rebuild_cell_signature(
-    master: &PCubeDb,
-    paths: &HashMap<u64, TreePath>,
-    cell: u32,
-) -> Option<Signature> {
-    let key: &CellKey = master.pcube.registry().key(cell)?;
-    let dims = key.mask.dims();
-    let mut matched: Vec<&TreePath> = Vec::new();
-    for tid in 0..master.relation.len() as u64 {
-        let Some(path) = paths.get(&tid) else { continue };
-        if dims
-            .iter()
-            .zip(&key.values)
-            .all(|(&d, &v)| master.relation.bool_code(tid, d) == v)
-        {
-            matched.push(path);
-        }
-    }
-    if matched.is_empty() {
-        return None;
-    }
-    Some(Signature::from_paths(master.rtree.m_max(), matched))
 }

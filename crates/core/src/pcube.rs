@@ -83,14 +83,6 @@ fn intern_cow(registry: &mut Arc<CellRegistry>, key: CellKey) -> u32 {
 
 impl PCube {
     /// Computes signatures for every cell of every cuboid in `plan`.
-    ///
-    /// This is the tuple-oriented generation of §IV-B.1: one R-tree
-    /// traversal yields the `path` column, then each cuboid group-by turns
-    /// its cells' path lists into signatures. The rows are the R-tree's
-    /// tuples — live by construction, whatever `relation` still holds as
-    /// tombstones — taken in the traversal's depth-first order, which every
-    /// cell inherits: its paths arrive sorted, so its node table fills in
-    /// SID order with no lookup (`Signature::from_sorted_paths`).
     pub fn build(
         relation: &Relation,
         rtree: &RTree,
@@ -100,31 +92,35 @@ impl PCube {
     ) -> Self {
         let sig_pager = Pager::new(page_size, IoCategory::SignaturePage, stats.clone());
         let dir_pager = Pager::new(page_size, IoCategory::BptreePage, stats);
-        let (m_max, height) = (rtree.m_max(), rtree.height());
-        let mut store = SignatureStore::new(sig_pager, dir_pager, m_max, height);
+        let mut store = SignatureStore::new(sig_pager, dir_pager, rtree.m_max(), rtree.height());
         let mut registry = CellRegistry::new();
-
-        // The `path` column, flat: every tuple path has one slot per node
-        // level, and tids index the rows.
-        let mut slots = vec![0u16; relation.len() * height];
-        let mut walk_order = Vec::with_capacity(rtree.len() as usize);
-        rtree.for_each_tuple(|tid, path, _| {
-            slots[tid as usize * height..][..height].copy_from_slice(&path.0);
-            walk_order.push(tid);
-        });
-
         let cuboids = plan.cuboids(relation.schema().n_bool());
-        for &cuboid in &cuboids {
-            for (cell, tids) in group_rows(relation, cuboid, &walk_order) {
-                let sig = Signature::from_sorted_paths(
-                    m_max,
-                    tids.iter().map(|&tid| &slots[tid as usize * height..][..height]),
-                );
-                let code = registry.intern(cell);
-                store.write_signature(code, &sig);
-            }
-        }
+        generate(relation, rtree, &cuboids, |_| true, |cell, sig| {
+            let code = registry.intern(cell);
+            store.write_signature(code, &sig);
+        });
         PCube { registry: Arc::new(registry), store, cuboids }
+    }
+
+    /// Regenerates the signatures of `cells` from the live rows — the
+    /// generator of [`PCube::build`] restricted to their cuboids, so a
+    /// regenerated cell is byte-identical to a built one — and writes them
+    /// in the order given. A cell with no live row (or no key) gets the
+    /// empty signature, which deletes its partials.
+    pub(crate) fn regenerate(&mut self, relation: &Relation, rtree: &RTree, cells: &[u32]) {
+        let codes: HashMap<&CellKey, u32> =
+            cells.iter().filter_map(|&c| Some((self.registry.key(c)?, c))).collect();
+        let mut cuboids: Vec<CuboidMask> = codes.keys().map(|key| key.mask).collect();
+        cuboids.sort_unstable();
+        cuboids.dedup();
+        let mut sigs: HashMap<u32, Signature> = HashMap::new();
+        generate(relation, rtree, &cuboids, |key| codes.contains_key(key), |key, sig| {
+            sigs.insert(codes[&key], sig);
+        });
+        let empty = Signature::empty(rtree.m_max());
+        for &cell in cells {
+            self.store.write_signature(cell, sigs.get(&cell).unwrap_or(&empty));
+        }
     }
 
     /// The signature store (sizes, partial counts, raw loads).
@@ -281,6 +277,40 @@ impl PCube {
             self.store.write_signature(code, &sig);
         }
         touched
+    }
+}
+
+/// The tuple-oriented generation of §IV-B.1: one R-tree traversal yields
+/// the `path` column, then each cuboid group-by turns its cells' path lists
+/// into signatures, handed to `emit` cuboid by cuboid for every cell `keep`
+/// accepts. The rows are the R-tree's tuples — live by construction,
+/// whatever `relation` still holds as tombstones — taken in the traversal's
+/// depth-first order, which every cell inherits: its paths arrive sorted,
+/// so its node table fills in SID order with no lookup
+/// (`Signature::from_sorted_paths`).
+fn generate(
+    relation: &Relation,
+    rtree: &RTree,
+    cuboids: &[CuboidMask],
+    keep: impl Fn(&CellKey) -> bool,
+    mut emit: impl FnMut(CellKey, Signature),
+) {
+    let (m_max, height) = (rtree.m_max(), rtree.height());
+    // The `path` column, flat: every tuple path has one slot per node
+    // level, and tids index the rows.
+    let mut slots = vec![0u16; relation.len() * height];
+    let mut walk_order = Vec::with_capacity(rtree.len() as usize);
+    rtree.for_each_tuple(|tid, path, _| {
+        slots[tid as usize * height..][..height].copy_from_slice(&path.0);
+        walk_order.push(tid);
+    });
+    for &cuboid in cuboids {
+        for (cell, tids) in group_rows(relation, cuboid, &walk_order) {
+            if keep(&cell) {
+                let paths = tids.iter().map(|&tid| &slots[tid as usize * height..][..height]);
+                emit(cell, Signature::from_sorted_paths(m_max, paths));
+            }
+        }
     }
 }
 

@@ -277,18 +277,22 @@ impl RTree {
         self.visit(self.root, &mut Path::root(), &mut f);
     }
 
-    /// `path` is the walk's one buffer: the path of the node `pid` on entry
-    /// and on return, each entry's in between.
-    fn visit(&self, pid: PageId, path: &mut Path, f: &mut impl FnMut(u64, &Path, &[f64])) {
+    /// Walks the subtree at `pid` depth-first in slot order, calling `f` on
+    /// every tuple, and returns the number of nodes it read. `path` is the
+    /// walk's one buffer: the path of the node `pid` on entry and on return,
+    /// each entry's in between.
+    fn visit(&self, pid: PageId, path: &mut Path, f: &mut impl FnMut(u64, &Path, &[f64])) -> usize {
         let n = self.read_node_uncounted(pid);
+        let mut nodes = 1;
         for (slot, entry) in &n.entries {
             path.0.push(*slot as u16 + 1);
             match entry {
                 DecodedEntry::Tuple { tid, coords } => f(*tid, path, coords),
-                DecodedEntry::Child { child, .. } => self.visit(*child, path, f),
+                DecodedEntry::Child { child, .. } => nodes += self.visit(*child, path, f),
             }
             path.0.pop();
         }
+        nodes
     }
 
     /// All `(tid, path)` pairs — the paper's `path` column of Table I.
@@ -298,20 +302,15 @@ impl RTree {
         out
     }
 
+    /// Appends the `(tid, path)` pairs of the subtree at `pid`, whose own
+    /// path is `prefix`, to `out`.
+    fn paths_under(&self, pid: PageId, prefix: &Path, out: &mut Vec<(u64, Path)>) {
+        self.visit(pid, &mut prefix.clone(), &mut |tid, path, _| out.push((tid, path.clone())));
+    }
+
     /// Total number of nodes (counted without charging I/O).
     pub fn count_nodes(&self) -> usize {
-        fn rec(tree: &RTree, pid: PageId) -> usize {
-            let n = tree.read_node_uncounted(pid);
-            1 + n
-                .entries
-                .iter()
-                .map(|(_, e)| match e {
-                    DecodedEntry::Child { child, .. } => rec(tree, *child),
-                    DecodedEntry::Tuple { .. } => 0,
-                })
-                .sum::<usize>()
-        }
-        rec(self, self.root)
+        self.visit(self.root, &mut Path::root(), &mut |_, _, _| {})
     }
 
     /// Inserts a tuple without path tracking.
@@ -364,7 +363,7 @@ impl RTree {
             let prefix = Self::steps_to_path(&steps[..=j]);
             let pid = steps[j].pid;
             let mut old = Vec::new();
-            self.collect_paths(pid, &prefix, &mut old);
+            self.paths_under(pid, &prefix, &mut old);
             (old, prefix, pid)
         };
 
@@ -378,15 +377,15 @@ impl RTree {
         // Collect new paths over the same scope plus the new sibling subtree.
         let mut new_paths = Vec::new();
         if j == 0 {
-            self.collect_paths(self.root, &Path::root(), &mut new_paths);
+            self.paths_under(self.root, &Path::root(), &mut new_paths);
         } else {
-            self.collect_paths(scope_pid, &scope_prefix, &mut new_paths);
+            self.paths_under(scope_pid, &scope_prefix, &mut new_paths);
             // invariant: j > 0 means the split cascade stopped below the
             // root, and every non-root cascade level produced a sibling that
             // split_cascade recorded as top_new.
             let (y_pid, y_slot) = top_new.expect("non-root cascade yields a new sibling");
             let y_prefix = Self::steps_to_path(&steps[..j]).child(y_slot as u16 + 1);
-            self.collect_paths(y_pid, &y_prefix, &mut new_paths);
+            self.paths_under(y_pid, &y_prefix, &mut new_paths);
         }
 
         let old_map: std::collections::HashMap<u64, Path> = old_paths.into_iter().collect();
@@ -682,17 +681,6 @@ impl RTree {
         // invariant: callers pass the full descent including the root step,
         // so steps is non-empty and `steps[1..]` cannot be out of bounds.
         Path(steps[1..].iter().map(|s| s.slot_in_parent as u16 + 1).collect())
-    }
-
-    fn collect_paths(&self, pid: PageId, prefix: &Path, out: &mut Vec<(u64, Path)>) {
-        let n = self.read_node_uncounted(pid);
-        for (slot, entry) in &n.entries {
-            let p = prefix.child(*slot as u16 + 1);
-            match entry {
-                DecodedEntry::Tuple { tid, .. } => out.push((*tid, p)),
-                DecodedEntry::Child { child, .. } => self.collect_paths(*child, &p, out),
-            }
-        }
     }
 
     /// Exhaustively checks structural invariants; for tests and debugging.
