@@ -159,10 +159,10 @@ impl PCube {
     pub fn probe(&self, selection: &Selection, eager_assembly: bool) -> BooleanProbe<'_> {
         let selection = normalize(selection);
         if selection.is_empty() {
-            return BooleanProbe::Cursors(Vec::new());
+            return BooleanProbe::cursors(Vec::new());
         }
         if let Some(code) = self.registry.code(&CellKey::from_selection(&selection)) {
-            return BooleanProbe::Cursors(vec![self.store.cursor(code)]);
+            return BooleanProbe::cursors(vec![self.store.cursor(code)]);
         }
         // Assemble from atomic cells. A predicate value never seen in the
         // data has no cell; the empty signature prunes everything.
@@ -182,7 +182,7 @@ impl PCube {
                 None => self.store.stats().add(Counter::DegradedReads, 1),
             }
         }
-        BooleanProbe::Cursors(
+        BooleanProbe::cursors(
             // invariant: the `any(Option::is_none)` guard above returned.
             codes.into_iter().map(|c| self.store.cursor(c.expect("all codes resolved"))).collect(),
         )
@@ -775,7 +775,7 @@ mod tests {
         let sel = vec![Predicate { dim: 0, value: 1 }, Predicate { dim: 1, value: 0 }];
         let probe = db.pcube().probe(&sel, false);
         assert!(
-            matches!(&probe, BooleanProbe::Cursors(cs) if cs.len() == 1),
+            matches!(&probe, BooleanProbe::Cursors(cs, _) if cs.len() == 1),
             "composite cell should be direct"
         );
         assert_signatures_consistent(&db);

@@ -32,12 +32,15 @@
 //! one signature-node lookup per conjunct of the probe, and one bit test
 //! per child — plus, under two or more conjuncts, one look-ahead lookup per
 //! conjunct for each kept child that is itself a node (one level of the
-//! Fig 3.c fix-up, [`BooleanPruner::look_ahead`]), which is what keeps a
-//! leaf holding no qualifying tuple from being read. Children are scored
-//! and pruned in place from a borrowed
-//! [`NodeView`] of the page; a [`Path`], a coordinate vector or an [`Mbr`]
-//! is allocated only for a child that is pushed on the heap or saved to a
-//! list, and the clock is read per expansion, never per child.
+//! Fig 3.c fix-up, [`BooleanPruner::look_ahead`]). Before a popped node's
+//! page is read the rest of the fix-up runs, memoised per node
+//! ([`BooleanPruner::subtree_nonempty`]), so no node below the root holding
+//! no qualifying tuple is read at any level: on a clean store the lazy probe
+//! prunes what eager assembly prunes. Children are scored and pruned in
+//! place from a borrowed [`NodeView`] of the page; a [`Path`], a coordinate
+//! vector or an [`Mbr`] is allocated only for a child that is pushed on the
+//! heap or saved to a list, and the clock is read per expansion, never per
+//! child.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -58,10 +61,10 @@ use crate::rank::{MinCoordSum, RankingFunction};
 
 /// Boolean pruning as Algorithm 1 sees it, at its two granularities — a
 /// full-path membership test for a popped entry, and per-node child masks
-/// for an expansion — plus the pop-time check of a tuple about to be
-/// accepted and the `SSig` statistics. See [`BooleanProbe`] for the contract
-/// between the two granularities; its implementation is the signature
-/// probe's.
+/// for an expansion — plus the pop-time checks of a tuple about to be
+/// accepted and of a node about to be read, and the `SSig` statistics. See
+/// [`BooleanProbe`] for the contract between the two granularities; its
+/// implementation is the signature probe's.
 ///
 /// [`BooleanProbe`]: crate::store::BooleanProbe
 pub trait BooleanPruner {
@@ -87,6 +90,13 @@ pub trait BooleanPruner {
     /// qualifying tuples, judged one level further down? Can touch a page.
     /// An exact pruner — or one with no node arrays — keeps the default.
     fn look_ahead(&mut self, _path: &Path, _slot: usize) -> bool {
+        true
+    }
+    /// Asked of a popped node that passed [`Self::contains`], before its
+    /// page is read: may its subtree hold qualifying tuples, judged all the
+    /// way down? `false` routes it to the `b_list` unread. Can touch a page.
+    /// An exact pruner — or one with no node arrays — keeps the default.
+    fn subtree_nonempty(&mut self, _path: &Path) -> bool {
         true
     }
     /// The boolean check "in between lines 7 and 8" (§VI-A): does the popped
@@ -260,14 +270,14 @@ pub fn run_kernel(
     let dims = db.rtree().dims();
     let mut coords: Vec<f64> = Vec::with_capacity(dims);
     let mut mbr = Mbr::empty(dims);
-    // Stage attribution: anything that can touch a page — the pop-time probe
-    // and verification, node reads, child-mask fetches, look-aheads — counts as
-    // `page_read`; everything else — the heap pop, the governor check,
-    // `on_pop`, scoring, pruning, bit tests, heap pushes, `accept`, the drop
-    // of a spent entry — counts as `score`. The clock is read at the
-    // transitions only, a handful of times per pop and never per child:
-    // `mark` is where the last page-touching stretch ended, and `score` is
-    // charged from there to where the next one starts.
+    // Stage attribution: anything that can touch a page — the pop-time probe,
+    // verification and subtree check, node reads, child-mask fetches,
+    // look-aheads — counts as `page_read`; everything else — the heap pop,
+    // the governor check, `on_pop`, scoring, pruning, bit tests, heap
+    // pushes, `accept`, the drop of a spent entry — counts as `score`. The
+    // clock is read at the transitions only, a handful of times per pop and
+    // never per child: `mark` is where the last page-touching stretch ended,
+    // and `score` is charged from there to where the next one starts.
     let mut mark = Instant::now();
     while let Some(entry) = heap.pop() {
         run.pops += 1;
@@ -302,13 +312,14 @@ pub fn run_kernel(
         // from a saved list, so nothing is known about its ancestors. A
         // tuple is additionally verified (one counted random access under a
         // lossy probe or minimal probing, B+-tree probes under index-merge)
-        // before it may join the result and prune others.
+        // before it may join the result and prune others; a node is checked
+        // for a qualifying tuple in its subtree before its page is read.
         let t_probe = Instant::now();
         run.stages.score_seconds += (t_probe - mark).as_secs_f64();
         let keep = probe.contains(entry.cand.path())
             && match &entry.cand {
                 Candidate::Tuple { tid, .. } => probe.verify(db, selection, *tid),
-                Candidate::Node { .. } => true,
+                Candidate::Node { path, .. } => probe.subtree_nonempty(path),
             };
         mark = Instant::now();
         run.stages.page_read_seconds += (mark - t_probe).as_secs_f64();

@@ -521,7 +521,6 @@ impl SignatureStore {
             degraded: false,
             mask_sid: Sid::ROOT,
             mask: ChildMask::default(),
-            ahead: ChildMask::default(),
         }
     }
 }
@@ -577,13 +576,6 @@ impl ChildMask {
     fn get(&self, slot: usize) -> bool {
         self.words[slot / 64] >> (slot % 64) & 1 == 1
     }
-
-    /// `true` if some bit is set in every one of `masks` (at least one, all
-    /// of one fanout).
-    fn intersect<'m>(masks: impl Iterator<Item = &'m ChildMask> + Clone) -> bool {
-        let words = masks.clone().next().map_or(0, |m| m.words.len());
-        (0..words).any(|w| masks.clone().fold(u64::MAX, |acc, m| acc & m.words[w]) != 0)
-    }
 }
 
 /// Lazily materializes one cell's signature during query processing,
@@ -611,9 +603,6 @@ pub struct SignatureCursor<'a> {
     mask_sid: Sid,
     /// Child mask of that node.
     mask: ChildMask,
-    /// Bits of the child node last passed to
-    /// [`SignatureCursor::fetch_ahead`].
-    ahead: ChildMask,
 }
 
 impl SignatureCursor<'_> {
@@ -682,19 +671,16 @@ impl SignatureCursor<'_> {
         self.mask.get(slot)
     }
 
-    /// One level of the Fig 3.c fix-up: copies the bit array of the child
-    /// node in `slot` (0-based) of the node whose mask was fetched last (at
-    /// `path`) into the look-ahead mask, loading a partial signature by the
-    /// retrieval rule if need be — all ones where a degraded cursor cannot
-    /// tell. The child's SID is derived from the parent's; no [`Path`] is
-    /// built.
-    fn fetch_ahead(&mut self, path: &Path, slot: usize) {
-        let position = slot as u16 + 1;
-        let sid = self.mask_sid.child(position, self.store.m_max);
+    /// Brings the bits of the node `sid` at `depth` into memory by the
+    /// retrieval rule, if they are not there yet. The slot positions that
+    /// lead to the node are the digits of its SID in base `M + 1`, root
+    /// first, so no [`Path`] is built.
+    fn load_sid(&mut self, sid: Sid, depth: usize) {
         if !self.nodes.contains_key(&sid) {
-            self.load_node(path.0.iter().copied().chain(std::iter::once(position)), sid);
+            let base = self.store.m_max as u64 + 1;
+            let positions = (0..depth as u32).rev().map(|k| (sid.0 / base.pow(k) % base) as u16);
+            self.load_node(positions, sid);
         }
-        self.ahead.load(self.nodes.get(&sid), self.degraded, self.store.m_max);
     }
 
     /// Bit `pos` of the node at `path.prefix(level)`, whose SID is `sid`
@@ -771,10 +757,12 @@ impl SignatureCursor<'_> {
 ///
 /// * [`BooleanProbe::Cursors`] — one lazily-loaded cursor per conjunct,
 ///   ANDed: none for no predicate (`BP = ∅`, prunes nothing), one for a
-///   materialized cell, k for k atomic cells. Under k ≥ 2 one level of the
-///   recursive emptiness fix-up runs at expansion (the look-ahead, below):
-///   exact for tuples and for leaf-level nodes, conservative (never
-///   over-prunes) above them, where the rest of the fix-up is skipped.
+///   materialized cell, k for k atomic cells. Under k ≥ 2 the recursive
+///   emptiness fix-up of Fig 3.c runs lazily — one level at expansion (the
+///   look-ahead), all of it before a popped node is read (the subtree
+///   check, below) — so on a clean store no node below the root is read
+///   that holds no tuple of every conjunct: the probe is exact for tuples
+///   and for nodes alike.
 /// * [`BooleanProbe::Assembled`] — k signatures loaded fully and
 ///   intersected with the fix-up (Fig 3.c) before the search: tightest
 ///   pruning, highest up-front load cost (the `assemble-eager` ablation
@@ -783,7 +771,7 @@ impl SignatureCursor<'_> {
 ///
 /// # The probe contract
 ///
-/// Algorithm 1 asks through [`BooleanPruner`], in three places:
+/// Algorithm 1 asks through [`BooleanPruner`], in four places:
 ///
 /// * [`BooleanProbe::contains`] — the full root-to-path walk, for an entry
 ///   that was just *popped* (the root seed, an entry restored from a saved
@@ -802,24 +790,38 @@ impl SignatureCursor<'_> {
 ///   that child node* share a set bit? One level of the Fig 3.c fix-up, so
 ///   a child whose subtree holds data of every conjunct but no tuple of all
 ///   of them is dropped unread when the disagreement shows one level down.
-///   Exact for a leaf-level child (it is read only if it holds a qualifying
-///   tuple), sound above that. Only two or more cursors can answer `false`:
-///   one cursor's or an assembled signature's set bit already proves a
-///   non-empty child.
+///   Exact for a leaf-level child, sound above that; reads only bits the
+///   expansion needs next anyway. Only two or more cursors can answer
+///   `false`: one cursor's or an assembled signature's set bit already
+///   proves a non-empty child.
+/// * The *subtree check* ([`BooleanPruner::subtree_nonempty`]) for a popped
+///   node that passed `contains`, before its page is read: the whole fix-up
+///   from that node down. The conjuncts' arrays of the node are ANDed; at
+///   the leaf level a set bit is a qualifying tuple, above it each shared
+///   bit's child is checked the same way, loading its bits by the retrieval
+///   rule, until one is proven non-empty. Exact verdicts are memoised per
+///   SID for the rest of the query. Again only two or more cursors answer.
 ///
 /// A cursor that degraded after a storage failure may answer a false
 /// positive; the probe then verifies the tuples it accepts against the base
 /// table ([`BooleanPruner::verify`]).
 pub enum BooleanProbe<'a> {
-    /// The conjunction evaluated lazily, one cursor per conjunct.
-    Cursors(Vec<SignatureCursor<'a>>),
+    /// The conjunction evaluated lazily, one cursor per conjunct (build with
+    /// [`BooleanProbe::cursors`]); the second field memoises the subtree
+    /// check's exact verdicts by node SID.
+    Cursors(Vec<SignatureCursor<'a>>, HashMap<Sid, bool, SidBuildHasher>),
     /// The conjunction assembled eagerly into one in-memory signature
     /// (build with [`BooleanProbe::assembled`]); the second field is the
     /// child mask of the node under expansion.
     Assembled(Signature, ChildMask),
 }
 
-impl BooleanProbe<'_> {
+impl<'a> BooleanProbe<'a> {
+    /// A lazy probe ANDing `cursors`.
+    pub fn cursors(cursors: Vec<SignatureCursor<'a>>) -> Self {
+        BooleanProbe::Cursors(cursors, HashMap::default())
+    }
+
     /// An eagerly assembled probe over `sig`.
     pub fn assembled(sig: Signature) -> Self {
         BooleanProbe::Assembled(sig, ChildMask::default())
@@ -829,7 +831,7 @@ impl BooleanProbe<'_> {
     /// negative; a degraded cursor may answer a false positive).
     pub fn contains(&mut self, path: &Path) -> bool {
         match self {
-            BooleanProbe::Cursors(cs) => cs.iter_mut().all(|c| c.contains(path)),
+            BooleanProbe::Cursors(cs, _) => cs.iter_mut().all(|c| c.contains(path)),
             BooleanProbe::Assembled(sig, _) => sig.contains(path),
         }
     }
@@ -839,7 +841,7 @@ impl BooleanProbe<'_> {
     /// the base table).
     pub fn is_lossy(&self) -> bool {
         match self {
-            BooleanProbe::Cursors(cs) => cs.iter().any(SignatureCursor::is_degraded),
+            BooleanProbe::Cursors(cs, _) => cs.iter().any(SignatureCursor::is_degraded),
             BooleanProbe::Assembled(..) => false,
         }
     }
@@ -852,7 +854,7 @@ impl BooleanPruner for BooleanProbe<'_> {
 
     fn mask_count(&self) -> usize {
         match self {
-            BooleanProbe::Cursors(cs) => cs.len(),
+            BooleanProbe::Cursors(cs, _) => cs.len(),
             BooleanProbe::Assembled(..) => 1,
         }
     }
@@ -861,7 +863,7 @@ impl BooleanPruner for BooleanProbe<'_> {
     /// not in memory yet.
     fn fetch_child_mask(&mut self, i: usize, path: &Path) {
         match self {
-            BooleanProbe::Cursors(cs) => cs[i].fetch_child_mask(path),
+            BooleanProbe::Cursors(cs, _) => cs[i].fetch_child_mask(path),
             BooleanProbe::Assembled(sig, mask) => {
                 mask.load(sig.node(path.sid(sig.m_max())), false, sig.m_max());
             }
@@ -871,7 +873,7 @@ impl BooleanPruner for BooleanProbe<'_> {
     #[inline]
     fn child_bit(&self, i: usize, slot: usize) -> bool {
         match self {
-            BooleanProbe::Cursors(cs) => cs[i].child_bit(slot),
+            BooleanProbe::Cursors(cs, _) => cs[i].child_bit(slot),
             BooleanProbe::Assembled(_, mask) => mask.get(slot),
         }
     }
@@ -879,13 +881,32 @@ impl BooleanPruner for BooleanProbe<'_> {
     /// Each conjunct's bits of the child node are loaded by the retrieval
     /// rule (counted in `partials_loaded`), stopping at the first conjunct
     /// that empties the AND; a degraded cursor that cannot load them
-    /// answers all ones and never prunes.
+    /// answers all ones and never prunes. The child's SID is derived from
+    /// the SID the masks were fetched for; no [`Path`] is built.
     fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
         match self {
-            BooleanProbe::Cursors(cs) if cs.len() > 1 => (0..cs.len()).all(|i| {
-                cs[i].fetch_ahead(path, slot);
-                ChildMask::intersect(cs[..=i].iter().map(|c| &c.ahead))
-            }),
+            BooleanProbe::Cursors(cs, _) if cs.len() > 1 => {
+                let m_max = cs[0].store.m_max;
+                let sid = cs[0].mask_sid.child(slot as u16 + 1, m_max);
+                (0..cs.len()).all(|i| {
+                    cs[i].load_sid(sid, path.depth() + 1);
+                    (0..m_max.div_ceil(64)).any(|w| and_word(&cs[..=i], sid, w) != 0)
+                })
+            }
+            _ => true,
+        }
+    }
+
+    /// The recursive fix-up from the node at `path` (`fix_up`); a
+    /// degraded cursor makes it answer `true`. The root is always read, as
+    /// the parallel driver reads it unprobed: its check would be the whole
+    /// query's emptiness test, priced at up to a full assembly.
+    fn subtree_nonempty(&mut self, path: &Path) -> bool {
+        match self {
+            BooleanProbe::Cursors(cs, verdicts) if cs.len() > 1 && path.depth() > 0 => {
+                let sid = path.sid(cs[0].store.m_max);
+                fix_up(cs, verdicts, sid, path.depth()).unwrap_or(true)
+            }
             _ => true,
         }
     }
@@ -899,10 +920,65 @@ impl BooleanPruner for BooleanProbe<'_> {
 
     fn partials_loaded(&self) -> u64 {
         match self {
-            BooleanProbe::Cursors(cs) => cs.iter().map(SignatureCursor::partials_loaded).sum(),
+            BooleanProbe::Cursors(cs, _) => cs.iter().map(SignatureCursor::partials_loaded).sum(),
             BooleanProbe::Assembled(..) => 0,
         }
     }
+}
+
+/// The recursive fix-up of Fig 3.c, evaluated lazily from the node `sid` at
+/// `depth`: does some tuple under it belong to every cursor's cell? Each
+/// conjunct's bits of the node are loaded by the retrieval rule, stopping at
+/// the first conjunct that empties the AND; at the leaf level a shared bit
+/// is a qualifying tuple, above it each shared bit's child is checked in
+/// turn, stopping at the first proven non-empty. Exact verdicts are
+/// memoised in `verdicts`. `None` — a cursor degraded, so emptiness cannot
+/// be proven — is not. Allocates nothing but memo entries.
+fn fix_up(
+    cs: &mut [SignatureCursor<'_>],
+    verdicts: &mut HashMap<Sid, bool, SidBuildHasher>,
+    sid: Sid,
+    depth: usize,
+) -> Option<bool> {
+    if let Some(&known) = verdicts.get(&sid) {
+        return Some(known);
+    }
+    let (m_max, height) = (cs[0].store.m_max, cs[0].store.height);
+    let words = m_max.div_ceil(64);
+    for i in 0..cs.len() {
+        cs[i].load_sid(sid, depth);
+        if cs[i].degraded {
+            return None;
+        }
+        if (0..words).all(|w| and_word(&cs[..=i], sid, w) == 0) {
+            verdicts.insert(sid, false);
+            return Some(false);
+        }
+    }
+    let nonempty = depth + 1 >= height || 'shared: {
+        for w in 0..words {
+            let mut word = and_word(cs, sid, w);
+            while word != 0 {
+                let position = (w * 64) as u16 + word.trailing_zeros() as u16 + 1;
+                word &= word - 1;
+                if fix_up(cs, verdicts, sid.child(position, m_max), depth + 1)? {
+                    break 'shared true;
+                }
+            }
+        }
+        false
+    };
+    verdicts.insert(sid, nonempty);
+    Some(nonempty)
+}
+
+/// Word `w` of the AND of the cursors' bits of node `sid`. A cursor holding
+/// none contributes zeros — or ones, if it degraded: the bits may have been
+/// lost rather than absent.
+fn and_word(cs: &[SignatureCursor<'_>], sid: Sid, w: usize) -> u64 {
+    cs.iter().fold(u64::MAX, |acc, c| {
+        acc & c.nodes.get(&sid).map_or(if c.degraded { u64::MAX } else { 0 }, |bits| bits.words()[w])
+    })
 }
 
 #[cfg(test)]
@@ -913,15 +989,15 @@ mod tests {
     use proptest::prelude::*;
 
     fn store_with(page_size: usize) -> (SignatureStore, SharedStats) {
-        store_for(2, page_size)
+        store_for(2, 3, page_size)
     }
 
-    /// An empty store for a height-3 tree of fanout `m_max`.
-    fn store_for(m_max: usize, page_size: usize) -> (SignatureStore, SharedStats) {
+    /// An empty store for a tree of fanout `m_max` and `height`.
+    fn store_for(m_max: usize, height: usize, page_size: usize) -> (SignatureStore, SharedStats) {
         let stats = IoStats::new_shared();
         let sig_pager = Pager::new(page_size, IoCategory::SignaturePage, stats.clone());
         let dir_pager = Pager::new(PAGE_SIZE, IoCategory::BptreePage, stats.clone());
-        (SignatureStore::new(sig_pager, dir_pager, m_max, 3), stats)
+        (SignatureStore::new(sig_pager, dir_pager, m_max, height), stats)
     }
 
     fn a1_signature() -> Signature {
@@ -1001,14 +1077,16 @@ mod tests {
             .collect()
     }
 
-    /// Every node path of a height-3, M = 2 tree (root, level 1, level 2).
-    fn node_paths() -> Vec<Path> {
-        let mut paths = vec![Path::root()];
-        for a in 1..=2u16 {
-            paths.push(Path(vec![a]));
-            for b in 1..=2u16 {
-                paths.push(Path(vec![a, b]));
+    /// Every node path of a complete tree of fanout `m_max` and `height`,
+    /// in pre-order (root, then each subtree left to right).
+    fn node_paths(m_max: usize, height: usize) -> Vec<Path> {
+        let mut paths = Vec::new();
+        let mut stack = vec![Path::root()];
+        while let Some(node) = stack.pop() {
+            if node.depth() + 1 < height {
+                stack.extend((1..=m_max as u16).rev().map(|pos| node.child(pos)));
             }
+            paths.push(node);
         }
         paths
     }
@@ -1046,7 +1124,7 @@ mod tests {
         // One probe answers by masks, its twin by walks, so that the cursors'
         // memoized state cannot leak from one method into the other.
         let cursors =
-            |cells: &[u32]| BooleanProbe::Cursors(cells.iter().map(|&c| store.cursor(c)).collect());
+            |cells: &[u32]| BooleanProbe::cursors(cells.iter().map(|&c| store.cursor(c)).collect());
         let variants: Vec<(&str, BooleanProbe<'_>, BooleanProbe<'_>)> = vec![
             ("no cursor", cursors(&[]), cursors(&[])),
             ("one cursor", cursors(&[5]), cursors(&[5])),
@@ -1058,7 +1136,7 @@ mod tests {
             ),
         ];
         for (name, mut by_mask, mut by_walk) in variants {
-            for node in node_paths() {
+            for node in node_paths(2, 3) {
                 let walked: Vec<bool> =
                     (1..=2u16).map(|pos| by_walk.contains(&node.child(pos))).collect();
                 assert_eq!(mask_verdicts(&mut by_mask, &node, 2), walked, "{name} at {node}");
@@ -1084,7 +1162,7 @@ mod tests {
         store.write_signature(0, &a2);
         store.write_signature(1, &b2);
 
-        let mut lazy = BooleanProbe::Cursors(vec![store.cursor(0), store.cursor(1)]);
+        let mut lazy = BooleanProbe::cursors(vec![store.cursor(0), store.cursor(1)]);
         let assembled = a2.intersect(&b2, 3);
         let mut eager = BooleanProbe::assembled(assembled);
         for a in 1..=2u16 {
@@ -1116,6 +1194,7 @@ mod tests {
         assert_eq!(mask_verdicts(&mut lazy, &root, 2), [true, true]);
         assert!(lazy.look_ahead(&root, 0), "<1> holds t2");
         assert!(!lazy.look_ahead(&root, 1), "<2> is pruned at the root's expansion");
+        assert!(!lazy.subtree_nonempty(&n2), "and, restored from a list, before it is read");
         // An assembled signature's set bit already proves its child
         // non-empty: the look-ahead has nothing to add.
         assert!(eager.look_ahead(&root, 1));
@@ -1142,6 +1221,55 @@ mod tests {
         verdicts
     }
 
+    /// Random cells over a tree of fanout `m_max` whose height is the length
+    /// of the tuple paths (positions fold into `1..=m_max`), written to a
+    /// store of `page_size`-byte pages — every `corrupt_every`-th page then
+    /// corrupted under checksums, none at 0 — plus their assembled
+    /// intersection with the fix-up (Fig 3.c), the exact answer.
+    fn random_cells(
+        m_max: usize,
+        cells: &[HashSet<Vec<u16>>],
+        page_size: usize,
+        corrupt_every: usize,
+    ) -> (SignatureStore, Signature) {
+        let height = cells[0].iter().next().map_or(0, Vec::len);
+        let fold = |p: &u16| (p - 1) % m_max as u16 + 1;
+        let sigs: Vec<Signature> = cells
+            .iter()
+            .map(|cell| {
+                let paths: Vec<Path> =
+                    cell.iter().map(|p| Path(p.iter().map(fold).collect())).collect();
+                Signature::from_paths(m_max, paths.iter())
+            })
+            .collect();
+        let exact = sigs[1..].iter().fold(sigs[0].clone(), |acc, s| acc.intersect(s, height));
+        let (mut store, _) = store_for(m_max, height, page_size);
+        for (cell, sig) in sigs.iter().enumerate() {
+            store.write_signature(cell as u32, sig);
+        }
+        if corrupt_every > 0 {
+            let pager = store.sig_pager_mut();
+            pager.set_checksums(true);
+            for pid in pager.live_page_ids().into_iter().step_by(corrupt_every) {
+                pager.corrupt_page(pid, 2, 0x40).unwrap();
+            }
+        }
+        (store, exact)
+    }
+
+    /// A lazy probe over the first `n` cells of `store`.
+    fn lazy_probe(store: &SignatureStore, n: usize) -> BooleanProbe<'_> {
+        BooleanProbe::cursors((0..n as u32).map(|c| store.cursor(c)).collect())
+    }
+
+    /// 2–3 random cells of 1–`max` tuple paths of length `height`.
+    fn cell_sets(height: usize, max: usize) -> impl Strategy<Value = Vec<HashSet<Vec<u16>>>> {
+        prop::collection::vec(
+            prop::collection::hash_set(prop::collection::vec(1u16..=4, height), 1..max),
+            2..=3,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1155,40 +1283,12 @@ mod tests {
         #[test]
         fn look_ahead_is_one_level_of_the_fixup(
             m_max in 3usize..=4,
-            cells in prop::collection::vec(
-                prop::collection::hash_set((1u16..=4, 1u16..=4, 1u16..=4), 1..40),
-                2..=3,
-            ),
+            cells in cell_sets(3, 40),
             page_size in 24usize..160,
             corrupt_every in 0usize..=3,
         ) {
-            // Fold positions into `1..=m_max`.
-            let fold = |p: u16| (p - 1) % m_max as u16 + 1;
-            let sigs: Vec<Signature> = cells
-                .iter()
-                .map(|cell| {
-                    let paths: Vec<Path> = cell
-                        .iter()
-                        .map(|&(a, b, c)| Path(vec![fold(a), fold(b), fold(c)]))
-                        .collect();
-                    Signature::from_paths(m_max, paths.iter())
-                })
-                .collect();
-            let exact = sigs[1..].iter().fold(sigs[0].clone(), |acc, s| acc.intersect(s, 3));
-
-            let (mut store, _) = store_for(m_max, page_size);
-            for (cell, sig) in sigs.iter().enumerate() {
-                store.write_signature(cell as u32, sig);
-            }
-            if corrupt_every > 0 {
-                let pager = store.sig_pager_mut();
-                pager.set_checksums(true);
-                for pid in pager.live_page_ids().into_iter().step_by(corrupt_every) {
-                    pager.corrupt_page(pid, 2, 0x40).unwrap();
-                }
-            }
-            let cursors = (0..sigs.len() as u32).map(|c| store.cursor(c)).collect();
-            let mut lazy = BooleanProbe::Cursors(cursors);
+            let (store, exact) = random_cells(m_max, &cells, page_size, corrupt_every);
+            let mut lazy = lazy_probe(&store, cells.len());
             for (child, ahead) in look_ahead_verdicts(&mut lazy, m_max) {
                 let holds = exact.contains(&child);
                 prop_assert!(ahead || !holds, "dropped {} holding a qualifying tuple", child);
@@ -1198,6 +1298,39 @@ mod tests {
             }
             if corrupt_every == 0 {
                 prop_assert!(!lazy.is_lossy());
+            }
+        }
+
+        /// The same on a height-4 tree, where one level of the fix-up and
+        /// all of it differ: on a clean store the subtree check equals the
+        /// assembled intersection at every node below the root (which is
+        /// always read); on a corrupted one it never drops a node the
+        /// intersection keeps. Asked top-down, and again from a fresh probe
+        /// bottom-up, so that verdicts memoised by a parent's check and by
+        /// a child's both answer later questions.
+        #[test]
+        fn subtree_check_is_the_whole_fixup(
+            m_max in 3usize..=4,
+            cells in cell_sets(4, 60),
+            page_size in 24usize..160,
+            corrupt_every in 0usize..=3,
+        ) {
+            let (store, exact) = random_cells(m_max, &cells, page_size, corrupt_every);
+            let mut nodes = node_paths(m_max, 4);
+            for _ in 0..2 {
+                let mut lazy = lazy_probe(&store, cells.len());
+                for node in &nodes[1..] {
+                    let kept = lazy.subtree_nonempty(node);
+                    let holds = exact.contains(node);
+                    prop_assert!(kept || !holds, "dropped {} holding a qualifying tuple", node);
+                    if corrupt_every == 0 {
+                        prop_assert_eq!(kept, holds, "node {}", node);
+                    }
+                }
+                if corrupt_every == 0 {
+                    prop_assert!(!lazy.is_lossy());
+                }
+                nodes[1..].reverse();
             }
         }
     }
@@ -1277,7 +1410,7 @@ mod tests {
         }
         assert!(cursor.is_degraded());
         assert!(stats.get(Counter::DegradedReads) > 0, "failures must be tallied");
-        let probe = BooleanProbe::Cursors(vec![cursor]);
+        let probe = BooleanProbe::cursors(vec![cursor]);
         assert!(probe.is_lossy(), "degraded cursors make the probe lossy");
     }
 

@@ -269,6 +269,93 @@ fn child_masks_equal_the_full_walk_clean_and_degraded() {
     assert!(damaged.stats().get(Counter::DegradedReads) > 0);
 }
 
+/// The pop-time subtree check (`BooleanPruner::subtree_nonempty`), walked the
+/// way the kernel walks — masks and look-ahead while a node is expanded, the
+/// full-path probe and the subtree check before a kept child's page is read —
+/// never drops a node holding a qualifying tuple, on the clean store and on
+/// one with every second signature page corrupt. On the clean store it is
+/// exact: every node it lets through holds a qualifying tuple.
+#[test]
+fn subtree_check_never_drops_a_qualifying_tuple_clean_and_degraded() {
+    use pcube::core::query::BooleanPruner;
+    use pcube::core::BooleanProbe;
+    use pcube::rtree::{DecodedEntry, Path};
+    use pcube::storage::PageId;
+    use std::collections::HashSet;
+
+    /// Expands the node `pid` at `path` and every kept node under it;
+    /// returns the number of qualifying tuples reached, each added to
+    /// `reached`. `exact` asserts that every node the check keeps holds one.
+    fn expand(
+        db: &PCubeDb,
+        sel: &Selection,
+        probe: &mut BooleanProbe<'_>,
+        (pid, path): (PageId, Path),
+        exact: bool,
+        reached: &mut HashSet<u64>,
+    ) -> usize {
+        let mut fetched = 0;
+        let mut found = 0;
+        let mut kept_nodes = Vec::new();
+        for (slot, entry) in db.rtree().read_node(pid).entries {
+            let masked = (0..probe.mask_count()).all(|i| {
+                if i == fetched {
+                    probe.fetch_child_mask(i, &path);
+                    fetched += 1;
+                }
+                probe.child_bit(i, slot)
+            });
+            match entry {
+                DecodedEntry::Tuple { tid, .. } if masked && db.relation().matches(tid, sel) => {
+                    reached.insert(tid);
+                    found += 1;
+                }
+                DecodedEntry::Child { child, .. } if masked && probe.look_ahead(&path, slot) => {
+                    kept_nodes.push((child, path.child(slot as u16 + 1)));
+                }
+                _ => {}
+            }
+        }
+        for (child, child_path) in kept_nodes {
+            if probe.contains(&child_path) && probe.subtree_nonempty(&child_path) {
+                let below = expand(db, sel, probe, (child, child_path.clone()), exact, reached);
+                assert!(!exact || below > 0, "{sel:?}: read {child_path}, which holds no match");
+                found += below;
+            }
+        }
+        found
+    }
+
+    let clean = PCubeDb::load_from_bytes(clean_image()).expect("clean image loads");
+    let mut damaged = PCubeDb::load_from_bytes(clean_image()).expect("clean image loads");
+    {
+        let pager = damaged.signature_store_mut().sig_pager_mut();
+        pager.set_checksums(true);
+        for pid in pager.live_page_ids().into_iter().step_by(2) {
+            pager.corrupt_page(pid, 7, 0x80).expect("live page accepts corruption");
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(28);
+    let mut degraded = 0;
+    for n_preds in 2..=3usize {
+        for _ in 0..8 {
+            let sel = sample_selection(clean.relation(), n_preds, &mut rng);
+            let qualifying: HashSet<u64> =
+                qualifying(&clean, &sel).into_iter().map(|(tid, _)| tid).collect();
+            for (db, label) in [(&clean, "clean"), (&damaged, "damaged")] {
+                let mut probe = db.pcube().probe(&sel, false);
+                let mut reached = HashSet::new();
+                let root = (db.rtree().root_pid(), Path::root());
+                expand(db, &sel, &mut probe, root, label == "clean", &mut reached);
+                assert_eq!(reached, qualifying, "{label}: {sel:?} lost a qualifying tuple");
+                assert!(label == "damaged" || !probe.is_lossy(), "a clean store never degrades");
+                degraded += usize::from(probe.is_lossy());
+            }
+        }
+    }
+    assert!(degraded > 0, "half the signature pages are corrupt: some cursor must degrade");
+}
+
 /// Seeded faults must exercise every shard of the concurrent buffer pool,
 /// not just the pages that happen to hash to shard 0. Allocate until each
 /// of the 8 shards owns several pages, then run a faulted read workload

@@ -22,6 +22,13 @@
 //! beside it; the 0- and 1-predicate rows are the capture above, byte for
 //! byte.
 //!
+//! PR 28 finished the fix-up lazily (`BooleanPruner::subtree_nonempty`): a
+//! popped node is read only if the conjuncts' intersected subtree under it
+//! is non-empty, checked recursively down to the leaf level and memoised per
+//! node. Again only the 2- and 3-predicate rows and the saved lists of
+//! 2/3-predicate runs moved, each with its reason (old → new, against PR
+//! 25's pins); the 0- and 1-predicate rows are unedited.
+//!
 //! 1 KB pages make every cell's signature span several partials, so the
 //! lazy-load moments (which cursor is consulted for which child) show in the
 //! `sig` / `bptree` / `partials` columns rather than rounding to one page.
@@ -54,23 +61,24 @@ const EXPECTED_QUERIES: &[[u64; 8]] = &[
     [282, 12, 2, 0, 0, 12, 282, 512],
     [114, 9, 1, 0, 0, 9, 114, 120],
     [66, 10, 1, 0, 0, 10, 66, 284],
-    // Two and three predicates (PR 25): every row reads fewer R-tree nodes
-    // (the look-ahead drops leaves holding no tuple of every conjunct), so
-    // fewer nodes are expanded and the frontier is smaller; `sig` and
-    // `partials` grow by what the look-ahead loads — the child's bits, by
-    // the retrieval rule — minus what the dropped subtrees no longer need.
-    [58, 16, 3, 0, 0, 16, 58, 120],   // top-k:    121 nodes → 58,  12 partials → 16
-    [130, 24, 3, 0, 0, 24, 130, 66],  // skyline:  267 → 130, 23 → 24
-    [211, 26, 3, 0, 0, 26, 211, 135], // dynamic:  495 → 211, 26 = 26
-    [178, 26, 3, 0, 0, 26, 178, 157], // hull:     380 → 178, 25 → 26
-    [100, 24, 3, 0, 0, 24, 100, 63],  // pskyline: 162 → 100, 21 → 24
-    [84, 24, 4, 0, 0, 24, 84, 123],   // subspace: 129 → 84,  19 → 24
-    [106, 36, 5, 0, 0, 36, 106, 84],  // top-k:    402 → 106, 32 → 36
-    [141, 39, 4, 0, 0, 39, 141, 92],  // skyline:  514 → 141, 39 = 39
-    [145, 39, 5, 0, 0, 39, 145, 95],  // dynamic:  475 → 145, 38 → 39
-    [153, 39, 5, 0, 0, 39, 153, 118], // hull:     538 → 153, 38 → 39
-    [112, 36, 5, 0, 0, 36, 112, 62],  // pskyline: 308 → 112, 34 → 36
-    [66, 34, 3, 0, 0, 34, 66, 105],   // subspace: 153 → 66,  32 → 34
+    // Two and three predicates (PR 28): every row reads fewer R-tree nodes
+    // (a popped node whose subtree holds no tuple of every conjunct is
+    // dropped unread, at any level), so fewer nodes are expanded; `sig` and
+    // `partials` grow only where the subtree check loads bits the search
+    // itself never needed. A dropped node had been pushed already, so the
+    // frontier moves only where fewer expansions push less.
+    [55, 18, 3, 0, 0, 18, 55, 120],   // top-k:    58 nodes → 55, 16 partials → 18
+    [121, 24, 3, 0, 0, 24, 121, 66],  // skyline:  130 → 121, 24 = 24
+    [198, 26, 3, 0, 0, 26, 198, 135], // dynamic:  211 → 198, 26 = 26
+    [170, 26, 3, 0, 0, 26, 170, 157], // hull:     178 → 170, 26 = 26
+    [95, 24, 3, 0, 0, 24, 95, 63],    // pskyline: 100 → 95,  24 = 24
+    [78, 24, 4, 0, 0, 24, 78, 123],   // subspace: 84 → 78,   24 = 24
+    [46, 36, 5, 0, 0, 36, 46, 84],    // top-k:    106 → 46,  36 = 36
+    [62, 39, 4, 0, 0, 39, 62, 92],    // skyline:  141 → 62,  39 = 39
+    [59, 39, 5, 0, 0, 39, 59, 84],    // dynamic:  145 → 59,  39 = 39, peak heap 95 → 84
+    [52, 39, 5, 0, 0, 39, 52, 118],   // hull:     153 → 52,  39 = 39
+    [50, 36, 5, 0, 0, 36, 50, 62],    // pskyline: 112 → 50,  36 = 36
+    [23, 36, 3, 0, 0, 36, 23, 105],   // subspace: 66 → 23,   34 → 36
 ];
 
 /// `[b_list, d_list]` lengths after each saved-lists run, in the order
@@ -80,21 +88,21 @@ const EXPECTED_LISTS: &[[usize; 2]] = &[
     [0, 1198],
     [189, 143],
     [261, 1827],
-    // Two and three predicates (PR 25): a leaf the look-ahead drops is one
-    // `b_list` entry instead of its tuples' (a shorter `b_list`), and a
-    // search that expands fewer nodes saves a smaller frontier (a shorter
-    // `d_list`).
-    [479, 117],  // top-k,   2 predicates: 965 → 479, 225 → 117
-    [364, 1067], // skyline, 2 predicates: 602 → 364, 2094 → 1067
-    [1050, 63],  // top-k,   3 predicates: 4042 → 1050, 228 → 63
-    [823, 595],  // skyline, 3 predicates: 3221 → 823, 1618 → 595
-    // A drill-down to 2 predicates looks ahead in its own expansions; the
-    // roll-up after it is a 1-predicate run (no look-ahead) restarted from
+    // Two and three predicates (PR 28): a node the subtree check drops at
+    // pop time is one `b_list` entry instead of its children's (a shorter
+    // `b_list`), and a search that expands fewer nodes saves fewer
+    // preference-pruned children (a shorter `d_list`).
+    [446, 117], // top-k,   2 predicates: 479 → 446, 117 = 117
+    [341, 991], // skyline, 2 predicates: 364 → 341, 1067 → 991
+    [376, 55],  // top-k,   3 predicates: 1050 → 376, 63 → 55
+    [300, 282], // skyline, 3 predicates: 823 → 300, 595 → 282
+    // A drill-down to 2 predicates runs the subtree check on what it pops;
+    // the roll-up after it is a 1-predicate run (no check) restarted from
     // that moved `b_list`, so only its `d_list` moves.
-    [1108, 148], // top-k drill-down:   1177 → 1108, 244 → 148
-    [82, 1218],  // top-k roll-up:      82 = 82, 1383 → 1218
-    [794, 2295], // skyline drill-down: 808 → 794, 2435 → 2295
-    [168, 3139], // skyline roll-up:    168 = 168, 3238 → 3139
+    [679, 148],  // top-k drill-down:   1108 → 679, 148 = 148
+    [82, 789],   // top-k roll-up:      82 = 82, 1218 → 789
+    [714, 1814], // skyline drill-down: 794 → 714, 2295 → 1814
+    [168, 2710], // skyline roll-up:    168 = 168, 3139 → 2710
 ];
 
 fn build_db() -> PCubeDb {
