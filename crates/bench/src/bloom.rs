@@ -15,7 +15,7 @@
 //! this measures the space-vs-I/O trade, through [`PCubeDb::run_with_probe`].
 
 use pcube_bitmap::BloomFilter;
-use pcube_core::query::{BooleanPruner, VerifyAllPruner};
+use pcube_core::query::{BooleanPruner, Candidate, VerifyAllPruner};
 use pcube_core::{ClassOutcome, PCubeDb, QueryClass, Signature};
 use pcube_cube::{normalize, CellKey, Selection};
 use pcube_rtree::{Path, Sid};
@@ -78,9 +78,9 @@ impl BloomSignature {
 /// cells, ANDed.
 pub struct BloomProbe {
     filters: Vec<BloomSignature>,
-    /// SID of the node under expansion. A filter stores no per-node array,
-    /// so a node's "child mask" is its SID, from which each child's SID is
-    /// one multiply-add.
+    /// SID of the node kept last. A filter stores no per-node array, so
+    /// each child's SID is one multiply-add from it, and one probe per
+    /// filter answers the child.
     expanding: Sid,
 }
 
@@ -108,36 +108,36 @@ impl BloomProbe {
         }
         (!filters.is_empty()).then_some(BloomProbe { filters, expanding: Sid::ROOT })
     }
-}
 
-impl BooleanPruner for BloomProbe {
-    fn contains(&mut self, path: &Path) -> bool {
+    /// `true` if every filter may hold the subtree/tuple at `path`.
+    fn contains(&self, path: &Path) -> bool {
         self.filters.iter().all(|f| f.contains(path))
     }
 
-    fn mask_count(&self) -> usize {
-        self.filters.len()
-    }
-
-    fn fetch_child_mask(&mut self, _i: usize, path: &Path) {
+    /// [`BooleanPruner::keep`] of the node at `path`.
+    fn keep_node(&mut self, path: &Path) -> bool {
         self.expanding = path.sid(self.filters[0].m_max);
+        self.contains(path)
+    }
+}
+
+impl BooleanPruner for BloomProbe {
+    /// A filter's positive may be false: a tuple is then fetched, as
+    /// domination-first fetches it.
+    fn keep(&mut self, db: &PCubeDb, selection: &Selection, cand: &Candidate) -> bool {
+        match cand {
+            Candidate::Tuple { path, .. } => {
+                self.contains(path) && VerifyAllPruner.keep(db, selection, cand)
+            }
+            Candidate::Node { path, .. } => self.keep_node(path),
+        }
     }
 
-    /// `contains(path.child(slot + 1))` for the node fetched last: one
-    /// filter probe.
-    fn child_bit(&self, i: usize, slot: usize) -> bool {
-        let f = &self.filters[i];
-        f.filter.contains(self.expanding.child(slot as u16 + 1, f.m_max).0)
-    }
-
-    /// A filter's positive may be false: fetch the row, as
-    /// domination-first does.
-    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-        VerifyAllPruner.verify(db, selection, tid)
-    }
-
-    fn partials_loaded(&self) -> u64 {
-        0
+    /// `contains(path.child(slot + 1))` for the node kept last: one probe
+    /// per filter.
+    fn keep_child(&mut self, slot: usize, _is_node: bool) -> bool {
+        let child = self.expanding.child(slot as u16 + 1, self.filters[0].m_max);
+        self.filters.iter().all(|f| f.filter.contains(child.0))
     }
 }
 
@@ -208,15 +208,19 @@ mod tests {
         let other = Signature::from_paths(2, present[1..].iter());
         let filters = [&sig, &other].map(|s| BloomSignature::from_signature(s, 0.01));
         let mut probe = BloomProbe { filters: filters.to_vec(), expanding: Sid::ROOT };
+        let mut asked = 0;
         for p in present.iter().chain(&absent) {
-            let parent = p.prefix(p.depth() - 1);
-            let slot = usize::from(p.0[p.depth() - 1]) - 1;
-            let masked = (0..2).all(|i| {
-                probe.fetch_child_mask(i, &parent);
-                probe.child_bit(i, slot)
-            });
-            assert_eq!(masked, probe.contains(p), "{p}");
+            for depth in 1..=p.depth() {
+                let child = p.prefix(depth);
+                let slot = usize::from(child.0[depth - 1]) - 1;
+                if probe.keep_node(&p.prefix(depth - 1)) {
+                    let is_node = depth < p.depth();
+                    assert_eq!(probe.keep_child(slot, is_node), probe.contains(&child), "{child}");
+                    asked += 1;
+                }
+            }
         }
+        assert!(asked >= present.len(), "every present path's parent is kept");
     }
 
     #[test]

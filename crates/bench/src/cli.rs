@@ -17,10 +17,8 @@ impl Args {
     }
 
     /// The value of `flag`, or `default` when the flag is absent. Exits with
-    /// status 2 when the flag ends the line.
-    ///
-    /// # Panics
-    /// Panics if the value does not parse as a `T`.
+    /// status 2 when the flag ends the line or its value does not parse as
+    /// a `T`.
     pub fn take<T: FromStr>(&mut self, flag: &str, default: T) -> T {
         let Some(at) = self.0.iter().position(|a| a == flag) else {
             return default;
@@ -31,7 +29,10 @@ impl Args {
         }
         let value = self.0.remove(at + 1);
         self.0.remove(at);
-        value.parse().unwrap_or_else(|_| panic!("{flag}: cannot read {value:?}"))
+        value.parse().unwrap_or_else(|_| {
+            eprintln!("{flag}: cannot read {value:?}");
+            std::process::exit(2)
+        })
     }
 
     /// What no [`Args::take`] asked for, in order (`report`'s figure name).

@@ -458,8 +458,8 @@ impl PCubeDb {
 
     /// [`Self::run`] under a caller-supplied boolean pruner instead of the
     /// signature probe of `selection`. A pruner whose positive answers may
-    /// be wrong verifies the tuples it accepts against `selection`
-    /// ([`BooleanPruner::verify`]).
+    /// be wrong verifies the tuples it keeps against `selection`
+    /// ([`BooleanPruner::keep`]).
     pub fn run_with_probe<C: QueryClass>(
         &self,
         selection: &Selection,

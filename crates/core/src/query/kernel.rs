@@ -28,19 +28,17 @@
 //! logic, which is why serial and parallel answers match bit-for-bit at
 //! any worker count.
 //!
-//! One node expansion costs what the paper says it costs: one R-tree page,
-//! one signature-node lookup per conjunct of the probe, and one bit test
-//! per child — plus, under two or more conjuncts, one look-ahead lookup per
-//! conjunct for each kept child that is itself a node (one level of the
-//! Fig 3.c fix-up, [`BooleanPruner::look_ahead`]). Before a popped node's
-//! page is read the rest of the fix-up runs, memoised per node
-//! ([`BooleanPruner::subtree_nonempty`]), so no node below the root holding
-//! no qualifying tuple is read at any level: on a clean store the lazy probe
-//! prunes what eager assembly prunes. Children are scored and pruned in
-//! place from a borrowed [`NodeView`] of the page; a [`Path`], a coordinate
-//! vector or an [`Mbr`] is allocated only for a child that is pushed on the
-//! heap or saved to a list, and the clock is read per expansion, never per
-//! child.
+//! Boolean pruning is the two questions Algorithm 1 asks:
+//! [`BooleanPruner::keep`] of a popped entry (lines 7–8), and
+//! [`BooleanPruner::keep_child`] of each child of the node being expanded
+//! that survives preference pruning (lines 17–19). How they are answered —
+//! per-conjunct child masks fetched lazily, and Fig 3.c's fix-up, so that
+//! on a clean store the lazy probe prunes what eager assembly prunes — is
+//! the probe's business ([`BooleanProbe`](crate::store::BooleanProbe)).
+//! Children are scored and pruned in place from a borrowed [`NodeView`] of
+//! the page; a [`Path`], a coordinate vector or an [`Mbr`] is allocated only
+//! for a child that is pushed on the heap or saved to a list, and the clock
+//! is read per expansion, never per child.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -59,79 +57,56 @@ use crate::query::window::{project, Window};
 use crate::query::{Candidate, CandidateHeap, HeapEntry, ResultEntry};
 use crate::rank::{MinCoordSum, RankingFunction};
 
-/// Boolean pruning as Algorithm 1 sees it, at its two granularities — a
-/// full-path membership test for a popped entry, and per-node child masks
-/// for an expansion — plus the pop-time checks of a tuple about to be
-/// accepted and of a node about to be read, and the `SSig` statistics. See
-/// [`BooleanProbe`] for the contract between the two granularities; its
-/// implementation is the signature probe's.
+/// Boolean pruning as Algorithm 1 asks for it: two questions, and the `SSig`
+/// statistics. See [`BooleanProbe`] for how the signature probe answers
+/// them.
 ///
 /// [`BooleanProbe`]: crate::store::BooleanProbe
 pub trait BooleanPruner {
-    /// `true` if the subtree/tuple at `path` may contain qualifying tuples:
-    /// the full root-to-path probe, asked once per popped entry.
-    fn contains(&mut self, path: &Path) -> bool;
-    /// Number of child masks one node expansion consults (one per conjunct
-    /// of the selection); 0 for a pruner that keeps every child.
-    fn mask_count(&self) -> usize {
-        0
-    }
-    /// Fetches mask `i` for the children of the node at `path`, which was
-    /// popped and passed [`Self::contains`]. The only child-side step that
-    /// can touch a page (a lazily loaded partial signature); the kernel
-    /// calls it at the first child that gets as far as mask `i`.
-    fn fetch_child_mask(&mut self, _i: usize, _path: &Path) {}
-    /// `true` if mask `i` keeps the child in 0-based `slot`: one bit test.
-    fn child_bit(&self, _i: usize, _slot: usize) -> bool {
-        true
-    }
-    /// Asked of a child in `slot` of the node at `path` that every mask
-    /// kept and that is itself an R-tree node: may its own subtree hold
-    /// qualifying tuples, judged one level further down? Can touch a page.
-    /// An exact pruner — or one with no node arrays — keeps the default.
-    fn look_ahead(&mut self, _path: &Path, _slot: usize) -> bool {
-        true
-    }
-    /// Asked of a popped node that passed [`Self::contains`], before its
-    /// page is read: may its subtree hold qualifying tuples, judged all the
-    /// way down? `false` routes it to the `b_list` unread. Can touch a page.
-    /// An exact pruner — or one with no node arrays — keeps the default.
-    fn subtree_nonempty(&mut self, _path: &Path) -> bool {
-        true
-    }
-    /// The boolean check "in between lines 7 and 8" (§VI-A): does the popped
-    /// tuple `tid`, which passed [`Self::contains`], satisfy the
-    /// (normalized) `selection`? `false` routes it to the `b_list`. An exact
-    /// pruner has already answered and keeps the default; one whose
-    /// positive answers may be wrong pays for the truth here, before the
-    /// tuple may join the result and prune others.
-    fn verify(&mut self, _db: &PCubeDb, _selection: &Selection, _tid: u64) -> bool {
+    /// Lines 7–8: may the popped `cand` hold tuples satisfying the
+    /// (normalized) `selection`? Nothing is known about its ancestors — it
+    /// may be the root seed or restored from a saved list. For a tuple this
+    /// is the boolean check "in between lines 7 and 8" (§VI-A): a pruner
+    /// whose positive answers may be wrong pays for the truth here, before
+    /// the tuple may join the result and prune others. For a node it is
+    /// asked before the page is read, and a node kept becomes the one whose
+    /// children [`Self::keep_child`] is asked about next. `false` routes
+    /// the entry to the `b_list`.
+    fn keep(&mut self, db: &PCubeDb, selection: &Selection, cand: &Candidate) -> bool;
+    /// Lines 17–19: may the child in 0-based `slot` of the node kept last —
+    /// an R-tree node if `is_node`, else a tuple — hold qualifying tuples?
+    /// Asked once per child that survives preference pruning, in slot
+    /// order, so a pruner can fetch what the node's children share at the
+    /// first child that needs it.
+    fn keep_child(&mut self, _slot: usize, _is_node: bool) -> bool {
         true
     }
     /// Partial signatures loaded so far (the `SSig` series of Fig 9).
-    fn partials_loaded(&self) -> u64;
+    fn partials_loaded(&self) -> u64 {
+        0
+    }
+    /// Seconds spent loading them so far: the `page_read` share of an
+    /// expansion's child loop, which reads no clock per child.
+    fn load_seconds(&self) -> f64 {
+        0.0
+    }
 }
 
 /// The domination-first engine of §VI-A (BBS \[9\] + minimal probing \[3\];
 /// **Ranking** for top-k): "similar to Algorithm 1, except that there is no
 /// boolean checking in the prune procedure … we only issue a boolean
-/// checking for a tuple in between lines 7 and 8". Admits every candidate
-/// and fetches each tuple about to be accepted from the base table — also
+/// checking for a tuple in between lines 7 and 8". Admits every node and
+/// fetches each tuple about to be accepted from the base table — also
 /// under the empty selection: minimal probing cannot know `BP = ∅` is free.
 pub struct VerifyAllPruner;
 
 impl BooleanPruner for VerifyAllPruner {
-    fn contains(&mut self, _path: &Path) -> bool {
-        true
-    }
-    /// One counted random tuple access by tid (the `DBool` counter of
-    /// Fig 9): does the row satisfy every predicate?
-    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-        let codes = db.relation().fetch(tid);
+    /// For a tuple, one counted random access by tid (the `DBool` counter
+    /// of Fig 9): does the row satisfy every predicate?
+    fn keep(&mut self, db: &PCubeDb, selection: &Selection, cand: &Candidate) -> bool {
+        let Candidate::Tuple { tid, .. } = cand else { return true };
+        let codes = db.relation().fetch(*tid);
         selection.iter().all(|p| codes[p.dim] == p.value)
-    }
-    fn partials_loaded(&self) -> u64 {
-        0
     }
 }
 
@@ -147,14 +122,9 @@ impl BooleanPruner for VerifyAllPruner {
 pub struct IndexMergePruner<'a>(pub &'a BooleanIndexSet);
 
 impl BooleanPruner for IndexMergePruner<'_> {
-    fn contains(&mut self, _path: &Path) -> bool {
-        true
-    }
-    fn verify(&mut self, _db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-        selection.iter().all(|p| self.0.probe(p.dim, p.value, tid))
-    }
-    fn partials_loaded(&self) -> u64 {
-        0
+    fn keep(&mut self, _db: &PCubeDb, selection: &Selection, cand: &Candidate) -> bool {
+        let Candidate::Tuple { tid, .. } = cand else { return true };
+        selection.iter().all(|p| self.0.probe(p.dim, p.value, *tid))
     }
 }
 
@@ -264,20 +234,20 @@ pub fn run_kernel(
     mut gov: Option<&mut Governor>,
 ) -> KernelRun {
     let mut run = KernelRun::default();
-    let masks = probe.mask_count();
     // Scratch every child of every expanded node is read into, in place of
     // an owned decode of the page.
     let dims = db.rtree().dims();
     let mut coords: Vec<f64> = Vec::with_capacity(dims);
     let mut mbr = Mbr::empty(dims);
-    // Stage attribution: anything that can touch a page — the pop-time probe,
-    // verification and subtree check, node reads, child-mask fetches,
-    // look-aheads — counts as `page_read`; everything else — the heap pop,
-    // the governor check, `on_pop`, scoring, pruning, bit tests, heap
-    // pushes, `accept`, the drop of a spent entry — counts as `score`. The
-    // clock is read at the transitions only, a handful of times per pop and
-    // never per child: `mark` is where the last page-touching stretch ended,
-    // and `score` is charged from there to where the next one starts.
+    // Stage attribution: the pop-time question and the node read count as
+    // `page_read`, and so do the probe's own loads while the children are
+    // asked about ([`BooleanPruner::load_seconds`]); everything else — the
+    // heap pop, the governor check, `on_pop`, scoring, pruning, the rest of
+    // the child question, heap pushes, `accept`, the drop of a spent entry —
+    // counts as `score`. The clock is read at the transitions only, a
+    // handful of times per pop and never per child: `mark` is where the
+    // last page-touching stretch ended, and `score` is charged from there
+    // to where the next one starts.
     let mut mark = Instant::now();
     while let Some(entry) = heap.pop() {
         run.pops += 1;
@@ -308,19 +278,9 @@ pub fn run_kernel(
             }
             PopVerdict::Continue => {}
         }
-        // The full-path probe: the entry may be the root seed or restored
-        // from a saved list, so nothing is known about its ancestors. A
-        // tuple is additionally verified (one counted random access under a
-        // lossy probe or minimal probing, B+-tree probes under index-merge)
-        // before it may join the result and prune others; a node is checked
-        // for a qualifying tuple in its subtree before its page is read.
         let t_probe = Instant::now();
         run.stages.score_seconds += (t_probe - mark).as_secs_f64();
-        let keep = probe.contains(entry.cand.path())
-            && match &entry.cand {
-                Candidate::Tuple { tid, .. } => probe.verify(db, selection, *tid),
-                Candidate::Node { path, .. } => probe.subtree_nonempty(path),
-            };
+        let keep = probe.keep(db, selection, &entry.cand);
         mark = Instant::now();
         run.stages.page_read_seconds += (mark - t_probe).as_secs_f64();
         if !keep {
@@ -338,15 +298,7 @@ pub fn run_kernel(
                 run.nodes_expanded += 1;
                 let leaf = node.is_leaf();
                 let child_depth = path.depth() + 1;
-                // `path` just passed the full probe, so each child is decided
-                // by its bit in this node's masks alone. Mask `i` is fetched
-                // at the first child that survives preference pruning and
-                // masks `0..i` — the moment the per-child walk used to load
-                // the same partial signature. A child node the masks keep is
-                // then looked ahead at: do the conjuncts share a bit in *its*
-                // arrays? (With one conjunct its set bit already says so.)
-                let mut fetched = 0;
-                let mut fetch_seconds = 0.0;
+                let loaded_before = probe.load_seconds();
                 for slot in node.slots() {
                     let (score, child) = if leaf {
                         node.coords_into(slot, &mut coords);
@@ -356,22 +308,7 @@ pub fn run_kernel(
                         (logic.score_node(&mbr, child_depth), Region::Box(&mbr))
                     };
                     let pruned_by_preference = logic.prune_child(score, child);
-                    let keep = !pruned_by_preference
-                        && (0..masks).all(|i| {
-                            if i == fetched {
-                                let t_fetch = Instant::now();
-                                probe.fetch_child_mask(i, &path);
-                                fetch_seconds += t_fetch.elapsed().as_secs_f64();
-                                fetched += 1;
-                            }
-                            probe.child_bit(i, slot)
-                        })
-                        && (leaf || masks < 2 || {
-                            let t_ahead = Instant::now();
-                            let ahead = probe.look_ahead(&path, slot);
-                            fetch_seconds += t_ahead.elapsed().as_secs_f64();
-                            ahead
-                        });
+                    let keep = !pruned_by_preference && probe.keep_child(slot, !leaf);
                     // Only a child that goes somewhere is materialized.
                     if keep {
                         heap.push(score, materialize(&node, slot, &path, &coords, &mbr));
@@ -383,8 +320,9 @@ pub fn run_kernel(
                     }
                 }
                 mark = Instant::now();
-                run.stages.page_read_seconds += fetch_seconds;
-                run.stages.score_seconds += (mark - t_children).as_secs_f64() - fetch_seconds;
+                let load_seconds = probe.load_seconds() - loaded_before;
+                run.stages.page_read_seconds += load_seconds;
+                run.stages.score_seconds += (mark - t_children).as_secs_f64() - load_seconds;
             }
         }
     }

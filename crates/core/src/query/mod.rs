@@ -43,16 +43,18 @@ use pcube_storage::{IoSnapshot, PageId};
 pub struct StageTimes {
     /// Probe construction and snapshot pinning before the kernel loop runs.
     pub pin_seconds: f64,
-    /// Page-touching work: the full-path boolean probe of each popped
-    /// entry, R-tree node reads, child-mask fetches, base-table verify
-    /// fetches — everything that can pay counted (and, under
-    /// `Pager::set_read_delay`, wall-clock) I/O.
+    /// Page-touching work: the boolean question of each popped entry (the
+    /// full-path probe, the subtree check of a node, base-table verify
+    /// fetches), R-tree node reads, and the partial signatures the probe
+    /// loads while the children of a node are asked about (its
+    /// `load_seconds`, so no clock is read per child) — everything that can
+    /// pay counted (and, under `Pager::set_read_delay`, wall-clock) I/O.
     pub page_read_seconds: f64,
     /// Everything in the kernel loop that cannot touch a page: heap pops,
     /// governor checks, scoring, dominance/bound pruning, accumulation, the
-    /// rest of each expansion's child loop (in-place decode, bit tests, heap
-    /// pushes) and the drop of spent entries — so the four stages of a
-    /// serial run sum to its `cpu_seconds`.
+    /// rest of each expansion's child loop (in-place decode, the child
+    /// question's bit tests, heap pushes) and the drop of spent entries —
+    /// so the four stages of a serial run sum to its `cpu_seconds`.
     pub score_seconds: f64,
     /// Result canonicalization and (for parallel engines) the cross-worker
     /// merge.

@@ -13,6 +13,7 @@
 //! path, then the second level, and so on.
 
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use pcube_bitmap::BitArray;
 use pcube_bptree::{composite_key, split_key, BPlusTree};
@@ -22,7 +23,7 @@ use pcube_storage::{read_u32, write_u32, Counter, IoCategory, PageOp, Pager, Sto
 
 use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
 use crate::pcube::PCubeDb;
-use crate::query::{BooleanPruner, VerifyAllPruner};
+use crate::query::{BooleanPruner, Candidate, VerifyAllPruner};
 use crate::signature::{walk_path, Signature};
 
 const RECORD_HEADER: usize = 4; // per-partial payload length u32
@@ -518,8 +519,8 @@ impl SignatureStore {
             tried_refs: HashSet::default(),
             locators: None,
             partials_loaded: 0,
+            load_seconds: 0.0,
             degraded: false,
-            mask_sid: Sid::ROOT,
             mask: ChildMask::default(),
         }
     }
@@ -555,7 +556,7 @@ fn put_record(page: &mut [u8], used: usize, record: &[u8]) -> usize {
 /// has no data under the node, all-one when a degraded cursor cannot tell.
 /// The buffer is reused from expansion to expansion.
 #[derive(Debug, Clone, Default)]
-pub struct ChildMask {
+struct ChildMask {
     words: Vec<u64>,
 }
 
@@ -598,10 +599,11 @@ pub struct SignatureCursor<'a> {
     /// first use (a cell's directory entries are contiguous).
     locators: Option<HashMap<Sid, u64, SidBuildHasher>>,
     partials_loaded: u64,
+    /// Seconds spent in [`Self::load_node`], the one place a cursor touches
+    /// a page.
+    load_seconds: f64,
     degraded: bool,
-    /// SID of the node last passed to [`SignatureCursor::fetch_child_mask`].
-    mask_sid: Sid,
-    /// Child mask of that node.
+    /// This conjunct's child mask of the node under expansion.
     mask: ChildMask,
 }
 
@@ -626,11 +628,11 @@ impl SignatureCursor<'_> {
     /// the boolean-prune test of Algorithm 1. Loads partials on demand.
     ///
     /// This is the full root-to-`path` walk (`walk_path`, one node lookup
-    /// per level). The query kernel pays it once per *popped* entry — the
-    /// root seed, entries restored from a `b_list`/`d_list`, and entries it
-    /// pushed itself — and never per child of an expanded node: those are
-    /// tested against the node's own bits, fetched once
-    /// ([`SignatureCursor::fetch_child_mask`]).
+    /// per level). The probe pays it once per *popped* entry — the root
+    /// seed, entries restored from a `b_list`/`d_list`, and entries the
+    /// search pushed itself — and never per child of an expanded node:
+    /// those are tested against the node's own bits, copied once per
+    /// expansion.
     ///
     /// On a degraded cursor the answer may be a false positive (a node whose
     /// bits were lost is never pruned), but it is never a false negative:
@@ -639,36 +641,18 @@ impl SignatureCursor<'_> {
         walk_path(path, self.store.m_max, |level, sid, pos| self.node_bit(path, level, sid, pos))
     }
 
-    /// Fetches the child mask of the node at `path`, after which
-    /// [`SignatureCursor::child_bit`] answers `contains(path.child(slot + 1))`
-    /// with one bit test. One node lookup per expansion, and the only
-    /// child-side step that can load a partial signature.
-    ///
-    /// Equal to the walk for a `path` that itself passed [`Self::contains`]
-    /// — the kernel's case: it expands what it popped and probed. The
-    /// ancestors' bits are then known to be set (or lost to a fault, in
-    /// which case the walk would keep the child too), so the last level
-    /// decides alone. For any other `path` a degraded cursor's mask may keep
-    /// a child the walk would prune; no mask ever prunes one the walk would
-    /// keep.
-    pub fn fetch_child_mask(&mut self, path: &Path) {
-        let sid = path.sid(self.store.m_max);
-        self.mask_sid = sid;
-        if !self.nodes.contains_key(&sid) {
-            self.load_node(path.0.iter().copied(), sid);
-        }
+    /// Copies the bits of the node `sid` at `depth` into the child mask,
+    /// loading them by the retrieval rule first if need be: one node lookup
+    /// per expansion. Bit `slot` of the mask then answers `contains` of the
+    /// child in `slot` for a node that itself passed [`Self::contains`] —
+    /// the probe's case: it expands what it kept. The ancestors' bits are
+    /// then known to be set (or lost to a fault, in which case the walk
+    /// would keep the child too), so the last level decides alone.
+    fn load_mask(&mut self, sid: Sid, depth: usize) {
+        self.load_sid(sid, depth);
         // No bits for the node: normally that proves emptiness, but a
         // degraded cursor may simply have failed to load them.
         self.mask.load(self.nodes.get(&sid), self.degraded, self.store.m_max);
-    }
-
-    /// Bit `slot` (0-based) of the mask fetched last.
-    ///
-    /// # Panics
-    /// Panics if no mask was fetched yet or `slot` is past the fanout.
-    #[inline]
-    pub fn child_bit(&self, slot: usize) -> bool {
-        self.mask.get(slot)
     }
 
     /// Brings the bits of the node `sid` at `depth` into memory by the
@@ -705,8 +689,10 @@ impl SignatureCursor<'_> {
     /// once per cursor.
     ///
     /// Load failures mark the cursor degraded instead of propagating; the
-    /// callers then treat "no bits" as "unknown" rather than "empty".
+    /// callers then treat "no bits" as "unknown" rather than "empty". The
+    /// time spent is added to `load_seconds`.
     fn load_node(&mut self, mut positions: impl Iterator<Item = u16>, sid: Sid) {
+        let start = Instant::now();
         let m_max = self.store.m_max;
         if self.locators.is_none() {
             self.locators = Some(match self.store.try_locators_of(self.cell) {
@@ -749,181 +735,227 @@ impl SignatureCursor<'_> {
             self.nodes.contains_key(&sid) || ref_sid == sid,
             "the positions do not lead to {sid}"
         );
+        self.load_seconds += start.elapsed().as_secs_f64();
     }
 }
 
 /// The boolean-pruning side of Algorithm 1: answers "may the subtree/tuple
 /// at this path contain data satisfying the selection?".
 ///
-/// * [`BooleanProbe::Cursors`] — one lazily-loaded cursor per conjunct,
-///   ANDed: none for no predicate (`BP = ∅`, prunes nothing), one for a
-///   materialized cell, k for k atomic cells. Under k ≥ 2 the recursive
-///   emptiness fix-up of Fig 3.c runs lazily — one level at expansion (the
-///   look-ahead), all of it before a popped node is read (the subtree
-///   check, below) — so on a clean store no node below the root is read
-///   that holds no tuple of every conjunct: the probe is exact for tuples
-///   and for nodes alike.
-/// * [`BooleanProbe::Assembled`] — k signatures loaded fully and
-///   intersected with the fix-up (Fig 3.c) before the search: tightest
-///   pruning, highest up-front load cost (the `assemble-eager` ablation
-///   compares the two); also the empty signature of a value never seen in
-///   the data, which prunes everything.
+/// * Lazy ([`BooleanProbe::cursors`]) — one lazily-loaded cursor per
+///   conjunct, ANDed: none for no predicate (`BP = ∅`, prunes nothing), one
+///   for a materialized cell, k for k atomic cells. Under k ≥ 2 the
+///   recursive emptiness fix-up of Fig 3.c runs lazily, so on a clean store
+///   no node below the root is read that holds no tuple of every conjunct:
+///   the probe is exact for tuples and for nodes alike.
+/// * Assembled ([`BooleanProbe::assembled`]) — k signatures loaded fully
+///   and intersected with the fix-up before the search: the same pruning,
+///   all loads up front (the `assemble-eager` ablation compares the two);
+///   also the empty signature of a value never seen in the data, which
+///   prunes everything.
 ///
 /// # The probe contract
 ///
-/// Algorithm 1 asks through [`BooleanPruner`], in four places:
+/// Algorithm 1 asks the two questions of [`BooleanPruner`]:
 ///
-/// * [`BooleanProbe::contains`] — the full root-to-path walk, for an entry
-///   that was just *popped* (the root seed, an entry restored from a saved
-///   list, or one the search pushed itself).
-/// * The *child masks* of the node being expanded — one per conjunct
-///   ([`BooleanPruner::mask_count`]), each fetched with one node lookup
-///   ([`BooleanPruner::fetch_child_mask`]) and then read with one bit test
-///   per child ([`BooleanPruner::child_bit`]). A child is kept iff its bit is
-///   set in every mask. This equals `contains(child path)` because the node
-///   was popped and passed `contains`, so only the last level is undecided.
-///   Masks are fetched one conjunct at a time, each at the first child that
-///   reaches it (the caller short-circuits like `contains` does), which is
-///   what keeps partial signatures loaded lazily per predicate.
-/// * The *look-ahead* ([`BooleanPruner::look_ahead`]) for a child every mask
-///   kept that is itself an R-tree node: do the conjuncts' bit arrays *of
-///   that child node* share a set bit? One level of the Fig 3.c fix-up, so
+/// * [`BooleanPruner::keep`], of a popped entry. It starts with the full
+///   root-to-path walk ([`BooleanProbe::contains`]): the entry may be the
+///   root seed, restored from a saved list, or pushed by the search itself.
+///   A tuple the walk keeps is verified against the base table if a cursor
+///   degraded. A node the walk keeps gets the *subtree check* before its
+///   page is read: the whole fix-up from that node down. The conjuncts'
+///   arrays of the node are ANDed; at the leaf level a set bit is a
+///   qualifying tuple, above it each shared bit's child is checked the same
+///   way, loading its bits by the retrieval rule, until one is proven
+///   non-empty. Exact verdicts are memoised per SID for the rest of the
+///   query. Only two or more cursors answer it, and never for the root,
+///   which the parallel driver reads unprobed: its check would be the whole
+///   query's emptiness test, priced at up to a full assembly. A node kept
+///   becomes the node under expansion.
+/// * [`BooleanPruner::keep_child`], of each child of that node. Each
+///   conjunct's *child mask* — a copy of its bit array of the node — is
+///   fetched with one node lookup at the first child that reaches it
+///   (children are asked in slot order, and a child stops at the first mask
+///   whose bit is clear, as `contains` stops at the first cursor), which is
+///   what keeps partial signatures loaded lazily per predicate. A child is
+///   kept iff its bit is set in every mask, which equals `contains` of the
+///   child's path: the node passed `contains`, so only the last level is
+///   undecided. A tuple child is decided by the masks alone. A node child
+///   is then *looked ahead* at under two or more cursors: do the conjuncts'
+///   bit arrays of that child share a set bit? One level of the fix-up, so
 ///   a child whose subtree holds data of every conjunct but no tuple of all
-///   of them is dropped unread when the disagreement shows one level down.
-///   Exact for a leaf-level child, sound above that; reads only bits the
-///   expansion needs next anyway. Only two or more cursors can answer
-///   `false`: one cursor's or an assembled signature's set bit already
-///   proves a non-empty child.
-/// * The *subtree check* ([`BooleanPruner::subtree_nonempty`]) for a popped
-///   node that passed `contains`, before its page is read: the whole fix-up
-///   from that node down. The conjuncts' arrays of the node are ANDed; at
-///   the leaf level a set bit is a qualifying tuple, above it each shared
-///   bit's child is checked the same way, loading its bits by the retrieval
-///   rule, until one is proven non-empty. Exact verdicts are memoised per
-///   SID for the rest of the query. Again only two or more cursors answer.
+///   of them is dropped unread when the disagreement shows one level down;
+///   exact for a leaf-level child, sound above it. One cursor's or an
+///   assembled signature's set bit already proves a child non-empty.
 ///
-/// A cursor that degraded after a storage failure may answer a false
-/// positive; the probe then verifies the tuples it accepts against the base
-/// table ([`BooleanPruner::verify`]).
-pub enum BooleanProbe<'a> {
-    /// The conjunction evaluated lazily, one cursor per conjunct (build with
-    /// [`BooleanProbe::cursors`]); the second field memoises the subtree
-    /// check's exact verdicts by node SID.
+/// Both questions load partial signatures by the retrieval rule, counted
+/// in [`BooleanPruner::partials_loaded`] and timed in
+/// [`BooleanPruner::load_seconds`]. A cursor that degraded after a storage
+/// failure may answer a false positive, never a false negative.
+pub struct BooleanProbe<'a> {
+    conjuncts: Conjuncts<'a>,
+    /// The node kept last, whose children [`BooleanPruner::keep_child`] is
+    /// asked about.
+    expanding: Expansion,
+}
+
+/// How a [`BooleanProbe`] holds its conjunction.
+enum Conjuncts<'a> {
+    /// Evaluated lazily, one cursor per conjunct; the map memoises the
+    /// subtree check's exact verdicts by node SID.
     Cursors(Vec<SignatureCursor<'a>>, HashMap<Sid, bool, SidBuildHasher>),
-    /// The conjunction assembled eagerly into one in-memory signature
-    /// (build with [`BooleanProbe::assembled`]); the second field is the
-    /// child mask of the node under expansion.
+    /// Assembled eagerly into one in-memory signature, with its child mask
+    /// of the node under expansion.
     Assembled(Signature, ChildMask),
+}
+
+/// The node under expansion: its SID and depth, and how many conjuncts'
+/// child masks of it are fetched (always the first ones).
+struct Expansion {
+    sid: Sid,
+    depth: usize,
+    fetched: usize,
 }
 
 impl<'a> BooleanProbe<'a> {
     /// A lazy probe ANDing `cursors`.
     pub fn cursors(cursors: Vec<SignatureCursor<'a>>) -> Self {
-        BooleanProbe::Cursors(cursors, HashMap::default())
+        Self::over(Conjuncts::Cursors(cursors, HashMap::default()))
     }
 
     /// An eagerly assembled probe over `sig`.
     pub fn assembled(sig: Signature) -> Self {
-        BooleanProbe::Assembled(sig, ChildMask::default())
+        Self::over(Conjuncts::Assembled(sig, ChildMask::default()))
+    }
+
+    fn over(conjuncts: Conjuncts<'a>) -> Self {
+        BooleanProbe { conjuncts, expanding: Expansion { sid: Sid::ROOT, depth: 0, fetched: 0 } }
     }
 
     /// `true` if the path may contain qualifying data (never a false
     /// negative; a degraded cursor may answer a false positive).
     pub fn contains(&mut self, path: &Path) -> bool {
-        match self {
-            BooleanProbe::Cursors(cs, _) => cs.iter_mut().all(|c| c.contains(path)),
-            BooleanProbe::Assembled(sig, _) => sig.contains(path),
+        match &mut self.conjuncts {
+            Conjuncts::Cursors(cs, _) => cs.iter_mut().all(|c| c.contains(path)),
+            Conjuncts::Assembled(sig, _) => sig.contains(path),
         }
     }
 
     /// `true` if a cursor degraded after a storage failure, so the probe
-    /// can report false positives ([`BooleanPruner::verify`] then checks
-    /// the base table).
+    /// can report false positives (a tuple it keeps is then verified
+    /// against the base table).
     pub fn is_lossy(&self) -> bool {
-        match self {
-            BooleanProbe::Cursors(cs, _) => cs.iter().any(SignatureCursor::is_degraded),
-            BooleanProbe::Assembled(..) => false,
+        match &self.conjuncts {
+            Conjuncts::Cursors(cs, _) => cs.iter().any(SignatureCursor::is_degraded),
+            Conjuncts::Assembled(..) => false,
         }
+    }
+
+    /// The number of cursors a lazy probe ANDs; `None` if it is assembled.
+    #[cfg(test)]
+    pub(crate) fn cursor_count(&self) -> Option<usize> {
+        match &self.conjuncts {
+            Conjuncts::Cursors(cs, _) => Some(cs.len()),
+            Conjuncts::Assembled(..) => None,
+        }
+    }
+
+    /// [`BooleanPruner::keep`] of the node at `path`: the walk, then the
+    /// subtree check (`fix_up`, which a degraded cursor makes answer
+    /// `true`). A node kept becomes the node under expansion.
+    fn keep_node(&mut self, path: &Path) -> bool {
+        if !self.contains(path) {
+            return false;
+        }
+        let depth = path.depth();
+        let sid = match &mut self.conjuncts {
+            Conjuncts::Cursors(cs, _) if cs.is_empty() => return true,
+            Conjuncts::Cursors(cs, verdicts) => {
+                let sid = path.sid(cs[0].store.m_max);
+                if cs.len() > 1 && depth > 0 && !fix_up(cs, verdicts, sid, depth).unwrap_or(true) {
+                    return false;
+                }
+                sid
+            }
+            Conjuncts::Assembled(sig, _) => path.sid(sig.m_max()),
+        };
+        self.expanding = Expansion { sid, depth, fetched: 0 };
+        true
     }
 }
 
 impl BooleanPruner for BooleanProbe<'_> {
-    fn contains(&mut self, path: &Path) -> bool {
-        BooleanProbe::contains(self, path)
-    }
-
-    fn mask_count(&self) -> usize {
-        match self {
-            BooleanProbe::Cursors(cs, _) => cs.len(),
-            BooleanProbe::Assembled(..) => 1,
-        }
-    }
-
-    /// One node lookup, loading a partial signature if the node's bits are
-    /// not in memory yet.
-    fn fetch_child_mask(&mut self, i: usize, path: &Path) {
-        match self {
-            BooleanProbe::Cursors(cs, _) => cs[i].fetch_child_mask(path),
-            BooleanProbe::Assembled(sig, mask) => {
-                mask.load(sig.node(path.sid(sig.m_max())), false, sig.m_max());
-            }
-        }
-    }
-
-    #[inline]
-    fn child_bit(&self, i: usize, slot: usize) -> bool {
-        match self {
-            BooleanProbe::Cursors(cs, _) => cs[i].child_bit(slot),
-            BooleanProbe::Assembled(_, mask) => mask.get(slot),
-        }
-    }
-
-    /// Each conjunct's bits of the child node are loaded by the retrieval
-    /// rule (counted in `partials_loaded`), stopping at the first conjunct
-    /// that empties the AND; a degraded cursor that cannot load them
-    /// answers all ones and never prunes. The child's SID is derived from
-    /// the SID the masks were fetched for; no [`Path`] is built.
-    fn look_ahead(&mut self, path: &Path, slot: usize) -> bool {
-        match self {
-            BooleanProbe::Cursors(cs, _) if cs.len() > 1 => {
-                let m_max = cs[0].store.m_max;
-                let sid = cs[0].mask_sid.child(slot as u16 + 1, m_max);
-                (0..cs.len()).all(|i| {
-                    cs[i].load_sid(sid, path.depth() + 1);
-                    (0..m_max.div_ceil(64)).any(|w| and_word(&cs[..=i], sid, w) != 0)
-                })
-            }
-            _ => true,
-        }
-    }
-
-    /// The recursive fix-up from the node at `path` (`fix_up`); a
-    /// degraded cursor makes it answer `true`. The root is always read, as
-    /// the parallel driver reads it unprobed: its check would be the whole
-    /// query's emptiness test, priced at up to a full assembly.
-    fn subtree_nonempty(&mut self, path: &Path) -> bool {
-        match self {
-            BooleanProbe::Cursors(cs, verdicts) if cs.len() > 1 && path.depth() > 0 => {
-                let sid = path.sid(cs[0].store.m_max);
-                fix_up(cs, verdicts, sid, path.depth()).unwrap_or(true)
-            }
-            _ => true,
-        }
-    }
-
-    /// A degraded cursor may pass non-qualifying tuples: pay what
-    /// domination-first pays, one counted random access. The empty
+    /// A degraded cursor may pass non-qualifying tuples: a tuple then pays
+    /// what domination-first pays, one counted random access. The empty
     /// selection has nothing to get wrong.
-    fn verify(&mut self, db: &PCubeDb, selection: &Selection, tid: u64) -> bool {
-        !self.is_lossy() || selection.is_empty() || VerifyAllPruner.verify(db, selection, tid)
+    fn keep(&mut self, db: &PCubeDb, selection: &Selection, cand: &Candidate) -> bool {
+        match cand {
+            Candidate::Tuple { path, .. } => {
+                self.contains(path)
+                    && (!self.is_lossy()
+                        || selection.is_empty()
+                        || VerifyAllPruner.keep(db, selection, cand))
+            }
+            Candidate::Node { path, .. } => self.keep_node(path),
+        }
+    }
+
+    /// The child's SID is derived from the expanding node's; no [`Path`] is
+    /// built.
+    fn keep_child(&mut self, slot: usize, is_node: bool) -> bool {
+        let e = &mut self.expanding;
+        match &mut self.conjuncts {
+            Conjuncts::Cursors(cs, _) => {
+                for (i, c) in cs.iter_mut().enumerate() {
+                    if i == e.fetched {
+                        c.load_mask(e.sid, e.depth);
+                        e.fetched += 1;
+                    }
+                    if !c.mask.get(slot) {
+                        return false;
+                    }
+                }
+                !is_node || cs.len() < 2 || {
+                    let child = e.sid.child(slot as u16 + 1, cs[0].store.m_max);
+                    arrays_meet(cs, child, e.depth + 1)
+                }
+            }
+            Conjuncts::Assembled(sig, mask) => {
+                if e.fetched == 0 {
+                    mask.load(sig.node(e.sid), false, sig.m_max());
+                    e.fetched = 1;
+                }
+                mask.get(slot)
+            }
+        }
     }
 
     fn partials_loaded(&self) -> u64 {
-        match self {
-            BooleanProbe::Cursors(cs, _) => cs.iter().map(SignatureCursor::partials_loaded).sum(),
-            BooleanProbe::Assembled(..) => 0,
+        match &self.conjuncts {
+            Conjuncts::Cursors(cs, _) => cs.iter().map(SignatureCursor::partials_loaded).sum(),
+            Conjuncts::Assembled(..) => 0,
         }
     }
+
+    fn load_seconds(&self) -> f64 {
+        match &self.conjuncts {
+            Conjuncts::Cursors(cs, _) => cs.iter().map(|c| c.load_seconds).sum(),
+            Conjuncts::Assembled(..) => 0.0,
+        }
+    }
+}
+
+/// The look-ahead, one level of the fix-up of Fig 3.c: do the cursors' bit
+/// arrays of the node `sid` at `depth` share a set bit? Each conjunct's
+/// bits are loaded by the retrieval rule, stopping at the first conjunct
+/// that empties the AND; a degraded cursor that cannot load them answers
+/// all ones and never prunes.
+fn arrays_meet(cs: &mut [SignatureCursor<'_>], sid: Sid, depth: usize) -> bool {
+    let words = cs[0].store.m_max.div_ceil(64);
+    (0..cs.len()).all(|i| {
+        cs[i].load_sid(sid, depth);
+        (0..words).any(|w| and_word(&cs[..=i], sid, w) != 0)
+    })
 }
 
 /// The recursive fix-up of Fig 3.c, evaluated lazily from the node `sid` at
@@ -1059,24 +1091,6 @@ mod tests {
         assert!(cursor.contains(&Path::root()), "root is vacuously contained");
     }
 
-    /// The kernel's expansion-side probe: the verdict for every slot of the
-    /// node at `path`, each conjunct's mask fetched at the first child that
-    /// reaches it.
-    fn mask_verdicts(probe: &mut BooleanProbe<'_>, path: &Path, m_max: usize) -> Vec<bool> {
-        let mut fetched = 0;
-        (0..m_max)
-            .map(|slot| {
-                (0..probe.mask_count()).all(|i| {
-                    if i == fetched {
-                        probe.fetch_child_mask(i, path);
-                        fetched += 1;
-                    }
-                    probe.child_bit(i, slot)
-                })
-            })
-            .collect()
-    }
-
     /// Every node path of a complete tree of fanout `m_max` and `height`,
     /// in pre-order (root, then each subtree left to right).
     fn node_paths(m_max: usize, height: usize) -> Vec<Path> {
@@ -1113,41 +1127,60 @@ mod tests {
             }
         }
 
-        // Probe equivalence: for every node path and every child slot, the
-        // child masks answer exactly what the full walk answers for the
-        // child's path — for no cursor, one, two, and an assembled signature.
+        // Probe equivalence: at every node the probe keeps, the child
+        // question answers what the full walk answers for the child's path
+        // — exactly for a tuple child, which the masks alone decide; never
+        // keeping more for a child node, which is also looked ahead at, and
+        // never dropping one that holds a qualifying tuple. For no cursor,
+        // one, two, and an assembled signature.
         let other = Signature::from_paths(
             2,
             [Path(vec![1, 1, 1]), Path(vec![1, 2, 2]), Path(vec![2, 1, 1])].iter(),
         );
         store.write_signature(6, &other);
-        // One probe answers by masks, its twin by walks, so that the cursors'
-        // memoized state cannot leak from one method into the other.
+        let both = sig.intersect(&other, 3);
+        // One probe answers tuple children by masks, its twin by walks.
+        // Both are asked the same pop-time and child-node questions, so the
+        // twins must load the same partial signatures at the same child.
         let cursors =
             |cells: &[u32]| BooleanProbe::cursors(cells.iter().map(|&c| store.cursor(c)).collect());
-        let variants: Vec<(&str, BooleanProbe<'_>, BooleanProbe<'_>)> = vec![
-            ("no cursor", cursors(&[]), cursors(&[])),
-            ("one cursor", cursors(&[5]), cursors(&[5])),
-            ("two cursors", cursors(&[5, 6]), cursors(&[5, 6])),
+        let variants: Vec<(&str, BooleanProbe<'_>, BooleanProbe<'_>, Option<&Signature>)> = vec![
+            ("no cursor", cursors(&[]), cursors(&[]), None),
+            ("one cursor", cursors(&[5]), cursors(&[5]), Some(&sig)),
+            ("two cursors", cursors(&[5, 6]), cursors(&[5, 6]), Some(&both)),
             (
                 "assembled",
-                BooleanProbe::assembled(sig.intersect(&other, 3)),
-                BooleanProbe::assembled(sig.intersect(&other, 3)),
+                BooleanProbe::assembled(both.clone()),
+                BooleanProbe::assembled(both.clone()),
+                Some(&both),
             ),
         ];
-        for (name, mut by_mask, mut by_walk) in variants {
+        for (name, mut by_mask, mut by_walk, exact) in variants {
             for node in node_paths(2, 3) {
-                let walked: Vec<bool> =
-                    (1..=2u16).map(|pos| by_walk.contains(&node.child(pos))).collect();
-                assert_eq!(mask_verdicts(&mut by_mask, &node, 2), walked, "{name} at {node}");
-                // Both methods load the same partial signatures at the
-                // same node (the walk order here is the kernel's: parents
-                // before children).
-                assert_eq!(
-                    by_mask.partials_loaded(),
-                    by_walk.partials_loaded(),
-                    "{name} at {node}"
-                );
+                let kept = by_mask.keep_node(&node);
+                assert_eq!(kept, by_walk.keep_node(&node), "{name} at {node}");
+                if !kept {
+                    continue;
+                }
+                let is_node = node.depth() + 1 < 3;
+                for slot in 0..2 {
+                    let child = node.child(slot as u16 + 1);
+                    let asked = by_mask.keep_child(slot, is_node);
+                    let walked = by_walk.contains(&child);
+                    if is_node {
+                        assert_eq!(asked, by_walk.keep_child(slot, true), "{name} at {child}");
+                        assert!(walked || !asked, "{name} kept {child}, which the walk drops");
+                        let holds = exact.is_none_or(|e| e.contains(&child));
+                        assert!(asked || !holds, "{name} dropped {child}, which holds a match");
+                    } else {
+                        assert_eq!(asked, walked, "{name} at {child}");
+                    }
+                    assert_eq!(
+                        by_mask.partials_loaded(),
+                        by_walk.partials_loaded(),
+                        "{name} at {child}"
+                    );
+                }
             }
             assert_eq!(by_mask.is_lossy(), by_walk.is_lossy(), "{name}");
         }
@@ -1184,38 +1217,47 @@ mod tests {
         }
         // The N2 subtree is the paper's example of the walk being looser:
         // both cells have data under <2>, but no shared tuple (a2 has t6
-        // under N5, b2 has t7 under N6). The root's masks keep <2>; the
-        // look-ahead ANDs the two cells' arrays *of N2* (10 & 01) and prunes
-        // it at the root's expansion, as the eager intersection does.
+        // under N5, b2 has t7 under N6). The root's masks keep <2> — asked
+        // as if its children were tuples, the probe keeps both — but the
+        // child question of a node also ANDs the two cells' arrays *of N2*
+        // (10 & 01) and prunes it at the root's expansion, as the eager
+        // intersection does.
         let n2 = Path(vec![2]);
         assert!(lazy.contains(&n2));
         assert!(!eager.contains(&n2));
         let root = Path::root();
-        assert_eq!(mask_verdicts(&mut lazy, &root, 2), [true, true]);
-        assert!(lazy.look_ahead(&root, 0), "<1> holds t2");
-        assert!(!lazy.look_ahead(&root, 1), "<2> is pruned at the root's expansion");
-        assert!(!lazy.subtree_nonempty(&n2), "and, restored from a list, before it is read");
+        assert!(lazy.keep_node(&root));
+        assert_eq!([lazy.keep_child(0, false), lazy.keep_child(1, false)], [true, true]);
+        assert!(lazy.keep_child(0, true), "<1> holds t2");
+        assert!(!lazy.keep_child(1, true), "<2> is pruned at the root's expansion");
+        assert!(!lazy.keep_node(&n2), "and, restored from a list, before it is read");
         // An assembled signature's set bit already proves its child
-        // non-empty: the look-ahead has nothing to add.
-        assert!(eager.look_ahead(&root, 1));
+        // non-empty: its child question is its walk.
+        assert!(eager.keep_node(&root));
+        for slot in 0..2 {
+            assert_eq!(eager.keep_child(slot, true), eager.contains(&root.child(slot as u16 + 1)));
+        }
     }
 
     /// Walks a complete height-3 tree of fanout `m_max` the way the kernel
-    /// expands it — masks fetched per node, every child they keep expanded
-    /// down to the leaf level — and returns the look-ahead verdict of every
-    /// kept child node.
-    fn look_ahead_verdicts(probe: &mut BooleanProbe<'_>, m_max: usize) -> Vec<(Path, bool)> {
+    /// does — a node is expanded if the child question kept it and the
+    /// pop-time question keeps it — and returns the child question's
+    /// verdict on every child node of every expanded node.
+    fn child_node_verdicts(probe: &mut BooleanProbe<'_>, m_max: usize) -> Vec<(Path, bool)> {
         let mut verdicts = Vec::new();
         let mut frontier = vec![Path::root()];
         while let Some(node) = frontier.pop() {
-            for (slot, kept) in mask_verdicts(probe, &node, m_max).into_iter().enumerate() {
-                if kept {
-                    let child = node.child(slot as u16 + 1);
-                    verdicts.push((child.clone(), probe.look_ahead(&node, slot)));
-                    if child.depth() < 2 {
-                        frontier.push(child);
-                    }
+            if !probe.keep_node(&node) {
+                continue;
+            }
+            let children: Vec<(Path, bool)> = (0..m_max)
+                .map(|slot| (node.child(slot as u16 + 1), probe.keep_child(slot, true)))
+                .collect();
+            for (child, kept) in children {
+                if kept && child.depth() < 2 {
+                    frontier.push(child.clone());
                 }
+                verdicts.push((child, kept));
             }
         }
         verdicts
@@ -1275,11 +1317,12 @@ mod tests {
 
         /// Random 2- and 3-cell signatures on a height-3 tree of fanout 3 or
         /// 4, over pages small enough to split every cell into several
-        /// partials. For a leaf-level child the look-ahead equals the
-        /// assembled intersection (Fig 3.c); at any level it never drops a
-        /// child the intersection keeps. With the signature pages corrupted
-        /// (every `corrupt_every`-th under checksums; all of them at 1) the
-        /// cursors degrade: the look-ahead may keep more, never less.
+        /// partials. For a leaf-level child node the child question — masks
+        /// and look-ahead — equals the assembled intersection (Fig 3.c); at
+        /// any level it never drops a child the intersection keeps. With the
+        /// signature pages corrupted (every `corrupt_every`-th under
+        /// checksums; all of them at 1) the cursors degrade: the child
+        /// question may keep more, never less.
         #[test]
         fn look_ahead_is_one_level_of_the_fixup(
             m_max in 3usize..=4,
@@ -1289,7 +1332,7 @@ mod tests {
         ) {
             let (store, exact) = random_cells(m_max, &cells, page_size, corrupt_every);
             let mut lazy = lazy_probe(&store, cells.len());
-            for (child, ahead) in look_ahead_verdicts(&mut lazy, m_max) {
+            for (child, ahead) in child_node_verdicts(&mut lazy, m_max) {
                 let holds = exact.contains(&child);
                 prop_assert!(ahead || !holds, "dropped {} holding a qualifying tuple", child);
                 if child.depth() == 2 && corrupt_every == 0 {
@@ -1302,12 +1345,13 @@ mod tests {
         }
 
         /// The same on a height-4 tree, where one level of the fix-up and
-        /// all of it differ: on a clean store the subtree check equals the
-        /// assembled intersection at every node below the root (which is
-        /// always read); on a corrupted one it never drops a node the
-        /// intersection keeps. Asked top-down, and again from a fresh probe
-        /// bottom-up, so that verdicts memoised by a parent's check and by
-        /// a child's both answer later questions.
+        /// all of it differ: on a clean store the pop-time question of a
+        /// node — the walk and the subtree check — equals the assembled
+        /// intersection at every node below the root (which is always
+        /// read); on a corrupted one it never drops a node the intersection
+        /// keeps. Asked top-down, and again from a fresh probe bottom-up, so
+        /// that verdicts memoised by a parent's check and by a child's both
+        /// answer later questions.
         #[test]
         fn subtree_check_is_the_whole_fixup(
             m_max in 3usize..=4,
@@ -1320,7 +1364,7 @@ mod tests {
             for _ in 0..2 {
                 let mut lazy = lazy_probe(&store, cells.len());
                 for node in &nodes[1..] {
-                    let kept = lazy.subtree_nonempty(node);
+                    let kept = lazy.keep_node(node);
                     let holds = exact.contains(node);
                     prop_assert!(kept || !holds, "dropped {} holding a qualifying tuple", node);
                     if corrupt_every == 0 {

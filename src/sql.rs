@@ -378,41 +378,20 @@ pub fn parse_command(sql: &str) -> Result<SqlCommand, SqlError> {
             err(format!("unknown session knob {knob:?} (try DEADLINE_MS or MAX_BLOCKS)"))
         };
     }
-    if p.keyword("cancel") {
+    // The one-word directives: the keyword, then nothing.
+    const DIRECTIVES: [(&str, SqlCommand); 6] = [
+        ("cancel", SqlCommand::Cancel),
+        ("reset", SqlCommand::Reset),
+        ("checkpoint", SqlCommand::Checkpoint),
+        ("scrub", SqlCommand::Scrub),
+        ("repair", SqlCommand::Repair),
+        ("stats", SqlCommand::Stats),
+    ];
+    if let Some((_, command)) = DIRECTIVES.into_iter().find(|(kw, _)| p.keyword(kw)) {
         if p.peek().is_some() {
             return err(format!("trailing input at {:?}", p.peek()));
         }
-        return Ok(SqlCommand::Cancel);
-    }
-    if p.keyword("reset") {
-        if p.peek().is_some() {
-            return err(format!("trailing input at {:?}", p.peek()));
-        }
-        return Ok(SqlCommand::Reset);
-    }
-    if p.keyword("checkpoint") {
-        if p.peek().is_some() {
-            return err(format!("trailing input at {:?}", p.peek()));
-        }
-        return Ok(SqlCommand::Checkpoint);
-    }
-    if p.keyword("scrub") {
-        if p.peek().is_some() {
-            return err(format!("trailing input at {:?}", p.peek()));
-        }
-        return Ok(SqlCommand::Scrub);
-    }
-    if p.keyword("repair") {
-        if p.peek().is_some() {
-            return err(format!("trailing input at {:?}", p.peek()));
-        }
-        return Ok(SqlCommand::Repair);
-    }
-    if p.keyword("stats") {
-        if p.peek().is_some() {
-            return err(format!("trailing input at {:?}", p.peek()));
-        }
-        return Ok(SqlCommand::Stats);
+        return Ok(command);
     }
     let explain = p.keyword("explain");
     let query = parse_query(&mut p)?;
@@ -485,10 +464,11 @@ fn parse_query(p: &mut Parser) -> Result<SqlQuery, SqlError> {
             None => SqlQuery::Skyline { predicates, pref_dims },
         }
     } else if p.keyword("top") {
-        let k = p.number()? as usize;
-        if k == 0 {
-            return err("TOP k must be positive");
+        let k = p.number()?;
+        if k < 1.0 || k.fract() != 0.0 {
+            return err(format!("TOP k takes a positive integer, found {k}"));
         }
+        let k = k as usize;
         p.expect_keyword("from")?;
         let _table = p.ident()?;
         let predicates = p.predicates()?;
@@ -1067,6 +1047,7 @@ mod tests {
             "select skyline",
             "select top from r order by x",
             "select top 0 from r order by x",
+            "select top 2.5 from r order by x",
             "select top 5 from r order by (x - 1)^3",
             "select top 5 from r",
             "select skyline from r where a =",
@@ -1089,12 +1070,13 @@ mod tests {
         assert_eq!(parse_command("set max_blocks 1000").unwrap(), SqlCommand::SetMaxBlocks(1000));
         assert_eq!(parse_command("CANCEL").unwrap(), SqlCommand::Cancel);
         assert_eq!(parse_command("reset").unwrap(), SqlCommand::Reset);
+        assert_eq!(parse_command("CHECKPOINT").unwrap(), SqlCommand::Checkpoint);
         assert!(matches!(
             parse_command("select skyline from r").unwrap(),
             SqlCommand::Statement(_)
         ));
         for bad in ["set", "set deadline_ms", "set deadline_ms -1", "set deadline_ms 1.5",
-            "set warp_factor 9", "cancel now", "reset please"]
+            "set warp_factor 9", "cancel now", "reset please", "checkpoint now"]
         {
             assert!(parse_command(bad).is_err(), "should reject {bad:?}");
         }

@@ -188,20 +188,23 @@ fn corrupt_signature_pages_degrade_but_answers_stay_exact() {
 }
 
 /// Probe equivalence on a built tree. The kernel asks the boolean probe two
-/// ways: the full root-to-path walk for an entry it popped, and per-node
-/// child masks for the children of the node it is expanding. Walking the
-/// real R-tree the way the kernel does — a node is expanded only if it was
-/// kept — the masks must answer every occupied slot of every expanded node
-/// exactly as the walk answers the child's path, load the same partial
-/// signatures at the same node, and turn lossy at the same node; and
-/// neither may ever drop a qualifying tuple. Checked on the clean store and
-/// on one whose signature pages are damaged (every second page corrupt under
-/// checksums, so cursors degrade part-way through the search).
+/// questions: `keep` of an entry it popped, which starts with the full
+/// root-to-path walk, and `keep_child` of each child of the node it is
+/// expanding. Walking the real R-tree the way the kernel does — a node is
+/// expanded only if both questions kept it — the child question must answer
+/// every tuple child exactly as the walk answers the child's path, load the
+/// same partial signatures and turn lossy at the same child; it must never
+/// keep a child node the walk drops; and no qualifying tuple may be
+/// dropped. The walking twin is asked the same pop-time and child-node
+/// questions, so only the tuple children tell the two apart. Checked on the
+/// clean store and on one whose signature pages are damaged (every second
+/// page corrupt under checksums, so cursors degrade part-way through the
+/// search).
 #[test]
 fn child_masks_equal_the_full_walk_clean_and_degraded() {
-    use pcube::core::query::BooleanPruner;
+    use pcube::core::query::{BooleanPruner, Candidate};
     use pcube::core::BooleanProbe;
-    use pcube::rtree::{DecodedEntry, Path};
+    use pcube::rtree::{DecodedEntry, Mbr, Path};
     use std::collections::HashSet;
 
     fn walk_tree(db: &PCubeDb, sel: &Selection, label: &str) -> bool {
@@ -210,31 +213,38 @@ fn child_masks_equal_the_full_walk_clean_and_degraded() {
         let mut kept_tids: HashSet<u64> = HashSet::new();
         let mut frontier = vec![(db.rtree().root_pid(), Path::root())];
         while let Some((pid, path)) = frontier.pop() {
+            let node = Candidate::Node { pid, path: path.clone(), mbr: Mbr::empty(db.rtree().dims()) };
+            let kept = by_mask.keep(db, sel, &node);
+            assert_eq!(kept, by_walk.keep(db, sel, &node), "{label}: {sel:?} at {path}");
+            if !kept {
+                continue;
+            }
             assert!(by_walk.contains(&path), "{label}: expanded an unkept node {path}");
-            let mut fetched = 0;
             for (slot, entry) in db.rtree().read_node(pid).entries {
                 let child_path = path.child(slot as u16 + 1);
                 let walked = by_walk.contains(&child_path);
-                let masked = (0..by_mask.mask_count()).all(|i| {
-                    if i == fetched {
-                        by_mask.fetch_child_mask(i, &path);
-                        fetched += 1;
+                match entry {
+                    DecodedEntry::Tuple { tid, .. } => {
+                        let asked = by_mask.keep_child(slot, false);
+                        assert_eq!(asked, walked, "{label}: {sel:?} child {child_path}");
+                        if asked {
+                            kept_tids.insert(tid);
+                        }
                     }
-                    by_mask.child_bit(i, slot)
-                });
-                assert_eq!(masked, walked, "{label}: {sel:?} child {child_path}");
+                    DecodedEntry::Child { child, .. } => {
+                        let asked = by_mask.keep_child(slot, true);
+                        assert_eq!(asked, by_walk.keep_child(slot, true), "{label}: {child_path}");
+                        assert!(walked || !asked, "{label}: {sel:?} kept {child_path} past the walk");
+                        if asked {
+                            frontier.push((child, child_path.clone()));
+                        }
+                    }
+                }
                 assert_eq!(
                     (by_mask.partials_loaded(), by_mask.is_lossy()),
                     (by_walk.partials_loaded(), by_walk.is_lossy()),
                     "{label}: {sel:?} load/degrade moment differs at {child_path}"
                 );
-                match entry {
-                    DecodedEntry::Tuple { tid, .. } if masked => {
-                        kept_tids.insert(tid);
-                    }
-                    DecodedEntry::Child { child, .. } if masked => frontier.push((child, child_path)),
-                    _ => {}
-                }
             }
         }
         for tid in 0..db.relation().len() as u64 {
@@ -269,57 +279,54 @@ fn child_masks_equal_the_full_walk_clean_and_degraded() {
     assert!(damaged.stats().get(Counter::DegradedReads) > 0);
 }
 
-/// The pop-time subtree check (`BooleanPruner::subtree_nonempty`), walked the
-/// way the kernel walks — masks and look-ahead while a node is expanded, the
-/// full-path probe and the subtree check before a kept child's page is read —
-/// never drops a node holding a qualifying tuple, on the clean store and on
-/// one with every second signature page corrupt. On the clean store it is
-/// exact: every node it lets through holds a qualifying tuple.
+/// The pop-time question of a node (`BooleanPruner::keep`: the walk and the
+/// subtree check), asked the way the kernel asks it — the child question
+/// while a node is expanded, the pop-time question before a kept child's
+/// page is read — never drops a node holding a qualifying tuple, on the
+/// clean store and on one with every second signature page corrupt. On the
+/// clean store it is exact: every node it lets through holds a qualifying
+/// tuple.
 #[test]
 fn subtree_check_never_drops_a_qualifying_tuple_clean_and_degraded() {
-    use pcube::core::query::BooleanPruner;
+    use pcube::core::query::{BooleanPruner, Candidate};
     use pcube::core::BooleanProbe;
-    use pcube::rtree::{DecodedEntry, Path};
-    use pcube::storage::PageId;
+    use pcube::rtree::{DecodedEntry, Mbr, Path};
     use std::collections::HashSet;
 
-    /// Expands the node `pid` at `path` and every kept node under it;
-    /// returns the number of qualifying tuples reached, each added to
-    /// `reached`. `exact` asserts that every node the check keeps holds one.
+    /// Expands `node`, which the probe just kept, and every kept node under
+    /// it; returns the number of qualifying tuples reached, each added to
+    /// `reached`. `exact` asserts that every node the probe keeps holds one.
     fn expand(
         db: &PCubeDb,
         sel: &Selection,
         probe: &mut BooleanProbe<'_>,
-        (pid, path): (PageId, Path),
+        node: &Candidate,
         exact: bool,
         reached: &mut HashSet<u64>,
     ) -> usize {
-        let mut fetched = 0;
+        let Candidate::Node { pid, path, .. } = node else { panic!("a tuple is not expanded") };
         let mut found = 0;
         let mut kept_nodes = Vec::new();
-        for (slot, entry) in db.rtree().read_node(pid).entries {
-            let masked = (0..probe.mask_count()).all(|i| {
-                if i == fetched {
-                    probe.fetch_child_mask(i, &path);
-                    fetched += 1;
-                }
-                probe.child_bit(i, slot)
-            });
+        for (slot, entry) in db.rtree().read_node(*pid).entries {
             match entry {
-                DecodedEntry::Tuple { tid, .. } if masked && db.relation().matches(tid, sel) => {
-                    reached.insert(tid);
-                    found += 1;
+                DecodedEntry::Tuple { tid, .. } => {
+                    if probe.keep_child(slot, false) && db.relation().matches(tid, sel) {
+                        reached.insert(tid);
+                        found += 1;
+                    }
                 }
-                DecodedEntry::Child { child, .. } if masked && probe.look_ahead(&path, slot) => {
-                    kept_nodes.push((child, path.child(slot as u16 + 1)));
+                DecodedEntry::Child { child, mbr } => {
+                    if probe.keep_child(slot, true) {
+                        let path = path.child(slot as u16 + 1);
+                        kept_nodes.push(Candidate::Node { pid: child, path, mbr });
+                    }
                 }
-                _ => {}
             }
         }
-        for (child, child_path) in kept_nodes {
-            if probe.contains(&child_path) && probe.subtree_nonempty(&child_path) {
-                let below = expand(db, sel, probe, (child, child_path.clone()), exact, reached);
-                assert!(!exact || below > 0, "{sel:?}: read {child_path}, which holds no match");
+        for child in kept_nodes {
+            if probe.keep(db, sel, &child) {
+                let below = expand(db, sel, probe, &child, exact, reached);
+                assert!(!exact || below > 0, "{sel:?}: read {}, which holds no match", child.path());
                 found += below;
             }
         }
@@ -345,8 +352,10 @@ fn subtree_check_never_drops_a_qualifying_tuple_clean_and_degraded() {
             for (db, label) in [(&clean, "clean"), (&damaged, "damaged")] {
                 let mut probe = db.pcube().probe(&sel, false);
                 let mut reached = HashSet::new();
-                let root = (db.rtree().root_pid(), Path::root());
-                expand(db, &sel, &mut probe, root, label == "clean", &mut reached);
+                let (pid, mbr) = (db.rtree().root_pid(), Mbr::empty(db.rtree().dims()));
+                let root = Candidate::Node { pid, path: Path::root(), mbr };
+                assert!(probe.keep(db, &sel, &root), "the root is always read");
+                expand(db, &sel, &mut probe, &root, label == "clean", &mut reached);
                 assert_eq!(reached, qualifying, "{label}: {sel:?} lost a qualifying tuple");
                 assert!(label == "damaged" || !probe.is_lossy(), "a clean store never degrades");
                 degraded += usize::from(probe.is_lossy());
