@@ -20,11 +20,13 @@
 //! [`roll_up`](crate::PCubeDb::roll_up) (§V-C). A class opts into that
 //! through [`QueryClass::restart_entries`].
 //!
-//! The first-party classes live here too: [`TopKClass`], [`SkylineClass`],
-//! [`DynamicSkylineClass`], [`HullClass`], and the two classes that landed
-//! with the seam — [`PSkylineClass`] (prioritized skylines per Mindolin &
-//! Chomicki's winnow semantics, priorities expressed as a [`PriorityGraph`])
-//! and [`SubspaceSkylineClass`] (skylines restricted to a dimension subset,
+//! Two first-party classes live here too, [`TopKClass`] and [`HullClass`].
+//! The skyline family is the third: one class body in
+//! [`skyline`](crate::query::skyline) over four dominance spaces —
+//! [`SkylineClass`], [`DynamicSkylineClass`], [`PSkylineClass`]
+//! (prioritized skylines per Mindolin & Chomicki's winnow semantics,
+//! priorities expressed as a [`PriorityGraph`]) and
+//! [`SubspaceSkylineClass`] (skylines restricted to a dimension subset,
 //! distinct-value semantics for projected duplicates).
 //!
 //! # Partial answers
@@ -36,8 +38,6 @@
 //! the parallel ones because parallel workers stop at different points of
 //! their subtree searches.
 
-use std::collections::HashSet;
-use std::fmt;
 use std::time::Instant;
 
 use pcube_cube::{normalize, Predicate, Selection};
@@ -52,11 +52,15 @@ use crate::query::driver::{
 };
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
-    dynamic_point, HullLogic, IndexMergePruner, PSkylineLogic, PreferenceLogic, SavedLists,
-    SharedBound, SharedWindow, SkylineLogic, TopKLogic, VerifyAllPruner,
+    HullLogic, IndexMergePruner, PreferenceLogic, SavedLists, SharedBound, TopKLogic,
+    VerifyAllPruner,
 };
-use crate::query::window::{project, Window};
-use crate::query::{dominates, HeapEntry, QueryStats, ResultEntry};
+use crate::query::{HeapEntry, QueryStats, ResultEntry};
+#[cfg(doc)]
+use crate::query::{
+    DynamicSkylineClass, PSkylineClass, PriorityGraph, SharedWindow, SkylineClass,
+    SubspaceSkylineClass,
+};
 use crate::rank::RankingFunction;
 
 // ---------------------------------------------------------------------------
@@ -349,65 +353,6 @@ fn restart<'c, C: QueryClass>(
 }
 
 // ---------------------------------------------------------------------------
-// Shared merge machinery for the skyline family
-// ---------------------------------------------------------------------------
-
-/// A tentatively accepted point in the skyline family's merge
-/// representation: `(heap score, tid, domination-space coordinates,
-/// original coordinates)`.
-pub type SkyPoint = (f64, u64, Vec<f64>, Vec<f64>);
-
-/// Cross-filters accepted points down to the maximal set under `dom`
-/// (`dom(a, b)` = "a dominates b" in the class's dominance relation), then
-/// canonicalizes to ascending `(score, tid)` order and keeps `(tid,
-/// original coordinates)`. Traversal-order independent, which is the whole
-/// serial == parallel argument for the skyline family. All pairs, on
-/// purpose: it is the reference every class's `oracle` answers with, and the
-/// merge of the one class whose score says nothing about its dominance.
-pub(crate) fn winnow_points(
-    points: &[SkyPoint],
-    dom: impl Fn(&[f64], &[f64]) -> bool,
-) -> Vec<(u64, Vec<f64>)> {
-    let mut kept: Vec<&SkyPoint> = points
-        .iter()
-        .filter(|p| !points.iter().any(|o| o.1 != p.1 && dom(&o.2, &p.2)))
-        .collect();
-    kept.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    kept.into_iter().map(|p| (p.1, p.3.clone())).collect()
-}
-
-/// [`winnow_points`] under Pareto dominance on `dims` for points scored by
-/// the sum of those coordinates, sort-first: floating-point addition is
-/// monotone, so a dominator never scores higher than what it dominates, and
-/// in ascending `(score, tid)` order a point only has to be tested against
-/// the [`Window`] of those kept before it. A dominator's sum can *round to
-/// the same* score, though, so a run of equal scores is also cross-checked
-/// against itself, both ways.
-pub(crate) fn winnow_sorted(mut points: Vec<SkyPoint>, dims: &[usize]) -> Vec<(u64, Vec<f64>)> {
-    points.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut window = Window::new(dims.len());
-    let mut projected = Vec::with_capacity(dims.len());
-    let mut kept = Vec::new();
-    let mut run = 0..0;
-    for at in 0..points.len() {
-        if at == run.end {
-            let tied = points[at..].iter().take_while(|p| p.0 == points[at].0).count();
-            run = at..at + tied;
-        }
-        let dom = &points[at].2;
-        project(dom, dims, &mut projected);
-        if window.dominated(&projected)
-            || points[run.clone()].iter().any(|o| dominates(&o.2, dom, dims))
-        {
-            continue;
-        }
-        window.push(&projected);
-        kept.push((points[at].1, std::mem::take(&mut points[at].3)));
-    }
-    kept
-}
-
-// ---------------------------------------------------------------------------
 // Top-k
 // ---------------------------------------------------------------------------
 
@@ -453,10 +398,7 @@ impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
     }
 
     fn logic<'a>(&'a self, shared: Option<&'a SharedBound>) -> TopKLogic<'a> {
-        match shared {
-            Some(b) => TopKLogic::shared(self.k, &self.f, b),
-            None => TopKLogic::serial(self.k, &self.f),
-        }
+        TopKLogic::new(self.k, &self.f, shared)
     }
 
     fn finish(&self, logic: TopKLogic<'_>) -> Self::Local {
@@ -486,172 +428,6 @@ impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
 
     fn restart_entries(&self, logic: &TopKLogic<'_>) -> Option<Vec<HeapEntry>> {
         Some(logic.accepted().iter().map(ResultEntry::requeue).collect())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Static skyline
-// ---------------------------------------------------------------------------
-
-/// The static skyline class: Pareto-maximal tuples over a set of
-/// preference dimensions (§V-A), BBS-style.
-///
-/// Partial answers: BBS accepts only never-dominated points, so a serial
-/// partial is a sound subset of the full skyline. A parallel partial is
-/// mutually undominated among the *visited* points only — an unvisited
-/// subtree may hold a dominator. The same holds for the dynamic and
-/// subspace variants.
-pub struct SkylineClass {
-    pref_dims: Vec<usize>,
-}
-
-impl SkylineClass {
-    /// Skyline over `pref_dims` (smaller is better on every dimension).
-    ///
-    /// # Panics
-    /// Panics if `pref_dims` is empty.
-    pub fn new(pref_dims: Vec<usize>) -> Self {
-        assert!(!pref_dims.is_empty(), "skyline needs at least one preference dimension");
-        SkylineClass { pref_dims }
-    }
-}
-
-impl QueryClass for SkylineClass {
-    type Row = (u64, Vec<f64>);
-    type Local = Vec<SkyPoint>;
-    type Shared = SharedWindow;
-    type Logic<'a>
-        = SkylineLogic<'a>
-    where
-        Self: 'a;
-
-    fn name(&self) -> &'static str {
-        "skyline"
-    }
-
-    fn max_pref_dim(&self) -> Option<usize> {
-        self.pref_dims.iter().copied().max()
-    }
-
-    fn new_shared(&self) -> SharedWindow {
-        SharedWindow::new()
-    }
-
-    fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        SkylineLogic::new(&self.pref_dims, None, shared)
-    }
-
-    fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {
-        logic.into_points()
-    }
-
-    fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        winnow_sorted(locals.into_iter().flatten().collect(), &self.pref_dims)
-    }
-
-    fn expected_results(&self, qualifying: f64) -> f64 {
-        Planner::skyline_size(qualifying, self.pref_dims.len())
-    }
-
-    fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = rows
-            .iter()
-            .map(|(tid, c)| {
-                let score: f64 = self.pref_dims.iter().map(|&d| c[d]).sum();
-                (score, *tid, c.clone(), c.clone())
-            })
-            .collect();
-        winnow_points(&points, |a, b| dominates(a, b, &self.pref_dims))
-    }
-
-    fn restart_entries(&self, logic: &SkylineLogic<'_>) -> Option<Vec<HeapEntry>> {
-        Some(logic.accepted().iter().map(ResultEntry::requeue).collect())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic skyline
-// ---------------------------------------------------------------------------
-
-/// The dynamic skyline class (§VII): skyline in the transformed space
-/// `x ↦ |x − q|` around a query point `q` — tuple `p` dynamically dominates
-/// `p'` iff `|p_d − q_d| ≤ |p'_d − q_d|` on every chosen dimension and
-/// strictly on one. Computed without materializing the transform: the
-/// transform of a box has an attainable per-dimension lower corner (the
-/// distance from `q_d` to the nearest face, reached independently per
-/// dimension), so both the BBS ordering key and the dominance prune carry
-/// over. `q` is indexed by the full coordinate space, like the tuples.
-pub struct DynamicSkylineClass {
-    pref_dims: Vec<usize>,
-    query_point: Vec<f64>,
-}
-
-impl DynamicSkylineClass {
-    /// Dynamic skyline around `query_point` over `pref_dims`.
-    ///
-    /// # Panics
-    /// Panics if `pref_dims` is empty or indexes past `query_point`.
-    pub fn new(query_point: &[f64], pref_dims: Vec<usize>) -> Self {
-        assert!(
-            !pref_dims.is_empty(),
-            "dynamic skyline needs at least one preference dimension"
-        );
-        assert!(
-            pref_dims.iter().all(|&d| d < query_point.len()),
-            "preference dimension out of range of the query point"
-        );
-        DynamicSkylineClass { pref_dims, query_point: query_point.to_vec() }
-    }
-}
-
-impl QueryClass for DynamicSkylineClass {
-    type Row = (u64, Vec<f64>);
-    type Local = Vec<SkyPoint>;
-    type Shared = SharedWindow;
-    type Logic<'a>
-        = SkylineLogic<'a>
-    where
-        Self: 'a;
-
-    fn name(&self) -> &'static str {
-        "dynamic-skyline"
-    }
-
-    fn max_pref_dim(&self) -> Option<usize> {
-        self.pref_dims.iter().copied().max()
-    }
-
-    fn new_shared(&self) -> SharedWindow {
-        SharedWindow::new()
-    }
-
-    fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        SkylineLogic::new(&self.pref_dims, Some(&self.query_point), shared)
-    }
-
-    fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {
-        logic.into_points()
-    }
-
-    fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        winnow_sorted(locals.into_iter().flatten().collect(), &self.pref_dims)
-    }
-
-    fn expected_results(&self, qualifying: f64) -> f64 {
-        Planner::skyline_size(qualifying, self.pref_dims.len())
-    }
-
-    fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = rows
-            .iter()
-            .map(|(tid, c)| {
-                let mut dom = Vec::with_capacity(c.len());
-                dynamic_point(&self.query_point, c, &mut dom);
-                let score: f64 = self.pref_dims.iter().map(|&d| dom[d]).sum();
-                (score, *tid, dom, c.clone())
-            })
-            .collect();
-        winnow_points(&points, |a, b| dominates(a, b, &self.pref_dims))
     }
 }
 
@@ -739,334 +515,14 @@ impl QueryClass for HullClass {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Prioritized skyline (p-skyline)
-// ---------------------------------------------------------------------------
-
-/// A strict partial order of dimension priorities for p-skyline queries
-/// (Mindolin & Chomicki): edges `a OVER b` mean an advantage on `a` excuses
-/// any disadvantage on `b`. Stored as the transitive closure over bitmasks;
-/// construction rejects cycles, so the relation is a DAG.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PriorityGraph {
-    dims: Vec<usize>,
-    /// `over[i]` bit `j` set ⇔ `dims[i]` has priority over `dims[j]`
-    /// (transitively closed).
-    over: Vec<u64>,
-    /// `covered_by[i]` bit `j` set ⇔ `dims[j]` has priority over `dims[i]`.
-    covered_by: Vec<u64>,
-}
-
-/// Why a [`PriorityGraph`] could not be built.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PriorityGraphError {
-    /// The dimension list was empty.
-    Empty,
-    /// More than 64 preference dimensions (the bitmask width).
-    TooManyDims(usize),
-    /// A dimension appeared twice in the dimension list.
-    DuplicateDim(usize),
-    /// A priority edge referenced a dimension outside the list.
-    UnknownDim(usize),
-    /// The priority edges form a cycle, so they are not a strict partial
-    /// order.
-    Cycle,
-}
-
-impl fmt::Display for PriorityGraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PriorityGraphError::Empty => write!(f, "priority graph needs at least one dimension"),
-            PriorityGraphError::TooManyDims(n) => {
-                write!(f, "priority graph supports at most 64 dimensions, got {n}")
-            }
-            PriorityGraphError::DuplicateDim(d) => {
-                write!(f, "dimension {d} listed more than once")
-            }
-            PriorityGraphError::UnknownDim(d) => {
-                write!(f, "priority edge references dimension {d}, which is not in the dimension list")
-            }
-            PriorityGraphError::Cycle => write!(f, "priority edges form a cycle"),
-        }
-    }
-}
-
-impl std::error::Error for PriorityGraphError {}
-
-impl PriorityGraph {
-    /// Builds the priority relation over `dims` from `edges` of the form
-    /// `(dominant dim, dominated dim)`, taking the transitive closure and
-    /// rejecting cycles. An empty edge list yields plain Pareto dominance.
-    pub fn new(dims: Vec<usize>, edges: &[(usize, usize)]) -> Result<Self, PriorityGraphError> {
-        if dims.is_empty() {
-            return Err(PriorityGraphError::Empty);
-        }
-        if dims.len() > 64 {
-            return Err(PriorityGraphError::TooManyDims(dims.len()));
-        }
-        let mut seen = HashSet::new();
-        for &d in &dims {
-            if !seen.insert(d) {
-                return Err(PriorityGraphError::DuplicateDim(d));
-            }
-        }
-        let pos = |d: usize| dims.iter().position(|&x| x == d);
-        let n = dims.len();
-        let mut over = vec![0u64; n];
-        for &(a, b) in edges {
-            let ia = pos(a).ok_or(PriorityGraphError::UnknownDim(a))?;
-            let ib = pos(b).ok_or(PriorityGraphError::UnknownDim(b))?;
-            over[ia] |= 1 << ib;
-        }
-        // Bitset Floyd–Warshall: after considering intermediate `k`,
-        // `over[i]` holds every position reachable through nodes ≤ k.
-        for k in 0..n {
-            for i in 0..n {
-                if over[i] & (1 << k) != 0 {
-                    over[i] |= over[k];
-                }
-            }
-        }
-        if (0..n).any(|i| over[i] & (1 << i) != 0) {
-            return Err(PriorityGraphError::Cycle);
-        }
-        let covered_by = (0..n)
-            .map(|i| {
-                (0..n).fold(0u64, |m, j| if over[j] & (1 << i) != 0 { m | (1 << j) } else { m })
-            })
-            .collect();
-        Ok(PriorityGraph { dims, over, covered_by })
-    }
-
-    /// The preference dimensions, in declaration order.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// `true` if the relation has no priority edges (plain Pareto).
-    pub fn is_pareto(&self) -> bool {
-        self.over.iter().all(|&m| m == 0)
-    }
-
-    /// Number of *source* dimensions (not dominated by any other) — the
-    /// relation's effective width, used for answer-size estimation.
-    pub fn source_dims(&self) -> usize {
-        self.covered_by.iter().filter(|&&m| m == 0).count()
-    }
-
-    /// The p-skyline dominance `a ≻_Γ b`: `a` is strictly better somewhere,
-    /// and every dimension where `a` is worse is excused by some dimension
-    /// where `a` is better that has priority over it. With no edges this
-    /// is exactly Pareto dominance.
-    pub fn dominates(&self, a: &[f64], b: &[f64]) -> bool {
-        self.relates(self.dims.iter().map(|&d| (a[d], b[d])))
-    }
-
-    /// [`Self::dominates`] for two points already projected onto
-    /// [`Self::dims`], in that order.
-    pub(crate) fn dominates_projected(&self, a: &[f64], b: &[f64]) -> bool {
-        self.relates(a.iter().copied().zip(b.iter().copied()))
-    }
-
-    /// `≻_Γ` over the `(a, b)` coordinate pairs of [`Self::dims`], in order.
-    fn relates(&self, pairs: impl Iterator<Item = (f64, f64)>) -> bool {
-        let mut better = 0u64;
-        let mut worse = 0u64;
-        for (i, (a, b)) in pairs.enumerate() {
-            if a < b {
-                better |= 1 << i;
-            } else if a > b {
-                worse |= 1 << i;
-            }
-        }
-        if better == 0 {
-            return false;
-        }
-        let mut w = worse;
-        while w != 0 {
-            let i = w.trailing_zeros() as usize;
-            if better & self.covered_by[i] == 0 {
-                return false;
-            }
-            w &= w - 1;
-        }
-        true
-    }
-}
-
-/// The prioritized skyline class: winnow under the p-skyline relation of a
-/// [`PriorityGraph`]. The kernel's heap score is not order-compatible with
-/// `≻_Γ`, so workers accept a superset and the merge winnows it exact —
-/// sound because `≻_Γ` is transitive and pruning only ever removes
-/// dominated candidates.
-///
-/// Partial answers: qualifying and mutually `≻_Γ`-incomparable, but — the
-/// accepts being tentative — not necessarily members of the full answer.
-pub struct PSkylineClass {
-    graph: PriorityGraph,
-}
-
-impl PSkylineClass {
-    /// Prioritized skyline under `graph`.
-    pub fn new(graph: PriorityGraph) -> Self {
-        PSkylineClass { graph }
-    }
-
-    /// The priority relation this class winnows under.
-    pub fn graph(&self) -> &PriorityGraph {
-        &self.graph
-    }
-}
-
-impl QueryClass for PSkylineClass {
-    type Row = (u64, Vec<f64>);
-    type Local = Vec<SkyPoint>;
-    type Shared = SharedWindow;
-    type Logic<'a>
-        = PSkylineLogic<'a>
-    where
-        Self: 'a;
-
-    fn name(&self) -> &'static str {
-        "p-skyline"
-    }
-
-    fn max_pref_dim(&self) -> Option<usize> {
-        self.graph.dims().iter().copied().max()
-    }
-
-    fn new_shared(&self) -> SharedWindow {
-        SharedWindow::new()
-    }
-
-    fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> PSkylineLogic<'a> {
-        PSkylineLogic::new(&self.graph, shared)
-    }
-
-    fn finish(&self, logic: PSkylineLogic<'_>) -> Self::Local {
-        logic.into_points()
-    }
-
-    fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = locals.into_iter().flatten().collect();
-        winnow_points(&points, |a, b| self.graph.dominates(a, b))
-    }
-
-    fn expected_results(&self, qualifying: f64) -> f64 {
-        Planner::skyline_size(qualifying, self.graph.source_dims())
-    }
-
-    fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = rows
-            .iter()
-            .map(|(tid, c)| {
-                let score: f64 = self.graph.dims().iter().map(|&d| c[d]).sum();
-                (score, *tid, c.clone(), c.clone())
-            })
-            .collect();
-        winnow_points(&points, |a, b| self.graph.dominates(a, b))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Subspace skyline
-// ---------------------------------------------------------------------------
-
-/// The subspace skyline class: the skyline of the data projected onto a
-/// dimension subset `U`, with *distinct-value* semantics — tuples that
-/// collide on the projection collapse to one representative row (the
-/// smallest tid), since they are indistinguishable in the subspace.
-pub struct SubspaceSkylineClass {
-    dims: Vec<usize>,
-}
-
-impl SubspaceSkylineClass {
-    /// Skyline in the subspace spanned by `dims`.
-    ///
-    /// # Panics
-    /// Panics if `dims` is empty or contains duplicates.
-    pub fn new(dims: Vec<usize>) -> Self {
-        assert!(!dims.is_empty(), "subspace skyline needs at least one dimension");
-        let mut sorted = dims.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), dims.len(), "subspace dimensions must be distinct");
-        SubspaceSkylineClass { dims }
-    }
-
-    /// Projects, deduplicates (first occurrence in canonical order wins,
-    /// i.e. the smallest tid among equal projections) and keeps the
-    /// subspace coordinates.
-    fn project(&self, kept: Vec<(u64, Vec<f64>)>) -> Vec<(u64, Vec<f64>)> {
-        let mut seen: HashSet<Vec<u64>> = HashSet::new();
-        kept.into_iter()
-            .filter_map(|(tid, coords)| {
-                let proj: Vec<f64> = self.dims.iter().map(|&d| coords[d]).collect();
-                let key: Vec<u64> = proj.iter().map(|v| v.to_bits()).collect();
-                seen.insert(key).then_some((tid, proj))
-            })
-            .collect()
-    }
-}
-
-impl QueryClass for SubspaceSkylineClass {
-    type Row = (u64, Vec<f64>);
-    type Local = Vec<SkyPoint>;
-    type Shared = SharedWindow;
-    type Logic<'a>
-        = SkylineLogic<'a>
-    where
-        Self: 'a;
-
-    fn name(&self) -> &'static str {
-        "subspace-skyline"
-    }
-
-    fn max_pref_dim(&self) -> Option<usize> {
-        self.dims.iter().copied().max()
-    }
-
-    fn new_shared(&self) -> SharedWindow {
-        SharedWindow::new()
-    }
-
-    fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        SkylineLogic::new(&self.dims, None, shared)
-    }
-
-    fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {
-        logic.into_points()
-    }
-
-    fn merge(&self, locals: Vec<Self::Local>) -> Vec<Self::Row> {
-        // Equal projections never strictly dominate each other, so every
-        // duplicate survives the winnow; the projection step then collapses
-        // them deterministically.
-        self.project(winnow_sorted(locals.into_iter().flatten().collect(), &self.dims))
-    }
-
-    fn expected_results(&self, qualifying: f64) -> f64 {
-        Planner::skyline_size(qualifying, self.dims.len())
-    }
-
-    fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row> {
-        let points: Vec<SkyPoint> = rows
-            .iter()
-            .map(|(tid, c)| {
-                let score: f64 = self.dims.iter().map(|&d| c[d]).sum();
-                (score, *tid, c.clone(), c.clone())
-            })
-            .collect();
-        let kept = winnow_points(&points, |a, b| dominates(a, b, &self.dims));
-        self.project(kept)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pcube::PCubeConfig;
-    use crate::query::ParallelOptions;
+    use crate::query::{
+        DynamicSkylineClass, PSkylineClass, ParallelOptions, PriorityGraph, SkylineClass,
+        SubspaceSkylineClass,
+    };
     use crate::rank::MinCoordSum;
     use pcube_cube::{Relation, Schema};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1114,125 +570,5 @@ mod tests {
         assert_out_of_range_is_refused(&db, &HullClass::new((0, 9)));
         assert_out_of_range_is_refused(&db, &PSkylineClass::new(graph));
         assert_out_of_range_is_refused(&db, &SubspaceSkylineClass::new(vec![9, 0]));
-    }
-
-    #[test]
-    fn priority_graph_rejects_bad_inputs() {
-        assert_eq!(PriorityGraph::new(vec![], &[]), Err(PriorityGraphError::Empty));
-        assert_eq!(
-            PriorityGraph::new(vec![0, 0], &[]),
-            Err(PriorityGraphError::DuplicateDim(0))
-        );
-        assert_eq!(
-            PriorityGraph::new(vec![0, 1], &[(0, 2)]),
-            Err(PriorityGraphError::UnknownDim(2))
-        );
-        assert_eq!(
-            PriorityGraph::new(vec![0, 1], &[(0, 1), (1, 0)]),
-            Err(PriorityGraphError::Cycle)
-        );
-        assert_eq!(PriorityGraph::new(vec![0], &[(0, 0)]), Err(PriorityGraphError::Cycle));
-    }
-
-    #[test]
-    fn priority_graph_holds_64_dimensions_and_refuses_65_typed() {
-        // The relation lives in one `u64` mask per dimension.
-        let chain: Vec<(usize, usize)> = (1..64).map(|d| (d - 1, d)).collect();
-        let graph = PriorityGraph::new((0..64).collect(), &chain).expect("64 dimensions fit");
-        assert_eq!(graph.source_dims(), 1, "a chain has one source");
-        let (mut a, b) = (vec![1.0; 64], vec![1.0; 64]);
-        a[0] = 0.0;
-        a[63] = 9.0;
-        assert!(graph.dominates(&a, &b), "dimension 0 excuses dimension 63 through the closure");
-        assert_eq!(
-            PriorityGraph::new((0..65).collect(), &[]),
-            Err(PriorityGraphError::TooManyDims(65))
-        );
-    }
-
-    #[test]
-    fn empty_graph_is_pareto() {
-        let g = PriorityGraph::new(vec![0, 1, 2], &[]).expect("valid");
-        assert!(g.is_pareto());
-        assert_eq!(g.source_dims(), 3);
-        let a = [1.0, 5.0, 2.0];
-        let b = [2.0, 5.0, 3.0];
-        assert_eq!(g.dominates(&a, &b), dominates(&a, &b, &[0, 1, 2]));
-        assert_eq!(g.dominates(&b, &a), dominates(&b, &a, &[0, 1, 2]));
-        assert!(!g.dominates(&a, &a), "equal points never dominate");
-    }
-
-    #[test]
-    fn priority_excuses_dominated_dimensions() {
-        // 0 OVER 1: an advantage on 0 excuses any disadvantage on 1.
-        let g = PriorityGraph::new(vec![0, 1], &[(0, 1)]).expect("valid");
-        assert!(g.dominates(&[1.0, 9.0], &[2.0, 1.0]));
-        assert!(!g.dominates(&[2.0, 1.0], &[1.0, 9.0]), "worse on the prioritized dim");
-        // Equal on 0, better on 1: still dominates (Pareto case).
-        assert!(g.dominates(&[1.0, 0.5], &[1.0, 9.0]));
-        assert_eq!(g.source_dims(), 1);
-    }
-
-    #[test]
-    fn priority_closure_is_transitive() {
-        // 0 OVER 1, 1 OVER 2 ⇒ 0 OVER 2.
-        let g = PriorityGraph::new(vec![0, 1, 2], &[(0, 1), (1, 2)]).expect("valid");
-        assert!(g.dominates(&[1.0, 5.0, 9.0], &[2.0, 5.0, 1.0]), "advantage on 0 excuses 2");
-        // Cycle through the closure is rejected.
-        assert_eq!(
-            PriorityGraph::new(vec![0, 1, 2], &[(0, 1), (1, 2), (2, 0)]),
-            Err(PriorityGraphError::Cycle)
-        );
-    }
-
-    #[test]
-    fn winnow_is_partition_independent() {
-        let pts = [
-            (3.0, 1, vec![1.0, 2.0], vec![1.0, 2.0]),
-            (3.0, 2, vec![2.0, 1.0], vec![2.0, 1.0]),
-            (6.0, 3, vec![2.0, 4.0], vec![2.0, 4.0]),
-        ];
-        let dims = [0usize, 1];
-        let rows = winnow_points(&pts, |a, b| dominates(a, b, &dims));
-        assert_eq!(rows, vec![(1, vec![1.0, 2.0]), (2, vec![2.0, 1.0])]);
-    }
-
-    #[test]
-    fn sorted_winnow_agrees_with_all_pairs_when_a_dominator_rounds_to_the_same_score() {
-        // 1e16 + 1.0 rounds to 1e16: the dominator [1e16, 0] and the point
-        // [1e16, 1] it dominates sort by tid alone, so the dominator can come
-        // second. A second such pair shares the run, and a bystander follows.
-        let dims = [0usize, 1];
-        let point =
-            |tid: u64, c: [f64; 2]| -> SkyPoint { (c[0] + c[1], tid, c.to_vec(), c.to_vec()) };
-        for (strong, weak) in [(2, 9), (9, 2)] {
-            let points = vec![
-                point(weak, [1e16, 1.0]),
-                point(strong, [1e16, 0.0]),
-                point(4, [1e16, 1.0]),
-                point(5, [0.5, 3e16]),
-                point(7, [1e16 + 2.0, -2.0]),
-                point(6, [1e16 + 2.0, -3.0]),
-            ];
-            assert!(points[..2].iter().chain(&points[4..]).all(|p| p.0 == 1e16), "the premise");
-            let all_pairs = winnow_points(&points, |a, b| dominates(a, b, &dims));
-            let kept: Vec<u64> = all_pairs.iter().map(|r| r.0).collect();
-            assert_eq!(kept, vec![strong.min(6), strong.max(6), 5]);
-            assert_eq!(winnow_sorted(points, &dims), all_pairs);
-        }
-    }
-
-    #[test]
-    fn subspace_dedup_keeps_smallest_tid() {
-        let class = SubspaceSkylineClass::new(vec![0]);
-        let local: Vec<SkyPoint> = vec![
-            (1.0, 7, vec![1.0, 9.0], vec![1.0, 9.0]),
-            (1.0, 3, vec![1.0, 4.0], vec![1.0, 4.0]),
-            (2.0, 1, vec![2.0, 0.0], vec![2.0, 0.0]),
-        ];
-        let rows = class.merge(vec![local]);
-        // tid 3 and 7 collide on the projection; 3 wins. tid 1 is dominated
-        // in the subspace.
-        assert_eq!(rows, vec![(3, vec![1.0])]);
     }
 }

@@ -1,7 +1,7 @@
 //! The generic Algorithm 1 execution kernel (§V).
 //!
-//! Every preference engine in this crate — serial and parallel; top-k,
-//! skyline, dynamic skyline and convex hull — is the same loop: pop the
+//! Every preference engine in this crate — serial and parallel; top-k, the
+//! skyline family and convex hulls — is the same loop: pop the
 //! best candidate from the [`CandidateHeap`], apply *preference* pruning,
 //! apply *boolean* pruning, then either accept a tuple (once the pruner has
 //! verified it) or expand an R-tree node and classify its children the same
@@ -15,8 +15,9 @@
 //!   built ([`PCubeDb::run_with_probe`]), and
 //! * a [`PreferenceLogic`] — scoring, preference pruning, halting, and
 //!   result accumulation: top-k bound-and-cut ([`TopKLogic`]), the skyline
-//!   dominance window with an optional coordinate transform for dynamic
-//!   skylines ([`SkylineLogic`]), or convex-hull geometry ([`HullLogic`]).
+//!   family's dominance window in one of its four dominance spaces
+//!   ([`SkylineLogic`](crate::query::skyline::SkylineLogic)), or
+//!   convex-hull geometry ([`HullLogic`]).
 //!
 //! The kernel preserves the decision sequence of the original per-engine
 //! loops — pop order, prune order (preference before boolean, Algorithm 1
@@ -40,7 +41,6 @@
 //! for a child that is pushed on the heap or saved to a list, and the clock
 //! is read per expansion, never per child.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -51,11 +51,9 @@ use pcube_rtree::{Mbr, NodeView, Path};
 use crate::boolean_index::BooleanIndexSet;
 use crate::pcube::PCubeDb;
 use crate::query::budget::{Governor, StopReason};
-use crate::query::class::PriorityGraph;
 use crate::query::hull::RunningHull;
-use crate::query::window::{project, Window};
 use crate::query::{Candidate, CandidateHeap, HeapEntry, ResultEntry};
-use crate::rank::{MinCoordSum, RankingFunction};
+use crate::rank::RankingFunction;
 
 /// Boolean pruning as Algorithm 1 asks for it: two questions, and the `SSig`
 /// statistics. See [`BooleanProbe`] for how the signature probe answers
@@ -532,56 +530,6 @@ impl SharedWindow {
     }
 }
 
-/// Heap pops between shared-window refreshes. Purely a performance knob:
-/// staleness only costs extra traversal, never correctness (the merge
-/// cross-filters every local result against every other).
-pub(crate) const WINDOW_REFRESH_INTERVAL: u64 = 32;
-
-/// One search's view of the accepted points: its own, pushed as they are
-/// accepted, and — in a parallel worker — every other worker's, read from
-/// the [`SharedWindow`] every [`WINDOW_REFRESH_INTERVAL`] pops. All in one
-/// [`Window`], each point once.
-struct Accepted<'a> {
-    points: Window,
-    shared: Option<&'a SharedWindow>,
-    /// Shared slots this worker published into and has not read past yet:
-    /// its own points come back through the refresh and are skipped.
-    mine: VecDeque<usize>,
-    mark: usize,
-    pops: u64,
-}
-
-impl<'a> Accepted<'a> {
-    fn new(stride: usize, shared: Option<&'a SharedWindow>) -> Self {
-        Accepted { points: Window::new(stride), shared, mine: VecDeque::new(), mark: 0, pops: 0 }
-    }
-
-    /// Counts a pop; on every [`WINDOW_REFRESH_INTERVAL`]-th, reads what the
-    /// other workers have published since the last one.
-    fn on_pop(&mut self) {
-        self.pops += 1;
-        let Some(shared) = self.shared else { return };
-        if self.pops.is_multiple_of(WINDOW_REFRESH_INTERVAL) {
-            let (points, mine) = (&mut self.points, &mut self.mine);
-            self.mark = shared.refresh(self.mark, |slot, point| {
-                if mine.front() == Some(&slot) {
-                    mine.pop_front();
-                } else {
-                    points.push(point);
-                }
-            });
-        }
-    }
-
-    /// An accepted point (projected) joins the window and is published.
-    fn push(&mut self, point: &[f64]) {
-        self.points.push(point);
-        if let Some(shared) = self.shared {
-            self.mine.push_back(shared.push(point.to_vec()));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Top-k logic (§V-B): bound-and-cut
 // ---------------------------------------------------------------------------
@@ -598,14 +546,16 @@ pub struct TopKLogic<'a> {
 }
 
 impl<'a> TopKLogic<'a> {
-    /// The serial engine's logic: exhaustive until `k` results.
-    pub(crate) fn serial(k: usize, f: &'a dyn RankingFunction) -> Self {
-        TopKLogic { k, f, bound: None, result: Vec::new() }
-    }
-
-    /// A parallel worker's logic: prune and halt against the shared bound.
-    pub(crate) fn shared(k: usize, f: &'a dyn RankingFunction, bound: &'a SharedBound) -> Self {
-        TopKLogic { k, f, bound: Some(bound), result: Vec::with_capacity(k + 1) }
+    /// The serial engine's logic (exhaustive until `k` results) without a
+    /// `bound`, a parallel worker's (prune and halt against the shared
+    /// bound) with one. The result grows as tuples are accepted: `k` may be
+    /// far larger than the table.
+    pub(crate) fn new(
+        k: usize,
+        f: &'a dyn RankingFunction,
+        bound: Option<&'a SharedBound>,
+    ) -> Self {
+        TopKLogic { k, f, bound, result: Vec::new() }
     }
 
     pub(crate) fn into_result(self) -> Vec<ResultEntry> {
@@ -662,268 +612,6 @@ impl PreferenceLogic for TopKLogic<'_> {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Skyline logic (§V-A, §VII dynamic): dominance window
-// ---------------------------------------------------------------------------
-
-/// The dynamic-skyline transform of a point around `q`, `x ↦ |x − q|` at
-/// full dimensionality (so `dominates(_, _, pref_dims)` indexes it
-/// directly), written into `out`.
-pub(crate) fn dynamic_point(q: &[f64], coords: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.extend(
-        coords.iter().enumerate().map(|(d, &x)| (x - q.get(d).copied().unwrap_or(0.0)).abs()),
-    );
-}
-
-/// The attainable per-dimension lower corner of `mbr` under the dynamic
-/// transform around `q` (the distance from `q` to the nearest face, 0 where
-/// `q` lies inside), written into `out`.
-fn dynamic_corner(q: &[f64], mbr: &Mbr, out: &mut Vec<f64>) {
-    out.clear();
-    if mbr.min.first().is_some_and(|v| v.is_infinite()) {
-        // The seeded root: it must not index a short query point, and it
-        // is never dominated.
-        out.resize(mbr.dims(), 0.0);
-        return;
-    }
-    out.extend((0..mbr.dims()).map(|d| {
-        let qd = q[d];
-        if qd < mbr.min[d] {
-            mbr.min[d] - qd
-        } else if qd > mbr.max[d] {
-            qd - mbr.max[d]
-        } else {
-            0.0
-        }
-    }));
-}
-
-/// (Dynamic) skyline accumulation: BBS dominance pruning against the window
-/// of accepted points — in a parallel worker, every worker's.
-pub struct SkylineLogic<'a> {
-    f: MinCoordSum,
-    pref_dims: &'a [usize],
-    /// The query point of a dynamic skyline (domination space is then
-    /// `|x − q|`); `None` for a static one (domination space is the data
-    /// space).
-    query_point: Option<&'a [f64]>,
-    result: Vec<ResultEntry>,
-    window: Accepted<'a>,
-    /// Reused buffer for the transformed point of the child being scored.
-    scratch: Vec<f64>,
-    /// Reused buffer for the projected domination-space point under test.
-    projected: Vec<f64>,
-}
-
-impl<'a> SkylineLogic<'a> {
-    pub(crate) fn new(
-        pref_dims: &'a [usize],
-        query_point: Option<&'a [f64]>,
-        window: Option<&'a SharedWindow>,
-    ) -> Self {
-        SkylineLogic {
-            f: MinCoordSum::new(pref_dims.to_vec()),
-            pref_dims,
-            query_point,
-            result: Vec::new(),
-            window: Accepted::new(pref_dims.len(), window),
-            scratch: Vec::new(),
-            projected: Vec::new(),
-        }
-    }
-
-    /// Writes the domination-space point of `region` — a tuple's transform,
-    /// or a node's attainable lower corner — projected onto the preference
-    /// dimensions, into `self.projected`.
-    fn project_region(&mut self, region: Region<'_>) {
-        let full: &[f64] = match (self.query_point, region) {
-            (None, Region::Point(coords)) => coords,
-            (None, Region::Box(mbr)) => &mbr.min,
-            (Some(q), Region::Point(coords)) => {
-                dynamic_point(q, coords, &mut self.scratch);
-                &self.scratch
-            }
-            (Some(q), Region::Box(mbr)) => {
-                dynamic_corner(q, mbr, &mut self.scratch);
-                &self.scratch
-            }
-        };
-        project(full, self.pref_dims, &mut self.projected);
-    }
-
-    /// Domination pruning: a candidate is pruned if some accepted point
-    /// dominates its domination-space point (for a node's lower corner the
-    /// point then dominates everything inside, the BBS rule).
-    fn dominated(&mut self, region: Region<'_>) -> bool {
-        // Until the first accept there is nothing to project for.
-        if self.window.points.is_empty() {
-            return false;
-        }
-        self.project_region(region);
-        self.window.points.dominated(&self.projected)
-    }
-
-    /// The results accepted so far.
-    pub(crate) fn accepted(&self) -> &[ResultEntry] {
-        &self.result
-    }
-
-    /// `(score, tid, domination coords, original coords)` — the parallel
-    /// merge's working representation.
-    pub(crate) fn into_points(self) -> Vec<(f64, u64, Vec<f64>, Vec<f64>)> {
-        let q = self.query_point;
-        self.result
-            .into_iter()
-            .map(|r| {
-                let mut dom = Vec::with_capacity(r.coords.len());
-                match q {
-                    Some(q) => dynamic_point(q, &r.coords, &mut dom),
-                    None => dom.extend_from_slice(&r.coords),
-                }
-                (r.score, r.tid, dom, r.coords)
-            })
-            .collect()
-    }
-}
-
-impl PreferenceLogic for SkylineLogic<'_> {
-    fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        self.window.on_pop();
-        if self.dominated(entry.cand.region()) {
-            return PopVerdict::Prune;
-        }
-        PopVerdict::Continue
-    }
-
-    fn score_tuple(&mut self, coords: &[f64]) -> f64 {
-        match self.query_point {
-            Some(q) => {
-                dynamic_point(q, coords, &mut self.scratch);
-                self.f.score(&self.scratch)
-            }
-            None => self.f.score(coords),
-        }
-    }
-
-    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
-        match self.query_point {
-            Some(q) => {
-                dynamic_corner(q, mbr, &mut self.scratch);
-                self.f.score(&self.scratch)
-            }
-            None => self.f.lower_bound(mbr),
-        }
-    }
-
-    fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
-        self.dominated(child)
-    }
-
-    fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
-        self.project_region(Region::Point(&coords));
-        self.window.push(&self.projected);
-        self.result.push(ResultEntry { tid, coords, path, score });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prioritized skyline logic (Mindolin & Chomicki winnow semantics)
-// ---------------------------------------------------------------------------
-
-/// Prioritized-skyline accumulation: BBS-style pruning where dominance is
-/// the p-skyline relation `≻_Γ` induced by a priority DAG over dimensions
-/// ([`PriorityGraph`]). The sum-of-coordinates heap score is *not* order
-/// compatible with `≻_Γ`, so accepts are tentative: members of the true
-/// p-skyline are never pruned (pruning only ever removes `≻_Γ`-dominated
-/// candidates, and `≻_Γ` is transitive), and the class's merge step winnows
-/// the accepted superset down to the exact maximal set. `≻_Γ` is not
-/// coordinate-wise, so no coordinate bounds its dominators: the window is
-/// scanned whole, over the same flat layout.
-pub struct PSkylineLogic<'a> {
-    f: MinCoordSum,
-    graph: &'a PriorityGraph,
-    result: Vec<ResultEntry>,
-    window: Accepted<'a>,
-    /// Reused buffer for the projected point under test.
-    projected: Vec<f64>,
-}
-
-impl<'a> PSkylineLogic<'a> {
-    pub(crate) fn new(graph: &'a PriorityGraph, window: Option<&'a SharedWindow>) -> Self {
-        PSkylineLogic {
-            f: MinCoordSum::new(graph.dims().to_vec()),
-            graph,
-            result: Vec::new(),
-            window: Accepted::new(graph.dims().len(), window),
-            projected: Vec::new(),
-        }
-    }
-
-    /// Writes `region`'s attainable lower corner, projected onto the graph's
-    /// dimensions, into `self.projected`.
-    fn project_region(&mut self, region: Region<'_>) {
-        let corner: &[f64] = match region {
-            Region::Point(coords) => coords,
-            // The seeded root's `-∞` corner is never dominated (no point is
-            // strictly smaller than `-∞` anywhere), so no special guard.
-            Region::Box(mbr) => &mbr.min,
-        };
-        project(corner, self.graph.dims(), &mut self.projected);
-    }
-
-    /// A candidate is pruned if some accepted point `≻_Γ`-dominates its
-    /// attainable lower corner. Monotonicity makes the node rule sound:
-    /// `p ≻_Γ mbr.min` implies `p ≻_Γ t` for every tuple `t` inside the
-    /// node, because moving `t` up coordinate-wise only grows `W(p, t)`
-    /// and shrinks `W(t, p)`.
-    fn dominated(&mut self, region: Region<'_>) -> bool {
-        if self.window.points.is_empty() {
-            return false;
-        }
-        self.project_region(region);
-        self.window.points.members().any(|r| self.graph.dominates_projected(r, &self.projected))
-    }
-
-    /// `(score, tid, domination coords, original coords)` — the merge's
-    /// working representation; for p-skylines domination space is the
-    /// original space.
-    pub(crate) fn into_points(self) -> Vec<(f64, u64, Vec<f64>, Vec<f64>)> {
-        self.result
-            .into_iter()
-            .map(|r| (r.score, r.tid, r.coords.clone(), r.coords))
-            .collect()
-    }
-}
-
-impl PreferenceLogic for PSkylineLogic<'_> {
-    fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        self.window.on_pop();
-        if self.dominated(entry.cand.region()) {
-            return PopVerdict::Prune;
-        }
-        PopVerdict::Continue
-    }
-
-    fn score_tuple(&mut self, coords: &[f64]) -> f64 {
-        self.f.score(coords)
-    }
-
-    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
-        self.f.lower_bound(mbr)
-    }
-
-    fn prune_child(&mut self, _score: f64, child: Region<'_>) -> bool {
-        self.dominated(child)
-    }
-
-    fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
-        self.project_region(Region::Point(&coords));
-        self.window.push(&self.projected);
-        self.result.push(ResultEntry { tid, coords, path, score });
     }
 }
 

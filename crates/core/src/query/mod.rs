@@ -3,8 +3,9 @@
 //! driver around it — a serial run is a fan-out of one worker, and
 //! [`ParallelOptions`] carries the worker count, the [`QueryBudget`] and
 //! the [`CancelToken`] — and one registration per query class ([`class`]):
-//! top-k, the skyline family and convex hulls differ only in the class
-//! handed to the driver. The incremental drill-down / roll-up execution of
+//! top-k, the skyline family ([`skyline`]: one class body over four
+//! dominance spaces) and convex hulls differ only in the class handed to
+//! the driver. The incremental drill-down / roll-up execution of
 //! §V-C is the driver restarted from a [`SavedState`].
 
 pub mod budget;
@@ -12,13 +13,11 @@ pub mod class;
 mod driver;
 mod hull;
 pub mod kernel;
-pub mod window;
+pub mod skyline;
 
 pub use budget::{CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason};
 pub use class::{
-    run_class_engine, ClassOutcome, DynamicSkylineClass, Engine, HullClass, PSkylineClass,
-    PriorityGraph, PriorityGraphError, QueryClass, SavedState, SkyPoint, SkylineClass,
-    SubspaceSkylineClass, TopKClass,
+    run_class_engine, ClassOutcome, Engine, HullClass, QueryClass, SavedState, TopKClass,
 };
 pub use kernel::{
     run_kernel, BooleanPruner, IndexMergePruner, KernelRun, PopVerdict,
@@ -26,7 +25,10 @@ pub use kernel::{
 };
 pub(crate) use driver::check_schema;
 pub use driver::ParallelOptions;
-pub use window::Window;
+pub use skyline::{
+    DynamicSkylineClass, PSkylineClass, PriorityGraph, PriorityGraphError, SkyPoint,
+    SkylineClass, SubspaceSkylineClass, Window,
+};
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

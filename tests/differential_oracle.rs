@@ -307,7 +307,7 @@ proptest! {
         rows in arb_rows(2, 2, 150),
         d0 in 0u32..4,
         n_preds in 0usize..=1,
-        k in 1usize..12,
+        k in prop_oneof![1usize..12, Just(1 << 40)],
         w0 in 0.01f64..1.0,
         w1 in 0.01f64..1.0,
     ) {

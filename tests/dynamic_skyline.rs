@@ -88,6 +88,18 @@ fn query_point_at_origin_reduces_to_static_skyline() {
 }
 
 #[test]
+fn a_query_point_covering_only_the_compared_dimensions_is_enough() {
+    // Three preference dimensions, two compared: the third coordinate of
+    // the query point is never read, so it need not be given.
+    let spec = SyntheticSpec { n_tuples: 3000, n_pref: 3, ..Default::default() };
+    let db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
+    let short = db.run(&vec![], &DynamicSkylineClass::new(&[0.5, 0.5], vec![0, 1]));
+    let padded = db.run(&vec![], &DynamicSkylineClass::new(&[0.5, 0.5, 0.0], vec![0, 1]));
+    assert!(!short.rows.is_empty());
+    assert_eq!(short.rows, padded.rows);
+}
+
+#[test]
 fn center_query_point_prefers_central_tuples() {
     let spec = SyntheticSpec { n_tuples: 2000, n_pref: 2, ..Default::default() };
     let db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
