@@ -444,9 +444,9 @@ impl PCubeDb {
     /// under the budget and cancel token, and records the decision — with
     /// per-engine estimates and the class name — in `stats.plan`.
     ///
-    /// Every engine is governed: the three kernel engines at pop granularity,
-    /// boolean-first before and after its selection step (a trip there gives
-    /// an empty `Partial`). Boolean-first with a non-empty selection and
+    /// Every engine is governed at pop granularity; boolean-first also
+    /// checks once before its selection step (a trip there gives an empty
+    /// `Partial` and reads nothing). Boolean-first with a non-empty selection and
     /// index-merge read the database's boolean indexes
     /// ([`BooleanIndexSet::of`]: bulk loaded by the first query that needs
     /// them, kept until the next insert or delete); boolean-first takes the
@@ -503,7 +503,7 @@ impl PCubeDb {
         cancel: Option<&CancelToken>,
     ) -> ClassOutcome<C::Row> {
         // Refuse a class the schema cannot answer before building anything.
-        check_schema(self, class);
+        check_schema(self, selection, class);
         let selection = normalize(selection);
         let run = |engine| run_class_engine(self, &selection, class, engine, budget, cancel);
         match kind {

@@ -13,9 +13,11 @@
 //! over it and need no edits.
 //!
 //! Every class runs through one driver, at any worker count; the entry
-//! points differ only in the boolean pruner they hand it (the signature
-//! probe, a caller-supplied probe, or one of the §VI-A comparison methods' —
-//! see [`Engine`]) and in whether they keep the `b_list`/`d_list` for a
+//! points differ only in what they seed its heap with (the R-tree root, a
+//! previous run's saved entries, or a boolean-first selection), in the
+//! boolean pruner they hand it (the signature probe, a caller-supplied
+//! probe, or one of the §VI-A comparison methods' — see [`Engine`]) and in
+//! whether they keep the `b_list`/`d_list` for a
 //! later [`drill_down`](crate::PCubeDb::drill_down) or
 //! [`roll_up`](crate::PCubeDb::roll_up) (§V-C). A class opts into that
 //! through [`QueryClass::restart_entries`].
@@ -38,18 +40,13 @@
 //! the parallel ones because parallel workers stop at different points of
 //! their subtree searches.
 
-use std::time::Instant;
-
 use pcube_cube::{normalize, Predicate, Selection};
-use pcube_storage::CostModel;
 
 use crate::boolean_index::{BooleanIndexSet, SelectRoute};
 use crate::pcube::PCubeDb;
 use crate::plan::{EngineKind, Planner};
 use crate::query::budget::{CancelToken, QueryBudget};
-use crate::query::driver::{
-    begin, fold, run_class, run_resumed, Governance, ParallelOptions, Tally,
-};
+use crate::query::driver::{run_serial, ParallelOptions, Seeds};
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
     HullLogic, IndexMergePruner, PreferenceLogic, SavedLists, SharedBound, TopKLogic,
@@ -125,9 +122,9 @@ pub trait QueryClass {
     }
 
     /// The naive reference answer over the qualifying tuples `(tid,
-    /// preference coordinates)` — the boolean-first engine's preference
-    /// step, and the differential-testing oracle. Must produce rows in the
-    /// same canonical order as `merge`.
+    /// preference coordinates)`, in the same canonical order as `merge` —
+    /// the differential-testing reference only. No engine calls it, so the
+    /// engines are checked against code none of them runs.
     fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row>;
 
     /// The resumable opt-in (§V-C): the results a finished serial `logic`
@@ -161,22 +158,24 @@ pub enum Engine<'a> {
     DominationFirst,
     /// Algorithm 1 under [`IndexMergePruner`] over these indexes.
     IndexMerge(&'a BooleanIndexSet),
-    /// [`BooleanIndexSet::select`] by this route, then the class's
-    /// in-memory preference step ([`QueryClass::oracle`]).
+    /// [`BooleanIndexSet::select`] by this route, then Algorithm 1 over the
+    /// selected tuples, in memory: the class's own preference step with no
+    /// boolean question left to ask.
     BooleanFirst(&'a BooleanIndexSet, SelectRoute),
 }
 
 /// The engine seam: runs `class` over `selection` on `engine` under a
-/// [`QueryBudget`] and optional [`CancelToken`]. Three of the four engines
-/// are the one driver's serial run behind a different
-/// [`BooleanPruner`](crate::query::BooleanPruner), governed at pop
-/// granularity; boolean-first is the class's in-memory step behind a
-/// selection, governed per phase. Whether the class *should* run on the
+/// [`QueryBudget`] and optional [`CancelToken`]. All four engines are the
+/// one driver's serial run, governed at pop granularity: three from the
+/// R-tree root behind a different
+/// [`BooleanPruner`](crate::query::BooleanPruner), boolean-first from the
+/// tuples its selection returns. Whether the class *should* run on the
 /// engine ([`QueryClass::supports`]) is the planned entry points' question.
 ///
 /// # Panics
 /// Panics, before the first block read, if the class reads a preference
-/// dimension the schema does not have.
+/// dimension, or the selection names a boolean dimension, the schema does
+/// not have.
 pub fn run_class_engine<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
@@ -186,66 +185,13 @@ pub fn run_class_engine<C: QueryClass>(
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
     let opts = ParallelOptions { budget: *budget, cancel: cancel.cloned(), ..Default::default() };
+    let run = |seeds: Seeds<'_>| run_serial(db, selection, class, &opts, seeds, None).0;
     match engine {
-        Engine::PCube => run_class(db, selection, class, &opts, None),
-        Engine::DominationFirst => {
-            run_class(db, selection, class, &opts, Some(&mut VerifyAllPruner))
-        }
-        Engine::IndexMerge(indexes) => {
-            run_class(db, selection, class, &opts, Some(&mut IndexMergePruner(indexes)))
-        }
-        Engine::BooleanFirst(indexes, route) => {
-            run_boolean_first(db, selection, class, indexes, route, &opts)
-        }
+        Engine::PCube => run(Seeds::Root(None)),
+        Engine::DominationFirst => run(Seeds::Root(Some(&mut VerifyAllPruner))),
+        Engine::IndexMerge(indexes) => run(Seeds::Root(Some(&mut IndexMergePruner(indexes)))),
+        Engine::BooleanFirst(indexes, route) => run(Seeds::Selected(indexes, route)),
     }
-}
-
-/// The boolean-first engine (§VI-A): resolve the selection to the full
-/// qualifying candidate list, then run the class's reference preference
-/// step over it in memory — boolean pruning only, no preference pruning
-/// against the indexes. `peak_heap` reports the materialised candidate count
-/// (the Fig 10 measure for this method).
-///
-/// The selection step is monolithic, so governance is phase-granular: one
-/// check before it and one after. A trip yields an empty partial answer —
-/// sound for every class, since nothing was accepted before the preference
-/// step ran.
-fn run_boolean_first<C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &C,
-    indexes: &BooleanIndexSet,
-    route: SelectRoute,
-    opts: &ParallelOptions,
-) -> ClassOutcome<C::Row> {
-    let start = begin(db, class);
-    let mut gov = Governance::of(db, opts).map(|g| g.governor(db));
-    let mut tally = Tally::default();
-    let mut rows = Vec::new();
-    let mut merge_seconds = 0.0;
-    // The two phases in the kernel's terms: the selection is the one "pop",
-    // the candidate list the frontier a trip after it abandons.
-    let run = &mut tally.run;
-    run.stop = gov.as_mut().and_then(|g| g.check(0));
-    if run.stop.is_none() {
-        let candidates = indexes.select(db, selection, &CostModel::default(), route);
-        tally.peak_heap = candidates.len();
-        run.pops = 1;
-        run.stop = gov.as_mut().and_then(|g| g.check(candidates.len()));
-        if run.stop.is_some() {
-            run.frontier = candidates.len() as u64;
-        } else {
-            let t_merge = Instant::now();
-            rows = class.oracle(&candidates);
-            merge_seconds = t_merge.elapsed().as_secs_f64();
-        }
-    }
-    if let Some(g) = &gov {
-        run.overshoot_seconds = g.overshoot_seconds();
-        run.max_pop_seconds = g.max_pop_seconds();
-    }
-    let stats = fold(db, &start, &[tally], None, rows.len(), merge_seconds);
-    ClassOutcome { rows, stats }
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +241,7 @@ impl PCubeDb {
         selection: &Selection,
         class: &'c C,
     ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        restart(self, class, normalize(selection), None, SavedLists::default())
+        restart(self, class, normalize(selection), Seeds::Root(None), SavedLists::default())
     }
 
     /// Strengthens the query behind `prev` with one more predicate,
@@ -311,7 +257,7 @@ impl PCubeDb {
         let SavedLists { b_list, d_list } = prev.lists;
         // Entries that failed the old (weaker) predicates still fail.
         let lists = SavedLists { b_list, d_list: Vec::new() };
-        restart(self, prev.class, normalize(&selection), Some((prev.result, d_list)), lists)
+        restart(self, prev.class, normalize(&selection), Seeds::Saved(prev.result, d_list), lists)
     }
 
     /// Relaxes the query behind `prev` by dropping every predicate on
@@ -330,17 +276,17 @@ impl PCubeDb {
         // smaller than the old k-th score, which still qualifies. The list
         // is kept so later drill-downs retain full coverage.
         let lists = SavedLists { b_list: Vec::new(), d_list };
-        restart(self, prev.class, selection, Some((prev.result, b_list)), lists)
+        restart(self, prev.class, selection, Seeds::Saved(prev.result, b_list), lists)
     }
 }
 
-/// One resumable run: from the root, or from the old result plus one of the
-/// old lists.
+/// One resumable run, ungoverned, under the signature probe: from the root,
+/// or from the old result plus one of the old lists.
 fn restart<'c, C: QueryClass>(
     db: &PCubeDb,
     class: &'c C,
     selection: Selection,
-    from: Option<(Vec<HeapEntry>, Vec<HeapEntry>)>,
+    seeds: Seeds<'_>,
     mut lists: SavedLists,
 ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
     assert!(
@@ -348,7 +294,9 @@ fn restart<'c, C: QueryClass>(
         "{} queries keep no state for drill-down / roll-up",
         class.name()
     );
-    let (outcome, result) = run_resumed(db, &selection, class, from, &mut lists);
+    let opts = ParallelOptions::default();
+    let (outcome, result) = run_serial(db, &selection, class, &opts, seeds, Some(&mut lists));
+    let result = result.expect("a resumable run keeps its lists");
     (outcome, SavedState { class, selection, result, lists })
 }
 
@@ -527,10 +475,15 @@ mod tests {
     use pcube_cube::{Relation, Schema};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// `class` reads preference dimension 9 of a two-dimension table: every
-    /// engine entry must refuse it with a message naming the class and the
-    /// dimension, before reading a block.
-    fn assert_out_of_range_is_refused<C: QueryClass + Sync>(db: &PCubeDb, class: &C) {
+    /// `class` reads preference dimension 9 of a two-dimension table, or
+    /// `sel` names boolean dimension 9 of a one-dimension table: every
+    /// engine entry must refuse the query with a message naming the class
+    /// and the dimension, before reading a block.
+    fn assert_out_of_range_is_refused<C: QueryClass + Sync>(
+        db: &PCubeDb,
+        class: &C,
+        sel: &Selection,
+    ) {
         let refused = |entry: &str, call: &dyn Fn()| {
             let reads_before = db.stats().total_reads();
             let panic = catch_unwind(AssertUnwindSafe(call)).expect_err("must be refused");
@@ -543,32 +496,118 @@ mod tests {
             assert_eq!(db.stats().total_reads(), reads_before, "{} via {entry}", class.name());
         };
         let planner = db.planner();
-        let sel: Selection = vec![Predicate { dim: 0, value: 1 }];
         let budget = QueryBudget::unlimited();
-        refused("run", &|| drop(db.run(&sel, class)));
-        refused("par_run", &|| drop(db.par_run(&sel, class, ParallelOptions::with_workers(4))));
+        refused("run", &|| drop(db.run(sel, class)));
+        refused("par_run", &|| drop(db.par_run(sel, class, ParallelOptions::with_workers(4))));
         refused("plan_and_run_class", &|| {
-            drop(db.plan_and_run_class(&planner, class, &sel, &budget, None))
+            drop(db.plan_and_run_class(&planner, class, sel, &budget, None))
         });
         for engine in EngineKind::ALL.into_iter().filter(|&e| class.supports(e)) {
-            refused(engine.name(), &|| drop(db.run_class_on(class, &sel, engine)));
+            refused(engine.name(), &|| drop(db.run_class_on(class, sel, engine)));
         }
     }
 
-    #[test]
-    fn an_out_of_range_preference_dimension_is_refused_by_every_class_at_every_entry() {
+    /// 400 rows, one boolean dimension `a` of three values, two preference
+    /// dimensions.
+    fn small_db() -> PCubeDb {
         let mut rel = Relation::new(Schema::new(&["a"], &["x", "y"]));
         for i in 0..400u32 {
             rel.push_coded(&[i % 3], &[f64::from(i) * 0.37 % 1.0, f64::from(i) * 0.61 % 1.0]);
         }
-        let db = PCubeDb::build(rel, &PCubeConfig::default());
+        PCubeDb::build(rel, &PCubeConfig::default())
+    }
+
+    #[test]
+    fn an_out_of_range_preference_dimension_is_refused_by_every_class_at_every_entry() {
+        let db = small_db();
+        let sel: Selection = vec![Predicate { dim: 0, value: 1 }];
         let f = MinCoordSum::new(vec![0, 9]);
         let graph = PriorityGraph::new(vec![0, 9], &[(0, 9)]).expect("a single edge is a DAG");
-        assert_out_of_range_is_refused(&db, &TopKClass::new(5, &f));
-        assert_out_of_range_is_refused(&db, &SkylineClass::new(vec![0, 9]));
-        assert_out_of_range_is_refused(&db, &DynamicSkylineClass::new(&[0.5; 10], vec![0, 9]));
-        assert_out_of_range_is_refused(&db, &HullClass::new((0, 9)));
-        assert_out_of_range_is_refused(&db, &PSkylineClass::new(graph));
-        assert_out_of_range_is_refused(&db, &SubspaceSkylineClass::new(vec![9, 0]));
+        assert_out_of_range_is_refused(&db, &TopKClass::new(5, &f), &sel);
+        assert_out_of_range_is_refused(&db, &SkylineClass::new(vec![0, 9]), &sel);
+        let dynamic = DynamicSkylineClass::new(&[0.5; 10], vec![0, 9]);
+        assert_out_of_range_is_refused(&db, &dynamic, &sel);
+        assert_out_of_range_is_refused(&db, &HullClass::new((0, 9)), &sel);
+        assert_out_of_range_is_refused(&db, &PSkylineClass::new(graph), &sel);
+        assert_out_of_range_is_refused(&db, &SubspaceSkylineClass::new(vec![9, 0]), &sel);
+        // The selection's dimension is checked too: top-k runs on all four
+        // engines.
+        let missing: Selection = vec![Predicate { dim: 9, value: 1 }];
+        let f = MinCoordSum::new(vec![0, 1]);
+        assert_out_of_range_is_refused(&db, &TopKClass::new(5, &f), &missing);
+        assert_out_of_range_is_refused(&db, &SkylineClass::new(vec![0, 1]), &missing);
+    }
+
+    /// `C` with an oracle that answers nothing.
+    struct NoOracle<C>(C);
+
+    impl<C: QueryClass> QueryClass for NoOracle<C> {
+        type Row = C::Row;
+        type Local = C::Local;
+        type Shared = C::Shared;
+        type Logic<'a>
+            = C::Logic<'a>
+        where
+            Self: 'a;
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn max_pref_dim(&self) -> Option<usize> {
+            self.0.max_pref_dim()
+        }
+
+        fn new_shared(&self) -> C::Shared {
+            self.0.new_shared()
+        }
+
+        fn logic<'a>(&'a self, shared: Option<&'a C::Shared>) -> C::Logic<'a> {
+            self.0.logic(shared)
+        }
+
+        fn finish(&self, logic: C::Logic<'_>) -> C::Local {
+            self.0.finish(logic)
+        }
+
+        fn merge(&self, locals: Vec<C::Local>) -> Vec<C::Row> {
+            self.0.merge(locals)
+        }
+
+        fn expected_results(&self, qualifying: f64) -> f64 {
+            self.0.expected_results(qualifying)
+        }
+
+        fn supports(&self, kind: EngineKind) -> bool {
+            self.0.supports(kind)
+        }
+
+        fn oracle(&self, _rows: &[(u64, Vec<f64>)]) -> Vec<C::Row> {
+            Vec::new()
+        }
+    }
+
+    /// Boolean-first answers `class`'s query with `class`'s own preference
+    /// step, not with its oracle: the answer P-Cube gives.
+    fn assert_boolean_first_needs_no_oracle<C: QueryClass + Sync>(db: &PCubeDb, class: C)
+    where
+        C::Row: PartialEq + std::fmt::Debug,
+    {
+        let wrapped = NoOracle(class);
+        for sel in [vec![], vec![Predicate { dim: 0, value: 1 }]] {
+            let truth = db.run(&sel, &wrapped.0).rows;
+            assert!(!truth.is_empty());
+            let (rows, _) =
+                db.run_class_on(&wrapped, &sel, EngineKind::BooleanFirst).expect("supported");
+            assert_eq!(rows, truth, "{} under {sel:?}", wrapped.name());
+        }
+    }
+
+    #[test]
+    fn boolean_first_runs_the_class_not_its_oracle() {
+        let db = small_db();
+        let f = MinCoordSum::new(vec![0, 1]);
+        assert_boolean_first_needs_no_oracle(&db, TopKClass::new(5, &f));
+        assert_boolean_first_needs_no_oracle(&db, SkylineClass::new(vec![0, 1]));
     }
 }

@@ -5,13 +5,14 @@
 //! [`CandidateHeap`] with a boolean pruner, the class's logic (holding the
 //! fleet's shared pruning state, if any), an optional governor and optional
 //! `b_list`/`d_list`, and returns the class's local result and a [`Tally`].
-//! Its three callers differ only in how they seed it:
+//! It has two callers:
 //!
-//! * a serial run ([`run_class`]): one worker on the calling thread, seeded
-//!   with the R-tree root, which it reads through the probe like any other
-//!   popped entry;
-//! * a resumed drill-down or roll-up ([`run_resumed`], §V-C): the same,
-//!   seeded with `result ∪ list`, keeping its lists for the next one;
+//! * a serial run ([`run_serial`]): one worker on the calling thread, its
+//!   heap seeded one of three ways ([`Seeds`]) — with the R-tree root, which
+//!   it reads through the pruner like any other popped entry; with `result ∪
+//!   list` of a previous run (a drill-down or roll-up, §V-C), keeping its
+//!   lists for the next one; or with the tuples a boolean-first selection
+//!   returned (§VI-A), which need no further boolean question;
 //! * a fan-out ([`PCubeDb::par_run`]): the root expanded once, unprobed, on
 //!   the calling thread and its children dealt round-robin to scoped
 //!   workers, which share the class's pruning state
@@ -36,8 +37,9 @@ use std::time::Instant;
 
 use pcube_cube::{normalize, Selection};
 use pcube_rtree::{DecodedEntry, Path};
-use pcube_storage::IoSnapshot;
+use pcube_storage::{CostModel, IoSnapshot};
 
+use crate::boolean_index::{BooleanIndexSet, SelectRoute};
 use crate::pcube::PCubeDb;
 use crate::query::budget::{
     CancelToken, Governor, Progress, QueryBudget, QueryOutcome, StopReason,
@@ -83,18 +85,19 @@ impl ParallelOptions {
 /// of probe construction, so the probe's own signature loads are part of
 /// the measured cost (a probe the caller built for
 /// [`PCubeDb::run_with_probe`] was paid for before the query began).
-pub(crate) struct QueryStart {
+struct QueryStart {
     at: Instant,
     before: IoSnapshot,
 }
 
-/// Checks the class against the schema.
+/// Checks the class and the selection against the schema.
 ///
 /// # Panics
-/// Panics if the class reads a preference dimension the schema does not
-/// have.
-pub(crate) fn check_schema<C: QueryClass>(db: &PCubeDb, class: &C) {
-    let n_pref = db.relation().schema().n_pref();
+/// Panics if the class reads a preference dimension, or the selection
+/// names a boolean dimension, the schema does not have.
+pub(crate) fn check_schema<C: QueryClass>(db: &PCubeDb, selection: &Selection, class: &C) {
+    let schema = db.relation().schema();
+    let (n_bool, n_pref) = (schema.n_bool(), schema.n_pref());
     if let Some(d) = class.max_pref_dim() {
         assert!(
             d < n_pref,
@@ -102,12 +105,19 @@ pub(crate) fn check_schema<C: QueryClass>(db: &PCubeDb, class: &C) {
             class.name()
         );
     }
+    if let Some(d) = selection.iter().map(|p| p.dim).max() {
+        assert!(
+            d < n_bool,
+            "{} query: boolean dimension {d} is out of range (the schema has {n_bool})",
+            class.name()
+        );
+    }
 }
 
 /// The one entry every engine passes through — serial, parallel, and the
 /// comparison methods of §VI-A: [`check_schema`], then starts the clock.
-pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
-    check_schema(db, class);
+fn begin<C: QueryClass>(db: &PCubeDb, selection: &Selection, class: &C) -> QueryStart {
+    check_schema(db, selection, class);
     QueryStart { at: Instant::now(), before: db.stats().snapshot() }
 }
 
@@ -115,7 +125,7 @@ pub(crate) fn begin<C: QueryClass>(db: &PCubeDb, class: &C) -> QueryStart {
 /// deadline, the caller's cancel token, the fleet token that lets one
 /// worker's trip drain the rest, and the ledger baseline — the block budget
 /// is query-wide, so every worker charges one pool.
-pub(crate) struct Governance {
+struct Governance {
     budget: QueryBudget,
     deadline_at: Option<Instant>,
     cancel: Option<CancelToken>,
@@ -128,7 +138,7 @@ impl Governance {
     /// runs zero per-pop checks. The fleet token is armed only for more
     /// than one worker. Read ahead of probe construction, so the probe's
     /// own loads are charged to the block budget too.
-    pub(crate) fn of(db: &PCubeDb, opts: &ParallelOptions) -> Option<Governance> {
+    fn of(db: &PCubeDb, opts: &ParallelOptions) -> Option<Governance> {
         let ParallelOptions { workers, budget, cancel } = opts;
         if budget.is_unlimited() && cancel.is_none() {
             return None;
@@ -143,7 +153,7 @@ impl Governance {
     }
 
     /// One worker's governor.
-    pub(crate) fn governor(&self, db: &PCubeDb) -> Governor {
+    fn governor(&self, db: &PCubeDb) -> Governor {
         let mut gov = Governor::new(&self.budget).with_ledger(db.stats().clone(), self.base);
         if let Some(c) = &self.cancel {
             gov = gov.with_cancel(c.clone());
@@ -160,11 +170,10 @@ impl Governance {
 
 /// What one worker did: the kernel's counters, its heap's high water and
 /// the partial signatures its pruner loaded.
-#[derive(Default)]
-pub(crate) struct Tally {
-    pub(crate) run: KernelRun,
-    pub(crate) peak_heap: usize,
-    pub(crate) partials_loaded: u64,
+struct Tally {
+    run: KernelRun,
+    peak_heap: usize,
+    partials_loaded: u64,
 }
 
 /// The one fold from worker tallies to [`QueryStats`] and the outcome. A
@@ -177,7 +186,7 @@ pub(crate) struct Tally {
 /// overshoot and the longest pop take the worst worker. The reported stop is
 /// the first *originating* trip in worker order — a drained sibling reports
 /// `Cancelled`, which only wins when the whole query was cancelled.
-pub(crate) fn fold(
+fn fold(
     db: &PCubeDb,
     start: &QueryStart,
     tallies: &[Tally],
@@ -273,65 +282,93 @@ fn work<C: QueryClass>(
     (local, Tally { run, peak_heap, partials_loaded }, restart)
 }
 
-/// A serial run of `class` under `opts`' budget and cancel token: one
-/// worker on the calling thread, from the root, under the signature probe
-/// of `selection` — or under `pruner`, the domination-first or index-merge
-/// engine's or one the caller built ([`PCubeDb::run_with_probe`]).
-pub(crate) fn run_class<C: QueryClass>(
+/// What a serial run seeds its heap with, and so which boolean pruner asks
+/// Algorithm 1's boolean questions.
+pub(crate) enum Seeds<'a> {
+    /// The R-tree root, under `pruner` — the domination-first or
+    /// index-merge engine's, or one the caller built
+    /// ([`PCubeDb::run_with_probe`]) — or, without one, under the signature
+    /// probe of the selection.
+    Root(Option<&'a mut dyn BooleanPruner>),
+    /// `result ∪ list` of a previous run (§V-C, Lemma 2), under the
+    /// signature probe.
+    Saved(Vec<HeapEntry>, Vec<HeapEntry>),
+    /// The boolean-first engine (§VI-A): the tuples `indexes` select by
+    /// `route`, scored by the class's own logic. The selection has answered
+    /// the boolean question, so every entry is kept.
+    Selected(&'a BooleanIndexSet, SelectRoute),
+}
+
+/// The pruner of a run over selected tuples: it keeps everything.
+struct KeepAll;
+
+impl BooleanPruner for KeepAll {
+    fn keep(&mut self, _db: &PCubeDb, _selection: &Selection, _cand: &Candidate) -> bool {
+        true
+    }
+}
+
+/// The one serial run: one worker on the calling thread over a heap seeded
+/// per `seeds`, under `opts`' budget and cancel token — governed per pop
+/// whatever the seeds. With `lists` the run is resumable (§V-C): they come
+/// in as the run should start them and go out as the kernel left them, and
+/// the accepted results come back as entries the next follow-up can queue
+/// again.
+pub(crate) fn run_serial<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
     opts: &ParallelOptions,
-    pruner: Option<&mut dyn BooleanPruner>,
-) -> ClassOutcome<C::Row> {
-    let start = begin(db, class);
+    seeds: Seeds<'_>,
+    lists: Option<&mut SavedLists>,
+) -> (ClassOutcome<C::Row>, Option<Vec<HeapEntry>>) {
+    let start = begin(db, selection, class);
     let selection = normalize(selection);
     let governance = Governance::of(db, opts);
-    let mut signature_probe;
-    let probe: &mut dyn BooleanPruner = match pruner {
-        Some(pruner) => pruner,
-        None => {
-            signature_probe = db.pcube().probe(&selection, false);
-            &mut signature_probe
+    let mut heap = CandidateHeap::new();
+    let (mut signature_probe, mut keep_all) = (None, KeepAll);
+    let (mut stopped, mut select_seconds) = (None, 0.0);
+    let probe: &mut dyn BooleanPruner = match seeds {
+        Seeds::Root(pruner) => {
+            seed_root(db, &mut heap);
+            match pruner {
+                Some(pruner) => pruner,
+                None => signature_probe.insert(db.pcube().probe(&selection, false)),
+            }
         }
-    };
-    let mut heap = CandidateHeap::new();
-    seed_root(db, &mut heap);
-    let (local, tally, _) =
-        work(db, &selection, class, heap, probe, None, governance.as_ref(), None, start.at);
-    conclude(db, class, &start, vec![local], &[tally], None)
-}
-
-/// A resumable serial run (§V-C) over the normalized `selection`: from the
-/// root, or from `result ∪ list` of a previous run (Lemma 2), ungoverned,
-/// under the signature probe. `lists` comes in as the run should start
-/// them and goes out as the kernel left them; the accepted results come
-/// back as entries the next follow-up can queue again.
-pub(crate) fn run_resumed<C: QueryClass>(
-    db: &PCubeDb,
-    selection: &Selection,
-    class: &C,
-    from: Option<(Vec<HeapEntry>, Vec<HeapEntry>)>,
-    lists: &mut SavedLists,
-) -> (ClassOutcome<C::Row>, Vec<HeapEntry>) {
-    let start = begin(db, class);
-    let mut probe = db.pcube().probe(selection, false);
-    let mut heap = CandidateHeap::new();
-    match from {
-        None => seed_root(db, &mut heap),
-        Some((result, list)) => {
+        Seeds::Saved(result, list) => {
             for e in result {
                 heap.push(e.score, e.cand);
             }
             for e in list {
                 heap.push_entry(e);
             }
+            signature_probe.insert(db.pcube().probe(&selection, false))
         }
-    }
-    let (local, tally, restart) =
-        work(db, selection, class, heap, &mut probe, None, None, Some(lists), start.at);
-    let outcome = conclude(db, class, &start, vec![local], &[tally], None);
-    (outcome, restart.expect("a resumed run keeps its lists"))
+        Seeds::Selected(indexes, route) => {
+            // One check ahead of the selection, so that a cancelled or
+            // zero-budget query reads nothing; the kernel checks every pop.
+            stopped = governance.as_ref().and_then(|g| g.governor(db).check(0));
+            if stopped.is_none() {
+                let t_select = Instant::now();
+                let selected = indexes.select(db, &selection, &CostModel::default(), route);
+                select_seconds = t_select.elapsed().as_secs_f64();
+                let mut seed_logic = class.logic(None);
+                for (tid, coords) in selected {
+                    let score = seed_logic.score_tuple(&coords);
+                    heap.push(score, Candidate::Tuple { tid, path: Path::root(), coords });
+                }
+            }
+            &mut keep_all
+        }
+    };
+    let (local, mut tally, restart) =
+        work(db, &selection, class, heap, probe, None, governance.as_ref(), lists, start.at);
+    tally.run.stop = tally.run.stop.or(stopped);
+    // The selection reads pages; it is no part of pinning.
+    tally.run.stages.pin_seconds -= select_seconds;
+    tally.run.stages.page_read_seconds += select_seconds;
+    (conclude(db, class, &start, vec![local], &[tally], None), restart)
 }
 
 /// A root-level seed: `(score, candidate)` as the serial engine would have
@@ -384,13 +421,14 @@ fn deal(seeds: Vec<Seed>, workers: usize) -> Vec<Vec<Seed>> {
 ///
 /// # Panics
 /// Every method panics, before its first block read, if the class reads a
-/// preference dimension the schema does not have.
+/// preference dimension, or the selection names a boolean dimension, the
+/// schema does not have.
 impl PCubeDb {
     /// Runs a query class through the serial Algorithm-1 kernel under the
     /// signature probe, ungoverned: [`Self::par_run`] with
     /// [`ParallelOptions::default`].
     pub fn run<C: QueryClass>(&self, selection: &Selection, class: &C) -> ClassOutcome<C::Row> {
-        run_class(self, selection, class, &ParallelOptions::default(), None)
+        run_serial(self, selection, class, &ParallelOptions::default(), Seeds::Root(None), None).0
     }
 
     /// Runs a query class under `opts`: serially on the calling thread at
@@ -413,15 +451,15 @@ impl PCubeDb {
         opts: ParallelOptions,
     ) -> ClassOutcome<C::Row> {
         if opts.workers <= 1 {
-            return run_class(self, selection, class, &opts, None);
+            return run_serial(self, selection, class, &opts, Seeds::Root(None), None).0;
         }
-        let start = begin(self, class);
+        let start = begin(self, selection, class);
         // A throwaway serial-mode logic: scoring is identical between the
         // serial and shared modes of every class, so seeds carry exactly the
         // scores the serial engine would compute.
         let mut seed_logic = class.logic(None);
         if !matches!(seed_logic.on_pop(&root_entry(self)), PopVerdict::Continue) {
-            return run_class(self, selection, class, &opts, None);
+            return run_serial(self, selection, class, &opts, Seeds::Root(None), None).0;
         }
         let selection = normalize(selection);
         let governance = Governance::of(self, &opts);
@@ -466,7 +504,8 @@ impl PCubeDb {
         class: &C,
         mut probe: impl BooleanPruner,
     ) -> ClassOutcome<C::Row> {
-        run_class(self, selection, class, &ParallelOptions::default(), Some(&mut probe))
+        let seeds = Seeds::Root(Some(&mut probe));
+        run_serial(self, selection, class, &ParallelOptions::default(), seeds, None).0
     }
 }
 

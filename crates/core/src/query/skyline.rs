@@ -444,8 +444,11 @@ impl DominanceSpace {
 /// ascending `(score, tid)` order and keeps `(tid, original coordinates)`.
 /// Traversal-order independent, which is the whole serial == parallel
 /// argument for the skyline family. All pairs, on purpose: it is the
-/// reference the family's `oracle` answers with, and the merge under `≻_Γ`,
-/// about which the score says nothing.
+/// reference the family's `oracle` answers with (for tests; no engine calls
+/// it), and the merge under `≻_Γ`, about which the score says nothing. That
+/// merge is quadratic in what the kernel accepted — the tentative accepts
+/// that no earlier accept dominated — not in the candidates: boolean-first
+/// runs the kernel over its selection too.
 fn winnow_points(
     points: &[SkyPoint],
     dom: impl Fn(&[f64], &[f64]) -> bool,
@@ -693,9 +696,9 @@ pub type DynamicSkylineClass = Skyline<Dynamic>;
 
 /// The prioritized skyline class: winnow under the p-skyline relation of a
 /// [`PriorityGraph`]. The kernel's heap score is not order-compatible with
-/// `≻_Γ`, so workers accept a superset and the merge winnows it exact —
-/// sound because `≻_Γ` is transitive and pruning only ever removes
-/// dominated candidates.
+/// `≻_Γ`, so workers accept a superset and the merge winnows it exact, all
+/// pairs over the accepted points — sound because `≻_Γ` is transitive and
+/// pruning only ever removes dominated candidates.
 ///
 /// Partial answers: qualifying and mutually `≻_Γ`-incomparable, but — the
 /// accepts being tentative — not necessarily members of the full answer.
@@ -820,7 +823,10 @@ impl<K: Member> QueryClass for Skyline<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcube::{PCubeConfig, PCubeDb};
+    use crate::plan::EngineKind;
     use crate::query;
+    use pcube_cube::{Relation, Schema};
 
     #[test]
     fn equal_points_and_signed_zeros_do_not_dominate() {
@@ -953,6 +959,24 @@ mod tests {
             let kept: Vec<u64> = all_pairs.iter().map(|r| r.0).collect();
             assert_eq!(kept, vec![strong.min(6), strong.max(6), 5]);
             assert_eq!(winnow_sorted(points, 2), all_pairs);
+        }
+    }
+
+    #[test]
+    fn every_engine_winnows_a_dominator_that_rounds_to_the_same_score() {
+        // [1e16, 0] dominates [1e16, 1] and both sum to 1e16, so the
+        // dominated point, with the smaller tid, pops first and is accepted
+        // (all of boolean-first's tuples are queued at once); only the
+        // merge's equal-score cross-check removes it.
+        let mut rel = Relation::new(Schema::new(&["a"], &["x", "y"]));
+        for coords in [[1e16, 1.0], [1e16, 0.0], [0.5, 3e16]] {
+            rel.push_coded(&[0], &coords);
+        }
+        let db = PCubeDb::build(rel, &PCubeConfig::default());
+        let class = SkylineClass::new(vec![0, 1]);
+        for engine in EngineKind::ALL.into_iter().filter(|&e| class.supports(e)) {
+            let (rows, _) = db.run_class_on(&class, &Vec::new(), engine).expect("supported");
+            assert_eq!(rows, [(1, vec![1e16, 0.0]), (2, vec![0.5, 3e16])], "{}", engine.name());
         }
     }
 
