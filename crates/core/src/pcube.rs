@@ -10,10 +10,10 @@ use pcube_cube::{
     Relation, Selection,
 };
 use pcube_rtree::{Path, PathDelta, RTree, RTreeConfig};
-use pcube_storage::{Counter, IoCategory, IoStats, Pager, SharedStats};
+use pcube_storage::{IoCategory, IoStats, Pager, SharedStats};
 
 use crate::signature::Signature;
-use crate::store::{BooleanProbe, SignatureStore};
+use crate::store::{BooleanProbe, SignatureCursor, SignatureStore};
 
 /// Per-cell pending signature maintenance: `(cleared paths, set paths)`.
 type CellChanges = (Vec<Path>, Vec<Path>);
@@ -149,58 +149,34 @@ impl PCube {
         self.store.size_bytes()
     }
 
-    /// Builds the boolean-pruning probe for a selection (§IV-B.2).
+    /// Builds the boolean-pruning probe for a selection (§IV-B.2): one
+    /// lazily loading cursor per conjunct. No predicate is no cursor at
+    /// all; a materialized cell is one cursor; otherwise each atomic cell
+    /// gets one, and the probe ANDs them with the recursive fix-up (Fig
+    /// 3.c). A predicate value never seen in the data has no cell: one
+    /// cursor over nothing serves the whole selection and prunes
+    /// everything.
     ///
-    /// If the exact cell is materialized, a single lazy cursor serves it.
-    /// Otherwise the selection is covered by its atomic cells: lazily ANDed
-    /// cursors by default, or — with `eager_assembly` — fully loaded and
-    /// intersected with the recursive fix-up (Fig 3.c) up front. No
-    /// predicate is no cursor at all.
-    pub fn probe(&self, selection: &Selection, eager_assembly: bool) -> BooleanProbe<'_> {
+    /// `eager` decides only when partials are loaded: every cursor loads
+    /// all of its partials before the probe is returned, so the search reads
+    /// no signature or directory page. The pruning is the same.
+    pub fn probe(&self, selection: &Selection, eager: bool) -> BooleanProbe<'_> {
         let selection = normalize(selection);
-        if selection.is_empty() {
-            return BooleanProbe::cursors(Vec::new());
+        let codes: Option<Vec<u32>> = if selection.is_empty() {
+            Some(Vec::new())
+        } else if let Some(code) = self.registry.code(&CellKey::from_selection(&selection)) {
+            Some(vec![code])
+        } else {
+            selection.iter().map(|p| self.registry.code(&CellKey::atomic(p.dim, p.value))).collect()
+        };
+        let mut cursors: Vec<SignatureCursor<'_>> = match codes {
+            Some(codes) => codes.into_iter().map(|c| self.store.cursor(c)).collect(),
+            None => vec![self.store.empty_cursor()],
+        };
+        if eager {
+            cursors.iter_mut().for_each(SignatureCursor::load_all);
         }
-        if let Some(code) = self.registry.code(&CellKey::from_selection(&selection)) {
-            return BooleanProbe::cursors(vec![self.store.cursor(code)]);
-        }
-        // Assemble from atomic cells. A predicate value never seen in the
-        // data has no cell; the empty signature prunes everything.
-        let codes: Vec<Option<u32>> = selection
-            .iter()
-            .map(|p| self.registry.code(&CellKey::atomic(p.dim, p.value)))
-            .collect();
-        if codes.iter().any(Option::is_none) {
-            return BooleanProbe::assembled(Signature::empty(self.store.m_max()));
-        }
-        if eager_assembly {
-            match self.try_assemble(&codes) {
-                Some(assembled) => return BooleanProbe::assembled(assembled),
-                // A cell's signature could not be fully loaded (corrupt or
-                // unreadable page). Degrade to lazy cursors, which survive
-                // per-partial failures conservatively instead of aborting.
-                None => self.store.stats().add(Counter::DegradedReads, 1),
-            }
-        }
-        BooleanProbe::cursors(
-            // invariant: the `any(Option::is_none)` guard above returned.
-            codes.into_iter().map(|c| self.store.cursor(c.expect("all codes resolved"))).collect(),
-        )
-    }
-
-    /// Eagerly loads and intersects the signatures of `codes`; `None` if any
-    /// full load fails.
-    fn try_assemble(&self, codes: &[Option<u32>]) -> Option<Signature> {
-        let mut acc: Option<Signature> = None;
-        for c in codes {
-            // invariant: the caller checked every code is `Some`.
-            let sig = self.store.try_load_full(c.expect("caller checked every code")).ok()?;
-            acc = Some(match acc {
-                None => sig,
-                Some(a) => a.intersect(&sig, self.store.height()),
-            });
-        }
-        acc
+        BooleanProbe::cursors(cursors)
     }
 
     /// Applies the path changes of one R-tree insert/delete to every
@@ -681,16 +657,74 @@ mod tests {
         }
     }
 
+    /// 600 rows on 256-byte pages: a three-level tree whose cells span
+    /// several partial signatures. `A` takes `a0`..`a4`, `B` `b0`..`b2`.
+    fn small_page_db() -> PCubeDb {
+        let mut r = Relation::new(Schema::new(&["A", "B"], &["X", "Y"]));
+        for i in 0..600u32 {
+            let f = f64::from(i);
+            r.push(
+                &[&format!("a{}", i % 5), &format!("b{}", i % 3)],
+                &[(f * 0.137) % 1.0, (f * 0.311) % 1.0],
+            );
+        }
+        PCubeDb::build(r, &PCubeConfig { page_size: 256, ..PCubeConfig::default() })
+    }
+
+    /// A value never seen in the data — alone, or beside one that exists —
+    /// gets one cursor over nothing, lazily or eagerly: it contains no
+    /// tuple, and building it and running with it read the root block and
+    /// no signature or directory page.
     #[test]
     fn probe_for_unknown_value_prunes_everything() {
-        let db = table1_db();
-        let sel = db.selection(&[("A", "a99")]);
-        let mut probe = db.pcube().probe(&sel, false);
-        let mut any = false;
-        db.rtree().for_each_tuple(|_, p, _| {
-            any |= probe.contains(p);
-        });
-        assert!(!any);
+        let class = crate::SkylineClass::new(vec![0, 1]);
+        for db in [table1_db(), small_page_db()] {
+            for preds in [&[("A", "a99")][..], &[("A", "a1"), ("B", "b99")]] {
+                let sel = db.selection(preds);
+                for eager in [false, true] {
+                    let mut probe = db.pcube().probe(&sel, eager);
+                    assert_eq!(probe.cursor_count(), 1, "{preds:?}, eager {eager}");
+                    let mut any = false;
+                    db.rtree().for_each_tuple(|_, p, _| {
+                        any |= probe.contains(p);
+                    });
+                    assert!(!any);
+
+                    db.stats().reset();
+                    let out = db.run_with_probe(&sel, &class, db.pcube().probe(&sel, eager));
+                    assert!(out.rows.is_empty());
+                    let reads = |c| db.stats().reads(c);
+                    assert_eq!(
+                        [IoCategory::RtreeBlock, IoCategory::SignaturePage, IoCategory::BptreePage]
+                            .map(reads),
+                        [1, 0, 0],
+                        "{preds:?}, eager {eager}: the root block only"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An eager probe loads every partial of its cursors while it is built
+    /// and counts those loads; the search after it reads no signature or
+    /// directory page and answers what the lazy probe answers.
+    #[test]
+    fn an_eager_probe_counts_its_loads_and_the_search_reads_none() {
+        let db = small_page_db();
+        let sel = db.selection(&[("A", "a1"), ("B", "b2")]);
+        let class = crate::SkylineClass::new(vec![0, 1]);
+        let lazy = db.run_with_probe(&sel, &class, db.pcube().probe(&sel, false));
+        assert!(!lazy.rows.is_empty());
+
+        db.stats().reset();
+        let probe = db.pcube().probe(&sel, true);
+        let up_front = db.stats().reads(IoCategory::SignaturePage);
+        let eager = db.run_with_probe(&sel, &class, probe);
+        assert!(up_front > 2, "two cells of several partials, read {up_front}");
+        assert_eq!(eager.stats.partials_loaded, up_front);
+        assert_eq!(eager.stats.io.reads(IoCategory::SignaturePage), 0);
+        assert_eq!(eager.stats.io.reads(IoCategory::BptreePage), 0);
+        assert_eq!(eager.rows, lazy.rows);
     }
 
     #[test]
@@ -774,7 +808,7 @@ mod tests {
         assert_eq!(db.pcube().cuboids().len(), 3);
         let sel = vec![Predicate { dim: 0, value: 1 }, Predicate { dim: 1, value: 0 }];
         let probe = db.pcube().probe(&sel, false);
-        assert_eq!(probe.cursor_count(), Some(1), "composite cell should be direct");
+        assert_eq!(probe.cursor_count(), 1, "composite cell should be direct");
         assert_signatures_consistent(&db);
     }
 }

@@ -33,9 +33,10 @@
 //! [`BooleanPruner::keep`] of a popped entry (lines 7–8), and
 //! [`BooleanPruner::keep_child`] of each child of the node being expanded
 //! that survives preference pruning (lines 17–19). How they are answered —
-//! per-conjunct child masks fetched lazily, and Fig 3.c's fix-up, so that
-//! on a clean store the lazy probe prunes what eager assembly prunes — is
-//! the probe's business ([`BooleanProbe`](crate::store::BooleanProbe)).
+//! per-conjunct child masks, and Fig 3.c's fix-up, so that on a clean
+//! store a node is read only if its subtree holds a qualifying tuple,
+//! whether partial signatures are loaded lazily or all up front — is the
+//! probe's business ([`BooleanProbe`](crate::store::BooleanProbe)).
 //! Children are scored and pruned in place from a borrowed [`NodeView`] of
 //! the page; a [`Path`], a coordinate vector or an [`Mbr`] is allocated only
 //! for a child that is pushed on the heap or saved to a list, and the clock

@@ -301,8 +301,8 @@ impl SignatureStore {
     }
 
     /// Loads and reassembles the complete signature of `cell` (used by
-    /// maintenance and eager multi-predicate assembly). Charges one read per
-    /// partial plus the directory scan.
+    /// maintenance; a probe loads through its cursors). Charges one read
+    /// per partial plus the directory scan.
     ///
     /// Infallible [`SignatureStore::try_load_full`]; panics where that
     /// errors.
@@ -524,6 +524,13 @@ impl SignatureStore {
             mask: ChildMask::default(),
         }
     }
+
+    /// A cursor over nothing — the signature of a value the data never
+    /// held. It has no locators to fetch, so it reads no page, and below
+    /// the root it contains nothing.
+    pub(crate) fn empty_cursor(&self) -> SignatureCursor<'_> {
+        SignatureCursor { locators: Some(HashMap::default()), ..self.cursor(u32::MAX) }
+    }
 }
 
 /// The page being filled with records: several partials share a page, each
@@ -580,7 +587,8 @@ impl ChildMask {
 }
 
 /// Lazily materializes one cell's signature during query processing,
-/// loading a partial only when a node it encodes is first requested.
+/// loading a partial only when a node it encodes is first requested — or
+/// all of them up front, for an eager probe.
 ///
 /// A storage failure (unreadable page, checksum mismatch, undecodable
 /// record) does not abort the query: the cursor marks itself *degraded* and
@@ -693,7 +701,50 @@ impl SignatureCursor<'_> {
     /// time spent is added to `load_seconds`.
     fn load_node(&mut self, mut positions: impl Iterator<Item = u16>, sid: Sid) {
         let start = Instant::now();
-        let m_max = self.store.m_max;
+        self.fetch_locators();
+        let mut ref_sid = Sid::ROOT;
+        loop {
+            if self.tried_refs.insert(ref_sid) {
+                if let Some(&loc) = self.locators.as_ref().expect("fetched above").get(&ref_sid) {
+                    self.load_partial(loc);
+                }
+                if self.nodes.contains_key(&sid) {
+                    break;
+                }
+            }
+            match positions.next() {
+                Some(position) => ref_sid = ref_sid.child(position, self.store.m_max),
+                None => break,
+            }
+        }
+        debug_assert!(
+            self.nodes.contains_key(&sid) || ref_sid == sid,
+            "the positions do not lead to {sid}"
+        );
+        self.load_seconds += start.elapsed().as_secs_f64();
+    }
+
+    /// Loads every partial of the cell not tried yet, by the same partial
+    /// load the retrieval rule uses: an eager probe's cursors do this before
+    /// the search, which then reads no directory or signature page. A
+    /// failed load degrades the cursor as it would lazily.
+    pub(crate) fn load_all(&mut self) {
+        let start = Instant::now();
+        self.fetch_locators();
+        let locators = self.locators.take().expect("fetched above");
+        for (&ref_sid, &loc) in &locators {
+            if self.tried_refs.insert(ref_sid) {
+                self.load_partial(loc);
+            }
+        }
+        self.locators = Some(locators);
+        self.load_seconds += start.elapsed().as_secs_f64();
+    }
+
+    /// Fetches the reference→locator map with one directory range scan, on
+    /// first use only.
+    #[inline]
+    fn fetch_locators(&mut self) {
         if self.locators.is_none() {
             self.locators = Some(match self.store.try_locators_of(self.cell) {
                 Ok(map) => map,
@@ -705,54 +756,38 @@ impl SignatureCursor<'_> {
                 }
             });
         }
-        let mut ref_sid = Sid::ROOT;
-        loop {
-            if self.tried_refs.insert(ref_sid) {
-                let locators = self.locators.as_ref().expect("populated above");
-                if let Some(&loc) = locators.get(&ref_sid) {
-                    match self.store.try_load_partial_at(loc) {
-                        Ok(partial) => {
-                            self.partials_loaded += 1;
-                            for (s, bits) in partial.nodes {
-                                let mut b = bits;
-                                b.grow(m_max);
-                                self.nodes.entry(s).or_insert(b);
-                            }
-                        }
-                        Err(_) => self.mark_degraded(),
-                    }
-                }
-                if self.nodes.contains_key(&sid) {
-                    break;
+    }
+
+    /// Loads the partial at `loc` (one signature-page read) and adds its
+    /// nodes; a failure marks the cursor degraded.
+    #[inline]
+    fn load_partial(&mut self, loc: u64) {
+        match self.store.try_load_partial_at(loc) {
+            Ok(partial) => {
+                self.partials_loaded += 1;
+                for (s, mut bits) in partial.nodes {
+                    bits.grow(self.store.m_max);
+                    self.nodes.entry(s).or_insert(bits);
                 }
             }
-            match positions.next() {
-                Some(position) => ref_sid = ref_sid.child(position, m_max),
-                None => break,
-            }
+            Err(_) => self.mark_degraded(),
         }
-        debug_assert!(
-            self.nodes.contains_key(&sid) || ref_sid == sid,
-            "the positions do not lead to {sid}"
-        );
-        self.load_seconds += start.elapsed().as_secs_f64();
     }
 }
 
 /// The boolean-pruning side of Algorithm 1: answers "may the subtree/tuple
 /// at this path contain data satisfying the selection?".
 ///
-/// * Lazy ([`BooleanProbe::cursors`]) — one lazily-loaded cursor per
-///   conjunct, ANDed: none for no predicate (`BP = ∅`, prunes nothing), one
-///   for a materialized cell, k for k atomic cells. Under k ≥ 2 the
-///   recursive emptiness fix-up of Fig 3.c runs lazily, so on a clean store
-///   no node below the root is read that holds no tuple of every conjunct:
-///   the probe is exact for tuples and for nodes alike.
-/// * Assembled ([`BooleanProbe::assembled`]) — k signatures loaded fully
-///   and intersected with the fix-up before the search: the same pruning,
-///   all loads up front (the `assemble-eager` ablation compares the two);
-///   also the empty signature of a value never seen in the data, which
-///   prunes everything.
+/// One lazily-loaded cursor per conjunct, ANDed: none for no predicate
+/// (`BP = ∅`, prunes nothing), one for a materialized cell or for a value
+/// never seen in the data (a cursor over nothing, which prunes everything
+/// below the root), k for k atomic cells. Under k ≥ 2 the recursive
+/// emptiness fix-up of Fig 3.c runs lazily, so on a clean store no node
+/// below the root is read that holds no tuple of every conjunct: the probe
+/// is exact for tuples and for nodes alike. An eager probe
+/// ([`crate::PCube::probe`] with `eager`) is the same probe with every
+/// partial loaded before the search: the same pruning, all loads up front
+/// (the `assemble-eager` ablation compares the two).
 ///
 /// # The probe contract
 ///
@@ -770,8 +805,8 @@ impl SignatureCursor<'_> {
 ///   non-empty. Exact verdicts are memoised per SID for the rest of the
 ///   query. Only two or more cursors answer it, and never for the root,
 ///   which the parallel driver reads unprobed: its check would be the whole
-///   query's emptiness test, priced at up to a full assembly. A node kept
-///   becomes the node under expansion.
+///   query's emptiness test, priced at up to every partial of every
+///   conjunct. A node kept becomes the node under expansion.
 /// * [`BooleanPruner::keep_child`], of each child of that node. Each
 ///   conjunct's *child mask* — a copy of its bit array of the node — is
 ///   fetched with one node lookup at the first child that reaches it
@@ -785,28 +820,21 @@ impl SignatureCursor<'_> {
 ///   bit arrays of that child share a set bit? One level of the fix-up, so
 ///   a child whose subtree holds data of every conjunct but no tuple of all
 ///   of them is dropped unread when the disagreement shows one level down;
-///   exact for a leaf-level child, sound above it. One cursor's or an
-///   assembled signature's set bit already proves a child non-empty.
+///   exact for a leaf-level child, sound above it. One cursor's set bit
+///   already proves a child non-empty.
 ///
 /// Both questions load partial signatures by the retrieval rule, counted
 /// in [`BooleanPruner::partials_loaded`] and timed in
-/// [`BooleanPruner::load_seconds`]. A cursor that degraded after a storage
-/// failure may answer a false positive, never a false negative.
+/// [`BooleanPruner::load_seconds`], an eager probe's up-front loads
+/// included. A cursor that degraded after a storage failure may answer a
+/// false positive, never a false negative.
 pub struct BooleanProbe<'a> {
-    conjuncts: Conjuncts<'a>,
+    cursors: Vec<SignatureCursor<'a>>,
+    /// The subtree check's exact verdicts, by node SID.
+    verdicts: HashMap<Sid, bool, SidBuildHasher>,
     /// The node kept last, whose children [`BooleanPruner::keep_child`] is
     /// asked about.
     expanding: Expansion,
-}
-
-/// How a [`BooleanProbe`] holds its conjunction.
-enum Conjuncts<'a> {
-    /// Evaluated lazily, one cursor per conjunct; the map memoises the
-    /// subtree check's exact verdicts by node SID.
-    Cursors(Vec<SignatureCursor<'a>>, HashMap<Sid, bool, SidBuildHasher>),
-    /// Assembled eagerly into one in-memory signature, with its child mask
-    /// of the node under expansion.
-    Assembled(Signature, ChildMask),
 }
 
 /// The node under expansion: its SID and depth, and how many conjuncts'
@@ -818,46 +846,32 @@ struct Expansion {
 }
 
 impl<'a> BooleanProbe<'a> {
-    /// A lazy probe ANDing `cursors`.
+    /// A probe ANDing `cursors`.
     pub fn cursors(cursors: Vec<SignatureCursor<'a>>) -> Self {
-        Self::over(Conjuncts::Cursors(cursors, HashMap::default()))
-    }
-
-    /// An eagerly assembled probe over `sig`.
-    pub fn assembled(sig: Signature) -> Self {
-        Self::over(Conjuncts::Assembled(sig, ChildMask::default()))
-    }
-
-    fn over(conjuncts: Conjuncts<'a>) -> Self {
-        BooleanProbe { conjuncts, expanding: Expansion { sid: Sid::ROOT, depth: 0, fetched: 0 } }
+        BooleanProbe {
+            cursors,
+            verdicts: HashMap::default(),
+            expanding: Expansion { sid: Sid::ROOT, depth: 0, fetched: 0 },
+        }
     }
 
     /// `true` if the path may contain qualifying data (never a false
     /// negative; a degraded cursor may answer a false positive).
     pub fn contains(&mut self, path: &Path) -> bool {
-        match &mut self.conjuncts {
-            Conjuncts::Cursors(cs, _) => cs.iter_mut().all(|c| c.contains(path)),
-            Conjuncts::Assembled(sig, _) => sig.contains(path),
-        }
+        self.cursors.iter_mut().all(|c| c.contains(path))
     }
 
     /// `true` if a cursor degraded after a storage failure, so the probe
     /// can report false positives (a tuple it keeps is then verified
     /// against the base table).
     pub fn is_lossy(&self) -> bool {
-        match &self.conjuncts {
-            Conjuncts::Cursors(cs, _) => cs.iter().any(SignatureCursor::is_degraded),
-            Conjuncts::Assembled(..) => false,
-        }
+        self.cursors.iter().any(SignatureCursor::is_degraded)
     }
 
-    /// The number of cursors a lazy probe ANDs; `None` if it is assembled.
+    /// The number of cursors the probe ANDs.
     #[cfg(test)]
-    pub(crate) fn cursor_count(&self) -> Option<usize> {
-        match &self.conjuncts {
-            Conjuncts::Cursors(cs, _) => Some(cs.len()),
-            Conjuncts::Assembled(..) => None,
-        }
+    pub(crate) fn cursor_count(&self) -> usize {
+        self.cursors.len()
     }
 
     /// [`BooleanPruner::keep`] of the node at `path`: the walk, then the
@@ -867,18 +881,16 @@ impl<'a> BooleanProbe<'a> {
         if !self.contains(path) {
             return false;
         }
-        let depth = path.depth();
-        let sid = match &mut self.conjuncts {
-            Conjuncts::Cursors(cs, _) if cs.is_empty() => return true,
-            Conjuncts::Cursors(cs, verdicts) => {
-                let sid = path.sid(cs[0].store.m_max);
-                if cs.len() > 1 && depth > 0 && !fix_up(cs, verdicts, sid, depth).unwrap_or(true) {
-                    return false;
-                }
-                sid
-            }
-            Conjuncts::Assembled(sig, _) => path.sid(sig.m_max()),
+        let Some(first) = self.cursors.first() else {
+            return true;
         };
+        let (sid, depth) = (path.sid(first.store.m_max), path.depth());
+        if self.cursors.len() > 1
+            && depth > 0
+            && !fix_up(&mut self.cursors, &mut self.verdicts, sid, depth).unwrap_or(true)
+        {
+            return false;
+        }
         self.expanding = Expansion { sid, depth, fetched: 0 };
         true
     }
@@ -903,45 +915,28 @@ impl BooleanPruner for BooleanProbe<'_> {
     /// The child's SID is derived from the expanding node's; no [`Path`] is
     /// built.
     fn keep_child(&mut self, slot: usize, is_node: bool) -> bool {
-        let e = &mut self.expanding;
-        match &mut self.conjuncts {
-            Conjuncts::Cursors(cs, _) => {
-                for (i, c) in cs.iter_mut().enumerate() {
-                    if i == e.fetched {
-                        c.load_mask(e.sid, e.depth);
-                        e.fetched += 1;
-                    }
-                    if !c.mask.get(slot) {
-                        return false;
-                    }
-                }
-                !is_node || cs.len() < 2 || {
-                    let child = e.sid.child(slot as u16 + 1, cs[0].store.m_max);
-                    arrays_meet(cs, child, e.depth + 1)
-                }
+        let (e, cs) = (&mut self.expanding, &mut self.cursors);
+        for (i, c) in cs.iter_mut().enumerate() {
+            if i == e.fetched {
+                c.load_mask(e.sid, e.depth);
+                e.fetched += 1;
             }
-            Conjuncts::Assembled(sig, mask) => {
-                if e.fetched == 0 {
-                    mask.load(sig.node(e.sid), false, sig.m_max());
-                    e.fetched = 1;
-                }
-                mask.get(slot)
+            if !c.mask.get(slot) {
+                return false;
             }
+        }
+        !is_node || cs.len() < 2 || {
+            let child = e.sid.child(slot as u16 + 1, cs[0].store.m_max);
+            arrays_meet(cs, child, e.depth + 1)
         }
     }
 
     fn partials_loaded(&self) -> u64 {
-        match &self.conjuncts {
-            Conjuncts::Cursors(cs, _) => cs.iter().map(SignatureCursor::partials_loaded).sum(),
-            Conjuncts::Assembled(..) => 0,
-        }
+        self.cursors.iter().map(SignatureCursor::partials_loaded).sum()
     }
 
     fn load_seconds(&self) -> f64 {
-        match &self.conjuncts {
-            Conjuncts::Cursors(cs, _) => cs.iter().map(|c| c.load_seconds).sum(),
-            Conjuncts::Assembled(..) => 0.0,
-        }
+        self.cursors.iter().map(|c| c.load_seconds).sum()
     }
 }
 
@@ -1132,7 +1127,7 @@ mod tests {
         // — exactly for a tuple child, which the masks alone decide; never
         // keeping more for a child node, which is also looked ahead at, and
         // never dropping one that holds a qualifying tuple. For no cursor,
-        // one, two, and an assembled signature.
+        // one, two, and two loaded first (an eager probe).
         let other = Signature::from_paths(
             2,
             [Path(vec![1, 1, 1]), Path(vec![1, 2, 2]), Path(vec![2, 1, 1])].iter(),
@@ -1144,16 +1139,12 @@ mod tests {
         // twins must load the same partial signatures at the same child.
         let cursors =
             |cells: &[u32]| BooleanProbe::cursors(cells.iter().map(|&c| store.cursor(c)).collect());
+        let loaded = |cells: &[u32]| loaded_probe(&store, cells);
         let variants: Vec<(&str, BooleanProbe<'_>, BooleanProbe<'_>, Option<&Signature>)> = vec![
             ("no cursor", cursors(&[]), cursors(&[]), None),
             ("one cursor", cursors(&[5]), cursors(&[5]), Some(&sig)),
             ("two cursors", cursors(&[5, 6]), cursors(&[5, 6]), Some(&both)),
-            (
-                "assembled",
-                BooleanProbe::assembled(both.clone()),
-                BooleanProbe::assembled(both.clone()),
-                Some(&both),
-            ),
+            ("two loaded first", loaded(&[5, 6]), loaded(&[5, 6]), Some(&both)),
         ];
         for (name, mut by_mask, mut by_walk, exact) in variants {
             for node in node_paths(2, 3) {
@@ -1196,13 +1187,12 @@ mod tests {
         store.write_signature(1, &b2);
 
         let mut lazy = BooleanProbe::cursors(vec![store.cursor(0), store.cursor(1)]);
-        let assembled = a2.intersect(&b2, 3);
-        let mut eager = BooleanProbe::assembled(assembled);
+        let exact = a2.intersect(&b2, 3);
         for a in 1..=2u16 {
             for b in 1..=2u16 {
                 for c in 1..=2u16 {
                     let p = Path(vec![a, b, c]);
-                    assert_eq!(lazy.contains(&p), eager.contains(&p), "tuple path {p}");
+                    assert_eq!(lazy.contains(&p), exact.contains(&p), "tuple path {p}");
                 }
             }
         }
@@ -1210,7 +1200,7 @@ mod tests {
         for a in 1..=2u16 {
             for b in 1..=2u16 {
                 let p = Path(vec![a, b]);
-                if eager.contains(&p) {
+                if exact.contains(&p) {
                     assert!(lazy.contains(&p), "lazy must not over-prune {p}");
                 }
             }
@@ -1224,19 +1214,29 @@ mod tests {
         // intersection does.
         let n2 = Path(vec![2]);
         assert!(lazy.contains(&n2));
-        assert!(!eager.contains(&n2));
+        assert!(!exact.contains(&n2));
         let root = Path::root();
         assert!(lazy.keep_node(&root));
         assert_eq!([lazy.keep_child(0, false), lazy.keep_child(1, false)], [true, true]);
         assert!(lazy.keep_child(0, true), "<1> holds t2");
         assert!(!lazy.keep_child(1, true), "<2> is pruned at the root's expansion");
         assert!(!lazy.keep_node(&n2), "and, restored from a list, before it is read");
-        // An assembled signature's set bit already proves its child
-        // non-empty: its child question is its walk.
+        // An eager probe is the same probe with its partials loaded first:
+        // the same answers, and no load once it is built.
+        let mut eager = loaded_probe(&store, &[0, 1]);
+        let up_front = eager.partials_loaded();
+        assert_eq!(up_front, 2, "one partial per cell");
         assert!(eager.keep_node(&root));
-        for slot in 0..2 {
-            assert_eq!(eager.keep_child(slot, true), eager.contains(&root.child(slot as u16 + 1)));
-        }
+        assert_eq!([eager.keep_child(0, true), eager.keep_child(1, true)], [true, false]);
+        assert!(!eager.keep_node(&n2));
+        assert_eq!(eager.partials_loaded(), up_front);
+    }
+
+    /// An eager probe over `cells`: their cursors with every partial loaded.
+    fn loaded_probe<'a>(store: &'a SignatureStore, cells: &[u32]) -> BooleanProbe<'a> {
+        let mut cursors: Vec<_> = cells.iter().map(|&c| store.cursor(c)).collect();
+        cursors.iter_mut().for_each(SignatureCursor::load_all);
+        BooleanProbe::cursors(cursors)
     }
 
     /// Walks a complete height-3 tree of fanout `m_max` the way the kernel

@@ -143,8 +143,8 @@ impl CellRegistry {
 /// "Due to the curse of dimensionality, we may only compute a subset of low
 /// dimensional cuboids … we assume that the P-Cube always contains a set of
 /// atomic cuboids" (§IV-B.2). [`MaterializationPlan::Atomic`] is the paper's
-/// default; higher-order cells are assembled by signature intersection at
-/// query time.
+/// default; a higher-order cell is answered at query time by ANDing its
+/// atomic cells' signatures, with the recursive fix-up of the intersection.
 #[derive(Debug, Clone)]
 pub enum MaterializationPlan {
     /// All one-dimensional cuboids (the paper's experimental setting).

@@ -53,6 +53,23 @@ fn arb_coarse_rows(
     )
 }
 
+/// Rows on two preference dimensions, each a small integer on one and a
+/// multiple of 10^16 on the other. `[0, 1e16]` dominates `[1, 1e16]`, and
+/// both sum to `1e16`: a dominator's score rounds to the score of the point
+/// it dominates, so the tie order alone cannot settle the skyline.
+fn arb_rounding_tie_rows(n_bool: usize, max_rows: usize) -> impl Strategy<Value = Vec<Row>> {
+    prop::collection::vec(
+        (prop::collection::vec(0u32..4, n_bool), 0u8..3, 1u8..=3, any::<bool>()).prop_map(
+            |(codes, small, big, flip)| {
+                let (small, big) = (f64::from(small), f64::from(big) * 1e16);
+                let coords = if flip { vec![big, small] } else { vec![small, big] };
+                Row { codes, coords }
+            },
+        ),
+        1..max_rows,
+    )
+}
+
 fn db_from(rows: &[Row], n_bool: usize, n_pref: usize) -> PCubeDb {
     let bool_names: Vec<String> = (0..n_bool).map(|i| format!("A{i}")).collect();
     let pref_names: Vec<String> = (0..n_pref).map(|i| format!("N{i}")).collect();
@@ -698,6 +715,64 @@ proptest! {
             prop_assert_eq!(&serial.rows, &oracle, "dims {:?}", &dims);
             let par = db.par_run(&sel, &class, ParallelOptions::with_workers(4));
             prop_assert_eq!(&par.rows, &serial.rows, "dims {:?}", &dims);
+        }
+    }
+}
+
+// Tie inputs. Each `proptest!` test draws its cases from one fixed-seed
+// stream, so these get tests of their own: another strategy inside an
+// existing test would change the cases that test has always run.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// Rounding ties: on every engine and at every worker count, a point
+    /// is dropped when a dominator scores the same after rounding, whichever
+    /// of the two has the smaller tid.
+    #[test]
+    fn skyline_drops_a_dominated_point_whose_dominator_rounds_to_its_score(
+        rows in arb_rounding_tie_rows(2, 60),
+        d0 in 0u32..4,
+        n_preds in 0usize..=1,
+    ) {
+        let db = db_from(&rows, 2, 2);
+        let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
+        let oracle = oracle_skyline(&qualifying(&rows, &sel), &[0, 1]);
+        let class = SkylineClass::new(vec![0, 1]);
+        for kind in EngineKind::ALL {
+            if let Ok((got, _)) = db.run_class_on(&class, &sel, kind) {
+                prop_assert_eq!(&got, &oracle, "{}", kind.name());
+            }
+        }
+        for workers in WORKER_COUNTS {
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(&par.rows, &oracle, "workers={}", workers);
+        }
+    }
+
+    /// Score ties at the k-th top-k score: grid coordinates under equal
+    /// weights tie often, and every engine, at every worker count, keeps
+    /// the smaller tids, as the oracle does.
+    #[test]
+    fn topk_ties_at_the_kth_score_keep_the_smaller_tids(
+        rows in arb_coarse_rows(2, 2, 120),
+        d0 in 0u32..4,
+        n_preds in 0usize..=1,
+        k in 1usize..12,
+    ) {
+        let db = db_from(&rows, 2, 2);
+        let sel: Selection = [Predicate { dim: 0, value: d0 }][..n_preds].to_vec();
+        let f = LinearFn::new(vec![1.0, 1.0]);
+        let oracle: Vec<u64> =
+            naive_topk(&qualifying(&rows, &sel), k, &f).iter().map(|r| r.0).collect();
+        let class = TopKClass::new(k, &f);
+        let tids = |rows: &[(u64, Vec<f64>, f64)]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
+        for kind in EngineKind::ALL {
+            let (got, _) = db.run_class_on(&class, &sel, kind).expect("top-k runs on every engine");
+            prop_assert_eq!(tids(&got), oracle.clone(), "{}", kind.name());
+        }
+        for workers in WORKER_COUNTS {
+            let par = db.par_run(&sel, &class, ParallelOptions::with_workers(workers));
+            prop_assert_eq!(tids(&par.rows), oracle.clone(), "workers={}", workers);
         }
     }
 }
