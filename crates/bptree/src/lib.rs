@@ -13,7 +13,8 @@
 //! Keys and values are `u64`; composite keys are packed with
 //! [`composite_key`]. Every node access goes through a counted
 //! [`pcube_storage::Pager`], so baseline and signature I/O is measured on the
-//! same ledger the paper uses.
+//! same ledger the paper uses. Internal pages are pinned in memory after
+//! their first read, so a warm lookup or range scan pays for leaves only.
 //!
 //! # Example
 //!

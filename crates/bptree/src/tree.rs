@@ -13,11 +13,10 @@ use crate::node::{self, TYPE_LEAF};
 /// All node accesses are charged to the owning [`Pager`]'s I/O category. Keys
 /// are unique; [`BPlusTree::insert`] replaces and returns any previous value.
 ///
-/// With [`BPlusTree::set_internal_pinning`] enabled, internal (non-leaf)
-/// pages are served from an in-memory cache after their first read — the
-/// standard buffer-pool assumption for index upper levels — so a point
-/// lookup costs one counted leaf read once the cache is warm. Any mutation
-/// drops the cache.
+/// Internal (non-leaf) pages are pinned: served from an in-memory cache
+/// after their first read — the standard buffer-pool assumption for index
+/// upper levels — so a point lookup costs one counted leaf read once the
+/// cache is warm. Any mutation drops the cache.
 pub struct BPlusTree {
     pager: Pager,
     root: PageId,
@@ -25,7 +24,6 @@ pub struct BPlusTree {
     len: u64,
     leaf_cap: usize,
     internal_cap: usize,
-    pin_internal: bool,
     /// `RwLock` so concurrent query threads can serve pinned internal
     /// pages from the cache; writes happen only on first read of a page and
     /// on invalidation. Lock poisoning is recovered from, not propagated:
@@ -35,41 +33,21 @@ pub struct BPlusTree {
 }
 
 impl Clone for BPlusTree {
-    /// Deep copy over a cloned pager. The clone keeps the pinning flag but
-    /// starts with a cold internal cache (it refills lazily on first reads).
+    /// Deep copy over a cloned pager, with a cold internal cache (it refills
+    /// lazily on first reads).
     fn clone(&self) -> Self {
-        BPlusTree {
-            pager: self.pager.clone(),
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            leaf_cap: self.leaf_cap,
-            internal_cap: self.internal_cap,
-            pin_internal: self.pin_internal,
-            internal_cache: RwLock::new(HashMap::new()),
-        }
+        BPlusTree::from_parts(self.pager.clone(), self.root, self.height, self.len)
     }
 }
 
 impl BPlusTree {
     /// Creates an empty tree that stores its nodes in `pager`.
     pub fn new(mut pager: Pager) -> Self {
-        let leaf_cap = node::leaf_capacity(pager.page_size());
-        let internal_cap = node::internal_capacity(pager.page_size());
         let root = pager.allocate();
         let mut page = vec![0u8; pager.page_size()];
         node::init_leaf(&mut page);
         pager.write(root, &page);
-        BPlusTree {
-            pager,
-            root,
-            height: 1,
-            len: 0,
-            leaf_cap,
-            internal_cap,
-            pin_internal: false,
-            internal_cache: RwLock::new(HashMap::new()),
-        }
+        BPlusTree::from_parts(pager, root, 1, 0)
     }
 
     /// Structural metadata needed to re-open the tree over a deserialized
@@ -90,41 +68,12 @@ impl BPlusTree {
             len,
             leaf_cap,
             internal_cap,
-            pin_internal: false,
             internal_cache: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Enables (or disables) in-memory pinning of internal pages. Disabling
-    /// drops any cached pages.
-    pub fn set_internal_pinning(&mut self, on: bool) {
-        self.pin_internal = on;
-        if !on {
-            self.internal_cache.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
-    /// Reads a node page, serving pinned internal pages from memory.
-    fn read_page(&self, pid: PageId) -> Vec<u8> {
-        if self.pin_internal {
-            if let Some(page) = self.internal_cache.read().unwrap_or_else(|e| e.into_inner()).get(&pid) {
-                return page.to_vec();
-            }
-        }
-        let page = self.pager.read(pid).to_vec();
-        if self.pin_internal && node::node_type(&page) != TYPE_LEAF {
-            self.internal_cache
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(pid, page.clone().into_boxed_slice());
-        }
-        page
-    }
-
     fn invalidate_cache(&mut self) {
-        if self.pin_internal {
-            self.internal_cache.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+        self.internal_cache.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
     }
 
     /// Builds a tree from an iterator of **strictly increasing** keys,
@@ -135,10 +84,8 @@ impl BPlusTree {
     /// Panics if keys are not strictly increasing or `fill` is out of range.
     pub fn bulk_load(mut pager: Pager, entries: impl IntoIterator<Item = (u64, u64)>, fill: f64) -> Self {
         assert!(fill > 0.0 && fill <= 1.0, "fill factor must be in (0,1]");
-        let leaf_cap = node::leaf_capacity(pager.page_size());
-        let internal_cap = node::internal_capacity(pager.page_size());
-        let per_leaf = ((leaf_cap as f64 * fill) as usize).max(1);
-        let per_internal = ((internal_cap as f64 * fill) as usize).max(2);
+        let per_leaf = ((node::leaf_capacity(pager.page_size()) as f64 * fill) as usize).max(1);
+        let per_internal = ((node::internal_capacity(pager.page_size()) as f64 * fill) as usize).max(2);
 
         // Build the leaf level.
         let mut page = vec![0u8; pager.page_size()];
@@ -213,17 +160,7 @@ impl BPlusTree {
             }
             current = upper;
         }
-        let root = current[0].1;
-        BPlusTree {
-            pager,
-            root,
-            height,
-            len,
-            leaf_cap,
-            internal_cap,
-            pin_internal: false,
-            internal_cache: RwLock::new(HashMap::new()),
-        }
+        BPlusTree::from_parts(pager, current[0].1, height, len)
     }
 
     /// Number of entries.
@@ -257,27 +194,41 @@ impl BPlusTree {
         &mut self.pager
     }
 
-    /// Fallible [`BPlusTree::read_page`]: propagates pager errors and
-    /// rejects pages whose entry count is structurally impossible, so
-    /// corrupt bytes surface as [`StorageError`] instead of a slice panic.
+    /// Reads a node page, the tree's one page reader: pager errors
+    /// propagate, a page whose entry count is structurally impossible is
+    /// [`StorageError::Malformed`] rather than a slice panic later, and an
+    /// internal page is pinned on its first read.
     fn try_read_page(&self, pid: PageId) -> Result<Vec<u8>, StorageError> {
-        if self.pin_internal {
-            if let Some(page) = self.internal_cache.read().unwrap_or_else(|e| e.into_inner()).get(&pid) {
-                return Ok(page.to_vec());
-            }
+        if let Some(page) = self.internal_cache.read().unwrap_or_else(|e| e.into_inner()).get(&pid) {
+            return Ok(page.to_vec());
         }
         let page = self.pager.try_read(pid)?.to_vec();
-        let cap = if node::node_type(&page) == TYPE_LEAF { self.leaf_cap } else { self.internal_cap };
-        if node::count(&page) > cap {
+        let leaf = node::node_type(&page) == TYPE_LEAF;
+        if node::count(&page) > if leaf { self.leaf_cap } else { self.internal_cap } {
             return Err(StorageError::Malformed { pid, what: "node count exceeds page capacity" });
         }
-        if self.pin_internal && node::node_type(&page) != TYPE_LEAF {
+        if !leaf {
             self.internal_cache
                 .write()
                 .unwrap_or_else(|e| e.into_inner())
                 .insert(pid, page.clone().into_boxed_slice());
         }
         Ok(page)
+    }
+
+    /// The leaf whose key range covers `key`. The descent is bounded by the
+    /// tree height, so a corrupt child pointer cannot loop forever.
+    #[inline(always)]
+    fn try_leaf(&self, key: u64) -> Result<Vec<u8>, StorageError> {
+        let mut pid = self.root;
+        for _ in 0..self.height {
+            let page = self.try_read_page(pid)?;
+            if node::node_type(&page) == TYPE_LEAF {
+                return Ok(page);
+            }
+            pid = node::internal_child(&page, node::internal_descend(&page, key));
+        }
+        Err(StorageError::Malformed { pid, what: "descent exceeded the tree height" })
     }
 
     /// Looks up `key`, charging one counted read per level (pinned internal
@@ -290,61 +241,49 @@ impl BPlusTree {
     }
 
     /// Fallible [`BPlusTree::get`]: corrupt or unreadable pages yield a
-    /// [`StorageError`] instead of panicking. The descent is bounded by the
-    /// tree height, so a corrupt child pointer cannot loop forever.
+    /// [`StorageError`] instead of panicking.
     pub fn try_get(&self, key: u64) -> Result<Option<u64>, StorageError> {
-        let mut pid = self.root;
-        for _ in 0..self.height {
-            // Copy the page out so we can keep descending without holding
-            // the borrow (pages are one node, this is a single memcpy).
-            let page = self.try_read_page(pid)?;
-            if node::node_type(&page) == TYPE_LEAF {
-                return Ok(match node::leaf_search(&page, key) {
-                    Ok(i) => Some(node::leaf_value(&page, i)),
-                    Err(_) => None,
-                });
-            }
-            pid = node::internal_child(&page, node::internal_descend(&page, key));
-        }
-        Err(StorageError::Malformed { pid, what: "descent exceeded the tree height" })
+        let page = self.try_leaf(key)?;
+        Ok(node::leaf_search(&page, key).ok().map(|i| node::leaf_value(&page, i)))
     }
 
-    /// Fallible bounded range scan: collects every `(key, value)` with key in
-    /// `range`, returning a [`StorageError`] on corrupt or unreadable pages.
-    /// The leaf walk is bounded by the pager's page count, so a corrupt
-    /// next-leaf pointer cannot cycle.
+    /// Entries whose keys fall in `range`, in key order.
+    ///
+    /// I/O cost: one counted read per unpinned level to locate the first
+    /// leaf, then one counted read per visited leaf.
+    ///
+    /// Infallible [`BPlusTree::try_range_collect`]; panics where that errors.
+    pub fn range(&self, range: impl RangeBounds<u64>) -> impl Iterator<Item = (u64, u64)> {
+        self.try_range_collect(range).unwrap_or_else(|e| panic!("{e}")).into_iter()
+    }
+
+    /// Every entry in key order; [`BPlusTree::range`] over `..`.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> {
+        self.range(..)
+    }
+
+    /// Fallible [`BPlusTree::range`]: collects every `(key, value)` with key
+    /// in `range`, returning a [`StorageError`] on corrupt or unreadable
+    /// pages. The leaf walk is bounded by the pager's page count, so a
+    /// corrupt next-leaf pointer cannot cycle.
     pub fn try_range_collect(
         &self,
         range: impl RangeBounds<u64>,
     ) -> Result<Vec<(u64, u64)>, StorageError> {
         let lo = match range.start_bound() {
-            Bound::Included(&k) => k,
-            Bound::Excluded(&k) => k.saturating_add(1),
-            Bound::Unbounded => 0,
+            Bound::Included(&k) => Some(k),
+            Bound::Excluded(&k) => k.checked_add(1),
+            Bound::Unbounded => Some(0),
         };
         let hi = match range.end_bound() {
             Bound::Included(&k) => Some(k),
-            Bound::Excluded(&k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                Some(k - 1)
-            }
-            Bound::Unbounded => None,
+            Bound::Excluded(&k) => k.checked_sub(1),
+            Bound::Unbounded => Some(u64::MAX),
         };
-        // Descend to the leaf containing lo, bounded by the tree height.
-        let mut pid = self.root;
-        let mut page = None;
-        for _ in 0..self.height {
-            let p = self.try_read_page(pid)?;
-            if node::node_type(&p) == TYPE_LEAF {
-                page = Some(p);
-                break;
-            }
-            pid = node::internal_child(&p, node::internal_descend(&p, lo));
-        }
-        let mut page =
-            page.ok_or(StorageError::Malformed { pid, what: "descent exceeded the tree height" })?;
+        let (Some(lo), Some(hi)) = (lo, hi) else {
+            return Ok(Vec::new());
+        };
+        let mut page = self.try_leaf(lo)?;
         let mut idx = match node::leaf_search(&page, lo) {
             Ok(i) | Err(i) => i,
         };
@@ -354,7 +293,7 @@ impl BPlusTree {
         loop {
             while idx < node::count(&page) {
                 let key = node::leaf_key(&page, idx);
-                if hi.is_some_and(|hi| key > hi) {
+                if key > hi {
                     return Ok(out);
                 }
                 out.push((key, node::leaf_value(&page, idx)));
@@ -536,85 +475,6 @@ impl BPlusTree {
         let child = node::internal_child(&page, slot);
         self.remove_rec(child, level - 1, key)
     }
-
-    /// Iterates over entries whose keys fall in `range`, in key order.
-    ///
-    /// I/O cost: one counted read per level to locate the first leaf, then
-    /// one counted read per visited leaf.
-    pub fn range(&self, range: impl RangeBounds<u64>) -> RangeIter<'_> {
-        let lo = match range.start_bound() {
-            Bound::Included(&k) => k,
-            Bound::Excluded(&k) => k.saturating_add(1),
-            Bound::Unbounded => 0,
-        };
-        let hi = match range.end_bound() {
-            Bound::Included(&k) => Some(k),
-            Bound::Excluded(&k) => {
-                if k == 0 {
-                    return RangeIter { tree: self, page: Vec::new(), idx: 0, hi: None, done: true };
-                }
-                Some(k - 1)
-            }
-            Bound::Unbounded => None,
-        };
-        // Descend to the leaf containing lo.
-        let mut pid = self.root;
-        loop {
-            let page = self.read_page(pid);
-            if node::node_type(&page) == TYPE_LEAF {
-                let idx = match node::leaf_search(&page, lo) {
-                    Ok(i) | Err(i) => i,
-                };
-                return RangeIter { tree: self, page, idx, hi, done: false };
-            }
-            pid = node::internal_child(&page, node::internal_descend(&page, lo));
-        }
-    }
-
-    /// Iterates over every entry in key order.
-    pub fn iter(&self) -> RangeIter<'_> {
-        self.range(..)
-    }
-}
-
-/// Iterator over a key range of a [`BPlusTree`]; see [`BPlusTree::range`].
-pub struct RangeIter<'a> {
-    tree: &'a BPlusTree,
-    page: Vec<u8>,
-    idx: usize,
-    hi: Option<u64>,
-    done: bool,
-}
-
-impl Iterator for RangeIter<'_> {
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        loop {
-            if self.done {
-                return None;
-            }
-            if self.idx < node::count(&self.page) {
-                let key = node::leaf_key(&self.page, self.idx);
-                if let Some(hi) = self.hi {
-                    if key > hi {
-                        self.done = true;
-                        return None;
-                    }
-                }
-                let value = node::leaf_value(&self.page, self.idx);
-                self.idx += 1;
-                return Some((key, value));
-            }
-            let next = node::next_leaf(&self.page);
-            if next.is_invalid() {
-                self.done = true;
-                return None;
-            }
-            self.page = self.tree.pager.read(next).to_vec();
-            self.idx = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -706,7 +566,6 @@ mod tests {
             t.insert(k, k);
         }
         assert!(t.height() >= 2);
-        t.set_internal_pinning(true);
         // Warm the cache.
         let _ = t.get(1);
         stats.reset();
@@ -822,25 +681,15 @@ mod tests {
         assert!(t.try_range_collect(..).is_err());
         t.pager_mut().take_fault_plan();
         assert_eq!(t.try_get(42), Ok(Some(43)));
-        // A page whose count field is garbage is Malformed, not a panic.
+        // A page whose count field is garbage is Malformed, not a panic. The
+        // root is pinned by now, so it is read back through a clone, whose
+        // cache is cold.
         let root = t.parts().0;
         t.pager_mut().update(root, |p| node::set_count(p, 60_000));
         assert!(matches!(
-            t.try_get(42),
+            t.clone().try_get(42),
             Err(StorageError::Malformed { what: "node count exceeds page capacity", .. })
         ));
-    }
-
-    #[test]
-    fn try_range_collect_matches_iter() {
-        let (mut t, _) = tree_with(64);
-        for k in 0..500u64 {
-            t.insert(k * 3, k);
-        }
-        let via_iter: Vec<(u64, u64)> = t.range(100..=1000).collect();
-        assert_eq!(t.try_range_collect(100..=1000), Ok(via_iter));
-        let all: Vec<(u64, u64)> = t.iter().collect();
-        assert_eq!(t.try_range_collect(..), Ok(all));
     }
 
     #[test]

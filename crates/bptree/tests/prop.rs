@@ -9,6 +9,7 @@ use pcube_bptree::BPlusTree;
 use pcube_storage::{IoCategory, IoStats, Pager};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,6 +29,29 @@ fn arb_op() -> impl Strategy<Value = Op> {
         key.clone().prop_map(Op::Get),
         (key.clone(), key).prop_map(|(a, b)| Op::Range(a.min(b), a.max(b))),
     ]
+}
+
+/// Keys at both ends of the domain, where bound arithmetic overflows.
+fn arb_edge_key() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..6, (u64::MAX - 5)..=u64::MAX]
+}
+
+fn arb_bound() -> impl Strategy<Value = Bound<u64>> {
+    prop_oneof![
+        arb_edge_key().prop_map(Bound::Included),
+        arb_edge_key().prop_map(Bound::Excluded),
+        Just(Bound::Unbounded),
+    ]
+}
+
+/// `false` where `BTreeMap::range` panics: a start above the end, or one
+/// key excluded at both ends. The tree answers those ranges empty.
+fn btreemap_accepts(lo: Bound<u64>, hi: Bound<u64>) -> bool {
+    match (lo, hi) {
+        (Bound::Excluded(a), Bound::Excluded(b)) => a < b,
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a <= b,
+        _ => true,
+    }
 }
 
 proptest! {
@@ -76,5 +100,27 @@ proptest! {
         }
         let scanned: Vec<(u64, u64)> = bulk.iter().collect();
         prop_assert_eq!(scanned, entries);
+    }
+
+    #[test]
+    fn range_bounds_behave_like_btreemap(
+        keys in prop::collection::btree_set(arb_edge_key(), 0..12),
+        bounds in prop::collection::vec((arb_bound(), arb_bound()), 1..32),
+        page in prop_oneof![Just(64usize), Just(4096)],
+    ) {
+        let mut tree = BPlusTree::new(Pager::new(page, IoCategory::BptreePage, IoStats::new_shared()));
+        let model: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, !k)).collect();
+        for (&k, &v) in &model {
+            tree.insert(k, v);
+        }
+        for (lo, hi) in bounds {
+            let got: Vec<(u64, u64)> = tree.range((lo, hi)).collect();
+            let expect: Vec<(u64, u64)> = if btreemap_accepts(lo, hi) {
+                model.range((lo, hi)).map(|(k, v)| (*k, *v)).collect()
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(got, expect, "range ({:?}, {:?})", lo, hi);
+        }
     }
 }

@@ -105,10 +105,7 @@ impl BooleanIndexSet {
                 value_counts.push(counts);
                 entries.sort_unstable_by_key(|(k, _)| *k);
                 let pager = Pager::new(page_size, IoCategory::BptreePage, stats.clone());
-                let mut tree = BPlusTree::bulk_load(pager, entries, 1.0);
-                // Internal pages pinned, as any warm buffer pool would.
-                tree.set_internal_pinning(true);
-                tree
+                BPlusTree::bulk_load(pager, entries, 1.0)
             })
             .collect();
         BooleanIndexSet { trees, value_counts }

@@ -7,10 +7,14 @@
 //! Each partial signature occupies one page of a dedicated pager (charged to
 //! [`IoCategory::SignaturePage`]); the directory mapping
 //! `(cell id, reference SID) → page` is a [`BPlusTree`] charged to
-//! [`IoCategory::BptreePage`]. A [`SignatureCursor`] loads partials on
-//! demand following the paper's rule: to resolve a node, try the partial
-//! referenced by the root, then by the first-level ancestor on the node's
-//! path, then the second level, and so on.
+//! [`IoCategory::BptreePage`], its internal pages pinned. Every per-cell
+//! read of the directory is one range scan yielding `(reference SID,
+//! locator)` in key order; a partial is then loaded straight from its
+//! locator, one signature-page read, with no second descent — by the
+//! in-place maintenance path as by a cursor. A [`SignatureCursor`] loads
+//! partials on demand following the paper's rule: to resolve a node, try the
+//! partial referenced by the root, then by the first-level ancestor on the
+//! node's path, then the second level, and so on.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -19,7 +23,7 @@ use pcube_bitmap::BitArray;
 use pcube_bptree::{composite_key, split_key, BPlusTree};
 use pcube_cube::Selection;
 use pcube_rtree::{Path, Sid, SidBuildHasher};
-use pcube_storage::{read_u32, write_u32, Counter, IoCategory, PageOp, Pager, StorageError};
+use pcube_storage::{read_u32, write_u32, Counter, IoCategory, PageId, PageOp, Pager, StorageError};
 
 use crate::encode::{decode_partial, encode_partial, for_each_partial, PartialSignature};
 use crate::pcube::PCubeDb;
@@ -59,18 +63,7 @@ impl SignatureStore {
             IoCategory::SignaturePage,
             "signature pages must be charged to the SignaturePage category"
         );
-        let payload_limit = sig_pager.page_size() - RECORD_HEADER;
-        // Directory upper levels are pinned: the buffer-pool assumption any
-        // 2008-era system would make for a hot index's internal pages.
-        let mut directory = BPlusTree::new(dir_pager);
-        directory.set_internal_pinning(true);
-        SignatureStore {
-            pager: sig_pager,
-            directory,
-            m_max,
-            height,
-            payload_limit,
-        }
+        SignatureStore::from_parts(sig_pager, BPlusTree::new(dir_pager), m_max, height)
     }
 
     /// Borrowed view of the parts (for serialization without consuming).
@@ -79,8 +72,7 @@ impl SignatureStore {
     }
 
     /// Re-opens a store from deserialized parts.
-    pub fn from_parts(pager: Pager, mut directory: BPlusTree, m_max: usize, height: usize) -> Self {
-        directory.set_internal_pinning(true);
+    pub fn from_parts(pager: Pager, directory: BPlusTree, m_max: usize, height: usize) -> Self {
         let payload_limit = pager.page_size() - RECORD_HEADER;
         SignatureStore { pager, directory, m_max, height, payload_limit }
     }
@@ -132,12 +124,12 @@ impl SignatureStore {
         composite_key(cell, sid32)
     }
 
-    fn locator(page: pcube_storage::PageId, offset: usize) -> u64 {
+    fn locator(page: PageId, offset: usize) -> u64 {
         (u64::from(page.0) << 32) | offset as u64
     }
 
-    fn unpack_locator(loc: u64) -> (pcube_storage::PageId, usize) {
-        (pcube_storage::PageId((loc >> 32) as u32), (loc & 0xFFFF_FFFF) as usize)
+    fn unpack_locator(loc: u64) -> (PageId, usize) {
+        (PageId((loc >> 32) as u32), (loc & 0xFFFF_FFFF) as usize)
     }
 
     /// Writes (or replaces) the signature of `cell`, packing its partials
@@ -181,13 +173,9 @@ impl SignatureStore {
 
     /// Removes all partials of `cell` (no-op if absent).
     pub fn delete_signature(&mut self, cell: u32) {
-        let keys: Vec<(u64, u64)> = self
-            .directory
-            .range(composite_key(cell, 0)..=composite_key(cell, u32::MAX))
-            .collect();
-        let mut freed = std::collections::HashSet::new();
-        for (key, loc) in keys {
-            self.directory.remove(key);
+        let mut freed = HashSet::new();
+        for (r, loc) in self.refs(cell).unwrap_or_else(|e| panic!("{e}")) {
+            self.directory.remove(Self::dir_key(cell, r));
             let (page, _) = Self::unpack_locator(loc);
             if freed.insert(page) {
                 self.pager.free(page);
@@ -245,25 +233,23 @@ impl SignatureStore {
     /// but cannot be a partial-signature record. Deterministic, so the page
     /// is quarantined — later probes get the memoized error in O(1) instead
     /// of re-reading and re-failing.
-    fn malformed(&self, pid: pcube_storage::PageId, what: &'static str) -> StorageError {
+    fn malformed(&self, pid: PageId, what: &'static str) -> StorageError {
         let err = StorageError::Malformed { pid, what };
         self.pager.quarantine(pid, err.clone());
         err
     }
 
-    /// All `(reference SID, locator)` pairs of a cell, via one directory
-    /// range scan (the refs are contiguous in key space, so this typically
-    /// costs a descent plus one leaf page).
-    fn try_locators_of(
-        &self,
-        cell: u32,
-    ) -> Result<HashMap<Sid, u64, SidBuildHasher>, StorageError> {
+    /// The `(reference SID, locator)` pairs of `cell` in key order, via one
+    /// directory range scan — the store's one per-cell read of the
+    /// directory. A cell's entries are contiguous in key space, so this
+    /// typically costs one leaf page below the pinned levels.
+    #[inline]
+    fn refs(&self, cell: u32) -> Result<impl Iterator<Item = (Sid, u64)>, StorageError> {
         Ok(self
             .directory
             .try_range_collect(composite_key(cell, 0)..=composite_key(cell, u32::MAX))?
             .into_iter()
-            .map(|(k, loc)| (Sid(u64::from(split_key(k).1)), loc))
-            .collect())
+            .map(|(k, loc)| (Sid(u64::from(split_key(k).1)), loc)))
     }
 
     /// Verifies every partial signature of `cell` end to end: the directory
@@ -275,9 +261,8 @@ impl SignatureStore {
     /// quarantine as a side effect, which is exactly what the scrubber is
     /// after.
     pub fn verify_cell(&self, cell: u32) -> Result<u64, StorageError> {
-        let locators = self.try_locators_of(cell)?;
         let mut verified = 0u64;
-        for &loc in locators.values() {
+        for (_, loc) in self.refs(cell)? {
             self.try_load_partial_at(loc)?;
             verified += 1;
         }
@@ -315,10 +300,7 @@ impl SignatureStore {
     /// undecodable record along the way aborts the assembly with the error.
     pub fn try_load_full(&self, cell: u32) -> Result<Signature, StorageError> {
         let mut nodes = Vec::new();
-        for (_, loc) in self
-            .directory
-            .try_range_collect(composite_key(cell, 0)..=composite_key(cell, u32::MAX))?
-        {
+        for (_, loc) in self.refs(cell)? {
             nodes.extend(self.try_load_partial_at(loc)?.nodes);
         }
         Ok(Signature::from_nodes(self.m_max, nodes))
@@ -329,30 +311,26 @@ impl SignatureStore {
     /// path, and flip the corresponding entries from 0 to 1."
     ///
     /// Flips the bits along every path in `sets` inside the partials that
-    /// already encode the touched nodes; nodes the cell never reached before
-    /// are appended as fresh partials (referenced by the first new node on
-    /// the path, so the cursor's root-then-deeper retrieval rule still finds
-    /// them). Returns `false` — leaving the store completely untouched — if
-    /// the edit cannot be done in place (a rewritten page would overflow, or
-    /// the cell has no signature yet); callers then fall back to
-    /// [`SignatureStore::write_signature`].
+    /// already encode the touched nodes — each loaded at most once, straight
+    /// from the locator the cell's one directory scan returned; nodes the
+    /// cell never reached before are appended as fresh partials (referenced
+    /// by the first new node on the path, so the cursor's root-then-deeper
+    /// retrieval rule still finds them). Returns `false` — leaving the store
+    /// completely untouched — if the edit cannot be done in place (a
+    /// rewritten page would overflow, or the cell has no signature yet);
+    /// callers then fall back to [`SignatureStore::write_signature`]. A
+    /// partial that fails to load panics with the storage error, as
+    /// [`SignatureStore::load_full`] does.
     pub fn apply_sets_in_place(&mut self, cell: u32, sets: &[Path]) -> bool {
         if sets.is_empty() {
             return true;
         }
-        // Locators of every existing partial of the cell.
-        let locators: Vec<(Sid, (pcube_storage::PageId, usize))> = self
-            .directory
-            .range(composite_key(cell, 0)..=composite_key(cell, u32::MAX))
-            .map(|(k, loc)| (Sid(u64::from(split_key(k).1)), Self::unpack_locator(loc)))
-            .collect();
+        // The locator of every existing partial of the cell, by reference.
+        let locators: HashMap<Sid, u64> = self.refs(cell).unwrap_or_else(|e| panic!("{e}")).collect();
         if locators.is_empty() {
             return false;
         }
-        let ref_set: HashMap<Sid, (pcube_storage::PageId, usize)> =
-            locators.iter().copied().collect();
-
-        // Lazily loaded partials by reference, plus which got modified.
+        // Partials loaded so far by reference, plus which got modified.
         let mut loaded: HashMap<Sid, PartialSignature> = HashMap::new();
         let mut modified: HashSet<Sid> = HashSet::new();
         // Brand-new nodes created by this batch, keyed by node SID.
@@ -367,39 +345,22 @@ impl SignatureStore {
                     bits.set(pos, true);
                     continue;
                 }
-                // Find the partial encoding this node by the retrieval rule.
-                let mut found: Option<Sid> = None;
-                for l in 0..=level {
-                    let r = path.prefix_sid(l, self.m_max);
-                    if !ref_set.contains_key(&r) {
-                        continue;
-                    }
-                    let partial = match loaded.entry(r) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            let p = self
-                                .load_partial(cell, r)
-                                // invariant: `r` came from `ref_set`, which
-                                // was just scanned out of the directory.
-                                .expect("directory entry must resolve");
-                            v.insert(p)
-                        }
-                    };
-                    if partial.nodes.iter().any(|(s, _)| *s == node_sid) {
-                        found = Some(r);
+                // The partial encoding this node, by the retrieval rule.
+                let mut found = None;
+                for r in (0..=level).map(|l| path.prefix_sid(l, self.m_max)) {
+                    let Some(&loc) = locators.get(&r) else { continue };
+                    let partial = loaded
+                        .entry(r)
+                        .or_insert_with(|| self.try_load_partial_at(loc).unwrap_or_else(|e| panic!("{e}")));
+                    if let Some(i) = partial.nodes.iter().position(|(s, _)| *s == node_sid) {
+                        found = Some((r, i));
                         break;
                     }
                 }
                 match found {
-                    Some(r) => {
-                        // invariant: `found = Some(r)` only after `loaded[r]`
-                        // was inserted and seen to contain `node_sid`.
-                        let partial = loaded.get_mut(&r).expect("loaded[r] inserted above");
-                        let (_, bits) = partial
-                            .nodes
-                            .iter_mut()
-                            .find(|(s, _)| *s == node_sid)
-                            .expect("found only set when the node is present");
+                    Some((r, i)) => {
+                        // invariant: `found` is set only once `loaded[r]` is in.
+                        let bits = &mut loaded.get_mut(&r).expect("loaded above").nodes[i].1;
                         bits.grow(self.m_max);
                         bits.set(pos, true);
                         modified.insert(r);
@@ -415,42 +376,44 @@ impl SignatureStore {
             }
         }
 
-        // Re-encode every page that hosts a modified partial and verify it
-        // still fits BEFORE touching the store.
-        let mut pages: HashMap<pcube_storage::PageId, Vec<Sid>> = HashMap::new();
-        for (r, (pid, _)) in &ref_set {
-            pages.entry(*pid).or_default().push(*r);
+        // Re-encode every page that hosts a modified partial, its records in
+        // their original order, and verify it still fits BEFORE touching the
+        // store.
+        let mut records: HashMap<PageId, Vec<(usize, Sid)>> = HashMap::new();
+        for (&r, &loc) in &locators {
+            let (pid, off) = Self::unpack_locator(loc);
+            records.entry(pid).or_default().push((off, r));
         }
-        // (page, new contents, per-record (ref, new offset)) per rewritten page
-        type PageRewrite = (pcube_storage::PageId, Vec<u8>, Vec<(Sid, usize)>);
+        // (page, new contents, (ref, new offset) of every record that moved)
+        type PageRewrite = (PageId, Vec<u8>, Vec<(Sid, usize)>);
         let mut page_rewrites: Vec<PageRewrite> = Vec::new();
-        let affected_pages: HashSet<pcube_storage::PageId> =
-            modified.iter().map(|r| ref_set[r].0).collect();
-        for pid in affected_pages {
-            let mut refs = pages.remove(&pid).unwrap_or_default();
-            refs.sort_by_key(|r| ref_set[r].1); // original record order
-            let mut new_page = vec![0u8; self.pager.page_size()];
+        let affected: HashSet<PageId> = modified.iter().map(|r| Self::unpack_locator(locators[r]).0).collect();
+        for pid in affected {
+            let mut on_page = records.remove(&pid).unwrap_or_default();
+            on_page.sort_unstable();
+            let mut page = vec![0u8; self.pager.page_size()];
             let mut used = 0usize;
-            let mut new_offsets = Vec::with_capacity(refs.len());
-            for r in refs {
+            let mut moved = Vec::new();
+            for (off, r) in on_page {
                 let bytes = if modified.contains(&r) {
                     encode_partial(&loaded[&r])
                 } else {
                     // Copy the untouched record verbatim.
-                    let (p, off) = ref_set[&r];
-                    let page = self.pager.page_bytes(p).unwrap_or_else(|| {
-                        panic!("{}", StorageError::DeadPage { pid: p, op: PageOp::Read })
+                    let old = self.pager.page_bytes(pid).unwrap_or_else(|| {
+                        panic!("{}", StorageError::DeadPage { pid, op: PageOp::Read })
                     });
-                    let len = read_u32(page, off) as usize;
-                    page[off + RECORD_HEADER..off + RECORD_HEADER + len].to_vec()
+                    let len = read_u32(old, off) as usize;
+                    old[off + RECORD_HEADER..off + RECORD_HEADER + len].to_vec()
                 };
-                if used + RECORD_HEADER + bytes.len() > new_page.len() {
+                if used + RECORD_HEADER + bytes.len() > page.len() {
                     return false; // would overflow: fall back to full rewrite
                 }
-                new_offsets.push((r, used));
-                used = put_record(&mut new_page, used, &bytes);
+                if off != used {
+                    moved.push((r, used));
+                }
+                used = put_record(&mut page, used, &bytes);
             }
-            page_rewrites.push((pid, new_page, new_offsets));
+            page_rewrites.push((pid, page, moved));
         }
 
         // Group new nodes into chain partials headed by the shallowest new
@@ -485,12 +448,10 @@ impl SignatureStore {
         }
 
         // All feasible: commit. 1) rewrite pages + fix shifted offsets.
-        for (pid, page, offsets) in page_rewrites {
+        for (pid, page, moved) in page_rewrites {
             self.pager.write(pid, &page);
-            for (r, off) in offsets {
-                if ref_set[&r].1 != off {
-                    self.directory.insert(Self::dir_key(cell, r), Self::locator(pid, off));
-                }
+            for (r, off) in moved {
+                self.directory.insert(Self::dir_key(cell, r), Self::locator(pid, off));
             }
         }
         // 2) append new partials, packed onto fresh pages.
@@ -504,10 +465,7 @@ impl SignatureStore {
 
     /// All reference SIDs stored for `cell` (test/diagnostic helper).
     pub fn partial_refs(&self, cell: u32) -> Vec<Sid> {
-        self.directory
-            .range(composite_key(cell, 0)..=composite_key(cell, u32::MAX))
-            .map(|(k, _)| Sid(u64::from(split_key(k).1)))
-            .collect()
+        self.refs(cell).unwrap_or_else(|e| panic!("{e}")).map(|(r, _)| r).collect()
     }
 
     /// Opens a lazily-loading cursor over `cell`'s signature.
@@ -539,7 +497,7 @@ struct RecordPacker {
     page: Vec<u8>,
     used: usize,
     /// The page the buffer will be written to; `None` until a record arrives.
-    pid: Option<pcube_storage::PageId>,
+    pid: Option<PageId>,
 }
 
 impl RecordPacker {
@@ -746,8 +704,8 @@ impl SignatureCursor<'_> {
     #[inline]
     fn fetch_locators(&mut self) {
         if self.locators.is_none() {
-            self.locators = Some(match self.store.try_locators_of(self.cell) {
-                Ok(map) => map,
+            self.locators = Some(match self.store.refs(self.cell) {
+                Ok(refs) => refs.collect(),
                 Err(_) => {
                     // Directory unreadable: no locators at all, every node
                     // is unknown from here on.
@@ -1408,6 +1366,41 @@ mod tests {
                 assert_eq!(fast.load_full(1), base, "failed fast path must not mutate");
             }
         }
+    }
+
+    /// Every live page of the store, signature pages and directory, by id.
+    fn page_image(store: &SignatureStore) -> Vec<(PageId, Vec<u8>)> {
+        let (sig_pager, directory, _, _) = store.parts_ref();
+        [sig_pager, directory.pager()]
+            .into_iter()
+            .flat_map(|p| p.live_page_ids().into_iter().map(move |pid| (pid, p.page_bytes(pid).unwrap().to_vec())))
+            .collect()
+    }
+
+    #[test]
+    fn an_in_place_patch_reads_the_directory_once() {
+        // 512 B signature pages split the cell into many partials.
+        let (m_max, height) = (32, 3);
+        let (mut store, stats) = store_for(m_max, height, 512);
+        let paths: Vec<Path> =
+            (1..=32u16).flat_map(|a| (1..=32u16).map(move |b| Path(vec![a, b, a * b % 32 + 1]))).collect();
+        store.write_signature(5, &Signature::from_paths(m_max, paths.iter()));
+        let refs = store.partial_refs(5);
+        assert!(refs.len() >= 4, "the cell must span several partials");
+        assert!(refs.windows(2).all(|w| w[0] < w[1]), "references come in key order");
+        let before = page_image(&store);
+        // One per-cell directory scan, under the pin cache the scans above warmed.
+        stats.reset();
+        store.partial_refs(5);
+        let one_scan = stats.reads(IoCategory::BptreePage);
+        // Paths the cell already holds: every bit is set, so no record moves
+        // and no directory entry is written.
+        let held: Vec<Path> = paths.iter().step_by(37).cloned().collect();
+        stats.reset();
+        assert!(store.apply_sets_in_place(5, &held));
+        assert!(stats.reads(IoCategory::SignaturePage) >= 2, "several partials are loaded");
+        assert_eq!(stats.reads(IoCategory::BptreePage), one_scan, "each partial is loaded by its locator");
+        assert_eq!(page_image(&store), before);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! | [`core`] | `pcube-core` | signatures, P-Cube, Algorithm 1 |
 //! | [`cube`] | `pcube-cube` | relation, dictionaries, cuboids, cells |
 //! | [`rtree`] | `pcube-rtree` | the shared R*-tree partition |
-//! | [`bptree`] | `pcube-bptree` | disk B+-tree (indexes + directories) |
+//! | [`bptree`] | `pcube-bptree` | disk B+-tree (indexes + directories; internal pages pinned) |
 //! | [`bitmap`] | `pcube-bitmap` | bit arrays, compression, Bloom filters |
 //! | [`storage`] | `pcube-storage` | counted pager, buffer pool, cost model |
 //! | [`baselines`] | `pcube-baselines` | reference algorithms (BNL, SFS, naive top-k) + re-exports |
