@@ -5,8 +5,9 @@
 //! boolean pruner, or the class's in-memory step behind a B+-tree or
 //! heap-scan selection, all measured on one I/O ledger. What lives here:
 //!
-//! * [`reference`](mod@reference) — in-memory oracles (BNL and SFS skylines,
-//!   sort-based top-k) used as ground truth by the test suites;
+//! * [`reference`](mod@reference) — in-memory oracles (a BNL skyline and a
+//!   sort-based top-k) used as ground truth by the test suites and the
+//!   planner benchmark;
 //! * re-exports of the boolean indexes those engines read, and
 //!   [`index_merge_topk`], the index-merge engine under its paper name.
 //!

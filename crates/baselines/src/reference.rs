@@ -1,5 +1,6 @@
-//! In-memory reference algorithms used as correctness oracles and as the
-//! post-selection step of the Boolean-first baseline.
+//! In-memory reference algorithms: the ground truth the differential,
+//! fault-injection, property and correctness suites and the planner
+//! benchmark compare the engines' answers with.
 
 use pcube_core::RankingFunction;
 
@@ -21,24 +22,6 @@ pub fn bnl_skyline(points: &[(u64, Vec<f64>)], dims: &[usize]) -> Vec<(u64, Vec<
             }
         }
         window.push((*tid, coords.clone()));
-    }
-    window
-}
-
-/// Sort-first skyline (Chomicki et al. \[7\]): pre-sorts by coordinate sum so
-/// no window point is ever evicted. Same result set as [`bnl_skyline`].
-pub fn sfs_skyline(points: &[(u64, Vec<f64>)], dims: &[usize]) -> Vec<(u64, Vec<f64>)> {
-    let mut sorted: Vec<&(u64, Vec<f64>)> = points.iter().collect();
-    sorted.sort_by(|a, b| {
-        let sa: f64 = dims.iter().map(|&d| a.1[d]).sum();
-        let sb: f64 = dims.iter().map(|&d| b.1[d]).sum();
-        sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    let mut window: Vec<(u64, Vec<f64>)> = Vec::new();
-    for p in sorted {
-        if !window.iter().any(|w| dominates(&w.1, &p.1, dims)) {
-            window.push(p.clone());
-        }
     }
     window
 }
@@ -81,7 +64,7 @@ mod tests {
     }
 
     #[test]
-    fn bnl_and_sfs_agree_on_random_data() {
+    fn bnl_keeps_exactly_the_undominated_points() {
         // Deterministic pseudo-random points.
         let points: Vec<(u64, Vec<f64>)> = (0..300u64)
             .map(|i| {
@@ -93,9 +76,12 @@ mod tests {
             .collect();
         for dims in [vec![0, 1, 2], vec![0, 1], vec![2]] {
             let mut a: Vec<u64> = bnl_skyline(&points, &dims).iter().map(|p| p.0).collect();
-            let mut b: Vec<u64> = sfs_skyline(&points, &dims).iter().map(|p| p.0).collect();
             a.sort_unstable();
-            b.sort_unstable();
+            let b: Vec<u64> = points
+                .iter()
+                .filter(|(_, p)| !points.iter().any(|(_, q)| dominates(q, p, &dims)))
+                .map(|p| p.0)
+                .collect();
             assert_eq!(a, b, "dims {dims:?}");
         }
     }
@@ -130,7 +116,6 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert!(bnl_skyline(&[], &[0]).is_empty());
-        assert!(sfs_skyline(&[], &[0]).is_empty());
         assert!(naive_topk(&[], 3, &LinearFn::new(vec![1.0])).is_empty());
     }
 }

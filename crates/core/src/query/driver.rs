@@ -180,12 +180,13 @@ struct Tally {
 /// fan-out passes its `root_fanout` (the root's children): the root it
 /// expanded is one more node, and its children were one more heap.
 ///
-/// Node expansions, partial loads, pops, the abandoned frontier and stage
-/// times add up across workers (stages measure where the work went, not
-/// the critical path; `cpu_seconds` is the wall clock); `peak_heap`,
-/// overshoot and the longest pop take the worst worker. The reported stop is
-/// the first *originating* trip in worker order — a drained sibling reports
-/// `Cancelled`, which only wins when the whole query was cancelled.
+/// Node expansions, partial loads, children tested and ruled out, pops, the
+/// abandoned frontier and stage times add up across workers (stages
+/// measure where the work went, not the critical path; `cpu_seconds` is the
+/// wall clock); `peak_heap`, overshoot and the longest pop take the worst
+/// worker. The reported stop is the first *originating* trip in worker
+/// order — a drained sibling reports `Cancelled`, which only wins when the
+/// whole query was cancelled.
 fn fold(
     db: &PCubeDb,
     start: &QueryStart,
@@ -200,6 +201,8 @@ fn fold(
             + runs().map(|r| r.nodes_expanded).sum::<u64>(),
         peak_heap: tallies.iter().map(|t| t.peak_heap).chain(root_fanout).max().unwrap_or(0),
         partials_loaded: tallies.iter().map(|t| t.partials_loaded).sum(),
+        children_tested: runs().map(|r| r.children_tested).sum(),
+        children_ruled_out: runs().map(|r| r.children_ruled_out).sum(),
         ..QueryStats::default()
     };
     for r in runs() {

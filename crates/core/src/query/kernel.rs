@@ -21,7 +21,8 @@
 //!
 //! The kernel preserves the decision sequence of the original per-engine
 //! loops — pop order, prune order (preference before boolean, Algorithm 1
-//! lines 10–19), the `seq = 0` convention for children saved to
+//! lines 10–19, wherever a saved list records which way a child was
+//! pruned), the `seq = 0` convention for children saved to
 //! `b_list`/`d_list`, and the frontier drain on early termination — so
 //! results are bit-identical to the pre-kernel implementations. The
 //! parallel workers are the very same kernel instantiated with shared
@@ -37,6 +38,18 @@
 //! store a node is read only if its subtree holds a qualifying tuple,
 //! whether partial signatures are loaded lazily or all up front — is the
 //! probe's business ([`BooleanProbe`](crate::store::BooleanProbe)).
+//!
+//! The prune order decides only which list a child pruned both ways joins.
+//! A run that keeps no lists — every run but [`PCubeDb::run_resumable`],
+//! `drill_down` and `roll_up` — asks boolean first where that is free: a
+//! child [`BooleanPruner::rules_out`] from what the pruner already holds is
+//! skipped before it is decoded, scored or preference-tested. Such a child
+//! is one `keep_child` would have dropped without loading anything, and no
+//! preference test changes what a later one answers, so every answer, pop,
+//! push, partial load and page read is the same as preference first; only
+//! the CPU moves ([`KernelRun::children_tested`],
+//! [`KernelRun::children_ruled_out`]).
+//!
 //! Children are scored and pruned in place from a borrowed [`NodeView`] of
 //! the page; a [`Path`], a coordinate vector or an [`Mbr`] is allocated only
 //! for a child that is pushed on the heap or saved to a list, and the clock
@@ -56,9 +69,10 @@ use crate::query::hull::RunningHull;
 use crate::query::{Candidate, CandidateHeap, HeapEntry, ResultEntry};
 use crate::rank::RankingFunction;
 
-/// Boolean pruning as Algorithm 1 asks for it: two questions, and the `SSig`
-/// statistics. See [`BooleanProbe`] for how the signature probe answers
-/// them.
+/// Boolean pruning as Algorithm 1 asks for it: two questions, a third that
+/// lets the kernel skip a child the second would drop for free, and the
+/// `SSig` statistics. See [`BooleanProbe`] for how the signature probe
+/// answers them.
 ///
 /// [`BooleanProbe`]: crate::store::BooleanProbe
 pub trait BooleanPruner {
@@ -79,6 +93,15 @@ pub trait BooleanPruner {
     /// first child that needs it.
     fn keep_child(&mut self, _slot: usize, _is_node: bool) -> bool {
         true
+    }
+    /// Does what the pruner already holds rule out the child in 0-based
+    /// `slot` of the node kept last? Never loads anything, and answers
+    /// `true` only where [`Self::keep_child`] would answer `false` without
+    /// loading anything either, so asking it changes no later answer. The
+    /// kernel asks it before a child is decoded, when no saved list needs
+    /// to know which way the child was pruned.
+    fn rules_out(&self, _slot: usize) -> bool {
+        false
     }
     /// Partial signatures loaded so far (the `SSig` series of Fig 9).
     fn partials_loaded(&self) -> u64 {
@@ -197,6 +220,11 @@ pub struct KernelRun {
     pub nodes_expanded: u64,
     /// Heap entries popped (including the pop on which a governor tripped).
     pub pops: u64,
+    /// Children of expanded nodes decoded, scored and preference-tested.
+    pub children_tested: u64,
+    /// Children of expanded nodes skipped undecoded because the boolean
+    /// pruner ruled them out from what it held ([`BooleanPruner::rules_out`]).
+    pub children_ruled_out: u64,
     /// `Some(reason)` when the governor stopped the loop before the heap
     /// emptied or the logic halted; `None` for a complete run.
     pub stop: Option<StopReason>,
@@ -216,6 +244,11 @@ pub struct KernelRun {
 /// empty, the logic halts, or the governor (if any) trips. Returns the work
 /// counters; every other statistic (peak heap, partials, I/O, wall clock)
 /// is read by the caller from the heap/probe/ledger it owns.
+///
+/// Without `lists` and under a selection, each child of an expanded node
+/// is first put to [`BooleanPruner::rules_out`], and one it rules out is
+/// never decoded (see the module doc for why no count can move). With
+/// `lists`, the children go preference first, as Algorithm 1 lists them.
 ///
 /// The top of the pop loop is the cancellation point: the governor is
 /// consulted once per pop, before any preference or boolean work, so a
@@ -238,6 +271,10 @@ pub fn run_kernel(
     let dims = db.rtree().dims();
     let mut coords: Vec<f64> = Vec::with_capacity(dims);
     let mut mbr = Mbr::empty(dims);
+    // Boolean first where the prune order is free: no list records which way
+    // a child was pruned (see the module doc). Under no predicate nothing
+    // can be ruled out, and the question is not asked.
+    let ask_first = lists.is_none() && !selection.is_empty();
     // Stage attribution: the pop-time question and the node read count as
     // `page_read`, and so do the probe's own loads while the children are
     // asked about ([`BooleanPruner::load_seconds`]); everything else — the
@@ -299,6 +336,11 @@ pub fn run_kernel(
                 let child_depth = path.depth() + 1;
                 let loaded_before = probe.load_seconds();
                 for slot in node.slots() {
+                    if ask_first && probe.rules_out(slot) {
+                        run.children_ruled_out += 1;
+                        continue;
+                    }
+                    run.children_tested += 1;
                     let (score, child) = if leaf {
                         node.coords_into(slot, &mut coords);
                         (logic.score_tuple(&coords), Region::Point(&coords))

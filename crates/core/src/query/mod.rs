@@ -87,6 +87,11 @@ pub struct QueryStats {
     pub peak_heap: usize,
     /// Partial signatures loaded (the `SSig` series of Fig 9).
     pub partials_loaded: u64,
+    /// Children of expanded nodes decoded, scored and preference-tested.
+    pub children_tested: u64,
+    /// Children of expanded nodes the boolean pruner ruled out before they
+    /// were decoded.
+    pub children_ruled_out: u64,
     /// Counted I/O performed by the query (all categories).
     pub io: IoSnapshot,
     /// Wall-clock seconds of CPU work (the in-memory part).

@@ -749,7 +749,8 @@ impl SignatureCursor<'_> {
 ///
 /// # The probe contract
 ///
-/// Algorithm 1 asks the two questions of [`BooleanPruner`]:
+/// Algorithm 1 asks the two questions of [`BooleanPruner`], and the kernel
+/// a third:
 ///
 /// * [`BooleanPruner::keep`], of a popped entry. It starts with the full
 ///   root-to-path walk ([`BooleanProbe::contains`]): the entry may be the
@@ -764,7 +765,9 @@ impl SignatureCursor<'_> {
 ///   query. Only two or more cursors answer it, and never for the root,
 ///   which the parallel driver reads unprobed: its check would be the whole
 ///   query's emptiness test, priced at up to every partial of every
-///   conjunct. A node kept becomes the node under expansion.
+///   conjunct. A node kept becomes the node under expansion, and the child
+///   masks of it whose bits are already in memory are fetched then, in
+///   conjunct order, up to the first conjunct that would need a read.
 /// * [`BooleanPruner::keep_child`], of each child of that node. Each
 ///   conjunct's *child mask* — a copy of its bit array of the node — is
 ///   fetched with one node lookup at the first child that reaches it
@@ -780,8 +783,15 @@ impl SignatureCursor<'_> {
 ///   of them is dropped unread when the disagreement shows one level down;
 ///   exact for a leaf-level child, sound above it. One cursor's set bit
 ///   already proves a child non-empty.
+/// * [`BooleanPruner::rules_out`], of a child before it is decoded: is its
+///   bit clear in a mask already fetched for the node under expansion? It
+///   reads nothing else and loads nothing. `keep_child` checks those masks
+///   first, in the same order, and stops at a clear bit before it fetches
+///   another, so `true` here is exactly a `false` there that loads nothing.
+///   A mask not fetched for this node is stale (it belongs to the node
+///   expanded before) and is never read.
 ///
-/// Both questions load partial signatures by the retrieval rule, counted
+/// The first two load partial signatures by the retrieval rule, counted
 /// in [`BooleanPruner::partials_loaded`] and timed in
 /// [`BooleanPruner::load_seconds`], an eager probe's up-front loads
 /// included. A cursor that degraded after a storage failure may answer a
@@ -834,7 +844,8 @@ impl<'a> BooleanProbe<'a> {
 
     /// [`BooleanPruner::keep`] of the node at `path`: the walk, then the
     /// subtree check (`fix_up`, which a degraded cursor makes answer
-    /// `true`). A node kept becomes the node under expansion.
+    /// `true`). A node kept becomes the node under expansion, with the
+    /// child masks already in memory fetched.
     fn keep_node(&mut self, path: &Path) -> bool {
         if !self.contains(path) {
             return false;
@@ -850,6 +861,13 @@ impl<'a> BooleanProbe<'a> {
             return false;
         }
         self.expanding = Expansion { sid, depth, fetched: 0 };
+        // The masks whose bits are already in memory, in conjunct order,
+        // up to the first that would need a read: fetched now, they let
+        // `rules_out` answer from the first child on.
+        for c in self.cursors.iter_mut().take_while(|c| c.nodes.contains_key(&sid)) {
+            c.load_mask(sid, depth);
+            self.expanding.fetched += 1;
+        }
         true
     }
 }
@@ -887,6 +905,13 @@ impl BooleanPruner for BooleanProbe<'_> {
             let child = e.sid.child(slot as u16 + 1, cs[0].store.m_max);
             arrays_meet(cs, child, e.depth + 1)
         }
+    }
+
+    /// A clear bit in a mask already fetched for the node under expansion:
+    /// `keep_child` stops at that mask before it reaches one it would fetch.
+    #[inline]
+    fn rules_out(&self, slot: usize) -> bool {
+        self.cursors[..self.expanding.fetched].iter().any(|c| !c.mask.get(slot))
     }
 
     fn partials_loaded(&self) -> u64 {
@@ -1334,6 +1359,140 @@ mod tests {
                 }
                 nodes[1..].reverse();
             }
+        }
+    }
+
+    /// Two cells on a height-3 tree of fanout 32 and 512 B signature pages,
+    /// each spanning several partials: every leaf-level node of cell 0
+    /// holds one tuple (slot `a·b mod 32`) and of cell 1 another (slot
+    /// `a + b mod 32`), each leaving some subtrees empty; then every
+    /// `corrupt_every`-th signature page corrupted under checksums, none at
+    /// 0. Returns the store, its statistics, and the exact answers for cell
+    /// 0 alone and for both: its assembled signature and the intersection
+    /// (Fig 3.c).
+    fn masked_cells(corrupt_every: usize) -> (SignatureStore, SharedStats, [Signature; 2]) {
+        let (m_max, height) = (32, 3);
+        let (mut store, stats) = store_for(m_max, height, 512);
+        let cell = |slot: fn(u16, u16) -> u16, keep: fn(u16, u16) -> bool| {
+            let paths: Vec<Path> = (1..=32u16)
+                .flat_map(|a| (1..=32u16).map(move |b| (a, b)))
+                .filter(|&(a, b)| keep(a, b))
+                .map(|(a, b)| Path(vec![a, b, slot(a, b) % 32 + 1]))
+                .collect();
+            Signature::from_paths(m_max, paths.iter())
+        };
+        let a = cell(|a, b| a * b, |a, b| (a * b) % 5 != 0);
+        let b = cell(|a, b| a + b, |a, b| (a + b) % 3 != 0 && a % 7 != 0);
+        store.write_signature(0, &a);
+        store.write_signature(1, &b);
+        assert!(store.partial_refs(0).len() >= 4 && store.partial_refs(1).len() >= 4);
+        if corrupt_every > 0 {
+            let pager = store.sig_pager_mut();
+            pager.set_checksums(true);
+            for pid in pager.live_page_ids().into_iter().step_by(corrupt_every) {
+                pager.corrupt_page(pid, 2, 0x40).unwrap();
+            }
+        }
+        let both = a.intersect(&b, height);
+        (store, stats, [a, both])
+    }
+
+    /// Asks the probe about every node of the tree the way the kernel would
+    /// (the pop-time question of a node, then each child in slot order: the
+    /// question that loads nothing first, `keep_child` unless it answered),
+    /// and checks the first against the second at every child: it reads no
+    /// page and loads no partial; it answers `true` only where `keep_child`
+    /// answers `false` with no load; and once `keep_child` has fetched the
+    /// masks, it answers `true` exactly where `keep_child` dropped a tuple
+    /// child. `check` sees each child's path and the first answer. Returns
+    /// how many children it ruled out, and how many kept nodes had a mask
+    /// left unfetched by the pop-time question.
+    fn sweep_ruled_out(
+        probe: &mut BooleanProbe<'_>,
+        stats: &SharedStats,
+        mut check: impl FnMut(&Path, bool),
+    ) -> (usize, usize) {
+        let (mut ruled_out, mut unfetched) = (0, 0);
+        for node in node_paths(32, 3) {
+            if !probe.keep_node(&node) {
+                continue;
+            }
+            unfetched += usize::from(probe.expanding.fetched < probe.cursors.len());
+            let is_node = node.depth() + 1 < 3;
+            let mut kept = Vec::new();
+            for slot in 0..32 {
+                let before = (stats.snapshot(), probe.partials_loaded());
+                let first = probe.rules_out(slot);
+                assert_eq!((stats.snapshot(), probe.partials_loaded()), before, "at {node} slot {slot}");
+                check(&node.child(slot as u16 + 1), first);
+                let keep = probe.keep_child(slot, is_node);
+                if first {
+                    ruled_out += 1;
+                    assert!(!keep, "ruled out a child of {node} that keep_child keeps");
+                    assert_eq!(probe.partials_loaded(), before.1, "keep_child loaded at {node}");
+                }
+                kept.push(keep);
+            }
+            for (slot, keep) in kept.into_iter().enumerate() {
+                let before = (stats.snapshot(), probe.partials_loaded());
+                let after_fetch = probe.rules_out(slot);
+                assert_eq!((stats.snapshot(), probe.partials_loaded()), before);
+                if is_node {
+                    assert!(!(after_fetch && keep), "ruled out a kept child node of {node}");
+                } else {
+                    assert_eq!(after_fetch, !keep, "tuple child {slot} of {node}");
+                }
+            }
+        }
+        (ruled_out, unfetched)
+    }
+
+    #[test]
+    fn the_question_that_loads_nothing_is_keep_child_without_a_load() {
+        let (store, stats, [a, both]) = masked_cells(0);
+        for (cells, exact) in [(&[0][..], &a), (&[0, 1][..], &both)] {
+            let mut probe = BooleanProbe::cursors(cells.iter().map(|&c| store.cursor(c)).collect());
+            let (ruled_out, unfetched) = sweep_ruled_out(&mut probe, &stats, |child, first| {
+                assert!(!(first && exact.contains(child)), "{cells:?} ruled out {child}");
+            });
+            assert!(ruled_out > 0, "{cells:?}: nothing ruled out");
+            assert!(unfetched > 0, "{cells:?}: every mask was resident");
+            assert!(!probe.is_lossy());
+        }
+        // No conjunct, nothing to rule out by.
+        let mut none = BooleanProbe::cursors(Vec::new());
+        assert_eq!(sweep_ruled_out(&mut none, &stats, |_, first| assert!(!first)), (0, 0));
+    }
+
+    #[test]
+    fn the_pop_time_fetch_of_resident_masks_loads_nothing() {
+        // The pop-time question of every node, never a child question: no
+        // walk reads a leaf-level node's own bits, so a fetch that loaded
+        // them would show. Pinned on the commit before the fetch: nodes
+        // kept, signature-page reads and partials loaded, for one cursor
+        // and for two.
+        let (store, stats, _) = masked_cells(0);
+        let mut loads = Vec::new();
+        for cells in [&[0][..], &[0, 1][..]] {
+            let mut probe = BooleanProbe::cursors(cells.iter().map(|&c| store.cursor(c)).collect());
+            stats.reset();
+            let kept = node_paths(32, 3).iter().filter(|node| probe.keep_node(node)).count();
+            loads.push([kept as u64, stats.reads(IoCategory::SignaturePage), probe.partials_loaded()]);
+        }
+        assert_eq!(loads, [[703, 1, 1], [17, 44, 44]]);
+    }
+
+    #[test]
+    fn a_degraded_probe_rules_out_no_qualifying_child() {
+        // Every second signature page corrupt, as the fault-injection suite
+        // damages a built store: cursors degrade part-way through.
+        let (store, stats, [a, both]) = masked_cells(2);
+        for (cells, exact) in [(&[0][..], &a), (&[0, 1][..], &both)] {
+            let mut probe = BooleanProbe::cursors(cells.iter().map(|&c| store.cursor(c)).collect());
+            sweep_ruled_out(&mut probe, &stats, |child, first| {
+                assert!(!(first && exact.contains(child)), "{cells:?} ruled out {child}");
+            });
+            assert!(probe.is_lossy(), "{cells:?}: no cursor degraded");
         }
     }
 
