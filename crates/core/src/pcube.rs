@@ -772,6 +772,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "non-finite coordinate")]
+    fn insert_refuses_a_nan_coordinate() {
+        // Accepted, the row could never be found again: it would stay live,
+        // undeletable, and outside every skyline.
+        let mut db = table1_db();
+        db.insert(&["a1", "b1"], &[f64::NAN, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate")]
+    fn build_refuses_a_nan_coordinate() {
+        let mut r = Relation::new(Schema::new(&["A"], &["X", "Y"]));
+        r.push(&["a1"], &[0.25, 0.5]);
+        r.push(&["a2"], &[0.75, f64::NAN]);
+        let _ = PCubeDb::build(r, &PCubeConfig::default());
+    }
+
+    #[test]
     fn insert_with_new_dictionary_value_creates_cell() {
         let mut db = table1_db();
         let before = db.pcube().registry().len();

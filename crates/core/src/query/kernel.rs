@@ -50,10 +50,13 @@
 //! the CPU moves ([`KernelRun::children_tested`],
 //! [`KernelRun::children_ruled_out`]).
 //!
-//! Children are scored and pruned in place from a borrowed [`NodeView`] of
-//! the page; a [`Path`], a coordinate vector or an [`Mbr`] is allocated only
-//! for a child that is pushed on the heap or saved to a list, and the clock
-//! is read per expansion, never per child.
+//! Children are scored and pruned in place from the borrowed [`NodeView`]
+//! that [`RTree::read_node`](pcube_rtree::RTree::read_node) returns — the
+//! R-tree's one read path; there is no owned node — and a [`Path`], a
+//! coordinate vector or an [`Mbr`] is allocated only for a child that is
+//! pushed on the heap or saved to a list (`materialize`, which the
+//! driver's root fan-out shares). The clock is read per expansion, never
+//! per child.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -328,7 +331,7 @@ pub fn run_kernel(
         match entry.cand {
             Candidate::Tuple { tid, path, coords } => logic.accept(entry.score, tid, path, coords),
             Candidate::Node { pid, path, .. } => {
-                let node = db.rtree().view_node(pid);
+                let node = db.rtree().read_node(pid);
                 let t_children = Instant::now();
                 run.stages.page_read_seconds += (t_children - mark).as_secs_f64();
                 run.nodes_expanded += 1;
@@ -378,7 +381,7 @@ pub fn run_kernel(
 /// The owned [`Candidate`] for the child in `slot` of the node at `parent`,
 /// whose geometry the kernel has just read into `coords` (leaf) or `mbr`
 /// (internal node).
-fn materialize(
+pub(crate) fn materialize(
     node: &NodeView<'_>,
     slot: usize,
     parent: &Path,

@@ -23,8 +23,13 @@
 //!
 //! Nodes live on counted [`pcube_storage::Pager`] pages, so every node visit
 //! is a measured "R-tree block retrieval" (the `DBlock`/`SBlock` series of
-//! Fig 9). Construction offers both one-at-a-time insertion and STR bulk
-//! loading ([`RTree::bulk_load`]).
+//! Fig 9). The tree has one read path: [`RTree::read_node`] charges the read
+//! and hands out a borrowed [`NodeView`] that parses the page in place, and
+//! every whole-tree pass — [`RTree::for_each_tuple`], the tracked insert's
+//! before/after paths, the delete's search, [`RTree::check_invariants`] — is
+//! one private depth-first walk over an explicit stack, reading uncounted.
+//! Construction offers both one-at-a-time insertion and STR bulk loading
+//! ([`RTree::bulk_load`]).
 //!
 //! # Example
 //!
@@ -38,7 +43,7 @@
 //! let (tid, path) = delta.inserted.unwrap();
 //! assert_eq!(tid, 7);
 //! assert_eq!(path.depth(), 1, "root is a leaf; the tuple sits in slot {}", path.0[0]);
-//! assert!(tree.read_node(tree.root_pid()).is_leaf);
+//! assert!(tree.read_node(tree.root_pid()).is_leaf());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +56,7 @@ mod split;
 mod tree;
 
 pub use geom::Mbr;
-pub use node::{DecodedEntry, DecodedNode, NodeView};
+pub use node::NodeView;
 pub use path::{Path, Sid, SidBuildHasher, SidHasher};
 pub use tree::{PathDelta, RTree, RTreeConfig};
 

@@ -99,10 +99,6 @@ pub fn set_occupied(page: &mut [u8], slot: usize, value: bool) {
     }
 }
 
-pub fn count_occupied(page: &[u8], layout: &Layout) -> usize {
-    (0..layout.m_max).filter(|&s| occupied(page, s)).count()
-}
-
 /// "When a new tuple is added, the first free entry is assigned."
 pub fn first_free_slot(page: &[u8], layout: &Layout) -> Option<usize> {
     (0..layout.m_max).find(|&s| !occupied(page, s))
@@ -130,11 +126,11 @@ pub fn write_internal_entry(page: &mut [u8], layout: &Layout, slot: usize, child
 }
 
 /// A borrowed view over one node's page — the one place the page layout is
-/// read. Entries are parsed in place: occupancy straight from the bitmap,
-/// ids by offset, coordinates and MBR corners into a caller-owned buffer
-/// that is reused from entry to entry. A branch-and-bound expansion scores
-/// and prunes children from the view and allocates only for the few it
-/// keeps; [`NodeView::decode`] builds the owned form on top of it.
+/// read, and the one form in which the tree hands a node out. Entries are
+/// parsed in place: occupancy straight from the bitmap, ids by offset,
+/// coordinates and MBR corners into a caller-owned buffer that is reused
+/// from entry to entry. A branch-and-bound expansion scores and prunes
+/// children from the view and allocates only for the few it keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
     page: &'a [u8],
@@ -192,8 +188,29 @@ impl<'a> NodeView<'a> {
         out.max.extend((0..dims).map(|d| read_f64(self.page, off + 8 * (dims + d))));
     }
 
-    /// The entry in `slot`, owned.
-    pub fn entry(&self, slot: usize) -> DecodedEntry {
+    /// The tight bounding rectangle over the node's entries ([`Mbr::empty`]
+    /// for a node with none).
+    pub fn mbr(&self) -> Mbr {
+        let dims = self.layout.dims;
+        let mut out = Mbr::empty(dims);
+        if self.is_leaf() {
+            let mut coords = Vec::with_capacity(dims);
+            for slot in self.slots() {
+                self.coords_into(slot, &mut coords);
+                out.expand_point(&coords);
+            }
+        } else {
+            let mut mbr = Mbr::empty(dims);
+            for slot in self.slots() {
+                self.mbr_into(slot, &mut mbr);
+                out.expand(&mbr);
+            }
+        }
+        out
+    }
+
+    /// The entry in `slot`, owned: what a split moves.
+    pub(crate) fn entry(&self, slot: usize) -> DecodedEntry {
         if self.is_leaf() {
             let mut coords = Vec::with_capacity(self.layout.dims);
             self.coords_into(slot, &mut coords);
@@ -204,19 +221,11 @@ impl<'a> NodeView<'a> {
             DecodedEntry::Child { child: self.child(slot), mbr }
         }
     }
-
-    /// Decodes the whole node into owned values.
-    pub fn decode(&self) -> DecodedNode {
-        DecodedNode {
-            is_leaf: self.is_leaf(),
-            entries: self.slots().map(|slot| (slot, self.entry(slot))).collect(),
-        }
-    }
 }
 
-/// One entry of a decoded node.
+/// One entry of a node, owned — the form a split moves entries in.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DecodedEntry {
+pub(crate) enum DecodedEntry {
     /// A data tuple stored in a leaf.
     Tuple {
         /// Tuple identifier (row id in the base table).
@@ -241,31 +250,6 @@ impl DecodedEntry {
             DecodedEntry::Child { mbr, .. } => mbr.clone(),
         }
     }
-}
-
-/// An R-tree node decoded into owned values, with each entry tagged by its
-/// stable slot (0-based; the 1-based path position is `slot + 1`).
-#[derive(Debug, Clone)]
-pub struct DecodedNode {
-    /// `true` if the node is a leaf.
-    pub is_leaf: bool,
-    /// Occupied entries as `(slot, entry)` pairs in slot order.
-    pub entries: Vec<(usize, DecodedEntry)>,
-}
-
-impl DecodedNode {
-    /// The tight bounding rectangle over all entries.
-    pub fn mbr(&self, dims: usize) -> Mbr {
-        let mut out = Mbr::empty(dims);
-        for (_, e) in &self.entries {
-            out.expand(&e.mbr());
-        }
-        out
-    }
-}
-
-pub fn decode(page: &[u8], layout: &Layout) -> DecodedNode {
-    NodeView::new(page, layout).decode()
 }
 
 #[cfg(test)]
@@ -294,7 +278,7 @@ mod tests {
         assert!(is_leaf(&page));
         write_leaf_entry(&mut page, &layout, 4, 77, &[0.1, 0.2, 0.3]);
         write_leaf_entry(&mut page, &layout, 0, 11, &[1.0, 2.0, 3.0]);
-        assert_eq!(count_occupied(&page, &layout), 2);
+        assert_eq!(NodeView::new(&page, &layout).slots().count(), 2);
         assert_eq!(first_free_slot(&page, &layout), Some(1));
         let view = NodeView::new(&page, &layout);
         assert_eq!(view.slots().collect::<Vec<_>>(), vec![0, 4]);
@@ -308,7 +292,7 @@ mod tests {
         assert_eq!((view.tid(0), coords), (11, vec![1.0, 2.0, 3.0]));
         set_occupied(&mut page, 0, false);
         assert_eq!(first_free_slot(&page, &layout), Some(0));
-        assert_eq!(count_occupied(&page, &layout), 1);
+        assert_eq!(NodeView::new(&page, &layout).slots().count(), 1);
     }
 
     #[test]
@@ -327,18 +311,16 @@ mod tests {
     }
 
     #[test]
-    fn decode_skips_holes_and_computes_mbr() {
+    fn view_skips_holes_and_computes_mbr() {
         let layout = Layout::new(2, 6, 512);
         let mut page = vec![0u8; 512];
         init_node(&mut page, true);
         write_leaf_entry(&mut page, &layout, 1, 1, &[0.0, 0.0]);
         write_leaf_entry(&mut page, &layout, 5, 2, &[1.0, 2.0]);
-        let node = decode(&page, &layout);
-        assert!(node.is_leaf);
-        assert_eq!(node.entries.len(), 2);
-        assert_eq!(node.entries[0].0, 1);
-        assert_eq!(node.entries[1].0, 5);
-        let mbr = node.mbr(2);
+        let node = NodeView::new(&page, &layout);
+        assert!(node.is_leaf());
+        assert_eq!(node.slots().collect::<Vec<_>>(), vec![1, 5]);
+        let mbr = node.mbr();
         assert_eq!(mbr.min, vec![0.0, 0.0]);
         assert_eq!(mbr.max, vec![1.0, 2.0]);
     }

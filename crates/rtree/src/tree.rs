@@ -1,10 +1,12 @@
 //! The R-tree proper: construction, mutation (with path tracking) and node
 //! access for the query processors.
 
+use std::collections::{HashMap, HashSet};
+
 use pcube_storage::{PageId, PageOp, Pager, StorageError};
 
 use crate::geom::Mbr;
-use crate::node::{self, DecodedEntry, DecodedNode, Layout, NodeView};
+use crate::node::{self, DecodedEntry, Layout, NodeView};
 use crate::path::Path;
 use crate::split::rstar_split;
 
@@ -51,12 +53,25 @@ pub struct PathDelta {
     pub moved: Vec<(u64, Path, Path)>,
 }
 
+/// One node of a root-to-leaf descent.
+#[derive(Clone, Copy)]
 struct Step {
     pid: PageId,
     /// Slot of this node inside its parent (`usize::MAX` for the root).
     slot_in_parent: usize,
-    /// Whether the node had no free slot when the descent visited it.
-    full: bool,
+}
+
+/// What [`RTree::walk`] shows its visitor, in depth-first slot order.
+enum Visit<'w> {
+    /// A node on arrival, with its depth below the node the walk started
+    /// at (0 for that node). The visitor's answer is ignored.
+    Node(PageId, NodeView<'w>, usize),
+    /// A child entry with the box its parent stores for it, before the walk
+    /// descends: the visitor answers whether to descend.
+    Child(PageId, &'w Mbr),
+    /// A tuple with its path and coordinates: the visitor answers whether
+    /// the walk goes on.
+    Tuple(u64, &'w Path, &'w [f64]),
 }
 
 /// A paged R-tree over points in `dims` dimensions. See the crate docs for
@@ -90,8 +105,8 @@ impl RTree {
     /// slack for subsequent inserts).
     ///
     /// # Panics
-    /// Panics if `fill` is out of `(0, 1]` or any point has the wrong
-    /// dimensionality.
+    /// Panics if `fill` is out of `(0, 1]`, or any point has the wrong
+    /// dimensionality or a coordinate that is not finite.
     pub fn bulk_load(
         mut pager: Pager,
         config: RTreeConfig,
@@ -102,7 +117,7 @@ impl RTree {
         let layout = Layout::new(config.dims, config.m_max, pager.page_size());
         let cap = ((config.m_max as f64 * fill) as usize).clamp(config.m_min.max(1), config.m_max);
         for (_, coords) in &items {
-            assert_eq!(coords.len(), config.dims, "point dimensionality mismatch");
+            assert_point(coords, config.dims);
         }
         if items.is_empty() {
             return RTree::new(pager, config);
@@ -222,50 +237,83 @@ impl RTree {
         &mut self.pager
     }
 
-    /// Reads and decodes a node, charging one R-tree block retrieval.
+    /// Reads a node, charging one R-tree block retrieval: a borrowed
+    /// [`NodeView`] over its page, parsed in place as it is asked.
     ///
     /// Infallible [`RTree::try_read_node`]; panics where that errors.
     #[inline]
-    pub fn read_node(&self, pid: PageId) -> DecodedNode {
+    pub fn read_node(&self, pid: PageId) -> NodeView<'_> {
         self.try_read_node(pid).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`RTree::read_node`]: dead pages, injected faults and
     /// checksum mismatches surface as [`pcube_storage::StorageError`].
-    pub fn try_read_node(&self, pid: PageId) -> Result<DecodedNode, pcube_storage::StorageError> {
-        Ok(self.try_view_node(pid)?.decode())
-    }
-
-    /// Reads a node as a borrowed [`NodeView`] over its page, charging one
-    /// R-tree block retrieval exactly like [`RTree::read_node`] but
-    /// decoding nothing up front — the query kernel's expansion path.
-    ///
-    /// Infallible [`RTree::try_view_node`]; panics where that errors.
-    #[inline]
-    pub fn view_node(&self, pid: PageId) -> NodeView<'_> {
-        self.try_view_node(pid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`RTree::view_node`].
-    pub fn try_view_node(&self, pid: PageId) -> Result<NodeView<'_>, pcube_storage::StorageError> {
+    pub fn try_read_node(&self, pid: PageId) -> Result<NodeView<'_>, StorageError> {
         Ok(NodeView::new(self.pager.try_read(pid)?, &self.layout))
     }
 
-    /// Reads and decodes a node without charging I/O (for rebuild passes and
-    /// invariant checks, not query processing).
-    pub fn read_node_uncounted(&self, pid: PageId) -> DecodedNode {
-        node::decode(self.page(pid), &self.layout)
-    }
-
-    /// A live page's bytes as memory holds them: uncounted, unfaulted,
-    /// unverified.
+    /// A live node as memory holds it: uncounted, unfaulted, unverified.
     ///
     /// # Panics
     /// Panics if `pid` is not a live page.
-    fn page(&self, pid: PageId) -> &[u8] {
-        self.pager
-            .page_bytes(pid)
-            .unwrap_or_else(|| panic!("{}", StorageError::DeadPage { pid, op: PageOp::Read }))
+    fn view(&self, pid: PageId) -> NodeView<'_> {
+        match self.pager.page_bytes(pid) {
+            Some(page) => NodeView::new(page, &self.layout),
+            None => panic!("{}", StorageError::DeadPage { pid, op: PageOp::Read }),
+        }
+    }
+
+    /// The tree's one walk: depth-first from `from`, children in slot order,
+    /// pages read uncounted. The stack holds one frame per level and may not
+    /// grow past the height: pages that form a cycle panic here instead of
+    /// walking forever. `path` is the walk's one buffer: the
+    /// path of `from` on entry and on return, each entry's in between.
+    ///
+    /// Returns the descent from `from` to the tuple at which the visitor
+    /// ended the walk, `path` left at that tuple's path; `None` if the walk
+    /// ran to its end.
+    fn walk(
+        &self,
+        from: PageId,
+        path: &mut Path,
+        mut visit: impl FnMut(Visit<'_>) -> bool,
+    ) -> Option<Vec<Step>> {
+        let (mut coords, mut mbr) = (Vec::new(), Mbr::empty(self.config.dims));
+        let start = self.view(from);
+        visit(Visit::Node(from, start, 0));
+        let root = Step { pid: from, slot_in_parent: usize::MAX };
+        let mut stack = vec![(root, start, start.slots())];
+        while let Some((_, node, slots)) = stack.last_mut() {
+            let node = *node;
+            let Some(slot) = slots.next() else {
+                stack.pop();
+                if !stack.is_empty() {
+                    path.0.pop();
+                }
+                continue;
+            };
+            path.0.push(slot as u16 + 1);
+            if node.is_leaf() {
+                node.coords_into(slot, &mut coords);
+                if !visit(Visit::Tuple(node.tid(slot), path, &coords)) {
+                    return Some(stack.iter().map(|(step, ..)| *step).collect());
+                }
+            } else {
+                let child = node.child(slot);
+                node.mbr_into(slot, &mut mbr);
+                if visit(Visit::Child(child, &mbr)) {
+                    // Only a cycle among the pages, or a height that lies,
+                    // takes the walk below the leaves.
+                    assert!(stack.len() < self.height, "node {child} lies below the leaf level");
+                    let view = self.view(child);
+                    visit(Visit::Node(child, view, stack.len()));
+                    stack.push((Step { pid: child, slot_in_parent: slot }, view, view.slots()));
+                    continue;
+                }
+            }
+            path.0.pop();
+        }
+        None
     }
 
     /// Visits every tuple with its path, in depth-first slot order.
@@ -274,25 +322,12 @@ impl RTree {
     /// (e.g. signature generation) account for it at their own layer via the
     /// number of nodes, available as [`RTree::count_nodes`].
     pub fn for_each_tuple(&self, mut f: impl FnMut(u64, &Path, &[f64])) {
-        self.visit(self.root, &mut Path::root(), &mut f);
-    }
-
-    /// Walks the subtree at `pid` depth-first in slot order, calling `f` on
-    /// every tuple, and returns the number of nodes it read. `path` is the
-    /// walk's one buffer: the path of the node `pid` on entry and on return,
-    /// each entry's in between.
-    fn visit(&self, pid: PageId, path: &mut Path, f: &mut impl FnMut(u64, &Path, &[f64])) -> usize {
-        let n = self.read_node_uncounted(pid);
-        let mut nodes = 1;
-        for (slot, entry) in &n.entries {
-            path.0.push(*slot as u16 + 1);
-            match entry {
-                DecodedEntry::Tuple { tid, coords } => f(*tid, path, coords),
-                DecodedEntry::Child { child, .. } => nodes += self.visit(*child, path, f),
+        self.walk(self.root, &mut Path::root(), |visit| {
+            if let Visit::Tuple(tid, path, coords) = visit {
+                f(tid, path, coords);
             }
-            path.0.pop();
-        }
-        nodes
+            true
+        });
     }
 
     /// All `(tid, path)` pairs — the paper's `path` column of Table I.
@@ -302,18 +337,22 @@ impl RTree {
         out
     }
 
-    /// Appends the `(tid, path)` pairs of the subtree at `pid`, whose own
-    /// path is `prefix`, to `out`.
-    fn paths_under(&self, pid: PageId, prefix: &Path, out: &mut Vec<(u64, Path)>) {
-        self.visit(pid, &mut prefix.clone(), &mut |tid, path, _| out.push((tid, path.clone())));
-    }
-
     /// Total number of nodes (counted without charging I/O).
     pub fn count_nodes(&self) -> usize {
-        self.visit(self.root, &mut Path::root(), &mut |_, _, _| {})
+        let mut nodes = 0;
+        self.walk(self.root, &mut Path::root(), |visit| {
+            nodes += usize::from(matches!(visit, Visit::Node(..)));
+            true
+        });
+        nodes
     }
 
     /// Inserts a tuple without path tracking.
+    ///
+    /// # Panics
+    /// Panics if the point has the wrong dimensionality or a coordinate that
+    /// is not finite (an R-tree box cannot hold a NaN, so the tuple could
+    /// never be found again).
     pub fn insert(&mut self, tid: u64, coords: &[f64]) {
         let _ = self.insert_inner(tid, coords, false);
     }
@@ -327,7 +366,7 @@ impl RTree {
     }
 
     fn insert_inner(&mut self, tid: u64, coords: &[f64], tracked: bool) -> PathDelta {
-        assert_eq!(coords.len(), self.config.dims, "point dimensionality mismatch");
+        assert_point(coords, self.config.dims);
         let steps = self.choose_path(coords);
         // invariant: choose_path walks root→leaf over height ≥ 1 levels, so
         // it always returns at least the root step.
@@ -348,24 +387,26 @@ impl RTree {
 
         // Split cascade. `j` = index of the highest node that must split
         // (all of steps[j..] are full).
-        let mut j = steps.len();
-        while j > 0 && steps[j - 1].full {
-            j -= 1;
-        }
+        let full = |step: &&Step| self.view(step.pid).slots().count() == self.config.m_max;
+        let j = steps.len() - steps.iter().rev().take_while(full).count();
 
-        // Collect old paths under the subtree that will be restructured.
-        let (old_paths, scope_prefix, scope_pid) = if !tracked {
-            (Vec::new(), Path::root(), self.root)
-        } else if j == 0 {
-            // Root splits: every path gains a level; diff the whole tree.
-            (self.tuple_paths(), Path::root(), self.root)
+        // The scope the cascade restructures: the subtree at steps[j], or the
+        // whole tree when the root splits (every path gains a level). Its
+        // paths are taken before the cascade and diffed after it.
+        let (scope_pid, scope_path) = if j == 0 {
+            (self.root, Path::root())
         } else {
-            let prefix = Self::steps_to_path(&steps[..=j]);
-            let pid = steps[j].pid;
-            let mut old = Vec::new();
-            self.paths_under(pid, &prefix, &mut old);
-            (old, prefix, pid)
+            (steps[j].pid, Self::steps_to_path(&steps[..=j]))
         };
+        let mut old = HashMap::new();
+        if tracked {
+            self.walk(scope_pid, &mut scope_path.clone(), |visit| {
+                if let Visit::Tuple(t, path, _) = visit {
+                    old.insert(t, path.clone());
+                }
+                true
+            });
+        }
 
         let top_new = self.split_cascade(&steps, j, DecodedEntry::Tuple { tid, coords: coords.to_vec() });
         self.len += 1;
@@ -374,31 +415,31 @@ impl RTree {
             return PathDelta::default();
         }
 
-        // Collect new paths over the same scope plus the new sibling subtree.
-        let mut new_paths = Vec::new();
-        if j == 0 {
-            self.paths_under(self.root, &Path::root(), &mut new_paths);
-        } else {
-            self.paths_under(scope_pid, &scope_prefix, &mut new_paths);
+        // The same scope after the cascade (the new root's tree after a root
+        // split), then the new sibling's subtree.
+        let mut scopes = vec![(if j == 0 { self.root } else { scope_pid }, scope_path)];
+        if j > 0 {
             // invariant: j > 0 means the split cascade stopped below the
             // root, and every non-root cascade level produced a sibling that
             // split_cascade recorded as top_new.
             let (y_pid, y_slot) = top_new.expect("non-root cascade yields a new sibling");
-            let y_prefix = Self::steps_to_path(&steps[..j]).child(y_slot as u16 + 1);
-            self.paths_under(y_pid, &y_prefix, &mut new_paths);
+            scopes.push((y_pid, Self::steps_to_path(&steps[..j]).child(y_slot as u16 + 1)));
         }
-
-        let old_map: std::collections::HashMap<u64, Path> = old_paths.into_iter().collect();
         let mut delta = PathDelta::default();
-        for (t, new_path) in new_paths {
-            match old_map.get(&t) {
-                None => {
-                    debug_assert_eq!(t, tid, "only the inserted tuple can be new in scope");
-                    delta.inserted = Some((t, new_path));
+        for (pid, mut path) in scopes {
+            self.walk(pid, &mut path, |visit| {
+                if let Visit::Tuple(t, new, _) = visit {
+                    match old.get(&t) {
+                        None => {
+                            debug_assert_eq!(t, tid, "only the inserted tuple can be new in scope");
+                            delta.inserted = Some((t, new.clone()));
+                        }
+                        Some(was) if was != new => delta.moved.push((t, was.clone(), new.clone())),
+                        Some(_) => {}
+                    }
                 }
-                Some(old) if *old != new_path => delta.moved.push((t, old.clone(), new_path)),
-                Some(_) => {}
-            }
+                true
+            });
         }
         debug_assert!(delta.inserted.is_some());
         delta
@@ -411,22 +452,20 @@ impl RTree {
         &mut self,
         steps: &[Step],
         j: usize,
-        carry: DecodedEntry,
+        mut carry: DecodedEntry,
     ) -> Option<(PageId, usize)> {
-        let mut carry = carry;
         let mut level = steps.len() - 1;
         loop {
             let x_pid = steps[level].pid;
             let x_page = self.pager.read(x_pid).to_vec();
-            let decoded = node::decode(&x_page, &self.layout);
-            let is_leaf = decoded.is_leaf;
+            let x = NodeView::new(&x_page, &self.layout);
+            let is_leaf = x.is_leaf();
 
             // All current entries plus the carried one.
-            let mut slots: Vec<Option<usize>> = decoded.entries.iter().map(|(s, _)| Some(*s)).collect();
-            let mut entries: Vec<DecodedEntry> =
-                decoded.entries.into_iter().map(|(_, e)| e).collect();
+            let (mut slots, mut entries): (Vec<Option<usize>>, Vec<DecodedEntry>) =
+                x.slots().map(|s| (Some(s), x.entry(s))).unzip();
             slots.push(None);
-            entries.push(carry.clone());
+            entries.push(carry);
 
             let (ga, gb) = rstar_split(&entries, self.config.dims, self.config.m_min);
             // The group with more original entries stays in place, so fewer
@@ -451,7 +490,7 @@ impl RTree {
                 Self::write_entry(&mut page, &self.layout, free, &entries[*ci]);
             }
             self.pager.write(x_pid, &page);
-            let x_mbr = node::decode(&page, &self.layout).mbr(self.config.dims);
+            let x_mbr = NodeView::new(&page, &self.layout).mbr();
 
             // Build the sibling Y with the moving group in fresh slots.
             let mut y_page = vec![0u8; self.pager.page_size()];
@@ -461,7 +500,7 @@ impl RTree {
             }
             let y_pid = self.pager.allocate();
             self.pager.write(y_pid, &y_page);
-            let y_mbr = node::decode(&y_page, &self.layout).mbr(self.config.dims);
+            let y_mbr = NodeView::new(&y_page, &self.layout).mbr();
 
             if level == 0 {
                 // Root split: new root with X in slot 0 and Y in slot 1.
@@ -518,41 +557,29 @@ impl RTree {
     /// it occupied, or `None` if absent. Stable slots mean no other tuple
     /// moves; an emptied node is unlinked from its parent recursively.
     pub fn delete_tracked(&mut self, tid: u64, coords: &[f64]) -> Option<Path> {
-        let found = self.find_tuple(self.root, &Path::root(), tid, coords)?;
-        let (leaf_steps, path) = found;
-        // Clear the leaf slot.
-        // invariant: find_tuple returned Some, so the path has one component
-        // per level (≥ 1) and leaf_steps ends with the leaf's page id.
+        // The search descends only into boxes that hold the point.
+        let mut path = Path::root();
+        let mut steps = self.walk(self.root, &mut path, |visit| match visit {
+            Visit::Node(..) => true,
+            Visit::Child(_, mbr) => mbr.contains_point(coords),
+            Visit::Tuple(t, _, c) => t != tid || c != coords,
+        })?;
+        // invariant: the walk ended at a tuple, so the path has one
+        // component per level (≥ 1) and the descent ends with its leaf.
         let leaf_slot = *path.0.last().expect("path has one component per level") as usize - 1;
-        let leaf_pid = *leaf_steps.last().expect("leaf_steps ends with the leaf's page id");
-        self.pager.update(leaf_pid, |p| node::set_occupied(p, leaf_slot, false));
-        // Unlink emptied nodes bottom-up (never the root).
-        let mut freed = std::collections::HashSet::new();
-        for i in (1..leaf_steps.len()).rev() {
-            let pid = leaf_steps[i];
-            let n = node::count_occupied(self.page(pid), &self.layout);
-            if n > 0 {
+        let leaf = steps.last().expect("the descent ends with the leaf").pid;
+        self.pager.update(leaf, |p| node::set_occupied(p, leaf_slot, false));
+        // Unlink emptied nodes bottom-up (never the root), then recompute
+        // the MBRs of the nodes that remain on the descent.
+        while let [.., parent, last] = steps[..] {
+            if self.view(last.pid).slots().next().is_some() {
                 break;
             }
-            let parent = leaf_steps[i - 1];
-            let slot = path.0[i - 1] as usize - 1;
-            self.pager.update(parent, |p| node::set_occupied(p, slot, false));
-            self.pager.free(pid);
-            freed.insert(pid);
+            self.pager.update(parent.pid, |p| node::set_occupied(p, last.slot_in_parent, false));
+            self.pager.free(last.pid);
+            steps.pop();
         }
-        // Recompute ancestor MBRs for the surviving nodes on the path.
-        for i in (1..leaf_steps.len()).rev() {
-            let child_pid = leaf_steps[i];
-            if freed.contains(&child_pid) {
-                continue;
-            }
-            let mbr =
-                node::decode(self.page(child_pid), &self.layout).mbr(self.config.dims);
-            let slot = path.0[i - 1] as usize - 1;
-            self.pager.update(leaf_steps[i - 1], |p| {
-                node::write_internal_entry(p, &self.layout, slot, child_pid, &mbr);
-            });
-        }
+        self.fix_mbrs_along(&steps);
         self.len -= 1;
         // Single-child internal roots are deliberately NOT collapsed: doing
         // so would change every remaining tuple's path, defeating the point
@@ -567,69 +594,30 @@ impl RTree {
         Some(path)
     }
 
-    /// Deletes without reporting the path.
-    pub fn delete(&mut self, tid: u64, coords: &[f64]) -> bool {
-        self.delete_tracked(tid, coords).is_some()
-    }
-
-    fn find_tuple(
-        &self,
-        pid: PageId,
-        prefix: &Path,
-        tid: u64,
-        coords: &[f64],
-    ) -> Option<(Vec<PageId>, Path)> {
-        let n = self.read_node_uncounted(pid);
-        for (slot, entry) in &n.entries {
-            match entry {
-                DecodedEntry::Tuple { tid: t, coords: c } if *t == tid && c == coords => {
-                    return Some((vec![pid], prefix.child(*slot as u16 + 1)));
-                }
-                DecodedEntry::Child { child, mbr } if mbr.contains_point(coords) => {
-                    if let Some((mut pids, path)) =
-                        self.find_tuple(*child, &prefix.child(*slot as u16 + 1), tid, coords)
-                    {
-                        pids.insert(0, pid);
-                        return Some((pids, path));
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// R* choose-subtree descent; records pid, parent slot and fullness per
-    /// level.
+    /// R* choose-subtree descent; records pid and parent slot per level.
     fn choose_path(&self, coords: &[f64]) -> Vec<Step> {
         let mut steps = Vec::with_capacity(self.height);
-        let mut pid = self.root;
-        let mut slot_in_parent = usize::MAX;
+        let mut step = Step { pid: self.root, slot_in_parent: usize::MAX };
+        let point = Mbr::point(coords);
+        let (mut mbr, mut other) = (Mbr::empty(self.config.dims), Mbr::empty(self.config.dims));
         loop {
-            let page = self.pager.read(pid);
-            let full = node::first_free_slot(page, &self.layout).is_none();
-            let decoded = node::decode(page, &self.layout);
-            steps.push(Step { pid, slot_in_parent, full });
-            if decoded.is_leaf {
+            let node = self.read_node(step.pid);
+            steps.push(step);
+            if node.is_leaf() {
                 return steps;
             }
             let children_are_leaves = steps.len() == self.height - 1;
-            let point = Mbr::point(coords);
-            let mut best: Option<(usize, PageId, f64, f64, f64)> = None;
-            for (slot, entry) in &decoded.entries {
-                // invariant: this loop only runs above the leaf level
-                // (steps.len() < height), where every entry is a child ref.
-                let DecodedEntry::Child { child, mbr } = entry else { unreachable!() };
+            let mut best: Option<(Step, (f64, f64, f64))> = None;
+            for slot in node.slots() {
+                node.mbr_into(slot, &mut mbr);
                 // R*: minimize overlap enlargement at the leaf level, area
                 // enlargement above; ties by area enlargement then area.
                 let overlap_delta = if children_are_leaves {
                     let grown = mbr.union(&point);
-                    decoded
-                        .entries
-                        .iter()
-                        .filter(|(s, _)| s != slot)
-                        .map(|(_, e)| {
-                            let other = e.mbr();
+                    node.slots()
+                        .filter(|&s| s != slot)
+                        .map(|s| {
+                            node.mbr_into(s, &mut other);
                             grown.overlap(&other) - mbr.overlap(&other)
                         })
                         .sum::<f64>()
@@ -638,41 +626,25 @@ impl RTree {
                 };
                 let enlargement = mbr.enlargement(&point);
                 let area = mbr.area();
-                let better = match &best {
-                    None => true,
-                    Some((_, _, bo, be, ba)) => {
-                        (overlap_delta, enlargement, area) < (*bo, *be, *ba)
-                    }
-                };
-                if better {
-                    best = Some((*slot, *child, overlap_delta, enlargement, area));
+                let key = (overlap_delta, enlargement, area);
+                if best.is_none_or(|(_, best_key)| key < best_key) {
+                    best = Some((Step { pid: node.child(slot), slot_in_parent: slot }, key));
                 }
             }
             // invariant: tree invariants guarantee every internal node holds
             // ≥ 1 entry (checked by check_invariants), so `best` was set.
-            let (slot, child, ..) = best.expect("internal node has at least one child");
-            pid = child;
-            slot_in_parent = slot;
+            (step, _) = best.expect("internal node has at least one child");
         }
     }
 
     /// Recomputes tight MBRs for the nodes on `steps`, bottom-up, writing
     /// each into its parent entry.
     fn fix_mbrs_along(&mut self, steps: &[Step]) {
-        for i in (1..steps.len()).rev() {
-            let child_pid = steps[i].pid;
-            // Skip nodes that were freed by a delete.
-            let mbr = {
-                let page = self.page(steps[i - 1].pid);
-                if !node::occupied(page, steps[i].slot_in_parent) {
-                    continue;
-                }
-                node::decode(self.page(child_pid), &self.layout)
-                    .mbr(self.config.dims)
-            };
-            let slot = steps[i].slot_in_parent;
-            self.pager.update(steps[i - 1].pid, |p| {
-                node::write_internal_entry(p, &self.layout, slot, child_pid, &mbr);
+        for pair in steps.windows(2).rev() {
+            let (parent, child) = (pair[0], pair[1]);
+            let mbr = self.view(child.pid).mbr();
+            self.pager.update(parent.pid, |p| {
+                node::write_internal_entry(p, &self.layout, child.slot_in_parent, child.pid, &mbr);
             });
         }
     }
@@ -685,58 +657,50 @@ impl RTree {
 
     /// Exhaustively checks structural invariants; for tests and debugging.
     ///
-    /// Verifies: parent MBRs tightly contain children, node occupancy within
-    /// `[m_min, m_max]` (root exempt from the minimum), uniform leaf depth,
-    /// unique tids, and `len` consistency.
+    /// Verifies: every parent entry's box is its child's tight MBR, every
+    /// non-root internal node holds an entry (leaves may underflow after
+    /// deletes), leaves sit at one depth that matches the height, tids are
+    /// unique and match `len`, and every live page of the pager is a node of
+    /// the tree.
     pub fn check_invariants(&self) {
-        let mut tids = std::collections::HashSet::new();
-        let mut leaf_depths = std::collections::HashSet::new();
-        self.check_node(self.root, 0, true, &mut tids, &mut leaf_depths);
+        let mut tids = HashSet::new();
+        let mut leaf_depths = HashSet::new();
+        self.walk(self.root, &mut Path::root(), |visit| {
+            match visit {
+                Visit::Node(pid, node, depth) => {
+                    if node.is_leaf() {
+                        leaf_depths.insert(depth);
+                    } else if depth > 0 {
+                        // Internal nodes get entries only via splits, so the
+                        // R* minimum holds; leaves may underflow after deletes
+                        // (relaxed deletion).
+                        let empty = node.slots().next().is_none();
+                        assert!(!empty, "non-root internal node {pid} is empty");
+                    }
+                }
+                Visit::Child(child, stored) => {
+                    let actual = self.view(child).mbr();
+                    assert_eq!(*stored, actual, "parent box of node {child} is not its tight MBR");
+                }
+                Visit::Tuple(tid, ..) => assert!(tids.insert(tid), "duplicate tid {tid}"),
+            }
+            true
+        });
         assert_eq!(tids.len() as u64, self.len, "len mismatch");
         assert!(leaf_depths.len() <= 1, "leaves at different depths: {leaf_depths:?}");
         if let Some(&d) = leaf_depths.iter().next() {
             assert_eq!(d + 1, self.height, "height mismatch");
         }
+        let nodes = self.count_nodes();
+        assert_eq!(nodes, self.pager.live_pages(), "a live page is no node of the tree");
     }
+}
 
-    fn check_node(
-        &self,
-        pid: PageId,
-        depth: usize,
-        is_root: bool,
-        tids: &mut std::collections::HashSet<u64>,
-        leaf_depths: &mut std::collections::HashSet<usize>,
-    ) -> Mbr {
-        let n = self.read_node_uncounted(pid);
-        let count = n.entries.len();
-        assert!(count <= self.config.m_max, "node {pid} over capacity");
-        if !is_root && !n.is_leaf {
-            // Internal nodes get entries only via splits, so the R* minimum
-            // holds; leaves may underflow after deletes (relaxed deletion).
-            assert!(count >= 1, "non-root internal node {pid} is empty");
-        }
-        if n.is_leaf {
-            leaf_depths.insert(depth);
-        }
-        let mut mbr = Mbr::empty(self.config.dims);
-        for (_, entry) in &n.entries {
-            match entry {
-                DecodedEntry::Tuple { tid, coords } => {
-                    assert!(tids.insert(*tid), "duplicate tid {tid}");
-                    mbr.expand_point(coords);
-                }
-                DecodedEntry::Child { child, mbr: stored } => {
-                    let actual = self.check_node(*child, depth + 1, false, tids, leaf_depths);
-                    assert!(
-                        stored.contains(&actual),
-                        "parent MBR {stored:?} does not contain child {actual:?}"
-                    );
-                    mbr.expand(stored);
-                }
-            }
-        }
-        mbr
-    }
+/// Refuses a point the tree cannot index: the wrong dimensionality, or a
+/// coordinate that is not finite.
+fn assert_point(coords: &[f64], dims: usize) {
+    assert_eq!(coords.len(), dims, "point dimensionality mismatch");
+    assert!(coords.iter().all(|c| c.is_finite()), "non-finite coordinate in {coords:?}");
 }
 
 /// Orders `idx` by Sort-Tile-Recursive tiling so that consecutive runs of
@@ -925,7 +889,7 @@ mod tests {
             assert_eq!(p, &before[t], "stable slots: tid {t} must not move on delete");
         }
         // Deleting again fails cleanly.
-        assert!(!tree.delete(victim, &pts[victim as usize].1));
+        assert!(tree.delete_tracked(victim, &pts[victim as usize].1).is_none());
     }
 
     #[test]
@@ -938,7 +902,7 @@ mod tests {
             tree.insert(*tid, coords);
         }
         for (tid, coords) in &pts {
-            assert!(tree.delete(*tid, coords), "tid {tid}");
+            assert!(tree.delete_tracked(*tid, coords).is_some(), "tid {tid}");
         }
         assert!(tree.is_empty());
         for (tid, coords) in &pts {
@@ -956,7 +920,8 @@ mod tests {
         stats.reset();
         let _ = tree.read_node(tree.root_pid());
         assert_eq!(stats.reads(IoCategory::RtreeBlock), 1);
-        let _ = tree.read_node_uncounted(tree.root_pid());
+        // The walk behind every whole-tree pass reads uncounted.
+        assert!(tree.count_nodes() > 1);
         assert_eq!(stats.reads(IoCategory::RtreeBlock), 1);
     }
 
@@ -989,5 +954,36 @@ mod tests {
         }
         tree.check_invariants();
         assert_eq!(tree.len(), 260);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate")]
+    fn insert_refuses_a_nan_coordinate() {
+        // A NaN drops out of every box's min and max, so no search could
+        // find the tuple again to delete it.
+        let (p, _) = pager(512);
+        let mut tree = RTree::new(p, RTreeConfig::explicit(2, 1, 3));
+        tree.insert_tracked(0, &[f64::NAN, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate")]
+    fn bulk_load_refuses_an_infinite_coordinate() {
+        let (p, _) = pager(512);
+        let mut pts = grid_points(20);
+        pts[7].1[1] = f64::INFINITY;
+        let _ = RTree::bulk_load(p, RTreeConfig::explicit(2, 1, 3), pts, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the leaf level")]
+    fn a_cycle_among_the_pages_stops_the_walk() {
+        let (p, _) = pager(512);
+        let mut tree = RTree::bulk_load(p, RTreeConfig::explicit(2, 1, 3), grid_points(40), 1.0);
+        let root = tree.root_pid();
+        let first_child = tree.read_node(root).child(0);
+        let page = tree.pager().read(root).to_vec();
+        tree.pager_mut().write(first_child, &page);
+        tree.for_each_tuple(|_, _, _| {});
     }
 }

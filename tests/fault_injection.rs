@@ -204,7 +204,7 @@ fn corrupt_signature_pages_degrade_but_answers_stay_exact() {
 fn child_masks_equal_the_full_walk_clean_and_degraded() {
     use pcube::core::query::{BooleanPruner, Candidate};
     use pcube::core::BooleanProbe;
-    use pcube::rtree::{DecodedEntry, Mbr, Path};
+    use pcube::rtree::{Mbr, Path};
     use std::collections::HashSet;
 
     fn walk_tree(db: &PCubeDb, sel: &Selection, label: &str) -> bool {
@@ -220,24 +220,22 @@ fn child_masks_equal_the_full_walk_clean_and_degraded() {
                 continue;
             }
             assert!(by_walk.contains(&path), "{label}: expanded an unkept node {path}");
-            for (slot, entry) in db.rtree().read_node(pid).entries {
+            let node = db.rtree().read_node(pid);
+            for slot in node.slots() {
                 let child_path = path.child(slot as u16 + 1);
                 let walked = by_walk.contains(&child_path);
-                match entry {
-                    DecodedEntry::Tuple { tid, .. } => {
-                        let asked = by_mask.keep_child(slot, false);
-                        assert_eq!(asked, walked, "{label}: {sel:?} child {child_path}");
-                        if asked {
-                            kept_tids.insert(tid);
-                        }
+                if node.is_leaf() {
+                    let asked = by_mask.keep_child(slot, false);
+                    assert_eq!(asked, walked, "{label}: {sel:?} child {child_path}");
+                    if asked {
+                        kept_tids.insert(node.tid(slot));
                     }
-                    DecodedEntry::Child { child, .. } => {
-                        let asked = by_mask.keep_child(slot, true);
-                        assert_eq!(asked, by_walk.keep_child(slot, true), "{label}: {child_path}");
-                        assert!(walked || !asked, "{label}: {sel:?} kept {child_path} past the walk");
-                        if asked {
-                            frontier.push((child, child_path.clone()));
-                        }
+                } else {
+                    let asked = by_mask.keep_child(slot, true);
+                    assert_eq!(asked, by_walk.keep_child(slot, true), "{label}: {child_path}");
+                    assert!(walked || !asked, "{label}: {sel:?} kept {child_path} past the walk");
+                    if asked {
+                        frontier.push((node.child(slot), child_path.clone()));
                     }
                 }
                 assert_eq!(
@@ -290,7 +288,7 @@ fn child_masks_equal_the_full_walk_clean_and_degraded() {
 fn subtree_check_never_drops_a_qualifying_tuple_clean_and_degraded() {
     use pcube::core::query::{BooleanPruner, Candidate};
     use pcube::core::BooleanProbe;
-    use pcube::rtree::{DecodedEntry, Mbr, Path};
+    use pcube::rtree::{Mbr, Path};
     use std::collections::HashSet;
 
     /// Expands `node`, which the probe just kept, and every kept node under
@@ -307,20 +305,19 @@ fn subtree_check_never_drops_a_qualifying_tuple_clean_and_degraded() {
         let Candidate::Node { pid, path, .. } = node else { panic!("a tuple is not expanded") };
         let mut found = 0;
         let mut kept_nodes = Vec::new();
-        for (slot, entry) in db.rtree().read_node(*pid).entries {
-            match entry {
-                DecodedEntry::Tuple { tid, .. } => {
-                    if probe.keep_child(slot, false) && db.relation().matches(tid, sel) {
-                        reached.insert(tid);
-                        found += 1;
-                    }
+        let node = db.rtree().read_node(*pid);
+        for slot in node.slots() {
+            if node.is_leaf() {
+                let tid = node.tid(slot);
+                if probe.keep_child(slot, false) && db.relation().matches(tid, sel) {
+                    reached.insert(tid);
+                    found += 1;
                 }
-                DecodedEntry::Child { child, mbr } => {
-                    if probe.keep_child(slot, true) {
-                        let path = path.child(slot as u16 + 1);
-                        kept_nodes.push(Candidate::Node { pid: child, path, mbr });
-                    }
-                }
+            } else if probe.keep_child(slot, true) {
+                let mut mbr = Mbr::empty(db.rtree().dims());
+                node.mbr_into(slot, &mut mbr);
+                let path = path.child(slot as u16 + 1);
+                kept_nodes.push(Candidate::Node { pid: node.child(slot), path, mbr });
             }
         }
         for child in kept_nodes {
