@@ -23,6 +23,14 @@
 //!   ([`QueryClass::Shared`]: an atomic f64-bit threshold for top-k, a
 //!   lock-free window of accepted points for the skyline family).
 //!
+//! Every heap is laid out for the tree ([`CandidateHeap::for_tree`]), and a
+//! seed list of more than the root — saved entries, selected tuples, a
+//! worker's dealt group — enters it through one
+//! [`CandidateHeap::extend`]: written into the slab, then heapified once in
+//! O(n). Seed keys are distinct, so the pop order is that of pushing them
+//! one by one. The owned seeds are dropped there; from then on the worker's
+//! frontier is plain data.
+//!
 //! A serial run is a fleet of one worker. One builder ([`Governance`]) arms
 //! every worker's [`Governor`] — none at all when the budget is unlimited
 //! and no cancel token is attached, so an ungoverned run makes no check per
@@ -332,7 +340,7 @@ pub(crate) fn run_serial<C: QueryClass>(
     let start = begin(db, selection, class);
     let selection = normalize(selection);
     let governance = Governance::of(db, opts);
-    let mut heap = CandidateHeap::new();
+    let mut heap = CandidateHeap::for_tree(db.rtree());
     let (mut signature_probe, mut keep_all) = (None, KeepAll);
     let (mut stopped, mut select_seconds) = (None, 0.0);
     let probe: &mut dyn BooleanPruner = match seeds {
@@ -344,12 +352,7 @@ pub(crate) fn run_serial<C: QueryClass>(
             }
         }
         Seeds::Saved(result, list) => {
-            for e in result {
-                heap.push(e.score, e.cand);
-            }
-            for e in list {
-                heap.push_entry(e);
-            }
+            heap.extend(result.into_iter().map(|e| (e.score, e.cand)), list);
             signature_probe.insert(db.pcube().probe(&selection, false))
         }
         Seeds::Selected(indexes, route) => {
@@ -361,10 +364,11 @@ pub(crate) fn run_serial<C: QueryClass>(
                 let selected = indexes.select(db, &selection, &CostModel::default(), route);
                 select_seconds = t_select.elapsed().as_secs_f64();
                 let mut seed_logic = class.logic(None);
-                for (tid, coords) in selected {
+                let seeds = selected.into_iter().map(|(tid, coords)| {
                     let score = seed_logic.score_tuple(&coords);
-                    heap.push(score, Candidate::Tuple { tid, path: Path::root(), coords });
-                }
+                    (score, Candidate::Tuple { tid, path: Path::root(), coords })
+                });
+                heap.extend(seeds, []);
             }
             &mut keep_all
         }
@@ -481,10 +485,8 @@ impl PCubeDb {
                     scope.spawn(move || {
                         let pinned_at = Instant::now();
                         let mut probe = self.pcube().probe(selection, false);
-                        let mut heap = CandidateHeap::new();
-                        for (score, cand) in group {
-                            heap.push(score, cand);
-                        }
+                        let mut heap = CandidateHeap::for_tree(self.rtree());
+                        heap.extend(group, []);
                         let (local, tally, _) = work(
                             self, selection, class, heap, &mut probe, Some(shared), governance,
                             None, pinned_at,

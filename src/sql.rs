@@ -147,7 +147,13 @@ fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                     j += 1;
                 }
                 let text: String = chars[start..j].iter().collect();
-                let value = text.parse::<f64>().map_err(|_| SqlError(format!("bad number {text:?}")))?;
+                // A literal too long for an f64 parses as `inf`; refused here,
+                // it cannot turn a score into `inf` or NaN.
+                let value = text
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| SqlError(format!("bad number {text:?}")))?;
                 out.push(Token::Number(value));
                 i = j;
             }

@@ -141,3 +141,25 @@ fn sql_contradictory_predicates_are_a_typed_error() {
         }
     }
 }
+
+/// A number literal too long for an f64 is refused where it is read, as a
+/// typed error naming it: parsed as `inf`, it made every score `inf`, and
+/// `0 × (x − inf)` made them NaN, which panicked the search.
+#[test]
+fn sql_an_overlong_number_is_a_typed_error() {
+    let db = car_db();
+    let nines = "9".repeat(400);
+    for text in [
+        format!("select top 3 from cars where color = 'red' order by 0*(price - {nines})^2"),
+        format!("select top 3 from cars order by {nines}*price"),
+        format!("explain select top 3 from cars order by price + {nines}.5 * mileage"),
+    ] {
+        let err = sql::execute(&db, &text).err().unwrap_or_else(|| panic!("{text} ran"));
+        assert!(err.0.contains("bad number"), "{text}: {err}");
+    }
+    // The longest run of nines an f64 holds is still a number.
+    let finite = "9".repeat(308);
+    let out = sql::execute(&db, &format!("select top 3 from cars order by price + {finite} * mileage"))
+        .expect("a finite literal is accepted");
+    assert_eq!(out.rows.len(), 3);
+}
