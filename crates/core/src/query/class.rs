@@ -20,7 +20,7 @@
 //! whether they keep the `b_list`/`d_list` for a
 //! later [`drill_down`](crate::PCubeDb::drill_down) or
 //! [`roll_up`](crate::PCubeDb::roll_up) (§V-C). A class opts into that
-//! through [`QueryClass::restart_entries`].
+//! through [`QueryClass::RESUMABLE`].
 //!
 //! Two first-party classes live here too, [`TopKClass`] and [`HullClass`].
 //! The skyline family is the third: one class body in
@@ -49,10 +49,9 @@ use crate::query::budget::{CancelToken, QueryBudget};
 use crate::query::driver::{run_serial, ParallelOptions, Seeds};
 use crate::query::hull::monotone_chain;
 use crate::query::kernel::{
-    HullLogic, IndexMergePruner, PreferenceLogic, SavedLists, SharedBound, TopKLogic,
-    VerifyAllPruner,
+    HullLogic, IndexMergePruner, PreferenceLogic, SharedBound, TopKLogic, VerifyAllPruner,
 };
-use crate::query::{HeapEntry, QueryStats, ResultEntry};
+use crate::query::{CandidateHeap, List, QueryStats};
 #[cfg(doc)]
 use crate::query::{
     DynamicSkylineClass, PSkylineClass, PriorityGraph, SharedWindow, SkylineClass,
@@ -84,6 +83,15 @@ pub trait QueryClass {
     type Logic<'a>: PreferenceLogic
     where
         Self: 'a;
+
+    /// The resumable opt-in (§V-C): whether a serial run may keep its
+    /// `b_list`, `d_list` and accepted tuples for a later drill-down or
+    /// roll-up. A class may say `true` only if Lemma 2 holds for it — the
+    /// answer under a strengthened selection is reachable from `result ∪
+    /// d_list`, and under a relaxed one from `result ∪ b_list` — and its
+    /// serial logic accepts each tuple into its answer as the kernel
+    /// reports it.
+    const RESUMABLE: bool = false;
 
     /// Stable class name — used by `EXPLAIN`, [`crate::plan::PlanDecision`]
     /// and benchmarks.
@@ -126,16 +134,6 @@ pub trait QueryClass {
     /// the differential-testing reference only. No engine calls it, so the
     /// engines are checked against code none of them runs.
     fn oracle(&self, rows: &[(u64, Vec<f64>)]) -> Vec<Self::Row>;
-
-    /// The resumable opt-in (§V-C): the results a finished serial `logic`
-    /// accepted, as tuple entries a later drill-down or roll-up can queue
-    /// again. A class may return `Some` only if Lemma 2 holds for it — the
-    /// answer under a strengthened selection is reachable from `result ∪
-    /// d_list`, and under a relaxed one from `result ∪ b_list`. The default
-    /// `None` means the class keeps no resumable state.
-    fn restart_entries(&self, _logic: &Self::Logic<'_>) -> Option<Vec<HeapEntry>> {
-        None
-    }
 }
 
 /// A completed run of a [`QueryClass`].
@@ -185,7 +183,7 @@ pub fn run_class_engine<C: QueryClass>(
     cancel: Option<&CancelToken>,
 ) -> ClassOutcome<C::Row> {
     let opts = ParallelOptions { budget: *budget, cancel: cancel.cloned(), ..Default::default() };
-    let run = |seeds: Seeds<'_>| run_serial(db, selection, class, &opts, seeds, None).0;
+    let run = |seeds: Seeds<'_>| run_serial(db, selection, class, &opts, seeds, None);
     match engine {
         Engine::PCube => run(Seeds::Root(None)),
         Engine::DominationFirst => run(Seeds::Root(Some(&mut VerifyAllPruner))),
@@ -198,15 +196,15 @@ pub fn run_class_engine<C: QueryClass>(
 // Drill-down and roll-up (§V-C)
 // ---------------------------------------------------------------------------
 
-/// The three lists Algorithm 1 maintains, kept after a resumable run so
-/// that [`PCubeDb::drill_down`] and [`PCubeDb::roll_up`] can rebuild the
-/// candidate heap without starting from the root (Lemma 2). Tied to the
-/// class the lists were pruned under: a follow-up runs the same class.
+/// What a resumable run leaves for [`PCubeDb::drill_down`] and
+/// [`PCubeDb::roll_up`] to continue from without starting at the root
+/// (Lemma 2): the three lists Algorithm 1 maintains — `b_list`, `d_list` and
+/// the result — as keys over the run's own [`CandidateHeap`] slab. Tied to
+/// the class the lists were pruned under: a follow-up runs the same class.
 pub struct SavedState<'c, C: QueryClass> {
     class: &'c C,
     selection: Selection,
-    result: Vec<HeapEntry>,
-    lists: SavedLists,
+    heap: CandidateHeap,
 }
 
 impl<C: QueryClass> SavedState<'_, C> {
@@ -217,13 +215,13 @@ impl<C: QueryClass> SavedState<'_, C> {
 
     /// Entries pruned by boolean predicates (kept for roll-up).
     pub fn b_list_len(&self) -> usize {
-        self.lists.b_list.len()
+        self.heap.b_list_len()
     }
 
     /// Entries pruned by preference — dominated entries, and the search
     /// frontier of a run that halted early (kept for drill-down).
     pub fn d_list_len(&self) -> usize {
-        self.lists.d_list.len()
+        self.heap.d_list_len()
     }
 }
 
@@ -235,69 +233,65 @@ impl PCubeDb {
     ///
     /// # Panics
     /// Panics if the class keeps no resumable state
-    /// ([`QueryClass::restart_entries`]); top-k and skyline do.
+    /// ([`QueryClass::RESUMABLE`]); top-k and skyline do.
     pub fn run_resumable<'c, C: QueryClass>(
         &self,
         selection: &Selection,
         class: &'c C,
     ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        restart(self, class, normalize(selection), Seeds::Root(None), SavedLists::default())
+        let heap = CandidateHeap::resumable(self.rtree());
+        restart(self, class, normalize(selection), Seeds::Root(None), heap)
     }
 
     /// Strengthens the query behind `prev` with one more predicate,
     /// restarting the search from `result ∪ d_list` instead of the root
-    /// (Lemma 2).
+    /// (Lemma 2). Entries that failed the old (weaker) predicates still
+    /// fail: the `b_list` is kept.
     pub fn drill_down<'c, C: QueryClass>(
         &self,
         prev: SavedState<'c, C>,
         extra: Predicate,
     ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        let mut selection = prev.selection;
+        let SavedState { class, mut selection, mut heap } = prev;
         selection.push(extra);
-        let SavedLists { b_list, d_list } = prev.lists;
-        // Entries that failed the old (weaker) predicates still fail.
-        let lists = SavedLists { b_list, d_list: Vec::new() };
-        restart(self, prev.class, normalize(&selection), Seeds::Saved(prev.result, d_list), lists)
+        heap.resume(List::D);
+        restart(self, class, normalize(&selection), Seeds::Saved, heap)
     }
 
     /// Relaxes the query behind `prev` by dropping every predicate on
     /// boolean dimension `dim`, restarting the search from `result ∪
     /// b_list` (Lemma 2).
+    ///
+    /// The old preference-pruned entries stay pruned: what pruned them
+    /// satisfied the stricter old predicates, hence also the relaxed ones.
+    /// For a halted top-k the old frontier's lower bounds are no smaller
+    /// than the old k-th score, which still qualifies. The `d_list` is kept
+    /// so later drill-downs retain full coverage.
     pub fn roll_up<'c, C: QueryClass>(
         &self,
         prev: SavedState<'c, C>,
         dim: usize,
     ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-        let selection: Selection = prev.selection.into_iter().filter(|p| p.dim != dim).collect();
-        let SavedLists { b_list, d_list } = prev.lists;
-        // The old preference-pruned entries stay pruned: what pruned them
-        // satisfied the stricter old predicates, hence also the relaxed
-        // ones. For a halted top-k the old frontier's lower bounds are no
-        // smaller than the old k-th score, which still qualifies. The list
-        // is kept so later drill-downs retain full coverage.
-        let lists = SavedLists { b_list: Vec::new(), d_list };
-        restart(self, prev.class, selection, Seeds::Saved(prev.result, b_list), lists)
+        let SavedState { class, selection, mut heap } = prev;
+        let selection: Selection = selection.into_iter().filter(|p| p.dim != dim).collect();
+        heap.resume(List::B);
+        restart(self, class, selection, Seeds::Saved, heap)
     }
 }
 
-/// One resumable run, ungoverned, under the signature probe: from the root,
-/// or from the old result plus one of the old lists.
+/// One resumable run over `heap`, ungoverned, under the signature probe:
+/// from the root, or from the old result plus one of the old lists.
 fn restart<'c, C: QueryClass>(
     db: &PCubeDb,
     class: &'c C,
     selection: Selection,
     seeds: Seeds<'_>,
-    mut lists: SavedLists,
+    mut heap: CandidateHeap,
 ) -> (ClassOutcome<C::Row>, SavedState<'c, C>) {
-    assert!(
-        class.restart_entries(&class.logic(None)).is_some(),
-        "{} queries keep no state for drill-down / roll-up",
-        class.name()
-    );
+    assert!(C::RESUMABLE, "{} queries keep no state for drill-down / roll-up", class.name());
     let opts = ParallelOptions::default();
-    let (outcome, result) = run_serial(db, &selection, class, &opts, seeds, Some(&mut lists));
-    let result = result.expect("a resumable run keeps its lists");
-    (outcome, SavedState { class, selection, result, lists })
+    let outcome = run_serial(db, &selection, class, &opts, seeds, Some(&mut heap));
+    (outcome, SavedState { class, selection, heap })
 }
 
 // ---------------------------------------------------------------------------
@@ -332,6 +326,8 @@ impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
         = TopKLogic<'a>
     where
         Self: 'a;
+
+    const RESUMABLE: bool = true;
 
     fn name(&self) -> &'static str {
         "topk"
@@ -372,10 +368,6 @@ impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
         let locals =
             rows.iter().map(|(tid, c)| (self.f.score(c), *tid, c.clone())).collect();
         self.merge(vec![locals])
-    }
-
-    fn restart_entries(&self, logic: &TopKLogic<'_>) -> Option<Vec<HeapEntry>> {
-        Some(logic.accepted().iter().map(ResultEntry::requeue).collect())
     }
 }
 

@@ -17,7 +17,7 @@ use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::marker::PhantomData;
 
-use pcube_rtree::{Mbr, Path};
+use pcube_rtree::Mbr;
 
 use crate::plan::Planner;
 use crate::query::class::QueryClass;
@@ -603,7 +603,7 @@ impl PreferenceLogic for SkylineLogic<'_> {
         self.score(Region::Point(coords))
     }
 
-    fn score_node(&mut self, mbr: &Mbr, _depth: usize) -> f64 {
+    fn score_node(&mut self, mbr: &Mbr) -> f64 {
         self.score(Region::Box(mbr))
     }
 
@@ -611,10 +611,10 @@ impl PreferenceLogic for SkylineLogic<'_> {
         self.dominated(child)
     }
 
-    fn accept(&mut self, score: f64, tid: u64, path: Path, coords: Vec<f64>) {
+    fn accept(&mut self, score: f64, tid: u64, coords: Vec<f64>) {
         self.space.map(Region::Point(&coords), &mut self.point);
         self.window.push(&self.point);
-        self.result.push(ResultEntry { tid, coords, path, score });
+        self.result.push(ResultEntry { tid, coords, score });
     }
 }
 
@@ -779,6 +779,8 @@ impl<K: Member> QueryClass for Skyline<K> {
     where
         Self: 'a;
 
+    const RESUMABLE: bool = K::RESUMABLE;
+
     fn name(&self) -> &'static str {
         K::NAME
     }
@@ -813,10 +815,6 @@ impl<K: Member> QueryClass for Skyline<K> {
         let points: Vec<SkyPoint> =
             rows.iter().map(|(tid, c)| self.space.sky_point(*tid, c.clone())).collect();
         self.space.rows(winnow_points(&points, |a, b| self.space.dominates(a, b)))
-    }
-
-    fn restart_entries(&self, logic: &SkylineLogic<'_>) -> Option<Vec<HeapEntry>> {
-        K::RESUMABLE.then(|| logic.result.iter().map(ResultEntry::requeue).collect())
     }
 }
 

@@ -252,6 +252,12 @@ impl RTree {
         Ok(NodeView::new(self.pager.try_read(pid)?, &self.layout))
     }
 
+    /// The tight box around every indexed tuple, read from the root as
+    /// memory holds it — uncounted; `None` for an empty tree.
+    pub fn bounds(&self) -> Option<Mbr> {
+        (!self.is_empty()).then(|| self.view(self.root).mbr())
+    }
+
     /// A live node as memory holds it: uncounted, unfaulted, unverified.
     ///
     /// # Panics

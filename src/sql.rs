@@ -593,6 +593,35 @@ fn bind_pref_dim(db: &PCubeDb, name: &str) -> Result<usize, SqlError> {
         .ok_or_else(|| SqlError(format!("unknown preference dimension {name:?}")))
 }
 
+/// Refuses a ranking whose arithmetic can overflow an `f64` on the table:
+/// summed over its terms, the largest magnitude each reaches over the
+/// table's bounding box — `|w|·max(|min|, |max|)` for a linear term,
+/// `w·max((min − t)², (max − t)²)` for a squared one — must be finite. An
+/// overflow would score rows `±inf` (every row ties, the search reads the
+/// whole tree and answers the lowest tids) or NaN (`inf + -inf`). The box
+/// is read from the R-tree root uncounted; an empty table is not checked.
+fn check_ranking_range(db: &PCubeDb, f: &CompiledRanking) -> Result<(), SqlError> {
+    let Some(bounds) = db.rtree().bounds() else { return Ok(()) };
+    let reach: f64 = f
+        .terms
+        .iter()
+        .map(|(d, term)| {
+            let (lo, hi) = (bounds.min[*d], bounds.max[*d]);
+            match term {
+                RankTerm::Linear { weight, .. } => weight.abs() * lo.abs().max(hi.abs()),
+                RankTerm::SquaredDistance { weight, target, .. } => {
+                    weight * (lo - target).powi(2).max((hi - target).powi(2))
+                }
+            }
+        })
+        .sum();
+    if reach.is_finite() {
+        Ok(())
+    } else {
+        err("the ranking overflows an f64 over the table's bounding box")
+    }
+}
+
 fn decode_row(db: &PCubeDb, tid: u64, coords: &[f64], score: Option<f64>) -> ResultRow {
     let n_bool = db.relation().schema().n_bool();
     let bool_values = (0..n_bool)
@@ -675,6 +704,7 @@ fn execute_statement(
                 })
                 .collect::<Result<Vec<_>, SqlError>>()?;
             let f = CompiledRanking { terms };
+            check_ranking_range(db, &f)?;
             let class = TopKClass::new(k, &f);
             let (topk, stats) =
                 run_class_statement(db, &class, &selection, stmt.explain, budget, cancel)?;

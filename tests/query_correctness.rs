@@ -5,7 +5,7 @@
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
 use pcube::baselines::{index_merge_topk, BooleanIndexSet};
 use pcube::core::{
-    EngineKind, LinearFn, PCubeConfig, PCubeDb, SkylineClass, TopKClass,
+    EngineKind, LinearFn, PCubeConfig, PCubeDb, QueryClass, SkylineClass, TopKClass,
     WeightedDistanceFn,
 };
 use pcube::cube::{MaterializationPlan, Predicate, Selection};
@@ -255,4 +255,57 @@ fn signature_prunes_more_rtree_blocks_than_domination() {
     assert_eq!(sig.stats.io.reads(C::TupleRandomAccess), 0);
     assert!(dom.io.reads(C::TupleRandomAccess) > 0);
     assert!(sig.stats.peak_heap <= dom.peak_heap, "Fig 10: smaller candidate heap");
+}
+
+/// 3,000 uniform rows, three boolean dimensions of four values.
+fn small_db() -> PCubeDb {
+    let spec = SyntheticSpec { n_tuples: 3000, n_bool: 3, cardinality: 4, ..Default::default() };
+    PCubeDb::build(synthetic(&spec), &PCubeConfig::default())
+}
+
+/// Seed conservation through a restart: a drill-down by a value the data
+/// never holds queues `result ∪ d_list` and must b-list every one of them,
+/// so no saved entry and no old result is lost on the way; a roll-up that
+/// keeps that predicate queues `result ∪ b_list` and b-lists them all again.
+fn assert_a_restart_conserves_its_seeds<C: QueryClass>(db: &PCubeDb, class: &C) {
+    let base = vec![Predicate { dim: 1, value: db.relation().bool_code(7, 1) }];
+    let (first, state) = db.run_resumable(&base, class);
+    let (b, d, rows) = (state.b_list_len(), state.d_list_len(), first.rows.len());
+    assert!(rows > 0 && d > 0, "{}: nothing to conserve", class.name());
+    let (drilled, state) = db.drill_down(state, Predicate { dim: 0, value: 999 });
+    assert!(drilled.rows.is_empty());
+    assert_eq!(state.b_list_len(), b + d + rows, "{}: a drill-down lost a seed", class.name());
+    assert_eq!(state.d_list_len(), 0);
+    let b = state.b_list_len();
+    let (rolled, state) = db.roll_up(state, 1);
+    assert!(rolled.rows.is_empty());
+    assert_eq!(state.b_list_len(), b, "{}: a roll-up lost a seed", class.name());
+    assert_eq!(state.d_list_len(), 0);
+}
+
+#[test]
+fn a_restart_b_lists_every_seed_under_a_value_the_data_never_holds() {
+    let db = small_db();
+    let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
+    assert_a_restart_conserves_its_seeds(&db, &TopKClass::new(10, &f));
+    assert_a_restart_conserves_its_seeds(&db, &SkylineClass::new(vec![0, 1, 2]));
+}
+
+/// Seed conservation through boolean-first: with `k` above the selection's
+/// size every selected tuple is queued, and every one must come back —
+/// P-Cube's answer, row for row.
+#[test]
+fn boolean_first_top_k_beyond_the_selection_returns_every_selected_row() {
+    let db = small_db();
+    let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
+    let sel = vec![
+        Predicate { dim: 0, value: db.relation().bool_code(11, 0) },
+        Predicate { dim: 1, value: db.relation().bool_code(11, 1) },
+    ];
+    let selected = qualifying(&db, &sel).len();
+    assert!(selected > 1);
+    let class = TopKClass::new(selected + 5, &f);
+    let (rows, _) = db.run_class_on(&class, &sel, EngineKind::BooleanFirst).expect("supported");
+    assert_eq!(rows.len(), selected, "a selected tuple was lost");
+    assert_eq!(rows, db.run(&sel, &class).rows);
 }

@@ -163,3 +163,42 @@ fn sql_an_overlong_number_is_a_typed_error() {
         .expect("a finite literal is accepted");
     assert_eq!(out.rows.len(), 3);
 }
+
+/// A finite literal can still overflow the ranking on the table's values:
+/// `(price − 10^200)²` is `inf` for every car, so every row would tie and
+/// the search would read the whole tree and answer the lowest tids. The
+/// statement is refused before it runs, and reads no block.
+#[test]
+fn sql_a_ranking_that_overflows_to_inf_is_refused_before_it_runs() {
+    let db = car_db();
+    let nines = "9".repeat(200);
+    let reads = db.stats().total_reads();
+    for text in [
+        format!("select top 3 from cars order by (price - {nines})^2"),
+        format!("explain select top 3 from cars where color = 'red' order by (price - {nines})^2"),
+    ] {
+        let err = sql::execute(&db, &text).err().unwrap_or_else(|| panic!("{text} ran"));
+        assert!(err.0.contains("overflows"), "{text}: {err}");
+    }
+    assert_eq!(db.stats().total_reads(), reads, "a refused statement reads nothing");
+}
+
+/// On a table with a negative coordinate, two overflowing linear terms make
+/// `inf + -inf`: the score is NaN, which the search cannot order. The
+/// statement is a typed error, not a panic.
+#[test]
+fn sql_a_ranking_that_overflows_to_nan_is_a_typed_error() {
+    let mut rel = Relation::new(Schema::new(&["kind"], &["x", "y"]));
+    for i in 0..200u32 {
+        let t = f64::from(i) / 50.0;
+        rel.push(&["a"], &[t - 2.0, 3.0 - t]);
+    }
+    let db = PCubeDb::build(rel, &PCubeConfig::default());
+    let nines = "9".repeat(308);
+    let text = format!("select top 3 from r order by {nines}*x + {nines}*y");
+    let err = sql::execute(&db, &text).err().unwrap_or_else(|| panic!("{text} ran"));
+    assert!(err.0.contains("overflows"), "{err}");
+    // The same weights on a box they cannot overflow are a ranking.
+    let out = sql::execute(&db, "select top 3 from r order by 0.5*x + 0.5*y").expect("finite");
+    assert_eq!(out.rows.len(), 3);
+}
