@@ -16,6 +16,12 @@
 //! writes only the winner, straight into the caller's buffer. On a tie the
 //! first minimum in the order literal, RLE, WAH wins; stored pages depend on
 //! that rule.
+//!
+//! Decoding is word-level too, and there is one decoder: [`decode_words`]
+//! ORs an encoding into a caller's words — a run of ones or a fill sets
+//! whole masked words, a WAH literal group is shifted in, literal words are
+//! copied — and [`decode_bounded`] is that decoder run into a freshly sized
+//! [`BitArray`].
 
 use crate::array::BitArray;
 use crate::varint::{read_varint, varint_len, write_varint};
@@ -77,84 +83,129 @@ pub fn decode(buf: &[u8]) -> Option<(BitArray, usize)> {
 /// more than `max_bits` bits. A run-length or fill encoding of a few bytes
 /// can claim any length, so this bound is the only thing between a corrupt
 /// length field and an allocation of that size.
+///
+/// The array is sized from the checked length and filled by
+/// [`decode_words`]' word-level decoder.
 pub fn decode_bounded(buf: &[u8], max_bits: usize) -> Option<(BitArray, usize)> {
-    let mut pos = 0usize;
-    let tag = *buf.get(pos)?;
-    pos += 1;
-    let kind = CodecKind::from_tag(tag)?;
-    let len = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
-    if len > max_bits {
-        return None;
+    let header = Header::read(buf, max_bits)?;
+    let mut words = vec![0; header.len.div_ceil(64)];
+    let used = header.or_payload(buf, &mut words)?;
+    Some((BitArray::from_words(header.len, words), used))
+}
+
+/// ORs the bits of one encoding into `words` (bit `i` into word `i / 64`),
+/// word at a time: a run of ones or a fill of one-groups sets whole masked
+/// words, a WAH literal group is shifted in (across at most two words) and
+/// literal words are copied. Nothing is allocated.
+///
+/// Returns the encoding's bit length and the number of bytes consumed, or
+/// `None` on malformed input — an unknown tag, a bit length over `max_bits`
+/// or over what `words` holds, a missing payload, a run or fill past the
+/// length. On `None` the words may hold some of the bits already; the
+/// caller discards them.
+pub fn decode_words(buf: &[u8], max_bits: usize, words: &mut [u64]) -> Option<(usize, usize)> {
+    let header = Header::read(buf, max_bits.min(words.len().saturating_mul(64)))?;
+    Some((header.len, header.or_payload(buf, words)?))
+}
+
+/// The self-describing head of an encoding: its scheme, its bit length
+/// (checked against a bound before anything is sized from it) and where its
+/// payload starts.
+struct Header {
+    kind: CodecKind,
+    len: usize,
+    pos: usize,
+}
+
+impl Header {
+    fn read(buf: &[u8], max_bits: usize) -> Option<Header> {
+        let mut pos = 0usize;
+        let kind = CodecKind::from_tag(*buf.get(pos)?)?;
+        pos += 1;
+        let len = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
+        (len <= max_bits).then_some(Header { kind, len, pos })
     }
-    let bits = match kind {
-        CodecKind::Literal => {
-            // The payload must be present before the words are sized from it.
-            let end = pos.checked_add(len.div_ceil(64).checked_mul(8)?)?;
-            let words = buf
-                .get(pos..end)?
-                .chunks_exact(8)
-                .map(|raw| u64::from_le_bytes(raw.try_into().expect("chunks of eight bytes")))
-                .collect();
-            pos = end;
-            BitArray::from_words(len, words)
-        }
-        CodecKind::Rle => {
-            let mut bits = BitArray::zeros(len);
-            let mut i = 0usize;
-            let mut value = false;
-            while i < len {
-                let run = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
-                let end = i.checked_add(run)?;
-                if end > len {
-                    return None;
+
+    /// ORs the payload's bits into `words`, which hold at least `len` bits;
+    /// returns the offset behind the payload.
+    fn or_payload(&self, buf: &[u8], words: &mut [u64]) -> Option<usize> {
+        let (len, mut pos) = (self.len, self.pos);
+        match self.kind {
+            CodecKind::Literal => {
+                // The payload must be present before the words are read.
+                let n = len.div_ceil(64);
+                let end = pos.checked_add(n.checked_mul(8)?)?;
+                let raw = buf.get(pos..end)?;
+                for (k, (word, raw)) in words[..n].iter_mut().zip(raw.chunks_exact(8)).enumerate() {
+                    let bits = u64::from_le_bytes(raw.try_into().expect("chunks of eight bytes"));
+                    // Bits past the length are not the array's.
+                    let past = if k + 1 == n { (64 - len % 64) % 64 } else { 0 };
+                    *word |= bits << past >> past;
                 }
-                if value {
-                    for j in i..end {
-                        bits.set(j, true);
-                    }
-                }
-                i = end;
-                value = !value;
-            }
-            bits
-        }
-        CodecKind::Wah => {
-            let mut bits = BitArray::zeros(len);
-            let mut i = 0usize; // next bit position to fill
-            while i < len {
-                let end = pos.checked_add(4)?;
-                let mut raw = [0u8; 4];
-                raw.copy_from_slice(buf.get(pos..end)?);
-                let word = u32::from_le_bytes(raw);
                 pos = end;
-                if word & FILL_FLAG != 0 {
-                    let fill_one = word & FILL_VALUE != 0;
-                    let n_groups = (word & FILL_COUNT) as usize;
-                    let n_bits = n_groups.checked_mul(GROUP_BITS)?;
-                    let stop = i.checked_add(n_bits)?.min(len);
-                    if fill_one {
-                        for j in i..stop {
-                            bits.set(j, true);
-                        }
+            }
+            CodecKind::Rle => {
+                let (mut i, mut value) = (0usize, false);
+                while i < len {
+                    let run = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
+                    let end = i.checked_add(run)?;
+                    if end > len {
+                        return None;
                     }
-                    i += n_bits;
-                } else {
-                    for k in 0..GROUP_BITS {
-                        let j = i + k;
-                        if j >= len {
-                            break;
-                        }
-                        if word >> k & 1 == 1 {
-                            bits.set(j, true);
-                        }
+                    if value {
+                        set_range(words, i, end);
                     }
-                    i += GROUP_BITS;
+                    i = end;
+                    value = !value;
                 }
             }
-            bits
+            CodecKind::Wah => {
+                let mut i = 0usize; // next bit position to fill
+                while i < len {
+                    let end = pos.checked_add(4)?;
+                    let word = u32::from_le_bytes(buf.get(pos..end)?.try_into().expect("four bytes"));
+                    pos = end;
+                    if word & FILL_FLAG != 0 {
+                        let n_bits = ((word & FILL_COUNT) as usize).checked_mul(GROUP_BITS)?;
+                        let stop = i.checked_add(n_bits)?;
+                        if word & FILL_VALUE != 0 {
+                            set_range(words, i, stop.min(len));
+                        }
+                        i = stop;
+                    } else {
+                        // Only the group's bits below the length count.
+                        let keep = (len - i).min(GROUP_BITS);
+                        let bits = u64::from(word) & ((1u64 << keep) - 1);
+                        let (wi, shift) = (i / 64, i % 64);
+                        words[wi] |= bits << shift;
+                        if shift > 64 - GROUP_BITS && bits >> (64 - shift) != 0 {
+                            words[wi + 1] |= bits >> (64 - shift);
+                        }
+                        i += GROUP_BITS;
+                    }
+                }
+            }
         }
-    };
-    Some((bits, pos))
+        Some(pos)
+    }
+}
+
+/// Sets bits `lo..hi` of `words`: whole words between the two ends, a mask
+/// at each end.
+fn set_range(words: &mut [u64], lo: usize, hi: usize) {
+    if lo >= hi {
+        return;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let head = u64::MAX << (lo % 64);
+    let tail = u64::MAX >> (63 - (hi - 1) % 64);
+    if first == last {
+        words[first] |= head & tail;
+        return;
+    }
+    words[first] |= head;
+    words[first + 1..last].fill(u64::MAX);
+    words[last] |= tail;
 }
 
 /// Raw encoding: tag, bit length, little-endian words.

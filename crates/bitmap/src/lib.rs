@@ -17,8 +17,9 @@
 //!   [`WahCodec`] and [`AdaptiveCodec`] — the per-node compression schemes.
 //!   `AdaptiveCodec` picks the smallest encoding per array, which is exactly
 //!   the paper's argument (2); [`adaptive_len`] is that encoding's length
-//!   without producing it. [`decode_bounded`] is the decoder for bytes read
-//!   back from storage.
+//!   without producing it. [`decode_words`] is the one decoder, word-level:
+//!   it ORs an encoding into a caller's words; [`decode_bounded`] runs it
+//!   into a fresh array, for bytes read back from storage.
 //! * [`BloomFilter`] — the lossy alternative sketched in §VII: a Bloom filter
 //!   over the SIDs whose signature bits are 1.
 
@@ -33,7 +34,7 @@ mod varint;
 pub use array::BitArray;
 pub use bloom::BloomFilter;
 pub use codec::{
-    adaptive_len, decode, decode_bounded, AdaptiveCodec, Codec, CodecKind, LiteralCodec, RleCodec,
-    WahCodec,
+    adaptive_len, decode, decode_bounded, decode_words, AdaptiveCodec, Codec, CodecKind,
+    LiteralCodec, RleCodec, WahCodec,
 };
 pub use varint::{read_varint, varint_len, write_varint};

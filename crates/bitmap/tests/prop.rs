@@ -5,8 +5,8 @@
 //! `PROPTEST_SEED`), so every CI run replays the identical case sequence.
 
 use pcube_bitmap::{
-    adaptive_len, decode, decode_bounded, read_varint, varint_len, write_varint, AdaptiveCodec,
-    BitArray, BloomFilter, Codec, LiteralCodec, RleCodec, WahCodec,
+    adaptive_len, decode, decode_bounded, decode_words, read_varint, varint_len, write_varint,
+    AdaptiveCodec, BitArray, BloomFilter, Codec, LiteralCodec, RleCodec, WahCodec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,9 +15,10 @@ use rand::{Rng, SeedableRng};
 /// The definition of the three encodings: the bit-by-bit encoders the
 /// word-level ones in `codec.rs` replaced, kept as the reference they are
 /// tested against. `adaptive` is what "encode with every scheme and keep the
-/// smallest" meant: `min_by_key` returns the first minimum.
+/// smallest" meant: `min_by_key` returns the first minimum. `decode` is the
+/// bit-by-bit decoder the word-level one replaced, refusals included.
 mod reference {
-    use pcube_bitmap::{write_varint, BitArray};
+    use pcube_bitmap::{read_varint, write_varint, BitArray};
 
     const GROUP_BITS: usize = 31;
     const FILL_FLAG: u32 = 1 << 31;
@@ -106,6 +107,60 @@ mod reference {
         out
     }
 
+    /// Decodes one encoding a bit at a time: `None` on an unknown tag, a
+    /// length over `max_bits`, a missing payload or a run or fill past the
+    /// length; otherwise the array and the bytes consumed.
+    pub fn decode(buf: &[u8], max_bits: usize) -> Option<(BitArray, usize)> {
+        let mut pos = 1usize;
+        let tag = *buf.first()?;
+        let len = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
+        if tag > 2 || len > max_bits {
+            return None;
+        }
+        let mut bits = BitArray::zeros(len);
+        match tag {
+            0 => {
+                for i in 0..len {
+                    let byte = *buf.get(pos + i / 8)?;
+                    bits.set(i, byte >> (i % 8) & 1 == 1);
+                }
+                pos = buf.get(pos..pos + len.div_ceil(64) * 8)?.len() + pos;
+            }
+            1 => {
+                let (mut i, mut value) = (0usize, false);
+                while i < len {
+                    let run = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
+                    let end = i.checked_add(run).filter(|&end| end <= len)?;
+                    for j in i..end {
+                        bits.set(j, value);
+                    }
+                    (i, value) = (end, !value);
+                }
+            }
+            _ => {
+                let mut i = 0usize;
+                while i < len {
+                    let word = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().unwrap());
+                    pos += 4;
+                    if word & FILL_FLAG != 0 {
+                        let n_bits = ((word & FILL_COUNT) as usize).checked_mul(GROUP_BITS)?;
+                        let end = i.checked_add(n_bits)?;
+                        for j in i..end.min(len) {
+                            bits.set(j, word & FILL_VALUE != 0);
+                        }
+                        i = end;
+                    } else {
+                        for j in i..(i + GROUP_BITS).min(len) {
+                            bits.set(j, word >> (j - i) & 1 == 1);
+                        }
+                        i += GROUP_BITS;
+                    }
+                }
+            }
+        }
+        Some((bits, pos))
+    }
+
     pub fn adaptive(bits: &BitArray) -> Vec<u8> {
         [literal(bits), rle(bits), wah(bits)]
             .into_iter()
@@ -179,6 +234,72 @@ fn word_level_encoders_equal_the_bitwise_reference() {
     }
 }
 
+/// The word-level decoder is the bit-level one: `decode_bounded` and
+/// `decode_words` (into zeroed words and into words that hold bits already,
+/// which it ORs into) against the reference decoder on one buffer.
+fn assert_decodes_as_reference(buf: &[u8], max_bits: usize, what: &str) {
+    let expected = reference::decode(buf, max_bits);
+    assert_eq!(decode_bounded(buf, max_bits), expected, "decode_bounded, {what}");
+    let n = max_bits.min(1024).div_ceil(64);
+    let mut zeroed = vec![0u64; n];
+    let got = decode_words(buf, max_bits, &mut zeroed);
+    match &expected {
+        Some((bits, used)) if bits.len() <= 64 * n => {
+            assert_eq!(got, Some((bits.len(), *used)), "decode_words, {what}");
+            assert_eq!(&zeroed[..bits.words().len()], bits.words(), "decode_words, {what}");
+            assert!(zeroed[bits.words().len()..].iter().all(|&w| w == 0), "past the length, {what}");
+            let mut ored: Vec<u64> = (0..n as u64).map(|k| 0x8421_8421_8421_8421u64.rotate_left(k as u32)).collect();
+            let before = ored.clone();
+            decode_words(buf, max_bits, &mut ored);
+            for (k, w) in ored.iter().enumerate() {
+                let decoded = bits.words().get(k).copied().unwrap_or(0);
+                assert_eq!(*w, before[k] | decoded, "decode_words ORs, word {k}, {what}");
+            }
+        }
+        _ => assert_eq!(got, None, "decode_words, {what}"),
+    }
+}
+
+/// Every encoding of `arr` decodes as the reference decodes it, under the
+/// exact bound, one bit under it, and with a few bytes of the payload cut.
+fn assert_encodings_decode_as_reference(arr: &BitArray, what: &str) {
+    for enc in [LiteralCodec.encode(arr), RleCodec.encode(arr), WahCodec.encode(arr)] {
+        assert_decodes_as_reference(&enc, arr.len(), what);
+        assert_decodes_as_reference(&enc, arr.len().saturating_sub(1), &format!("bound, {what}"));
+        for cut in 1..=enc.len().min(5) {
+            assert_decodes_as_reference(&enc[..enc.len() - cut], arr.len(), &format!("cut {cut}, {what}"));
+        }
+    }
+}
+
+/// A run of ones or zeros that starts or ends on each 64-bit word boundary
+/// (and one bit either side of it), and whole-group WAH fills over the
+/// same: arrays of 65–256 bits whose fills and runs the word-level decoder
+/// writes as whole masked words.
+#[test]
+fn word_level_decoder_equals_the_bitwise_reference_at_word_boundaries() {
+    for len in [65usize, 93, 124, 127, 128, 129, 155, 186, 191, 192, 193, 217, 248, 255, 256] {
+        let edges: Vec<usize> =
+            [64usize, 128, 192].iter().flat_map(|&b| [b - 1, b, b + 1]).filter(|&e| e <= len).collect();
+        for &lo in [0usize].iter().chain(&edges) {
+            for &hi in edges.iter().chain([len].iter()) {
+                if lo >= hi {
+                    continue;
+                }
+                let ones = BitArray::from_bits((0..len).map(|i| (lo..hi).contains(&i)));
+                assert_encodings_decode_as_reference(&ones, &format!("ones {lo}..{hi} of {len}"));
+                let zeros = BitArray::from_bits((0..len).map(|i| !(lo..hi).contains(&i)));
+                assert_encodings_decode_as_reference(&zeros, &format!("zeros {lo}..{hi} of {len}"));
+            }
+        }
+        // Whole 31-bit groups of ones: WAH fills ending at 62, 124, 186, 248.
+        for groups in 1..=len / 31 {
+            let fill = BitArray::from_bits((0..len).map(|i| i < 31 * groups));
+            assert_encodings_decode_as_reference(&fill, &format!("{groups} one-groups of {len}"));
+        }
+    }
+}
+
 /// Fill runs longer than one word of groups, and a length whose varint has
 /// two bytes.
 #[test]
@@ -201,6 +322,15 @@ fn arb_bits() -> impl Strategy<Value = Vec<bool>> {
 fn arb_runs() -> impl Strategy<Value = Vec<bool>> {
     prop::collection::vec((any::<bool>(), 1usize..60), 0..20).prop_map(|runs| {
         runs.into_iter().flat_map(|(v, n)| std::iter::repeat_n(v, n)).collect()
+    })
+}
+
+/// Clustered arrays of 65–256 bits: runs of 1–70 bits, repeated out to the
+/// length.
+fn arb_clustered_65_to_256() -> impl Strategy<Value = Vec<bool>> {
+    (prop::collection::vec((any::<bool>(), 1usize..=70), 1..12), 65usize..=256).prop_map(|(runs, len)| {
+        let bits: Vec<bool> = runs.into_iter().flat_map(|(v, n)| std::iter::repeat_n(v, n)).collect();
+        bits.iter().copied().cycle().take(len).collect()
     })
 }
 
@@ -251,6 +381,15 @@ proptest! {
     ) {
         assert_matches_reference(&BitArray::from_bits(bits.iter().copied()), "random");
         assert_matches_reference(&BitArray::from_bits(runs.iter().copied()), "clustered");
+    }
+
+    #[test]
+    fn decoder_equals_the_reference_on_random_and_clustered_arrays(
+        bits in prop::collection::vec(any::<bool>(), 65..=256),
+        runs in arb_clustered_65_to_256(),
+    ) {
+        assert_encodings_decode_as_reference(&BitArray::from_bits(bits.iter().copied()), "random");
+        assert_encodings_decode_as_reference(&BitArray::from_bits(runs.iter().copied()), "clustered");
     }
 
     #[test]
@@ -308,6 +447,8 @@ proptest! {
             if let Some((arr, used)) = decode_bounded(&buf, 4096) {
                 prop_assert!(arr.len() <= 4096 && used <= buf.len());
             }
+            assert_decodes_as_reference(&buf, 4096, "garbage");
+            assert_decodes_as_reference(&buf, 204, "garbage under a fanout bound");
         }
     }
 }

@@ -23,8 +23,16 @@
 //! so one that builds a saved entry owned blows it too.
 //!
 //! The probe is warmed by an identical first run, so the measured run finds
-//! every partial signature already in its cursors: decoding a partial
-//! allocates per signature node, which is real work but not the kernel's.
+//! every partial signature already in its cursors. One more row runs a
+//! cold probe, which loads its partials during the run: a cursor decodes a
+//! partial word-level into its one word arena, so loading one allocates
+//! nothing per signature node nor per partial — only the growth steps of
+//! the cursor's arena, SID table and locators, a constant per conjunct:
+//!
+//! ```text
+//! PER_ACCEPT · tuples accepted + PER_NODE · nodes expanded + FIXED
+//!     + PER_CONJUNCT · conjuncts
+//! ```
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`; the counter is per thread, so the harness's own
@@ -34,12 +42,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pcube::core::query::{
-    run_kernel, CandidateHeap, HeapEntry, KernelRun, PopVerdict, PreferenceLogic, QueryClass,
-    Region,
+    run_kernel, BooleanPruner, CandidateHeap, HeapEntry, KernelRun, PopVerdict, PreferenceLogic,
+    QueryClass, Region,
 };
 use pcube::core::{
-    DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, PriorityGraph,
-    SkylineClass, SubspaceSkylineClass, TopKClass,
+    BooleanProbe, DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass,
+    PriorityGraph, SkylineClass, SubspaceSkylineClass, TopKClass,
 };
 use pcube::cube::Selection;
 use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
@@ -55,6 +63,10 @@ const PER_ACCEPT: u64 = 1;
 const PER_NODE: u64 = 1;
 /// Scratch buffers, the first growth steps of every vector.
 const FIXED: u64 = 64;
+/// What a cold probe's cursor adds to a run: its locators and tried bits,
+/// and the growth steps of its word arena, SID → row table and pending
+/// list — independent of the number of partials it loads.
+const PER_CONJUNCT: u64 = 16;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -136,14 +148,15 @@ impl<L: PreferenceLogic> PreferenceLogic for Accepts<L> {
 }
 
 /// What one guarded run did: its allocations, the bound they were held to,
-/// the kernel's counters, the entries it ever queued and those it saved to
-/// its lists.
+/// the kernel's counters, the entries it ever queued, those it saved to
+/// its lists, and the partial signatures it loaded.
 struct Guarded {
     during: u64,
     bound: u64,
     run: KernelRun,
     queued: u64,
     saved: u64,
+    partials: u64,
 }
 
 /// Runs `class` twice over one probe and checks the second (warm) run
@@ -160,6 +173,28 @@ fn guarded_run<C: QueryClass>(
         let mut logic = class.logic(None);
         run_kernel(db, sel, &mut probe, &mut heap, &mut logic, None);
     }
+    measured_run(db, sel, class, save_lists, probe, 0)
+}
+
+/// Runs `class` once over a fresh probe, which loads every partial
+/// signature the run needs during the run, and checks it against the bound
+/// plus [`PER_CONJUNCT`] per predicate.
+fn cold_run<C: QueryClass>(db: &PCubeDb, sel: &Selection, class: &C) -> Guarded {
+    let probe = db.pcube().probe(sel, false);
+    measured_run(db, sel, class, false, probe, PER_CONJUNCT * sel.len() as u64)
+}
+
+/// Runs `class` over `probe`, counting the run's allocations, and checks
+/// them against the bound plus `per_probe`.
+fn measured_run<C: QueryClass>(
+    db: &PCubeDb,
+    sel: &Selection,
+    class: &C,
+    save_lists: bool,
+    mut probe: BooleanProbe<'_>,
+    per_probe: u64,
+) -> Guarded {
+    let loaded_before = probe.partials_loaded();
     let mut heap = seeded_heap(db, save_lists);
     let mut logic = Accepts { logic: class.logic(None), accepted: 0 };
 
@@ -173,15 +208,16 @@ fn guarded_run<C: QueryClass>(
     let queued = run.pops + heap.len() as u64;
     let saved = (heap.b_list_len() + heap.d_list_len()) as u64;
     let accepted = logic.accepted;
-    let bound = PER_ACCEPT * accepted + PER_NODE * run.nodes_expanded + FIXED;
+    let partials = probe.partials_loaded() - loaded_before;
+    let bound = PER_ACCEPT * accepted + PER_NODE * run.nodes_expanded + FIXED + per_probe;
     assert!(
         during <= bound,
-        "{}: {during} allocations in run_kernel > bound {bound} \
-         ({accepted} accepted, {saved} saved, {} nodes expanded, {queued} queued)",
+        "{}: {during} allocations in run_kernel > bound {bound} ({accepted} accepted, \
+         {saved} saved, {} nodes expanded, {queued} queued, {partials} partials loaded)",
         class.name(),
         run.nodes_expanded
     );
-    Guarded { during, bound, run, queued, saved }
+    Guarded { during, bound, run, queued, saved, partials }
 }
 
 #[test]
@@ -245,6 +281,14 @@ fn kernel_allocations_do_not_scale_with_fanout() {
     ] {
         assert!(g.saved > g.bound, "lists not long: {} saved vs bound {}", g.saved, g.bound);
     }
+
+    // A cold probe: the skyline run loads its partial signatures as it
+    // goes, and the bound grows by a constant per conjunct, not per partial
+    // nor per node decoded. Not a vacuous pass: a partial holds dozens of
+    // nodes, and the run loads more partials than an eighth of the bound,
+    // so an allocation per decoded node — or eight per partial — blows it.
+    let g = cold_run(&db, &sel, &SkylineClass::new(vec![0, 1, 2]));
+    assert!(8 * g.partials > g.bound, "few partials loaded: {} vs bound {}", g.partials, g.bound);
 
     // Unfiltered top-k: every child of every expanded node is queued and
     // only k tuples are accepted — a wide frontier the bound does not pay
