@@ -391,8 +391,10 @@ pub(crate) fn page(id: u64) -> PageId {
 const EMPTY: Candidate = Candidate::Tuple { tid: 0, path: Path(Vec::new()), coords: Vec::new() };
 
 /// `dst = src`, element by element, for the few coordinates of one
-/// candidate.
-#[inline]
+/// candidate. Always inlined: under a plain `#[inline]` a change elsewhere
+/// in the crate was enough for `Slab::store`'s two coordinate copies to
+/// become `memcpy` calls.
+#[inline(always)]
 fn copy<T: Copy>(dst: &mut [T], src: &[T]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d = *s;
