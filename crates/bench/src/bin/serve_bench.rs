@@ -114,6 +114,7 @@ struct ConfigResult {
 #[allow(clippy::too_many_arguments)]
 fn run_config(
     db: &PCubeDb,
+    gate: &AdmissionGate,
     workload: &[Case],
     expected: &[Vec<Row>],
     per_query_io: &[IoSnapshot],
@@ -132,7 +133,7 @@ fn run_config(
         // The gate is sized to the widest thread count, so measured configs
         // are admitted without shedding — but every query still pays the
         // admission path.
-        let permit = db.admit().expect("gate sized to the widest config never sheds");
+        let permit = gate.admit().expect("gate sized to the widest config never sheds");
         let (got, stages) = run_query(db, &workload[w]);
         drop(permit);
         (i, q_started.elapsed().as_micros() as u64, stages, got != expected[w])
@@ -237,7 +238,7 @@ fn main() {
     // throughput numbers are not distorted by shedding), with a generous
     // wait. A narrow-gate burst afterwards exercises the shed path.
     let max_threads = cfg.threads.iter().copied().max().unwrap_or(1);
-    db.set_admission_gate(AdmissionGate::new(max_threads, Duration::from_secs(30)));
+    let gate = AdmissionGate::new(max_threads, Duration::from_secs(30));
 
     // Warm pass (fills the pinned signature-directory cache), then a
     // measured serial pass: expected answers + deterministic per-query I/O.
@@ -269,6 +270,7 @@ fn main() {
         eprintln!("running {total_queries} queries on {threads} client thread(s)…");
         results.push(run_config(
             &db,
+            &gate,
             &workload,
             &expected,
             &per_query_io,
@@ -281,13 +283,13 @@ fn main() {
     // Shed-pressure burst: narrow the gate to 2 slots with a near-zero wait
     // and hammer it from the widest thread count. Overload must be turned
     // away as typed shed errors — never a hang, never a panic.
-    let measured_admitted = db.admission_gate().map_or(0, AdmissionGate::admitted_total);
+    let measured_admitted = gate.admitted_total();
     db.set_wall_read_latency(None);
-    db.set_admission_gate(AdmissionGate::new(2, Duration::from_micros(100)));
+    let burst_gate = AdmissionGate::new(2, Duration::from_micros(100));
     let burst_threads = max_threads.max(4);
     let burst_queries = 256usize;
     eprintln!("shed burst: {burst_queries} queries on {burst_threads} threads, 2 slots…");
-    let shed = drain(burst_threads, burst_queries, |i| match db.admit() {
+    let shed = drain(burst_threads, burst_queries, |i| match burst_gate.admit() {
         Err(_) => true,
         Ok(permit) => {
             run_query(&db, &workload[i % workload.len()]);
@@ -296,7 +298,6 @@ fn main() {
         }
     });
     let burst_shed = shed.into_iter().filter(|&shed| shed).count() as u64;
-    let burst_gate = db.admission_gate().expect("burst gate installed");
     let burst_admitted = burst_gate.admitted_total();
     eprintln!("shed burst: {burst_admitted} admitted, {burst_shed} shed");
 

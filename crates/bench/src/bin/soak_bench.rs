@@ -158,7 +158,7 @@ fn main() {
     db.signature_store_mut()
         .dir_pager_mut()
         .set_fault_plan(FaultPlan::seeded(cfg.seed ^ 0x0D1E).with_read_errors(0.2));
-    db.set_admission_gate(AdmissionGate::new(cfg.slots, cfg.max_wait));
+    let gate = AdmissionGate::new(cfg.slots, cfg.max_wait);
 
     eprintln!(
         "soaking: {} queries, {} threads, {} admission slots (wait {:?})…",
@@ -169,7 +169,7 @@ fn main() {
     // Per issued query: its latency in µs if it was admitted.
     let admitted: Vec<Option<u64>> = drain(cfg.threads, cfg.queries, |i| {
         let q_started = Instant::now();
-        match db.admit() {
+        match gate.admit() {
             Err(_) => {
                 tally.shed.fetch_add(1, Ordering::Relaxed);
                 None
@@ -195,7 +195,6 @@ fn main() {
     let violations = tally.violations.load(Ordering::Relaxed);
     let executed = lat.len() as u64;
     let partials = deadline + blocks + heap + cancelled;
-    let gate = db.admission_gate().expect("gate installed");
 
     let json = JsonObject::new()
         .text("bench", "soak_bench")

@@ -32,6 +32,14 @@ pub struct BPlusTree {
     internal_cache: RwLock<HashMap<PageId, Box<[u8]>>>,
 }
 
+/// Where one step of a descent leads.
+enum Step<'a> {
+    /// The page is a leaf: the pager's own bytes.
+    Leaf(&'a [u8]),
+    /// The page is internal: the child covering the key.
+    Child(PageId),
+}
+
 impl Clone for BPlusTree {
     /// Deep copy over a cloned pager, with a cold internal cache (it refills
     /// lazily on first reads).
@@ -194,39 +202,40 @@ impl BPlusTree {
         &mut self.pager
     }
 
-    /// Reads a node page, the tree's one page reader: pager errors
-    /// propagate, a page whose entry count is structurally impossible is
-    /// [`StorageError::Malformed`] rather than a slice panic later, and an
-    /// internal page is pinned on its first read.
-    fn try_read_page(&self, pid: PageId) -> Result<Vec<u8>, StorageError> {
+    /// One step of a descent towards `key` from page `pid`, the tree's one
+    /// page reader. A pinned internal page is read in place, under the
+    /// cache's read lock: uncounted, unfaulted, and as it was when pinned.
+    /// Any other page is the pager's own bytes — pager errors propagate, and
+    /// a page whose entry count is structurally impossible is
+    /// [`StorageError::Malformed`] rather than a slice panic later — and an
+    /// internal page is pinned (copied once) on this first read.
+    fn try_step(&self, pid: PageId, key: u64) -> Result<Step<'_>, StorageError> {
+        let child = |page: &[u8]| node::internal_child(page, node::internal_descend(page, key));
         if let Some(page) = self.internal_cache.read().unwrap_or_else(|e| e.into_inner()).get(&pid) {
-            return Ok(page.to_vec());
+            return Ok(Step::Child(child(page)));
         }
-        let page = self.pager.try_read(pid)?.to_vec();
-        let leaf = node::node_type(&page) == TYPE_LEAF;
-        if node::count(&page) > if leaf { self.leaf_cap } else { self.internal_cap } {
+        let page = self.pager.try_read(pid)?;
+        let leaf = node::node_type(page) == TYPE_LEAF;
+        if node::count(page) > if leaf { self.leaf_cap } else { self.internal_cap } {
             return Err(StorageError::Malformed { pid, what: "node count exceeds page capacity" });
         }
-        if !leaf {
-            self.internal_cache
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(pid, page.clone().into_boxed_slice());
+        if leaf {
+            return Ok(Step::Leaf(page));
         }
-        Ok(page)
+        self.internal_cache.write().unwrap_or_else(|e| e.into_inner()).insert(pid, page.into());
+        Ok(Step::Child(child(page)))
     }
 
     /// The leaf whose key range covers `key`. The descent is bounded by the
     /// tree height, so a corrupt child pointer cannot loop forever.
     #[inline(always)]
-    fn try_leaf(&self, key: u64) -> Result<Vec<u8>, StorageError> {
+    fn try_leaf(&self, key: u64) -> Result<&[u8], StorageError> {
         let mut pid = self.root;
         for _ in 0..self.height {
-            let page = self.try_read_page(pid)?;
-            if node::node_type(&page) == TYPE_LEAF {
-                return Ok(page);
+            match self.try_step(pid, key)? {
+                Step::Leaf(page) => return Ok(page),
+                Step::Child(child) => pid = child,
             }
-            pid = node::internal_child(&page, node::internal_descend(&page, key));
         }
         Err(StorageError::Malformed { pid, what: "descent exceeded the tree height" })
     }
@@ -244,7 +253,7 @@ impl BPlusTree {
     /// [`StorageError`] instead of panicking.
     pub fn try_get(&self, key: u64) -> Result<Option<u64>, StorageError> {
         let page = self.try_leaf(key)?;
-        Ok(node::leaf_search(&page, key).ok().map(|i| node::leaf_value(&page, i)))
+        Ok(node::leaf_search(page, key).ok().map(|i| node::leaf_value(page, i)))
     }
 
     /// Entries whose keys fall in `range`, in key order.
@@ -284,22 +293,23 @@ impl BPlusTree {
             return Ok(Vec::new());
         };
         let mut page = self.try_leaf(lo)?;
-        let mut idx = match node::leaf_search(&page, lo) {
+        let mut idx = match node::leaf_search(page, lo) {
             Ok(i) | Err(i) => i,
         };
         let mut out = Vec::new();
         // A well-formed leaf chain visits each allocated page at most once.
         let mut hops = self.pager.live_pages();
         loop {
-            while idx < node::count(&page) {
-                let key = node::leaf_key(&page, idx);
-                if key > hi {
-                    return Ok(out);
-                }
-                out.push((key, node::leaf_value(&page, idx)));
-                idx += 1;
+            // The leaf's entries up to the first key past `hi`, taken at once
+            // so the result grows by the exact count.
+            let n = node::count(page);
+            let end = (idx..n).find(|&i| node::leaf_key(page, i) > hi);
+            let entries = idx..end.unwrap_or(n);
+            out.extend(entries.map(|i| (node::leaf_key(page, i), node::leaf_value(page, i))));
+            if end.is_some() {
+                return Ok(out);
             }
-            let next = node::next_leaf(&page);
+            let next = node::next_leaf(page);
             if next.is_invalid() {
                 return Ok(out);
             }
@@ -307,10 +317,12 @@ impl BPlusTree {
                 return Err(StorageError::Malformed { pid: next, what: "leaf chain longer than the page count (cycle?)" });
             }
             hops -= 1;
-            page = self.try_read_page(next)?;
-            if node::node_type(&page) != TYPE_LEAF {
-                return Err(StorageError::Malformed { pid: next, what: "leaf chain points at a non-leaf page" });
-            }
+            page = match self.try_step(next, hi)? {
+                Step::Leaf(page) => page,
+                Step::Child(_) => {
+                    return Err(StorageError::Malformed { pid: next, what: "leaf chain points at a non-leaf page" })
+                }
+            };
             idx = 0;
         }
     }
@@ -588,6 +600,37 @@ mod tests {
         t.insert(999_999, 1);
         assert_eq!(t.get(999_999), Some(1));
         assert_eq!(t.get(3), Some(3));
+    }
+
+    #[test]
+    fn a_pinned_page_outlives_its_rot_and_a_clone_refuses_it() {
+        let (mut t, stats) = tree_with(256);
+        for k in 0..2_000u64 {
+            t.insert(k, k + 1);
+        }
+        assert!(t.height() >= 3, "height {}", t.height());
+        t.pager_mut().set_checksums(true);
+        // Warm: every key's descent pins every internal page.
+        for k in 0..2_000u64 {
+            assert_eq!(t.try_get(k), Ok(Some(k + 1)));
+        }
+        let root = t.parts().0;
+        t.pager_mut().corrupt_page(root, 8, 0xFF).expect("the root is live");
+
+        // The warm tree answers from its pinned copies: one counted read per
+        // lookup — the leaf — and never the rotten root.
+        stats.reset();
+        let keys: Vec<u64> = (0..2_000u64).step_by(37).collect();
+        for &k in &keys {
+            assert_eq!(t.try_get(k), Ok(Some(k + 1)));
+        }
+        assert_eq!(stats.reads(IoCategory::BptreePage), keys.len() as u64);
+        assert_eq!(t.try_range_collect(10..13), Ok(vec![(10, 11), (11, 12), (12, 13)]));
+
+        // A clone starts cold: its first descent reads the root and refuses it.
+        let cold = t.clone();
+        assert!(matches!(cold.try_get(5), Err(StorageError::Corrupt { pid, .. }) if pid == root));
+        assert_eq!(t.try_get(5), Ok(Some(6)), "the clone's refusal leaves the warm tree alone");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! is a counter behind a mutex/condvar pair — queries are admitted in
 //! condvar wake order, the permit is RAII so a panicking query still
 //! releases its slot, and admit/shed tallies feed the `serve_bench` /
-//! `soak_bench` reports.
+//! `soak_bench` reports. The serving loop owns the gate and calls
+//! [`AdmissionGate::admit`] before each query; the database holds none.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};

@@ -69,13 +69,14 @@ pub struct BooleanIndexSet {
 impl BooleanIndexSet {
     /// The indexes of this version of `db`, at the database's page size:
     /// built on first use and shared — by every statement, session and
-    /// snapshot — until the next insert or delete ([`PCubeDb::derived`]).
-    /// They stay in memory that long: [`Self::size_bytes`], ~230 B per tuple
-    /// at twelve boolean dimensions.
+    /// snapshot — until the next insert or delete (see
+    /// [`PCubeDb::clone_snapshot`]). They stay in memory that long:
+    /// [`Self::size_bytes`], ~230 B per tuple at twelve boolean dimensions.
     pub fn of(db: &PCubeDb) -> Arc<BooleanIndexSet> {
-        db.derived(|db| {
-            Self::build(db.relation(), db.rtree().pager().page_size(), db.stats().clone())
-        })
+        Arc::clone(db.indexes.get_or_init(|| {
+            let page_size = db.rtree().pager().page_size();
+            Arc::new(Self::build(db.relation(), page_size, db.stats().clone()))
+        }))
     }
 
     /// Bulk loads an index over the live rows of every boolean dimension of

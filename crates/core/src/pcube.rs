@@ -1,9 +1,8 @@
 //! Building the P-Cube, answering probe requests, and incremental
 //! maintenance (§IV, §IV-B.3).
 
-use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use pcube_cube::{
     group_rows, normalize, CellKey, CellRegistry, CuboidMask, MaterializationPlan, Predicate,
@@ -12,6 +11,8 @@ use pcube_cube::{
 use pcube_rtree::{Path, PathDelta, RTree, RTreeConfig};
 use pcube_storage::{IoCategory, IoStats, Pager, SharedStats};
 
+use crate::boolean_index::BooleanIndexSet;
+use crate::plan::Planner;
 use crate::signature::Signature;
 use crate::store::{BooleanProbe, SignatureCursor, SignatureStore};
 
@@ -290,11 +291,6 @@ fn generate(
     }
 }
 
-/// One lazily built value per type; see [`PCubeDb::derived`]. The cell is
-/// what a snapshot shares and what makes a build single-flight: the map lock
-/// is held only to find it.
-type DerivedSlots = HashMap<TypeId, Arc<OnceLock<Arc<dyn Any + Send + Sync>>>>;
-
 /// A complete P-Cube database: base relation, shared R-tree partition,
 /// signature cube, and one I/O ledger across all of them.
 ///
@@ -305,11 +301,18 @@ pub struct PCubeDb {
     pub(crate) rtree: RTree,
     pub(crate) pcube: PCube,
     pub(crate) stats: SharedStats,
-    pub(crate) admission: Option<crate::admission::AdmissionGate>,
-    /// Data derived from this version of the rows ([`PCubeDb::derived`]).
-    /// A snapshot copies the map, sharing its cells; a row change clears it
-    /// in place — a map nobody filled costs the write path no allocation.
-    pub(crate) derived: Mutex<DerivedSlots>,
+    /// Data derived from this version of the rows: the §VI catalog
+    /// ([`PCubeDb::planner`]) and the baselines' boolean indexes
+    /// ([`BooleanIndexSet::of`]). Each is built on first use — concurrent
+    /// first users build once, the others wait — and then shared, by later
+    /// calls and by every [`PCubeDb::clone_snapshot`] (so every published
+    /// epoch) taken since, until the next insert or delete on this value
+    /// empties it in place. Nothing else drops it: not scrub, repair,
+    /// checkpoints, fault plans or read latencies, which leave rows and
+    /// R-tree shape alone.
+    pub(crate) catalog: OnceLock<Arc<Planner>>,
+    /// See `catalog`.
+    pub(crate) indexes: OnceLock<Arc<BooleanIndexSet>>,
 }
 
 impl PCubeDb {
@@ -327,7 +330,18 @@ impl PCubeDb {
             .collect();
         let rtree = RTree::bulk_load(rtree_pager, rtree_cfg, items, config.rtree_fill);
         let pcube = PCube::build(&relation, &rtree, &config.plan, config.page_size, stats.clone());
-        PCubeDb { relation, rtree, pcube, stats, admission: None, derived: Mutex::default() }
+        PCubeDb::from_parts(relation, rtree, pcube, stats)
+    }
+
+    /// The one constructor: a database over its parts, nothing derived yet.
+    pub(crate) fn from_parts(
+        relation: Relation,
+        rtree: RTree,
+        pcube: PCube,
+        stats: SharedStats,
+    ) -> Self {
+        let (catalog, indexes) = (OnceLock::new(), OnceLock::new());
+        PCubeDb { relation, rtree, pcube, stats, catalog, indexes }
     }
 
     /// The base relation.
@@ -356,32 +370,6 @@ impl PCubeDb {
         &self.stats
     }
 
-    /// The one `T` derived from this version of the database: built by
-    /// `build` on first use, then shared — by later calls and by every
-    /// [`PCubeDb::clone_snapshot`] (so every published epoch) taken since —
-    /// until the next insert or delete on this value drops it. Nothing else
-    /// drops it: not scrub, repair, checkpoints, fault plans or read
-    /// latencies, which leave rows and R-tree shape alone.
-    ///
-    /// `build` must therefore be a pure function of the live rows and the
-    /// R-tree's shape, the same for every caller of one `T`. Concurrent
-    /// first uses build once; the others wait for it. The §VI catalog
-    /// ([`PCubeDb::planner`]) and the baselines' boolean B+-tree indexes are
-    /// the tenants — keyed by type because the latter's type lives in a
-    /// crate above this one.
-    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce(&PCubeDb) -> T) -> Arc<T> {
-        let cell = Arc::clone(self.derived_slots().entry(TypeId::of::<T>()).or_default());
-        let value = cell.get_or_init(|| Arc::new(build(self)));
-        // invariant: the cell was found under `TypeId::of::<T>()`.
-        Arc::clone(value).downcast().expect("derived slot holds the type it is keyed by")
-    }
-
-    /// Poison-proof: the map only ever gains an empty cell or loses all of
-    /// them, so whatever a panicking holder left behind is valid.
-    fn derived_slots(&self) -> MutexGuard<'_, DerivedSlots> {
-        self.derived.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Runs an online, budget-limited integrity scrub over the signature
     /// store (see [`crate::scrub::scrub`]). Takes `&self`, so it can run
     /// concurrently with the `par_*` query paths.
@@ -406,31 +394,6 @@ impl PCubeDb {
         let store = self.pcube.store_mut();
         store.sig_pager_mut().set_read_delay(delay);
         store.dir_pager_mut().set_read_delay(delay);
-    }
-
-    /// Installs an admission gate: subsequent [`Self::admit`] calls bound
-    /// concurrent in-flight queries to the gate's capacity and shed after
-    /// its bounded wait.
-    pub fn set_admission_gate(&mut self, gate: crate::admission::AdmissionGate) {
-        self.admission = Some(gate);
-    }
-
-    /// The installed admission gate, if any (for its admit/shed tallies).
-    pub fn admission_gate(&self) -> Option<&crate::admission::AdmissionGate> {
-        self.admission.as_ref()
-    }
-
-    /// Acquires an admission slot before running a query. `Ok(None)` when
-    /// no gate is installed (nothing to hold); `Ok(Some(permit))` holds a
-    /// slot until dropped; `Err` means the query was shed and must not run.
-    pub fn admit(
-        &self,
-    ) -> Result<Option<crate::admission::AdmissionPermit<'_>>, crate::admission::AdmissionError>
-    {
-        match &self.admission {
-            None => Ok(None),
-            Some(gate) => gate.admit().map(Some),
-        }
     }
 
     /// Inserts a row (string boolean values) and incrementally maintains the
@@ -458,7 +421,7 @@ impl PCubeDb {
     }
 
     fn finish_insert(&mut self, tid: u64, coords: &[f64]) -> Vec<SigTouch> {
-        self.derived_slots().clear();
+        self.forget_derived();
         let delta = self.rtree.insert_tracked(tid, coords);
         self.pcube.apply_delta(&self.relation, &delta, self.rtree.height())
     }
@@ -481,9 +444,16 @@ impl PCubeDb {
         let coords = self.relation.pref_coords(tid);
         let path = self.rtree.delete_tracked(tid, &coords)?;
         self.relation.mark_deleted(tid);
-        self.derived_slots().clear();
+        self.forget_derived();
         let delta = PathDelta { removed: Some((tid, path)), ..PathDelta::default() };
         Some(self.pcube.apply_delta(&self.relation, &delta, self.rtree.height()))
+    }
+
+    /// Drops the derived data of the version a row change ends. Emptied in
+    /// place: a field nobody filled costs the write path nothing.
+    fn forget_derived(&mut self) {
+        self.catalog.take();
+        self.indexes.take();
     }
 
     /// An independently-queryable copy for epoch snapshots. Pagers and
@@ -492,18 +462,19 @@ impl PCubeDb {
     /// regardless of database size — the writer re-owns only the pages and
     /// column chunks it actually dirties afterwards. Only the I/O ledger is
     /// shared (snapshot reads keep being charged to the database's cost
-    /// accounting), and so is the derived data ([`PCubeDb::derived`]) built
-    /// so far. The admission gate is *not* carried over — snapshot
-    /// readers are admitted by the live database, not by its frozen copies.
+    /// accounting), and so is the derived data built so far: a catalog or
+    /// index set still being built when the snapshot is taken is not, and
+    /// the snapshot builds its own on first use.
     pub fn clone_snapshot(&self) -> PCubeDb {
-        PCubeDb {
-            relation: self.relation.clone(),
-            rtree: self.rtree.clone(),
-            pcube: self.pcube.clone(),
-            stats: self.stats.clone(),
-            admission: None,
-            derived: Mutex::new(self.derived_slots().clone()),
-        }
+        let mut snapshot = PCubeDb::from_parts(
+            self.relation.clone(),
+            self.rtree.clone(),
+            self.pcube.clone(),
+            self.stats.clone(),
+        );
+        snapshot.catalog = self.catalog.clone();
+        snapshot.indexes = self.indexes.clone();
+        snapshot
     }
 }
 

@@ -635,16 +635,8 @@ impl CheckpointImage {
         restore_live_rows(&mut relation, &rtree)?;
         let directory = BPlusTree::from_parts(dir_pager, dir_root, dir_height, dir_len);
         let store = SignatureStore::from_parts(sig_pager, directory, sig_m_max, sig_height);
-        let db = PCubeDb {
-            relation,
-            rtree,
-            pcube: PCube { registry: Arc::new(registry), store, cuboids },
-            stats,
-            // Admission control is runtime configuration, not data: a reopened
-            // database starts ungated.
-            admission: None,
-            derived: Default::default(),
-        };
+        let pcube = PCube { registry: Arc::new(registry), store, cuboids };
+        let db = PCubeDb::from_parts(relation, rtree, pcube, stats);
         let pages_verified = self.pagers.iter().map(|p| p.live_pages() as u64).sum();
         Ok((db, pages_verified))
     }

@@ -31,6 +31,7 @@
 //!   independently distributed points in `d` dimensions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pcube_cube::{normalize, Selection};
 use pcube_storage::CostModel;
@@ -431,9 +432,10 @@ impl std::error::Error for PlanError {}
 
 impl PCubeDb {
     /// The §VI catalog of this version of the database: built on first use
-    /// and shared until the next insert or delete ([`PCubeDb::derived`]).
-    pub fn planner(&self) -> std::sync::Arc<Planner> {
-        self.derived(Planner::new)
+    /// and shared — by every statement, session and snapshot — until the
+    /// next insert or delete (see [`PCubeDb::clone_snapshot`]).
+    pub fn planner(&self) -> Arc<Planner> {
+        Arc::clone(self.catalog.get_or_init(|| Arc::new(Planner::new(self))))
     }
 
     /// Plans and runs any [`QueryClass`] over the four engines of §VI-A

@@ -554,7 +554,7 @@ const ONES: u32 = 1;
 ///
 /// Plain data, allocated once per cursor and grown, never per node: the
 /// bits of every loaded node are one row of ⌈M/64⌉ words in one arena
-/// (`words`), found through a SID → row table. Rows [`ZEROS`] and [`ONES`]
+/// (`words`), found through a SID → row table. Rows `ZEROS` and `ONES`
 /// come first and stand in for a node with no bits, so a bit test, a word
 /// of an AND and a child mask are all a row index. A partial is decoded
 /// word-level straight into the arena; if it fails at any node, the arena

@@ -260,9 +260,11 @@ impl Pager {
         &self.stats
     }
 
-    /// Number of live (allocated, not freed) pages.
+    /// Number of live (allocated, not freed) pages: every slot handed out
+    /// and not on the free list, which names each dead slot once.
+    #[inline]
     pub fn live_pages(&self) -> usize {
-        self.table.iter().flat_map(|g| g.slots.iter()).filter(|s| s.is_some()).count()
+        self.n_slots - self.free.len()
     }
 
     /// Ids of all live pages, in allocation order. Chaos tests use this to
@@ -1395,6 +1397,43 @@ mod tests {
         assert!(matches!(q.try_read(a), Err(StorageError::Corrupt { .. })));
         assert!(p.try_read(a).is_ok());
         assert_eq!(p.read(a)[10], 5);
+    }
+
+    #[test]
+    fn live_pages_is_the_slot_scan() {
+        let scan = |p: &Pager| p.live_page_ids().len();
+        let mut master = Pager::new(32, IoCategory::RtreeBlock, IoStats::new_shared());
+        assert_eq!((master.live_pages(), scan(&master)), (0, 0));
+        let pids: Vec<PageId> = (0..300).map(|_| master.allocate()).collect();
+        assert_eq!(master.live_pages(), scan(&master));
+        for &pid in pids.iter().step_by(7) {
+            master.free(pid);
+        }
+        assert_eq!(master.live_pages(), scan(&master));
+        master.allocate();
+        master.allocate();
+        assert_eq!(master.live_pages(), scan(&master));
+
+        // A frozen copy following its master through `share_slots`.
+        master.take_dirty();
+        let mut frozen = master.clone();
+        for &pid in pids[1..40].iter().filter(|pid| pid.0 % 7 != 0) {
+            master.free(pid);
+        }
+        for _ in 0..200 {
+            master.allocate();
+        }
+        let dirty = master.take_dirty();
+        frozen.share_slots(&master, dirty);
+        assert_eq!(frozen.live_pages(), scan(&frozen));
+        assert_eq!(frozen.live_pages(), master.live_pages());
+
+        let mut bytes = Vec::new();
+        frozen.write_table(&mut bytes);
+        let (parsed, _) = Pager::read_table(&bytes, IoCategory::RtreeBlock, IoStats::new_shared())
+            .expect("a written table parses");
+        assert_eq!(parsed.live_pages(), scan(&parsed));
+        assert_eq!(parsed.live_pages(), master.live_pages());
     }
 
     #[test]

@@ -568,3 +568,28 @@ fn concurrent_first_use_builds_once() {
     assert!(answers.iter().all(|a| a == &answers[0]));
     assert!(!answers[0].0.is_empty());
 }
+
+/// A snapshot shares the catalog its master had built when it was taken,
+/// and nothing built later: one taken before the master's first
+/// `planner()` builds its own, one taken after shares the master's and
+/// keeps it across a master insert.
+#[test]
+fn a_snapshot_shares_the_catalog_built_before_it_and_no_later_one() {
+    let rows = grid_rows(800, 4);
+    let (mut db, _) = world(&rows);
+    let early = db.clone_snapshot();
+    let planner = db.planner();
+    let own = early.planner();
+    assert!(!Arc::ptr_eq(&own, &planner), "a snapshot taken before the build builds its own");
+    assert!(Arc::ptr_eq(&early.planner(), &own), "and keeps it");
+    for value in 0..4 {
+        assert_eq!(own.value_count(0, value), planner.value_count(0, value));
+    }
+
+    let late = db.clone_snapshot();
+    assert!(Arc::ptr_eq(&late.planner(), &planner), "a snapshot taken after shares it");
+    db.insert_coded(&[0, 0], &[0.5, 0.5, 0.5]);
+    assert!(!Arc::ptr_eq(&db.planner(), &planner), "the insert dropped the master's");
+    assert!(Arc::ptr_eq(&late.planner(), &planner), "the snapshot keeps the one it shared");
+    assert_eq!(db.planner().value_count(0, 0), planner.value_count(0, 0) + 1);
+}

@@ -115,7 +115,13 @@ fn assert_reason_allowed(i: usize, reason: StopReason, allowed: &[StopReason]) {
 /// and whether it ran on the serial engine.
 type Ended = (&'static str, Option<StopReason>, bool);
 
-fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Tally) -> Ended {
+fn run_one(
+    db: &PCubeDb,
+    gate: &AdmissionGate,
+    i: usize,
+    (case, oracle): &(Case, Vec<Row>),
+    tally: &Tally,
+) -> Ended {
     let mut rng = StdRng::seed_from_u64(0x50AC ^ i as u64);
     let governance = governance_for(i, &mut rng);
 
@@ -180,8 +186,7 @@ fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), tally: &Ta
     // Admission: every soak query goes through the gate. The gate has fewer
     // slots than client threads but a generous wait, so queries queue under
     // real contention yet never shed.
-    let permit = db.admit().expect("generous admission wait must not shed");
-    assert!(permit.is_some(), "the soak installs a gate");
+    let permit = gate.admit().expect("generous admission wait must not shed");
 
     // Every class runs on the engine its governance names (the parallel
     // arm fans all six out), answers in one row type, and is audited by
@@ -251,14 +256,14 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     db.signature_store_mut()
         .dir_pager_mut()
         .set_fault_plan(FaultPlan::seeded(0x0D1E).with_read_errors(0.2));
-    db.set_admission_gate(AdmissionGate::new(THREADS - 2, Duration::from_secs(60)));
+    let gate = AdmissionGate::new(THREADS - 2, Duration::from_secs(60));
 
     let tally = Tally::default();
-    let ended = drain(THREADS, TOTAL_QUERIES, |i| run_one(&db, i, &cases[i % cases.len()], &tally));
+    let ended =
+        drain(THREADS, TOTAL_QUERIES, |i| run_one(&db, &gate, i, &cases[i % cases.len()], &tally));
     finished.store(true, Ordering::Relaxed);
 
     // The gate saw every query and, with its generous wait, shed none.
-    let gate = db.admission_gate().expect("gate installed");
     assert_eq!(gate.admitted_total(), TOTAL_QUERIES as u64, "every query was admitted");
     assert_eq!(gate.shed_total(), 0, "a 60s wait never sheds a soak query");
     assert_eq!(gate.in_flight(), 0, "all permits released");
