@@ -75,16 +75,18 @@ pub fn decode_partial(buf: &[u8], m_max: usize) -> Option<PartialSignature> {
 }
 
 /// The one parser of a partial-signature record read back from a page:
-/// `[root_sid][n_nodes]`, then `[sid][encoded bits]` per node. Each node is
-/// decoded word-level ([`decode_words`]) into a zeroed row of
-/// `m_max.div_ceil(64)` words appended to `words`, and its SID and encoded
-/// bit length are appended to `nodes`, in record order; both are reserved
-/// by the node count, and nothing else is allocated. Returns the root SID.
+/// `[root_sid][n_nodes]`, then `[sid][encoded bits]` per node. The record's
+/// rows of `m_max.div_ceil(64)` words each are appended to `words` zeroed,
+/// all at once, and each node is decoded word-level into its row by the
+/// one bit decoder ([`decode_words`], inlined here); its SID and encoded
+/// bit length are appended to `nodes`, in record order. Nothing else is
+/// allocated. Returns the root SID.
 ///
 /// `None` on malformed input, which includes — checked before anything is
 /// sized from them — a node count the record is too short to hold and a
-/// node longer than the fanout `m_max`. What was appended for the nodes
-/// decoded before the failure is then still there: the caller cuts it off.
+/// node longer than the fanout `m_max`. What was appended is then still
+/// there, the rows of the nodes decoded before the failure among it: the
+/// caller cuts it off.
 pub fn decode_record(
     buf: &[u8],
     m_max: usize,
@@ -100,13 +102,13 @@ pub fn decode_record(
         return None;
     }
     let stride = m_max.div_ceil(64);
-    words.reserve(n * stride);
+    let first = words.len();
+    words.resize(first + n * stride, 0);
     nodes.reserve(n);
-    for _ in 0..n {
+    for k in 0..n {
         let sid = Sid(read_varint(buf, &mut pos)?);
-        let start = words.len();
-        words.resize(start + stride, 0);
-        let (len, used) = decode_words(&buf[pos..], m_max, &mut words[start..])?;
+        let row = first + k * stride;
+        let (len, used) = decode_words(&buf[pos..], m_max, &mut words[row..row + stride])?;
         pos += used;
         nodes.push((sid, len));
     }

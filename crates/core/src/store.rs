@@ -20,9 +20,12 @@
 //! ⌈M/64⌉ words per loaded node, a table from node SID to row, the cell's
 //! locators as one sorted vector and one "tried" bit per locator. A loaded
 //! record is decoded word-level straight into the arena
-//! ([`crate::encode::decode_record`]); no node is allocated. A record that
-//! fails to decode at any node adds none of its nodes — the arena is cut
-//! back to where it stood — and the cursor degrades.
+//! ([`crate::encode::decode_record`], which runs the codec's one bit
+//! decoder inlined); no node is allocated. The SID table is sized once per
+//! cursor, when its first record decodes: that record's node count times
+//! the cell's locator count. A record that fails to decode at any node adds
+//! none of its nodes — the arena is cut back to where it stood — and the
+//! cursor degrades.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -554,7 +557,8 @@ const ONES: u32 = 1;
 ///
 /// Plain data, allocated once per cursor and grown, never per node: the
 /// bits of every loaded node are one row of ⌈M/64⌉ words in one arena
-/// (`words`), found through a SID → row table. Rows `ZEROS` and `ONES`
+/// (`words`), found through a SID → row table sized for the whole cell by
+/// the first record loaded. Rows `ZEROS` and `ONES`
 /// come first and stand in for a node with no bits, so a bit test, a word
 /// of an AND and a child mask are all a row index. A partial is decoded
 /// word-level straight into the arena; if it fails at any node, the arena
@@ -803,9 +807,15 @@ impl SignatureCursor<'_> {
 
     /// Gives the nodes of the record just decoded their rows, which start
     /// at word `first` of the arena. A node already loaded keeps its row.
+    ///
+    /// The first record to decode sizes the SID table for the whole cell:
+    /// its node count times the cell's locator count, both in hand. The
+    /// table then seldom grows again, and is never rehashed record by
+    /// record while the partials a query reaches come in.
     fn index_pending(&mut self, first: usize) {
         let first_row = (first / self.stride) as u32;
-        self.rows.reserve(self.pending.len());
+        let records = if self.rows.is_empty() { self.locators.as_ref().map_or(1, Vec::len) } else { 1 };
+        self.rows.reserve(self.pending.len() * records);
         for (row, &(sid, _)) in (first_row..).zip(&self.pending) {
             self.rows.entry(sid).or_insert(row);
         }
