@@ -27,9 +27,10 @@
 //!   reproduction can only model.
 //!
 //! Each config also reports a per-stage wall-time breakdown (`stage_seconds`)
-//! summed across clients: `pin` (probe/heap setup), `page_read` (signature
-//! probes, node reads, verify fetches), `score` (preference logic), `merge`
-//! (canonical sort / cross-worker merge).
+//! summed across clients: `pin` (probe/heap setup), `page_read` (node reads,
+//! partial-signature loads, index probes), `score` (the rest of the kernel
+//! run: preference logic, the probe's bit work), `merge` (canonical sort /
+//! cross-worker merge).
 //!
 //! Usage: `serve_bench [--scale small|medium|full] [--threads 1,2,4,8]
 //! [--queries N] [--seed S] [--out PATH] [--min-speedup X]

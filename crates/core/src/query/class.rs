@@ -42,15 +42,13 @@
 
 use pcube_cube::{normalize, Predicate, Selection};
 
-use crate::boolean_index::{BooleanIndexSet, SelectRoute};
+use crate::boolean_index::{BooleanIndexSet, IndexMergePruner, SelectRoute};
 use crate::pcube::PCubeDb;
 use crate::plan::{EngineKind, Planner};
 use crate::query::budget::{CancelToken, QueryBudget};
 use crate::query::driver::{run_serial, ParallelOptions, Seeds};
 use crate::query::hull::monotone_chain;
-use crate::query::kernel::{
-    HullLogic, IndexMergePruner, PreferenceLogic, SharedBound, TopKLogic, VerifyAllPruner,
-};
+use crate::query::kernel::{HullLogic, PreferenceLogic, SharedBound, TopKLogic, VerifyAllPruner};
 use crate::query::{CandidateHeap, List, QueryStats};
 #[cfg(doc)]
 use crate::query::{
@@ -187,7 +185,7 @@ pub fn run_class_engine<C: QueryClass>(
     match engine {
         Engine::PCube => run(Seeds::Root(None)),
         Engine::DominationFirst => run(Seeds::Root(Some(&mut VerifyAllPruner))),
-        Engine::IndexMerge(indexes) => run(Seeds::Root(Some(&mut IndexMergePruner(indexes)))),
+        Engine::IndexMerge(indexes) => run(Seeds::Root(Some(&mut IndexMergePruner::new(indexes)))),
         Engine::BooleanFirst(indexes, route) => run(Seeds::Selected(indexes, route)),
     }
 }

@@ -16,16 +16,16 @@
 //! from 45 / 33 / 30 / 29 to 465 / 512 / 287 / 361.
 //!
 //! PR 25 gave the lazy multi-predicate probe one level of the Fig 3.c
-//! fix-up (`BooleanProbe::look_ahead`): a child node the masks keep is
+//! fix-up (`keep_child`'s look-ahead): a child node the masks keep is
 //! dropped unread when the conjuncts share no bit in its own arrays. Only
 //! runs under two or more predicates can move, and each moved row says why
 //! beside it; the 0- and 1-predicate rows are the capture above, byte for
 //! byte.
 //!
-//! PR 28 finished the fix-up lazily (`BooleanPruner::subtree_nonempty`): a
-//! popped node is read only if the conjuncts' intersected subtree under it
-//! is non-empty, checked recursively down to the leaf level and memoised per
-//! node. Again only the 2- and 3-predicate rows and the saved lists of
+//! PR 28 finished the fix-up lazily (`keep`'s subtree check,
+//! `store::fix_up`): a popped node is read only if the conjuncts'
+//! intersected subtree under it is non-empty, checked recursively down to
+//! the leaf level and memoised per node. Again only the 2- and 3-predicate rows and the saved lists of
 //! 2/3-predicate runs moved, each with its reason (old → new, against PR
 //! 25's pins); the 0- and 1-predicate rows are unedited.
 //!
