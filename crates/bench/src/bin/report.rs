@@ -202,10 +202,10 @@ fn ablation_compression(seed: u64) {
         let sig = bench.db.pcube().store().load_full(cell);
         for (_, bits) in sig.iter_nodes() {
             nodes += 1;
-            totals[0] += LiteralCodec.encode(bits).len();
-            totals[1] += RleCodec.encode(bits).len();
-            totals[2] += WahCodec.encode(bits).len();
-            totals[3] += AdaptiveCodec.encode(bits).len();
+            totals[0] += LiteralCodec.encode(&bits).len();
+            totals[1] += RleCodec.encode(&bits).len();
+            totals[2] += WahCodec.encode(&bits).len();
+            totals[3] += AdaptiveCodec.encode(&bits).len();
         }
     }
     print_header("codec", &["bytes", "bytes/node"]);

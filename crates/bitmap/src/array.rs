@@ -74,11 +74,6 @@ impl BitArray {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` if no bit is set.
-    pub fn all_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Iterates over the positions of the one-bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -92,29 +87,6 @@ impl BitArray {
                 Some(wi * 64 + tz)
             })
         })
-    }
-
-    /// In-place bitwise OR (the signature *union* operator on one node).
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn or_assign(&mut self, other: &BitArray) {
-        assert_eq!(self.len, other.len, "bit-or of mismatched lengths");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place bitwise AND (the signature *intersection* operator on one
-    /// node, before the recursive empty-child fix-up).
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn and_assign(&mut self, other: &BitArray) {
-        assert_eq!(self.len, other.len, "bit-and of mismatched lengths");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
     }
 
     /// Raw little-endian words backing the array (trailing bits beyond `len`
@@ -138,16 +110,6 @@ impl BitArray {
         }
         BitArray { len, words }
     }
-
-    /// Grows the array to `new_len` bits, padding with zeros. No-op if the
-    /// array is already at least that long.
-    pub fn grow(&mut self, new_len: usize) {
-        if new_len <= self.len {
-            return;
-        }
-        self.len = new_len;
-        self.words.resize(new_len.div_ceil(64), 0);
-    }
 }
 
 impl std::fmt::Debug for BitArray {
@@ -168,7 +130,7 @@ mod tests {
     fn zeros_and_set_get() {
         let mut b = BitArray::zeros(130);
         assert_eq!(b.len(), 130);
-        assert!(b.all_zero());
+        assert_eq!(b.count_ones(), 0);
         b.set(0, true);
         b.set(64, true);
         b.set(129, true);
@@ -189,17 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn or_and_assign() {
-        let mut a = BitArray::from_bits([true, false, true, false]);
-        let b = BitArray::from_bits([false, false, true, true]);
-        let mut u = a.clone();
-        u.or_assign(&b);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![0, 2, 3]);
-        a.and_assign(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
     fn from_words_masks_trailing_bits() {
         let b = BitArray::from_words(3, vec![0xFF]);
         assert_eq!(b.count_ones(), 3);
@@ -207,26 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn grow_preserves_bits() {
-        let mut b = BitArray::from_bits([true, true]);
-        b.grow(200);
-        assert_eq!(b.len(), 200);
-        assert_eq!(b.count_ones(), 2);
-        assert!(b.get(0) && b.get(1) && !b.get(199));
-        b.grow(10); // shrinking is a no-op
-        assert_eq!(b.len(), 200);
-    }
-
-    #[test]
     fn debug_formatting_shows_bits() {
         let b = BitArray::from_bits([true, false, true]);
         assert_eq!(format!("{b:?}"), "BitArray[101]");
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_or_panics() {
-        let mut a = BitArray::zeros(3);
-        a.or_assign(&BitArray::zeros(4));
     }
 }

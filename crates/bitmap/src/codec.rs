@@ -7,15 +7,17 @@
 //! better compression ratio by adaptively choosing different compression
 //! scheme[s]".
 //!
-//! The encoders work on the array's 64-bit words, never bit by bit: the
-//! run-length scheme walks run boundaries (`trailing_zeros` of a word xored
-//! with the current run's value), the word-aligned scheme takes each 31-bit
-//! group with a shift, and both are iterators, so the length of an encoding
-//! is known without producing it. [`AdaptiveCodec`] therefore *sizes* the
-//! three candidates from the words (the literal length in closed form) and
-//! writes only the winner, straight into the caller's buffer. On a tie the
-//! first minimum in the order literal, RLE, WAH wins; stored pages depend on
-//! that rule.
+//! Encoding is word-level too, and there is one encoder:
+//! [`encode_words_into`] takes `u64` words and a bit length — a
+//! [`BitArray`]'s words or a row of a signature's node table — and every
+//! [`Codec`] runs it on [`BitArray::words`]. The run-length scheme walks run
+//! boundaries (`trailing_zeros` of a word xored with the current run's
+//! value), the word-aligned scheme takes each 31-bit group with a shift, and
+//! both are iterators, so the length of an encoding is known without
+//! producing it. The adaptive choice therefore *sizes* the three candidates
+//! from the words (the literal length in closed form) and writes only the
+//! winner, straight into the caller's buffer. On a tie the first minimum in
+//! the order literal, RLE, WAH wins; stored pages depend on that rule.
 //!
 //! Decoding is word-level too, and there is one decoder: [`decode_words`]
 //! ORs an encoding into a caller's words — a run of ones or a fill sets
@@ -268,11 +270,7 @@ pub struct LiteralCodec;
 
 impl Codec for LiteralCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
-        out.push(CodecKind::Literal.tag());
-        write_varint(out, bits.len() as u64);
-        for w in bits.words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        encode_as(CodecKind::Literal, bits.words(), bits.len(), out);
     }
 }
 
@@ -283,23 +281,17 @@ pub struct RleCodec;
 
 impl Codec for RleCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
-        out.push(CodecKind::Rle.tag());
-        write_varint(out, bits.len() as u64);
-        for run in runs(bits) {
-            write_varint(out, run);
-        }
+        encode_as(CodecKind::Rle, bits.words(), bits.len(), out);
     }
 }
 
-/// The lengths of the alternating runs of `bits`, starting with the run of
-/// zeros (empty when bit 0 is set; no other run is).
+/// The lengths of the alternating runs of the first `len` bits of `words`,
+/// starting with the run of zeros (empty when bit 0 is set; no other run
+/// is).
 ///
 /// Word-level: the end of a run is the first set bit of `word ^ value` at or
-/// after the run's start. Bits past the array's length are zero
-/// ([`BitArray::words`]), so a final run of ones is stopped by them and a
-/// final run of zeros by the length.
-fn runs(bits: &BitArray) -> impl Iterator<Item = u64> + '_ {
-    let (words, len) = (bits.words(), bits.len());
+/// after the run's start, and no run ends past the length.
+fn runs(words: &[u64], len: usize) -> impl Iterator<Item = u64> + '_ {
     let mut pos = 0usize;
     let mut flip = 0u64; // all ones while the current run is of ones
     std::iter::from_fn(move || {
@@ -339,11 +331,7 @@ pub struct WahCodec;
 
 impl Codec for WahCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
-        out.push(CodecKind::Wah.tag());
-        write_varint(out, bits.len() as u64);
-        for word in wah_words(bits) {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
+        encode_as(CodecKind::Wah, bits.words(), bits.len(), out);
     }
 }
 
@@ -362,13 +350,13 @@ fn group(words: &[u64], g: usize) -> u32 {
     v as u32 & LITERAL_MASK
 }
 
-/// The fill and literal words of the WAH encoding of `bits`, in order.
-/// Consecutive full groups of one value share a fill word (up to
-/// [`FILL_COUNT`] groups); the final partial group is always a literal.
-fn wah_words(bits: &BitArray) -> impl Iterator<Item = u32> + '_ {
-    let words = bits.words();
-    let n_groups = bits.len().div_ceil(GROUP_BITS);
-    let full_groups = bits.len() / GROUP_BITS;
+/// The fill and literal words of the WAH encoding of the first `len` bits
+/// of `words`, in order. Consecutive full groups of one value share a fill
+/// word (up to [`FILL_COUNT`] groups); the final partial group is always a
+/// literal.
+fn wah_words(words: &[u64], len: usize) -> impl Iterator<Item = u32> + '_ {
+    let n_groups = len.div_ceil(GROUP_BITS);
+    let full_groups = len / GROUP_BITS;
     let mut g = 0usize;
     std::iter::from_fn(move || {
         if g >= n_groups {
@@ -399,21 +387,39 @@ pub struct AdaptiveCodec;
 
 impl Codec for AdaptiveCodec {
     fn encode_into(&self, bits: &BitArray, out: &mut Vec<u8>) {
-        match cheapest(bits).0 {
-            CodecKind::Literal => LiteralCodec.encode_into(bits, out),
-            CodecKind::Rle => RleCodec.encode_into(bits, out),
-            CodecKind::Wah => WahCodec.encode_into(bits, out),
-        }
+        encode_words_into(bits.words(), bits.len(), out);
     }
 }
 
-/// The scheme [`AdaptiveCodec`] picks for `bits` and the length of its
-/// encoding.
-fn cheapest(bits: &BitArray) -> (CodecKind, usize) {
-    let header = 1 + varint_len(bits.len() as u64);
-    let literal = header + 8 * bits.words().len();
-    let rle = header + runs(bits).map(varint_len).sum::<usize>();
-    let wah = header + 4 * wah_words(bits).count();
+/// Appends the [`AdaptiveCodec`] encoding of the first `len` bits of
+/// `words` (bit `i` in word `i / 64`) to `out` — the one encoder, which
+/// every [`Codec`] runs on [`BitArray::words`] and a signature runs on its
+/// node rows. `words` holds at least ⌈`len`/64⌉ words, and the bits of the
+/// last of them past `len` are clear.
+pub fn encode_words_into(words: &[u64], len: usize, out: &mut Vec<u8>) {
+    let words = &words[..len.div_ceil(64)];
+    encode_as(cheapest(words, len).0, words, len, out);
+}
+
+/// Appends the encoding of the first `len` bits of `words` under `kind`:
+/// the tag, the bit length, then the scheme's payload.
+fn encode_as(kind: CodecKind, words: &[u64], len: usize, out: &mut Vec<u8>) {
+    out.push(kind.tag());
+    write_varint(out, len as u64);
+    match kind {
+        CodecKind::Literal => words.iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes())),
+        CodecKind::Rle => runs(words, len).for_each(|run| write_varint(out, run)),
+        CodecKind::Wah => wah_words(words, len).for_each(|w| out.extend_from_slice(&w.to_le_bytes())),
+    }
+}
+
+/// The scheme [`AdaptiveCodec`] picks for the first `len` bits of `words`
+/// (⌈`len`/64⌉ of them) and the length of its encoding.
+fn cheapest(words: &[u64], len: usize) -> (CodecKind, usize) {
+    let header = 1 + varint_len(len as u64);
+    let literal = header + 8 * words.len();
+    let rle = header + runs(words, len).map(varint_len).sum::<usize>();
+    let wah = header + 4 * wah_words(words, len).count();
     // Strict comparisons: an earlier scheme keeps a tie.
     let mut best = (CodecKind::Literal, literal);
     if rle < best.1 {
@@ -427,7 +433,7 @@ fn cheapest(bits: &BitArray) -> (CodecKind, usize) {
 
 /// `AdaptiveCodec.encode(bits).len()`, without encoding.
 pub fn adaptive_len(bits: &BitArray) -> usize {
-    cheapest(bits).1
+    cheapest(bits.words(), bits.len()).1
 }
 
 #[cfg(test)]

@@ -11,13 +11,15 @@
 //!
 //! This crate provides:
 //!
-//! * [`BitArray`] — a fixed-length bit vector with the boolean operations the
-//!   signature union/intersection operators need.
+//! * [`BitArray`] — a fixed-length bit vector: an owned node array for the
+//!   Bloom tier, the codec comparisons and the tests (a signature keeps its
+//!   nodes as rows of words and encodes them with [`encode_words_into`]).
 //! * [`Codec`] and its implementations [`LiteralCodec`], [`RleCodec`],
 //!   [`WahCodec`] and [`AdaptiveCodec`] — the per-node compression schemes.
 //!   `AdaptiveCodec` picks the smallest encoding per array, which is exactly
 //!   the paper's argument (2); [`adaptive_len`] is that encoding's length
-//!   without producing it. [`decode_words`] is the one decoder, word-level:
+//!   without producing it. [`encode_words_into`] is the one encoder, from
+//!   `u64` words and a bit length. [`decode_words`] is the one decoder, word-level:
 //!   it ORs an encoding into a caller's words; [`decode_bounded`] runs it
 //!   into a fresh array, for bytes read back from storage.
 //! * [`BloomFilter`] — the lossy alternative sketched in §VII: a Bloom filter
@@ -34,7 +36,7 @@ mod varint;
 pub use array::BitArray;
 pub use bloom::BloomFilter;
 pub use codec::{
-    adaptive_len, decode, decode_bounded, decode_words, AdaptiveCodec, Codec, CodecKind,
-    LiteralCodec, RleCodec, WahCodec,
+    adaptive_len, decode, decode_bounded, decode_words, encode_words_into, AdaptiveCodec, Codec,
+    CodecKind, LiteralCodec, RleCodec, WahCodec,
 };
 pub use varint::{read_varint, varint_len, write_varint};

@@ -288,21 +288,6 @@ proptest! {
     }
 
     #[test]
-    fn or_and_match_boolean_semantics(a in arb_bits(), b in arb_bits()) {
-        let n = a.len().min(b.len());
-        let x = BitArray::from_bits(a[..n].iter().copied());
-        let y = BitArray::from_bits(b[..n].iter().copied());
-        let mut or = x.clone();
-        or.or_assign(&y);
-        let mut and = x.clone();
-        and.and_assign(&y);
-        for i in 0..n {
-            prop_assert_eq!(or.get(i), a[i] || b[i]);
-            prop_assert_eq!(and.get(i), a[i] && b[i]);
-        }
-    }
-
-    #[test]
     fn iter_ones_matches_gets(bits in arb_bits()) {
         let arr = BitArray::from_bits(bits.iter().copied());
         let from_iter: Vec<usize> = arr.iter_ones().collect();

@@ -131,7 +131,7 @@ pub fn decode(buf: &[u8], max_bits: usize) -> Option<(BitArray, usize)> {
         _ => {
             let mut i = 0usize;
             while i < len {
-                let word = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().unwrap());
+                let word = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().expect("four bytes"));
                 pos += 4;
                 if word & FILL_FLAG != 0 {
                     let n_bits = ((word & FILL_COUNT) as usize).checked_mul(GROUP_BITS)?;

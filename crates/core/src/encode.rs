@@ -13,23 +13,20 @@
 //! points are the nodes in table order, the traversal under a restart point
 //! is one contiguous table range per level, and "already coded" is a flag
 //! per table index — no queue, no path, no hash lookup. Each node is encoded
-//! once, straight into the record being filled, and the page is cut by the
-//! length just written; the traversal stops when every node is coded.
+//! once, from its row straight into the record being filled, and the page
+//! is cut by the length just written; the traversal stops when every node
+//! is coded.
+//!
+//! Bits live in one form on both sides of a page: a record is encoded from
+//! the rows of a [`NodeTable`] — by the decomposition, or again by in-place
+//! maintenance (`encode_record`), through one node and one record writer —
+//! and decoded into the rows of one ([`decode_record`]). There is no
+//! per-node array.
 
-use pcube_bitmap::{decode_words, read_varint, varint_len, write_varint, AdaptiveCodec, BitArray, Codec};
+use pcube_bitmap::{decode_words, encode_words_into, read_varint, varint_len, write_varint};
 use pcube_rtree::Sid;
 
-use crate::signature::Signature;
-
-/// One page-sized fragment of a signature: the nodes (in BFS order) of a
-/// subtree rooted at `root_sid`, minus any nodes coded by earlier partials.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialSignature {
-    /// SID of the subtree root this partial is referenced by.
-    pub root_sid: Sid,
-    /// `(sid, bits)` pairs in BFS order.
-    pub nodes: Vec<(Sid, BitArray)>,
-}
+use crate::signature::{NodeTable, Signature};
 
 /// Bytes budgeted for a record's header when a page is cut: the root SID
 /// plus three bytes for the node count (its varint is usually shorter; the
@@ -38,49 +35,46 @@ fn header_budget(root_sid: Sid) -> usize {
     varint_len(root_sid.0) + 3
 }
 
-/// Appends one node of a record: `[sid][adaptively encoded bits]`.
-fn push_node(out: &mut Vec<u8>, sid: Sid, bits: &BitArray) {
+/// Appends one node of a record: `[sid][adaptively encoded bits]`, the bits
+/// the first `m_max` of `row`.
+fn push_node(out: &mut Vec<u8>, sid: Sid, row: &[u64], m_max: usize) {
     write_varint(out, sid.0);
-    AdaptiveCodec.encode_into(bits, out);
+    encode_words_into(row, m_max, out);
 }
 
-/// Serializes a partial: `[root_sid][n_nodes]` then `[sid][encoded bits]`
-/// per node, all varint/self-describing.
-pub fn encode_partial(partial: &PartialSignature) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_varint(&mut out, partial.root_sid.0);
-    write_varint(&mut out, partial.nodes.len() as u64);
-    for (sid, bits) in &partial.nodes {
-        push_node(&mut out, *sid, bits);
+/// Writes the record of the partial referenced by `root_sid` into `record`,
+/// cleared first: `[root_sid][count]`, then `nodes`, the `count` nodes
+/// `push_node` appended.
+fn write_record(record: &mut Vec<u8>, root_sid: Sid, count: usize, nodes: &[u8]) {
+    record.clear();
+    write_varint(record, root_sid.0);
+    write_varint(record, count as u64);
+    record.extend_from_slice(nodes);
+}
+
+/// The record of the partial referenced by `root_sid` whose nodes are
+/// `nodes`, `(SID, row)` in record order, each row's first `m_max` bits
+/// encoded: how in-place maintenance writes a partial again, through the
+/// node and record writers of [`for_each_partial`].
+pub(crate) fn encode_record<'r>(
+    root_sid: Sid,
+    nodes: impl ExactSizeIterator<Item = (Sid, &'r [u64])>,
+    m_max: usize,
+) -> Vec<u8> {
+    let (count, mut encoded, mut record) = (nodes.len(), Vec::new(), Vec::new());
+    for (sid, row) in nodes {
+        push_node(&mut encoded, sid, row, m_max);
     }
-    out
-}
-
-/// Inverse of [`encode_partial`] for bytes read back from a page: the
-/// record parsed by [`decode_record`], each node's row turned into an owned
-/// array of its encoded length. Returns `None` on malformed input.
-pub fn decode_partial(buf: &[u8], m_max: usize) -> Option<PartialSignature> {
-    let (mut words, mut shape) = (Vec::new(), Vec::new());
-    let root_sid = decode_record(buf, m_max, &mut words, &mut shape)?;
-    let stride = m_max.div_ceil(64);
-    let nodes = shape
-        .into_iter()
-        .enumerate()
-        .map(|(row, (sid, len))| {
-            let start = row * stride;
-            (sid, BitArray::from_words(len, words[start..start + len.div_ceil(64)].to_vec()))
-        })
-        .collect();
-    Some(PartialSignature { root_sid, nodes })
+    write_record(&mut record, root_sid, count, &encoded);
+    record
 }
 
 /// The one parser of a partial-signature record read back from a page:
 /// `[root_sid][n_nodes]`, then `[sid][encoded bits]` per node. The record's
-/// rows of `m_max.div_ceil(64)` words each are appended to `words` zeroed,
-/// all at once, and each node is decoded word-level into its row by the
-/// one bit decoder ([`decode_words`], inlined here); its SID and encoded
-/// bit length are appended to `nodes`, in record order. Nothing else is
-/// allocated. Returns the root SID.
+/// rows are appended to `table` zeroed, all at once, and each node is
+/// decoded word-level into its row by the one bit decoder ([`decode_words`],
+/// inlined here); its SID and encoded bit length are appended to `nodes`,
+/// in record order. Nothing else is allocated. Returns the root SID.
 ///
 /// `None` on malformed input, which includes — checked before anything is
 /// sized from them — a node count the record is too short to hold and a
@@ -90,25 +84,23 @@ pub fn decode_partial(buf: &[u8], m_max: usize) -> Option<PartialSignature> {
 pub fn decode_record(
     buf: &[u8],
     m_max: usize,
-    words: &mut Vec<u64>,
+    table: &mut NodeTable,
     nodes: &mut Vec<(Sid, usize)>,
 ) -> Option<Sid> {
     /// The shortest encoded node: a one-byte SID, a tag, a one-byte length.
     const MIN_NODE_BYTES: usize = 3;
+    debug_assert_eq!(table.stride(), m_max.div_ceil(64), "rows sized for another fanout");
     let mut pos = 0usize;
     let root_sid = Sid(read_varint(buf, &mut pos)?);
     let n = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
     if n > (buf.len() - pos) / MIN_NODE_BYTES {
         return None;
     }
-    let stride = m_max.div_ceil(64);
-    let first = words.len();
-    words.resize(first + n * stride, 0);
+    let first = table.push_zeroed(n);
     nodes.reserve(n);
     for k in 0..n {
         let sid = Sid(read_varint(buf, &mut pos)?);
-        let row = first + k * stride;
-        let (len, used) = decode_words(&buf[pos..], m_max, &mut words[row..row + stride])?;
+        let (len, used) = decode_words(&buf[pos..], m_max, table.row_mut(first + k))?;
         pos += used;
         nodes.push((sid, len));
     }
@@ -117,8 +109,8 @@ pub fn decode_record(
 
 /// Decomposes a signature into records of at most `payload_limit` bytes
 /// each (§IV-B.1), calling `emit(root_sid, record)` for every partial in
-/// storage order; `record` is the partial exactly as [`encode_partial`]
-/// would serialize it.
+/// storage order; `record` is `[root_sid][n_nodes]`, then `[sid][encoded
+/// bits]` per node in breadth-first order (`write_record`).
 ///
 /// `height` is the R-tree height (node levels): no node lies deeper than
 /// `height - 1`.
@@ -134,14 +126,14 @@ pub fn for_each_partial(
     payload_limit: usize,
     mut emit: impl FnMut(Sid, &[u8]),
 ) {
-    let nodes = sig.nodes();
-    let base = sig.m_max() as u64 + 1;
-    let mut coded = vec![false; nodes.len()];
-    let mut uncoded = nodes.len();
+    let (sids, table, m_max) = (sig.sids(), sig.table(), sig.m_max());
+    let base = m_max as u64 + 1;
+    let mut coded = vec![false; sids.len()];
+    let mut uncoded = sids.len();
     let (mut encoded, mut record) = (Vec::new(), Vec::new());
     // Depth of the restart point: SIDs below `base^depth` are no deeper.
     let (mut depth, mut depth_end) = (0usize, 1u64);
-    for &(root_sid, _) in nodes {
+    for &root_sid in sids {
         if uncoded == 0 {
             break;
         }
@@ -160,8 +152,8 @@ pub fn for_each_partial(
         // followed by `k` digits 0; none means none deeper either.
         let (mut lo, mut hi) = (root_sid.0, root_sid.0.saturating_add(1));
         'bfs: for _ in depth..height {
-            let start = nodes.partition_point(|(sid, _)| sid.0 < lo);
-            let end = start + nodes[start..].partition_point(|(sid, _)| sid.0 < hi);
+            let start = sids.partition_point(|sid| sid.0 < lo);
+            let end = start + sids[start..].partition_point(|sid| sid.0 < hi);
             if start == end {
                 break;
             }
@@ -170,7 +162,7 @@ pub fn for_each_partial(
                     continue;
                 }
                 let before = encoded.len();
-                push_node(&mut encoded, nodes[i].0, &nodes[i].1);
+                push_node(&mut encoded, sids[i], table.row(i), m_max);
                 let len = encoded.len() - before;
                 assert!(
                     header + len <= payload_limit,
@@ -192,10 +184,7 @@ pub fn for_each_partial(
         if count > 0 {
             uncoded -= count;
             // The count is known only now: header, then the encoded nodes.
-            record.clear();
-            write_varint(&mut record, root_sid.0);
-            write_varint(&mut record, count as u64);
-            record.extend_from_slice(&encoded);
+            write_record(&mut record, root_sid, count, &encoded);
             emit(root_sid, &record);
         }
     }
@@ -210,27 +199,40 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashSet;
 
-    /// The decomposition of [`for_each_partial`] as decoded partials (the
-    /// store writes the records as they come).
-    fn decompose(sig: &Signature, height: usize, payload_limit: usize) -> Vec<PartialSignature> {
-        let mut partials = Vec::new();
-        for_each_partial(sig, height, payload_limit, |_, record| {
-            partials
-                .push(decode_partial(record, sig.m_max()).expect("a record just encoded decodes"));
+    /// The records of [`for_each_partial`] read back: each record's root
+    /// and node SIDs, and all their nodes' rows in one table, in record
+    /// order. Each record fits the limit and is its rows, encoded again.
+    fn decompose(sig: &Signature, height: usize, limit: usize) -> (Vec<(Sid, Vec<Sid>)>, NodeTable) {
+        let m = sig.m_max();
+        let (mut partials, mut table) = (Vec::new(), NodeTable::new(m));
+        for_each_partial(sig, height, limit, |root_sid, record| {
+            assert!(record.len() <= limit, "a record of {} B > {limit}", record.len());
+            let (first, mut nodes) = (table.len(), Vec::new());
+            assert_eq!(decode_record(record, m, &mut table, &mut nodes), Some(root_sid));
+            assert!(nodes.iter().all(|&(_, len)| len == m), "every node is written M bits long");
+            let sids: Vec<Sid> = nodes.iter().map(|&(sid, _)| sid).collect();
+            let rows = sids.iter().enumerate().map(|(k, &sid)| (sid, table.row(first + k)));
+            assert_eq!(encode_record(root_sid, rows, m), record, "the record is its rows, encoded");
+            partials.push((root_sid, sids));
         });
-        partials
+        (partials, table)
     }
 
     /// Reassembles a signature from all of its partials.
-    fn reassemble(m_max: usize, partials: &[PartialSignature]) -> Signature {
-        Signature::from_nodes(
-            m_max,
-            partials.iter().flat_map(|p| p.nodes.iter().cloned()).collect(),
-        )
+    fn reassemble(m_max: usize, (partials, table): &(Vec<(Sid, Vec<Sid>)>, NodeTable)) -> Signature {
+        let sids: Vec<Sid> = partials.iter().flat_map(|(_, sids)| sids.iter().copied()).collect();
+        Signature::from_rows(m_max, &sids, table)
     }
 
-    fn encoded_node_len(sid: Sid, bits: &BitArray) -> usize {
-        varint_len(sid.0) + pcube_bitmap::adaptive_len(bits)
+    /// `true` if `record` decodes under fanout `m_max`.
+    fn decodes(record: &[u8], m_max: usize) -> bool {
+        decode_record(record, m_max, &mut NodeTable::new(m_max), &mut Vec::new()).is_some()
+    }
+
+    fn encoded_node_len(sid: Sid, row: &[u64], m_max: usize) -> usize {
+        let mut out = Vec::new();
+        push_node(&mut out, sid, row, m_max);
+        out.len()
     }
 
     fn table1_a1() -> Signature {
@@ -246,25 +248,22 @@ mod tests {
         let sig = table1_a1();
         // Two nodes of M=2 cost ~5 bytes each encoded; pick a limit that
         // fits exactly two.
-        let one = encoded_node_len(Sid(0), sig.node(Sid(0)).unwrap());
+        let one = encoded_node_len(Sid(0), sig.node(Sid(0)).unwrap(), 2);
         let limit = 4 + 2 * one; // header estimate (4) + exactly two nodes
-        let partials = decompose(&sig, 3, limit);
-        assert_eq!(partials.len(), 2, "{partials:?}");
-        assert_eq!(partials[0].root_sid, Sid(0));
-        assert_eq!(partials[0].nodes.len(), 2);
-        assert_eq!(partials[0].nodes[0].0, Sid(0));
-        assert_eq!(partials[0].nodes[1].0, Path(vec![1]).sid(2));
-        assert_eq!(partials[1].root_sid, Path(vec![1]).sid(2), "referenced by N1, SID 1");
-        let sids: Vec<Sid> = partials[1].nodes.iter().map(|(s, _)| *s).collect();
-        assert_eq!(sids, vec![Path(vec![1, 1]).sid(2), Path(vec![1, 2]).sid(2)]);
+        let (partials, _) = decompose(&sig, 3, limit);
+        assert_eq!(partials.len(), 2);
+        assert_eq!(partials[0], (Sid(0), vec![Sid(0), Path(vec![1]).sid(2)]));
+        // Referenced by N1, SID 1.
+        let (n1, n3, n4) = (Path(vec![1]).sid(2), Path(vec![1, 1]).sid(2), Path(vec![1, 2]).sid(2));
+        assert_eq!(partials[1], (n1, vec![n3, n4]));
     }
 
     #[test]
     fn single_page_when_it_fits() {
         let sig = table1_a1();
-        let partials = decompose(&sig, 3, 4096);
+        let (partials, _) = decompose(&sig, 3, 4096);
         assert_eq!(partials.len(), 1);
-        assert_eq!(partials[0].nodes.len(), sig.node_count());
+        assert_eq!(partials[0].1.len(), sig.node_count());
     }
 
     #[test]
@@ -280,16 +279,14 @@ mod tests {
         }
         sig.validate(3);
         for limit in [24usize, 40, 64, 128, 4096] {
-            let partials = decompose(&sig, 3, limit);
-            let back = reassemble(4, &partials);
-            assert_eq!(back, sig, "limit {limit}");
+            let decomposed = decompose(&sig, 3, limit);
+            assert_eq!(reassemble(4, &decomposed), sig, "limit {limit}");
             // Each node coded exactly once.
-            let coded: usize = partials.iter().map(|p| p.nodes.len()).sum();
-            assert_eq!(coded, sig.node_count(), "limit {limit}");
+            assert_eq!(decomposed.1.len(), sig.node_count(), "limit {limit}");
             // Every partial's nodes are under its root.
-            for p in &partials {
-                let root = Path::from_sid(p.root_sid, 4);
-                for (sid, _) in &p.nodes {
+            for (root_sid, sids) in &decomposed.0 {
+                let root = Path::from_sid(*root_sid, 4);
+                for sid in sids {
                     let path = Path::from_sid(*sid, 4);
                     assert!(root.is_prefix_of(&path), "{root} not prefix of {path}");
                 }
@@ -305,50 +302,33 @@ mod tests {
                 sig.set_path(&Path(vec![a, b]));
             }
         }
-        let limit = 48;
-        for p in decompose(&sig, 2, limit) {
-            let enc = encode_partial(&p);
-            assert!(enc.len() <= limit, "partial of {} bytes exceeds {limit}", enc.len());
-        }
+        // `decompose` checks every record against the limit.
+        assert!(decompose(&sig, 2, 48).0.len() > 1, "the limit splits the signature");
     }
 
     #[test]
-    fn encode_decode_partial_roundtrip() {
-        let sig = table1_a1();
-        for p in decompose(&sig, 3, 4096) {
-            let enc = encode_partial(&p);
-            let dec = decode_partial(&enc, 2).expect("decodes");
-            assert_eq!(dec.root_sid, p.root_sid);
-            assert_eq!(dec.nodes.len(), p.nodes.len());
-            for ((s1, b1), (s2, b2)) in dec.nodes.iter().zip(&p.nodes) {
-                assert_eq!(s1, s2);
-                assert_eq!(b1, b2);
-            }
-        }
-    }
-
-    #[test]
-    fn decode_partial_rejects_garbage() {
-        assert!(decode_partial(&[], 2).is_none());
-        let sig = table1_a1();
-        let mut enc = encode_partial(&decompose(&sig, 3, 4096).remove(0));
-        assert!(decode_partial(&enc, 1).is_none(), "a node longer than the fanout");
+    fn decode_record_rejects_garbage() {
+        assert!(!decodes(&[], 2));
+        let mut enc = Vec::new();
+        for_each_partial(&table1_a1(), 3, 4096, |_, record| enc = record.to_vec());
+        assert!(decodes(&enc, 2));
+        assert!(!decodes(&enc, 1), "a node longer than the fanout");
         enc.truncate(enc.len() - 2);
-        assert!(decode_partial(&enc, 2).is_none());
+        assert!(!decodes(&enc, 2));
     }
 
     #[test]
-    fn decode_partial_sizes_nothing_from_an_unchecked_length() {
+    fn decode_record_sizes_nothing_from_an_unchecked_length() {
         // Root 0, one node, SID 5, RLE tag, bit length 2^45: the array would
         // be 4 TiB. Refused by the fanout bound before anything is sized.
         let mut node_of_2_45_bits = vec![0, 1, 5, 1];
         write_varint(&mut node_of_2_45_bits, 1 << 45);
-        assert!(decode_partial(&node_of_2_45_bits, 204).is_none());
+        assert!(!decodes(&node_of_2_45_bits, 204));
         // Root 0, 2^45 nodes in a record of a few bytes.
         let mut record_of_2_45_nodes = vec![0];
         write_varint(&mut record_of_2_45_nodes, 1 << 45);
         record_of_2_45_nodes.extend_from_slice(&[5, 1, 2, 2]);
-        assert!(decode_partial(&record_of_2_45_nodes, 204).is_none());
+        assert!(!decodes(&record_of_2_45_nodes, 204));
     }
 
     #[test]
@@ -360,51 +340,47 @@ mod tests {
             }
         }
         for limit in [24usize, 40, 64, 4096] {
-            let mut records: Vec<(Sid, Vec<u8>)> = Vec::new();
-            for_each_partial(&sig, 3, limit, |root, record| records.push((root, record.to_vec())));
-            let partials = decompose(&sig, 3, limit);
-            assert_eq!(records.len(), partials.len());
-            for ((root, record), partial) in records.iter().zip(&partials) {
-                assert_eq!(*root, partial.root_sid);
-                assert_eq!(record, &encode_partial(partial), "limit {limit}");
-            }
+            // `decompose` encodes every record again from its decoded rows.
+            assert_eq!(reassemble(4, &decompose(&sig, 3, limit)), sig, "limit {limit}");
         }
     }
 
     #[test]
     fn empty_signature_has_no_partials() {
         let sig = Signature::empty(4);
-        assert!(decompose(&sig, 3, 100).is_empty());
-        assert!(reassemble(4, &[]).is_empty());
+        let decomposed = decompose(&sig, 3, 100);
+        assert!(decomposed.0.is_empty());
+        assert!(reassemble(4, &decomposed).is_empty());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A random set of distinct depth-3 tuple paths over fanout 4: every
-        /// node is coded once, every partial fits the limit and round-trips,
-        /// and the partials reassemble to the signature.
+        /// A random set of distinct depth-3 tuple paths over fanout 4, and
+        /// over fanout 70 (two-word rows, tuples in both words): every node
+        /// is coded once, every partial fits the limit and round-trips, and
+        /// the partials reassemble to the signature.
         #[test]
         fn decompose_covers_each_node_once(
             paths in prop::collection::hash_set((1u16..=4, 1u16..=4, 1u16..=4), 0..40),
             limit in 16usize..300,
         ) {
-            let paths: Vec<Path> = paths.into_iter().map(|(a, b, c)| Path(vec![a, b, c])).collect();
-            let sig = Signature::from_paths(4, paths.iter());
-            let partials = decompose(&sig, 3, limit);
-            let coded: usize = partials.iter().map(|p| p.nodes.len()).sum();
-            prop_assert_eq!(coded, sig.node_count());
-            let mut seen = HashSet::new();
-            for p in &partials {
-                let enc = encode_partial(p);
-                prop_assert!(enc.len() <= limit, "partial {} bytes > {limit}", enc.len());
-                let dec = decode_partial(&enc, 4).expect("roundtrip");
-                prop_assert_eq!(dec.root_sid, p.root_sid);
-                for (sid, _) in &p.nodes {
+            for m in [4usize, 70] {
+                // At fanout 70 the last slot moves to the second word.
+                let slot = |p: u16| if m == 4 || p < 4 { p } else { 66 + p };
+                let paths: Vec<Path> =
+                    paths.iter().map(|&(a, b, c)| Path(vec![slot(a), slot(b), slot(c)])).collect();
+                let sig = Signature::from_paths(m, paths.iter());
+                // A two-word row's node may need more than 16 bytes.
+                let limit = if m == 4 { limit } else { limit.max(32) };
+                let decomposed = decompose(&sig, 3, limit);
+                prop_assert_eq!(decomposed.1.len(), sig.node_count());
+                let mut seen = HashSet::new();
+                for sid in decomposed.0.iter().flat_map(|(_, sids)| sids) {
                     prop_assert!(seen.insert(*sid), "node {sid} coded twice");
                 }
+                prop_assert_eq!(reassemble(m, &decomposed), sig);
             }
-            prop_assert_eq!(reassemble(4, &partials), sig);
         }
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! | module | paper | contents |
 //! |---|---|---|
-//! | [`signature`] | IV-B.1 | [`Signature`]: generation, union, intersection |
+//! | [`signature`] | IV-B.1 | [`Signature`]: generation, union, intersection; [`NodeTable`], the one in-memory form of node bits |
 //! | [`encode`] | IV-B.1 | node-level compression + page-sized decomposition |
 //! | [`store`] | IV-B.2 | on-disk partial signatures, lazy [`SignatureCursor`], the probe ([`BooleanProbe`]: one cursor per conjunct, loaded lazily or all up front) |
 //! | [`pcube`] | IV, IV-B.3 | [`PCube`] build + incremental maintenance, [`PCubeDb`] |
@@ -64,5 +64,5 @@ pub use query::{
 };
 pub use rank::{LinearFn, MinCoordSum, RankingFunction, WeightedDistanceFn};
 pub use scrub::{scrub, ScrubFinding, ScrubReport};
-pub use signature::Signature;
+pub use signature::{NodeTable, Signature};
 pub use store::{BooleanProbe, SignatureCursor, SignatureStore};

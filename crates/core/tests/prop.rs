@@ -21,6 +21,18 @@ fn arb_paths() -> impl Strategy<Value = Vec<Path>> {
         .prop_map(|s| s.into_iter().map(|(a, b, c)| Path(vec![a, b, c])).collect())
 }
 
+/// 4, or 70: rows of two words.
+fn fanout() -> impl Strategy<Value = usize> {
+    (0usize..2).prop_map(|i| [M, 70][i])
+}
+
+/// `paths` under fanout `m`: at 70, positions 3 and 4 become slots 65 and
+/// 70, so a node's bits fall in both words of its row.
+fn at_fanout(m: usize, paths: &[Path]) -> Vec<Path> {
+    let slot = |p: u16| if m == M || p < 3 { p } else { [65, 70][usize::from(p) - 3] };
+    paths.iter().map(|p| Path(p.0.iter().map(|&q| slot(q)).collect())).collect()
+}
+
 fn all_tuple_paths() -> Vec<Path> {
     let mut out = Vec::new();
     for a in 1..=4u16 {
@@ -54,39 +66,50 @@ proptest! {
     }
 
     #[test]
-    fn union_is_set_union(a in arb_paths(), b in arb_paths()) {
-        let sa = Signature::from_paths(M, a.iter());
-        let sb = Signature::from_paths(M, b.iter());
+    fn union_is_set_union(m in fanout(), a in arb_paths(), b in arb_paths()) {
+        let (a, b) = (at_fanout(m, &a), at_fanout(m, &b));
+        let sa = Signature::from_paths(m, a.iter());
+        let sb = Signature::from_paths(m, b.iter());
         let u = sa.union(&sb);
         u.validate(HEIGHT);
         let both: HashSet<Path> = a.iter().chain(b.iter()).cloned().collect();
-        let expect = Signature::from_paths(M, both.iter());
+        let expect = Signature::from_paths(m, both.iter());
         prop_assert_eq!(u, expect);
     }
 
     #[test]
-    fn intersection_is_set_intersection(a in arb_paths(), b in arb_paths()) {
-        let sa = Signature::from_paths(M, a.iter());
-        let sb = Signature::from_paths(M, b.iter());
+    fn intersection_is_set_intersection(m in fanout(), a in arb_paths(), b in arb_paths()) {
+        let (a, b) = (at_fanout(m, &a), at_fanout(m, &b));
+        let sa = Signature::from_paths(m, a.iter());
+        let sb = Signature::from_paths(m, b.iter());
         let i = sa.intersect(&sb, HEIGHT);
         i.validate(HEIGHT);
         let sa_set: HashSet<&Path> = a.iter().collect();
         let shared: Vec<Path> = b.iter().filter(|p| sa_set.contains(p)).cloned().collect();
-        let expect = Signature::from_paths(M, shared.iter());
+        let expect = Signature::from_paths(m, shared.iter());
         prop_assert_eq!(i, expect, "intersection with fix-up must equal the shared-tuple signature");
     }
 
     #[test]
-    fn clear_path_equals_rebuild_without_it(paths in arb_paths(), victim in any::<prop::sample::Index>()) {
+    fn clear_path_equals_rebuild_without_it(
+        m in fanout(),
+        paths in arb_paths(),
+        victim in any::<prop::sample::Index>(),
+    ) {
         prop_assume!(!paths.is_empty());
+        let paths = at_fanout(m, &paths);
         let v = victim.index(paths.len());
-        let mut sig = Signature::from_paths(M, paths.iter());
+        let mut sig = Signature::from_paths(m, paths.iter());
         sig.clear_path(&paths[v]);
         sig.validate(HEIGHT);
         let rest: Vec<Path> =
             paths.iter().enumerate().filter(|(i, _)| *i != v).map(|(_, p)| p.clone()).collect();
-        let expect = Signature::from_paths(M, rest.iter());
-        prop_assert_eq!(sig, expect);
+        let expect = Signature::from_paths(m, rest.iter());
+        prop_assert_eq!(&sig, &expect);
+        // Setting the path again is the signature it was cleared from.
+        sig.set_path(&paths[v]);
+        sig.validate(HEIGHT);
+        prop_assert_eq!(sig, Signature::from_paths(m, paths.iter()));
     }
 
     #[test]

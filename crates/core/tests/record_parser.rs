@@ -14,6 +14,7 @@ mod reference;
 
 use pcube_bitmap::{write_varint, BitArray, Codec, LiteralCodec, RleCodec, WahCodec};
 use pcube_core::encode::decode_record;
+use pcube_core::NodeTable;
 use pcube_rtree::Sid;
 use proptest::prelude::*;
 
@@ -33,27 +34,30 @@ fn reference_record(buf: &[u8], m_max: usize) -> Option<(Sid, Vec<(Sid, BitArray
     Some((root, nodes))
 }
 
-/// `decode_record` into an arena that already holds two rows, against the
+/// `decode_record` into a table that already holds two rows, against the
 /// reference: the same verdict, and on success the same root, the nodes'
 /// SIDs and lengths in order, one zero-padded row per node behind the two
 /// rows, which are left alone.
 fn assert_parses_as_reference(buf: &[u8], m_max: usize) {
     let stride = m_max.div_ceil(64);
     let held: Vec<u64> = (0..2 * stride as u64).map(|k| 0x0F0F_0F0F_0F0F_0F0F ^ k).collect();
-    let (mut words, mut nodes) = (held.clone(), Vec::new());
-    let got = decode_record(buf, m_max, &mut words, &mut nodes);
+    let (mut table, mut nodes) = (NodeTable::new(m_max), Vec::new());
+    table.push_zeroed(2);
+    for k in 0..2 {
+        table.row_mut(k).copy_from_slice(&held[k * stride..][..stride]);
+    }
+    let got = decode_record(buf, m_max, &mut table, &mut nodes);
     let expected = reference_record(buf, m_max);
     assert_eq!(got, expected.as_ref().map(|(root, _)| *root), "verdict, M = {m_max}, {buf:02x?}");
     let Some((_, expected)) = expected else { return };
-    assert_eq!(words[..held.len()], held[..], "rows held before, M = {m_max}");
+    assert_eq!([table.row(0), table.row(1)].concat(), held, "rows held before, M = {m_max}");
     let shape: Vec<(Sid, usize)> = expected.iter().map(|(sid, bits)| (*sid, bits.len())).collect();
     assert_eq!(nodes, shape, "nodes, M = {m_max}");
-    assert_eq!(words.len(), held.len() + expected.len() * stride, "rows, M = {m_max}");
+    assert_eq!(table.len(), 2 + expected.len(), "rows, M = {m_max}");
     for (k, (_, bits)) in expected.iter().enumerate() {
-        let row = &words[held.len() + k * stride..][..stride];
         let mut want = bits.words().to_vec();
         want.resize(stride, 0);
-        assert_eq!(row, &want[..], "row {k}, M = {m_max}");
+        assert_eq!(table.row(2 + k), &want[..], "row {k}, M = {m_max}");
     }
 }
 

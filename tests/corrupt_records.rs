@@ -22,15 +22,16 @@ mod measuring_allocator;
 
 use measuring_allocator::largest_allocation_of;
 use pcube::bptree::composite_key;
-use pcube::core::encode::decode_partial;
-use pcube::core::{PCubeConfig, PCubeDb};
+use pcube::core::encode::decode_record;
+use pcube::core::{NodeTable, PCubeConfig, PCubeDb};
 use pcube::data::{synthetic, Distribution, SyntheticSpec};
 use pcube::rtree::{Path, Sid};
 use pcube::storage::{read_u32, PageId, StorageError};
 
 const PAGE_SIZE: usize = 512;
-/// "A few pages": a decoded partial's node vector is sized from a node count
-/// already checked against the record, so it is bounded by the page.
+/// "A few pages": a decoded partial's rows and node vector are sized from a
+/// node count already checked against the record, so they are bounded by
+/// the page.
 const ALLOCATION_BOUND: usize = 16 * PAGE_SIZE;
 const RECORD_HEADER: usize = 4;
 
@@ -72,12 +73,18 @@ fn every_flip_and_truncation_of_a_record_decodes_or_is_refused() {
     for &(_, pid, offset, len) in &records {
         let start = offset + RECORD_HEADER;
         let record = sig_pager.page_bytes(pid).expect("a live page")[start..start + len].to_vec();
-        assert!(decode_partial(&record, m_max).is_some(), "the stored record decodes");
+        // The record's nodes, `(SID, bit length)`, decoded into a scratch
+        // table of fresh rows.
+        let decode = |bytes: &[u8]| {
+            let (mut table, mut nodes) = (NodeTable::new(m_max), Vec::new());
+            decode_record(bytes, m_max, &mut table, &mut nodes).map(|_| nodes)
+        };
+        assert!(decode(&record).is_some(), "the stored record decodes");
         let mut check = |bytes: &[u8], what: String| {
-            let (decoded, largest) = largest_allocation_of(|| decode_partial(bytes, m_max));
+            let (decoded, largest) = largest_allocation_of(|| decode(bytes));
             assert!(largest <= ALLOCATION_BOUND, "{what}: one allocation of {largest} bytes");
-            if let Some(partial) = &decoded {
-                assert!(partial.nodes.iter().all(|(_, bits)| bits.len() <= m_max), "{what}");
+            if let Some(nodes) = &decoded {
+                assert!(nodes.iter().all(|&(_, len)| len <= m_max), "{what}");
             }
             refused += usize::from(decoded.is_none());
         };
