@@ -48,12 +48,11 @@ use crate::plan::{EngineKind, Planner};
 use crate::query::budget::{CancelToken, QueryBudget};
 use crate::query::driver::{run_serial, ParallelOptions, Seeds};
 use crate::query::hull::monotone_chain;
-use crate::query::kernel::{HullLogic, PreferenceLogic, SharedBound, TopKLogic, VerifyAllPruner};
+use crate::query::kernel::{HullLogic, PreferenceLogic, TopKLogic, VerifyAllPruner};
 use crate::query::{CandidateHeap, List, QueryStats};
 #[cfg(doc)]
 use crate::query::{
-    DynamicSkylineClass, PSkylineClass, PriorityGraph, SharedWindow, SkylineClass,
-    SubspaceSkylineClass,
+    DynamicSkylineClass, PSkylineClass, PriorityGraph, SkylineClass, SubspaceSkylineClass,
 };
 use crate::rank::RankingFunction;
 
@@ -67,16 +66,15 @@ use crate::rank::RankingFunction;
 ///
 /// The contract that makes serial == parallel bit-identical: `merge` must
 /// be a pure function of the *set* of locals (traversal-order independent)
-/// and must canonicalize its output order; and for a single local,
-/// `merge(vec![finish(logic)])` must equal the serial answer.
+/// and must canonicalize its output order; for a single local,
+/// `merge(vec![finish(logic)])` must equal the serial answer; and, parallel
+/// workers sharing no pruning state, the merge of the locals of searches
+/// over any partition of the root's subtrees must equal it too.
 pub trait QueryClass {
     /// One row of the final answer.
     type Row: Clone + Send;
     /// One worker's raw local result, before the cross-worker merge.
     type Local: Send;
-    /// Pruning state shared across parallel workers (e.g. [`SharedBound`],
-    /// [`SharedWindow`]); `()` if the class shares nothing.
-    type Shared: Sync;
     /// The class's kernel logic.
     type Logic<'a>: PreferenceLogic
     where
@@ -102,12 +100,9 @@ pub trait QueryClass {
     /// instead of an index panic deep in the kernel.
     fn max_pref_dim(&self) -> Option<usize>;
 
-    /// Fresh shared pruning state for one parallel query.
-    fn new_shared(&self) -> Self::Shared;
-
-    /// Builds the kernel logic; `shared` is `None` for the serial engine
-    /// and `Some` inside parallel workers.
-    fn logic<'a>(&'a self, shared: Option<&'a Self::Shared>) -> Self::Logic<'a>;
+    /// Builds the kernel logic: one per run, serial or parallel worker.
+    /// Workers share nothing; [`Self::merge`] does all cross-worker work.
+    fn logic(&self) -> Self::Logic<'_>;
 
     /// Extracts a worker's local result from its finished logic.
     fn finish(&self, logic: Self::Logic<'_>) -> Self::Local;
@@ -297,10 +292,12 @@ fn restart<'c, C: QueryClass>(
 // ---------------------------------------------------------------------------
 
 /// The top-k query class (§V-B): best-first under a [`RankingFunction`],
-/// halting at `k` results (serial) or at the shared k-th-score bound
-/// (parallel). Candidates pop in ascending lower-bound order and tuples
-/// carry exact scores, so the first `k` qualifying tuples popped *are* the
-/// top-k; the remaining frontier is what a resumable run saves as `d_list`.
+/// halting at `k` results. Candidates pop in ascending lower-bound order
+/// (a node ahead of a tuple of its score, tuples of one score by tid) and
+/// tuples carry exact scores, so the first `k` qualifying tuples popped
+/// *are* the top-k; the remaining frontier is what a resumable run saves as
+/// `d_list`. A parallel worker finds the top-k of the subtrees it was
+/// dealt, and the merge keeps the `k` best of those by `(score, tid)`.
 ///
 /// Partial answers: a serial partial is a prefix of the true top-k. A
 /// parallel partial is a set of qualifying tuples, not necessarily a prefix.
@@ -319,7 +316,6 @@ impl<'f, F: RankingFunction + ?Sized> TopKClass<'f, F> {
 impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
     type Row = (u64, Vec<f64>, f64);
     type Local = Vec<(f64, u64, Vec<f64>)>;
-    type Shared = SharedBound;
     type Logic<'a>
         = TopKLogic<'a>
     where
@@ -335,12 +331,8 @@ impl<F: RankingFunction + ?Sized> QueryClass for TopKClass<'_, F> {
         self.f.max_dim()
     }
 
-    fn new_shared(&self) -> SharedBound {
-        SharedBound::unbounded()
-    }
-
-    fn logic<'a>(&'a self, shared: Option<&'a SharedBound>) -> TopKLogic<'a> {
-        TopKLogic::new(self.k, &self.f, shared)
+    fn logic(&self) -> TopKLogic<'_> {
+        TopKLogic::new(self.k, &self.f)
     }
 
     fn finish(&self, logic: TopKLogic<'_>) -> Self::Local {
@@ -409,7 +401,6 @@ impl HullClass {
 impl QueryClass for HullClass {
     type Row = (u64, [f64; 2]);
     type Local = Vec<(u64, [f64; 2])>;
-    type Shared = ();
     type Logic<'a>
         = HullLogic
     where
@@ -423,9 +414,7 @@ impl QueryClass for HullClass {
         Some(self.dims.0.max(self.dims.1))
     }
 
-    fn new_shared(&self) {}
-
-    fn logic<'a>(&'a self, _shared: Option<&'a ()>) -> HullLogic {
+    fn logic(&self) -> HullLogic {
         HullLogic::new(self.dims)
     }
 
@@ -534,7 +523,6 @@ mod tests {
     impl<C: QueryClass> QueryClass for NoOracle<C> {
         type Row = C::Row;
         type Local = C::Local;
-        type Shared = C::Shared;
         type Logic<'a>
             = C::Logic<'a>
         where
@@ -548,12 +536,8 @@ mod tests {
             self.0.max_pref_dim()
         }
 
-        fn new_shared(&self) -> C::Shared {
-            self.0.new_shared()
-        }
-
-        fn logic<'a>(&'a self, shared: Option<&'a C::Shared>) -> C::Logic<'a> {
-            self.0.logic(shared)
+        fn logic(&self) -> C::Logic<'_> {
+            self.0.logic()
         }
 
         fn finish(&self, logic: C::Logic<'_>) -> C::Local {

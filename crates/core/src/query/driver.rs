@@ -2,9 +2,9 @@
 //!
 //! [`run_kernel`] is Algorithm 1's loop; this module is everything around
 //! it, once. One worker function ([`work`]) runs the kernel over a seeded
-//! [`CandidateHeap`] with a boolean pruner, the class's logic (holding the
-//! fleet's shared pruning state, if any) and an optional governor, and
-//! returns the class's local result and a [`Tally`]. It has two callers:
+//! [`CandidateHeap`] with a boolean pruner, the class's logic and an
+//! optional governor, and returns the class's local result and a
+//! [`Tally`]. It has two callers:
 //!
 //! * a serial run ([`run_serial`]): one worker on the calling thread, its
 //!   heap seeded one of three ways ([`Seeds`]) — with the R-tree root, which
@@ -16,12 +16,12 @@
 //! * a fan-out ([`PCubeDb::par_run`]): the root read once, unprobed, on the
 //!   calling thread — one counted
 //!   [`RTree::read_node`](pcube_rtree::RTree::read_node) — and its children
-//!   dealt round-robin to scoped workers, which share the class's pruning
-//!   state ([`QueryClass::Shared`]: an atomic f64-bit threshold for top-k, a
-//!   lock-free window of accepted points for the skyline family). Each
-//!   worker scores its dealt children from that one
-//!   [`NodeView`](pcube_rtree::NodeView) with the class's serial logic and
-//!   pushes them as the serial kernel would have after expanding the root.
+//!   dealt round-robin to scoped workers, which share no pruning state.
+//!   Each worker scores its dealt children from that one
+//!   [`NodeView`](pcube_rtree::NodeView) with the class's serial logic,
+//!   pushes them as the serial kernel would have after expanding the root,
+//!   and runs that same logic over them; the class's
+//!   [`merge`](QueryClass::merge) does all of the cross-worker work.
 //!
 //! Every heap is laid out for the tree ([`CandidateHeap::for_tree`]), and
 //! every seed is written straight into its slab: no seed is ever an owned
@@ -34,12 +34,12 @@
 //! [`QueryStats`] and the [`QueryOutcome`].
 //!
 //! Answers are identical at any worker count — same tuples, same order —
-//! because shared bounds are only ever conservative (a stale bound admits
-//! extra work, never a wrong answer) and every class's merge is
-//! traversal-order independent with a canonical output order. The oracle
-//! differential suite (`tests/differential_oracle.rs`) and the concurrency
-//! stress test (`tests/concurrent_queries.rs`) hold the driver to that
-//! contract. Adding a query class needs no edits here.
+//! because each worker answers the class's query exactly over the subtrees
+//! it was dealt and every class's merge is traversal-order independent,
+//! exact over any partition of the root's subtrees, with a canonical output
+//! order. The oracle differential suite (`tests/differential_oracle.rs`)
+//! and the concurrency stress test (`tests/concurrent_queries.rs`) hold the
+//! driver to that contract. Adding a query class needs no edits here.
 
 use std::time::Instant;
 
@@ -253,22 +253,20 @@ fn conclude<C: QueryClass>(
     ClassOutcome { rows, stats }
 }
 
-/// One worker: the kernel over `heap`, with the class's logic (in shared
-/// mode when `shared` is given), under a governor when the query is
-/// governed — a trip raises the fleet token, so every sibling drains at its
-/// next pop. Everything since `pinned_at` is the pin stage.
-#[allow(clippy::too_many_arguments)]
+/// One worker: the kernel over `heap`, with the class's logic, under a
+/// governor when the query is governed — a trip raises the fleet token, so
+/// every sibling drains at its next pop. Everything since `pinned_at` is
+/// the pin stage.
 fn work<C: QueryClass>(
     db: &PCubeDb,
     selection: &Selection,
     class: &C,
     heap: &mut CandidateHeap,
     probe: &mut dyn BooleanPruner,
-    shared: Option<&C::Shared>,
     governance: Option<&Governance>,
     pinned_at: Instant,
 ) -> (C::Local, Tally) {
-    let mut logic = class.logic(shared);
+    let mut logic = class.logic();
     let mut gov = governance.map(|g| g.governor(db));
     let pin_seconds = pinned_at.elapsed().as_secs_f64();
     let mut run = run_kernel(db, selection, probe, heap, &mut logic, gov.as_mut());
@@ -352,13 +350,13 @@ pub(crate) fn run_serial<C: QueryClass>(
                 let t_select = Instant::now();
                 let selected = indexes.select(db, &selection, &CostModel::default(), route);
                 select_seconds = t_select.elapsed().as_secs_f64();
-                heap.push_tuples(selected, &mut class.logic(None));
+                heap.push_tuples(selected, &mut class.logic());
             }
             &mut keep_all
         }
     };
     let (local, mut tally) =
-        work(db, &selection, class, heap, probe, None, governance.as_ref(), start.at);
+        work(db, &selection, class, heap, probe, governance.as_ref(), start.at);
     tally.run.stop = tally.run.stop.or(stopped);
     // The selection reads pages; it is no part of pinning.
     tally.run.stages.pin_seconds -= select_seconds;
@@ -406,13 +404,12 @@ impl PCubeDb {
     }
 
     /// Runs a query class under `opts`: serially on the calling thread at
-    /// `workers <= 1`, else the root fan-out, scoped workers with the
-    /// class's shared pruning state, then the class's own merge. Under a
-    /// budget or cancel token the query stops cooperatively at pop
-    /// granularity and reports a [`QueryOutcome::Partial`] when cut short
-    /// (each class documents what its partial answers guarantee); one
-    /// worker's trip, or a cancel, drains every other worker at its next
-    /// pop.
+    /// `workers <= 1`, else the root fan-out, scoped workers that share
+    /// nothing, then the class's own merge. Under a budget or cancel token
+    /// the query stops cooperatively at pop granularity and reports a
+    /// [`QueryOutcome::Partial`] when cut short (each class documents what
+    /// its partial answers guarantee); one worker's trip, or a cancel,
+    /// drains every other worker at its next pop.
     ///
     /// A query the class's pop check stops at the root seed runs serially
     /// too: the serial run applies that check before it reads anything, so
@@ -428,7 +425,7 @@ impl PCubeDb {
             return run_serial(self, selection, class, &opts, Seeds::Root(None), None);
         }
         let start = begin(self, selection, class);
-        if !matches!(class.logic(None).on_pop(&root_entry(self)), PopVerdict::Continue) {
+        if !matches!(class.logic().on_pop(&root_entry(self)), PopVerdict::Continue) {
             return run_serial(self, selection, class, &opts, Seeds::Root(None), None);
         }
         let selection = normalize(selection);
@@ -441,23 +438,16 @@ impl PCubeDb {
         let root_fanout = root.slots().count();
         let workers = opts.workers.min(root_fanout).max(1);
 
-        let shared = class.new_shared();
         let (locals, tallies): (Vec<C::Local>, Vec<Tally>) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
-                    let (shared, selection, governance) =
-                        (&shared, &selection, governance.as_ref());
+                    let (selection, governance) = (&selection, governance.as_ref());
                     scope.spawn(move || {
                         let pinned_at = Instant::now();
                         let mut probe = self.pcube().probe(selection, false);
                         let mut heap = CandidateHeap::for_tree(self.rtree());
-                        // Scoring is identical between the serial and shared
-                        // modes of every class.
-                        seed_from_root(&mut heap, &root, &mut class.logic(None), worker, workers);
-                        work(
-                            self, selection, class, &mut heap, &mut probe, Some(shared),
-                            governance, pinned_at,
-                        )
+                        seed_from_root(&mut heap, &root, &mut class.logic(), worker, workers);
+                        work(self, selection, class, &mut heap, &mut probe, governance, pinned_at)
                     })
                 })
                 .collect();
@@ -478,58 +468,5 @@ impl PCubeDb {
     ) -> ClassOutcome<C::Row> {
         let seeds = Seeds::Root(Some(&mut probe));
         run_serial(self, selection, class, &ParallelOptions::default(), seeds, None)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::query::kernel::{f64_to_ordered, ordered_to_f64, SharedBound, SharedWindow};
-
-    #[test]
-    fn ordered_f64_mapping_is_monotone() {
-        let samples = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -2.5,
-            -0.0,
-            0.0,
-            1e-300,
-            1.0,
-            2.5,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in samples.windows(2) {
-            assert!(f64_to_ordered(w[0]) <= f64_to_ordered(w[1]), "{} vs {}", w[0], w[1]);
-        }
-        for &x in &samples {
-            assert_eq!(ordered_to_f64(f64_to_ordered(x)), x);
-        }
-    }
-
-    #[test]
-    fn shared_bound_is_a_running_min() {
-        let b = SharedBound::unbounded();
-        assert_eq!(b.get(), f64::INFINITY);
-        b.lower_to(3.5);
-        b.lower_to(7.0); // no effect: higher than the current bound
-        assert_eq!(b.get(), 3.5);
-        b.lower_to(-2.0);
-        assert_eq!(b.get(), -2.0);
-    }
-
-    #[test]
-    fn shared_window_refresh_is_incremental() {
-        let w = SharedWindow::new();
-        w.push(vec![1.0]);
-        w.push(vec![2.0]);
-        let mut local = Vec::new();
-        let mark = w.refresh(0, |slot, p| local.push((slot, p.to_vec())));
-        assert_eq!(mark, 2);
-        assert_eq!(local.len(), 2);
-        assert_eq!(w.push(vec![3.0]), 2);
-        let mark = w.refresh(mark, |slot, p| local.push((slot, p.to_vec())));
-        assert_eq!(mark, 3);
-        assert_eq!(local, vec![(0, vec![1.0]), (1, vec![2.0]), (2, vec![3.0])]);
     }
 }

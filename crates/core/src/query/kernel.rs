@@ -26,10 +26,10 @@
 //! pruned), the `seq = 0` convention for children saved to
 //! `b_list`/`d_list`, and the frontier drain on early termination — so
 //! results are bit-identical to the pre-kernel implementations. The
-//! parallel workers are the very same kernel instantiated with shared
-//! pruning state ([`SharedBound`], [`SharedWindow`]) injected through the
-//! logic, which is why serial and parallel answers match bit-for-bit at
-//! any worker count.
+//! parallel workers are the very same kernel with the very same logic, each
+//! over the subtrees it was dealt and sharing no pruning state; the class's
+//! merge alone makes their answers one, which is why serial and parallel
+//! answers match bit-for-bit at any worker count.
 //!
 //! Boolean pruning is the two questions Algorithm 1 asks:
 //! [`BooleanPruner::keep`] of a popped entry (lines 7–8), and
@@ -71,8 +71,6 @@
 //!
 //! [`NodeView`]: pcube_rtree::NodeView
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use pcube_cube::Selection;
@@ -176,7 +174,7 @@ pub enum Region<'a> {
 /// The preference side of Algorithm 1: candidate scoring, preference
 /// pruning, halting, and result accumulation. One implementation per query
 /// class; the same implementation serves the serial engine and each
-/// parallel worker (with shared pruning state injected at construction).
+/// parallel worker, which shares nothing with the others.
 ///
 /// The per-child methods take borrowed geometry and `&mut self` (for
 /// reusable scratch): they run for every child of every expanded node, most
@@ -364,211 +362,23 @@ pub(crate) fn score_child<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Shared pruning state (used by the parallel workers' logic instances)
-// ---------------------------------------------------------------------------
-
-/// Monotone f64 → u64 mapping: preserves `<` across the full range
-/// (including negatives), so an atomic `fetch_min` on the mapped bits is an
-/// atomic min on the floats.
-#[inline]
-pub(crate) fn f64_to_ordered(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-#[inline]
-pub(crate) fn ordered_to_f64(k: u64) -> f64 {
-    if k >> 63 == 1 {
-        f64::from_bits(k & !(1 << 63))
-    } else {
-        f64::from_bits(!k)
-    }
-}
-
-/// The shared top-k pruning bound: an upper bound on the global k-th best
-/// score, stored as order-preserving f64 bits so workers update it with a
-/// lock-free `fetch_min`. The bound only ever decreases and stays ≥ the
-/// true k-th score (each worker publishes its *local* k-th best, and any
-/// local k-th ≥ the global k-th), so pruning `score > bound` is sound;
-/// ties at the bound are kept and resolved by the deterministic merge.
-///
-/// `pub` so the interleaving model checks in `tests/interleave_model.rs`
-/// can drive it step by step.
-pub struct SharedBound(AtomicU64);
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        Self::unbounded()
-    }
-}
-
-impl SharedBound {
-    /// A bound that prunes nothing yet (`+∞`).
-    pub fn unbounded() -> Self {
-        SharedBound(AtomicU64::new(f64_to_ordered(f64::INFINITY)))
-    }
-
-    /// The current bound. Monotone non-increasing over the life of a query.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        ordered_to_f64(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Lowers the bound to `candidate` if it improves it — an atomic
-    /// `fetch_min` on the order-preserving bits, so concurrent updates can
-    /// never lose the smallest value.
-    #[inline]
-    pub fn lower_to(&self, candidate: f64) {
-        self.0.fetch_min(f64_to_ordered(candidate), Ordering::Relaxed);
-    }
-}
-
-/// Number of spine segments in a [`SharedWindow`]; segment `k` holds
-/// `WINDOW_SEG0 << k` slots, so 32 segments cover ~2^37 points.
-const WINDOW_SEGMENTS: usize = 32;
-/// Capacity of the first spine segment.
-const WINDOW_SEG0: usize = 32;
-/// One lazily-allocated spine segment: a fixed run of once-writable slots.
-type WindowSegment = Box<[OnceLock<Vec<f64>>]>;
-
-/// The shared skyline window: points accepted so far by *any* worker, in
-/// domination space. Pruning with any entry is sound even if the entry is
-/// later found dominated itself (domination is transitive and every entry
-/// is a qualifying data point), so workers may read arbitrary consistent
-/// snapshots.
-///
-/// Lock-free: a grow-only list over a segmented spine. [`Self::reserve`]
-/// claims a slot with one `fetch_add`; [`Self::publish`] fills it through a
-/// [`OnceLock`] (the release store other readers synchronize with).
-/// Segments never move once allocated, so readers hold no lock and copy no
-/// tail: [`Self::refresh`] walks slots from its last high-water mark and
-/// stops at the first slot not yet published, which keeps the visible
-/// prefix gap-free (a reader never sees point `i+1` without point `i`).
-/// The old implementation was a `Mutex<Vec<…>>` — the one lock left on the
-/// parallel kernel's pop path.
-///
-/// `pub` (with the reserve/publish steps exposed) so the interleaving model
-/// checks in `tests/interleave_model.rs` can enumerate schedules around the
-/// two linearization points.
-pub struct SharedWindow {
-    /// Spine of lazily-allocated slot segments; segment `k` holds
-    /// `WINDOW_SEG0 << k` slots starting at flat index
-    /// `WINDOW_SEG0·(2^k − 1)`.
-    segments: [OnceLock<WindowSegment>; WINDOW_SEGMENTS],
-    /// Next flat slot index to hand out.
-    next: AtomicUsize,
-}
-
-impl Default for SharedWindow {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        SharedWindow { segments: [const { OnceLock::new() }; WINDOW_SEGMENTS], next: AtomicUsize::new(0) }
-    }
-
-    /// Flat slot index → `(segment, offset)`.
-    #[inline]
-    fn locate(index: usize) -> (usize, usize) {
-        let n = index / WINDOW_SEG0 + 1;
-        let seg = (usize::BITS - 1 - n.leading_zeros()) as usize;
-        (seg, index - WINDOW_SEG0 * ((1 << seg) - 1))
-    }
-
-    /// The slot at flat `index`, allocating its segment on first touch.
-    fn slot(&self, index: usize) -> &OnceLock<Vec<f64>> {
-        let (seg, off) = Self::locate(index);
-        assert!(seg < WINDOW_SEGMENTS, "shared window exhausted");
-        let segment = self.segments[seg].get_or_init(|| {
-            (0..WINDOW_SEG0 << seg).map(|_| OnceLock::new()).collect()
-        });
-        &segment[off]
-    }
-
-    /// The slot at flat `index` if its segment exists, without allocating.
-    fn peek(&self, index: usize) -> Option<&OnceLock<Vec<f64>>> {
-        let (seg, off) = Self::locate(index);
-        self.segments.get(seg)?.get().map(|s| &s[off])
-    }
-
-    /// Step 1 of a push: claims a slot index. Exposed (doc-hidden) for the
-    /// interleaving model checks; engines use [`Self::push`].
-    #[doc(hidden)]
-    pub fn reserve(&self) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Step 2 of a push: publishes `coords` into a reserved slot. The
-    /// `OnceLock` set is the release store readers synchronize with; a slot
-    /// is never written twice.
-    ///
-    /// # Panics
-    /// Panics if `index` was never reserved-and-unpublished (double
-    /// publish).
-    #[doc(hidden)]
-    pub fn publish(&self, index: usize, coords: Vec<f64>) {
-        self.slot(index)
-            .set(coords)
-            .unwrap_or_else(|_| panic!("window slot {index} published twice"));
-    }
-
-    /// Appends a point: reserve a slot, publish into it. Lock-free on both
-    /// steps. Returns the slot.
-    pub fn push(&self, coords: Vec<f64>) -> usize {
-        let index = self.reserve();
-        self.publish(index, coords);
-        index
-    }
-
-    /// Hands entries `[from..]` to `sink` as `(slot, point)`, stopping at the
-    /// first slot not yet published; returns the new high-water mark, making
-    /// each periodic refresh an incremental read rather than a full copy. A
-    /// reserved but unpublished slot pauses the mark (never skips), so the
-    /// mark is monotone and no point is lost or duplicated across refreshes.
-    pub fn refresh(&self, from: usize, mut sink: impl FnMut(usize, &[f64])) -> usize {
-        let mut mark = from;
-        while let Some(point) = self.peek(mark).and_then(OnceLock::get) {
-            sink(mark, point);
-            mark += 1;
-        }
-        mark
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Top-k logic (§V-B): bound-and-cut
 // ---------------------------------------------------------------------------
 
-/// Top-k accumulation. Serial mode halts once `k` results exist (the
-/// frontier is then saved as `d_list` by the kernel); shared mode keeps a
-/// local k-best and halts once the smallest outstanding lower bound exceeds
-/// the shared global bound.
+/// Top-k accumulation: halts once `k` results exist (the frontier is then
+/// saved as `d_list` by the kernel). A parallel worker runs the same logic
+/// over the subtrees it was dealt; the class's merge keeps the global `k`.
 pub struct TopKLogic<'a> {
     k: usize,
     f: &'a dyn RankingFunction,
-    bound: Option<&'a SharedBound>,
     result: Vec<ResultEntry>,
 }
 
 impl<'a> TopKLogic<'a> {
-    /// The serial engine's logic (exhaustive until `k` results) without a
-    /// `bound`, a parallel worker's (prune and halt against the shared
-    /// bound) with one. The result grows as tuples are accepted: `k` may be
-    /// far larger than the table.
-    pub(crate) fn new(
-        k: usize,
-        f: &'a dyn RankingFunction,
-        bound: Option<&'a SharedBound>,
-    ) -> Self {
-        TopKLogic { k, f, bound, result: Vec::new() }
+    /// Exhaustive until `k` results. The result grows as tuples are
+    /// accepted: `k` may be far larger than the table.
+    pub(crate) fn new(k: usize, f: &'a dyn RankingFunction) -> Self {
+        TopKLogic { k, f, result: Vec::new() }
     }
 
     pub(crate) fn into_result(self) -> Vec<ResultEntry> {
@@ -577,17 +387,13 @@ impl<'a> TopKLogic<'a> {
 }
 
 impl PreferenceLogic for TopKLogic<'_> {
-    fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        match self.bound {
-            // Serial: everything still queued has a lower bound no better
-            // than the k-th result — stop and save the frontier.
-            None if self.result.len() >= self.k => PopVerdict::Halt,
-            // Shared: the heap pops ascending scores, so once the smallest
-            // outstanding lower bound exceeds the shared threshold nothing
-            // left can enter the global top-k. Strictly greater — ties at
-            // the bound are kept for the deterministic merge.
-            Some(b) if entry.score > b.get() => PopVerdict::Halt,
-            _ => PopVerdict::Continue,
+    fn on_pop(&mut self, _entry: &HeapEntry) -> PopVerdict {
+        // Everything still queued has a lower bound no better than the k-th
+        // result — stop and save the frontier.
+        if self.result.len() >= self.k {
+            PopVerdict::Halt
+        } else {
+            PopVerdict::Continue
         }
     }
 
@@ -599,27 +405,12 @@ impl PreferenceLogic for TopKLogic<'_> {
         self.f.lower_bound(mbr)
     }
 
-    fn prune_child(&mut self, score: f64, _child: Region<'_>) -> bool {
-        self.bound.is_some_and(|b| score > b.get())
+    fn prune_child(&mut self, _score: f64, _child: Region<'_>) -> bool {
+        false
     }
 
     fn accept(&mut self, score: f64, tid: u64, coords: Vec<f64>) {
-        match self.bound {
-            None => self.result.push(ResultEntry { tid, coords, score }),
-            Some(b) => {
-                let at = self
-                    .result
-                    .binary_search_by(|r| r.score.total_cmp(&score).then(r.tid.cmp(&tid)))
-                    .unwrap_or_else(|i| i);
-                if at < self.k {
-                    self.result.insert(at, ResultEntry { tid, coords, score });
-                    self.result.truncate(self.k);
-                    if self.result.len() == self.k {
-                        b.lower_to(self.result[self.k - 1].score);
-                    }
-                }
-            }
-        }
+        self.result.push(ResultEntry { tid, coords, score });
     }
 }
 

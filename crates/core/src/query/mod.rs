@@ -21,8 +21,7 @@ pub use class::{
 };
 pub use crate::boolean_index::IndexMergePruner;
 pub use kernel::{
-    run_kernel, BooleanPruner, KernelRun, PopVerdict,
-    PreferenceLogic, Region, SharedBound, SharedWindow, VerifyAllPruner,
+    run_kernel, BooleanPruner, KernelRun, PopVerdict, PreferenceLogic, Region, VerifyAllPruner,
 };
 pub(crate) use driver::check_schema;
 pub use driver::ParallelOptions;

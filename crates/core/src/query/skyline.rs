@@ -13,7 +13,7 @@
 //! [`DynamicSkylineClass`], [`PSkylineClass`] and [`SubspaceSkylineClass`]
 //! name its four constructors.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -21,7 +21,7 @@ use pcube_rtree::Mbr;
 
 use crate::plan::Planner;
 use crate::query::class::QueryClass;
-use crate::query::kernel::{PopVerdict, PreferenceLogic, Region, SharedWindow};
+use crate::query::kernel::{PopVerdict, PreferenceLogic, Region};
 use crate::query::{HeapEntry, ResultEntry};
 
 // ---------------------------------------------------------------------------
@@ -492,79 +492,29 @@ fn winnow_sorted(mut points: Vec<SkyPoint>, stride: usize) -> Vec<(u64, Vec<f64>
 // The logic: BBS dominance pruning
 // ---------------------------------------------------------------------------
 
-/// Heap pops between shared-window refreshes. Purely a performance knob:
-/// staleness only costs extra traversal, never correctness (the merge
-/// cross-filters every local result against every other).
-const WINDOW_REFRESH_INTERVAL: u64 = 32;
-
-/// One search's view of the accepted points: its own, pushed as they are
-/// accepted, and — in a parallel worker — every other worker's, read from
-/// the [`SharedWindow`] every [`WINDOW_REFRESH_INTERVAL`] pops. All in one
-/// [`Window`], each point once.
-struct Accepted<'a> {
-    points: Window,
-    shared: Option<&'a SharedWindow>,
-    /// Shared slots this worker published into and has not read past yet:
-    /// its own points come back through the refresh and are skipped.
-    mine: VecDeque<usize>,
-    mark: usize,
-    pops: u64,
-}
-
-impl<'a> Accepted<'a> {
-    fn new(stride: usize, shared: Option<&'a SharedWindow>) -> Self {
-        Accepted { points: Window::new(stride), shared, mine: VecDeque::new(), mark: 0, pops: 0 }
-    }
-
-    /// Counts a pop; on every [`WINDOW_REFRESH_INTERVAL`]-th, reads what the
-    /// other workers have published since the last one.
-    fn on_pop(&mut self) {
-        self.pops += 1;
-        let Some(shared) = self.shared else { return };
-        if self.pops.is_multiple_of(WINDOW_REFRESH_INTERVAL) {
-            let (points, mine) = (&mut self.points, &mut self.mine);
-            self.mark = shared.refresh(self.mark, |slot, point| {
-                if mine.front() == Some(&slot) {
-                    mine.pop_front();
-                } else {
-                    points.push(point);
-                }
-            });
-        }
-    }
-
-    /// An accepted point (in domination space) joins the window and is
-    /// published.
-    fn push(&mut self, point: &[f64]) {
-        self.points.push(point);
-        if let Some(shared) = self.shared {
-            self.mine.push_back(shared.push(point.to_vec()));
-        }
-    }
-}
-
 /// Skyline accumulation in one `DominanceSpace`: BBS dominance pruning
-/// against the window of accepted points — in a parallel worker, every
-/// worker's. The heap score is the sum of a candidate's domination-space
-/// coordinates. Under Pareto dominance a dominator never scores higher, so
-/// an accepted point is final; under `≻_Γ` the score says nothing, so
+/// against the window of the points this search accepted. The heap score is
+/// the sum of a candidate's domination-space coordinates. Under Pareto
+/// dominance a dominator never scores higher, so an accepted point is final
+/// among the subtrees searched; under `≻_Γ` the score says nothing, so
 /// accepts are tentative — a member of the true p-skyline is never pruned
 /// (pruning only ever removes dominated candidates, and `≻_Γ` is
-/// transitive), and the merge winnows the accepted superset exact.
+/// transitive). A parallel worker prunes against its own accepts only, and
+/// the merge winnows every worker's accepts exact.
 pub struct SkylineLogic<'a> {
     space: &'a DominanceSpace,
     result: Vec<ResultEntry>,
-    window: Accepted<'a>,
+    window: Window,
     /// Reused buffer for the domination-space point under test.
     point: Vec<f64>,
 }
 
 impl<'a> SkylineLogic<'a> {
-    fn new(space: &'a DominanceSpace, shared: Option<&'a SharedWindow>) -> Self {
+    fn new(space: &'a DominanceSpace) -> Self {
         SkylineLogic {
             space,
             result: Vec::new(),
-            window: Accepted::new(space.dims.len(), shared),
+            window: Window::new(space.dims.len()),
             point: Vec::with_capacity(space.dims.len()),
         }
     }
@@ -574,11 +524,11 @@ impl<'a> SkylineLogic<'a> {
     #[inline]
     fn dominated(&mut self, region: Region<'_>) -> bool {
         // Until the first accept there is nothing to map for.
-        if self.window.points.is_empty() {
+        if self.window.is_empty() {
             return false;
         }
         self.space.map(region, &mut self.point);
-        self.space.dominated(&mut self.window.points, &self.point)
+        self.space.dominated(&mut self.window, &self.point)
     }
 
     /// The sum of the domination-space point of `region`, in dimension
@@ -592,7 +542,6 @@ impl<'a> SkylineLogic<'a> {
 
 impl PreferenceLogic for SkylineLogic<'_> {
     fn on_pop(&mut self, entry: &HeapEntry) -> PopVerdict {
-        self.window.on_pop();
         if self.dominated(entry.cand.region()) {
             return PopVerdict::Prune;
         }
@@ -773,7 +722,6 @@ impl Skyline<Subspace> {
 impl<K: Member> QueryClass for Skyline<K> {
     type Row = (u64, Vec<f64>);
     type Local = Vec<SkyPoint>;
-    type Shared = SharedWindow;
     type Logic<'a>
         = SkylineLogic<'a>
     where
@@ -789,12 +737,8 @@ impl<K: Member> QueryClass for Skyline<K> {
         self.space.dims.iter().copied().max()
     }
 
-    fn new_shared(&self) -> SharedWindow {
-        SharedWindow::new()
-    }
-
-    fn logic<'a>(&'a self, shared: Option<&'a SharedWindow>) -> SkylineLogic<'a> {
-        SkylineLogic::new(&self.space, shared)
+    fn logic(&self) -> SkylineLogic<'_> {
+        SkylineLogic::new(&self.space)
     }
 
     fn finish(&self, logic: SkylineLogic<'_>) -> Self::Local {

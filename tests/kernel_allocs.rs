@@ -170,7 +170,7 @@ fn guarded_run<C: QueryClass>(
     let mut probe = db.pcube().probe(sel, false);
     {
         let mut heap = seeded_heap(db, save_lists);
-        let mut logic = class.logic(None);
+        let mut logic = class.logic();
         run_kernel(db, sel, &mut probe, &mut heap, &mut logic, None);
     }
     measured_run(db, sel, class, save_lists, probe, 0)
@@ -196,7 +196,7 @@ fn measured_run<C: QueryClass>(
 ) -> Guarded {
     let loaded_before = probe.partials_loaded();
     let mut heap = seeded_heap(db, save_lists);
-    let mut logic = Accepts { logic: class.logic(None), accepted: 0 };
+    let mut logic = Accepts { logic: class.logic(), accepted: 0 };
 
     let before = allocations();
     let run = run_kernel(db, sel, &mut probe, &mut heap, &mut logic, None);
