@@ -12,10 +12,12 @@
 //!   broken down by stop reason,
 //! * **p50/p99 latency under faults** — over the admitted queries.
 //!
-//! It is also a correctness gate: any `Complete` answer differing from the
-//! clean serial oracle, any deadline overshoot beyond one kernel pop, any
-//! progress-counter inconsistency, or any partial answer that breaks its
-//! class's documented guarantee exits non-zero.
+//! It is also a correctness gate: it runs the soak test's harness
+//! ([`pcube_bench::soak`]: the same oracles, faults and audit), and any
+//! `Complete` answer differing from the clean serial oracle, any deadline
+//! overshoot beyond one kernel pop, any progress-counter inconsistency, or
+//! any partial answer that breaks its class's documented guarantee exits
+//! non-zero.
 //!
 //! Usage: `soak_bench [--queries N] [--threads T] [--tuples N] [--seed S]
 //! [--slots K] [--max-wait-us U] [--out PATH]`
@@ -23,13 +25,11 @@
 //! Results land in `BENCH_soak.json` (override with `--out`).
 
 use pcube_bench::cli::{percentile, Args, JsonObject};
-use pcube_bench::mix::{drain, mix, Case, Row};
-use pcube_core::{
-    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, ParallelOptions, QueryBudget, QueryOutcome,
-    StopReason,
-};
+use pcube_bench::mix::{drain, Case, Row};
+use pcube_bench::soak::{arm_faults, audit, cases, Tally};
+use pcube_core::{AdmissionGate, CancelToken, PCubeConfig, PCubeDb, ParallelOptions, QueryBudget};
 use pcube_data::{synthetic, Distribution, SyntheticSpec};
-use pcube_storage::{Counter, FaultPlan};
+use pcube_storage::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,51 +78,31 @@ fn budget_for(i: usize, rng: &mut StdRng) -> (QueryBudget, Option<CancelToken>) 
     }
 }
 
+/// How the admitted queries ended, and what the bench counts beside:
+/// queries the gate shed, complete answers that differ from their oracle,
+/// and other failed audits.
 #[derive(Default)]
-struct Tally {
-    complete: AtomicU64,
-    deadline: AtomicU64,
-    blocks: AtomicU64,
-    heap: AtomicU64,
-    cancelled: AtomicU64,
+struct Counters {
+    outcomes: Tally,
     shed: AtomicU64,
     mismatches: AtomicU64,
     violations: AtomicU64,
 }
 
-impl Tally {
-    fn record(&self, outcome: &QueryOutcome) {
-        let counter = match outcome.partial_reason() {
-            None => &self.complete,
-            Some(StopReason::DeadlineExceeded) => &self.deadline,
-            Some(StopReason::BlockBudgetExceeded) => &self.blocks,
-            Some(StopReason::HeapCapExceeded) => &self.heap,
-            Some(StopReason::Cancelled) => &self.cancelled,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Runs query `i` under its budget and audits it, counting mismatches and
-/// violations instead of panicking so the bench reports totals before
-/// failing.
-fn run_one(db: &PCubeDb, i: usize, case: &(Case, Vec<Row>), tally: &Tally) {
+/// Runs query `i` under its budget, tallies how it ended and audits it,
+/// counting a failed audit instead of panicking so the bench reports totals
+/// before failing.
+fn run_one(db: &PCubeDb, i: usize, (case, oracle): &(Case, Vec<Row>), counters: &Counters) {
     let mut rng = StdRng::seed_from_u64(0xBE4C ^ i as u64);
     let (budget, cancel) = budget_for(i, &mut rng);
-    let (case, oracle) = case;
     let out = case.run(db, ParallelOptions { budget, cancel, ..ParallelOptions::default() });
-    if out.stats.outcome.is_complete() {
-        if out.rows != *oracle {
-            tally.mismatches.fetch_add(1, Ordering::Relaxed);
-        }
-    } else if let Err(why) = case
-        .check_progress(&out.stats, out.rows.len(), true)
-        .and_then(|()| case.check_partial(db, &out.rows, oracle, true))
-    {
+    if let Err(why) = audit(db, case, oracle, &out, true) {
         eprintln!("query {i} ({}): {why}", case.kind());
-        tally.violations.fetch_add(1, Ordering::Relaxed);
+        let mismatch = out.stats.outcome.is_complete() && out.rows != *oracle;
+        let counter = if mismatch { &counters.mismatches } else { &counters.violations };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    tally.record(&out.stats.outcome);
+    counters.outcomes.record(&out.stats.outcome);
 }
 
 fn main() {
@@ -141,41 +121,30 @@ fn main() {
     // 63 distinct queries: coprime to the eight budget slots of
     // `budget_for`, so every query — hence every class — meets every slot.
     eprintln!("computing clean oracles for 63 distinct queries…");
-    let workload: Vec<(Case, Vec<Row>)> = mix(db.relation(), 63, cfg.seed)
-        .into_iter()
-        .map(|case| {
-            let oracle = case.run(&db, ParallelOptions::default()).rows;
-            (case, oracle)
-        })
-        .collect();
+    let workload = cases(&db, 63, cfg.seed);
 
     // Chaos on: seeded faults on both signature pagers, and an admission
     // gate with fewer slots than client threads and a short wait, so real
     // overload is shed rather than queued.
-    db.signature_store_mut()
-        .sig_pager_mut()
-        .set_fault_plan(FaultPlan::seeded(cfg.seed ^ 0xC4A0).with_read_errors(0.3));
-    db.signature_store_mut()
-        .dir_pager_mut()
-        .set_fault_plan(FaultPlan::seeded(cfg.seed ^ 0x0D1E).with_read_errors(0.2));
+    arm_faults(&mut db, cfg.seed);
     let gate = AdmissionGate::new(cfg.slots, cfg.max_wait);
 
     eprintln!(
         "soaking: {} queries, {} threads, {} admission slots (wait {:?})…",
         cfg.queries, cfg.threads, cfg.slots, cfg.max_wait
     );
-    let tally = Tally::default();
+    let counters = Counters::default();
     let started = Instant::now();
     // Per issued query: its latency in µs if it was admitted.
     let admitted: Vec<Option<u64>> = drain(cfg.threads, cfg.queries, |i| {
         let q_started = Instant::now();
         match gate.admit() {
             Err(_) => {
-                tally.shed.fetch_add(1, Ordering::Relaxed);
+                counters.shed.fetch_add(1, Ordering::Relaxed);
                 None
             }
             Ok(permit) => {
-                run_one(&db, i, &workload[i % workload.len()], &tally);
+                run_one(&db, i, &workload[i % workload.len()], &counters);
                 drop(permit);
                 Some(q_started.elapsed().as_micros() as u64)
             }
@@ -185,14 +154,10 @@ fn main() {
 
     let mut lat: Vec<u64> = admitted.into_iter().flatten().collect();
     lat.sort_unstable();
-    let shed = tally.shed.load(Ordering::Relaxed);
-    let complete = tally.complete.load(Ordering::Relaxed);
-    let deadline = tally.deadline.load(Ordering::Relaxed);
-    let blocks = tally.blocks.load(Ordering::Relaxed);
-    let heap = tally.heap.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
-    let mismatches = tally.mismatches.load(Ordering::Relaxed);
-    let violations = tally.violations.load(Ordering::Relaxed);
+    let [complete, deadline, blocks, heap, cancelled] = counters.outcomes.counts();
+    let shed = counters.shed.load(Ordering::Relaxed);
+    let mismatches = counters.mismatches.load(Ordering::Relaxed);
+    let violations = counters.violations.load(Ordering::Relaxed);
     let executed = lat.len() as u64;
     let partials = deadline + blocks + heap + cancelled;
 

@@ -7,7 +7,8 @@
 //! [`CostModel`]); the reproduction target is the *shape* of each figure.
 //!
 //! The concurrency and robustness harnesses draw their queries from [`mix`];
-//! every binary reads its command line and writes its report through [`cli`].
+//! the chaos soak's oracles, faults, tally and audit are [`soak`]; every
+//! binary reads its command line and writes its report through [`cli`].
 //! The lossy Bloom signatures of §VII are an ablation, not a served probe:
 //! [`bloom`] holds them.
 
@@ -17,6 +18,7 @@
 pub mod bloom;
 pub mod cli;
 pub mod mix;
+pub mod soak;
 
 use pcube_core::{
     run_class_engine, BooleanIndexSet, Engine, PCubeConfig, PCubeDb, QueryBudget, QueryClass,

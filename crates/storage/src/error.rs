@@ -10,8 +10,6 @@ pub enum PageOp {
     Read,
     /// A full-page write.
     Write,
-    /// An in-place read-modify-write.
-    Update,
     /// Releasing a page back to the allocator.
     Free,
 }
@@ -21,7 +19,6 @@ impl fmt::Display for PageOp {
         f.write_str(match self {
             PageOp::Read => "read",
             PageOp::Write => "write",
-            PageOp::Update => "update",
             PageOp::Free => "free",
         })
     }

@@ -673,55 +673,20 @@ impl Pager {
 
     /// In-place page update via a closure, charging one read and one write.
     ///
-    /// Injected read/write errors fail the call before the closure runs; an
-    /// injected bit flip lands after the closure (torn writes do not apply to
-    /// in-place updates). Convenient for node updates touching a few bytes.
+    /// The update is a checked [`Pager::try_read`] of the page, `f` run on a
+    /// copy of its bytes, and a [`Pager::try_write`] of the copy, so it fails
+    /// and is damaged exactly as they are: a quarantined page, an injected
+    /// read error or a checksum mismatch fails the call before `f` runs (rot
+    /// is refused, never re-summed), and an injected write fault fails it or
+    /// lands torn or bit-flipped under the checksum of the intended bytes.
     pub fn try_update<R>(
         &mut self,
         pid: PageId,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, StorageError> {
-        // An in-place update reads the stored bytes first; on a quarantined
-        // page those are known-bad, so serve the memoized failure instead of
-        // mutating garbage. Heal with a full `try_write` or a free+rebuild.
-        if let Some(err) = self.quarantined_error(pid) {
-            self.stats.add(Counter::QuarantineHits, 1);
-            return Err(err);
-        }
-        self.stats.record_reads(self.category, 1);
-        self.stats.record_writes(self.category, 1);
-        let effect = match &self.fault {
-            Some(cell) => {
-                let mut plan = cell.lock();
-                if plan.fail_read() {
-                    return Err(StorageError::Io { pid, op: PageOp::Update });
-                }
-                plan.write_effect(self.page_size)
-            }
-            None => WriteEffect::Clean,
-        };
-        if effect == WriteEffect::Fail {
-            return Err(StorageError::Io { pid, op: PageOp::Update });
-        }
-        let idx = pid.index();
-        if self.slot(idx).is_none() {
-            return Err(StorageError::DeadPage { pid, op: PageOp::Update });
-        }
-        let verify = self.verify;
-        let group = self.group_mut(idx);
-        let slot = group.slots[idx & GROUP_MASK]
-            .as_mut()
-            .ok_or(StorageError::DeadPage { pid, op: PageOp::Update })?;
-        let page = page_mut(slot);
-        let out = f(page);
-        let sum = if verify { crc32(page) } else { 0 };
-        if let WriteEffect::BitFlip { byte, mask } = effect {
-            page[byte] ^= mask; // after the checksum: detected on next read
-        }
-        if verify {
-            group.sums[idx & GROUP_MASK] = sum;
-        }
-        self.dirty.insert(pid.0);
+        let mut page = self.try_read(pid)?.to_vec();
+        let out = f(&mut page);
+        self.try_write(pid, &page)?;
         Ok(out)
     }
 
@@ -1118,6 +1083,22 @@ mod tests {
     }
 
     #[test]
+    fn an_update_never_launders_rot() {
+        // An update reads the page through its checksum before it writes:
+        // rot that no read has found yet is refused, not summed afresh, so
+        // the next read still finds it instead of returning the flipped byte.
+        let mut p = Pager::new(64, IoCategory::RtreeBlock, IoStats::new_shared());
+        let a = p.allocate();
+        p.write(a, &[7u8; 64]);
+        p.set_checksums(true);
+        p.corrupt_page(a, 9, 0x10).unwrap();
+        assert!(!p.is_quarantined(a), "no read has found the rot yet");
+        assert!(matches!(p.try_update(a, |pg| pg[0] = 1), Err(StorageError::Corrupt { .. })));
+        assert!(matches!(p.try_read(a), Err(StorageError::Corrupt { .. })));
+        assert_eq!(p.page_bytes(a).unwrap()[..10], [7, 7, 7, 7, 7, 7, 7, 7, 7, 23]);
+    }
+
+    #[test]
     fn quarantine_is_shared_across_cow_clones() {
         let mut p = Pager::new(64, IoCategory::SignaturePage, IoStats::new_shared());
         let a = p.allocate();
@@ -1149,16 +1130,18 @@ mod tests {
         // bytes that were meant: the next verified read finds it and
         // quarantines the page. The third row fails if `try_update` flips
         // the bit before it takes the checksum — the sum would then cover
-        // the flipped byte and the read would verify.
+        // the flipped byte and the read would verify. The fourth fails if an
+        // update drops a torn write and stores every byte it meant.
         type Damage = fn(&mut Pager, PageId);
         let write: Damage = |p, a| p.try_write(a, &[0xAB; 64]).unwrap();
-        let update: Damage = |p, a| p.try_update(a, |page| page[0] = 0xAB).unwrap();
+        let update: Damage = |p, a| p.try_update(a, |page| page.fill(0xAB)).unwrap();
         let torn = FaultCounts { torn_writes: 1, ..FaultCounts::default() };
         let flipped = FaultCounts { bit_flips: 1, ..FaultCounts::default() };
         for (what, plan, damage, injected) in [
             ("torn write", FaultPlan::seeded(3).with_torn_writes(1.0), write, torn),
             ("bit-flipped write", FaultPlan::seeded(3).with_bit_flips(1.0), write, flipped),
             ("bit-flipped update", FaultPlan::seeded(3).with_bit_flips(1.0), update, flipped),
+            ("torn update", FaultPlan::seeded(3).with_torn_writes(1.0), update, torn),
         ] {
             let mut p = Pager::new(64, IoCategory::SignaturePage, IoStats::new_shared());
             let a = p.allocate();

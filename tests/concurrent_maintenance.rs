@@ -13,6 +13,10 @@
 //! * the writer never blocks on readers — it completes its whole workload
 //!   while readers are continuously querying.
 
+#[path = "support/durable.rs"]
+mod durable;
+
+use durable::seed_relation;
 use pcube::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,18 +25,6 @@ use std::sync::Arc;
 const SEED_ROWS: usize = 256;
 const N_TXNS: u64 = 60;
 const N_READERS: usize = 8;
-
-fn seed_relation() -> Relation {
-    let mut r = Relation::new(Schema::new(&["A", "B"], &["x", "y"]));
-    let vals_a = ["a1", "a2", "a3"];
-    let vals_b = ["b1", "b2"];
-    for i in 0..SEED_ROWS {
-        let x = (i as f64 * 0.3771).fract();
-        let y = (i as f64 * 0.6113 + 0.131).fract();
-        r.push(&[vals_a[i % 3], vals_b[i % 2]], &[x, y]);
-    }
-    r
-}
 
 /// Canonical form of an answer: sorted `(tid, coordinate bit patterns)` —
 /// bit-identical comparison, no float tolerance anywhere.
@@ -73,7 +65,7 @@ fn oracle_skyline(db: &PCubeDb, selection: &Selection) -> Canon {
 #[test]
 fn eight_readers_never_observe_a_torn_snapshot() {
     let mut db = DurableDb::create(
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     );

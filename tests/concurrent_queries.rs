@@ -10,7 +10,7 @@
 //!    the ledger's total delta across a concurrent run equals the sum of
 //!    the per-query serial deltas.
 
-use pcube::core::{PCubeConfig, PCubeDb, ParallelOptions};
+use pcube::core::{PCubeConfig, PCubeDb, ParallelOptions, QueryStats};
 use pcube::data::{synthetic, Distribution, SyntheticSpec};
 use pcube::storage::{IoCategory, IoSnapshot};
 use pcube_bench::mix::{mix, Case, Row};
@@ -103,27 +103,35 @@ fn concurrent_serial_queries_identical_results_and_exact_counters() {
 
 /// The parallel engines running *concurrently with each other* (8 client
 /// threads × 2, 3 or 8 workers each, every class at every count) still
-/// return bit-identical answers. I/O counts may legitimately vary (shared
-/// pruning bounds are timing-dependent); results may not.
+/// return bit-identical answers, and do the same work: workers share no
+/// pruning state, so each run expands the nodes and loads the partials it
+/// does alone at the same worker count. The I/O ledger's deltas interleave
+/// across clients, so they are not compared here.
 #[test]
 fn concurrent_parallel_queries_are_bit_identical_to_serial() {
     let db = build_db();
     let workload = build_workload(&db, 24);
     let expected: Vec<Vec<Row>> =
         workload.iter().map(|q| q.run(&db, ParallelOptions::default()).rows).collect();
+    let workers = |i: usize| [2, 3, 8][(i / 6) % 3];
+    let work = |stats: &QueryStats| (stats.nodes_expanded, stats.partials_loaded);
+    let alone: Vec<_> = workload
+        .iter()
+        .enumerate()
+        .map(|(i, q)| work(&q.run(&db, ParallelOptions::with_workers(workers(i))).stats))
+        .collect();
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (db, workload, expected) = (&db, &workload, &expected);
+            let (db, workload, expected, alone) = (&db, &workload, &expected, &alone);
             scope.spawn(move || {
                 for (i, q) in workload.iter().enumerate() {
                     if i % THREADS == t {
-                        let workers = [2, 3, 8][(i / 6) % 3];
-                        assert_eq!(
-                            q.run(db, ParallelOptions::with_workers(workers)).rows,
-                            expected[i],
-                            "thread {t}, query {i} ({workers} workers)"
-                        );
+                        let workers = workers(i);
+                        let out = q.run(db, ParallelOptions::with_workers(workers));
+                        let what = format!("thread {t}, query {i} ({workers} workers)");
+                        assert_eq!(out.rows, expected[i], "{what}");
+                        assert_eq!(work(&out.stats), alone[i], "{what}: nodes, partials");
                     }
                 }
             });

@@ -1,6 +1,6 @@
 //! High-contention read-path tests: many client threads hammering a *small*
-//! hot set so every thread fights over the same pages, shards, and shared
-//! pruning state at once. Two contracts:
+//! hot set so every thread fights over the same pages, shards and counters
+//! at once. Two contracts:
 //!
 //! 1. **Differential** — answers computed by the parallel engines (2, 4 and
 //!    8 workers) under 8-thread client contention are bit-identical to the
@@ -34,7 +34,7 @@ fn build_db() -> PCubeDb {
 
 /// A *small* hot set (one query of each of the six classes) that every
 /// thread loops over many times — unlike a broad workload, contention
-/// concentrates on the same cells, pages and shared bounds.
+/// concentrates on the same cells and pages.
 fn build_hot_set(db: &PCubeDb) -> Vec<Case> {
     mix(db.relation(), 6, 13)
 }

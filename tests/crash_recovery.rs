@@ -14,6 +14,13 @@
 //!    seed plus the recovered transaction prefix;
 //! 3. recovery never panics and never fabricates a transaction.
 
+#[path = "support/battery.rs"]
+mod battery;
+#[path = "support/durable.rs"]
+mod durable;
+
+use battery::{answers, damage_seeds};
+use durable::seed_relation;
 use pcube::prelude::*;
 use std::collections::BTreeSet;
 
@@ -28,18 +35,6 @@ enum Step {
 const SEED_ROWS: usize = 96;
 const N_TXNS: usize = 8;
 const CKPT_EVERY: usize = 3;
-
-fn seed_relation() -> Relation {
-    let mut r = Relation::new(Schema::new(&["A", "B"], &["x", "y"]));
-    let vals_a = ["a1", "a2", "a3"];
-    let vals_b = ["b1", "b2"];
-    for i in 0..SEED_ROWS {
-        let x = (i as f64 * 0.3771).fract();
-        let y = (i as f64 * 0.6113 + 0.131).fract();
-        r.push(&[vals_a[i % 3], vals_b[i % 2]], &[x, y]);
-    }
-    r
-}
 
 /// The deterministic maintenance script: `N_TXNS` transactions of two
 /// inserts (+ one delete on odd rounds), a checkpoint after every
@@ -97,7 +92,7 @@ fn drive(db: &mut DurableDb, steps: &[Step]) -> Result<u64, DurabilityError> {
 /// A clean re-execution: seed + the first `n` transactions, no durability
 /// machinery anywhere near it.
 fn oracle(n: u64) -> PCubeDb {
-    let mut db = PCubeDb::build(seed_relation(), &PCubeConfig::default());
+    let mut db = PCubeDb::build(seed_relation(SEED_ROWS), &PCubeConfig::default());
     let mut applied = 0u64;
     for step in script() {
         if applied == n {
@@ -121,39 +116,6 @@ fn oracle(n: u64) -> PCubeDb {
     db
 }
 
-/// Every acceptance query family, answered exactly: static skyline, top-k,
-/// dynamic skyline, convex hull — each under the empty selection and one
-/// single-predicate selection.
-fn answers(db: &PCubeDb) -> Vec<Vec<(u64, Vec<f64>)>> {
-    let selections: [Selection; 2] =
-        [Vec::new(), vec![Predicate { dim: 0, value: 1 }]];
-    let f = MinCoordSum::new(vec![0, 1]);
-    let mut out = Vec::new();
-    for sel in &selections {
-        out.push(db.run(sel, &SkylineClass::new(vec![0, 1])).rows);
-        out.push(
-            db.run(sel, &TopKClass::new(5, &f))
-                .rows
-                .into_iter()
-                .map(|(tid, coords, score)| {
-                    let mut c = coords;
-                    c.push(score);
-                    (tid, c)
-                })
-                .collect(),
-        );
-        out.push(db.run(sel, &DynamicSkylineClass::new(&[0.45, 0.55], vec![0, 1])).rows);
-        out.push(
-            db.run(sel, &HullClass::new((0, 1)))
-                .rows
-                .into_iter()
-                .map(|(tid, xy)| (tid, xy.to_vec()))
-                .collect(),
-        );
-    }
-    out
-}
-
 fn assert_oracle_exact(recovered: &PCubeDb, n_txns: u64, context: &str) {
     let want = answers(&oracle(n_txns));
     let got = answers(recovered);
@@ -167,7 +129,7 @@ fn assert_oracle_exact(recovered: &PCubeDb, n_txns: u64, context: &str) {
 /// count for bookkeeping.
 fn crash_at(k: u64, steps: &[Step]) -> u64 {
     let mut db = DurableDb::create(
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     );
@@ -247,7 +209,7 @@ fn crash_matrix_every_kill_point_recovers_oracle_exact() {
 
     // Count the durability events of a clean run with a counting plan.
     let mut counter = DurableDb::create(
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     );
@@ -276,7 +238,7 @@ fn recovery_is_idempotent_and_resumable() {
 
     // Crash somewhere in the middle of the workload.
     let mut db = DurableDb::create(
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     );
@@ -328,14 +290,14 @@ fn torn_fsync_tail_is_dropped_not_misread() {
     let steps = script();
     let opts = DurabilityOptions { fsync_every: 2, ..DurabilityOptions::default() };
 
-    let mut counter = DurableDb::create(seed_relation(), &PCubeConfig::default(), opts);
+    let mut counter = DurableDb::create(seed_relation(SEED_ROWS), &PCubeConfig::default(), opts);
     counter.set_crash_plan(CrashPlan::count_only());
     drive(&mut counter, &steps).expect("counting run must not crash");
     let events = counter.crash_events_seen();
 
     let mut torn_runs = 0u64;
     for k in 0..events {
-        let mut db = DurableDb::create(seed_relation(), &PCubeConfig::default(), opts);
+        let mut db = DurableDb::create(seed_relation(SEED_ROWS), &PCubeConfig::default(), opts);
         db.set_crash_plan(CrashPlan::at_event(k).with_seed(k.wrapping_mul(31) + 7));
         let _ = drive(&mut db, &steps);
         let acked = db.durable_txns();
@@ -361,15 +323,6 @@ fn torn_fsync_tail_is_dropped_not_misread() {
 
 // --------------------------------------------- at-rest WAL damage matrix --
 
-/// Seeds the damage sweep runs; CI's reduced matrix overrides via
-/// `PCUBE_DAMAGE_SEEDS`.
-fn damage_seeds() -> u64 {
-    std::env::var("PCUBE_DAMAGE_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(48)
-}
-
 /// Torn writes and bit rot strike the *surviving* WAL image between the
 /// crash and the reopen: every seeded cut or flipped bit must degrade into
 /// a typed `RecoveryReport` (truncate-and-report at the first bad frame),
@@ -386,10 +339,10 @@ fn wal_damage_matrix_recovers_typed_and_prefix_closed() {
         steps.iter().filter(|s| matches!(s, Step::Txn(_))).cloned().collect();
 
     let (mut torn_seen, mut rot_seen, mut lossy) = (0u64, 0u64, 0u64);
-    for seed in 0..damage_seeds() {
+    for seed in 0..damage_seeds(48) {
         let script = if seed % 2 == 0 { &steps } else { &no_ckpt };
         let mut db = DurableDb::create(
-            seed_relation(),
+            seed_relation(SEED_ROWS),
             &PCubeConfig::default(),
             DurabilityOptions::default(),
         );
@@ -440,7 +393,7 @@ fn transient_fsync_failures_retry_bounded_and_lose_nothing() {
     let (mut retried, mut terminal) = (0u64, 0u64);
     for seed in 0..16 {
         let mut db = DurableDb::create(
-            seed_relation(),
+            seed_relation(SEED_ROWS),
             &PCubeConfig::default(),
             DurabilityOptions::default(),
         );
@@ -484,7 +437,7 @@ fn file_mode_recovery_rewrites_torn_wal_tail() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = DurableDb::create_at(
         &dir,
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     )

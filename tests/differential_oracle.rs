@@ -6,34 +6,21 @@
 //! scores. Serial vs parallel is compared bit-for-bit; the engines'
 //! canonical `(score, tid)` result order is what makes that possible.
 
+#[path = "support/rows.rs"]
+mod rows;
+
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
 use pcube::core::{
-    DynamicSkylineClass, EngineKind, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass,
+    DynamicSkylineClass, EngineKind, HullClass, LinearFn, PCubeDb, PSkylineClass,
     ParallelOptions, Planner, PriorityGraph, QueryBudget, QueryClass, RankingFunction,
     SkylineClass, StopReason, SubspaceSkylineClass, TopKClass,
 };
 use pcube::storage::IoCategory;
-use pcube::cube::{Predicate, Relation, Schema, Selection};
+use pcube::cube::{Predicate, Selection};
 use proptest::prelude::*;
+use rows::{arb_rows, db_from, Row};
 
 const WORKER_COUNTS: [usize; 3] = [2, 3, 8];
-
-#[derive(Debug, Clone)]
-struct Row {
-    codes: Vec<u32>,
-    coords: Vec<f64>,
-}
-
-fn arb_rows(n_bool: usize, n_pref: usize, max_rows: usize) -> impl Strategy<Value = Vec<Row>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(0u32..4, n_bool..=n_bool),
-            prop::collection::vec(0.0f64..1.0, n_pref..=n_pref),
-        )
-            .prop_map(|(codes, coords)| Row { codes, coords }),
-        1..max_rows,
-    )
-}
 
 /// Rows whose coordinates come from a 5-value grid, so projections onto a
 /// subspace collide often — the interesting regime for distinct-value
@@ -68,20 +55,6 @@ fn arb_rounding_tie_rows(n_bool: usize, max_rows: usize) -> impl Strategy<Value 
         ),
         1..max_rows,
     )
-}
-
-fn db_from(rows: &[Row], n_bool: usize, n_pref: usize) -> PCubeDb {
-    let bool_names: Vec<String> = (0..n_bool).map(|i| format!("A{i}")).collect();
-    let pref_names: Vec<String> = (0..n_pref).map(|i| format!("N{i}")).collect();
-    let schema = Schema::new(
-        &bool_names.iter().map(String::as_str).collect::<Vec<_>>(),
-        &pref_names.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let mut relation = Relation::new(schema);
-    for r in rows {
-        relation.push_coded(&r.codes, &r.coords);
-    }
-    PCubeDb::build(relation, &PCubeConfig::default())
 }
 
 fn qualifying(rows: &[Row], sel: &Selection) -> Vec<(u64, Vec<f64>)> {

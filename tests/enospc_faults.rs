@@ -8,19 +8,13 @@
 //! fails, exactly like a full disk) and a truncated log tail (what a short
 //! write leaves behind).
 
+#[path = "support/durable.rs"]
+mod durable;
+
+use durable::seed_relation;
 use pcube::prelude::*;
 
-fn seed_relation() -> Relation {
-    let mut r = Relation::new(Schema::new(&["A", "B"], &["x", "y"]));
-    let vals_a = ["a1", "a2", "a3"];
-    let vals_b = ["b1", "b2"];
-    for i in 0..80 {
-        let x = (i as f64 * 0.3771).fract();
-        let y = (i as f64 * 0.6113 + 0.131).fract();
-        r.push(&[vals_a[i % 3], vals_b[i % 2]], &[x, y]);
-    }
-    r
-}
+const SEED_ROWS: usize = 80;
 
 fn insert_op(i: u64) -> Vec<MaintenanceOp> {
     vec![MaintenanceOp::Insert {
@@ -47,7 +41,7 @@ fn checkpoint_write_failure_is_typed_and_prior_generation_recovers() {
     let dir = temp_dir("ckpt");
     let mut db = DurableDb::create_at(
         &dir,
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     )
@@ -103,7 +97,7 @@ fn a_commit_after_a_failed_checkpoint_write_loses_nothing() {
     let dir = temp_dir("ckpt-then-commit");
     let mut db = DurableDb::create_at(
         &dir,
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     )
@@ -134,7 +128,7 @@ fn wal_append_failure_is_typed_and_checkpoint_generation_recovers() {
     let dir = temp_dir("wal");
     let mut db = DurableDb::create_at(
         &dir,
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     )
@@ -171,7 +165,7 @@ fn short_write_at_the_wal_tail_recovers_the_committed_prefix() {
     let dir = temp_dir("short");
     let mut db = DurableDb::create_at(
         &dir,
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         DurabilityOptions::default(),
     )
@@ -207,7 +201,7 @@ fn short_write_at_the_wal_tail_recovers_the_committed_prefix() {
 
 #[test]
 fn save_to_an_unwritable_path_is_a_typed_persist_error() {
-    let db = PCubeDb::build(seed_relation(), &PCubeConfig::default());
+    let db = PCubeDb::build(seed_relation(SEED_ROWS), &PCubeConfig::default());
     let dir = temp_dir("save");
     // The parent directory does not exist: every write fails.
     let path = dir.join("nope").join("db.pcube");

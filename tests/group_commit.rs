@@ -17,22 +17,14 @@
 //! * a real-thread test that pushes concurrent submitters through
 //!   [`CommitQueue`] with a crash plan installed, then recovers the corpse.
 
+#[path = "support/durable.rs"]
+mod durable;
+
+use durable::seed_relation;
 use pcube::prelude::*;
 use proptest::prelude::*;
 
 const SEED_ROWS: usize = 32;
-
-fn seed_relation() -> Relation {
-    let mut r = Relation::new(Schema::new(&["A", "B"], &["x", "y"]));
-    let vals_a = ["a1", "a2", "a3"];
-    let vals_b = ["b1", "b2"];
-    for i in 0..SEED_ROWS {
-        let x = (i as f64 * 0.3771).fract();
-        let y = (i as f64 * 0.6113 + 0.131).fract();
-        r.push(&[vals_a[i % 3], vals_b[i % 2]], &[x, y]);
-    }
-    r
-}
 
 /// The `k`-th submitted transaction: one insert with a payload derived from
 /// `k`, so any prefix of the submission order is a pure function of its
@@ -68,7 +60,7 @@ fn skyline_tids(db: &PCubeDb) -> Vec<u64> {
 
 /// A clean re-execution of the first `n` submitted transactions.
 fn oracle(n: u64) -> PCubeDb {
-    let mut db = PCubeDb::build(seed_relation(), &PCubeConfig::default());
+    let mut db = PCubeDb::build(seed_relation(SEED_ROWS), &PCubeConfig::default());
     for k in 0..n as usize {
         for op in txn(k) {
             match op {
@@ -142,7 +134,7 @@ proptest! {
 
         // Count the durability events of a clean run of this exact split.
         let mut counter = DurableDb::create(
-            seed_relation(),
+            seed_relation(SEED_ROWS),
             &PCubeConfig::default(),
             DurabilityOptions::default(),
         );
@@ -154,7 +146,7 @@ proptest! {
         // Crash at one seeded event (the +2 window includes "never fires").
         let k = crash_pick.index(events as usize + 2) as u64;
         let mut db = DurableDb::create(
-            seed_relation(),
+            seed_relation(SEED_ROWS),
             &PCubeConfig::default(),
             DurabilityOptions::default(),
         );
@@ -184,7 +176,7 @@ fn concurrent_committers_with_a_crashing_writer_recover_a_prefix() {
     const PER_THREAD: u64 = 6;
     for crash_event in [3u64, 11, 23, 41, 71, 997] {
         let mut db = DurableDb::create(
-            seed_relation(),
+            seed_relation(SEED_ROWS),
             &PCubeConfig::default(),
             DurabilityOptions::default(),
         );
@@ -266,7 +258,7 @@ fn concurrent_committers_with_a_crashing_writer_recover_a_prefix() {
 #[test]
 fn group_commit_amortizes_fsyncs_under_load() {
     let db = DurableDb::create(
-        seed_relation(),
+        seed_relation(SEED_ROWS),
         &PCubeConfig::default(),
         // A realistic 100µs device fsync so batching has something to win.
         DurabilityOptions { fsync_delay_us: 100, ..DurabilityOptions::default() },

@@ -3,7 +3,8 @@
 //!
 //! One seeded 20k-row table, 24 fixed queries (six classes × 0–3
 //! predicates) through the serial `db.run`, plus the saved-list lengths of
-//! the resumable runs (`run_resumable` / `drill_down` / `roll_up`). Every
+//! the resumable runs (`run_resumable` / `drill_down` / `roll_up`): the
+//! fixture of `support/kernel_fixture.rs`, shared with `kernel_work.rs`. Every
 //! count below was captured on the commit *before* the kernel's expansion
 //! loop was rewritten (PR 12); a kernel change that reads a different page,
 //! loads a partial signature at a different moment, expands a different node
@@ -16,13 +17,13 @@
 //! from 45 / 33 / 30 / 29 to 465 / 512 / 287 / 361.
 //!
 //! PR 25 gave the lazy multi-predicate probe one level of the Fig 3.c
-//! fix-up (`keep_child`'s look-ahead): a child node the masks keep is
-//! dropped unread when the conjuncts share no bit in its own arrays. Only
-//! runs under two or more predicates can move, and each moved row says why
-//! beside it; the 0- and 1-predicate rows are the capture above, byte for
-//! byte.
+//! fix-up (the look-ahead of `BooleanProbe::keep_child`): a child node the
+//! masks keep is dropped unread when the conjuncts share no bit in its own
+//! arrays. Only runs under two or more predicates can move, and each moved
+//! row says why beside it; the 0- and 1-predicate rows are the capture
+//! above, byte for byte.
 //!
-//! PR 28 finished the fix-up lazily (`keep`'s subtree check,
+//! The fix-up was then finished lazily (the pop-time subtree check,
 //! `store::fix_up`): a popped node is read only if the conjuncts'
 //! intersected subtree under it is non-empty, checked recursively down to
 //! the leaf level and memoised per node. Again only the 2- and 3-predicate rows and the saved lists of
@@ -33,17 +34,11 @@
 //! lazy-load moments (which cursor is consulted for which child) show in the
 //! `sig` / `bptree` / `partials` columns rather than rounding to one page.
 
-use pcube::core::{
-    DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, PriorityGraph,
-    QueryClass, QueryStats, SavedState, SkylineClass, SubspaceSkylineClass, TopKClass,
-};
-use pcube::cube::{Predicate, Selection};
-use pcube::data::{sample_selection, synthetic, Distribution, SyntheticSpec};
-use pcube::storage::IoCategory;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+#[path = "support/kernel_fixture.rs"]
+mod fixture;
 
-const CLASSES: [&str; 6] = ["topk", "skyline", "dynamic", "hull", "pskyline", "subspace"];
+use pcube::core::{PCubeDb, QueryStats};
+use pcube::storage::IoCategory;
 
 /// `[rtree, sig, bptree, tuple, heap-scan reads, partials_loaded,
 /// nodes_expanded, peak_heap]` per query, in predicates-major,
@@ -105,22 +100,6 @@ const EXPECTED_LISTS: &[[usize; 2]] = &[
     [168, 2710], // skyline roll-up:    168 = 168, 3139 → 2710
 ];
 
-fn build_db() -> PCubeDb {
-    let spec = SyntheticSpec {
-        n_tuples: 20_000,
-        n_bool: 3,
-        n_pref: 3,
-        cardinality: 8,
-        distribution: Distribution::Uniform,
-        seed: 12,
-    };
-    let cfg = PCubeConfig {
-        page_size: 1024,
-        ..PCubeConfig::default()
-    };
-    PCubeDb::build(synthetic(&spec), &cfg)
-}
-
 fn row(stats: &QueryStats) -> [u64; 8] {
     [
         stats.io.reads(IoCategory::RtreeBlock),
@@ -134,84 +113,21 @@ fn row(stats: &QueryStats) -> [u64; 8] {
     ]
 }
 
-/// Runs the 24 fixed queries and hands each one's statistics to `record`.
-fn for_each_query(db: &PCubeDb, mut record: impl FnMut(&'static str, QueryStats)) {
-    let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
-    let graph = PriorityGraph::new(vec![0, 1, 2], &[(0, 1)]).expect("acyclic");
-    let mut rng = StdRng::seed_from_u64(1208);
-    for n_preds in 0..=3usize {
-        for class in CLASSES {
-            let sel = sample_selection(db.relation(), n_preds, &mut rng);
-            let stats = match class {
-                "topk" => db.run(&sel, &TopKClass::new(10, &f)).stats,
-                "skyline" => db.run(&sel, &SkylineClass::new(vec![0, 1, 2])).stats,
-                "dynamic" => {
-                    db.run(
-                        &sel,
-                        &DynamicSkylineClass::new(&[0.4, 0.6, 0.5], vec![0, 1, 2]),
-                    )
-                    .stats
-                }
-                "hull" => db.run(&sel, &HullClass::new((0, 2))).stats,
-                "pskyline" => db.run(&sel, &PSkylineClass::new(graph.clone())).stats,
-                "subspace" => db.run(&sel, &SubspaceSkylineClass::new(vec![1, 2])).stats,
-                other => unreachable!("unknown class {other}"),
-            };
-            record(class, stats);
-        }
-    }
-}
-
 fn query_rows(db: &PCubeDb) -> Vec<[u64; 8]> {
     let mut rows = Vec::new();
-    for_each_query(db, |_, stats| rows.push(row(&stats)));
+    fixture::for_each_query(db, |_, _, stats| rows.push(row(&stats)));
     rows
 }
 
-/// A predicate on `dim` taken from an existing row, so drill-downs keep
-/// matching something.
-fn predicate_on(db: &PCubeDb, dim: usize, tid: u64) -> Predicate {
-    Predicate {
-        dim,
-        value: db.relation().bool_code(tid, dim),
-    }
-}
-
-fn list_lengths<C: QueryClass>(state: &SavedState<'_, C>) -> [usize; 2] {
-    [state.b_list_len(), state.d_list_len()]
-}
-
 fn saved_list_lengths(db: &PCubeDb) -> Vec<[usize; 2]> {
-    let f = LinearFn::new(vec![0.5, 0.3, 0.2]);
-    let top10 = TopKClass::new(10, &f);
-    let skyline = SkylineClass::new(vec![0, 1, 2]);
-    let mut rng = StdRng::seed_from_u64(1209);
     let mut lens = Vec::new();
-    for n_preds in 0..=3usize {
-        let sel = sample_selection(db.relation(), n_preds, &mut rng);
-        lens.push(list_lengths(&db.run_resumable(&sel, &top10).1));
-        lens.push(list_lengths(&db.run_resumable(&sel, &skyline).1));
-    }
-    // Restored entries: a drill-down re-probes the old result and d_list at
-    // pop time, a roll-up the old b_list — the full-path probe the kernel
-    // keeps for entries that did not come from the expansion before them.
-    let base: Selection = vec![predicate_on(db, 0, 77)];
-    let (_, top) = db.run_resumable(&base, &top10);
-    let (_, drilled) = db.drill_down(top, predicate_on(db, 1, 77));
-    lens.push(list_lengths(&drilled));
-    let (_, rolled) = db.roll_up(drilled, 0);
-    lens.push(list_lengths(&rolled));
-    let (_, sky) = db.run_resumable(&base, &skyline);
-    let (_, drilled) = db.drill_down(sky, predicate_on(db, 2, 77));
-    lens.push(list_lengths(&drilled));
-    let (_, rolled) = db.roll_up(drilled, 0);
-    lens.push(list_lengths(&rolled));
+    fixture::for_each_resumable(db, |_, lists| lens.push(lists));
     lens
 }
 
 #[test]
 fn kernel_counters_match_the_pre_rewrite_capture() {
-    let db = build_db();
+    let db = fixture::build_db();
     let rows = query_rows(&db);
     assert_eq!(
         rows.as_slice(),
@@ -232,7 +148,7 @@ fn kernel_counters_match_the_pre_rewrite_capture() {
 
 #[test]
 fn saved_list_lengths_match_the_pre_rewrite_capture() {
-    let db = build_db();
+    let db = fixture::build_db();
     let lens = saved_list_lengths(&db);
     assert_eq!(
         lens.as_slice(),
@@ -252,19 +168,19 @@ fn saved_list_lengths_match_the_pre_rewrite_capture() {
 /// hull's stages summed to 59 % of its run.
 #[test]
 fn serial_stage_times_sum_to_the_run() {
-    let db = build_db();
+    let db = fixture::build_db();
     // A stretch outside every clock is a few instructions long, but a
     // preemption that lands in one is charged to it: the sum is over all 24
     // queries, and the best of three passes counts.
     let mut best: Vec<(&str, f64)> = Vec::new();
     for _ in 0..3 {
-        let mut sums = [(0.0, 0.0); CLASSES.len()];
-        for_each_query(&db, |class, stats| {
-            let at = CLASSES.iter().position(|&c| c == class).expect("listed");
+        let mut sums = [(0.0, 0.0); fixture::CLASSES.len()];
+        fixture::for_each_query(&db, |_, class, stats| {
+            let at = fixture::CLASSES.iter().position(|&c| c == class).expect("listed");
             sums[at].0 += stats.stages.total_seconds();
             sums[at].1 += stats.cpu_seconds;
         });
-        let shares = CLASSES.iter().zip(sums).map(|(&c, (staged, cpu))| (c, staged / cpu));
+        let shares = fixture::CLASSES.iter().zip(sums).map(|(&c, (staged, cpu))| (c, staged / cpu));
         best = match best.is_empty() {
             true => shares.collect(),
             false => shares.zip(&best).map(|((c, new), &(_, old))| (c, new.max(old))).collect(),

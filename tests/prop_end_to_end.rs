@@ -3,45 +3,16 @@
 //! must always equal brute force, and materialized signatures must always
 //! equal a from-scratch rebuild.
 
+#[path = "support/rows.rs"]
+mod rows;
+
 use pcube::baselines::reference::{bnl_skyline, naive_topk};
-use pcube::core::{
-    LinearFn, PCubeConfig, PCubeDb, Signature, SkylineClass, TopKClass,
-};
-use pcube::cube::{group_by, Predicate, Relation, Schema, Selection};
+use pcube::core::{LinearFn, PCubeDb, Signature, SkylineClass, TopKClass};
+use pcube::cube::{group_by, Predicate, Selection};
 use pcube::rtree::Path;
 use proptest::prelude::*;
+use rows::{arb_rows, db_from, Row};
 use std::collections::HashMap;
-
-#[derive(Debug, Clone)]
-struct Row {
-    codes: Vec<u32>,
-    coords: Vec<f64>,
-}
-
-fn arb_rows(n_bool: usize, n_pref: usize, max_rows: usize) -> impl Strategy<Value = Vec<Row>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(0u32..4, n_bool..=n_bool),
-            prop::collection::vec(0.0f64..1.0, n_pref..=n_pref),
-        )
-            .prop_map(|(codes, coords)| Row { codes, coords }),
-        1..max_rows,
-    )
-}
-
-fn db_from(rows: &[Row], n_bool: usize, n_pref: usize) -> PCubeDb {
-    let bool_names: Vec<String> = (0..n_bool).map(|i| format!("A{i}")).collect();
-    let pref_names: Vec<String> = (0..n_pref).map(|i| format!("N{i}")).collect();
-    let schema = Schema::new(
-        &bool_names.iter().map(String::as_str).collect::<Vec<_>>(),
-        &pref_names.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let mut relation = Relation::new(schema);
-    for r in rows {
-        relation.push_coded(&r.codes, &r.coords);
-    }
-    PCubeDb::build(relation, &PCubeConfig::default())
-}
 
 fn assert_signatures_match_rebuild(db: &PCubeDb) {
     let mut paths: HashMap<u64, Path> = HashMap::new();

@@ -9,22 +9,17 @@
 //! sweep (CI runs 16). `PCUBE_SCRUB_REPORT` writes the last scrub's JSON
 //! report for the CI artifact.
 
+#[path = "support/battery.rs"]
+mod battery;
+#[path = "support/durable.rs"]
+mod durable;
+
+use battery::{answers, damage_seeds};
+use durable::seed_relation;
 use pcube::prelude::*;
 
 const SEED_ROWS: usize = 120;
 const N_TXNS: usize = 6;
-
-fn seed_relation() -> Relation {
-    let mut r = Relation::new(Schema::new(&["A", "B"], &["x", "y"]));
-    let vals_a = ["a1", "a2", "a3"];
-    let vals_b = ["b1", "b2"];
-    for i in 0..SEED_ROWS {
-        let x = (i as f64 * 0.3771).fract();
-        let y = (i as f64 * 0.6113 + 0.131).fract();
-        r.push(&[vals_a[i % 3], vals_b[i % 2]], &[x, y]);
-    }
-    r
-}
 
 /// The deterministic maintenance script both the subject and the oracle run.
 fn script() -> Vec<Vec<MaintenanceOp>> {
@@ -53,8 +48,8 @@ fn script() -> Vec<Vec<MaintenanceOp>> {
 /// A durable database that ran the script, with per-page checksums armed on
 /// the signature pager (so silent bit rot is *detectable*).
 fn build_subject() -> DurableDb {
-    let mut db =
-        DurableDb::create(seed_relation(), &PCubeConfig::default(), DurabilityOptions::default());
+    let (cfg, opts) = (PCubeConfig::default(), DurabilityOptions::default());
+    let mut db = DurableDb::create(seed_relation(SEED_ROWS), &cfg, opts);
     for ops in script() {
         db.apply(&ops).expect("script applies cleanly");
     }
@@ -64,7 +59,7 @@ fn build_subject() -> DurableDb {
 
 /// The never-corrupted oracle: same seed, same script, no damage.
 fn oracle() -> PCubeDb {
-    let mut db = PCubeDb::build(seed_relation(), &PCubeConfig::default());
+    let mut db = PCubeDb::build(seed_relation(SEED_ROWS), &PCubeConfig::default());
     for ops in script() {
         for op in &ops {
             match op {
@@ -95,47 +90,12 @@ fn rot_every_signature_page(db: &mut DurableDb, seed: u64) -> usize {
     pages.len()
 }
 
-/// Every acceptance query family, answered exactly — the same differential
-/// battery as the crash matrix.
-fn answers(db: &PCubeDb) -> Vec<Vec<(u64, Vec<f64>)>> {
-    let selections: [Selection; 2] = [Vec::new(), vec![Predicate { dim: 0, value: 1 }]];
-    let f = MinCoordSum::new(vec![0, 1]);
-    let mut out = Vec::new();
-    for sel in &selections {
-        out.push(db.run(sel, &SkylineClass::new(vec![0, 1])).rows);
-        out.push(
-            db.run(sel, &TopKClass::new(5, &f))
-                .rows
-                .into_iter()
-                .map(|(tid, coords, score)| {
-                    let mut c = coords;
-                    c.push(score);
-                    (tid, c)
-                })
-                .collect(),
-        );
-        out.push(db.run(sel, &DynamicSkylineClass::new(&[0.45, 0.55], vec![0, 1])).rows);
-        out.push(
-            db.run(sel, &HullClass::new((0, 1)))
-                .rows
-                .into_iter()
-                .map(|(tid, xy)| (tid, xy.to_vec()))
-                .collect(),
-        );
-    }
-    out
-}
-
 /// Block reads charged by one warm run of the query battery.
 fn battery_reads(db: &PCubeDb) -> u64 {
     answers(db); // warm any caches so the measured run is steady-state
     let before = db.stats().snapshot();
     answers(db);
     db.stats().snapshot().since(&before).total_reads()
-}
-
-fn damage_seeds() -> u64 {
-    std::env::var("PCUBE_DAMAGE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
 }
 
 // ------------------------------------------------------- the healing story --
@@ -145,7 +105,7 @@ fn bit_rot_in_every_signature_page_is_survived_found_and_healed() {
     let want = answers(&oracle());
     let mut last_report_json = String::new();
 
-    for seed in 1..=damage_seeds() {
+    for seed in 1..=damage_seeds(4) {
         let mut db = build_subject();
         let clean_reads = battery_reads(db.db());
         let damaged = rot_every_signature_page(&mut db, seed);

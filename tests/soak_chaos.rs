@@ -19,17 +19,17 @@
 //!   guarantee `overshoot_seconds <= max_pop_seconds`, asserted on every
 //!   deadline trip.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pcube::core::{
-    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, ParallelOptions, QueryBudget, QueryOutcome,
-    StopReason,
+    AdmissionGate, CancelToken, PCubeConfig, PCubeDb, ParallelOptions, QueryBudget, StopReason,
 };
 use pcube::data::{synthetic, SyntheticSpec};
-use pcube::storage::{Counter, FaultPlan};
-use pcube_bench::mix::{drain, mix, Case, Row};
+use pcube::storage::Counter;
+use pcube_bench::mix::{drain, Case, Row};
+use pcube_bench::soak::{arm_faults, audit, cases, Tally};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,29 +78,6 @@ fn governance_for(i: usize, rng: &mut StdRng) -> Governance {
                 _ => QueryBudget::unlimited().with_block_budget(rng.gen_range(1..=40)),
             },
         },
-    }
-}
-
-/// Tallies across the whole soak, checked at the end.
-#[derive(Default)]
-struct Tally {
-    complete: AtomicU64,
-    deadline: AtomicU64,
-    blocks: AtomicU64,
-    heap: AtomicU64,
-    cancelled: AtomicU64,
-}
-
-impl Tally {
-    fn record(&self, outcome: &QueryOutcome) {
-        let counter = match outcome.partial_reason() {
-            None => &self.complete,
-            Some(StopReason::DeadlineExceeded) => &self.deadline,
-            Some(StopReason::BlockBudgetExceeded) => &self.blocks,
-            Some(StopReason::HeapCapExceeded) => &self.heap,
-            Some(StopReason::Cancelled) => &self.cancelled,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -193,16 +170,11 @@ fn run_one(
     // the rule its own rustdoc states.
     let out = case.run(db, ParallelOptions { workers, budget, cancel });
     let kind = case.kind();
-    case.check_progress(&out.stats, out.rows.len(), serial)
-        .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
-    match &out.stats.outcome {
-        QueryOutcome::Complete => assert_eq!(&out.rows, oracle, "query {i}: complete {kind}"),
-        QueryOutcome::Partial { reason, .. } => {
-            assert_reason_allowed(i, *reason, &allowed);
-            case.check_partial(db, &out.rows, oracle, serial)
-                .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
-        }
+    if let Some(reason) = out.stats.outcome.partial_reason() {
+        assert_reason_allowed(i, reason, &allowed);
     }
+    audit(db, case, oracle, &out, serial)
+        .unwrap_or_else(|why| panic!("query {i} ({kind}): {why}"));
     tally.record(&out.stats.outcome);
     drop(permit);
     if let Some(h) = canceller {
@@ -242,20 +214,8 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     let mut db = PCubeDb::build(synthetic(&spec), &PCubeConfig::default());
 
     // Oracles come from the clean database; faults are installed after.
-    let cases: Vec<(Case, Vec<Row>)> = mix(db.relation(), DISTINCT_CASES, 7)
-        .into_iter()
-        .map(|case| {
-            let oracle = case.run(&db, ParallelOptions::default()).rows;
-            (case, oracle)
-        })
-        .collect();
-
-    db.signature_store_mut()
-        .sig_pager_mut()
-        .set_fault_plan(FaultPlan::seeded(0xC4A0).with_read_errors(0.3));
-    db.signature_store_mut()
-        .dir_pager_mut()
-        .set_fault_plan(FaultPlan::seeded(0x0D1E).with_read_errors(0.2));
+    let cases = cases(&db, DISTINCT_CASES, 7);
+    arm_faults(&mut db, 0);
     let gate = AdmissionGate::new(THREADS - 2, Duration::from_secs(60));
 
     let tally = Tally::default();
@@ -269,11 +229,7 @@ fn soak_mixed_queries_under_faults_budgets_and_cancels() {
     assert_eq!(gate.in_flight(), 0, "all permits released");
 
     // The mix must actually have exercised every lifecycle path.
-    let complete = tally.complete.load(Ordering::Relaxed);
-    let deadline = tally.deadline.load(Ordering::Relaxed);
-    let blocks = tally.blocks.load(Ordering::Relaxed);
-    let heap = tally.heap.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
+    let [complete, deadline, blocks, heap, cancelled] = tally.counts();
     assert_eq!(
         complete + deadline + blocks + heap + cancelled,
         TOTAL_QUERIES as u64,

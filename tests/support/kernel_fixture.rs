@@ -1,8 +1,9 @@
 //! The kernel suites' fixture: one seeded 20k-row table on 1 KB pages, the
 //! 24 fixed queries (six classes × 0–3 predicates) through the serial
 //! `db.run`, and the resumable runs (`run_resumable` / `drill_down` /
-//! `roll_up`). Included (`#[path]`) by `kernel_work.rs`; it is the fixture
-//! `kernel_counters.rs` pins its counts on, query for query.
+//! `roll_up`). Included (`#[path]`) by `kernel_counters.rs`, which pins its
+//! block counts and saved lists, and by `kernel_work.rs`, which pins its work
+//! counts, query for query.
 
 use pcube::core::{
     DynamicSkylineClass, HullClass, LinearFn, PCubeConfig, PCubeDb, PSkylineClass, PriorityGraph,
@@ -14,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The six classes, in the order each predicate count runs them.
-const CLASSES: [&str; 6] = ["topk", "skyline", "dynamic", "hull", "pskyline", "subspace"];
+pub const CLASSES: [&str; 6] = ["topk", "skyline", "dynamic", "hull", "pskyline", "subspace"];
 
 /// 20k uniform rows, three boolean dimensions of cardinality 8, three
 /// preference dimensions; 1 KB pages make every cell's signature span
