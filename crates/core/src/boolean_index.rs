@@ -155,6 +155,12 @@ impl BooleanIndexSet {
         self.value_counts[dim].get(&value).copied().unwrap_or(0)
     }
 
+    /// The B+-trees, one per boolean dimension (their pages are what
+    /// `tests/build_image.rs` pins).
+    pub fn trees(&self) -> &[BPlusTree] {
+        &self.trees
+    }
+
     /// Total bytes of all index pages (the Fig 6 "B-tree" series).
     pub fn size_bytes(&self) -> u64 {
         self.trees.iter().map(|t| t.pager().size_bytes()).sum()
