@@ -283,23 +283,22 @@ fn fig5_construction(scale: &Scale, seed: u64) {
         let spec = default_spec(t, seed);
         let relation = synthetic(&spec);
         let stats = IoStats::new_shared();
-        let items: Vec<(u64, Vec<f64>)> =
-            (0..relation.len() as u64).map(|i| (i, relation.pref_coords(i))).collect();
+        let (tids, coords) = relation.live_points();
 
         // R-tree by one-at-a-time insertion (the paper's construction).
         let started = Instant::now();
         let pager = Pager::new(PAGE_SIZE, IoCategory::RtreeBlock, stats.clone());
         let cfg = RTreeConfig::for_page(spec.n_pref, PAGE_SIZE);
         let mut rtree_ins = RTree::new(pager, cfg);
-        for (tid, coords) in &items {
-            rtree_ins.insert(*tid, coords);
+        for (&tid, point) in tids.iter().zip(coords.chunks_exact(spec.n_pref)) {
+            rtree_ins.insert(tid, point);
         }
         let rtree_seconds = started.elapsed().as_secs_f64();
 
         // STR bulk load, for reference.
         let started = Instant::now();
         let pager = Pager::new(PAGE_SIZE, IoCategory::RtreeBlock, stats.clone());
-        let rtree = RTree::bulk_load(pager, cfg, items, 1.0);
+        let rtree = RTree::bulk_load_points(pager, cfg, &tids, &coords, 1.0);
         let str_seconds = started.elapsed().as_secs_f64();
 
         // P-Cube: signatures over the existing partition.

@@ -95,9 +95,12 @@ impl BPlusTree {
         let per_leaf = ((node::leaf_capacity(pager.page_size()) as f64 * fill) as usize).max(1);
         let per_internal = ((node::internal_capacity(pager.page_size()) as f64 * fill) as usize).max(2);
 
-        // Build the leaf level.
+        // Build the leaf level. A full leaf is written once the next key
+        // arrives: its successor is allocated first, so the leaf goes out
+        // chained and is never read back.
         let mut page = vec![0u8; pager.page_size()];
         node::init_leaf(&mut page);
+        let mut pid = pager.allocate();
         let mut in_page = 0usize;
         let mut len = 0u64;
         let mut last_key: Option<u64> = None;
@@ -110,11 +113,13 @@ impl BPlusTree {
             }
             last_key = Some(key);
             if in_page == per_leaf {
-                let pid = pager.allocate();
+                let next = pager.allocate();
+                node::set_next_leaf(&mut page, next);
                 node::set_count(&mut page, in_page);
                 pager.write(pid, &page);
                 level.push((first_key_in_page, pid));
                 node::init_leaf(&mut page);
+                pid = next;
                 in_page = 0;
             }
             if in_page == 0 {
@@ -124,17 +129,10 @@ impl BPlusTree {
             in_page += 1;
             len += 1;
         }
-        // Flush the final (possibly empty) leaf.
-        let pid = pager.allocate();
+        // Flush the final (possibly empty) leaf, the end of the chain.
         node::set_count(&mut page, in_page);
         pager.write(pid, &page);
         level.push((first_key_in_page, pid));
-        // Chain the leaves.
-        for w in level.windows(2) {
-            let (_, left) = w[0];
-            let (_, right) = w[1];
-            pager.update(left, |p| node::set_next_leaf(p, right));
-        }
 
         // Build internal levels bottom-up.
         let mut height = 1usize;
@@ -694,6 +692,27 @@ mod tests {
         let t = BPlusTree::bulk_load(pager, [(7u64, 8u64)], 0.5);
         assert_eq!(t.get(7), Some(8));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn bulk_load_writes_every_page_once_and_reads_none() {
+        let stats = IoStats::new_shared();
+        let pager = Pager::new(4096, IoCategory::BptreePage, stats.clone());
+        let entries: Vec<(u64, u64)> = (0..100_000u64).map(|k| (k * 2, k)).collect();
+        let t = BPlusTree::bulk_load(pager, entries.iter().copied(), 1.0);
+        let pages = t.pager().live_pages() as u64;
+        assert_eq!(pages, 396);
+        assert_eq!(stats.writes(IoCategory::BptreePage), pages);
+        assert_eq!(stats.reads(IoCategory::BptreePage), 0);
+        // The leaves are pages 0.. in key order, each chained to the next.
+        let leaves = entries.len().div_ceil(t.leaf_capacity()) as u32;
+        for pid in 0..leaves {
+            let page = t.pager().page_bytes(PageId(pid)).expect("a live leaf");
+            assert_eq!(node::node_type(page), TYPE_LEAF);
+            let next = if pid + 1 == leaves { PageId::INVALID } else { PageId(pid + 1) };
+            assert_eq!(node::next_leaf(page), next, "leaf {pid}");
+        }
+        assert_eq!(t.iter().collect::<Vec<_>>(), entries);
     }
 
     #[test]

@@ -324,11 +324,11 @@ impl PCubeDb {
         relation.attach_stats(stats.clone());
         let rtree_pager = Pager::new(config.page_size, IoCategory::RtreeBlock, stats.clone());
         let rtree_cfg = RTreeConfig::for_page(relation.schema().n_pref(), config.page_size);
-        let items: Vec<(u64, Vec<f64>)> = (0..relation.len() as u64)
-            .filter(|&t| relation.is_live(t))
-            .map(|t| (t, relation.pref_coords(t)))
-            .collect();
-        let rtree = RTree::bulk_load(rtree_pager, rtree_cfg, items, config.rtree_fill);
+        // The flat points go before the cube is generated.
+        let rtree = {
+            let (tids, coords) = relation.live_points();
+            RTree::bulk_load_points(rtree_pager, rtree_cfg, &tids, &coords, config.rtree_fill)
+        };
         let pcube = PCube::build(&relation, &rtree, &config.plan, config.page_size, stats.clone());
         PCubeDb::from_parts(relation, rtree, pcube, stats)
     }

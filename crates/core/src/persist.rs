@@ -375,17 +375,16 @@ fn read_relation_payload(r: &mut Reader<'_>) -> Result<Relation, PersistError> {
             col.push(r.f64()?);
         }
     }
-    let mut codes = vec![0u32; n_bool];
-    let mut coords = vec![0f64; n_pref];
-    for row in 0..n_rows {
-        for (d, c) in codes.iter_mut().enumerate() {
-            *c = bool_cols[d][row];
+    let mut row = 0;
+    relation.append_rows(n_rows, |codes, coords| {
+        for (c, col) in codes.iter_mut().zip(&bool_cols) {
+            *c = col[row];
         }
-        for (d, x) in coords.iter_mut().enumerate() {
-            *x = pref_cols[d][row];
+        for (x, col) in coords.iter_mut().zip(&pref_cols) {
+            *x = col[row];
         }
-        relation.push_coded(&codes, &coords);
-    }
+        row += 1;
+    });
     Ok(relation)
 }
 

@@ -204,44 +204,60 @@ pub fn group_by(relation: &Relation, mask: CuboidMask) -> Vec<(CellKey, Vec<u64>
 ///
 /// The rows are bucketed by dictionary code, one stable pass per dimension
 /// from the last to the first: no key is allocated per row and nothing is
-/// hashed.
+/// hashed. Each pass reads its dimension's column once and ranks the rows
+/// on the dimensions sorted so far, so the last pass's ranks are the cells:
+/// a cell's values are read once, from its first row.
 ///
 /// # Panics
 /// Panics if there are more than `u32::MAX` rows.
 pub fn group_rows(relation: &Relation, mask: CuboidMask, rows: &[u64]) -> Vec<(CellKey, Vec<u64>)> {
     let dims = mask.dims();
     let n_rows = u32::try_from(rows.len()).expect("more rows than a u32 counts");
-    // Positions in `rows`: half the bytes of a tid to move through each pass.
-    let mut order: Vec<u32> = (0..n_rows).collect();
+    // `(code, (position in rows, rank))`: a position is half the bytes of a
+    // tid to move through each pass.
+    let mut keyed: Vec<(u32, (u32, u32))> = (0..n_rows).map(|at| (0, (at, 0))).collect();
+    let mut scratch = Vec::new();
     for &dim in dims.iter().rev() {
-        sort_by_code(&mut order, |at| relation.bool_code(rows[at as usize], dim));
+        for (code, (at, _)) in keyed.iter_mut() {
+            *code = relation.bool_code(rows[*at as usize], dim);
+        }
+        sort_by_code(&mut keyed, &mut scratch);
+        // Equal `(code, rank on the later dims)` pairs now sit together, in
+        // ascending order: number them.
+        let mut prev = keyed.first().map(|&(code, (_, rank))| (code, rank));
+        let mut cell = 0u32;
+        for (code, (_, rank)) in keyed.iter_mut() {
+            if prev != Some((*code, *rank)) {
+                prev = Some((*code, *rank));
+                cell += 1;
+            }
+            *rank = cell;
+        }
     }
-    let values =
-        |at: u32| dims.iter().map(move |&dim| relation.bool_code(rows[at as usize], dim));
-    order
-        .chunk_by(|&a, &b| values(a).eq(values(b)))
+    keyed
+        .chunk_by(|(_, (_, a)), (_, (_, b))| a == b)
         .map(|cell| {
-            let key = CellKey { mask, values: values(cell[0]).collect() };
-            (key, cell.iter().map(|&at| rows[at as usize]).collect())
+            let first = rows[cell[0].1 .0 as usize];
+            let values = dims.iter().map(|&dim| relation.bool_code(first, dim)).collect();
+            (CellKey { mask, values }, cell.iter().map(|&(_, (at, _))| rows[at as usize]).collect())
         })
         .collect()
 }
 
-/// Stable sort of `order` by a `u32` code of each element: a byte-wise radix
-/// sort, least significant byte first. A byte all codes agree on (the three
-/// upper ones of any dictionary below 256 values) costs no pass.
-fn sort_by_code(order: &mut [u32], code: impl Fn(u32) -> u32) {
-    let mut keyed: Vec<(u32, u32)> = order.iter().map(|&at| (code(at), at)).collect();
+/// Stable sort of `keyed` by its `u32` codes: a byte-wise radix sort,
+/// least significant byte first, through `scratch`. A byte all codes agree
+/// on (the three upper ones of any dictionary below 256 values) costs no
+/// pass.
+fn sort_by_code<T: Copy>(keyed: &mut Vec<(u32, T)>, scratch: &mut Vec<(u32, T)>) {
     let byte = |key: u32, b: usize| (key >> (8 * b)) as usize & 0xFF;
     // A byte's histogram does not depend on the order the earlier passes
     // leave, so all four are counted in one read.
     let mut counts = [[0usize; 256]; 4];
-    for &(key, _) in &keyed {
+    for &(key, _) in keyed.iter() {
         for (b, counts) in counts.iter_mut().enumerate() {
             counts[byte(key, b)] += 1;
         }
     }
-    let mut moved = keyed.clone();
     for (b, counts) in counts.iter_mut().enumerate() {
         if counts.contains(&keyed.len()) {
             continue;
@@ -251,15 +267,15 @@ fn sort_by_code(order: &mut [u32], code: impl Fn(u32) -> u32) {
         for count in counts.iter_mut() {
             start += std::mem::replace(count, start);
         }
-        for &(key, at) in &keyed {
+        if scratch.len() != keyed.len() {
+            scratch.clone_from(keyed);
+        }
+        for &(key, item) in keyed.iter() {
             let to = &mut counts[byte(key, b)];
-            moved[*to] = (key, at);
+            scratch[*to] = (key, item);
             *to += 1;
         }
-        std::mem::swap(&mut keyed, &mut moved);
-    }
-    for (slot, (_, at)) in order.iter_mut().zip(keyed) {
-        *slot = at;
+        std::mem::swap(keyed, scratch);
     }
 }
 
@@ -403,11 +419,11 @@ mod tests {
     #[test]
     fn sort_by_code_is_stable_across_every_byte() {
         let codes = [70_000u32, 3, 256, 3, u32::MAX, 0, 256, 70_000, 1 << 24];
-        let mut order: Vec<u32> = (0..codes.len() as u32).collect();
-        sort_by_code(&mut order, |at| codes[at as usize]);
-        let mut expect: Vec<u32> = (0..codes.len() as u32).collect();
-        expect.sort_by_key(|&at| codes[at as usize]);
-        assert_eq!(order, expect);
+        let mut keyed: Vec<(u32, usize)> = codes.iter().copied().zip(0..).collect();
+        sort_by_code(&mut keyed, &mut Vec::new());
+        let mut expect: Vec<(u32, usize)> = codes.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|&(code, _)| code);
+        assert_eq!(keyed, expect);
     }
 
     #[test]

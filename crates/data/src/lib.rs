@@ -81,15 +81,12 @@ pub fn synthetic(spec: &SyntheticSpec) -> Relation {
     );
     let mut relation = Relation::new(schema);
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut bool_codes = vec![0u32; spec.n_bool];
-    let mut coords = vec![0f64; spec.n_pref];
-    for _ in 0..spec.n_tuples {
+    relation.append_rows(spec.n_tuples, |bool_codes, coords| {
         for c in bool_codes.iter_mut() {
             *c = rng.gen_range(0..spec.cardinality);
         }
-        sample_pref(&mut rng, spec.distribution, &mut coords);
-        relation.push_coded(&bool_codes, &coords);
-    }
+        sample_pref(&mut rng, spec.distribution, coords);
+    });
     relation
 }
 
@@ -118,14 +115,13 @@ pub fn sample_pref(rng: &mut StdRng, distribution: Distribution, out: &mut [f64]
                 * 0.25
                 + 0.5;
             let total = (total * d).clamp(0.0, d);
-            let mut weights: Vec<f64> =
-                out.iter().map(|_| -(1.0 - rng.gen::<f64>()).ln()).collect();
-            let sum: f64 = weights.iter().sum();
-            for w in weights.iter_mut() {
-                *w /= sum;
+            // The spacings are drawn into `out` and scaled in place.
+            for x in out.iter_mut() {
+                *x = -(1.0 - rng.gen::<f64>()).ln();
             }
-            for (x, w) in out.iter_mut().zip(&weights) {
-                *x = (w * total).clamp(0.0, 1.0 - f64::EPSILON);
+            let sum: f64 = out.iter().sum();
+            for x in out.iter_mut() {
+                *x = (*x / sum * total).clamp(0.0, 1.0 - f64::EPSILON);
             }
         }
     }
@@ -153,20 +149,17 @@ pub fn covertype_surrogate(rows: usize, seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
     let zipfs: Vec<Zipf> =
         COVERTYPE_BOOL_CARDINALITIES.iter().map(|&c| Zipf::new(c, 1.2)).collect();
-    let mut bool_codes = vec![0u32; 12];
-    let mut coords = vec![0f64; 3];
-    for _ in 0..rows {
+    relation.append_rows(rows, |bool_codes, coords| {
         for (c, z) in bool_codes.iter_mut().zip(&zipfs) {
             *c = z.sample(&mut rng);
         }
-        for (d, &card) in COVERTYPE_PREF_CARDINALITIES.iter().enumerate() {
+        for (x, &card) in coords.iter_mut().zip(&COVERTYPE_PREF_CARDINALITIES) {
             // Mildly bell-shaped quantitative attributes, quantized.
             let raw = (rng.gen::<f64>() + rng.gen::<f64>()) / 2.0;
             let q = (raw * f64::from(card)).floor().min(f64::from(card - 1));
-            coords[d] = q / f64::from(card);
+            *x = q / f64::from(card);
         }
-        relation.push_coded(&bool_codes, &coords);
-    }
+    });
     relation
 }
 

@@ -102,39 +102,65 @@ impl RTree {
 
     /// Bulk loads with Sort-Tile-Recursive packing, filling each node to
     /// `fill · M` entries (use `1.0` for a read-mostly tree, lower to leave
-    /// slack for subsequent inserts).
+    /// slack for subsequent inserts). A flatten-and-call of
+    /// [`RTree::bulk_load_points`].
     ///
     /// # Panics
     /// Panics if `fill` is out of `(0, 1]`, or any point has the wrong
     /// dimensionality or a coordinate that is not finite.
     pub fn bulk_load(
-        mut pager: Pager,
+        pager: Pager,
         config: RTreeConfig,
         items: Vec<(u64, Vec<f64>)>,
         fill: f64,
     ) -> Self {
-        assert!(fill > 0.0 && fill <= 1.0, "fill factor must be in (0,1]");
-        let layout = Layout::new(config.dims, config.m_max, pager.page_size());
-        let cap = ((config.m_max as f64 * fill) as usize).clamp(config.m_min.max(1), config.m_max);
-        for (_, coords) in &items {
-            assert_point(coords, config.dims);
+        let mut tids = Vec::with_capacity(items.len());
+        let mut coords = Vec::with_capacity(items.len() * config.dims);
+        for (tid, point) in &items {
+            assert_point(point, config.dims);
+            tids.push(*tid);
+            coords.extend_from_slice(point);
         }
-        if items.is_empty() {
+        RTree::bulk_load_points(pager, config, &tids, &coords, fill)
+    }
+
+    /// [`RTree::bulk_load`] over one flat point set: tuple `tids[i]` at
+    /// `coords[i * dims..][..dims]`. Leaves are packed in [`str_order`],
+    /// and each upper level in the STR order of its children's centres.
+    ///
+    /// # Panics
+    /// Panics if `fill` is out of `(0, 1]`, `coords` does not hold `dims`
+    /// coordinates per tid, a coordinate is not finite, or there are more
+    /// than `u32::MAX` points.
+    pub fn bulk_load_points(
+        mut pager: Pager,
+        config: RTreeConfig,
+        tids: &[u64],
+        coords: &[f64],
+        fill: f64,
+    ) -> Self {
+        assert!(fill > 0.0 && fill <= 1.0, "fill factor must be in (0,1]");
+        let dims = config.dims;
+        assert_eq!(coords.len(), tids.len() * dims, "point dimensionality mismatch");
+        if let Some(at) = coords.iter().position(|c| !c.is_finite()) {
+            panic!("non-finite coordinate {} in point {}", coords[at], at / dims);
+        }
+        if tids.is_empty() {
             return RTree::new(pager, config);
         }
-        let len = items.len() as u64;
+        let layout = Layout::new(dims, config.m_max, pager.page_size());
+        let cap = ((config.m_max as f64 * fill) as usize).clamp(config.m_min.max(1), config.m_max);
 
         // Pack the leaf level.
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        str_order(&mut order, &|i, d| items[i].1[d], config.dims, cap);
         let mut level: Vec<(PageId, Mbr)> = Vec::new();
         let mut page = vec![0u8; pager.page_size()];
-        for chunk in order.chunks(cap) {
+        for chunk in str_order(coords, dims, cap).chunks(cap) {
             node::init_node(&mut page, true);
-            let mut mbr = Mbr::empty(config.dims);
+            let mut mbr = Mbr::empty(dims);
             for (slot, &i) in chunk.iter().enumerate() {
-                node::write_leaf_entry(&mut page, &layout, slot, items[i].0, &items[i].1);
-                mbr.expand_point(&items[i].1);
+                let point = &coords[i as usize * dims..][..dims];
+                node::write_leaf_entry(&mut page, &layout, slot, tids[i as usize], point);
+                mbr.expand_point(point);
             }
             let pid = pager.allocate();
             pager.write(pid, &page);
@@ -145,19 +171,18 @@ impl RTree {
         let mut height = 1usize;
         while level.len() > 1 {
             height += 1;
-            let centers: Vec<Vec<f64>> = level
+            let centers: Vec<f64> = level
                 .iter()
-                .map(|(_, m)| (0..config.dims).map(|d| (m.min[d] + m.max[d]) / 2.0).collect())
+                .flat_map(|(_, m)| (0..dims).map(|d| (m.min[d] + m.max[d]) / 2.0))
                 .collect();
-            let mut order: Vec<usize> = (0..level.len()).collect();
-            str_order(&mut order, &|i, d| centers[i][d], config.dims, cap);
             let mut upper: Vec<(PageId, Mbr)> = Vec::new();
-            for chunk in order.chunks(cap) {
+            for chunk in str_order(&centers, dims, cap).chunks(cap) {
                 node::init_node(&mut page, false);
-                let mut mbr = Mbr::empty(config.dims);
+                let mut mbr = Mbr::empty(dims);
                 for (slot, &i) in chunk.iter().enumerate() {
-                    node::write_internal_entry(&mut page, &layout, slot, level[i].0, &level[i].1);
-                    mbr.expand(&level[i].1);
+                    let (child, child_mbr) = &level[i as usize];
+                    node::write_internal_entry(&mut page, &layout, slot, *child, child_mbr);
+                    mbr.expand(child_mbr);
                 }
                 let pid = pager.allocate();
                 pager.write(pid, &page);
@@ -168,7 +193,7 @@ impl RTree {
         // invariant: the while-loop above only exits with level.len() == 1,
         // and the empty-input case returned earlier.
         let root = level[0].0;
-        RTree { pager, layout, config, root, height, len }
+        RTree { pager, layout, config, root, height, len: tids.len() as u64 }
     }
 
     /// Structural metadata needed to re-open the tree over a deserialized
@@ -709,33 +734,70 @@ fn assert_point(coords: &[f64], dims: usize) {
     assert!(coords.iter().all(|c| c.is_finite()), "non-finite coordinate in {coords:?}");
 }
 
-/// Orders `idx` by Sort-Tile-Recursive tiling so that consecutive runs of
-/// `cap` indices form spatially coherent nodes.
-fn str_order(idx: &mut [usize], coord: &dyn Fn(usize, usize) -> f64, dims: usize, cap: usize) {
-    fn rec(idx: &mut [usize], coord: &dyn Fn(usize, usize) -> f64, d: usize, dims: usize, cap: usize) {
-        // total_cmp keeps the sort total even if NaN coordinates sneak in
-        // (they would previously collapse to Equal and scramble the order).
-        idx.sort_by(|&a, &b| coord(a, d).total_cmp(&coord(b, d)));
-        if d + 1 == dims {
-            return;
-        }
-        let n = idx.len();
-        let n_nodes = n.div_ceil(cap);
-        let remaining = dims - d;
-        let slabs = (n_nodes as f64).powf(1.0 / remaining as f64).ceil() as usize;
-        let slab_len = n.div_ceil(slabs.max(1));
-        if slab_len == 0 || slab_len >= n {
-            rec(idx, coord, d + 1, dims, cap);
-            return;
-        }
-        let mut start = 0;
-        while start < n {
-            let end = (start + slab_len).min(n);
-            rec(&mut idx[start..end], coord, d + 1, dims, cap);
-            start = end;
-        }
+/// The Sort-Tile-Recursive order of the points `coords` holds flat at
+/// stride `dims`: point indexes such that consecutive runs of `cap` form
+/// spatially coherent nodes. The points are sorted on dimension 0, cut into
+/// slabs, each slab sorted on dimension 1, and so on; a sort is stable —
+/// points that tie on its dimension keep the order they had — and compares
+/// coordinates as `f64::total_cmp` does (`-0.0` before `0.0`).
+///
+/// Each sort is an unstable sort of unique `(key, position in slab)` pairs,
+/// the key a `u64` whose order is `total_cmp`'s: equal to a stable sort by
+/// coordinate, without reading a coordinate per comparison.
+///
+/// # Panics
+/// Panics if there are more than `u32::MAX` points.
+pub fn str_order(coords: &[f64], dims: usize, cap: usize) -> Vec<u32> {
+    let n = u32::try_from(coords.len() / dims).expect("more points than a u32 counts");
+    let mut order: Vec<u32> = (0..n).collect();
+    let mut keyed = Vec::with_capacity(n as usize);
+    str_slab(&mut order, coords, 0, dims, cap, &mut keyed);
+    order
+}
+
+/// Sorts one slab of `str_order` on dimension `d` and recurses into its
+/// slabs on the next. `keyed` is scratch, `(key, position, point)`.
+fn str_slab(
+    slab: &mut [u32],
+    coords: &[f64],
+    d: usize,
+    dims: usize,
+    cap: usize,
+    keyed: &mut Vec<(u64, u32, u32)>,
+) {
+    keyed.clear();
+    let key = |i: u32| total_order_key(coords[i as usize * dims + d]);
+    keyed.extend((0u32..).zip(slab.iter()).map(|(at, &i)| (key(i), at, i)));
+    keyed.sort_unstable();
+    for (slot, &(_, _, i)) in slab.iter_mut().zip(keyed.iter()) {
+        *slot = i;
     }
-    rec(idx, coord, 0, dims, cap);
+    if d + 1 == dims {
+        return;
+    }
+    let n = slab.len();
+    let n_nodes = n.div_ceil(cap);
+    let remaining = dims - d;
+    let slabs = (n_nodes as f64).powf(1.0 / remaining as f64).ceil() as usize;
+    let slab_len = n.div_ceil(slabs.max(1));
+    if slab_len == 0 || slab_len >= n {
+        str_slab(slab, coords, d + 1, dims, cap, keyed);
+        return;
+    }
+    for part in slab.chunks_mut(slab_len) {
+        str_slab(part, coords, d + 1, dims, cap, keyed);
+    }
+}
+
+/// A `u64` whose unsigned order is `f64::total_cmp`'s: a negative float's
+/// bits inverted, a positive one's with the sign bit set.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 #[cfg(test)]

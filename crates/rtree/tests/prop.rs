@@ -1,18 +1,55 @@
 //! Property tests for the slotted R*-tree: structural invariants, content
 //! preservation, and — most importantly for P-Cube — exactness of the
-//! tracked path deltas under arbitrary insert/delete interleavings.
+//! tracked path deltas under arbitrary insert/delete interleavings — and
+//! the STR order of the bulk load against the definition it replaced.
 //!
 //! Runs are fully reproducible: the vendored proptest derives its RNG seed
 //! deterministically from the test's module path and name (override with
 //! `PROPTEST_SEED`), so every CI run replays the identical case sequence.
 
-use pcube_rtree::{Path, RTree, RTreeConfig};
+use pcube_rtree::{str_order, Path, RTree, RTreeConfig};
 use pcube_storage::{IoCategory, IoStats, Pager};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn arb_point(dims: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1.0, dims..=dims)
+}
+
+/// A coordinate on a coarse grid, so that points tie often; `-0.0` and
+/// `0.0` are two of its eight values.
+fn arb_grid_coord() -> impl Strategy<Value = f64> {
+    (0usize..8).prop_map(|i| [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0][i])
+}
+
+/// The STR order by its first definition: a stable `sort_by(total_cmp)` on
+/// one dimension, then the same on the next within each slab.
+fn reference_str_order(coords: &[f64], dims: usize, cap: usize) -> Vec<u32> {
+    fn rec(idx: &mut [u32], coords: &[f64], d: usize, dims: usize, cap: usize) {
+        let coord = |i: u32| coords[i as usize * dims + d];
+        idx.sort_by(|&a, &b| coord(a).total_cmp(&coord(b)));
+        if d + 1 == dims {
+            return;
+        }
+        let n = idx.len();
+        let n_nodes = n.div_ceil(cap);
+        let remaining = dims - d;
+        let slabs = (n_nodes as f64).powf(1.0 / remaining as f64).ceil() as usize;
+        let slab_len = n.div_ceil(slabs.max(1));
+        if slab_len == 0 || slab_len >= n {
+            rec(idx, coords, d + 1, dims, cap);
+            return;
+        }
+        let mut start = 0;
+        while start < n {
+            let end = (start + slab_len).min(n);
+            rec(&mut idx[start..end], coords, d + 1, dims, cap);
+            start = end;
+        }
+    }
+    let mut idx: Vec<u32> = (0..(coords.len() / dims) as u32).collect();
+    rec(&mut idx, coords, 0, dims, cap);
+    idx
 }
 
 fn tree(dims: usize, m_min: usize, m_max: usize) -> RTree {
@@ -110,6 +147,16 @@ proptest! {
         let mut tids: Vec<u64> = t.tuple_paths().into_iter().map(|(tid, _)| tid).collect();
         tids.sort_unstable();
         prop_assert_eq!(tids, (0..points.len() as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn str_order_is_the_stable_total_cmp_recursion(
+        dims in 1usize..=4,
+        grid in prop::collection::vec(arb_grid_coord(), 0..1600),
+        cap in 2usize..40,
+    ) {
+        let coords = &grid[..grid.len() / dims * dims];
+        prop_assert_eq!(str_order(coords, dims, cap), reference_str_order(coords, dims, cap));
     }
 
     #[test]
