@@ -272,51 +272,76 @@ fn fmt_t(t: usize) -> String {
     }
 }
 
+/// How many STR bulk loads Fig 5 times per T: one load of 100k rows takes
+/// tens of milliseconds, so a single one shows the host's noise.
+const STR_LOADS: usize = 5;
+
 /// Fig 5: construction time vs T for R-tree (dynamic insertion, as Guttman
 /// builds it), P-Cube (signature computation over the shared tree) and
-/// B+-trees (sorted bulk load of every boolean dimension).
+/// B+-trees (sorted bulk load of every boolean dimension), plus the STR
+/// bulk load the P-Cube is built over. The bulk builds are timed first, in
+/// a process that has not yet run the seconds-long insertion build.
 fn fig5_construction(scale: &Scale, seed: u64) {
     println!("Construction time (wall seconds).");
-    println!("Paper shape: P-Cube 7-8x faster than R-tree, comparable to B+-tree.\n");
-    print_header("T", &["R-tree", "P-Cube", "B-tree", "R-tree(STR)"]);
+    println!("Paper shape: P-Cube 7-8x faster than R-tree, comparable to B+-tree.");
+    println!(
+        "R-tree(STR) is the median of {STR_LOADS} loads, with their min and max; \
+         the bulk columns run before the insertion build.\n"
+    );
+    print_header("T", &["R-tree", "P-Cube", "B-tree", "R-tree(STR)", "STR min", "STR max"]);
     for &t in &scale.t_sweep {
         let spec = default_spec(t, seed);
         let relation = synthetic(&spec);
         let stats = IoStats::new_shared();
         let (tids, coords) = relation.live_points();
-
-        // R-tree by one-at-a-time insertion (the paper's construction).
-        let started = Instant::now();
-        let pager = Pager::new(PAGE_SIZE, IoCategory::RtreeBlock, stats.clone());
         let cfg = RTreeConfig::for_page(spec.n_pref, PAGE_SIZE);
-        let mut rtree_ins = RTree::new(pager, cfg);
-        for (&tid, point) in tids.iter().zip(coords.chunks_exact(spec.n_pref)) {
-            rtree_ins.insert(tid, point);
-        }
-        let rtree_seconds = started.elapsed().as_secs_f64();
 
-        // STR bulk load, for reference.
-        let started = Instant::now();
-        let pager = Pager::new(PAGE_SIZE, IoCategory::RtreeBlock, stats.clone());
-        let rtree = RTree::bulk_load_points(pager, cfg, &tids, &coords, 1.0);
-        let str_seconds = started.elapsed().as_secs_f64();
+        // STR bulk load, for reference, each load onto a fresh pager. The
+        // last tree is kept for the signatures.
+        let mut str_seconds = [0.0; STR_LOADS];
+        let mut rtree = None;
+        for seconds in &mut str_seconds {
+            let started = Instant::now();
+            let pager = Pager::new(PAGE_SIZE, IoCategory::RtreeBlock, stats.clone());
+            let loaded = RTree::bulk_load_points(pager, cfg, &tids, &coords, 1.0);
+            *seconds = started.elapsed().as_secs_f64();
+            rtree = Some(loaded);
+        }
+        let rtree = rtree.expect("STR_LOADS > 0");
+        str_seconds.sort_by(f64::total_cmp);
 
         // P-Cube: signatures over the existing partition.
         let started = Instant::now();
         let pcube =
             PCube::build(&relation, &rtree, &MaterializationPlan::Atomic, PAGE_SIZE, stats.clone());
         let pcube_seconds = started.elapsed().as_secs_f64();
-        let _ = pcube;
+        drop(pcube);
 
         // B+-trees over every boolean dimension.
         let started = Instant::now();
         let indexes = BooleanIndexSet::build(&relation, PAGE_SIZE, stats.clone());
         let btree_seconds = started.elapsed().as_secs_f64();
-        let _ = indexes;
+        drop(indexes);
+
+        // R-tree by one-at-a-time insertion (the paper's construction).
+        let started = Instant::now();
+        let pager = Pager::new(PAGE_SIZE, IoCategory::RtreeBlock, stats.clone());
+        let mut rtree_ins = RTree::new(pager, cfg);
+        for (&tid, point) in tids.iter().zip(coords.chunks_exact(spec.n_pref)) {
+            rtree_ins.insert(tid, point);
+        }
+        let rtree_seconds = started.elapsed().as_secs_f64();
 
         print_row_seconds(
             &fmt_t(t),
-            &[rtree_seconds, pcube_seconds, btree_seconds, str_seconds],
+            &[
+                rtree_seconds,
+                pcube_seconds,
+                btree_seconds,
+                str_seconds[STR_LOADS / 2],
+                str_seconds[0],
+                str_seconds[STR_LOADS - 1],
+            ],
         );
     }
 }

@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | [`signature`] | IV-B.1 | [`Signature`]: generation, union, intersection; [`NodeTable`], the one in-memory form of node bits |
 //! | [`encode`] | IV-B.1 | node-level compression + page-sized decomposition |
-//! | [`store`] | IV-B.2 | on-disk partial signatures, lazy [`SignatureCursor`], the probe ([`BooleanProbe`]: one cursor per conjunct, loaded lazily or all up front) |
+//! | [`store`] | IV-B.2, V | `store/mod.rs`: on-disk partial signatures, their `(cell, SID)` directory and page framing; `store/cursor.rs`: the lazy [`SignatureCursor`]; `store/probe.rs`: the probe ([`BooleanProbe`]: one cursor per conjunct, loaded lazily or all up front) |
 //! | [`pcube`] | IV, IV-B.3 | [`PCube`] build + incremental maintenance, [`PCubeDb`] |
 //! | [`rank`] | III, V-B | ranking functions with MBR lower bounds |
 //! | [`query`] | V, VII | Algorithm 1 once, one driver around it (a serial run is a fan-out of one worker; [`ParallelOptions`] carries workers, budget and cancel), every query class through it, drill-down/roll-up |

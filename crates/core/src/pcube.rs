@@ -30,7 +30,13 @@ pub struct PCubeConfig {
     pub page_size: usize,
     /// STR fill factor for the R-tree bulk load. The default 0.7 mimics the
     /// occupancy of a dynamically built R-tree (≈ ln 2), so incremental
-    /// inserts rarely cascade splits; use 1.0 for a packed read-only tree.
+    /// inserts rarely cascade splits. A fuller tree is not cheaper to query
+    /// even when it is never written: it has fewer R-tree nodes to read,
+    /// but the fill also sets the tree's height and so the width of the
+    /// level where a signature's partials restart, and more partials mean
+    /// more signature-record loads. On 160k uniform rows a query under 2–3
+    /// predicates made 55.7 counted reads (R-tree, directory and signature
+    /// records) at a fill of 1.0 and 28.3 at 0.7.
     pub rtree_fill: f64,
 }
 

@@ -101,9 +101,11 @@ impl RTree {
     }
 
     /// Bulk loads with Sort-Tile-Recursive packing, filling each node to
-    /// `fill · M` entries (use `1.0` for a read-mostly tree, lower to leave
-    /// slack for subsequent inserts). A flatten-and-call of
-    /// [`RTree::bulk_load_points`].
+    /// `fill · M` entries; a lower fill leaves slack for subsequent inserts.
+    /// A fuller tree has fewer nodes to read but may take another height,
+    /// which moves every cost that depends on the level structure (a
+    /// P-Cube's signature partials restart at a level of this tree). A
+    /// flatten-and-call of [`RTree::bulk_load_points`].
     ///
     /// # Panics
     /// Panics if `fill` is out of `(0, 1]`, or any point has the wrong
