@@ -65,8 +65,8 @@ pub struct SignatureCursor<'a> {
     /// One bit per locator: its partial has been tried.
     tried: Vec<u64>,
     partials_loaded: u64,
-    /// Seconds spent in [`Self::load_node`], the one place a cursor touches
-    /// a page.
+    /// Seconds spent in [`Self::load_node`] and [`Self::load_all`], the
+    /// only places a cursor touches a page.
     pub(super) load_seconds: f64,
     pub(super) degraded: bool,
     /// This conjunct's child mask of the node under expansion: the node's

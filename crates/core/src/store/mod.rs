@@ -11,10 +11,7 @@
 //! read of the directory is one range scan yielding `(reference SID,
 //! locator)` in key order; a partial is then loaded straight from its
 //! locator, one signature-page read, with no second descent — by the
-//! in-place maintenance path as by a cursor. A [`SignatureCursor`] loads
-//! partials on demand following the paper's rule: to resolve a node, try the
-//! partial referenced by the root, then by the first-level ancestor on the
-//! node's path, then the second level, and so on.
+//! in-place maintenance path as by a cursor.
 //!
 //! Every record read back is decoded into rows of a [`NodeTable`], the one
 //! in-memory form of a signature's bits ([`crate::encode::decode_record`],
@@ -25,8 +22,9 @@
 //!
 //! Three files, one contract each: this one owns the directory, the page
 //! framing, the writes, the loads and in-place maintenance; `cursor.rs` the
-//! retrieval rule over one cell ([`SignatureCursor`]); `probe.rs` the
-//! pruner the query kernel asks ([`BooleanProbe`]).
+//! paper's retrieval rule over one cell, loading partials on demand
+//! ([`SignatureCursor`]); `probe.rs` the pruner the query kernel asks
+//! ([`BooleanProbe`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -562,6 +560,7 @@ mod tests {
         (SignatureStore::new(sig_pager, dir_pager, m_max, height), stats)
     }
 
+    /// The signature of cell a1 in the paper's example: tuples t1 and t3.
     pub(super) fn a1_signature() -> Signature {
         Signature::from_paths(2, [Path(vec![1, 1, 1]), Path(vec![1, 2, 1])].iter())
     }
@@ -586,7 +585,8 @@ mod tests {
         paths
     }
 
-    /// The paths at `depth` of a complete fanout-2 tree, in order.
+    /// The paths at `depth` of a complete fanout-2 tree, in lexicographic
+    /// order.
     pub(super) fn paths_at(depth: usize) -> Vec<Path> {
         node_paths(2, depth + 1).into_iter().filter(|p| p.depth() == depth).collect()
     }
